@@ -37,9 +37,6 @@ AVOIDANCE = "AVOIDANCE"
 DIVERT = "DIVERT"
 CONTINUE = "CONTINUE"
 
-# Glideslope fallback approach types
-FALLBACKS = ("VOR", "SRA", "LOC_DME", "RNAV", "VISUAL")
-
 
 # ---------------------------------------------------------------------------
 # bounded-normal sampling

@@ -2,8 +2,8 @@
 
 The alert envelope is a piecewise-linear boundary in (AGL, closure rate); the
 closure rate is estimated from the *indicated* radio-altimeter height, which
-is what a ramp-spoofing attacker manipulates.  Sub-modes A and B share the
-same boundary logic here.
+is what a ramp-spoofing attacker manipulates.  One boundary is modelled; the
+Mode 2 sub-modes (flap/gear configuration) are not distinguished.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ DEFAULT_BOUNDARY: Tuple[Tuple[float, float], ...] = ((200.0, 2000.0), (790.0, 30
 @dataclass(frozen=True)
 class Mode2Envelope:
     boundary: Tuple[Tuple[float, float], ...] = DEFAULT_BOUNDARY
-    sub_mode: str = "B"
 
     def __post_init__(self) -> None:
-        if self.sub_mode not in ("A", "B"):
-            raise ValueError("sub_mode must be 'A' or 'B'")
         agls = [p[0] for p in self.boundary]
         if sorted(agls) != agls or len(set(agls)) != len(agls):
             raise ValueError("boundary AGL points must be strictly increasing")
@@ -72,16 +69,13 @@ def evaluate(
     agl_ft: float,
     closure_rate_fpm: float,
     envelope: Mode2Envelope,
-    enabled: bool,
     time: float = 0.0,
     approach_index: int = 1,
 ) -> Optional[GpwsAlert]:
-    """Alert iff the system is on and (AGL, closure rate) lies in the envelope."""
+    """Alert iff (AGL, closure rate) lies in the envelope."""
 
     if agl_ft < 0:
         raise ValueError("agl must be >= 0")
-    if not enabled:
-        return None
     if envelope.contains(agl_ft, closure_rate_fpm):
         return GpwsAlert(time=time, trigger_agl=agl_ft, approach_index=approach_index)
     return None
@@ -118,6 +112,3 @@ class ClosureRateEstimator:
         if t - t0 < self.window_s - 1e-9:
             return None
         return (h0 - indicated_agl_ft) / (t - t0) * 60.0
-
-    def reset(self) -> None:
-        self._samples.clear()

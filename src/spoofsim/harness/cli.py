@@ -20,7 +20,7 @@ from .. import sentinel
 from .config import (
     ConfigError,
     ScenarioConfig,
-    SCENARIOS,
+    apply_scenario,
     default_config_dict,
     load_config,
     make_config,
@@ -28,6 +28,7 @@ from .config import (
 from .cost import all_cost_reports
 from .output import emit, load_logs, summary_csv
 from .runner import run as run_trials
+from .scenarios import SCENARIOS
 from .summary import summarize
 
 EXIT_OK = 0
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", choices=SCENARIOS, help="scenario to simulate")
+        p.add_argument("--scenario", choices=list(SCENARIOS), help="scenario to simulate")
         p.add_argument("--trials", type=int, help="number of trials")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory")
@@ -58,15 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    if args.config:
-        cfg = load_config(args.config)
-        data = cfg.raw
-    else:
-        data = default_config_dict(args.scenario or "GPWS")
+    data = load_config(args.config).raw if args.config else default_config_dict()
     if args.scenario:
-        data["scenario"] = args.scenario
-        if args.scenario == "BASELINE":
-            data["attacker"]["enabled"] = False
+        data = apply_scenario(data, args.scenario)
     if args.trials is not None:
         data["trials"] = args.trials
     if args.seed is not None:

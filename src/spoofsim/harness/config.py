@@ -1,25 +1,27 @@
 """Scenario configuration: versioned JSON schema, strict validation, defaults.
 
-Unknown keys are rejected everywhere.  User configs are merged over the
-built-in defaults, so a config file only needs the fields it changes.
+Unknown keys are rejected everywhere.  Every built-in value is the `default`
+of its field in `SCHEMA`; a scenario's registry entry may override some of
+them.  User configs are merged over those defaults, so a config file only
+needs the fields it changes.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import jsonschema
 
 from .. import crew
-from ..gpws import AttackSchedule, Mode2Envelope
+from ..gpws import AttackSchedule
 from ..tcas import AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
-
-SCENARIOS = ("GPWS", "TCAS", "GS", "BASELINE")
+from .scenarios import SCENARIOS
 
 CONFIG_VERSION = 1
 
@@ -39,9 +41,15 @@ def _obj(properties: dict, required: Optional[List[str]] = None) -> dict:
     return schema
 
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
+def _num(default: Optional[float] = None, **bounds: float) -> dict:
+    """Number field; `default` is its built-in value (None: no default)."""
+
+    schema = {"type": "number", **bounds}
+    return schema if default is None else {**schema, "default": default}
+
+
+_pos = functools.partial(_num, exclusiveMinimum=0)
+_nonneg = functools.partial(_num, minimum=0)
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
 _DIST = {
     "type": "object",
@@ -50,21 +58,21 @@ _DIST = {
 
 SCHEMA = _obj(
     {
-        "version": {"const": CONFIG_VERSION},
-        "scenario": {"enum": list(SCENARIOS)},
-        "trials": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
+        "version": {"const": CONFIG_VERSION, "default": CONFIG_VERSION},
+        "scenario": {"enum": list(SCENARIOS), "default": "GPWS"},
+        "trials": {"type": "integer", "minimum": 1, "default": 100},
+        "master_seed": {"type": "integer", "minimum": 0, "default": 20190118},
+        "output_dir": {"type": "string", "default": "out"},
         "world": _obj(
             {
-                "dt_s": _POS,
+                "dt_s": _pos(0.1),
                 "runway": _obj(
                     {
-                        "threshold_position_m": _NUM,
-                        "touchdown_zone_offset_m": _NONNEG,
-                        "elevation_m": _NUM,
-                        "true_bearing_deg": _NUM,
-                        "length_m": _POS,
+                        "threshold_position_m": _num(0.0),
+                        "touchdown_zone_offset_m": _nonneg(300.0),
+                        "elevation_m": _num(100.0),
+                        "true_bearing_deg": _num(327.0),
+                        "length_m": _pos(2600.0),
                     }
                 ),
                 "terrain": {
@@ -72,78 +80,82 @@ SCHEMA = _obj(
                     "minItems": 2,
                     "items": {
                         "type": "array",
-                        "items": _NUM,
+                        "items": _num(),
                         "minItems": 2,
                         "maxItems": 2,
                     },
+                    "default": [[-50000.0, 100.0], [50000.0, 100.0]],
                 },
                 "approach": _obj(
                     {
-                        "ground_speed_kn": _POS,
-                        "descent_rate_fpm": _POS,
-                        "start_agl_ft": _POS,
+                        "ground_speed_kn": _pos(130.0),
+                        "descent_rate_fpm": _pos(700.0),
+                        "start_agl_ft": _pos(1500.0),
                     }
                 ),
                 "cruise": _obj(
-                    {"altitude_ft": _POS, "ground_speed_kn": _POS}
+                    {"altitude_ft": _pos(12000.0), "ground_speed_kn": _pos(230.0)}
                 ),
             }
         ),
         "attacker": _obj(
             {
-                "enabled": {"type": "boolean"},
+                "enabled": {"type": "boolean", "default": True},
                 "gpws": _obj(
                     {
-                        "base_trigger_ft": _POS,
-                        "increment_per_approach_ft": _NONNEG,
-                        "jitter_window_ft": _NONNEG,
-                        "apparent_descent_rate_mps": _POS,
+                        "base_trigger_ft": _pos(500.0),
+                        "increment_per_approach_ft": _nonneg(250.0),
+                        "jitter_window_ft": _nonneg(50.0),
+                        "apparent_descent_rate_mps": _pos(15.4),
                     }
                 ),
                 "tcas": _obj(
                     {
-                        "approach_bearing_deg": _NUM,
-                        "approach_speed_mps": _POS,
-                        "vertical_offset_ft": _NUM,
-                        "activation_floor_ft": _NONNEG,
-                        "alert_budget": {"type": "integer", "minimum": 0},
-                        "start_tau_s": _POS,
-                        "bearing_jitter_deg": _NONNEG,
-                        "speed_jitter_mps": _NONNEG,
+                        "approach_bearing_deg": _num(45.0),
+                        "approach_speed_mps": _pos(180.0),
+                        "vertical_offset_ft": _num(-500.0),
+                        "activation_floor_ft": _nonneg(2000.0),
+                        "alert_budget": {"type": "integer", "minimum": 0, "default": 10},
+                        "start_tau_s": _pos(50.0),
+                        "bearing_jitter_deg": _nonneg(180.0),
+                        "speed_jitter_mps": _nonneg(60.0),
                         "position_m": {
                             "type": "array",
-                            "items": _NUM,
+                            "items": _num(),
                             "minItems": 3,
                             "maxItems": 3,
+                            "default": [-5000.0, 8000.0, 150.0],
                         },
                     }
                 ),
                 "gs": _obj(
                     {
-                        "shift_m": _POS,
-                        "tx_power_w": _POS,
-                        "path_angle_deg": _POS,
+                        "shift_m": _pos(2050.0),
+                        "tx_power_w": _pos(50.0),
+                        "path_angle_deg": _pos(3.0),
                     }
                 ),
             }
         ),
+        # Policy fields carry no schema default: an absent field falls back
+        # to the crew model's own calibrated value.
         "policies": _obj(
             {
                 "gpws": _obj(
                     {
                         "approach_actions": {"type": "array", "items": _DIST},
-                        "reaction_latency_mean_s": _NONNEG,
-                        "reaction_latency_sd_s": _POS,
+                        "reaction_latency_mean_s": _nonneg(),
+                        "reaction_latency_sd_s": _pos(),
                     }
                 ),
                 "tcas": _obj(
                     {
                         "p_downgrade": _PROB,
                         "p_standby_given_downgrade": _PROB,
-                        "ras_before_ta_only_mean": _POS,
-                        "ras_before_ta_only_sd": _POS,
-                        "extra_tas_before_standby_mean": _NONNEG,
-                        "extra_tas_before_standby_sd": _POS,
+                        "ras_before_ta_only_mean": _pos(),
+                        "ras_before_ta_only_sd": _pos(),
+                        "extra_tas_before_standby_mean": _nonneg(),
+                        "extra_tas_before_standby_sd": _pos(),
                         "action_given_final_mode": {
                             "type": "object",
                             "additionalProperties": _DIST,
@@ -153,10 +165,10 @@ SCHEMA = _obj(
                 "gs": _obj(
                     {
                         "p_go_around_first": _PROB,
-                        "go_around_agl_mean_ft": _POS,
-                        "go_around_agl_sd_ft": _POS,
-                        "go_around_agl_lo_ft": _POS,
-                        "go_around_agl_hi_ft": _POS,
+                        "go_around_agl_mean_ft": _pos(),
+                        "go_around_agl_sd_ft": _pos(),
+                        "go_around_agl_lo_ft": _pos(),
+                        "go_around_agl_hi_ft": _pos(),
                         "fallback_approaches": _DIST,
                     }
                 ),
@@ -164,94 +176,54 @@ SCHEMA = _obj(
         ),
         "tcas_system": _obj(
             {
-                "tau_ta_s": _POS,
-                "tau_ra_s": _POS,
-                "ta_band_ft": _POS,
-                "ra_band_ft": _POS,
-                "max_episodes": {"type": "integer", "minimum": 1},
-                "inter_episode_gap_s": _POS,
+                "tau_ta_s": _pos(48.0),
+                "tau_ra_s": _pos(30.0),
+                "ta_band_ft": _pos(1200.0),
+                "ra_band_ft": _pos(600.0),
+                "max_episodes": {"type": "integer", "minimum": 1, "default": 30},
+                "inter_episode_gap_s": _pos(20.0),
             }
         ),
         "sentinel": _obj(
             {
-                "sensor_extent_m": _POS,
-                "clock_jitter_ns": _NONNEG,
-                "residual_threshold_m": _POS,
+                "sensor_extent_m": _pos(20000.0),
+                "clock_jitter_ns": _nonneg(100.0),
+                "residual_threshold_m": _pos(500.0),
             }
         ),
-        "output": _obj({"altitude_trace": {"type": "boolean"}}),
+        "output": _obj({"altitude_trace": {"type": "boolean", "default": False}}),
     },
     required=["version", "scenario"],
 )
 
 
-def default_config_dict(scenario: str = "GPWS") -> Dict[str, Any]:
+def _schema_defaults(schema: dict) -> Dict[str, Any]:
+    """Nested dict of every field's `default`.  Descends only into objects
+    that declare `properties`, so open maps (distributions, policy tables)
+    get no default that would replace the crew model's own."""
+
+    out: Dict[str, Any] = {}
+    for key, sub in schema["properties"].items():
+        if "properties" in sub:
+            out[key] = _schema_defaults(sub)
+        elif "default" in sub:
+            out[key] = copy.deepcopy(sub["default"])
+    return out
+
+
+def apply_scenario(data: Dict[str, Any], scenario: str) -> Dict[str, Any]:
+    """`data` switched to `scenario`, with that scenario's overrides merged in."""
+
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}")
-    return {
-        "version": CONFIG_VERSION,
-        "scenario": scenario,
-        "trials": 100,
-        "master_seed": 20190118,
-        "output_dir": "out",
-        "world": {
-            "dt_s": 0.1,
-            "runway": {
-                "threshold_position_m": 0.0,
-                "touchdown_zone_offset_m": 300.0,
-                "elevation_m": 100.0,
-                "true_bearing_deg": 327.0,
-                "length_m": 2600.0,
-            },
-            "terrain": [[-50000.0, 100.0], [50000.0, 100.0]],
-            "approach": {
-                "ground_speed_kn": 130.0,
-                "descent_rate_fpm": 700.0,
-                "start_agl_ft": 1500.0,
-            },
-            "cruise": {"altitude_ft": 12000.0, "ground_speed_kn": 230.0},
-        },
-        "attacker": {
-            "enabled": scenario != "BASELINE",
-            "gpws": {
-                "base_trigger_ft": 500.0,
-                "increment_per_approach_ft": 250.0,
-                "jitter_window_ft": 50.0,
-                "apparent_descent_rate_mps": 15.4,
-            },
-            "tcas": {
-                "approach_bearing_deg": 45.0,
-                "approach_speed_mps": 180.0,
-                "vertical_offset_ft": -500.0,
-                "activation_floor_ft": 2000.0,
-                "alert_budget": 10,
-                "start_tau_s": 50.0,
-                "bearing_jitter_deg": 180.0,
-                "speed_jitter_mps": 60.0,
-                "position_m": [-5000.0, 8000.0, 150.0],
-            },
-            "gs": {"shift_m": 2050.0, "tx_power_w": 50.0, "path_angle_deg": 3.0},
-        },
-        "policies": {
-            "gpws": {},
-            "tcas": {},
-            "gs": {},
-        },
-        "tcas_system": {
-            "tau_ta_s": 48.0,
-            "tau_ra_s": 30.0,
-            "ta_band_ft": 1200.0,
-            "ra_band_ft": 600.0,
-            "max_episodes": 30,
-            "inter_episode_gap_s": 20.0,
-        },
-        "sentinel": {
-            "sensor_extent_m": 20000.0,
-            "clock_jitter_ns": 100.0,
-            "residual_threshold_m": 500.0,
-        },
-        "output": {"altitude_trace": False},
-    }
+    return _merge({**data, "scenario": scenario}, SCENARIOS[scenario].overrides)
+
+
+def default_config_dict(scenario: Optional[str] = None) -> Dict[str, Any]:
+    """Schema defaults for `scenario` (the schema's default scenario if None)."""
+
+    data = _schema_defaults(SCHEMA)
+    return apply_scenario(data, scenario or data["scenario"])
 
 
 def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
@@ -321,9 +293,6 @@ class ScenarioConfig:
             jitter_window_ft=a["jitter_window_ft"],
         )
 
-    def gpws_envelope(self) -> Mode2Envelope:
-        return Mode2Envelope()
-
     def gpws_policy(self) -> crew.GpwsPolicy:
         p = self.raw["policies"]["gpws"]
         kwargs: Dict[str, Any] = {}
@@ -382,7 +351,7 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>: config must be a JSON object")
     validate_config_dict(data)
-    merged = _merge(default_config_dict(data.get("scenario", "GPWS")), data)
+    merged = _merge(default_config_dict(data["scenario"]), data)
     validate_config_dict(merged)
     cfg = ScenarioConfig(raw=merged)
     # Semantic checks jsonschema cannot express.

@@ -11,13 +11,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 OUTCOME = "outcome"
-
-# Terminal outcomes
-LANDED = "LANDED"
-LANDED_GPWS_OFF = "LANDED_GPWS_OFF"
-LANDED_FALLBACK = "LANDED_FALLBACK"
-CONTINUED = "CONTINUED"
-DIVERTED = "DIVERTED"
+#: Slack allowed on event-time ordering, s (absorbs float rounding).
+_TIME_SLACK_S = 1e-9
 
 
 @dataclass
@@ -30,7 +25,7 @@ class TrialLog:
     def add(self, t: float, kind: str, payload: Optional[Dict[str, Any]] = None) -> None:
         if self.finished:
             raise ValueError("trial already has a terminal outcome")
-        if self.events and t < self.events[-1]["t"] - 1e-9:
+        if self.events and t < self.events[-1]["t"] - _TIME_SLACK_S:
             raise ValueError(
                 f"events must be time-ordered: {t} after {self.events[-1]['t']}"
             )
@@ -76,4 +71,9 @@ class TrialLog:
             events.append(record)
         if trial_id is None:
             raise ValueError("empty trial log")
+        kinds = [e["kind"] for e in events]
+        if kinds.count(OUTCOME) != 1 or kinds[-1] != OUTCOME:
+            raise ValueError("trial log must end in exactly one outcome event")
+        if any(b["t"] < a["t"] - _TIME_SLACK_S for a, b in zip(events, events[1:])):
+            raise ValueError("trial log events are not in time order")
         return cls(trial_id=trial_id, seed=seed, scenario=scenario, events=events)

@@ -117,7 +117,11 @@ def emit(
 
 
 def load_logs(out_dir: str | Path, scenario: str = "") -> List[TrialLog]:
-    trials_dir = Path(out_dir) / "trials"
+    """Every trial log of a run directory.  Refuses an incomplete set: ids must
+    be 0..N-1, with N from the directory's `config.json` when it has one."""
+
+    out = Path(out_dir)
+    trials_dir = out / "trials"
     if not trials_dir.is_dir():
         raise RuntimeError(f"no trial logs found under {trials_dir}")
     logs = []
@@ -126,6 +130,22 @@ def load_logs(out_dir: str | Path, scenario: str = "") -> List[TrialLog]:
             logs.append(TrialLog.from_jsonl(path.read_text(), scenario=scenario))
         except OSError as exc:
             raise RuntimeError(f"cannot read {path}: {exc}") from exc
+        except (ValueError, KeyError) as exc:
+            raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
     if not logs:
         raise RuntimeError(f"no trial logs found under {trials_dir}")
+    expected = len(logs)
+    config_path = out / "config.json"
+    if config_path.is_file():
+        try:
+            expected = json.loads(config_path.read_text())["trials"]
+        except (OSError, ValueError, KeyError) as exc:
+            raise RuntimeError(f"cannot read trial count from {config_path}: {exc}") from exc
+    ids = sorted(log.trial_id for log in logs)
+    if ids != list(range(expected)):
+        missing = sorted(set(range(expected)) - set(ids))
+        raise RuntimeError(
+            f"{trials_dir} holds {len(ids)} trial logs, expected ids 0..{expected - 1}"
+            + (f"; missing {missing[:5]}" if missing else "")
+        )
     return logs

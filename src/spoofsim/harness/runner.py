@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .log import TrialLog
-from .scenarios import TRIAL_FUNCTIONS
+from .scenarios import SCENARIOS
 
 
 def trial_seeds(master_seed: int, trials: int) -> List[int]:
@@ -21,6 +21,6 @@ def trial_seeds(master_seed: int, trials: int) -> List[int]:
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:
-    trial_fn = TRIAL_FUNCTIONS[config.scenario]
+    trial_fn = SCENARIOS[config.scenario].trial
     seeds = trial_seeds(config.master_seed, config.trials)
     return [trial_fn(config, i, seed) for i, seed in enumerate(seeds)]

@@ -9,14 +9,18 @@ attack windows, so trials stay cheap at Monte-Carlo counts.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
-from .config import ScenarioConfig
 from .log import TrialLog
+from .summary import summarize_gpws, summarize_gs, summarize_tcas
+
+if TYPE_CHECKING:  # config imports this module for the registry
+    from .config import ScenarioConfig
 
 #: Fine-loop entry margin above the attack trigger, ft: wide enough for the
 #: closure estimator window to fill before the ramp starts.
@@ -66,14 +70,13 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     runway = cfg.runway()
     terrain = cfg.terrain()
-    envelope = cfg.gpws_envelope()
+    envelope = gpws.Mode2Envelope()
     schedule = cfg.gpws_attack_schedule()
     policy = cfg.gpws_policy()
     sweep = radalt.SweepConfig()
     apparent_rate = cfg.raw["attacker"]["gpws"]["apparent_descent_rate_mps"]
     trace = cfg.raw["output"]["altitude_trace"]
     dt = cfg.dt
-    gpws_on = True
     t = 0.0
 
     approach = 0
@@ -136,14 +139,14 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             closure = estimator.update(state.time, indicated)
             if closure is not None:
                 alert = gpws.evaluate(
-                    max(indicated, 0.0), closure, envelope, gpws_on,
+                    max(indicated, 0.0), closure, envelope,
                     time=state.time, approach_index=approach,
                 )
                 if alert is not None:
                     break
 
         if alert is None:
-            # Alerting disabled or envelope never entered: approach completes.
+            # Envelope never entered: the approach completes.
             log.finish(state.time, "LANDED", {"approach": approach})
             return log
 
@@ -169,7 +172,6 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         t_land, _ = world.time_and_distance_to_touchdown(state, runway)
         t_done = max(t_action, state.time + t_land)
         if action == crew.TURN_OFF_GPWS:
-            gpws_on = False
             log.add(t_action, "crew_action", {"approach": approach, "action": action})
             log.finish(t_done, "LANDED_GPWS_OFF", {"approach": approach})
             return log
@@ -418,9 +420,23 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     return log
 
 
-TRIAL_FUNCTIONS = {
-    "GPWS": gpws_trial,
-    "TCAS": tcas_trial,
-    "GS": gs_trial,
-    "BASELINE": gs_trial,
+# ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario: its trial function, summarizer and config overrides."""
+
+    trial: Callable[[ScenarioConfig, int, int], TrialLog]
+    summarize: Callable[[Sequence[TrialLog]], Dict[str, Any]]
+    overrides: Dict[str, Any] = field(default_factory=dict)
+
+
+SCENARIOS: Dict[str, Scenario] = {
+    "GPWS": Scenario(gpws_trial, summarize_gpws),
+    "TCAS": Scenario(tcas_trial, summarize_tcas),
+    "GS": Scenario(gs_trial, summarize_gs),
+    # The glideslope approach with no attacker.
+    "BASELINE": Scenario(gs_trial, summarize_gs, {"attacker": {"enabled": False}}),
 }

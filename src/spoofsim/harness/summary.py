@@ -49,7 +49,7 @@ def _check_homogeneous(logs: Sequence[TrialLog]) -> str:
     return scenarios.pop()
 
 
-def _summarize_gpws(logs: Sequence[TrialLog]) -> Dict[str, Any]:
+def summarize_gpws(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     per_approach: Dict[int, Dict[str, int]] = {}
     first_go_around_agl: List[float] = []
     for log in logs:
@@ -98,7 +98,7 @@ def _summarize_gpws(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     }
 
 
-def _summarize_tcas(logs: Sequence[TrialLog]) -> Dict[str, Any]:
+def summarize_tcas(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     matrix: Dict[str, Dict[str, int]] = {
         a: {m: 0 for m in TCAS_MODE_LABELS} for a in TCAS_ACTION_LABELS
     }
@@ -156,7 +156,7 @@ def _summarize_tcas(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     }
 
 
-def _summarize_gs(logs: Sequence[TrialLog]) -> Dict[str, Any]:
+def summarize_gs(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     go_around_agl: List[float] = []
     fallbacks: Dict[str, int] = {}
     landed_first = 0
@@ -205,17 +205,11 @@ def _summarize_gs(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     }
 
 
-_SUMMARIZERS = {
-    "GPWS": _summarize_gpws,
-    "TCAS": _summarize_tcas,
-    "GS": _summarize_gs,
-    "BASELINE": _summarize_gs,
-}
-
-
 def summarize(logs: Sequence[TrialLog]) -> Dict[str, Any]:
+    from .scenarios import SCENARIOS  # the registry imports this module
+
     scenario = _check_homogeneous(logs)
-    result = _SUMMARIZERS[scenario](logs)
+    result = SCENARIOS[scenario].summarize(logs)
     result["scenario"] = scenario
     result["trials"] = len(logs)
     outcomes: Dict[str, int] = {}

@@ -1,15 +1,14 @@
 """FMCW radio-altimeter signal model and the ramp-spoofing pulse scheduler.
 
 The altimeter sweeps 4200-4400 MHz and ranges the ground from the round-trip
-delay of the strongest echo; the equivalent beat-frequency view (sweep slope
-times delay) is computed as a cross-check.  The attacker schedules one
+delay of the strongest echo (the beat frequency is sweep slope times delay, so
+ranging on either gives the same height).  The attacker schedules one
 injected delay per sweep, shrinking it so the indicated height descends at a
 chosen apparent rate.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -68,20 +67,13 @@ def delay_to_height(t_rtt: float) -> float:
 
 
 def measure(echoes: Sequence[PulseEcho], sweep: SweepConfig) -> float:
-    """Indicated AGL in metres from the strongest echo of the current sweep.
-
-    Both the delay view (c*t/2) and the beat-frequency view
-    (c*f_b / (2*slope) with f_b = slope*t) are evaluated and must agree.
-    """
+    """Indicated AGL in metres from the strongest echo of the current sweep:
+    c*t/2, quantised to the receiver's range resolution."""
 
     if not echoes:
         raise NoGroundReturn("no echo in current sweep")
     strongest = max(echoes, key=lambda e: e.received_power)
     h_delay = delay_to_height(strongest.round_trip_time)
-    f_beat = sweep.sweep_slope * strongest.round_trip_time
-    h_beat = SPEED_OF_LIGHT * f_beat / (2.0 * sweep.sweep_slope)
-    if h_delay > 0 and abs(h_beat - h_delay) > 1e-9 * h_delay:
-        raise AssertionError("beat-frequency and delay views disagree")
     q = sweep.range_resolution
     return round(h_delay / q) * q
 
@@ -103,40 +95,9 @@ class RampAttackPlan:
             if any(b >= a for a, b in zip(positive, positive[1:])):
                 raise ValueError("injected delays must strictly decrease while nonzero")
 
-    def indicated_agl(self, elapsed: float) -> float:
-        """Height the victim altimeter reads `elapsed` seconds into the attack."""
-
-        if elapsed < 0:
-            raise ValueError("elapsed must be >= 0")
-        idx = min(int(elapsed / self.sweep_period), len(self.schedule) - 1)
-        return delay_to_height(self.schedule[idx][1])
-
     def echo_at(self, elapsed: float, power: float = -40.0) -> PulseEcho:
         idx = min(int(elapsed / self.sweep_period), len(self.schedule) - 1)
         return PulseEcho(self.schedule[idx][1], power, source="adversarial")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "start_agl_m": self.start_agl,
-                "apparent_descent_rate_mps": self.apparent_descent_rate,
-                "duration_s": self.duration,
-                "sweep_period_s": self.sweep_period,
-                "schedule": [[k, t] for k, t in self.schedule],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "RampAttackPlan":
-        d = json.loads(blob)
-        return cls(
-            start_agl=d["start_agl_m"],
-            apparent_descent_rate=d["apparent_descent_rate_mps"],
-            duration=d["duration_s"],
-            sweep_period=d["sweep_period_s"],
-            schedule=[(int(k), float(t)) for k, t in d["schedule"]],
-        )
 
 
 def craft_ramp(

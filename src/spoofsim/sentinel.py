@@ -180,26 +180,6 @@ def observe_arrivals(
     return arrivals
 
 
-def locate_emitter(
-    arrivals: Sequence[Tuple[GroundSensor, float]],
-    bounds: Tuple[float, float, float, float],
-    grid_step_m: float = 500.0,
-    altitude_m: float = 0.0,
-) -> Tuple[float, float, float]:
-    """Best-fit emitter position by coarse grid search over the residual."""
-
-    xmin, xmax, ymin, ymax = bounds
-    best = None
-    best_res = math.inf
-    for x in np.arange(xmin, xmax + grid_step_m, grid_step_m):
-        for y in np.arange(ymin, ymax + grid_step_m, grid_step_m):
-            res = toa_residual_m((x, y, altitude_m), arrivals)
-            if res < best_res:
-                best_res = res
-                best = (float(x), float(y), altitude_m)
-    return best
-
-
 def default_sensor_grid(extent_m: float = 20_000.0) -> List[GroundSensor]:
     """Four non-collinear sensors around the airfield."""
 

@@ -11,7 +11,7 @@ the same message stream.  Bit-level 1030/1090 MHz framing is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -19,13 +19,11 @@ import numpy as np
 from .world import AircraftState
 from .units import ft_to_m, m_to_ft
 
-# Message kinds
+# Message kinds: only transmissions whose content a receiver consumes are
+# modelled; interrogations, all-calls and suppressions are implicit in the cycles.
 SQUITTER = "SQUITTER"
-MODE_S_INTERROGATION = "MODE_S_INTERROGATION"
 MODE_S_REPLY = "MODE_S_REPLY"
-ALL_CALL = "ALL_CALL"
 MODE_C_REPLY = "MODE_C_REPLY"
-SUPPRESSION = "SUPPRESSION"
 
 # Crew-selectable alerting modes
 STANDBY = "STANDBY"
@@ -104,7 +102,6 @@ class Advisory:
     time: float
     ra_sense: Optional[str] = None    # "CLIMB" | "DESCEND" | "HOLD_VS"
     commanded_rate: float = 0.0       # ft/min
-    track_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,6 @@ class FalseIntruderPlan:
     start_tau_s: float = 50.0             # initial time-to-closest-approach
     bearing_jitter_deg: float = 180.0     # per-encounter variation
     speed_jitter_mps: float = 60.0
-    duplicate_address: bool = False       # reuse a tracked id from farther away
-    intermittent_mode_c: bool = False     # stochastic Mode C replies
-    mode_c_reply_prob: float = 0.7
 
     def __post_init__(self) -> None:
         if self.alert_budget < 0:
@@ -242,8 +236,6 @@ class TcasUnit:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.mode_c_bearing_error_deg = mode_c_bearing_error_deg
         self.tracks: Dict[object, IntruderTrack] = {}
-        self.malformed_count = 0
-        self._anon_counter = 0
 
     def set_mode(self, mode: str) -> None:
         if mode not in (STANDBY, TA_ONLY, TA_RA):
@@ -265,7 +257,6 @@ class TcasUnit:
     ) -> Optional[IntruderTrack]:
         slant = float(np.linalg.norm(claimed - own_pos))
         if slant <= 0:
-            self.malformed_count += 1
             return None
         bearing = _bearing_between(own_pos, claimed)
         if bearing_noise_deg:
@@ -295,25 +286,18 @@ class TcasUnit:
         for k in stale:
             del self.tracks[k]
 
-    def mode_s_cycle(self, own: AircraftState, channel: Channel, t: float) -> List[SurveillanceMessage]:
+    def mode_s_cycle(self, own: AircraftState, channel: Channel, t: float) -> None:
         """One interrogation round: listen for squitters, interrogate each
         known id once, consume replies into track updates."""
 
         if self.mode == STANDBY:
-            return []
+            return
         own_pos = own_position_3d(own)
         own_alt_ft = m_to_ft(own.altitude_msl)
-        emitted: List[SurveillanceMessage] = []
 
         heard = {m.icao_id for m in channel.squitters(t) if m.icao_id is not None}
         known = heard | {k for k in self.tracks if isinstance(k, int)}
         for icao in sorted(known):
-            interrogation = SurveillanceMessage(
-                kind=MODE_S_INTERROGATION, timestamp=t, icao_id=icao,
-                position=tuple(own_pos),
-            )
-            channel.publish(interrogation)
-            emitted.append(interrogation)
             for responder in channel.responders:
                 if getattr(responder, "icao_id", None) != icao:
                     continue
@@ -321,9 +305,7 @@ class TcasUnit:
                 if reply is None:
                     continue
                 channel.publish(reply)
-                emitted.append(reply)
                 if reply.claimed_position is None or reply.altitude is None:
-                    self.malformed_count += 1
                     continue
                 self._update_track(
                     icao, t, own_pos, own_alt_ft,
@@ -331,7 +313,6 @@ class TcasUnit:
                     bearing_noise_deg=0.0, icao_id=icao,
                 )
         self.drop_stale(t)
-        return emitted
 
     def mode_c_cycle(
         self,
@@ -339,25 +320,19 @@ class TcasUnit:
         power_steps: Sequence[float],
         channel: Channel,
         t: float,
-    ) -> List[SurveillanceMessage]:
+    ) -> None:
         """Whisper-shout all-call round: stepped power with suppression so
         each in-range Mode C aircraft replies exactly once per full cycle."""
 
         if list(power_steps) != sorted(power_steps) or len(set(power_steps)) != len(power_steps):
             raise ValueError("power_steps must be strictly increasing")
         if self.mode == STANDBY:
-            return []
+            return
         own_pos = own_position_3d(own)
         own_alt_ft = m_to_ft(own.altitude_msl)
-        emitted: List[SurveillanceMessage] = []
         suppressed: set = set()
 
         for step_power in power_steps:
-            all_call = SurveillanceMessage(
-                kind=ALL_CALL, timestamp=t, tx_power=step_power, position=tuple(own_pos),
-            )
-            channel.publish(all_call)
-            emitted.append(all_call)
             for responder in channel.responders:
                 if getattr(responder, "mode", None) != "C":
                     continue
@@ -369,23 +344,13 @@ class TcasUnit:
                 if reply is None:
                     continue
                 channel.publish(reply)
-                emitted.append(reply)
                 suppressed.add(id(responder))
-                suppression = SurveillanceMessage(
-                    kind=SUPPRESSION, timestamp=t, position=tuple(own_pos),
-                )
-                channel.publish(suppression)
-                emitted.append(suppression)
-                key = getattr(responder, "track_key", None)
-                if key is None:
-                    key = f"anon-{id(responder)}"
                 self._update_track(
-                    key, t, own_pos, own_alt_ft,
+                    f"anon-{id(responder)}", t, own_pos, own_alt_ft,
                     np.array(reply.claimed_position), reply.altitude,
                     bearing_noise_deg=self.mode_c_bearing_error_deg, icao_id=None,
                 )
         self.drop_stale(t)
-        return emitted
 
     # -- advisory logic ---------------------------------------------------
 
@@ -428,10 +393,10 @@ def advise(
             else:
                 sense, rate = "HOLD_VS", 0.0
             best = Advisory(level="RA", time=t, ra_sense=sense,
-                            commanded_rate=rate, track_id=track.icao_id)
+                            commanded_rate=rate)
             best_tau = tau
         elif tau <= thresholds.tau_ta_s and abs(rel) <= thresholds.ta_band_ft:
-            best = Advisory(level="TA", time=t, track_id=track.icao_id)
+            best = Advisory(level="TA", time=t)
             best_tau = tau
     return best
 
@@ -453,7 +418,6 @@ class FalseIntruderInjector:
         self.target_fn = target_fn
         self.target_agl_fn = target_agl_fn or (lambda t: m_to_ft(target_fn(t).altitude_msl))
         self.attacker_position = np.asarray(attacker_position, dtype=float)
-        self.mode = "attacker"
         self.icao_id: Optional[int] = None
         self.ras_observed = 0
         self.episode_start: Optional[float] = None
@@ -528,49 +492,3 @@ class FalseIntruderInjector:
             position=tuple(self.attacker_position),
             claimed_position=tuple(self.intruder_position(t)),
         )
-
-    def respond_mode_c(self, t: float, received_power_dbm: float) -> Optional[SurveillanceMessage]:
-        if not self.active(t):
-            return None
-        if received_power_dbm < DEFAULT_SENSITIVITY_DBM:
-            # Whisper-shout step too weak to hear at the attacker site: the
-            # reply timing must be guessed, so emission becomes stochastic.
-            if not self.plan.intermittent_mode_c:
-                return None
-            if self.rng.random() > self.plan.mode_c_reply_prob:
-                return None
-        return SurveillanceMessage(
-            kind=MODE_C_REPLY, timestamp=t, origin="adversarial",
-            altitude=self.intruder_altitude_ft(t),
-            position=tuple(self.attacker_position),
-            claimed_position=tuple(self.intruder_position(t)),
-        )
-
-
-def inject(
-    plan: FalseIntruderPlan,
-    observed_target: AircraftState,
-    channel: Channel,
-    rng: np.random.Generator,
-) -> List[SurveillanceMessage]:
-    """Emit one surveillance cycle of false-intruder messages.
-
-    Returns the empty stream when the target is below the activation floor or
-    the alert budget is spent.  The injector is registered on the channel so
-    subsequent interrogations reach it.
-    """
-
-    injector = FalseIntruderInjector(plan, rng, target_fn=lambda t: observed_target)
-    if plan.alert_budget == 0:
-        return []
-    t = observed_target.time
-    if m_to_ft(observed_target.altitude_msl) <= plan.activation_floor:
-        return []
-    injector.start_episode(t)
-    channel.register(injector)
-    msgs = []
-    sq = injector.squitter(t)
-    if sq is not None:
-        channel.publish(sq)
-        msgs.append(sq)
-    return msgs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class AircraftState:
     @property
     def along_track(self) -> float:
         return self.ground_position[0]
-
-    @property
-    def cross_track(self) -> float:
-        return self.ground_position[1]
 
 
 @dataclass(frozen=True)
@@ -92,27 +88,11 @@ class TerrainProfile:
         return float(np.interp(along_track, self._x, self._z))
 
 
-@dataclass(frozen=True)
-class PerformanceLimits:
-    """Configured performance envelope; not derived from any aircraft model."""
-
-    max_ground_speed: float = 180.0   # m/s
-    max_climb_rate: float = 25.0      # m/s
-    max_descent_rate: float = 30.0    # m/s (magnitude)
-
-    def check(self, vertical_speed: float, ground_speed: float) -> None:
-        if ground_speed > self.max_ground_speed:
-            raise ValueError(f"commanded ground speed {ground_speed} exceeds limit")
-        if vertical_speed > self.max_climb_rate or vertical_speed < -self.max_descent_rate:
-            raise ValueError(f"commanded vertical speed {vertical_speed} exceeds limit")
-
-
 def step(
     state: AircraftState,
     commanded_vertical_speed: float,
     commanded_ground_speed: float,
     dt: float,
-    limits: Optional[PerformanceLimits] = None,
 ) -> AircraftState:
     """Advance the state by dt at the commanded rates (exact integration)."""
 
@@ -127,8 +107,6 @@ def step(
         raise ValueError(f"dt must be > 0, got {dt}")
     if commanded_ground_speed < 0:
         raise ValueError("commanded ground speed must be >= 0")
-    if limits is not None:
-        limits.check(commanded_vertical_speed, commanded_ground_speed)
 
     theta = math.radians(state.heading - state.frame_bearing)
     d = commanded_ground_speed * dt

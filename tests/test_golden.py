@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from spoofsim.harness.cli import main
-from spoofsim.harness.config import SCENARIOS
+from spoofsim.harness.scenarios import SCENARIOS
 
 SEED = 20190118
 TRIALS = 200

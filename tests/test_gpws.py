@@ -43,19 +43,16 @@ def test_envelope_monotone_in_closure_rate(agl, r1, r2):
 def test_envelope_validation():
     with pytest.raises(ValueError):
         gpws.Mode2Envelope(boundary=((500.0, 2000.0), (200.0, 3000.0)))
-    with pytest.raises(ValueError):
-        gpws.Mode2Envelope(sub_mode="C")
 
 
 def test_evaluate():
-    alert = gpws.evaluate(500.0, 3100.0, ENV, enabled=True, time=3.0, approach_index=2)
+    alert = gpws.evaluate(500.0, 3100.0, ENV, time=3.0, approach_index=2)
     assert alert is not None
     assert alert.kind == "TERRAIN_PULL_UP"
     assert alert.approach_index == 2
-    assert gpws.evaluate(500.0, 3100.0, ENV, enabled=False) is None
-    assert gpws.evaluate(500.0, 100.0, ENV, enabled=True) is None
+    assert gpws.evaluate(500.0, 100.0, ENV) is None
     with pytest.raises(ValueError):
-        gpws.evaluate(-1.0, 3100.0, ENV, enabled=True)
+        gpws.evaluate(-1.0, 3100.0, ENV)
 
 
 def test_scripted_trigger_windows():
@@ -87,13 +84,6 @@ def test_estimator_needs_full_window():
     assert est.update(0.0, 1000.0) is None
     assert est.update(0.5, 990.0) is None
     assert est.update(1.0, 980.0) is not None
-
-
-def test_estimator_reset():
-    est = gpws.ClosureRateEstimator()
-    est.update(0.0, 1000.0)
-    est.reset()
-    assert est.update(5.0, 900.0) is None
 
 
 def test_estimator_sees_spoofed_ramp():

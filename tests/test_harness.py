@@ -294,3 +294,40 @@ def test_cli_runtime_error_exit_code(tmp_path):
     # Missing scenario is a config error; missing logs are a runtime error.
     assert main(["summarize", "--out", str(tmp_path / "nothing")]) == 2
     assert main(["summarize", "--scenario", "GS", "--out", str(tmp_path / "nothing")]) == 3
+
+
+def _gs_run(out, trials=4):
+    assert main(["run", "--scenario", "GS", "--trials", str(trials), "--seed", "5",
+                 "--out", str(out)]) == 0
+    return out / "trials"
+
+
+def test_cli_truncated_log_exit_code(tmp_path, capsys):
+    trials = _gs_run(tmp_path / "out")
+    path = trials / "trial_00002.jsonl"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["summarize", "--out", str(tmp_path / "out")]) == 3
+    assert "trial_00002.jsonl" in capsys.readouterr().err
+
+
+def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
+    trials = _gs_run(tmp_path / "out")
+    path = trials / "trial_00001.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first["t"] = 1e9
+    path.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
+    with pytest.raises(RuntimeError, match="trial_00001.jsonl.*time order"):
+        load_logs(tmp_path / "out")
+    path.write_text("".join(lines + lines[-1:]))
+    with pytest.raises(RuntimeError, match="trial_00001.jsonl.*one outcome"):
+        load_logs(tmp_path / "out")
+
+
+def test_cli_missing_log_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    trials = _gs_run(out, trials=12)
+    (trials / "trial_00009.jsonl").unlink()
+    assert main(["summarize", "--out", str(out)]) == 3
+    assert main(["detect", "--scenario", "GS", "--out", str(out)]) == 3
+    assert "missing [9]" in capsys.readouterr().err

@@ -64,15 +64,21 @@ def test_craft_ramp_monotone_delays():
     assert all(a > b for a, b in zip(positive, positive[1:]))
 
 
+def injected_height(plan, elapsed):
+    """Height the injected echo mimics `elapsed` seconds into the attack."""
+
+    return radalt.delay_to_height(plan.echo_at(elapsed).round_trip_time)
+
+
 def test_craft_ramp_clips_at_ground():
     plan = radalt.craft_ramp(1.0, 100.0, 1.0, SWEEP)
-    assert plan.indicated_agl(0.99) == 0.0
+    assert injected_height(plan, 0.99) == 0.0
 
 
 def test_indicated_agl_tracks_rate():
     plan = radalt.craft_ramp(150.0, 15.4, 2.0, SWEEP)
-    assert math.isclose(plan.indicated_agl(0.0), 150.0, rel_tol=1e-9)
-    assert math.isclose(plan.indicated_agl(1.0), 150.0 - 15.4, rel_tol=1e-9)
+    assert math.isclose(injected_height(plan, 0.0), 150.0, rel_tol=1e-9)
+    assert math.isclose(injected_height(plan, 1.0), 150.0 - 15.4, rel_tol=1e-9)
 
 
 def test_ramp_echo_is_adversarial():
@@ -80,13 +86,6 @@ def test_ramp_echo_is_adversarial():
     echo = plan.echo_at(0.1)
     assert echo.source == "adversarial"
     assert echo.round_trip_time == plan.schedule[10][1]
-
-
-def test_plan_json_round_trip():
-    plan = radalt.craft_ramp(150.0, 15.4, 0.3, SWEEP)
-    clone = radalt.RampAttackPlan.from_json(plan.to_json())
-    assert clone.schedule == plan.schedule
-    assert clone.apparent_descent_rate == plan.apparent_descent_rate
 
 
 def test_plan_rejects_non_decreasing_delays():

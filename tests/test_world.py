@@ -53,13 +53,6 @@ def test_step_validation():
         world.step(s, 0.0, -1.0, 1.0)
 
 
-def test_step_respects_limits():
-    s = make_state()
-    limits = world.PerformanceLimits(max_descent_rate=10.0)
-    with pytest.raises(ValueError):
-        world.step(s, -11.0, 10.0, 1.0, limits=limits)
-
-
 @given(
     st.floats(min_value=0.01, max_value=100.0),
     st.floats(min_value=0.01, max_value=100.0),
