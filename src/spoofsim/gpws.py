@@ -28,13 +28,14 @@ class Mode2Envelope:
         agls = [p[0] for p in self.boundary]
         if sorted(agls) != agls or len(set(agls)) != len(agls):
             raise ValueError("boundary AGL points must be strictly increasing")
+        # Interpolation tables, built once: the envelope is queried every step.
+        object.__setattr__(self, "_agl", np.array(agls))
+        object.__setattr__(self, "_rate", np.array([p[1] for p in self.boundary]))
 
     def threshold_fpm(self, agl_ft: float) -> float:
         """Minimum closure rate (ft/min) that alerts at this AGL."""
 
-        x = np.array([p[0] for p in self.boundary])
-        y = np.array([p[1] for p in self.boundary])
-        return float(np.interp(agl_ft, x, y))
+        return float(np.interp(agl_ft, self._agl, self._rate))
 
     def contains(self, agl_ft: float, closure_rate_fpm: float) -> bool:
         """Alert region is closed upward in closure rate."""

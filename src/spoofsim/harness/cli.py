@@ -12,7 +12,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -58,8 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    data = load_config(args.config).raw if args.config else default_config_dict()
+def _resolve_config(
+    args: argparse.Namespace, base: Optional[Dict[str, Any]] = None
+) -> ScenarioConfig:
+    """``--config`` (else ``base``, else the defaults) with the command-line
+    overrides applied."""
+
+    if args.config:
+        data = load_config(args.config).raw
+    else:
+        data = base if base is not None else default_config_dict()
     if args.scenario:
         data = apply_scenario(data, args.scenario)
     if args.trials is not None:
@@ -123,9 +131,27 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_dir_config(out_dir: str) -> Optional[Dict[str, Any]]:
+    """The config a run directory was produced with, or None if it has no
+    ``config.json``.  An unreadable or invalid one is a corrupt artefact."""
+
+    path = Path(out_dir) / "config.json"
+    if not path.exists():
+        return None
+    try:
+        return load_config(path).raw
+    except ConfigError as exc:
+        raise RuntimeError(f"corrupt run directory: {exc}") from exc
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    out_dir = args.out or cfg.output_dir
+    if args.config:
+        cfg = _resolve_config(args)
+        out_dir = args.out or cfg.output_dir
+    else:
+        # Check the logs with the settings they were produced under.
+        out_dir = args.out or default_config_dict()["output_dir"]
+        cfg = _resolve_config(args, base=_run_dir_config(out_dir))
     logs = load_logs(out_dir, scenario=cfg.scenario)
     sen = cfg.raw["sentinel"]
     sensors = sentinel.default_sensor_grid(sen["sensor_extent_m"])

@@ -4,10 +4,18 @@ false-intruder encounters in cruise, and the displaced-glideslope approach.
 Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
+
+A TCAS surveillance cycle evaluates its geometry once: the cruise state and
+the height above terrain each keep their value for the last time asked, and
+the injector keeps its claimed intruder position for the last time of the
+current encounter, so the own position, the squitter and the reply at one
+cycle time share one ``world.step``, one terrain lookup and one claimed
+position.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
@@ -186,6 +194,15 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
 
 def _cruise_state_fn(initial: world.AircraftState) -> Callable[[float], world.AircraftState]:
+    """Own-ship state at time t: ``initial`` held before its time, then one
+    closed-form ``world.step`` from it (no time integration).
+
+    The result for the last t is kept: one surveillance cycle reads the state
+    at the same t for the own position, the injector's claimed geometry and
+    the activation-floor check, and the state is frozen, so they share it.
+    """
+
+    @functools.lru_cache(maxsize=1)
     def fn(t: float) -> world.AircraftState:
         if t <= initial.time:
             return initial
@@ -216,6 +233,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     )
     state_fn = _cruise_state_fn(initial)
 
+    @functools.lru_cache(maxsize=1)  # squitter and reply read the same t
     def agl_fn(t: float) -> float:
         s = state_fn(t)
         lo, hi = terrain.domain

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -423,6 +423,9 @@ class FalseIntruderInjector:
         self.episode_start: Optional[float] = None
         self._bearing = plan.approach_bearing
         self._speed = plan.approach_speed
+        # Claimed position for the last t of this encounter: the squitter and
+        # the reply of one cycle claim the same point.
+        self._claimed: Optional[Tuple[float, np.ndarray]] = None
 
     # -- episode control --------------------------------------------------
 
@@ -448,9 +451,11 @@ class FalseIntruderInjector:
             + float(self.rng.uniform(-self.plan.speed_jitter_mps, self.plan.speed_jitter_mps)),
         )
         self.icao_id = int(self.rng.integers(0, 2**24))
+        self._claimed = None
 
     def end_episode(self) -> None:
         self.episode_start = None
+        self._claimed = None
 
     def observe_advisory(self, advisory: Optional[Advisory]) -> None:
         if advisory is not None and advisory.level == "RA":
@@ -459,6 +464,16 @@ class FalseIntruderInjector:
     # -- virtual intruder geometry ---------------------------------------
 
     def intruder_position(self, t: float) -> np.ndarray:
+        """Claimed 3-D position at t (read-only), evaluated once per
+        (encounter, t)."""
+
+        if self._claimed is None or self._claimed[0] != t:
+            pos = self._intruder_position_at(t)
+            pos.flags.writeable = False
+            self._claimed = (t, pos)
+        return self._claimed[1]
+
+    def _intruder_position_at(self, t: float) -> np.ndarray:
         own = own_position_3d(self.target_fn(t))
         r = max(50.0, self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
         theta = math.radians(self._bearing)

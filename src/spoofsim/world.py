@@ -13,7 +13,7 @@ Integration is closed form (position and altitude are linear in dt), so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -110,8 +110,7 @@ def step(
 
     theta = math.radians(state.heading - state.frame_bearing)
     d = commanded_ground_speed * dt
-    return replace(
-        state,
+    return AircraftState(
         time=state.time + dt,
         ground_position=(
             state.ground_position[0] + d * math.cos(theta),
@@ -120,6 +119,8 @@ def step(
         altitude_msl=state.altitude_msl + commanded_vertical_speed * dt,
         vertical_speed=commanded_vertical_speed,
         ground_speed=commanded_ground_speed,
+        heading=state.heading,
+        frame_bearing=state.frame_bearing,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -273,6 +274,29 @@ def test_cli_detect(tmp_path, capsys):
     assert main(["detect", "--scenario", "TCAS", "--out", str(out)]) == 0
     assert "SUSPECT" in capsys.readouterr().out
     assert (out / "verdicts.csv").is_file()
+
+
+def test_cli_detect_uses_run_config(tmp_path, capsys):
+    """Without --config, detect checks a run directory with the settings in
+    its config.json; an unreadable one is a corrupt artefact."""
+
+    out = tmp_path / "out"
+    config = tmp_path / "tcas.json"
+    config.write_text(json.dumps({
+        "version": 1, "scenario": "TCAS", "trials": 5, "master_seed": 5,
+        "sentinel": {"residual_threshold_m": 1e9},
+    }))
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--scenario", "TCAS", "--seed", "5"]):
+        assert main(["detect", "--out", str(out)] + extra) == 0
+        checked, suspect = re.match(
+            r"checked (\d+) messages: (\d+) SUSPECT", capsys.readouterr().out
+        ).groups()
+        assert int(checked) > 0 and int(suspect) == 0
+    (out / "config.json").write_text("{not json")
+    assert main(["detect", "--out", str(out)]) == 3
+    assert "config.json" in capsys.readouterr().err
 
 
 def test_cli_cost(capsys):

@@ -1,0 +1,73 @@
+"""Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
+computation, and each surveillance cycle evaluates it at most once."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spoofsim import tcas, world
+from spoofsim.harness import run
+from spoofsim.harness.config import make_config
+from spoofsim.harness.scenarios import _cruise_state_fn
+
+#: The golden-output seed.
+SEED = 20190118
+
+
+def cruise_initial(heading=30.0):
+    return world.AircraftState(
+        time=0.0, ground_position=(0.0, 0.0), altitude_msl=10_000.0,
+        vertical_speed=0.0, ground_speed=240.0, heading=heading,
+    )
+
+
+# Sequences of times with repeats, including t <= 0 (before the initial state).
+_times = st.lists(
+    st.floats(min_value=-50.0, max_value=500.0), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ts=_times, heading=st.floats(min_value=0.0, max_value=360.0))
+def test_cached_cruise_state_equals_fresh_step(ts, heading):
+    initial = cruise_initial(heading)
+    state_fn = _cruise_state_fn(initial)
+    for t in ts:
+        expected = initial if t <= initial.time else world.step(
+            initial, initial.vertical_speed, initial.ground_speed, t - initial.time
+        )
+        assert state_fn(t) == expected
+
+
+def test_cached_cruise_state_keeps_step_checks():
+    state_fn = _cruise_state_fn(cruise_initial())
+    for _ in range(2):  # a failed evaluation is not cached
+        with pytest.raises(ValueError, match="finite"):
+            state_fn(float("nan"))
+
+
+def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
+    """Work budget: one own-ship step, one terrain lookup and one claimed
+    intruder position per surveillance cycle at most."""
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(world, "step", counting("step", world.step))
+    monkeypatch.setattr(world.TerrainProfile, "elevation_at",
+                        counting("terrain", world.TerrainProfile.elevation_at))
+    monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
+                        counting("cycle", tcas.TcasUnit.mode_s_cycle))
+    monkeypatch.setattr(tcas.FalseIntruderInjector, "_intruder_position_at",
+                        counting("claimed", tcas.FalseIntruderInjector._intruder_position_at))
+    run(make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED}))
+    assert counts["cycle"] > 0 and counts["claimed"] > 0
+    for name in ("step", "terrain", "claimed"):
+        assert counts[name] <= counts["cycle"], (name, counts)

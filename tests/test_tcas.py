@@ -273,6 +273,51 @@ def test_injector_budget_counts_ras_only():
     assert not injector.active(0.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=0.0, max_value=60.0),
+    episodes=st.integers(min_value=2, max_value=4),
+)
+def test_injector_claim_recomputed_each_encounter(seed, t, episodes):
+    """The claimed position is kept per (encounter, t): a new encounter at
+    the same t claims the new encounter's geometry."""
+
+    plan = tcas.FalseIntruderPlan()
+    injector = tcas.FalseIntruderInjector(
+        plan, np.random.default_rng(seed),
+        target_fn=fixed_state_fn(cruise_state(altitude_m=ft_to_m(12_000.0))),
+    )
+    for _ in range(episodes):
+        injector.start_episode(t)
+        claimed = injector.intruder_position(t)
+        assert injector.intruder_position(t) is claimed
+        assert not claimed.flags.writeable
+        assert np.array_equal(claimed, injector._intruder_position_at(t))
+        injector.end_episode()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    budget=st.integers(min_value=1, max_value=5),
+    t=st.floats(min_value=0.0, max_value=60.0),
+)
+def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
+    """The budget is checked on every message, not once per cycle: the RA
+    that spends it silences the injector at that same t."""
+
+    injector, _ = make_injector(plan=tcas.FalseIntruderPlan(alert_budget=budget))
+    injector.start_episode(0.0)
+    ra = tcas.Advisory(level="RA", time=t, ra_sense="CLIMB")
+    for _ in range(budget - 1):
+        injector.observe_advisory(ra)
+    assert injector.squitter(t) is not None
+    assert injector.respond_mode_s(t) is not None
+    injector.observe_advisory(ra)
+    assert injector.squitter(t) is None
+    assert injector.respond_mode_s(t) is None
+
+
 def test_injector_claims_converging_geometry():
     injector, own = make_injector()
     injector.start_episode(0.0)

@@ -41,6 +41,9 @@ def test_step_resolves_heading_into_frame():
     s2 = world.step(s, 0.0, 10.0, 1.0)
     assert math.isclose(s2.ground_position[0], 0.0, abs_tol=1e-9)
     assert math.isclose(s2.ground_position[1], 10.0, abs_tol=1e-9)
+    s3 = world.step(make_state(heading=120.0, frame_bearing=30.0), 0.0, 10.0, 1.0)
+    assert (s3.heading, s3.frame_bearing) == (120.0, 30.0)
+    assert math.isclose(s3.ground_position[0], 0.0, abs_tol=1e-9)
 
 
 def test_step_validation():
