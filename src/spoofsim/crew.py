@@ -158,6 +158,8 @@ DEFAULT_ALERT_DELAY_S = 0.85
 
 _GPWS_TARGET_MEAN_AGL_FT = 403.9
 _GPWS_TARGET_SD_AGL_FT = 51.1
+#: Lower clip of a sampled reaction latency, s.
+REACTION_LATENCY_FLOOR_S = 0.0
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,6 @@ class GpwsPolicy:
     reaction_latency_sd_s: float = derive_gpws_latency_sd(
         _GPWS_TARGET_SD_AGL_FT, 50.0, 700.0
     )
-    reaction_latency_floor_s: float = 0.0
 
     def __post_init__(self) -> None:
         for i, dist in enumerate(self.approach_actions):
@@ -205,12 +206,17 @@ def gpws_reaction_latency(policy: GpwsPolicy, rng: np.random.Generator) -> float
         rng,
         policy.reaction_latency_mean_s,
         policy.reaction_latency_sd_s,
-        lo=policy.reaction_latency_floor_s,
+        lo=REACTION_LATENCY_FLOOR_S,
     )
 
 
 # ---------------------------------------------------------------------------
 # TCAS policy
+
+#: Fewest RAs before a downgrade to TA-Only, and fewest further TAs before
+#: Standby (0: straight from full alerting).
+MIN_RAS_BEFORE_TA_ONLY = 1
+MIN_EXTRA_TAS_BEFORE_STANDBY = 0
 
 
 @dataclass(frozen=True)
@@ -222,10 +228,8 @@ class TcasPolicy:
     p_standby_given_downgrade: float = 11 / 26
     ras_before_ta_only_mean: float = 4.5
     ras_before_ta_only_sd: float = 1.7
-    ras_before_ta_only_min: int = 1
     extra_tas_before_standby_mean: float = 2.8
     extra_tas_before_standby_sd: float = 2.1
-    extra_tas_before_standby_min: int = 0
     action_given_final_mode: Dict[str, Dict[str, float]] = field(
         default_factory=lambda: {
             tcas.TA_RA: {CONTINUE: 1.0},
@@ -281,7 +285,7 @@ def sample_tcas_crew(policy: TcasPolicy, rng: np.random.Generator) -> TcasCrewSt
                 rng,
                 policy.ras_before_ta_only_mean,
                 policy.ras_before_ta_only_sd,
-                lo=float(policy.ras_before_ta_only_min),
+                lo=float(MIN_RAS_BEFORE_TA_ONLY),
             )
         )
     )
@@ -291,15 +295,15 @@ def sample_tcas_crew(policy: TcasPolicy, rng: np.random.Generator) -> TcasCrewSt
                 rng,
                 policy.extra_tas_before_standby_mean,
                 policy.extra_tas_before_standby_sd,
-                lo=float(policy.extra_tas_before_standby_min),
+                lo=float(MIN_EXTRA_TAS_BEFORE_STANDBY),
             )
         )
     )
     state = TcasCrewState(
         will_downgrade=will_downgrade,
         will_standby=will_standby,
-        ra_threshold=max(policy.ras_before_ta_only_min, ra_threshold),
-        ta_threshold=max(policy.extra_tas_before_standby_min, ta_threshold),
+        ra_threshold=max(MIN_RAS_BEFORE_TA_ONLY, ra_threshold),
+        ta_threshold=max(MIN_EXTRA_TAS_BEFORE_STANDBY, ta_threshold),
         final_action="",
     )
     state.final_action = sample_categorical(
@@ -402,15 +406,12 @@ def gs_act(
     indication: GsIndication,
     papi_ind: PapiIndication,
     agl_ft: float,
-    policy: GsPolicy,
-    rng: np.random.Generator,
-    script: Optional[GsCrewState] = None,
+    script: GsCrewState,
 ) -> GsAction:
-    """Go around at the sampled height when the visual cross-check conflicts
-    with a centred glideslope; otherwise continue the approach."""
+    """Go around at the crew's sampled height (``script``, from
+    `sample_gs_crew`) when the visual cross-check conflicts with a centred
+    glideslope; otherwise continue the approach."""
 
-    if script is None:
-        script = sample_gs_crew(policy, rng)
     cue_conflict = (
         indication.valid
         and abs(indication.deviation_dots) < 0.5

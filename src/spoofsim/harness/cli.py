@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -26,7 +25,7 @@ from .config import (
     make_config,
 )
 from .cost import all_cost_reports
-from .output import emit, load_logs, summary_csv
+from .output import emit, load_logs, load_run_config, summary_csv
 from .runner import run as run_trials
 from .scenarios import SCENARIOS
 from .summary import summarize
@@ -70,13 +69,8 @@ def _resolve_config(
         data = base if base is not None else default_config_dict()
     if args.scenario:
         data = apply_scenario(data, args.scenario)
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.out:
-        data["output_dir"] = args.out
-    return make_config(data)
+    given = {"trials": args.trials, "master_seed": args.seed, "output_dir": args.out or None}
+    return make_config({**data, **{k: v for k, v in given.items() if v is not None}})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -94,13 +88,11 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     out_dir = args.out or (args.config and load_config(args.config).output_dir)
     if not out_dir:
         raise ConfigError("summarize requires --out (or --config with output_dir)")
-    scenario = args.scenario
-    config_path = Path(out_dir) / "config.json"
-    if scenario is None and config_path.is_file():
-        scenario = json.loads(config_path.read_text()).get("scenario")
+    run_cfg = load_run_config(out_dir)
+    scenario = args.scenario or (run_cfg.scenario if run_cfg else None)
     if scenario is None:
         raise ConfigError("cannot determine scenario: pass --scenario")
-    logs = load_logs(out_dir, scenario=scenario)
+    logs = load_logs(out_dir, run_cfg.trials if run_cfg else None, scenario=scenario)
     summary = summarize(logs)
     sys.stdout.write(summary_csv(summary))
     (Path(out_dir) / "summary.csv").write_text(summary_csv(summary))
@@ -131,32 +123,16 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_dir_config(out_dir: str) -> Optional[Dict[str, Any]]:
-    """The config a run directory was produced with, or None if it has no
-    ``config.json``.  An unreadable or invalid one is a corrupt artefact."""
-
-    path = Path(out_dir) / "config.json"
-    if not path.exists():
-        return None
-    try:
-        return load_config(path).raw
-    except ConfigError as exc:
-        raise RuntimeError(f"corrupt run directory: {exc}") from exc
-
-
 def _cmd_detect(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = _resolve_config(args)
-        out_dir = args.out or cfg.output_dir
-    else:
-        # Check the logs with the settings they were produced under.
-        out_dir = args.out or default_config_dict()["output_dir"]
-        cfg = _resolve_config(args, base=_run_dir_config(out_dir))
-    logs = load_logs(out_dir, scenario=cfg.scenario)
-    sen = cfg.raw["sentinel"]
-    sensors = sentinel.default_sensor_grid(sen["sensor_extent_m"])
+    out_dir = args.out or (load_config(args.config).output_dir if args.config
+                           else default_config_dict()["output_dir"])
+    run_cfg = load_run_config(out_dir)
+    # Without --config, check the logs with the settings they were produced under.
+    cfg = _resolve_config(args, base=run_cfg.raw if run_cfg else None)
+    logs = load_logs(out_dir, run_cfg.trials if run_cfg else None, scenario=cfg.scenario)
+    sensors = sentinel.default_sensor_grid(cfg.sensor_extent_m)
     rng = np.random.default_rng(cfg.master_seed)
-    jitter_s = sen["clock_jitter_ns"] * 1e-9
+    jitter_s = cfg.clock_jitter_ns * 1e-9
 
     verdicts = []
     for log in logs:
@@ -172,7 +148,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             )
             verdict = sentinel.toa_consistency(
                 claimed, arrivals,
-                threshold_m=sen["residual_threshold_m"],
+                threshold_m=cfg.residual_threshold_m,
                 subject=f"trial{log.trial_id}/t{event['t']}",
             )
             verdicts.append(verdict)

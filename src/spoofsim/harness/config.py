@@ -1,9 +1,15 @@
 """Scenario configuration: versioned JSON schema, strict validation, defaults.
 
-Unknown keys are rejected everywhere.  Every built-in value is the `default`
-of its field in `SCHEMA`; a scenario's registry entry may override some of
-them.  User configs are merged over those defaults, so a config file only
-needs the fields it changes.
+This is the only module that knows the config's JSON layout.  Unknown keys
+are rejected everywhere.  Every built-in value is the `default` of its field
+in `SCHEMA`; a scenario's registry entry may override some of them.  User
+configs are merged over those defaults, so a config file only needs the
+fields it changes.
+
+`make_config` builds a frozen `ScenarioConfig` once, holding every object
+and scalar the trials and the CLI read.  Building those objects is the
+semantic validation (threshold ordering, runway geometry, distributions,
+terrain under the approach); each failure names its JSON path.
 """
 
 from __future__ import annotations
@@ -13,15 +19,16 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import jsonschema
 
 from .. import crew
 from ..gpws import AttackSchedule
+from ..ils import GlideslopeTx
 from ..tcas import AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
-from .scenarios import SCENARIOS
+from .scenarios import SCENARIOS, approach_start
 
 CONFIG_VERSION = 1
 
@@ -236,102 +243,42 @@ def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    raw: Dict[str, Any] = field(repr=False, default_factory=dict)
+    """A validated config, built once by `make_config`.  `raw` is the merged
+    JSON, kept only to write and re-resolve a run's ``config.json``; the trials
+    and the CLI read the typed fields.  `glideslope` holds the genuine
+    transmitter, then the rogue one when the attacker is enabled."""
 
-    # -- convenience accessors -------------------------------------------
-
-    @property
-    def scenario(self) -> str:
-        return self.raw["scenario"]
-
-    @property
-    def trials(self) -> int:
-        return self.raw["trials"]
-
-    @property
-    def master_seed(self) -> int:
-        return self.raw["master_seed"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw["output_dir"]
-
-    @property
-    def dt(self) -> float:
-        return self.raw["world"]["dt_s"]
-
-    @property
-    def attacker_enabled(self) -> bool:
-        return self.raw["attacker"]["enabled"]
-
-    def runway(self) -> RunwayModel:
-        r = self.raw["world"]["runway"]
-        return RunwayModel(
-            threshold_position=r["threshold_position_m"],
-            touchdown_zone_offset=r["touchdown_zone_offset_m"],
-            elevation=r["elevation_m"],
-            true_bearing=r["true_bearing_deg"],
-            length=r["length_m"],
-        )
-
-    def terrain(self) -> TerrainProfile:
-        return TerrainProfile([tuple(p) for p in self.raw["world"]["terrain"]])
-
-    def approach(self) -> Dict[str, float]:
-        return self.raw["world"]["approach"]
-
-    def cruise(self) -> Dict[str, float]:
-        return self.raw["world"]["cruise"]
-
-    def gpws_attack_schedule(self) -> AttackSchedule:
-        a = self.raw["attacker"]["gpws"]
-        return AttackSchedule(
-            base_trigger_ft=a["base_trigger_ft"],
-            increment_per_approach_ft=a["increment_per_approach_ft"],
-            jitter_window_ft=a["jitter_window_ft"],
-        )
-
-    def gpws_policy(self) -> crew.GpwsPolicy:
-        p = self.raw["policies"]["gpws"]
-        kwargs: Dict[str, Any] = {}
-        if "approach_actions" in p:
-            kwargs["approach_actions"] = tuple(dict(d) for d in p["approach_actions"])
-        for key in ("reaction_latency_mean_s", "reaction_latency_sd_s"):
-            if key in p:
-                kwargs[key] = p[key]
-        return crew.GpwsPolicy(**kwargs)
-
-    def tcas_policy(self) -> crew.TcasPolicy:
-        p = dict(self.raw["policies"]["tcas"])
-        return crew.TcasPolicy(**p)
-
-    def gs_policy(self) -> crew.GsPolicy:
-        p = dict(self.raw["policies"]["gs"])
-        return crew.GsPolicy(**p)
-
-    def tcas_thresholds(self) -> AdvisoryThresholds:
-        s = self.raw["tcas_system"]
-        return AdvisoryThresholds(
-            tau_ta_s=s["tau_ta_s"],
-            tau_ra_s=s["tau_ra_s"],
-            ta_band_ft=s["ta_band_ft"],
-            ra_band_ft=s["ra_band_ft"],
-        )
-
-    def false_intruder_plan(self) -> FalseIntruderPlan:
-        a = self.raw["attacker"]["tcas"]
-        return FalseIntruderPlan(
-            approach_bearing=a["approach_bearing_deg"],
-            approach_speed=a["approach_speed_mps"],
-            vertical_offset=a["vertical_offset_ft"],
-            activation_floor=a["activation_floor_ft"],
-            alert_budget=a["alert_budget"],
-            start_tau_s=a["start_tau_s"],
-            bearing_jitter_deg=a["bearing_jitter_deg"],
-            speed_jitter_mps=a["speed_jitter_mps"],
-        )
+    raw: Dict[str, Any] = field(repr=False)
+    scenario: str
+    trials: int
+    master_seed: int
+    output_dir: str
+    attacker_enabled: bool
+    altitude_trace: bool
+    dt_s: float
+    runway: RunwayModel
+    terrain: TerrainProfile
+    approach_ground_speed_kn: float
+    approach_descent_rate_fpm: float
+    approach_start_agl_ft: float
+    cruise_altitude_ft: float
+    cruise_ground_speed_kn: float
+    gpws_attack_schedule: AttackSchedule
+    apparent_descent_rate_mps: float
+    gpws_policy: crew.GpwsPolicy
+    tcas_thresholds: AdvisoryThresholds
+    max_episodes: int
+    inter_episode_gap_s: float
+    false_intruder_plan: FalseIntruderPlan
+    attacker_position_m: Tuple[float, float, float]
+    tcas_policy: crew.TcasPolicy
+    glideslope: Tuple[GlideslopeTx, ...]
+    gs_policy: crew.GsPolicy
+    sensor_extent_m: float
+    clock_jitter_ns: float
+    residual_threshold_m: float
 
 
 def validate_config_dict(data: Dict[str, Any]) -> None:
@@ -345,33 +292,121 @@ def validate_config_dict(data: Dict[str, Any]) -> None:
         raise ConfigError("; ".join(msgs))
 
 
+def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """`make(*args, **kwargs)`; its ValueError/TypeError is a config error at `path`."""
+
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def make_config(data: Dict[str, Any]) -> ScenarioConfig:
-    """Validate a (possibly partial) config dict and merge it over defaults."""
+    """Validate a (possibly partial) config dict, merge it over the defaults
+    and build every object the trials read; building them is the semantic
+    validation, so a `ConfigError` names the failing field."""
 
     if not isinstance(data, dict):
         raise ConfigError("<root>: config must be a JSON object")
     validate_config_dict(data)
-    merged = _merge(default_config_dict(data["scenario"]), data)
-    validate_config_dict(merged)
-    cfg = ScenarioConfig(raw=merged)
-    # Semantic checks jsonschema cannot express.
-    try:
-        cfg.runway()
-        cfg.terrain()
-        cfg.gpws_policy()
-        cfg.tcas_policy()
-        cfg.gs_policy()
-        cfg.false_intruder_plan()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    raw = _merge(default_config_dict(data["scenario"]), data)
+    validate_config_dict(raw)
+    world, attacker, policies = raw["world"], raw["attacker"], raw["policies"]
+    rw, ap, cruise = world["runway"], world["approach"], world["cruise"]
+    a_gpws, a_tcas, a_gs = attacker["gpws"], attacker["tcas"], attacker["gs"]
+    sysc, sen = raw["tcas_system"], raw["sentinel"]
+
+    runway = _build(
+        "world.runway.touchdown_zone_offset_m", RunwayModel,
+        threshold_position=rw["threshold_position_m"],
+        touchdown_zone_offset=rw["touchdown_zone_offset_m"],
+        elevation=rw["elevation_m"],
+        true_bearing=rw["true_bearing_deg"],
+        length=rw["length_m"],
+    )
+    angle = a_gs["path_angle_deg"]
+    glideslope = [_build("attacker.gs.path_angle_deg", GlideslopeTx,
+                         antenna_position=runway.touchdown_zone_offset, path_angle=angle)]
+    if attacker["enabled"]:
+        glideslope.append(GlideslopeTx(
+            antenna_position=runway.touchdown_zone_offset + a_gs["shift_m"],
+            path_angle=angle, tx_power=a_gs["tx_power_w"], legitimacy="adversarial",
+        ))
+    gpws_policy = dict(policies["gpws"])
+    if "approach_actions" in gpws_policy:
+        gpws_policy["approach_actions"] = tuple(gpws_policy["approach_actions"])
+
+    cfg = ScenarioConfig(
+        raw=raw,
+        scenario=raw["scenario"],
+        trials=raw["trials"],
+        master_seed=raw["master_seed"],
+        output_dir=raw["output_dir"],
+        attacker_enabled=attacker["enabled"],
+        altitude_trace=raw["output"]["altitude_trace"],
+        dt_s=world["dt_s"],
+        runway=runway,
+        terrain=_build("world.terrain", TerrainProfile, [tuple(p) for p in world["terrain"]]),
+        approach_ground_speed_kn=ap["ground_speed_kn"],
+        approach_descent_rate_fpm=ap["descent_rate_fpm"],
+        approach_start_agl_ft=ap["start_agl_ft"],
+        cruise_altitude_ft=cruise["altitude_ft"],
+        cruise_ground_speed_kn=cruise["ground_speed_kn"],
+        gpws_attack_schedule=AttackSchedule(
+            base_trigger_ft=a_gpws["base_trigger_ft"],
+            increment_per_approach_ft=a_gpws["increment_per_approach_ft"],
+            jitter_window_ft=a_gpws["jitter_window_ft"],
+        ),
+        apparent_descent_rate_mps=a_gpws["apparent_descent_rate_mps"],
+        gpws_policy=_build("policies.gpws", crew.GpwsPolicy, **gpws_policy),
+        tcas_thresholds=_build(
+            "tcas_system", AdvisoryThresholds,
+            tau_ta_s=sysc["tau_ta_s"],
+            tau_ra_s=sysc["tau_ra_s"],
+            ta_band_ft=sysc["ta_band_ft"],
+            ra_band_ft=sysc["ra_band_ft"],
+        ),
+        max_episodes=sysc["max_episodes"],
+        inter_episode_gap_s=sysc["inter_episode_gap_s"],
+        false_intruder_plan=FalseIntruderPlan(
+            approach_bearing=a_tcas["approach_bearing_deg"],
+            approach_speed=a_tcas["approach_speed_mps"],
+            vertical_offset=a_tcas["vertical_offset_ft"],
+            activation_floor=a_tcas["activation_floor_ft"],
+            alert_budget=a_tcas["alert_budget"],
+            start_tau_s=a_tcas["start_tau_s"],
+            bearing_jitter_deg=a_tcas["bearing_jitter_deg"],
+            speed_jitter_mps=a_tcas["speed_jitter_mps"],
+        ),
+        attacker_position_m=tuple(a_tcas["position_m"]),
+        tcas_policy=_build("policies.tcas", crew.TcasPolicy, **policies["tcas"]),
+        glideslope=tuple(glideslope),
+        gs_policy=_build("policies.gs", crew.GsPolicy, **policies["gs"]),
+        sensor_extent_m=sen["sensor_extent_m"],
+        clock_jitter_ns=sen["clock_jitter_ns"],
+        residual_threshold_m=sen["residual_threshold_m"],
+    )
+    # The approach is part of `world`, so every scenario needs terrain under
+    # it, from its start point to the end of the runway.
+    lo, hi = cfg.terrain.domain
+    start = approach_start(cfg, 0.0).along_track
+    end = runway.threshold_position + runway.length
+    if not lo <= start < end <= hi:
+        raise ConfigError(
+            f"world.terrain: covers {lo} to {hi} m, but the approach runs from "
+            f"{start:.2f} m to the runway end at {end} m"
+        )
     return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
+    """`make_config` of a JSON file; every error message starts with its path."""
+
     try:
-        data = json.loads(Path(path).read_text())
+        return make_config(json.loads(Path(path).read_text()))
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return make_config(data)
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -10,8 +10,9 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
 
 
@@ -116,9 +117,22 @@ def emit(
     return written
 
 
-def load_logs(out_dir: str | Path, scenario: str = "") -> List[TrialLog]:
+def load_run_config(out_dir: str | Path) -> Optional[ScenarioConfig]:
+    """The config a run directory was produced with, or None if it has no
+    ``config.json``.  An unreadable or invalid one is a corrupt artefact."""
+
+    path = Path(out_dir) / "config.json"
+    if not path.exists():
+        return None
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        raise RuntimeError(f"corrupt run directory: {exc}") from exc
+
+
+def load_logs(out_dir: str | Path, trials: Optional[int], scenario: str = "") -> List[TrialLog]:
     """Every trial log of a run directory.  Refuses an incomplete set: ids must
-    be 0..N-1, with N from the directory's `config.json` when it has one."""
+    be 0..trials-1 (0..N-1 for the N logs found when ``trials`` is None)."""
 
     out = Path(out_dir)
     trials_dir = out / "trials"
@@ -134,13 +148,7 @@ def load_logs(out_dir: str | Path, scenario: str = "") -> List[TrialLog]:
             raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
     if not logs:
         raise RuntimeError(f"no trial logs found under {trials_dir}")
-    expected = len(logs)
-    config_path = out / "config.json"
-    if config_path.is_file():
-        try:
-            expected = json.loads(config_path.read_text())["trials"]
-        except (OSError, ValueError, KeyError) as exc:
-            raise RuntimeError(f"cannot read trial count from {config_path}: {exc}") from exc
+    expected = len(logs) if trials is None else trials
     ids = sorted(log.trial_id for log in logs)
     if ids != list(range(expected)):
         missing = sorted(set(range(expected)) - set(ids))

@@ -44,18 +44,19 @@ _GS_EVAL_FLOOR_FT = 550.0
 #: Surveillance-cycle offsets within one encounter, s: track acquisition,
 #: closure estimation, traffic-advisory crossing, resolution-advisory crossing.
 _TCAS_CYCLE_OFFSETS = (0, 1, 2, 3, 21)
+#: The Mode 2 alert envelope and the altimeter sweep; no config field sets them.
+_MODE2_ENVELOPE = gpws.Mode2Envelope()
+_SWEEP = radalt.SweepConfig()
 
 
-def _approach_start(
-    cfg: ScenarioConfig, runway: world.RunwayModel, t0: float
-) -> world.AircraftState:
+def approach_start(cfg: ScenarioConfig, t0: float) -> world.AircraftState:
     """State at the configured start height, descending toward the touchdown
     zone on a constant-rate approach."""
 
-    ap = cfg.approach()
-    vs = -fpm_to_mps(ap["descent_rate_fpm"])
-    gs = kn_to_mps(ap["ground_speed_kn"])
-    height = ft_to_m(ap["start_agl_ft"])
+    runway = cfg.runway
+    vs = -fpm_to_mps(cfg.approach_descent_rate_fpm)
+    gs = kn_to_mps(cfg.approach_ground_speed_kn)
+    height = ft_to_m(cfg.approach_start_agl_ft)
     time_to_tdz = height / -vs
     along = runway.touchdown_zone_position - gs * time_to_tdz
     return world.AircraftState(
@@ -76,29 +77,22 @@ def _approach_start(
 def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    runway = cfg.runway()
-    terrain = cfg.terrain()
-    envelope = gpws.Mode2Envelope()
-    schedule = cfg.gpws_attack_schedule()
-    policy = cfg.gpws_policy()
-    sweep = radalt.SweepConfig()
-    apparent_rate = cfg.raw["attacker"]["gpws"]["apparent_descent_rate_mps"]
-    trace = cfg.raw["output"]["altitude_trace"]
-    dt = cfg.dt
+    runway, terrain, policy = cfg.runway, cfg.terrain, cfg.gpws_policy
+    apparent_rate = cfg.apparent_descent_rate_mps
     t = 0.0
 
     approach = 0
     while True:
         approach += 1
-        state = _approach_start(cfg, runway, t)
+        state = approach_start(cfg, t)
         trigger = (
-            gpws.scripted_trigger(approach, rng, schedule)
+            gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
             if cfg.attacker_enabled
             else -1.0
         )
         log.add(state.time, "approach_start", {
             "approach": approach,
-            "start_agl_ft": cfg.approach()["start_agl_ft"],
+            "start_agl_ft": cfg.approach_start_agl_ft,
             "trigger_agl_ft": trigger if trigger > 0 else None,
         })
         if trigger <= 0:
@@ -120,13 +114,13 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         alert: Optional[gpws.GpwsAlert] = None
 
         while True:
-            state = world.step(state, state.vertical_speed, state.ground_speed, dt)
+            state = world.step(state, state.vertical_speed, state.ground_speed, cfg.dt_s)
             true_agl = m_to_ft(world.agl(state, terrain))
             if true_agl <= 0:
                 break
             if plan is None and true_agl <= trigger:
                 plan = radalt.craft_ramp(
-                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S, sweep
+                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S, _SWEEP
                 )
                 attack_t0 = state.time
                 log.add(state.time, "attack_start", {
@@ -138,8 +132,8 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                 indicated = true_agl
             else:
                 echo = plan.echo_at(state.time - attack_t0)
-                indicated = m_to_ft(radalt.measure([echo], sweep))
-            if trace:
+                indicated = m_to_ft(radalt.measure([echo], _SWEEP))
+            if cfg.altitude_trace:
                 log.add(state.time, "state", {
                     "altitude_ft": m_to_ft(state.altitude_msl),
                     "indicated_agl_ft": indicated,
@@ -147,7 +141,7 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             closure = estimator.update(state.time, indicated)
             if closure is not None:
                 alert = gpws.evaluate(
-                    max(indicated, 0.0), closure, envelope,
+                    max(indicated, 0.0), closure, _MODE2_ENVELOPE,
                     time=state.time, approach_index=approach,
                 )
                 if alert is not None:
@@ -216,19 +210,14 @@ def _cruise_state_fn(initial: world.AircraftState) -> Callable[[float], world.Ai
 def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    terrain = cfg.terrain()
-    cruise = cfg.cruise()
-    sysc = cfg.raw["tcas_system"]
-    policy = cfg.tcas_policy()
-    plan = cfg.false_intruder_plan()
-    attacker_pos = tuple(cfg.raw["attacker"]["tcas"]["position_m"])
+    terrain, policy = cfg.terrain, cfg.tcas_policy
 
     initial = world.AircraftState(
         time=0.0,
         ground_position=(0.0, 0.0),
-        altitude_msl=ft_to_m(cruise["altitude_ft"]),
+        altitude_msl=ft_to_m(cfg.cruise_altitude_ft),
         vertical_speed=0.0,
-        ground_speed=kn_to_mps(cruise["ground_speed_kn"]),
+        ground_speed=kn_to_mps(cfg.cruise_ground_speed_kn),
         heading=0.0,
     )
     state_fn = _cruise_state_fn(initial)
@@ -240,12 +229,12 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         along = min(max(s.along_track, lo), hi)  # hold last profile value beyond the edge
         return m_to_ft(s.altitude_msl - terrain.elevation_at(along))
 
-    unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds(), mode=tcas.TA_RA, rng=rng)
+    unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
     crew_state = crew.sample_tcas_crew(policy, rng)
     channel = tcas.Channel()
     injector = tcas.FalseIntruderInjector(
-        plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
-        attacker_position=attacker_pos,
+        cfg.false_intruder_plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
+        attacker_position=cfg.attacker_position_m,
     )
     channel.register(injector)
 
@@ -258,9 +247,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
     t = 0.0
     episodes = 0
-    max_episodes = sysc["max_episodes"]
     while (
-        episodes < max_episodes
+        episodes < cfg.max_episodes
         and not injector.budget_exhausted()
         and not crew_state.settled
     ):
@@ -315,7 +303,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         channel.log.clear()
         unit.tracks.clear()
         injector.end_episode()
-        t = tc + sysc["inter_episode_gap_s"]
+        t = tc + cfg.inter_episode_gap_s
 
     final_mode = unit.mode
     if crew_state.settled and crew_state.final_mode == final_mode:
@@ -349,30 +337,13 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    runway = cfg.runway()
-    policy = cfg.gs_policy()
-    gs_cfg = cfg.raw["attacker"]["gs"]
+    runway, policy, txs = cfg.runway, cfg.gs_policy, cfg.glideslope
     attack = cfg.attacker_enabled
 
-    genuine = ils.GlideslopeTx(
-        antenna_position=runway.touchdown_zone_offset,
-        path_angle=gs_cfg["path_angle_deg"],
-        legitimacy="genuine",
-    )
-    txs = [genuine]
-    if attack:
-        txs.append(ils.GlideslopeTx(
-            antenna_position=runway.touchdown_zone_offset + gs_cfg["shift_m"],
-            path_angle=gs_cfg["path_angle_deg"],
-            tx_power=gs_cfg["tx_power_w"],
-            legitimacy="adversarial",
-        ))
-
-    ap = cfg.approach()
-    vs = -fpm_to_mps(ap["descent_rate_fpm"])
-    gs_mps = kn_to_mps(ap["ground_speed_kn"])
+    vs = -fpm_to_mps(cfg.approach_descent_rate_fpm)
+    gs_mps = kn_to_mps(cfg.approach_ground_speed_kn)
     rate_fps = -m_to_ft(vs)
-    start_agl = ap["start_agl_ft"]
+    start_agl = cfg.approach_start_agl_ft
     captured = max(
         txs, key=lambda tx: tx.tx_power  # strongest wins throughout the approach
     )
@@ -398,7 +369,7 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     t_eval = (start_agl - eval_agl) / rate_fps
     aircraft = state_on_path(eval_agl, t_eval)
     indication = ils.receive(aircraft, txs, runway)
-    papi_ind = ils.papi(aircraft, runway, nominal_angle=gs_cfg["path_angle_deg"])
+    papi_ind = ils.papi(aircraft, runway, nominal_angle=txs[0].path_angle)
     log.add(t_eval, "gs_indication", {
         "deviation_dots": indication.deviation_dots,
         "ddm": indication.ddm,
@@ -407,10 +378,7 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         "agl_ft": eval_agl,
     })
 
-    action = crew.gs_act(
-        indication, papi_ind, crew_state.go_around_agl_ft, policy, rng,
-        script=crew_state,
-    )
+    action = crew.gs_act(indication, papi_ind, crew_state.go_around_agl_ft, crew_state)
     if action.kind == crew.GO_AROUND:
         t_ga = (start_agl - crew_state.go_around_agl_ft) / rate_fps
         log.add(t_ga, "crew_action", {

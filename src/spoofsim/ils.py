@@ -23,6 +23,8 @@ FULL_SCALE_DDM = 0.175
 
 #: PAPI bands, degrees: below the first edge 0 whites, above the last 4.
 PAPI_BAND_EDGES_DEG = (2.5, 2.8, 3.2, 3.5)
+#: Glideslope reception range, m.
+MAX_RANGE_M = 50_000.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,6 @@ def receive(
     aircraft: AircraftState,
     transmitters: Sequence[GlideslopeTx],
     runway: RunwayModel,
-    max_range_m: float = 50_000.0,
 ) -> GsIndication:
     """Glideslope indication from the strongest in-range transmitter.
 
@@ -98,7 +99,7 @@ def receive(
     in_range = []
     for tx in transmitters:
         angle, dist = _angle_to(aircraft, tx, runway)
-        if dist <= max_range_m:
+        if dist <= MAX_RANGE_M:
             in_range.append((tx, angle, dist))
     if not in_range:
         return GsIndication(ddm=0.0, deviation_dots=0.0, captured_source=None, valid=False)
@@ -122,12 +123,11 @@ def papi(
     aircraft: AircraftState,
     runway: RunwayModel,
     nominal_angle: float = 3.0,
-    band_edges: Sequence[float] = PAPI_BAND_EDGES_DEG,
 ) -> PapiIndication:
     """Whites count from the approach angle to the touchdown zone.
 
-    Band edges default to 2 whites on a 2.8-3.2 deg approach; the nominal
-    angle shifts the bands so the installation matches a non-3-deg glideslope.
+    The bands give 2 whites on a 2.8-3.2 deg approach; the nominal angle
+    shifts them so the installation matches a non-3-deg glideslope.
     """
 
     if aircraft.along_track >= runway.threshold_position:
@@ -136,7 +136,7 @@ def papi(
     height = aircraft.altitude_msl - runway.elevation
     angle = math.degrees(math.atan2(height, dist))
     shift = nominal_angle - 3.0
-    whites = sum(angle > edge + shift for edge in band_edges)
+    whites = sum(angle > edge + shift for edge in PAPI_BAND_EDGES_DEG)
     return PapiIndication(whites=whites)
 
 

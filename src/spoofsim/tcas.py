@@ -36,6 +36,12 @@ MAX_TX_POWER_DBM = 54.0
 DEFAULT_SENSITIVITY_DBM = -74.0
 #: Wavelength at the interrogation frequency (1030 MHz), m.
 _WAVELENGTH_M = 0.2911
+#: A track not updated for longer than this is dropped, s.
+TRACK_STALENESS_S = 6.0
+#: Vertical rate commanded by a climb or descend RA, ft/min.
+RA_RATE_FPM = 1500.0
+#: Bearing error of a Mode C (anonymous) track, uniform +/- this, degrees.
+MODE_C_BEARING_ERROR_DEG = 10.0
 
 
 def free_space_path_loss_db(distance_m: float) -> float:
@@ -110,11 +116,16 @@ class AdvisoryThresholds:
     tau_ra_s: float = 30.0
     ta_band_ft: float = 1200.0
     ra_band_ft: float = 600.0
-    staleness_s: float = 6.0
-    ra_rate_fpm: float = 1500.0
+
+    def __post_init__(self) -> None:
+        # An RA is the tighter alert: it must fire inside the TA region.
+        if self.tau_ra_s >= self.tau_ta_s:
+            raise ValueError(f"tau_ra_s ({self.tau_ra_s}) must be below tau_ta_s ({self.tau_ta_s})")
+        if self.ra_band_ft > self.ta_band_ft:
+            raise ValueError(f"ra_band_ft ({self.ra_band_ft}) exceeds ta_band_ft ({self.ta_band_ft})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FalseIntruderPlan:
     approach_bearing: float = 45.0        # degrees, varied per encounter
     approach_speed: float = 180.0         # m/s closure
@@ -227,14 +238,12 @@ class TcasUnit:
         thresholds: AdvisoryThresholds = AdvisoryThresholds(),
         mode: str = TA_RA,
         rng: Optional[np.random.Generator] = None,
-        mode_c_bearing_error_deg: float = 10.0,
     ):
         if mode not in (STANDBY, TA_ONLY, TA_RA):
             raise ValueError(f"unknown mode {mode!r}")
         self.thresholds = thresholds
         self.mode = mode
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.mode_c_bearing_error_deg = mode_c_bearing_error_deg
         self.tracks: Dict[object, IntruderTrack] = {}
 
     def set_mode(self, mode: str) -> None:
@@ -282,7 +291,7 @@ class TcasUnit:
         return track
 
     def drop_stale(self, t: float) -> None:
-        stale = [k for k, tr in self.tracks.items() if t - tr.last_update > self.thresholds.staleness_s]
+        stale = [k for k, tr in self.tracks.items() if t - tr.last_update > TRACK_STALENESS_S]
         for k in stale:
             del self.tracks[k]
 
@@ -348,7 +357,7 @@ class TcasUnit:
                 self._update_track(
                     f"anon-{id(responder)}", t, own_pos, own_alt_ft,
                     np.array(reply.claimed_position), reply.altitude,
-                    bearing_noise_deg=self.mode_c_bearing_error_deg, icao_id=None,
+                    bearing_noise_deg=MODE_C_BEARING_ERROR_DEG, icao_id=None,
                 )
         self.drop_stale(t)
 
@@ -387,9 +396,9 @@ def advise(
             and abs(rel) <= thresholds.ra_band_ft
         ):
             if rel < 0:
-                sense, rate = "CLIMB", thresholds.ra_rate_fpm
+                sense, rate = "CLIMB", RA_RATE_FPM
             elif rel > 0:
-                sense, rate = "DESCEND", -thresholds.ra_rate_fpm
+                sense, rate = "DESCEND", -RA_RATE_FPM
             else:
                 sense, rate = "HOLD_VS", 0.0
             best = Advisory(level="RA", time=t, ra_sense=sense,

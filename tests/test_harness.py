@@ -56,6 +56,55 @@ def test_bad_values_rejected():
 def test_config_error_names_field():
     with pytest.raises(ConfigError, match="trials"):
         make_config({"version": 1, "scenario": "GPWS", "trials": -3})
+    # A semantic error (one the schema cannot express) names its JSON path too.
+    with pytest.raises(ConfigError, match=r"^world\.runway\.touchdown_zone_offset_m: "):
+        make_config({"version": 1, "scenario": "GPWS",
+                     "world": {"runway": {"touchdown_zone_offset_m": 3000}}})
+    with pytest.raises(ConfigError, match=r"^policies\.gs: fallback approaches"):
+        make_config({"version": 1, "scenario": "GS",
+                     "policies": {"gs": {"fallback_approaches": {"VOR": 0.5}}}})
+    with pytest.raises(ConfigError, match=r"^attacker\.gs\.path_angle_deg: "):
+        make_config({"version": 1, "scenario": "GS", "attacker": {"gs": {"path_angle_deg": 12}}})
+
+
+@pytest.mark.parametrize("system, field", [
+    ({"tau_ta_s": 20, "tau_ra_s": 40}, "tau_ra_s"),
+    ({"tau_ta_s": 30, "tau_ra_s": 30}, "tau_ra_s"),
+    ({"ta_band_ft": 500, "ra_band_ft": 600}, "ra_band_ft"),
+])
+def test_tcas_threshold_ordering_rejected(tmp_path, system, field):
+    """An RA must fire inside the TA region: every scenario rejects a config
+    whose RA thresholds are looser than its TA thresholds, with exit 2."""
+
+    for scenario in ("TCAS", "GPWS"):
+        with pytest.raises(ConfigError, match=rf"^tcas_system: {field} "):
+            make_config({"version": 1, "scenario": scenario, "tcas_system": system})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "scenario": "TCAS", "tcas_system": system}))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    # Equal bands are consistent.
+    make_config({"version": 1, "scenario": "TCAS",
+                 "tcas_system": {"ta_band_ft": 600, "ra_band_ft": 600}})
+
+
+def test_terrain_must_cover_approach(tmp_path):
+    """The terrain must lie under the approach, from its start point (8,298.57 m
+    before the threshold on the default approach) to the runway end (2,600 m),
+    for every scenario; a config that passes runs to completion."""
+
+    short = {"world": {"terrain": [[0, 100], [1, 100]]}}
+    for scenario in ("GPWS", "TCAS", "GS", "BASELINE"):
+        with pytest.raises(ConfigError, match=r"^world\.terrain: "):
+            make_config({"version": 1, "scenario": scenario, **short})
+    for terrain in ([[-8298, 100], [2600, 100]], [[-8300, 100], [2599, 100]]):
+        with pytest.raises(ConfigError, match=r"^world\.terrain: "):
+            make_config({"version": 1, "scenario": "GPWS", "world": {"terrain": terrain}})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "scenario": "GPWS", **short}))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    covering = small_config("GPWS", trials=20,
+                            world={"terrain": [[-8299, 100], [2600, 100]]})
+    assert len(run(covering)) == 20
 
 
 def test_partial_config_merges_over_defaults():
@@ -233,7 +282,7 @@ def test_emit_files(tmp_path):
     names = {p.name for p in written}
     assert {"trial_00000.jsonl", "trial_00001.jsonl", "trial_00002.jsonl",
             "summary.csv", "report.txt", "config.json"} <= names
-    reread = load_logs(tmp_path / "out", scenario="GS")
+    reread = load_logs(tmp_path / "out", 3, scenario="GS")
     assert [l.to_jsonl() for l in reread] == [l.to_jsonl() for l in logs]
 
 
@@ -342,10 +391,31 @@ def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
     first["t"] = 1e9
     path.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*time order"):
-        load_logs(tmp_path / "out")
+        load_logs(tmp_path / "out", 4)
     path.write_text("".join(lines + lines[-1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*one outcome"):
-        load_logs(tmp_path / "out")
+        load_logs(tmp_path / "out", 4)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: [],
+    lambda data: {**data, "trials": "3"},
+    lambda data: {**data, "scenario": "NOPE"},
+], ids=["not-an-object", "string-trials", "unknown-scenario"])
+@pytest.mark.parametrize("command", [
+    ["summarize"], ["summarize", "--scenario", "GS"],
+    ["detect"], ["detect", "--scenario", "GS"],
+])
+def test_cli_corrupt_run_config_exit_code(tmp_path, capsys, corrupt, command):
+    """summarize and detect read a run's config.json through one reader: a
+    corrupt one is exit 3 with a message naming it, never a traceback."""
+
+    out = tmp_path / "out"
+    _gs_run(out)
+    path = out / "config.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    assert main(command + ["--out", str(out)]) == 3
+    assert "corrupt run directory" in capsys.readouterr().err
 
 
 def test_cli_missing_log_exit_code(tmp_path, capsys):

@@ -1,15 +1,16 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
-computation, and each surveillance cycle evaluates it at most once."""
+computation, and each surveillance cycle evaluates it at most once.  Trials
+read the objects `make_config` built and construct none of their own."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spoofsim import tcas, world
+from spoofsim import crew, gpws, ils, radalt, tcas, world
 from spoofsim.harness import run
 from spoofsim.harness.config import make_config
-from spoofsim.harness.scenarios import _cruise_state_fn
+from spoofsim.harness.scenarios import SCENARIOS, _cruise_state_fn
 
 #: The golden-output seed.
 SEED = 20190118
@@ -71,3 +72,32 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     assert counts["cycle"] > 0 and counts["claimed"] > 0
     for name in ("step", "terrain", "claimed"):
         assert counts[name] <= counts["cycle"], (name, counts)
+
+
+#: Objects built from the config (or, for the envelope and the sweep, from no
+#: config at all): a trial reads them and constructs none.
+_CONFIG_OBJECTS = (
+    world.TerrainProfile, world.RunwayModel, crew.GpwsPolicy, crew.TcasPolicy,
+    crew.GsPolicy, gpws.AttackSchedule, gpws.Mode2Envelope, radalt.SweepConfig,
+    tcas.AdvisoryThresholds, tcas.FalseIntruderPlan, ils.GlideslopeTx,
+)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_trials_construct_no_config_objects(monkeypatch, scenario):
+    """Work budget: `make_config` builds the runway, terrain and crew policies
+    once; `run()` at N=20 constructs none of the config objects."""
+
+    counts = Counter()
+    for cls in _CONFIG_OBJECTS:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    cfg = make_config({"version": 1, "scenario": scenario, "trials": 20, "master_seed": SEED})
+    built = {"TerrainProfile", "RunwayModel", "GpwsPolicy", "TcasPolicy", "GsPolicy"}
+    assert built <= set(counts)  # the counters see construction
+    counts.clear()
+    assert len(run(cfg)) == 20
+    assert not counts, counts
