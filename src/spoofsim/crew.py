@@ -21,7 +21,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import tcas
-from .gpws import GpwsAlert
 from .ils import GsIndication, PapiIndication
 
 # GPWS crew actions
@@ -187,17 +186,10 @@ class GpwsPolicy:
         return self.approach_actions[idx]
 
 
-def gpws_act(
-    approach_index: int,
-    alert: Optional[GpwsAlert],
-    policy: GpwsPolicy,
-    rng: np.random.Generator,
-) -> str:
-    """Action for this approach: sampled from the approach-indexed table when
-    alerted, otherwise the approach concludes with a landing."""
+def gpws_act(approach_index: int, policy: GpwsPolicy, rng: np.random.Generator) -> str:
+    """The crew's response to a terrain alert on this approach, sampled from
+    the approach-indexed table."""
 
-    if alert is None:
-        return LAND
     return sample_categorical(rng, policy.action_table(approach_index))
 
 

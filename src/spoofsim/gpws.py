@@ -47,7 +47,6 @@ class Mode2Envelope:
 class GpwsAlert:
     time: float                 # s
     trigger_agl: float          # ft (indicated)
-    approach_index: int
     kind: str = "TERRAIN_PULL_UP"
 
 
@@ -71,14 +70,13 @@ def evaluate(
     closure_rate_fpm: float,
     envelope: Mode2Envelope,
     time: float = 0.0,
-    approach_index: int = 1,
 ) -> Optional[GpwsAlert]:
     """Alert iff (AGL, closure rate) lies in the envelope."""
 
     if agl_ft < 0:
         raise ValueError("agl must be >= 0")
     if envelope.contains(agl_ft, closure_rate_fpm):
-        return GpwsAlert(time=time, trigger_agl=agl_ft, approach_index=approach_index)
+        return GpwsAlert(time=time, trigger_agl=agl_ft)
     return None
 
 
@@ -93,11 +91,14 @@ def scripted_trigger(
     return float(rng.uniform(lo, hi))
 
 
+#: Backward-difference window of the closure-rate estimator, s.
+CLOSURE_WINDOW_S = 1.0
+
+
 @dataclass
 class ClosureRateEstimator:
-    """Backward difference of indicated AGL over a fixed window (default 1 s)."""
+    """Backward difference of indicated AGL over `CLOSURE_WINDOW_S`."""
 
-    window_s: float = 1.0
     _samples: List[Tuple[float, float]] = field(default_factory=list)
 
     def update(self, t: float, indicated_agl_ft: float) -> Optional[float]:
@@ -106,10 +107,10 @@ class ClosureRateEstimator:
 
         self._samples.append((t, indicated_agl_ft))
         # Keep just enough history to straddle the window.
-        cutoff = t - self.window_s
+        cutoff = t - CLOSURE_WINDOW_S
         while len(self._samples) > 2 and self._samples[1][0] <= cutoff:
             self._samples.pop(0)
         t0, h0 = self._samples[0]
-        if t - t0 < self.window_s - 1e-9:
+        if t - t0 < CLOSURE_WINDOW_S - 1e-9:
             return None
         return (h0 - indicated_agl_ft) / (t - t0) * 60.0

@@ -41,19 +41,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic avionics attack-response simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", choices=list(SCENARIOS), help="scenario to simulate")
-        p.add_argument("--trials", type=int, help="number of trials")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help="path to a JSON config file")
-
-    add_common(sub.add_parser("run", help="run trials and emit logs and summaries"))
-    add_common(sub.add_parser("summarize", help="summarize previously emitted logs"))
-    add_common(sub.add_parser("cost", help="print the disruption-cost table"))
-    add_common(sub.add_parser("detect", help="run integrity checks over emitted logs"))
-    add_common(sub.add_parser("validate-config", help="validate a config file"))
+    flags: Dict[str, Dict[str, Any]] = {
+        "--scenario": {"choices": list(SCENARIOS), "help": "scenario to simulate"},
+        "--trials": {"type": int, "help": "number of trials"},
+        "--seed": {"type": int, "help": "master seed"},
+        "--out": {"help": "output directory"},
+        "--config": {"help": "path to a JSON config file"},
+    }
+    # Each subcommand declares only the flags it reads.
+    for command, help_text, names in (
+        ("run", "run trials and emit logs and summaries", list(flags)),
+        ("summarize", "summarize previously emitted logs", ["--out", "--config", "--scenario"]),
+        ("cost", "print the disruption-cost table", ["--out"]),
+        ("detect", "run integrity checks over emitted logs",
+         ["--out", "--config", "--scenario", "--seed"]),
+        ("validate-config", "validate a config file", ["--config"]),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(name, **flags[name])
     return parser
 
 
@@ -61,7 +67,7 @@ def _resolve_config(
     args: argparse.Namespace, base: Optional[Dict[str, Any]] = None
 ) -> ScenarioConfig:
     """``--config`` (else ``base``, else the defaults) with the command-line
-    overrides applied."""
+    overrides the subcommand declares applied."""
 
     if args.config:
         data = load_config(args.config).raw
@@ -69,7 +75,11 @@ def _resolve_config(
         data = base if base is not None else default_config_dict()
     if args.scenario:
         data = apply_scenario(data, args.scenario)
-    given = {"trials": args.trials, "master_seed": args.seed, "output_dir": args.out or None}
+    given = {
+        "trials": getattr(args, "trials", None),  # `detect` has no --trials
+        "master_seed": args.seed,
+        "output_dir": args.out or None,
+    }
     return make_config({**data, **{k: v for k, v in given.items() if v is not None}})
 
 

@@ -33,7 +33,8 @@ if TYPE_CHECKING:  # config imports this module for the registry
 #: Fine-loop entry margin above the attack trigger, ft: wide enough for the
 #: closure estimator window to fill before the ramp starts.
 _GPWS_LEAD_FT = 25.0
-#: Ramp length crafted per approach, s; the alert fires well inside it.
+#: Length of the spoofed ramp, s; the alert fires well inside it, and the
+#: injected height holds at its last sweep after it.
 _GPWS_RAMP_DURATION_S = 1.5
 #: Minimum height at which the glideslope/visual cross-check is evaluated with
 #: the receiver ops, ft.  Below ~515 ft on the displaced path the nearby
@@ -116,11 +117,14 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         while True:
             state = world.step(state, state.vertical_speed, state.ground_speed, cfg.dt_s)
             true_agl = m_to_ft(world.agl(state, terrain))
-            if true_agl <= 0:
+            # Touchdown: on the ground, or at the runway's elevation where the
+            # terrain lies below it.
+            if true_agl <= 0 or state.altitude_msl <= runway.elevation:
                 break
             if plan is None and true_agl <= trigger:
-                plan = radalt.craft_ramp(
-                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S, _SWEEP
+                plan = radalt.RampAttackPlan(
+                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S,
+                    _SWEEP.sweep_period,
                 )
                 attack_t0 = state.time
                 log.add(state.time, "attack_start", {
@@ -141,8 +145,7 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             closure = estimator.update(state.time, indicated)
             if closure is not None:
                 alert = gpws.evaluate(
-                    max(indicated, 0.0), closure, _MODE2_ENVELOPE,
-                    time=state.time, approach_index=approach,
+                    max(indicated, 0.0), closure, _MODE2_ENVELOPE, time=state.time
                 )
                 if alert is not None:
                     break
@@ -159,7 +162,7 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             "kind": alert.kind,
         })
         latency = crew.gpws_reaction_latency(policy, rng)
-        action = crew.gpws_act(approach, alert, policy, rng)
+        action = crew.gpws_act(approach, policy, rng)
         min_agl = max(
             0.0, m_to_ft(world.agl(state, terrain)) - rate_fps * latency
         )

@@ -1,17 +1,18 @@
-"""FMCW radio-altimeter signal model and the ramp-spoofing pulse scheduler.
+"""FMCW radio-altimeter signal model and the ramp-spoofing attack.
 
-The altimeter sweeps 4200-4400 MHz and ranges the ground from the round-trip
-delay of the strongest echo (the beat frequency is sweep slope times delay, so
-ranging on either gives the same height).  The attacker schedules one
-injected delay per sweep, shrinking it so the indicated height descends at a
-chosen apparent rate.
+The altimeter ranges the ground from the round-trip delay of the strongest
+echo in each sweep (the beat frequency is sweep slope times delay, so ranging
+on either gives the same height, and the band itself does not enter).  The
+attacker injects one delay per sweep, shrinking it so the indicated height
+descends at a chosen apparent rate; a ramp computes the delay of a sweep only
+when that sweep is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 from .units import SPEED_OF_LIGHT
 
@@ -22,23 +23,14 @@ class NoGroundReturn(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    f_start: float = 4.2e9        # Hz
-    f_end: float = 4.4e9          # Hz
     sweep_period: float = 0.01    # s
     range_resolution: float = 0.25  # m, receiver range quantisation
 
     def __post_init__(self) -> None:
-        if self.f_end <= self.f_start:
-            raise ValueError("f_end must exceed f_start")
         if self.sweep_period <= 0:
             raise ValueError("sweep_period must be > 0")
         if self.range_resolution <= 0:
             raise ValueError("range_resolution must be > 0")
-
-    @property
-    def sweep_slope(self) -> float:
-        """Hz per second."""
-        return (self.f_end - self.f_start) / self.sweep_period
 
 
 @dataclass(frozen=True)
@@ -78,56 +70,32 @@ def measure(echoes: Sequence[PulseEcho], sweep: SweepConfig) -> float:
     return round(h_delay / q) * q
 
 
-@dataclass
+@dataclass(frozen=True)
 class RampAttackPlan:
-    """Per-sweep delay schedule that walks the indicated height downward."""
+    """An apparent-descent attack: the injected echo mimics a height that
+    falls at ``apparent_descent_rate`` from ``start_agl``, one step per sweep,
+    clipped at the ground and held after ``duration``."""
 
     start_agl: float               # m
     apparent_descent_rate: float   # m/s
     duration: float                # s
     sweep_period: float            # s
-    schedule: List[Tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.apparent_descent_rate > 0:
-            delays = [t for _, t in self.schedule]
-            positive = [t for t in delays if t > 0]
-            if any(b >= a for a, b in zip(positive, positive[1:])):
-                raise ValueError("injected delays must strictly decrease while nonzero")
+        if not self.duration > 0:
+            raise ValueError("duration must be > 0")
+        if not self.apparent_descent_rate >= 0:
+            raise ValueError("apparent_descent_rate must be >= 0")
+        if not self.start_agl >= 0:
+            raise ValueError("start_agl must be >= 0")
+        if not self.sweep_period > 0:
+            raise ValueError("sweep_period must be > 0")
 
-    def echo_at(self, elapsed: float, power: float = -40.0) -> PulseEcho:
-        idx = min(int(elapsed / self.sweep_period), len(self.schedule) - 1)
-        return PulseEcho(self.schedule[idx][1], power, source="adversarial")
+    def echo_at(self, elapsed: float) -> PulseEcho:
+        """The injected echo of the sweep in progress ``elapsed`` seconds into
+        the attack; only that sweep's delay is computed."""
 
-
-def craft_ramp(
-    start_agl: float,
-    apparent_descent_rate: float,
-    duration: float,
-    sweep: SweepConfig,
-) -> RampAttackPlan:
-    """Build the injected delay schedule for an apparent-descent attack.
-
-    The mimicked height is clipped at zero once the ramp reaches the ground;
-    the per-second delay decrement equals 2*rate/c while unclipped.
-    """
-
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    if apparent_descent_rate < 0:
-        raise ValueError("apparent_descent_rate must be >= 0")
-    if start_agl < 0:
-        raise ValueError("start_agl must be >= 0")
-
-    n_sweeps = max(1, math.ceil(duration / sweep.sweep_period))
-    schedule = []
-    for k in range(n_sweeps):
-        h = max(0.0, start_agl - apparent_descent_rate * k * sweep.sweep_period)
-        schedule.append((k, height_to_delay(h)))
-    return RampAttackPlan(
-        start_agl=start_agl,
-        apparent_descent_rate=apparent_descent_rate,
-        duration=duration,
-        sweep_period=sweep.sweep_period,
-        schedule=schedule,
-    )
+        n_sweeps = max(1, math.ceil(self.duration / self.sweep_period))
+        k = min(int(elapsed / self.sweep_period), n_sweeps - 1)
+        h = max(0.0, self.start_agl - self.apparent_descent_rate * k * self.sweep_period)
+        return PulseEcho(height_to_delay(h), -40.0, "adversarial")

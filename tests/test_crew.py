@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spoofsim import crew, tcas
-from spoofsim.gpws import GpwsAlert
 from spoofsim.ils import GsIndication, PapiIndication
 
 
@@ -68,19 +67,16 @@ def test_gpws_latency_derivation():
 def test_gpws_action_tables():
     policy = crew.GpwsPolicy()
     rng = np.random.default_rng(3)
-    alert = GpwsAlert(time=0.0, trigger_agl=480.0, approach_index=1)
     counts = {}
     for _ in range(30_000):
-        a = crew.gpws_act(1, alert, policy, rng)
+        a = crew.gpws_act(1, policy, rng)
         counts[a] = counts.get(a, 0) + 1
     assert abs(counts[crew.GO_AROUND] / 30_000 - 20 / 30) < 0.01
     assert abs(counts[crew.LAND] / 30_000 - 10 / 30) < 0.01
     assert crew.TURN_OFF_GPWS not in counts
     # Third and later approaches always disable the system.
-    assert crew.gpws_act(3, alert, policy, rng) == crew.TURN_OFF_GPWS
-    assert crew.gpws_act(7, alert, policy, rng) == crew.TURN_OFF_GPWS
-    # No alert: the approach simply concludes in a landing.
-    assert crew.gpws_act(1, None, policy, rng) == crew.LAND
+    assert crew.gpws_act(3, policy, rng) == crew.TURN_OFF_GPWS
+    assert crew.gpws_act(7, policy, rng) == crew.TURN_OFF_GPWS
 
 
 def test_gpws_policy_validation():

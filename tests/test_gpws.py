@@ -46,10 +46,8 @@ def test_envelope_validation():
 
 
 def test_evaluate():
-    alert = gpws.evaluate(500.0, 3100.0, ENV, time=3.0, approach_index=2)
-    assert alert is not None
-    assert alert.kind == "TERRAIN_PULL_UP"
-    assert alert.approach_index == 2
+    alert = gpws.evaluate(500.0, 3100.0, ENV, time=3.0)
+    assert alert == gpws.GpwsAlert(time=3.0, trigger_agl=500.0, kind="TERRAIN_PULL_UP")
     assert gpws.evaluate(500.0, 100.0, ENV) is None
     with pytest.raises(ValueError):
         gpws.evaluate(-1.0, 3100.0, ENV)
@@ -70,7 +68,7 @@ def test_scripted_trigger_windows():
 
 
 def test_estimator_backward_difference():
-    est = gpws.ClosureRateEstimator(window_s=1.0)
+    est = gpws.ClosureRateEstimator()
     rate = None
     # 700 ft/min descent sampled at 10 Hz.
     for i in range(11):
@@ -80,7 +78,7 @@ def test_estimator_backward_difference():
 
 
 def test_estimator_needs_full_window():
-    est = gpws.ClosureRateEstimator(window_s=1.0)
+    est = gpws.ClosureRateEstimator()
     assert est.update(0.0, 1000.0) is None
     assert est.update(0.5, 990.0) is None
     assert est.update(1.0, 980.0) is not None

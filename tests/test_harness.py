@@ -107,6 +107,25 @@ def test_terrain_must_cover_approach(tmp_path):
     assert len(run(covering)) == 20
 
 
+def test_terrain_below_runway_lands(tmp_path):
+    """Terrain that falls below the runway elevation after the threshold: the
+    GPWS approach ends at touchdown on the runway instead of descending past
+    the runway end and off the terrain profile."""
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "version": 1, "scenario": "GPWS",
+        "world": {"terrain": [[-9000, 100], [0, 100], [2600, -100]]},
+        "attacker": {"gpws": {"apparent_descent_rate_mps": 0.1}},
+    }))
+    out = tmp_path / "out"
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--trials", "20", "--out", str(out)]) == 0
+    logs = load_logs(out, 20, scenario="GPWS")
+    assert len(logs) == 20
+    assert all(log.outcome == "LANDED" for log in logs)
+
+
 def test_partial_config_merges_over_defaults():
     cfg = make_config({"version": 1, "scenario": "GS", "trials": 7,
                        "attacker": {"gs": {"shift_m": 1000.0}}})
@@ -352,6 +371,28 @@ def test_cli_cost(capsys):
     assert main(["cost"]) == 0
     out = capsys.readouterr().out
     assert "77.14" in out and "516.25" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--trials", "3"],
+    ["summarize", "--seed", "3"],
+    ["detect", "--trials", "3"],
+    ["cost", "--scenario", "TCAS"],
+    ["cost", "--trials", "5"],
+    ["cost", "--seed", "3"],
+    ["cost", "--config", "c.json"],
+    ["validate-config", "--scenario", "GPWS"],
+    ["validate-config", "--trials", "3"],
+    ["validate-config", "--seed", "3"],
+    ["validate-config", "--out", "out"],
+], ids=" ".join)
+def test_cli_rejects_flags_it_does_not_read(capsys, argv):
+    """Each subcommand declares only the flags it reads."""
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

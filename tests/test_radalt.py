@@ -1,20 +1,14 @@
-"""FMCW altimeter model and ramp-attack schedule tests."""
+"""FMCW altimeter model and ramp-attack tests."""
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spoofsim import radalt
 from spoofsim.units import SPEED_OF_LIGHT, ft_to_m
 
 SWEEP = radalt.SweepConfig()
-
-
-def test_sweep_slope():
-    assert SWEEP.sweep_slope == (4.4e9 - 4.2e9) / 0.01
-    with pytest.raises(ValueError):
-        radalt.SweepConfig(f_start=4.4e9, f_end=4.2e9)
 
 
 def test_height_delay_round_trip():
@@ -56,12 +50,66 @@ def test_measure_identity_within_resolution(height):
     assert abs(radalt.measure([echo], SWEEP) - height) < 0.5
 
 
-def test_craft_ramp_monotone_delays():
-    plan = radalt.craft_ramp(150.0, 15.4, 2.0, SWEEP)
-    delays = [t for _, t in plan.schedule]
-    assert len(delays) == 200
+def ramp(start_agl, rate, duration):
+    return radalt.RampAttackPlan(start_agl, rate, duration, SWEEP.sweep_period)
+
+
+def reference_delays(start_agl, rate, duration, sweep_period):
+    """The eagerly crafted per-sweep delay list that `echo_at` replaces."""
+
+    n_sweeps = max(1, math.ceil(duration / sweep_period))
+    delays = []
+    for k in range(n_sweeps):
+        h = max(0.0, start_agl - rate * k * sweep_period)
+        delays.append(radalt.height_to_delay(h))
+    return delays
+
+
+def test_ramp_monotone_delays():
+    plan = ramp(150.0, 15.4, 2.0)
+    delays = [plan.echo_at((k + 0.5) * SWEEP.sweep_period).round_trip_time
+              for k in range(200)]
     positive = [t for t in delays if t > 0]
+    assert len(positive) == 200
     assert all(a > b for a, b in zip(positive, positive[1:]))
+    # After its duration the ramp holds its last sweep.
+    assert plan.echo_at(2.5).round_trip_time == delays[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start_agl=st.floats(min_value=0.0, max_value=1000.0),
+    rate=st.floats(min_value=0.0, max_value=200.0),
+    duration=st.floats(min_value=1e-3, max_value=3.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+)
+def test_echo_at_equals_crafted_delays(start_agl, rate, duration, fractions):
+    """Each sweep's delay, computed when read, is bit-for-bit the one the
+    eagerly crafted list held for that sweep."""
+
+    plan = ramp(start_agl, rate, duration)
+    delays = reference_delays(start_agl, rate, duration, SWEEP.sweep_period)
+    for elapsed in [0.0, duration, 2.0 * duration] + [2.0 * duration * f for f in fractions]:
+        idx = min(int(elapsed / SWEEP.sweep_period), len(delays) - 1)
+        echo = plan.echo_at(elapsed)
+        assert echo.round_trip_time == delays[idx]
+        assert echo.received_power == -40.0 and echo.source == "adversarial"
+
+
+@pytest.mark.parametrize("start_agl, rate, duration, sweep_period, field", [
+    (150.0, 15.4, 0.0, 0.01, "duration"),
+    (150.0, 15.4, -1.0, 0.01, "duration"),
+    (150.0, 15.4, math.nan, 0.01, "duration"),
+    (150.0, -0.1, 1.5, 0.01, "apparent_descent_rate"),
+    (150.0, math.nan, 1.5, 0.01, "apparent_descent_rate"),
+    (-1.0, 15.4, 1.5, 0.01, "start_agl"),
+    (math.nan, 15.4, 1.5, 0.01, "start_agl"),
+    (150.0, 15.4, 1.5, 0.0, "sweep_period"),
+])
+def test_plan_validation(start_agl, rate, duration, sweep_period, field):
+    with pytest.raises(ValueError, match=field):
+        radalt.RampAttackPlan(start_agl, rate, duration, sweep_period)
+    radalt.RampAttackPlan(0.0, 0.0, 1e-3, 0.01)  # the edges are accepted
 
 
 def injected_height(plan, elapsed):
@@ -70,30 +118,22 @@ def injected_height(plan, elapsed):
     return radalt.delay_to_height(plan.echo_at(elapsed).round_trip_time)
 
 
-def test_craft_ramp_clips_at_ground():
-    plan = radalt.craft_ramp(1.0, 100.0, 1.0, SWEEP)
+def test_ramp_clips_at_ground():
+    plan = ramp(1.0, 100.0, 1.0)
     assert injected_height(plan, 0.99) == 0.0
 
 
 def test_indicated_agl_tracks_rate():
-    plan = radalt.craft_ramp(150.0, 15.4, 2.0, SWEEP)
+    plan = ramp(150.0, 15.4, 2.0)
     assert math.isclose(injected_height(plan, 0.0), 150.0, rel_tol=1e-9)
     assert math.isclose(injected_height(plan, 1.0), 150.0 - 15.4, rel_tol=1e-9)
 
 
 def test_ramp_echo_is_adversarial():
-    plan = radalt.craft_ramp(150.0, 15.4, 0.5, SWEEP)
+    plan = ramp(150.0, 15.4, 0.5)
     echo = plan.echo_at(0.1)
     assert echo.source == "adversarial"
-    assert echo.round_trip_time == plan.schedule[10][1]
-
-
-def test_plan_rejects_non_decreasing_delays():
-    with pytest.raises(ValueError):
-        radalt.RampAttackPlan(
-            start_agl=100.0, apparent_descent_rate=10.0, duration=1.0,
-            sweep_period=0.01, schedule=[(0, 1e-7), (1, 1e-7)],
-        )
+    assert echo.round_trip_time == radalt.height_to_delay(150.0 - 15.4 * 10 * 0.01)
 
 
 def test_echo_validation():

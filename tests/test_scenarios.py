@@ -1,7 +1,9 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
-computation, and each surveillance cycle evaluates it at most once.  Trials
-read the objects `make_config` built and construct none of their own."""
+computation, and each surveillance cycle evaluates it at most once.  The GPWS
+ramp computes only the sweeps it reads.  Trials read the objects
+`make_config` built and construct none of their own."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -48,19 +50,22 @@ def test_cached_cruise_state_keeps_step_checks():
             state_fn(float("nan"))
 
 
+def _counting(counts, name, fn):
+    """``fn``, counting its calls under ``name``."""
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     """Work budget: one own-ship step, one terrain lookup and one claimed
     intruder position per surveillance cycle at most."""
 
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
+    counting = functools.partial(_counting, counts)
     monkeypatch.setattr(world, "step", counting("step", world.step))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
@@ -72,6 +77,21 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     assert counts["cycle"] > 0 and counts["claimed"] > 0
     for name in ("step", "terrain", "claimed"):
         assert counts[name] <= counts["cycle"], (name, counts)
+
+
+def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
+    """Work budget: an attacked approach computes the injected delay of each
+    sweep the fine loop reads, and of no other sweep."""
+
+    counts = Counter()
+    counting = functools.partial(_counting, counts)
+    monkeypatch.setattr(radalt, "height_to_delay",
+                        counting("delays", radalt.height_to_delay))
+    monkeypatch.setattr(radalt.RampAttackPlan, "echo_at",
+                        counting("reads", radalt.RampAttackPlan.echo_at))
+    run(make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED}))
+    assert counts["reads"] > 0
+    assert counts["delays"] == counts["reads"], counts
 
 
 #: Objects built from the config (or, for the envelope and the sweep, from no
