@@ -91,7 +91,8 @@ def truncated_normal(
     centre = mean
     if preserve_mean and (lo > -math.inf or hi < math.inf):
         centre = _mean_preserving_centre(mean, sd, lo, hi)
-    return float(np.clip(rng.normal(centre, sd), lo, hi))
+    # Equal to `np.clip`, sign of zero included, without its per-call dispatch.
+    return float(min(max(rng.normal(centre, sd), lo), hi))
 
 
 def sample_categorical(rng: np.random.Generator, dist: Dict[str, float]) -> str:

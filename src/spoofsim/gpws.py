@@ -1,9 +1,10 @@
 """Excessive-terrain-closure (Mode 2) alerting and the scripted attack trigger.
 
-The alert envelope is a piecewise-linear boundary in (AGL, closure rate); the
-closure rate is estimated from the *indicated* radio-altimeter height, which
-is what a ramp-spoofing attacker manipulates.  One boundary is modelled; the
-Mode 2 sub-modes (flap/gear configuration) are not distinguished.
+The alert envelope is a piecewise-linear boundary in (AGL, closure rate),
+looked up every fine-loop step with the scalar `world.interp`; the closure
+rate is estimated from the *indicated* radio-altimeter height, which is what
+a ramp-spoofing attacker manipulates.  One boundary is modelled; the Mode 2
+sub-modes (flap/gear configuration) are not distinguished.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .world import interp
 
 #: Default boundary: linear through (200 ft, 2000 ft/min) and (790 ft,
 #: 3000 ft/min), flat outside those AGL endpoints.  This places the
@@ -28,14 +30,16 @@ class Mode2Envelope:
         agls = [p[0] for p in self.boundary]
         if sorted(agls) != agls or len(set(agls)) != len(agls):
             raise ValueError("boundary AGL points must be strictly increasing")
-        # Interpolation tables, built once: the envelope is queried every step.
-        object.__setattr__(self, "_agl", np.array(agls))
-        object.__setattr__(self, "_rate", np.array([p[1] for p in self.boundary]))
+        # Float tables for `world.interp`, built once: the envelope is queried
+        # every step.
+        object.__setattr__(self, "_agl", [float(a) for a in agls])
+        object.__setattr__(self, "_rate", [float(p[1]) for p in self.boundary])
 
     def threshold_fpm(self, agl_ft: float) -> float:
-        """Minimum closure rate (ft/min) that alerts at this AGL."""
+        """Minimum closure rate (ft/min) that alerts at this AGL; equal to
+        ``numpy.interp`` over the boundary."""
 
-        return float(np.interp(agl_ft, self._agl, self._rate))
+        return interp(agl_ft, self._agl, self._rate)
 
     def contains(self, agl_ft: float, closure_rate_fpm: float) -> bool:
         """Alert region is closed upward in closure rate."""

@@ -103,9 +103,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     if scenario is None:
         raise ConfigError("cannot determine scenario: pass --scenario")
     logs = load_logs(out_dir, run_cfg.trials if run_cfg else None, scenario=scenario)
-    summary = summarize(logs)
-    sys.stdout.write(summary_csv(summary))
-    (Path(out_dir) / "summary.csv").write_text(summary_csv(summary))
+    csv_text = summary_csv(summarize(logs))
+    sys.stdout.write(csv_text)
+    (Path(out_dir) / "summary.csv").write_text(csv_text)
     return EXIT_OK
 
 

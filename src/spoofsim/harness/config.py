@@ -9,7 +9,8 @@ fields it changes.
 `make_config` builds a frozen `ScenarioConfig` once, holding every object
 and scalar the trials and the CLI read.  Building those objects is the
 semantic validation (threshold ordering, runway geometry, distributions,
-terrain under the approach); each failure names its JSON path.
+terrain under the approach and below its descent path); each failure names
+its JSON path.
 """
 
 from __future__ import annotations
@@ -388,14 +389,34 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
     )
     # The approach is part of `world`, so every scenario needs terrain under
     # it, from its start point to the end of the runway.
-    lo, hi = cfg.terrain.domain
-    start = approach_start(cfg, 0.0).along_track
+    terrain = cfg.terrain
+    lo, hi = terrain.domain
+    first = approach_start(cfg, 0.0)
+    start = first.along_track
     end = runway.threshold_position + runway.length
     if not lo <= start < end <= hi:
         raise ConfigError(
             f"world.terrain: covers {lo} to {hi} m, but the approach runs from "
             f"{start:.2f} m to the runway end at {end} m"
         )
+    # The terrain must also stay below the descent path until the threshold,
+    # or the approach flies into it.  Both are piecewise linear, so the end
+    # points and the terrain vertices between them decide.
+    threshold = runway.threshold_position
+    if start < threshold:
+        points = [(start, terrain.elevation_at(start))]
+        points += [(x, z) for x, z in terrain.vertices if start < x < threshold]
+        points.append((threshold, terrain.elevation_at(threshold)))
+        for x, z in points:
+            path = first.altitude_msl + first.vertical_speed * (x - start) / first.ground_speed
+            # Meeting the path is contact, except where the path ends on the
+            # ground: a touchdown zone at the threshold.
+            if z > path or (z == path and x < runway.touchdown_zone_position):
+                raise ConfigError(
+                    f"world.terrain: {z:.2f} m at {x:.2f} m meets or rises above the "
+                    f"approach path ({path:.2f} m there), which runs from "
+                    f"{start:.2f} m to the runway threshold at {threshold} m"
+                )
     return cfg
 
 

@@ -135,8 +135,10 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             if plan is None:
                 indicated = true_agl
             else:
+                # The spoofed echo is the sweep's only return, so it is ranged
+                # directly rather than picked out of a list by `measure`.
                 echo = plan.echo_at(state.time - attack_t0)
-                indicated = m_to_ft(radalt.measure([echo], _SWEEP))
+                indicated = m_to_ft(radalt.range_height(echo.round_trip_time, _SWEEP))
             if cfg.altitude_trace:
                 log.add(state.time, "state", {
                     "altitude_ft": m_to_ft(state.altitude_msl),

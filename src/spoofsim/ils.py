@@ -53,19 +53,7 @@ class GsIndication:
 
 @dataclass(frozen=True)
 class PapiIndication:
-    whites: int   # 0..4
-
-    @property
-    def reds(self) -> int:
-        return 4 - self.whites
-
-
-def path_height(distance_from_antenna: float, angle: float) -> float:
-    """Height of the glide path above antenna level at the given distance."""
-
-    if distance_from_antenna < 0:
-        raise ValueError("distance must be >= 0")
-    return distance_from_antenna * math.tan(math.radians(angle))
+    whites: int   # 0..4 (the rest of the four lights show red)
 
 
 def _received_power(tx: GlideslopeTx, distance: float) -> float:

@@ -2,7 +2,8 @@
 
 The altimeter ranges the ground from the round-trip delay of the strongest
 echo in each sweep (the beat frequency is sweep slope times delay, so ranging
-on either gives the same height, and the band itself does not enter).  The
+on either gives the same height, and the band itself does not enter);
+`range_height` ranges one delay, `measure` picks the echo first.  The
 attacker injects one delay per sweep, shrinking it so the indicated height
 descends at a chosen apparent rate; a ramp computes the delay of a sweep only
 when that sweep is read.
@@ -58,16 +59,22 @@ def delay_to_height(t_rtt: float) -> float:
     return SPEED_OF_LIGHT * t_rtt / 2.0
 
 
+def range_height(t_rtt: float, sweep: SweepConfig) -> float:
+    """Indicated AGL in metres from one echo's round-trip delay: c*t/2,
+    quantised to the receiver's range resolution."""
+
+    q = sweep.range_resolution
+    return round(delay_to_height(t_rtt) / q) * q
+
+
 def measure(echoes: Sequence[PulseEcho], sweep: SweepConfig) -> float:
-    """Indicated AGL in metres from the strongest echo of the current sweep:
-    c*t/2, quantised to the receiver's range resolution."""
+    """Indicated AGL in metres from the strongest echo of the current sweep
+    (`range_height` of its delay)."""
 
     if not echoes:
         raise NoGroundReturn("no echo in current sweep")
     strongest = max(echoes, key=lambda e: e.received_power)
-    h_delay = delay_to_height(strongest.round_trip_time)
-    q = sweep.range_resolution
-    return round(h_delay / q) * q
+    return range_height(strongest.round_trip_time, sweep)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Unit conversions and physical constants.
 
 All internal computation is SI (metres, seconds, m/s).  Aviation-facing
-quantities (feet, knots, ft/min, statute/nautical miles) are converted at the
-boundaries only, so conversions must round-trip exactly.
+quantities (feet, knots, ft/min, statute miles) are converted at the
+boundaries only; feet and ft/min convert both ways and must round-trip.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 M_PER_FT = 0.3048
 M_PER_STATUTE_MILE = 1609.344
 M_PER_NAUTICAL_MILE = 1852.0
-MPS_PER_KN = 1852.0 / 3600.0
+MPS_PER_KN = M_PER_NAUTICAL_MILE / 3600.0
 MPS_PER_FPM = M_PER_FT / 60.0
 
 
@@ -29,10 +29,6 @@ def kn_to_mps(kn: float) -> float:
     return kn * MPS_PER_KN
 
 
-def mps_to_kn(mps: float) -> float:
-    return mps / MPS_PER_KN
-
-
 def fpm_to_mps(fpm: float) -> float:
     return fpm * MPS_PER_FPM
 
@@ -43,15 +39,3 @@ def mps_to_fpm(mps: float) -> float:
 
 def m_to_statute_miles(m: float) -> float:
     return m / M_PER_STATUTE_MILE
-
-
-def statute_miles_to_m(mi: float) -> float:
-    return mi * M_PER_STATUTE_MILE
-
-
-def m_to_nmi(m: float) -> float:
-    return m / M_PER_NAUTICAL_MILE
-
-
-def nmi_to_m(nmi: float) -> float:
-    return nmi * M_PER_NAUTICAL_MILE

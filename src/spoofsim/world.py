@@ -8,15 +8,40 @@ axis so motion can be resolved into the frame.
 
 Integration is closed form (position and altitude are linear in dt), so
 ``step`` composes exactly: advancing by a+b equals advancing by a then b.
+
+``interp`` is a scalar piecewise-linear lookup that returns exactly what
+``numpy.interp`` returns for one x; the terrain profile and the GPWS Mode 2
+envelope use it, since both are queried once per 0.1 s step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
+
+def interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """``numpy.interp(x, xp, fp)`` for one float x and strictly increasing xp.
+    It does numpy's float operations in numpy's order, so the result is equal
+    to the last bit wherever numpy does not fuse the multiply-add (its x86-64
+    baseline build does not)."""
+
+    if x != x and len(xp) > 1:
+        return x  # numpy passes NaN through (a one-point table returns its value)
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or x == xp[j]:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:  # NaN one way: numpy tries from the right end, then equal ends
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
 
 
 @dataclass(frozen=True)
@@ -67,25 +92,28 @@ class TerrainProfile:
         if len(points) < 2:
             raise ValueError("terrain profile needs at least two points")
         pts = sorted(points)
-        self._x = np.array([p[0] for p in pts], dtype=float)
-        self._z = np.array([p[1] for p in pts], dtype=float)
-        if len(np.unique(self._x)) != len(self._x):
+        # Float lists, the tables of `interp`.
+        self._x = [float(p[0]) for p in pts]
+        self._z = [float(p[1]) for p in pts]
+        if len(set(self._x)) != len(self._x):
             raise ValueError("terrain profile has duplicate along-track positions")
-
-    @classmethod
-    def flat(cls, elevation: float, start: float = -1e6, end: float = 1e6) -> "TerrainProfile":
-        return cls([(start, elevation), (end, elevation)])
 
     @property
     def domain(self) -> Tuple[float, float]:
-        return float(self._x[0]), float(self._x[-1])
+        return self._x[0], self._x[-1]
+
+    @property
+    def vertices(self) -> Tuple[Tuple[float, float], ...]:
+        """The (along-track, elevation) points, in along-track order."""
+
+        return tuple(zip(self._x, self._z))
 
     def elevation_at(self, along_track: float) -> float:
         if not self._x[0] <= along_track <= self._x[-1]:
             raise ValueError(
                 f"position {along_track} m outside terrain domain {self.domain}"
             )
-        return float(np.interp(along_track, self._x, self._z))
+        return interp(along_track, self._x, self._z)
 
 
 def step(
@@ -96,13 +124,19 @@ def step(
 ) -> AircraftState:
     """Advance the state by dt at the commanded rates (exact integration)."""
 
-    for name, v in (
-        ("commanded_vertical_speed", commanded_vertical_speed),
-        ("commanded_ground_speed", commanded_ground_speed),
-        ("dt", dt),
+    if not (
+        math.isfinite(commanded_vertical_speed)
+        and math.isfinite(commanded_ground_speed)
+        and math.isfinite(dt)
     ):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+        # Only on failure: name the first argument that is not finite.
+        for name, v in (
+            ("commanded_vertical_speed", commanded_vertical_speed),
+            ("commanded_ground_speed", commanded_ground_speed),
+            ("dt", dt),
+        ):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if commanded_ground_speed < 0:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spoofsim import crew, tcas
 from spoofsim.ils import GsIndication, PapiIndication
@@ -34,6 +35,32 @@ def test_truncated_normal_preserves_mean():
     centred = [crew.truncated_normal(rng, 2.8, 2.1, lo=0.0) for _ in range(50_000)]
     assert math.isclose(float(np.mean(centred)), 2.8, abs_tol=0.03)
     assert min(centred) >= 0.0
+
+
+class _FixedDraw:
+    """A generator whose normal draw is a given value."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def normal(self, loc, scale):
+        return self.x
+
+
+_CLIP_VALUES = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+)
+
+
+@given(x=_CLIP_VALUES, lo=_CLIP_VALUES, hi=_CLIP_VALUES)
+def test_truncated_normal_clips_like_numpy(x, lo, hi):
+    """The clip of a draw equals `np.clip`, the sign of zero included, for
+    signed-zero and infinite bounds and draws."""
+
+    got = crew.truncated_normal(_FixedDraw(x), 0.0, 1.0, lo, hi, preserve_mean=False)
+    expected = float(np.clip(x, lo, hi))
+    assert type(got) is float
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 def test_mean_preserving_centre_rejects_out_of_bounds():

@@ -19,6 +19,7 @@ from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_logs
+from spoofsim.harness.scenarios import approach_start
 
 
 def small_config(scenario, trials=5, **extra):
@@ -124,6 +125,46 @@ def test_terrain_below_runway_lands(tmp_path):
     logs = load_logs(out, 20, scenario="GPWS")
     assert len(logs) == 20
     assert all(log.outcome == "LANDED" for log in logs)
+
+
+def test_terrain_above_approach_path_rejected(tmp_path, capsys):
+    """Terrain that meets or rises above the descent path between the
+    approach start and the runway threshold is rejected up front, naming
+    `world.terrain`, for every scenario; otherwise the approach flies into
+    it.  Terrain just below the path, or meeting it only at a threshold that
+    is also the touchdown zone, is accepted."""
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "version": 1, "scenario": "GPWS",
+        "world": {"terrain": [[-9000, 100], [-1000, 100], [0, 160], [2600, 160]]},
+        "attacker": {"gpws": {"apparent_descent_rate_mps": 0.1}},
+    }))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert re.search(r"world\.terrain: .*approach path", capsys.readouterr().err)
+    assert main(["run", "--config", str(path), "--trials", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+
+    first = approach_start(small_config("GPWS"), 0.0)
+    start, top = first.along_track, first.altitude_msl
+    def ridge(z):  # a ridge at -4,000 m, where the default path is at 328.6 m MSL
+        return {"terrain": [[-9000, 100], [-4000, z], [0, 100], [2600, 100]]}
+
+    for scenario in ("GPWS", "TCAS", "GS", "BASELINE"):
+        with pytest.raises(ConfigError, match=r"^world\.terrain: .*approach path"):
+            small_config(scenario, world=ridge(330))
+    assert small_config("GPWS", world=ridge(328))
+    # Meeting the path is flying into the terrain: at the approach start ...
+    with pytest.raises(ConfigError, match=r"^world\.terrain: "):
+        small_config("GPWS", world={"terrain": [[start, top], [0, 100], [2600, 100]]})
+    # ... or at the threshold, short of the touchdown zone.
+    with pytest.raises(ConfigError, match=r"^world\.terrain: "):
+        small_config("GPWS", world={"terrain": [[-9000, 100], [0, 116], [2600, 100]]})
+    at_threshold = {"touchdown_zone_offset_m": 0.0}
+    assert small_config("GPWS", world={"runway": at_threshold})
+    with pytest.raises(ConfigError, match=r"^world\.terrain: "):
+        small_config("GPWS", world={"runway": at_threshold,
+                                    "terrain": [[-9000, 100], [0, 100.5], [2600, 100]]})
 
 
 def test_partial_config_merges_over_defaults():

@@ -98,7 +98,6 @@ def test_papi_bands():
         dist = 3000.0
         aircraft = aircraft_at(300.0 - dist, dist * math.tan(math.radians(angle)))
         assert ils.papi(aircraft, RUNWAY).whites == whites
-        assert ils.papi(aircraft, RUNWAY).reds == 4 - whites
 
 
 def test_papi_requires_approach_side():
@@ -131,9 +130,3 @@ def test_displaced_path_offset_constant_along_approach():
         genuine_dist = 300.0 - aircraft.along_track
         genuine_path = genuine_dist * math.tan(math.radians(3.0))
         assert math.isclose(height - genuine_path, offset, rel_tol=1e-9)
-
-
-def test_path_height():
-    assert ils.path_height(0.0, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        ils.path_height(-1.0, 3.0)

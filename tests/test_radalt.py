@@ -50,6 +50,20 @@ def test_measure_identity_within_resolution(height):
     assert abs(radalt.measure([echo], SWEEP) - height) < 0.5
 
 
+@given(st.floats(min_value=0.0, max_value=ft_to_m(2500.0)),
+       st.floats(min_value=0.0, max_value=ft_to_m(2500.0)))
+def test_range_height_is_measure_of_one_echo(height, other):
+    """Ranging one delay gives what `measure` gives for that echo, alone or
+    as the strongest of two: c*t/2 quantised to the range resolution."""
+
+    echo = radalt.PulseEcho(radalt.height_to_delay(height), -40.0, "adversarial")
+    weaker = radalt.PulseEcho(radalt.height_to_delay(other), -60.0)
+    h = radalt.range_height(echo.round_trip_time, SWEEP)
+    q = SWEEP.range_resolution
+    assert h == round(SPEED_OF_LIGHT * echo.round_trip_time / 2.0 / q) * q
+    assert h == radalt.measure([echo], SWEEP) == radalt.measure([weaker, echo], SWEEP)
+
+
 def ramp(start_agl, rate, duration):
     return radalt.RampAttackPlan(start_agl, rate, duration, SWEEP.sweep_period)
 

@@ -1,11 +1,13 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
 computation, and each surveillance cycle evaluates it at most once.  The GPWS
-ramp computes only the sweeps it reads.  Trials read the objects
-`make_config` built and construct none of their own."""
+ramp computes only the sweeps it reads, and neither trial calls numpy for a
+table lookup.  Trials read the objects `make_config` built and construct none
+of their own."""
 
 import functools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,8 +64,10 @@ def _counting(counts, name, fn):
 
 def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     """Work budget: one own-ship step, one terrain lookup and one claimed
-    intruder position per surveillance cycle at most."""
+    intruder position per surveillance cycle at most.  The config, whose
+    checks look up the terrain too, is built before counting."""
 
+    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
     counts = Counter()
     counting = functools.partial(_counting, counts)
     monkeypatch.setattr(world, "step", counting("step", world.step))
@@ -73,7 +77,7 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
                         counting("cycle", tcas.TcasUnit.mode_s_cycle))
     monkeypatch.setattr(tcas.FalseIntruderInjector, "_intruder_position_at",
                         counting("claimed", tcas.FalseIntruderInjector._intruder_position_at))
-    run(make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED}))
+    run(cfg)
     assert counts["cycle"] > 0 and counts["claimed"] > 0
     for name in ("step", "terrain", "claimed"):
         assert counts[name] <= counts["cycle"], (name, counts)
@@ -92,6 +96,22 @@ def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
     run(make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED}))
     assert counts["reads"] > 0
     assert counts["delays"] == counts["reads"], counts
+
+
+@pytest.mark.parametrize("scenario", ["GPWS", "TCAS"])
+def test_lookups_make_no_numpy_calls(monkeypatch, scenario):
+    """Work budget: the terrain and Mode 2 envelope lookups of the fine loop
+    and the surveillance cycle are scalar; `run()` at N=20 makes terrain
+    lookups and no `np.interp` call."""
+
+    counts = Counter()
+    counting = functools.partial(_counting, counts)
+    monkeypatch.setattr(np, "interp", counting("np.interp", np.interp))
+    monkeypatch.setattr(world.TerrainProfile, "elevation_at",
+                        counting("terrain", world.TerrainProfile.elevation_at))
+    run(make_config({"version": 1, "scenario": scenario, "trials": 20, "master_seed": SEED}))
+    assert counts["terrain"] > 0
+    assert counts["np.interp"] == 0, counts
 
 
 #: Objects built from the config (or, for the envelope and the sweep, from no

@@ -22,21 +22,8 @@ def test_ft_round_trip(x):
 
 
 @given(FINITE)
-def test_kn_round_trip(x):
-    assert math.isclose(units.mps_to_kn(units.kn_to_mps(x)), x, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(FINITE)
 def test_fpm_round_trip(x):
     assert math.isclose(units.mps_to_fpm(units.fpm_to_mps(x)), x, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(FINITE)
-def test_mile_round_trips(x):
-    assert math.isclose(
-        units.statute_miles_to_m(units.m_to_statute_miles(x)), x, rel_tol=1e-9, abs_tol=1e-9
-    )
-    assert math.isclose(units.nmi_to_m(units.m_to_nmi(x)), x, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_known_values():
