@@ -167,13 +167,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["subject", "residual_m", "flag", "reason"])
     for v in verdicts:
-        rec = v.to_record()
-        writer.writerow([rec["subject"], rec["residual_m"], rec["flag"], rec["reason"]])
+        writer.writerow(v.to_record().values())
     (Path(out_dir) / "verdicts.csv").write_text(buf.getvalue())
+    if not verdicts:
+        print(f"no ground-side integrity check: the {cfg.scenario} run logged "
+              "no surveillance messages")
+        return EXIT_OK
     suspect = sum(1 for v in verdicts if v.flag == sentinel.SUSPECT)
     total = len(verdicts)
-    rate = 100.0 * suspect / total if total else 0.0
-    print(f"checked {total} messages: {suspect} SUSPECT ({rate:.1f}%)")
+    print(f"checked {total} messages: {suspect} SUSPECT ({100.0 * suspect / total:.1f}%)")
     return EXIT_OK
 
 

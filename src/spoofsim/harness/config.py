@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -282,14 +283,25 @@ class ScenarioConfig:
     residual_threshold_m: float
 
 
+def _non_finite(value: Any, path: str) -> List[str]:
+    """An error for each NaN or infinite number in `value` (JSON's `NaN` and
+    `Infinity` literals parse to these, and the schema bounds let NaN pass)."""
+
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{path}: must be a finite number, got {value}"]
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return [msg for k, v in items for msg in _non_finite(v, f"{path}.{k}".lstrip("."))]
+
+
 def validate_config_dict(data: Dict[str, Any]) -> None:
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        msgs = []
-        for err in errors:
-            path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-            msgs.append(f"{path}: {err.message}")
+    msgs = _non_finite(data, "")
+    for err in errors:
+        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
+        msgs.append(f"{path}: {err.message}")
+    if msgs:
         raise ConfigError("; ".join(msgs))
 
 

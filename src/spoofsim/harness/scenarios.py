@@ -5,12 +5,11 @@ Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
 
-A TCAS surveillance cycle evaluates its geometry once: the cruise state and
-the height above terrain each keep their value for the last time asked, and
-the injector keeps its claimed intruder position for the last time of the
-current encounter, so the own position, the squitter and the reply at one
-cycle time share one ``world.step``, one terrain lookup and one claimed
-position.
+A TCAS surveillance cycle evaluates its geometry once: the cruise state
+keeps its value for the last time asked, so the own position, the claimed
+intruder position and the activation-floor check at one cycle time share one
+``world.step``; the injector's one reply per cycle reads the terrain and its
+claimed position once.
 """
 
 from __future__ import annotations
@@ -227,7 +226,6 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     )
     state_fn = _cruise_state_fn(initial)
 
-    @functools.lru_cache(maxsize=1)  # squitter and reply read the same t
     def agl_fn(t: float) -> float:
         s = state_fn(t)
         lo, hi = terrain.domain
@@ -236,12 +234,10 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
     unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
     crew_state = crew.sample_tcas_crew(policy, rng)
-    channel = tcas.Channel()
     injector = tcas.FalseIntruderInjector(
         cfg.false_intruder_plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
         attacker_position=cfg.attacker_position_m,
     )
-    channel.register(injector)
 
     if not cfg.attacker_enabled:
         log.finish(0.0, "CONTINUED", {
@@ -264,11 +260,15 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             "bearing_deg": injector._bearing, "closure_mps": injector._speed,
         })
         ta_handled = ra_handled = False
+        # The encounter's first adversarial reply, kept for integrity analysis.
+        sample: Optional[tcas.SurveillanceMessage] = None
         tc = t
         for k in _TCAS_CYCLE_OFFSETS:
             tc = t + k
             own = state_fn(tc)
-            unit.mode_s_cycle(own, channel, tc)
+            replies = unit.mode_s_cycle(own, (injector,), tc)
+            if sample is None and replies:
+                sample = replies[0]
             adv = unit.advise(own, tc)
             if adv is None:
                 continue
@@ -296,16 +296,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                     unit.set_mode(tcas.STANDBY)
                 break
 
-        # Keep one adversarial reply per encounter for integrity analysis,
-        # then drop the cycle-level channel log (it grows per message).
-        sample = next(
-            (m for m in channel.log
-             if m.origin == "adversarial" and m.kind == tcas.MODE_S_REPLY),
-            None,
-        )
         if sample is not None:
             log.add(tc, "surveillance", sample.to_record())
-        channel.log.clear()
         unit.tracks.clear()
         injector.end_episode()
         t = tc + cfg.inter_episode_gap_s

@@ -1,10 +1,9 @@
 """Airfield-side integrity checks for transmitted signals.
 
-Two mechanisms: a spectrum whitelist (band / registered region / power) for
-fixed ground emitters, and a time-of-arrival consistency test that compares
-the arrival-time differences a claimed emitter position predicts at a set of
-ground sensors against the differences actually observed.  Both are pure
-functions over logged observations so verdicts are replayable.
+A time-of-arrival consistency test compares the arrival-time differences a
+claimed emitter position predicts at a set of ground sensors against the
+differences actually observed.  It is a pure function over logged
+observations, so verdicts are replayable.
 """
 
 from __future__ import annotations
@@ -36,42 +35,9 @@ class GroundSensor:
 
 
 @dataclass(frozen=True)
-class EmitterFingerprint:
-    band_hz: Tuple[float, float]
-    region: Tuple[float, float, float, float]   # (xmin, xmax, ymin, ymax) m
-    max_power_db: float
-
-    def __post_init__(self) -> None:
-        if self.band_hz[0] >= self.band_hz[1]:
-            raise ValueError("band must be a non-empty (lo, hi) range")
-        if self.region[0] >= self.region[1] or self.region[2] >= self.region[3]:
-            raise ValueError("region must be a non-empty box")
-
-    def covers(self, freq_hz: float, position: Sequence[float], power_db: float) -> bool:
-        lo, hi = self.band_hz
-        xmin, xmax, ymin, ymax = self.region
-        return (
-            lo <= freq_hz <= hi
-            and xmin <= position[0] <= xmax
-            and ymin <= position[1] <= ymax
-            and power_db <= self.max_power_db
-        )
-
-    def in_band(self, freq_hz: float) -> bool:
-        return self.band_hz[0] <= freq_hz <= self.band_hz[1]
-
-
-@dataclass(frozen=True)
-class SpectrumObservation:
-    freq_hz: float
-    position_estimate: Tuple[float, float]   # m
-    power_db: float
-
-
-@dataclass(frozen=True)
 class IntegrityVerdict:
     subject: str
-    residual: float     # m of equivalent path mismatch (0 for spectrum checks)
+    residual: float     # m of equivalent path mismatch
     flag: str           # CLEAN | SUSPECT | UNDETERMINED
     reason: str
 
@@ -82,29 +48,6 @@ class IntegrityVerdict:
             "flag": self.flag,
             "reason": self.reason,
         }
-
-
-def fingerprint_check(
-    observed: SpectrumObservation,
-    whitelist: Sequence[EmitterFingerprint],
-    subject: str = "emitter",
-) -> IntegrityVerdict:
-    """SUSPECT unless a whitelist entry covers the band, region and power."""
-
-    if not any(fp.in_band(observed.freq_hz) for fp in whitelist):
-        return IntegrityVerdict(
-            subject=subject, residual=0.0, flag=UNDETERMINED,
-            reason=f"observation at {observed.freq_hz:.3e} Hz outside monitored bands",
-        )
-    for fp in whitelist:
-        if fp.covers(observed.freq_hz, observed.position_estimate, observed.power_db):
-            return IntegrityVerdict(
-                subject=subject, residual=0.0, flag=CLEAN, reason="matches whitelist",
-            )
-    return IntegrityVerdict(
-        subject=subject, residual=0.0, flag=SUSPECT,
-        reason="no whitelist entry covers (band, region, power)",
-    )
 
 
 def predicted_arrival_offsets(

@@ -1,18 +1,18 @@
 """Mode C / Mode S surveillance, TA/RA advisory logic and false-intruder injection.
 
-The surveillance channel is a per-trial ordered queue: transponder-equipped
-aircraft (and the attacker) register as responders, the interrogating unit
-drives one cycle per second.  Replies carry the position the responder wants
-the victim to reconstruct (`claimed_position`); the physical emission point
-(`position`) is logged separately so time-of-arrival checks can be run over
-the same message stream.  Bit-level 1030/1090 MHz framing is out of scope.
+A Mode S cycle asks each responder (a transponder or the attacker) for its
+reply directly, once per second.  Replies carry the position the responder
+wants the victim to reconstruct (`claimed_position`) beside the physical
+emission point (`position`), so time-of-arrival checks can be run over them.
+`Channel` serves the Mode C whisper-shout only.  Bit-level 1030/1090 MHz
+framing is out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .world import AircraftState
 from .units import ft_to_m, m_to_ft
 
 # Message kinds: only transmissions whose content a receiver consumes are
-# modelled; interrogations, all-calls and suppressions are implicit in the cycles.
-SQUITTER = "SQUITTER"
+# modelled; squitters, interrogations, all-calls and suppressions are implicit
+# in the cycles.
 MODE_S_REPLY = "MODE_S_REPLY"
 MODE_C_REPLY = "MODE_C_REPLY"
 
@@ -178,37 +178,24 @@ class Transponder:
     def altitude_ft(self, t: float) -> float:
         return m_to_ft(self.state_fn(t).altitude_msl)
 
-    def squitter(self, t: float) -> Optional[SurveillanceMessage]:
-        if self.mode != "S":
-            return None
-        pos = self.position(t)
+    def _reply(self, kind: str, t: float, icao_id: Optional[int]) -> SurveillanceMessage:
+        pos = tuple(self.position(t))
         return SurveillanceMessage(
-            kind=SQUITTER, timestamp=t, icao_id=self.icao_id,
-            tx_power=self.tx_power, position=tuple(pos), claimed_position=tuple(pos),
+            kind=kind, timestamp=t, icao_id=icao_id, altitude=self.altitude_ft(t),
+            tx_power=self.tx_power, position=pos, claimed_position=pos,
         )
 
-    def respond_mode_s(self, t: float) -> SurveillanceMessage:
-        pos = self.position(t)
-        return SurveillanceMessage(
-            kind=MODE_S_REPLY, timestamp=t, icao_id=self.icao_id,
-            altitude=self.altitude_ft(t), tx_power=self.tx_power,
-            position=tuple(pos), claimed_position=tuple(pos),
-        )
+    def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
+        return self._reply(MODE_S_REPLY, t, self.icao_id) if self.mode == "S" else None
 
     def respond_mode_c(self, t: float, received_power_dbm: float) -> Optional[SurveillanceMessage]:
-        if self.mode == "S":
+        if self.mode == "S" or received_power_dbm < self.sensitivity:
             return None
-        if received_power_dbm < self.sensitivity:
-            return None
-        pos = self.position(t)
-        return SurveillanceMessage(
-            kind=MODE_C_REPLY, timestamp=t, altitude=self.altitude_ft(t),
-            tx_power=self.tx_power, position=tuple(pos), claimed_position=tuple(pos),
-        )
+        return self._reply(MODE_C_REPLY, t, None)
 
 
 class Channel:
-    """Per-trial ordered message queue with registered responders."""
+    """Mode C responders and the replies of their whisper-shout cycles."""
 
     def __init__(self):
         self.log: List[SurveillanceMessage] = []
@@ -219,15 +206,6 @@ class Channel:
 
     def publish(self, msg: SurveillanceMessage) -> None:
         self.log.append(msg)
-
-    def squitters(self, t: float) -> List[SurveillanceMessage]:
-        out = []
-        for r in self.responders:
-            msg = r.squitter(t)
-            if msg is not None:
-                self.publish(msg)
-                out.append(msg)
-        return out
 
 
 class TcasUnit:
@@ -295,33 +273,29 @@ class TcasUnit:
         for k in stale:
             del self.tracks[k]
 
-    def mode_s_cycle(self, own: AircraftState, channel: Channel, t: float) -> None:
-        """One interrogation round: listen for squitters, interrogate each
-        known id once, consume replies into track updates."""
+    def mode_s_cycle(
+        self, own: AircraftState, responders: Sequence, t: float
+    ) -> List[SurveillanceMessage]:
+        """One interrogation round: each responder's Mode S reply updates the
+        track of the id it carries.  Returns the replies."""
 
         if self.mode == STANDBY:
-            return
+            return []
         own_pos = own_position_3d(own)
         own_alt_ft = m_to_ft(own.altitude_msl)
-
-        heard = {m.icao_id for m in channel.squitters(t) if m.icao_id is not None}
-        known = heard | {k for k in self.tracks if isinstance(k, int)}
-        for icao in sorted(known):
-            for responder in channel.responders:
-                if getattr(responder, "icao_id", None) != icao:
-                    continue
-                reply = responder.respond_mode_s(t)
-                if reply is None:
-                    continue
-                channel.publish(reply)
-                if reply.claimed_position is None or reply.altitude is None:
-                    continue
-                self._update_track(
-                    icao, t, own_pos, own_alt_ft,
-                    np.array(reply.claimed_position), reply.altitude,
-                    bearing_noise_deg=0.0, icao_id=icao,
-                )
+        replies = []
+        for responder in responders:
+            reply = responder.respond_mode_s(t)
+            if reply is None:
+                continue
+            replies.append(reply)
+            self._update_track(
+                reply.icao_id, t, own_pos, own_alt_ft,
+                np.array(reply.claimed_position), reply.altitude,
+                bearing_noise_deg=0.0, icao_id=reply.icao_id,
+            )
         self.drop_stale(t)
+        return replies
 
     def mode_c_cycle(
         self,
@@ -411,8 +385,8 @@ def advise(
 
 
 class FalseIntruderInjector:
-    """Attacker generating squitters and replies for a nonexistent aircraft
-    converging on the victim.  Registers on the channel like a transponder."""
+    """Attacker replying for a nonexistent aircraft converging on the victim.
+    Interrogated like a Mode S transponder."""
 
     def __init__(
         self,
@@ -432,9 +406,6 @@ class FalseIntruderInjector:
         self.episode_start: Optional[float] = None
         self._bearing = plan.approach_bearing
         self._speed = plan.approach_speed
-        # Claimed position for the last t of this encounter: the squitter and
-        # the reply of one cycle claim the same point.
-        self._claimed: Optional[Tuple[float, np.ndarray]] = None
 
     # -- episode control --------------------------------------------------
 
@@ -460,11 +431,9 @@ class FalseIntruderInjector:
             + float(self.rng.uniform(-self.plan.speed_jitter_mps, self.plan.speed_jitter_mps)),
         )
         self.icao_id = int(self.rng.integers(0, 2**24))
-        self._claimed = None
 
     def end_episode(self) -> None:
         self.episode_start = None
-        self._claimed = None
 
     def observe_advisory(self, advisory: Optional[Advisory]) -> None:
         if advisory is not None and advisory.level == "RA":
@@ -473,16 +442,8 @@ class FalseIntruderInjector:
     # -- virtual intruder geometry ---------------------------------------
 
     def intruder_position(self, t: float) -> np.ndarray:
-        """Claimed 3-D position at t (read-only), evaluated once per
-        (encounter, t)."""
+        """Claimed 3-D position at t."""
 
-        if self._claimed is None or self._claimed[0] != t:
-            pos = self._intruder_position_at(t)
-            pos.flags.writeable = False
-            self._claimed = (t, pos)
-        return self._claimed[1]
-
-    def _intruder_position_at(self, t: float) -> np.ndarray:
         own = own_position_3d(self.target_fn(t))
         r = max(50.0, self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
         theta = math.radians(self._bearing)
@@ -493,26 +454,14 @@ class FalseIntruderInjector:
         ])
         return own + offset
 
-    def intruder_altitude_ft(self, t: float) -> float:
-        return m_to_ft(self.target_fn(t).altitude_msl) + self.plan.vertical_offset
-
     # -- responder interface ----------------------------------------------
-
-    def squitter(self, t: float) -> Optional[SurveillanceMessage]:
-        if not self.active(t):
-            return None
-        return SurveillanceMessage(
-            kind=SQUITTER, timestamp=t, origin="adversarial", icao_id=self.icao_id,
-            position=tuple(self.attacker_position),
-            claimed_position=tuple(self.intruder_position(t)),
-        )
 
     def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
         if not self.active(t):
             return None
         return SurveillanceMessage(
             kind=MODE_S_REPLY, timestamp=t, origin="adversarial", icao_id=self.icao_id,
-            altitude=self.intruder_altitude_ft(t),
+            altitude=m_to_ft(self.target_fn(t).altitude_msl) + self.plan.vertical_offset,
             position=tuple(self.attacker_position),
             claimed_position=tuple(self.intruder_position(t)),
         )

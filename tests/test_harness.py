@@ -167,6 +167,28 @@ def test_terrain_above_approach_path_rejected(tmp_path, capsys):
                                     "terrain": [[-9000, 100], [0, 100.5], [2600, 100]]})
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"version": 1, "scenario": "GPWS", "world": {"terrain": [[-9000, NaN], [2600, 100]]}}',
+     r"world\.terrain\.0\.1: must be a finite number, got nan"),
+    ('{"version": 1, "scenario": "GPWS", "world": {"dt_s": NaN}}',
+     r"world\.dt_s: must be a finite number, got nan"),
+    ('{"version": 1, "scenario": "TCAS", "attacker": {"tcas": {"start_tau_s": Infinity}}}',
+     r"attacker\.tcas\.start_tau_s: must be a finite number, got inf"),
+], ids=["terrain-nan", "dt-nan", "start-tau-inf"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, text, field):
+    """JSON's NaN and Infinity literals parse, and the schema bounds let NaN
+    through; both commands reject them with exit 2, naming the field."""
+
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert re.search(field, capsys.readouterr().err)
+    assert main(["run", "--config", str(path), "--trials", "3",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert re.search(field, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_config_merges_over_defaults():
     cfg = make_config({"version": 1, "scenario": "GS", "trials": 7,
                        "attacker": {"gs": {"shift_m": 1000.0}}})
@@ -383,6 +405,22 @@ def test_cli_detect(tmp_path, capsys):
     assert main(["detect", "--scenario", "TCAS", "--out", str(out)]) == 0
     assert "SUSPECT" in capsys.readouterr().out
     assert (out / "verdicts.csv").is_file()
+
+
+@pytest.mark.parametrize("scenario", ["GPWS", "GS", "BASELINE"])
+def test_cli_detect_without_surveillance(tmp_path, capsys, scenario):
+    """A run that logs no surveillance messages has no ground-side check:
+    detect says so, exits 0 and writes a verdicts.csv with its header only."""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--trials", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (f"no ground-side integrity check: the {scenario} run logged "
+                       "no surveillance messages\n")
+    assert (out / "verdicts.csv").read_text() == "subject,residual_m,flag,reason\n"
 
 
 def test_cli_detect_uses_run_config(tmp_path, capsys):

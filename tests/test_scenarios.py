@@ -1,5 +1,6 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
-computation, and each surveillance cycle evaluates it at most once.  The GPWS
+computation, and each surveillance cycle evaluates it, and builds a message,
+at most once.  The GPWS
 ramp computes only the sweeps it reads, and neither trial calls numpy for a
 table lookup.  Trials read the objects `make_config` built and construct none
 of their own."""
@@ -75,12 +76,29 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
                         counting("terrain", world.TerrainProfile.elevation_at))
     monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
                         counting("cycle", tcas.TcasUnit.mode_s_cycle))
-    monkeypatch.setattr(tcas.FalseIntruderInjector, "_intruder_position_at",
-                        counting("claimed", tcas.FalseIntruderInjector._intruder_position_at))
+    monkeypatch.setattr(tcas.FalseIntruderInjector, "intruder_position",
+                        counting("claimed", tcas.FalseIntruderInjector.intruder_position))
     run(cfg)
     assert counts["cycle"] > 0 and counts["claimed"] > 0
     for name in ("step", "terrain", "claimed"):
         assert counts[name] <= counts["cycle"], (name, counts)
+
+
+def test_tcas_cycle_builds_one_message(monkeypatch):
+    """Work budget: a surveillance cycle builds the injector's reply and no
+    other message, so a TCAS `run()` at N=20 builds at most one
+    `SurveillanceMessage` per cycle."""
+
+    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
+    counts = Counter()
+    counting = functools.partial(_counting, counts)
+    monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
+                        counting("cycle", tcas.TcasUnit.mode_s_cycle))
+    monkeypatch.setattr(tcas.SurveillanceMessage, "__init__",
+                        counting("messages", tcas.SurveillanceMessage.__init__))
+    run(cfg)
+    assert counts["messages"] > 0
+    assert counts["messages"] <= counts["cycle"], counts
 
 
 def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):

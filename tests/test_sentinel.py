@@ -1,4 +1,4 @@
-"""Spectrum-whitelist and time-of-arrival consistency tests."""
+"""Time-of-arrival consistency tests."""
 
 import numpy as np
 import pytest
@@ -6,39 +6,6 @@ import pytest
 from spoofsim import sentinel
 
 SENSORS = sentinel.default_sensor_grid()
-
-GS_BAND = (328.6e6, 335.4e6)
-GS_FINGERPRINT = sentinel.EmitterFingerprint(
-    band_hz=GS_BAND, region=(-100.0, 500.0, -100.0, 100.0), max_power_db=10.0
-)
-
-
-def test_fingerprint_clean():
-    obs = sentinel.SpectrumObservation(330e6, (300.0, 0.0), 7.0)
-    assert sentinel.fingerprint_check(obs, [GS_FINGERPRINT]).flag == sentinel.CLEAN
-
-
-def test_fingerprint_flags_region_breach():
-    obs = sentinel.SpectrumObservation(330e6, (2350.0, 0.0), 7.0)
-    verdict = sentinel.fingerprint_check(obs, [GS_FINGERPRINT])
-    assert verdict.flag == sentinel.SUSPECT
-
-
-def test_fingerprint_flags_power_breach():
-    obs = sentinel.SpectrumObservation(330e6, (300.0, 0.0), 13.0)
-    assert sentinel.fingerprint_check(obs, [GS_FINGERPRINT]).flag == sentinel.SUSPECT
-
-
-def test_fingerprint_unmonitored_band():
-    obs = sentinel.SpectrumObservation(1030e6, (300.0, 0.0), 7.0)
-    assert sentinel.fingerprint_check(obs, [GS_FINGERPRINT]).flag == sentinel.UNDETERMINED
-
-
-def test_fingerprint_validation():
-    with pytest.raises(ValueError):
-        sentinel.EmitterFingerprint((2.0, 1.0), (0.0, 1.0, 0.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        sentinel.EmitterFingerprint((1.0, 2.0), (1.0, 0.0, 0.0, 1.0), 0.0)
 
 
 def test_zero_noise_truthful_claim_is_clean():

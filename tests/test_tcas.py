@@ -46,7 +46,7 @@ def test_message_validation():
         tcas.SurveillanceMessage(kind=tcas.MODE_S_REPLY, timestamp=0.0)
     with pytest.raises(ValueError):
         tcas.SurveillanceMessage(kind=tcas.MODE_S_REPLY, timestamp=0.0, icao_id=2**24)
-    msg = tcas.SurveillanceMessage(kind=tcas.SQUITTER, timestamp=0.0, icao_id=0xABCDEF)
+    msg = tcas.SurveillanceMessage(kind=tcas.MODE_S_REPLY, timestamp=0.0, icao_id=0xABCDEF)
     assert msg.to_record()["icao_id"] == 0xABCDEF
 
 
@@ -147,29 +147,56 @@ def test_ta_precedes_ra_on_linear_encounters(tau0, closure, rel_alt):
 def test_mode_s_cycle_tracks_squittering_target():
     own = cruise_state()
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
-    channel = tcas.Channel()
     intruder0 = cruise_state(along=9000.0, altitude_m=own.altitude_msl - ft_to_m(500.0))
-    channel.register(tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0)))
-    unit.mode_s_cycle(own, channel, 0.0)
+    replies = unit.mode_s_cycle(
+        own, [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
+    assert [m.icao_id for m in replies] == [0x123456]
     track = unit.tracks[0x123456]
     assert math.isclose(track.slant_range, math.hypot(9000.0, ft_to_m(500.0)), rel_tol=1e-9)
     assert track.closure_rate == 0.0
 
-    channel.responders.clear()
     intruder1 = cruise_state(along=8820.0, altitude_m=intruder0.altitude_msl)
-    channel.register(tcas.Transponder(0x123456, "S", fixed_state_fn(intruder1)))
-    unit.mode_s_cycle(own, channel, 1.0)
+    unit.mode_s_cycle(own, [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder1))], 1.0)
     track = unit.tracks[0x123456]
     assert math.isclose(track.closure_rate, 180.0, abs_tol=2.0)
     assert math.isclose(track.relative_altitude, -500.0, abs_tol=1e-6)
 
 
 def test_mode_s_cycle_standby_is_silent():
+    class Unasked(tcas.Transponder):
+        def respond_mode_s(self, t):
+            raise AssertionError("a Standby unit interrogates no one")
+
     unit = tcas.TcasUnit(mode=tcas.STANDBY)
-    channel = tcas.Channel()
-    channel.register(tcas.Transponder(0x1, "S", fixed_state_fn(cruise_state(along=5000.0))))
-    unit.mode_s_cycle(cruise_state(), channel, 0.0)
-    assert channel.log == []
+    responder = Unasked(0x1, "S", fixed_state_fn(cruise_state(along=5000.0)))
+    assert unit.mode_s_cycle(cruise_state(), [responder], 0.0) == []
+    assert unit.tracks == {}
+
+
+def test_mode_s_cycle_mixed_responders():
+    """Mode S transponders and the active injector are tracked under their
+    ids; Mode C transponders and an injector below its floor give no reply."""
+
+    own = cruise_state(altitude_m=ft_to_m(12_000.0))
+    unit = tcas.TcasUnit(rng=np.random.default_rng(0))
+    active, _ = make_injector()
+    below, _ = make_injector(agl_ft=1500.0)
+    active.start_episode(0.0)
+    below.start_episode(0.0)
+    responders = [
+        tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=4000.0))),
+        tcas.Transponder(0x00AAAA, "S", fixed_state_fn(cruise_state(along=6000.0))),
+        below,
+        active,
+        tcas.Transponder(0x00BBBB, "S", fixed_state_fn(cruise_state(along=-7000.0))),
+        tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=-3000.0))),
+    ]
+    replies = unit.mode_s_cycle(own, responders, 0.0)
+    ids = [0x00AAAA, active.icao_id, 0x00BBBB]
+    assert [m.icao_id for m in replies] == ids
+    assert [m.origin for m in replies] == ["genuine", "adversarial", "genuine"]
+    assert sorted(unit.tracks) == sorted(ids)
+    assert unit.tracks[active.icao_id].relative_altitude == pytest.approx(-500.0)
 
 
 def test_stale_tracks_dropped():
@@ -258,7 +285,7 @@ def test_injector_inactive_below_floor():
     injector, _ = make_injector(agl_ft=1500.0)
     injector.start_episode(0.0)
     assert not injector.active(0.0)
-    assert injector.squitter(0.0) is None
+    assert injector.respond_mode_s(0.0) is None
 
 
 def test_injector_budget_counts_ras_only():
@@ -280,21 +307,26 @@ def test_injector_budget_counts_ras_only():
     episodes=st.integers(min_value=2, max_value=4),
 )
 def test_injector_claim_recomputed_each_encounter(seed, t, episodes):
-    """The claimed position is kept per (encounter, t): a new encounter at
-    the same t claims the new encounter's geometry."""
+    """A new encounter at the same t claims the new encounter's geometry:
+    the position at the drawn bearing and the start range."""
 
     plan = tcas.FalseIntruderPlan()
+    own = cruise_state(altitude_m=ft_to_m(12_000.0))
     injector = tcas.FalseIntruderInjector(
-        plan, np.random.default_rng(seed),
-        target_fn=fixed_state_fn(cruise_state(altitude_m=ft_to_m(12_000.0))),
+        plan, np.random.default_rng(seed), target_fn=fixed_state_fn(own),
     )
+    claims = []
     for _ in range(episodes):
         injector.start_episode(t)
         claimed = injector.intruder_position(t)
-        assert injector.intruder_position(t) is claimed
-        assert not claimed.flags.writeable
-        assert np.array_equal(claimed, injector._intruder_position_at(t))
+        offset = claimed - tcas.own_position_3d(own)
+        theta = math.radians(injector._bearing)
+        r = injector._speed * plan.start_tau_s
+        assert offset == pytest.approx([r * math.cos(theta), r * math.sin(theta),
+                                        ft_to_m(plan.vertical_offset)], abs=1e-6)
+        claims.append(tuple(claimed))
         injector.end_episode()
+    assert len(set(claims)) == episodes
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,7 +335,7 @@ def test_injector_claim_recomputed_each_encounter(seed, t, episodes):
     t=st.floats(min_value=0.0, max_value=60.0),
 )
 def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
-    """The budget is checked on every message, not once per cycle: the RA
+    """The budget is checked on every reply, not once per encounter: the RA
     that spends it silences the injector at that same t."""
 
     injector, _ = make_injector(plan=tcas.FalseIntruderPlan(alert_budget=budget))
@@ -311,10 +343,8 @@ def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
     ra = tcas.Advisory(level="RA", time=t, ra_sense="CLIMB")
     for _ in range(budget - 1):
         injector.observe_advisory(ra)
-    assert injector.squitter(t) is not None
     assert injector.respond_mode_s(t) is not None
     injector.observe_advisory(ra)
-    assert injector.squitter(t) is None
     assert injector.respond_mode_s(t) is None
 
 
@@ -336,12 +366,10 @@ def test_injector_claims_converging_geometry():
 def test_injector_drives_unit_to_ra():
     injector, own = make_injector()
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
-    channel = tcas.Channel()
-    channel.register(injector)
     injector.start_episode(0.0)
     levels = []
     for t in (0.0, 1.0, 2.0, 3.0, 21.0):
-        unit.mode_s_cycle(own, channel, t)
+        unit.mode_s_cycle(own, [injector], t)
         adv = unit.advise(own, t)
         if adv is not None:
             levels.append(adv.level)
