@@ -16,16 +16,9 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .. import sentinel
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    apply_scenario,
-    default_config_dict,
-    load_config,
-    make_config,
-)
+from .config import ConfigError, apply_scenario, default_config_dict, load_config, make_config
 from .cost import all_cost_reports
-from .output import emit, load_logs, load_run_config, summary_csv
+from .output import emit, load_run, summary_csv, trial_path
 from .runner import run as run_trials
 from .scenarios import SCENARIOS
 from .summary import summarize
@@ -48,46 +41,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out": {"help": "output directory"},
         "--config": {"help": "path to a JSON config file"},
     }
-    # Each subcommand declares only the flags it reads.
-    for command, help_text, names in (
-        ("run", "run trials and emit logs and summaries", list(flags)),
-        ("summarize", "summarize previously emitted logs", ["--out", "--config", "--scenario"]),
-        ("cost", "print the disruption-cost table", ["--out"]),
-        ("detect", "run integrity checks over emitted logs",
-         ["--out", "--config", "--scenario", "--seed"]),
-        ("validate-config", "validate a config file", ["--config"]),
+    # Each subcommand declares only the flags it reads.  A run directory's
+    # config.json records its scenario, trial count and settings, so the
+    # commands that read one require --out and take nothing that restates it.
+    for command, help_text, names, required in (
+        ("run", "run trials and emit logs and summaries", list(flags), ()),
+        ("summarize", "summarize a run directory", ["--out"], ("--out",)),
+        ("cost", "print the disruption-cost table", ["--out"], ()),
+        ("detect", "run integrity checks over a run directory",
+         ["--out", "--config", "--scenario", "--seed"], ("--out",)),
+        ("validate-config", "validate a config file", ["--config"], ()),
     ):
         p = sub.add_parser(command, help=help_text)
         for name in names:
-            p.add_argument(name, **flags[name])
+            p.add_argument(name, required=name in required, **flags[name])
     return parser
 
 
-def _resolve_config(
-    args: argparse.Namespace, base: Optional[Dict[str, Any]] = None
-) -> ScenarioConfig:
-    """``--config`` (else ``base``, else the defaults) with the command-line
-    overrides the subcommand declares applied."""
-
-    if args.config:
-        data = load_config(args.config).raw
-    else:
-        data = base if base is not None else default_config_dict()
+def _cmd_run(args: argparse.Namespace) -> int:
+    data = load_config(args.config).raw if args.config else default_config_dict()
     if args.scenario:
         data = apply_scenario(data, args.scenario)
-    given = {
-        "trials": getattr(args, "trials", None),  # `detect` has no --trials
-        "master_seed": args.seed,
-        "output_dir": args.out or None,
-    }
-    return make_config({**data, **{k: v for k, v in given.items() if v is not None}})
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    given = {"trials": args.trials, "master_seed": args.seed, "output_dir": args.out or None}
+    cfg = make_config({**data, **{k: v for k, v in given.items() if v is not None}})
     logs = run_trials(cfg)
     summary = summarize(logs)
-    written = emit(logs, summary, cfg.output_dir, config_dict=cfg.raw)
+    written = emit(cfg, logs, summary)
     print(f"{cfg.scenario}: {cfg.trials} trials -> {len(written)} files in {cfg.output_dir}")
     for key, value in summary["stats"].items():
         print(f"  {key}: {value}")
@@ -95,17 +74,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    out_dir = args.out or (args.config and load_config(args.config).output_dir)
-    if not out_dir:
-        raise ConfigError("summarize requires --out (or --config with output_dir)")
-    run_cfg = load_run_config(out_dir)
-    scenario = args.scenario or (run_cfg.scenario if run_cfg else None)
-    if scenario is None:
-        raise ConfigError("cannot determine scenario: pass --scenario")
-    logs = load_logs(out_dir, run_cfg.trials if run_cfg else None, scenario=scenario)
-    csv_text = summary_csv(summarize(logs))
+    _, logs = load_run(args.out)
+    try:
+        csv_text = summary_csv(summarize(logs))
+    except ValueError as exc:
+        raise RuntimeError(f"corrupt trial log in {args.out}: {exc}") from exc
     sys.stdout.write(csv_text)
-    (Path(out_dir) / "summary.csv").write_text(csv_text)
+    (Path(args.out) / "summary.csv").write_text(csv_text)
     return EXIT_OK
 
 
@@ -134,14 +109,15 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    out_dir = args.out or (load_config(args.config).output_dir if args.config
-                           else default_config_dict()["output_dir"])
-    run_cfg = load_run_config(out_dir)
-    # Without --config, check the logs with the settings they were produced under.
-    cfg = _resolve_config(args, base=run_cfg.raw if run_cfg else None)
-    logs = load_logs(out_dir, run_cfg.trials if run_cfg else None, scenario=cfg.scenario)
+    run_cfg, logs = load_run(args.out)
+    if args.scenario and args.scenario != run_cfg.scenario:
+        raise ConfigError(f"--scenario {args.scenario} contradicts the {run_cfg.scenario} "
+                          f"run in {args.out}")
+    # --config supplies only the sentinel settings, --seed only the jitter seed;
+    # without them, check the logs with the settings they were produced under.
+    cfg = load_config(args.config) if args.config else run_cfg
     sensors = sentinel.default_sensor_grid(cfg.sensor_extent_m)
-    rng = np.random.default_rng(cfg.master_seed)
+    rng = np.random.default_rng(run_cfg.master_seed if args.seed is None else args.seed)
     jitter_s = cfg.clock_jitter_ns * 1e-9
 
     verdicts = []
@@ -152,15 +128,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             claimed = p.get("claimed_position_m")
             if true_pos is None or claimed is None:
                 continue
-            arrivals = sentinel.observe_arrivals(
-                true_pos, sensors, rng=rng, clock_jitter_s=jitter_s,
-                emission_time=event["t"],
-            )
-            verdict = sentinel.toa_consistency(
-                claimed, arrivals,
-                threshold_m=cfg.residual_threshold_m,
-                subject=f"trial{log.trial_id}/t{event['t']}",
-            )
+            try:
+                arrivals = sentinel.observe_arrivals(
+                    true_pos, sensors, rng=rng, clock_jitter_s=jitter_s,
+                    emission_time=event["t"],
+                )
+                verdict = sentinel.toa_consistency(
+                    claimed, arrivals,
+                    threshold_m=cfg.residual_threshold_m,
+                    subject=f"trial{log.trial_id}/t{event['t']}",
+                )
+            except (ValueError, TypeError) as exc:
+                raise RuntimeError(f"corrupt trial log {trial_path(args.out, log.trial_id)}: "
+                                   f"surveillance at t={event['t']}: {exc}") from exc
             verdicts.append(verdict)
 
     buf = io.StringIO()
@@ -168,9 +148,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     writer.writerow(["subject", "residual_m", "flag", "reason"])
     for v in verdicts:
         writer.writerow(v.to_record().values())
-    (Path(out_dir) / "verdicts.csv").write_text(buf.getvalue())
+    (Path(args.out) / "verdicts.csv").write_text(buf.getvalue())
     if not verdicts:
-        print(f"no ground-side integrity check: the {cfg.scenario} run logged "
+        print(f"no ground-side integrity check: the {run_cfg.scenario} run logged "
               "no surveillance messages")
         return EXIT_OK
     suspect = sum(1 for v in verdicts if v.flag == sentinel.SUSPECT)

@@ -7,12 +7,16 @@ time-ordered and each trial ends with exactly one terminal outcome record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 OUTCOME = "outcome"
 #: Slack allowed on event-time ordering, s (absorbs float rounding).
 _TIME_SLACK_S = 1e-9
+#: `json.loads` without its per-call argument handling; logs are read a line
+#: at a time, so this runs once per event.
+_decode = json.JSONDecoder().decode
 
 
 @dataclass
@@ -59,21 +63,43 @@ class TrialLog:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, blob: str, scenario: str = "") -> "TrialLog":
+    def from_jsonl(cls, blob: str, scenario: str) -> "TrialLog":
+        """Parse and check a serialised log: every record an object with a
+        finite number ``t``, a string ``kind``, an object ``payload`` and the
+        same integer ``trial_id`` and ``seed``; times in order; exactly one
+        outcome, last."""
+
         events = []
-        trial_id = seed = None
+        ids = None
+        prev_t = -math.inf
+        outcomes = 0
         for line in blob.splitlines():
             if not line.strip():
                 continue
-            record = json.loads(line)
-            trial_id = record.pop("trial_id")
-            seed = record.pop("seed")
+            record = _decode(line)
+            if type(record) is not dict:
+                raise ValueError(f"record is not an object: {line[:80]}")
+            line_ids = (record.pop("trial_id"), record.pop("seed"))
+            if ids != line_ids:
+                if ids is not None:
+                    raise ValueError(f"trial_id/seed {line_ids} differ from {ids} of the record before")
+                if not all(type(x) is int for x in line_ids):
+                    raise ValueError(f"trial_id and seed must be integers, got {line_ids}")
+            ids = line_ids
+            t, kind = record["t"], record["kind"]
+            if type(t) not in (int, float) or not math.isfinite(t):
+                raise ValueError(f"t must be a finite number, got {t!r}")
+            if type(kind) is not str:
+                raise ValueError(f"kind must be a string, got {kind!r}")
+            if type(record["payload"]) is not dict:
+                raise ValueError(f"payload must be an object, got {record['payload']!r}")
+            if t < prev_t - _TIME_SLACK_S:
+                raise ValueError("trial log events are not in time order")
+            prev_t = t
+            outcomes += kind == OUTCOME
             events.append(record)
-        if trial_id is None:
+        if ids is None:
             raise ValueError("empty trial log")
-        kinds = [e["kind"] for e in events]
-        if kinds.count(OUTCOME) != 1 or kinds[-1] != OUTCOME:
+        if outcomes != 1 or events[-1]["kind"] != OUTCOME:
             raise ValueError("trial log must end in exactly one outcome event")
-        if any(b["t"] < a["t"] - _TIME_SLACK_S for a, b in zip(events, events[1:])):
-            raise ValueError("trial log events are not in time order")
-        return cls(trial_id=trial_id, seed=seed, scenario=scenario, events=events)
+        return cls(trial_id=ids[0], seed=ids[1], scenario=scenario, events=events)

@@ -7,10 +7,12 @@ same filenames, fixed key ordering.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import io
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
@@ -87,13 +89,23 @@ def trace_csv(log: TrialLog) -> str:
     return buf.getvalue()
 
 
-def emit(
-    logs: Sequence[TrialLog],
-    summary: Dict[str, Any],
-    out_dir: str | Path,
-    config_dict: Dict[str, Any] | None = None,
-) -> List[Path]:
-    out = Path(out_dir)
+#: File name of a trial's log in a run directory's ``trials`` directory.
+_TRIAL_LOG = "trial_{:05d}.jsonl"
+
+
+def trial_path(out_dir: str | Path, trial_id: int) -> str:
+    """Where a run directory keeps trial ``trial_id``'s log.  A plain string:
+    `pathlib` interns every path component it parses, and the interned-string
+    table grows with each run's thousands of distinct file names."""
+
+    return os.path.join(out_dir, "trials", _TRIAL_LOG.format(trial_id))
+
+
+def emit(cfg: ScenarioConfig, logs: Sequence[TrialLog], summary: Dict[str, Any]) -> List[Path]:
+    """Write a run directory at ``cfg.output_dir``: its config, every trial log,
+    the summary and report, and any altitude traces."""
+
+    out = Path(cfg.output_dir)
     trials_dir = out / "trials"
     try:
         trials_dir.mkdir(parents=True, exist_ok=True)
@@ -101,10 +113,9 @@ def emit(
         raise RuntimeError(f"cannot create output directory {trials_dir}: {exc}") from exc
 
     written: List[Path] = []
-    if config_dict is not None:
-        _write(out / "config.json", json.dumps(config_dict, indent=2, sort_keys=True) + "\n", written)
+    _write(out / "config.json", json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n", written)
     for log in logs:
-        _write(trials_dir / f"trial_{log.trial_id:05d}.jsonl", log.to_jsonl(), written)
+        _write(trials_dir / _TRIAL_LOG.format(log.trial_id), log.to_jsonl(), written)
     _write(out / "summary.csv", summary_csv(summary), written)
     _write(out / "report.txt", report_text(summary), written)
 
@@ -117,43 +128,47 @@ def emit(
     return written
 
 
-def load_run_config(out_dir: str | Path) -> Optional[ScenarioConfig]:
-    """The config a run directory was produced with, or None if it has no
-    ``config.json``.  An unreadable or invalid one is a corrupt artefact."""
+def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, List[TrialLog]]:
+    """The config a run directory records and its trial logs, tagged with the
+    config's scenario.  A missing or invalid ``config.json`` is a corrupt run
+    directory."""
 
-    path = Path(out_dir) / "config.json"
-    if not path.exists():
-        return None
     try:
-        return load_config(path)
+        cfg = load_config(Path(out_dir) / "config.json")
     except ConfigError as exc:
         raise RuntimeError(f"corrupt run directory: {exc}") from exc
+    return cfg, load_logs(out_dir, cfg)
 
 
-def load_logs(out_dir: str | Path, trials: Optional[int], scenario: str = "") -> List[TrialLog]:
-    """Every trial log of a run directory.  Refuses an incomplete set: ids must
-    be 0..trials-1 (0..N-1 for the N logs found when ``trials`` is None)."""
+def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> List[TrialLog]:
+    """The trial logs of a run directory produced under ``cfg``, in trial
+    order.  Refuses an incomplete set: the directory must hold exactly the
+    logs of trials 0..cfg.trials-1, each in its own file."""
 
-    out = Path(out_dir)
-    trials_dir = out / "trials"
-    if not trials_dir.is_dir():
-        raise RuntimeError(f"no trial logs found under {trials_dir}")
-    logs = []
-    for path in sorted(trials_dir.glob("trial_*.jsonl")):
+    trials_dir = Path(out_dir) / "trials"
+    logs, missing = [], []
+    for trial_id in range(cfg.trials):
+        path = trial_path(out_dir, trial_id)
         try:
-            logs.append(TrialLog.from_jsonl(path.read_text(), scenario=scenario))
+            with open(path) as f:
+                blob = f.read()
+        except FileNotFoundError:
+            missing.append(trial_id)
+            continue
         except OSError as exc:
             raise RuntimeError(f"cannot read {path}: {exc}") from exc
+        try:
+            log = TrialLog.from_jsonl(blob, cfg.scenario)
         except (ValueError, KeyError) as exc:
             raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
-    if not logs:
-        raise RuntimeError(f"no trial logs found under {trials_dir}")
-    expected = len(logs) if trials is None else trials
-    ids = sorted(log.trial_id for log in logs)
-    if ids != list(range(expected)):
-        missing = sorted(set(range(expected)) - set(ids))
+        if log.trial_id != trial_id:
+            raise RuntimeError(f"corrupt trial log {path}: it holds trial {log.trial_id}")
+        logs.append(log)
+    found = len(fnmatch.filter(os.listdir(trials_dir), "trial_*.jsonl")) \
+        if trials_dir.is_dir() else 0
+    if missing or found != cfg.trials:
         raise RuntimeError(
-            f"{trials_dir} holds {len(ids)} trial logs, expected ids 0..{expected - 1}"
+            f"{trials_dir} holds {found} trial logs, expected ids 0..{cfg.trials - 1}"
             + (f"; missing {missing[:5]}" if missing else "")
         )
     return logs

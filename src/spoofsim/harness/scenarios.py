@@ -341,9 +341,11 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     gs_mps = kn_to_mps(cfg.approach_ground_speed_kn)
     rate_fps = -m_to_ft(vs)
     start_agl = cfg.approach_start_agl_ft
-    captured = max(
-        txs, key=lambda tx: tx.tx_power  # strongest wins throughout the approach
-    )
+    # Fly the path of the highest-power transmitter.  `ils.receive` captures
+    # by received power (1/d^2) instead, so the nearby genuine transmitter
+    # recaptures below a crossover height (see _GS_EVAL_FLOOR_FT); the
+    # mismatch is open in ROADMAP item 2.
+    captured = max(txs, key=lambda tx: tx.tx_power)
     antenna_along = runway.threshold_position + captured.antenna_position
 
     def state_on_path(agl_ft: float, t: float) -> world.AircraftState:

@@ -31,6 +31,29 @@ TCAS_ACTION_LABELS = {
 }
 
 
+#: Payload field types (``_field``'s ``allowed``).
+_NUMBER = (int, float)
+
+
+def _field(log: TrialLog, event: Dict[str, Any], key: str, allowed: Any) -> Any:
+    """``event``'s payload field ``key``, which must be an instance of
+    ``allowed`` (never a bool) or, when ``allowed`` is a dict, one of its keys.
+    Logs read back from a run directory may break this; the ValueError names
+    the trial, the event kind and the field."""
+
+    payload = event["payload"]
+    if key not in payload:
+        raise ValueError(f"trial {log.trial_id}: {event['kind']} field {key!r} is missing")
+    value = payload[key]
+    if isinstance(allowed, dict):
+        valid = type(value) is str and value in allowed
+    else:
+        valid = isinstance(value, allowed) and type(value) is not bool
+    if not valid:
+        raise ValueError(f"trial {log.trial_id}: {event['kind']} field {key!r} is {value!r}")
+    return value
+
+
 def _mean_sd(values: Sequence[float]) -> Dict[str, float]:
     if not values:
         return {"n": 0, "mean": math.nan, "sd": math.nan}
@@ -54,12 +77,12 @@ def summarize_gpws(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     first_go_around_agl: List[float] = []
     for log in logs:
         for event in log.iter_kind("crew_action"):
-            p = event["payload"]
-            approach, action = p["approach"], p["action"]
+            approach = _field(log, event, "approach", int)
+            action = _field(log, event, "action", GPWS_ACTION_LABELS)
             per_approach.setdefault(approach, {}).setdefault(action, 0)
             per_approach[approach][action] += 1
             if approach == 1 and action == crew.GO_AROUND:
-                first_go_around_agl.append(p["min_agl_ft"])
+                first_go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
         if log.outcome == "LANDED" and not any(True for _ in log.iter_kind("crew_action")):
             # Unalerted approach concludes in a landing without a table entry.
             per_approach.setdefault(1, {}).setdefault(crew.LAND, 0)
@@ -107,15 +130,16 @@ def summarize_tcas(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     tas_before_standby: List[float] = []
     episode_counts: List[int] = []
     for log in logs:
-        payload = log.events[-1]["payload"]
-        mode, action = payload["final_mode"], payload["final_action"]
+        outcome = log.events[-1]
+        mode = _field(log, outcome, "final_mode", TCAS_MODE_LABELS)
+        action = _field(log, outcome, "final_action", TCAS_ACTION_LABELS)
         matrix[action][mode] += 1
         mode_counts[mode] += 1
-        episode_counts.append(payload["episodes"])
+        episode_counts.append(_field(log, outcome, "episodes", int))
         if mode != tcas.TA_RA:
-            ras_before_downgrade.append(payload["ras_observed"])
+            ras_before_downgrade.append(_field(log, outcome, "ras_observed", _NUMBER))
         if mode == tcas.STANDBY:
-            tas_before_standby.append(payload["tas_after_downgrade"])
+            tas_before_standby.append(_field(log, outcome, "tas_after_downgrade", _NUMBER))
 
     n = len(logs)
     rows = []
@@ -163,13 +187,13 @@ def summarize_gs(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     for log in logs:
         went_around = False
         for event in log.iter_kind("crew_action"):
-            p = event["payload"]
-            if p["action"] == crew.GO_AROUND and p["approach"] == 1:
+            if _field(log, event, "action", str) == crew.GO_AROUND \
+                    and _field(log, event, "approach", int) == 1:
                 went_around = True
-                go_around_agl.append(p["agl_ft"])
+                go_around_agl.append(_field(log, event, "agl_ft", _NUMBER))
         if went_around:
             for event in log.iter_kind("fallback_selected"):
-                ft = event["payload"]["approach_type"]
+                ft = _field(log, event, "approach_type", str)
                 fallbacks[ft] = fallbacks.get(ft, 0) + 1
         else:
             landed_first += 1
@@ -209,11 +233,12 @@ def summarize(logs: Sequence[TrialLog]) -> Dict[str, Any]:
     from .scenarios import SCENARIOS  # the registry imports this module
 
     scenario = _check_homogeneous(logs)
+    outcomes: Dict[str, int] = {}
+    for log in logs:
+        outcome = _field(log, log.events[-1], "outcome", str)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
     result = SCENARIOS[scenario].summarize(logs)
     result["scenario"] = scenario
     result["trials"] = len(logs)
-    outcomes: Dict[str, int] = {}
-    for log in logs:
-        outcomes[log.outcome] = outcomes.get(log.outcome, 0) + 1
     result["outcomes"] = dict(sorted(outcomes.items()))
     return result

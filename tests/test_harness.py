@@ -18,7 +18,7 @@ from spoofsim.harness import cost as cost_mod
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
-from spoofsim.harness.output import emit, load_logs
+from spoofsim.harness.output import emit, load_run
 from spoofsim.harness.scenarios import approach_start
 
 
@@ -122,7 +122,7 @@ def test_terrain_below_runway_lands(tmp_path):
     out = tmp_path / "out"
     assert main(["validate-config", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--trials", "20", "--out", str(out)]) == 0
-    logs = load_logs(out, 20, scenario="GPWS")
+    _, logs = load_run(out)
     assert len(logs) == 20
     assert all(log.outcome == "LANDED" for log in logs)
 
@@ -233,6 +233,8 @@ def test_trial_log_jsonl_round_trip():
         assert set(record) == {"t", "kind", "payload", "trial_id", "seed"}
     clone = TrialLog.from_jsonl(blob, scenario="GS")
     assert clone.events == log.events
+    with pytest.raises(ValueError, match="not an object"):
+        TrialLog.from_jsonl("[1, 2]\n", scenario="GS")
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +360,32 @@ def test_cost_errors():
 
 
 def test_emit_files(tmp_path):
-    cfg = small_config("GS", trials=3)
+    cfg = small_config("GS", trials=3, output_dir=str(tmp_path / "out"))
     logs = run(cfg)
-    written = emit(logs, summarize(logs), tmp_path / "out", config_dict=cfg.raw)
+    written = emit(cfg, logs, summarize(logs))
     names = {p.name for p in written}
     assert {"trial_00000.jsonl", "trial_00001.jsonl", "trial_00002.jsonl",
             "summary.csv", "report.txt", "config.json"} <= names
-    reread = load_logs(tmp_path / "out", 3, scenario="GS")
+    reread_cfg, reread = load_run(tmp_path / "out")
+    assert reread_cfg.raw == cfg.raw
     assert [l.to_jsonl() for l in reread] == [l.to_jsonl() for l in logs]
+    assert {l.scenario for l in reread} == {"GS"}
 
 
 def test_emit_deterministic(tmp_path):
-    cfg = small_config("GS", trials=3)
     for d in ("a", "b"):
+        cfg = small_config("GS", trials=3, output_dir=str(tmp_path / d))
         logs = run(cfg)
-        emit(logs, summarize(logs), tmp_path / d, config_dict=cfg.raw)
+        emit(cfg, logs, summarize(logs))
     for name in ("summary.csv", "report.txt", "trials/trial_00001.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_altitude_trace_emitted(tmp_path):
-    cfg = small_config("GPWS", trials=1, output={"altitude_trace": True})
+    cfg = small_config("GPWS", trials=1, output={"altitude_trace": True},
+                       output_dir=str(tmp_path / "out"))
     logs = run(cfg)
-    written = emit(logs, summarize(logs), tmp_path / "out")
+    written = emit(cfg, logs, summarize(logs))
     traces = [p for p in written if p.parent.name == "traces"]
     assert len(traces) == 1
     header = traces[0].read_text().splitlines()[0]
@@ -455,6 +460,8 @@ def test_cli_cost(capsys):
 @pytest.mark.parametrize("argv", [
     ["summarize", "--trials", "3"],
     ["summarize", "--seed", "3"],
+    ["summarize", "--scenario", "TCAS"],
+    ["summarize", "--config", "c.json"],
     ["detect", "--trials", "3"],
     ["cost", "--scenario", "TCAS"],
     ["cost", "--trials", "5"],
@@ -466,10 +473,13 @@ def test_cli_cost(capsys):
     ["validate-config", "--out", "out"],
 ], ids=" ".join)
 def test_cli_rejects_flags_it_does_not_read(capsys, argv):
-    """Each subcommand declares only the flags it reads."""
+    """Each subcommand declares only the flags it reads.  summarize and detect
+    read everything else from the run directory named by --out, which they
+    require."""
 
+    required = ["--out", "out"] if argv[0] in ("summarize", "detect") else []
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + required)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
@@ -483,10 +493,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["validate-config", "--config", str(good)]) == 0
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
-    # Missing scenario is a config error; missing logs are a runtime error.
-    assert main(["summarize", "--out", str(tmp_path / "nothing")]) == 2
-    assert main(["summarize", "--scenario", "GS", "--out", str(tmp_path / "nothing")]) == 3
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    # A directory that holds no run is a corrupt artefact, not a config error.
+    for command in (["summarize"], ["detect"]):
+        assert main(command + ["--out", str(tmp_path / "nothing")]) == 3
+        assert "config.json" in capsys.readouterr().err
 
 
 def _gs_run(out, trials=4):
@@ -511,10 +522,10 @@ def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
     first["t"] = 1e9
     path.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*time order"):
-        load_logs(tmp_path / "out", 4)
+        load_run(tmp_path / "out")
     path.write_text("".join(lines + lines[-1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*one outcome"):
-        load_logs(tmp_path / "out", 4)
+        load_run(tmp_path / "out")
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -523,7 +534,7 @@ def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
     lambda data: {**data, "scenario": "NOPE"},
 ], ids=["not-an-object", "string-trials", "unknown-scenario"])
 @pytest.mark.parametrize("command", [
-    ["summarize"], ["summarize", "--scenario", "GS"],
+    ["summarize"], ["detect", "--seed", "5"],
     ["detect"], ["detect", "--scenario", "GS"],
 ])
 def test_cli_corrupt_run_config_exit_code(tmp_path, capsys, corrupt, command):
@@ -545,3 +556,124 @@ def test_cli_missing_log_exit_code(tmp_path, capsys):
     assert main(["summarize", "--out", str(out)]) == 3
     assert main(["detect", "--scenario", "GS", "--out", str(out)]) == 3
     assert "missing [9]" in capsys.readouterr().err
+
+
+def test_cli_misplaced_or_stray_log_exit_code(tmp_path, capsys):
+    """The reader takes N from config.json and reads trial i from its own
+    file: a file holding another trial, or a trial file beyond N (left by an
+    earlier, larger run into the same directory), is exit 3."""
+
+    out = tmp_path / "out"
+    trials = _gs_run(out)
+    extra = trials / "trial_00004.jsonl"
+    extra.write_text((trials / "trial_00003.jsonl").read_text())
+    assert main(["summarize", "--out", str(out)]) == 3
+    assert "holds 5 trial logs, expected ids 0..3" in capsys.readouterr().err
+    extra.unlink()
+    (trials / "trial_00003.jsonl").write_text((trials / "trial_00002.jsonl").read_text())
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "trial_00003.jsonl" in err and "holds trial 2" in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "detect"])
+def test_cli_run_readers_require_out(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["summarize"], ["detect"]])
+def test_cli_missing_run_config_exit_code(tmp_path, capsys, command):
+    """config.json is the only record of a run's scenario and trial count: a
+    run directory without one is corrupt, whatever its trial logs hold."""
+
+    out = tmp_path / "out"
+    _gs_run(out)
+    (out / "config.json").unlink()
+    assert main(command + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "corrupt run directory" in err and "config.json" in err
+
+
+def test_cli_detect_scenario_must_match_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "TCAS", "--trials", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--scenario", "GPWS", "--out", str(out)]) == 2
+    assert "--scenario GPWS" in capsys.readouterr().err
+    assert not (out / "verdicts.csv").exists()
+
+
+def _rewrite_record(path, index, change):
+    """Apply ``change`` to record ``index`` of a JSON-lines trial log."""
+
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    change(records[index])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("index,change", [
+    (0, lambda r: r.update(t="x")),
+    (0, lambda r: r.update(t=True)),
+    (-1, lambda r: r.update(t=float("nan"))),
+    (0, lambda r: r.update(trial_id="1")),
+    (-1, lambda r: r.update(seed=r["seed"] + 1)),
+    (0, lambda r: r.update(kind=7)),
+    (0, lambda r: r.update(payload=None)),
+], ids=["t-string", "t-bool", "t-nan", "trial_id-string", "seed-differs",
+        "kind-int", "payload-null"])
+@pytest.mark.parametrize("command", ["summarize", "detect"])
+def test_cli_mistyped_log_field_exit_code(tmp_path, capsys, index, change, command):
+    """A JSON-valid trial log whose envelope fields have the wrong type is a
+    corrupt artefact: exit 3 naming the file, never a traceback."""
+
+    out = tmp_path / "out"
+    _rewrite_record(_gs_run(out) / "trial_00001.jsonl", index, change)
+    assert main([command, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "corrupt trial log" in err and "trial_00001.jsonl" in err
+
+
+@pytest.mark.parametrize("scenario,kind,change,field", [
+    ("GPWS", "crew_action", lambda p: p.pop("approach"), "approach"),
+    ("GPWS", "crew_action", lambda p: p.update(approach="1"), "approach"),
+    ("TCAS", "outcome", lambda p: p.update(final_mode="X"), "final_mode"),
+    ("TCAS", "outcome", lambda p: p.update(episodes=None), "episodes"),
+    ("GS", "outcome", lambda p: p.update(outcome=5), "outcome"),
+    ("GS", "crew_action", lambda p: p.update(agl_ft="low"), "agl_ft"),
+], ids=["gpws-no-approach", "gpws-string-approach", "tcas-final-mode",
+        "tcas-episodes-null", "gs-outcome-int", "gs-agl-string"])
+def test_cli_summarize_unreadable_payload_exit_code(tmp_path, capsys, scenario, kind,
+                                                   change, field):
+    """Payloads the summarizer cannot read give exit 3 naming the run
+    directory and the field, never a traceback."""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--trials", "12", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trials" / "trial_00003.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    index = next(i for i, r in enumerate(records) if r["kind"] == kind)
+    _rewrite_record(path, index, lambda r: change(r["payload"]))
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"corrupt trial log in {out}" in err
+    assert f"trial 3: {kind} field {field!r}" in err
+
+
+def test_cli_detect_bad_position_names_trial_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "TCAS", "--trials", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trials" / "trial_00002.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    index = next(i for i, r in enumerate(records) if r["kind"] == "surveillance")
+    _rewrite_record(path, index, lambda r: r["payload"].update(position_m="abc"))
+    assert main(["detect", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "corrupt trial log" in err and "trial_00002.jsonl" in err

@@ -35,3 +35,54 @@ def test_only_config_module_subscripts_raw():
         for line in raw_subscripts(path)
     ]
     assert not offenders, offenders
+
+
+#: `harness/output.py` is the only module that knows a run directory's layout.
+RUN_DIR_OWNER = PACKAGE / "harness" / "output.py"
+
+
+def run_dir_names(path):
+    """Line numbers where the file names a run directory's ``config.json`` or
+    its ``trials`` directory: a string literal (docstrings aside) holding
+    ``config.json`` or ``trials/``, or ``"trials"`` as an operand of ``/``."""
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings \
+                and ("config.json" in node.value or "trials/" in node.value):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            lines.extend(
+                side.lineno for side in (node.left, node.right)
+                if isinstance(side, ast.Constant) and side.value == "trials"
+            )
+    return sorted(lines)
+
+
+def test_run_dir_names_finds_them(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        '"""Reads config.json."""\n'
+        'a = out / "config.json"\n'
+        'b = out / "trials" / name\n'
+        'c = f"{out}/trials/{name}"\n'
+        'd = {"trials": 3}\n'
+        'e = getattr(args, "trials")\n'
+        'f = "--trials"\n'
+    )
+    assert run_dir_names(probe) == [2, 3, 4]
+
+
+def test_only_output_module_names_run_dir_layout():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != RUN_DIR_OWNER
+        for line in run_dir_names(path)
+    ]
+    assert not offenders, offenders
