@@ -372,7 +372,6 @@ class GsCrewState:
     will_go_around: bool
     go_around_agl_ft: float
     fallback: Optional[str]
-    gone_around: bool = False
 
 
 def sample_gs_crew(policy: GsPolicy, rng: np.random.Generator) -> GsCrewState:
@@ -391,28 +390,24 @@ def sample_gs_crew(policy: GsPolicy, rng: np.random.Generator) -> GsCrewState:
 @dataclass(frozen=True)
 class GsAction:
     kind: str                       # CONTINUE | GO_AROUND | SELECT_APPROACH
-    altitude_ft: Optional[float] = None
     approach_type: Optional[str] = None
 
 
 def gs_act(
     indication: GsIndication,
     papi_ind: PapiIndication,
-    agl_ft: float,
     script: GsCrewState,
 ) -> GsAction:
-    """Go around at the crew's sampled height (``script``, from
-    `sample_gs_crew`) when the visual cross-check conflicts with a centred
-    glideslope; otherwise continue the approach."""
+    """Go around, to fly the crew's sampled fallback (``script``, from
+    `sample_gs_crew`), when the visual cross-check conflicts with a centred
+    glideslope and the crew is one that goes around; otherwise continue the
+    approach.  The trial asks at the crew's sampled go-around height."""
 
     cue_conflict = (
         indication.valid
         and abs(indication.deviation_dots) < 0.5
         and papi_ind.whites in (0, 4)
     )
-    if not cue_conflict or not script.will_go_around or script.gone_around:
+    if not cue_conflict or not script.will_go_around:
         return GsAction(kind=CONTINUE)
-    if agl_ft <= script.go_around_agl_ft:
-        script.gone_around = True
-        return GsAction(kind=GO_AROUND, altitude_ft=agl_ft, approach_type=script.fallback)
-    return GsAction(kind=CONTINUE)
+    return GsAction(kind=GO_AROUND, approach_type=script.fallback)

@@ -19,9 +19,9 @@ SECOND_APPROACH = "second_approach"
 DIVERSION = "diversion"
 
 #: Jet-fuel price, US cents per gallon.
-DEFAULT_FUEL_PRICE_CENTS_PER_GAL = 184.58
+FUEL_PRICE_CENTS_PER_GAL = 184.58
 #: Jet-fuel density, kg per gallon.
-DEFAULT_DENSITY_KG_PER_GAL = 3.039
+DENSITY_KG_PER_GAL = 3.039
 
 #: Extra fuel burned per event, gallons (authoritative for costing).
 GALLONS: Dict[Tuple[str, str], float] = {
@@ -68,12 +68,7 @@ class CostReport:
         }
 
 
-def disruption_cost(
-    event: str,
-    aircraft_type: str,
-    fuel_price_cents_per_gal: float = DEFAULT_FUEL_PRICE_CENTS_PER_GAL,
-    density_kg_per_gal: float = DEFAULT_DENSITY_KG_PER_GAL,
-) -> CostReport:
+def disruption_cost(event: str, aircraft_type: str) -> CostReport:
     if aircraft_type not in (B737_800, B777_200):
         raise ValueError(f"unknown aircraft type {aircraft_type!r}")
     if event == DIVERSION:
@@ -90,8 +85,8 @@ def disruption_cost(
     if key not in GALLONS:
         raise ValueError(f"unknown event {event!r}")
     gallons = GALLONS[key]
-    kg = gallons * density_kg_per_gal
-    usd = gallons * fuel_price_cents_per_gal / 100.0
+    kg = gallons * DENSITY_KG_PER_GAL
+    usd = gallons * FUEL_PRICE_CENTS_PER_GAL / 100.0
     note = ""
     published = PUBLISHED_KG.get(key)
     if published is not None and abs(published - kg) / kg > 0.02:

@@ -12,7 +12,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
@@ -24,6 +24,23 @@ def _write(path: Path, content: str, written: List[Path]) -> None:
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
     written.append(path)
+
+
+def _remove_others(directory: Path, pattern: str, keep: Set[str]) -> None:
+    """Delete the files in ``directory`` named like ``pattern`` but not in
+    ``keep``: what an earlier run into the same directory left there."""
+
+    try:
+        with os.scandir(directory) as entries:
+            stale = [e.path for e in entries
+                     if e.name not in keep and fnmatch.fnmatch(e.name, pattern)]
+    except FileNotFoundError:
+        return
+    for path in stale:
+        try:
+            os.remove(path)
+        except OSError as exc:
+            raise RuntimeError(f"cannot remove {path}: {exc}") from exc
 
 
 def summary_csv(summary: Dict[str, Any]) -> str:
@@ -103,7 +120,9 @@ def trial_path(out_dir: str | Path, trial_id: int) -> str:
 
 def emit(cfg: ScenarioConfig, logs: Sequence[TrialLog], summary: Dict[str, Any]) -> List[Path]:
     """Write a run directory at ``cfg.output_dir``: its config, every trial log,
-    the summary and report, and any altitude traces."""
+    the summary and report, and any altitude traces.  Files an earlier run
+    left there are overwritten in place, and trial logs and traces this run
+    did not write are removed."""
 
     out = Path(cfg.output_dir)
     trials_dir = out / "trials"
@@ -114,17 +133,22 @@ def emit(cfg: ScenarioConfig, logs: Sequence[TrialLog], summary: Dict[str, Any])
 
     written: List[Path] = []
     _write(out / "config.json", json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n", written)
+    log_names = set()
     for log in logs:
-        _write(trials_dir / _TRIAL_LOG.format(log.trial_id), log.to_jsonl(), written)
+        name = _TRIAL_LOG.format(log.trial_id)
+        _write(trials_dir / name, log.to_jsonl(), written)
+        log_names.add(name)
     _write(out / "summary.csv", summary_csv(summary), written)
     _write(out / "report.txt", report_text(summary), written)
 
+    traces_dir = out / "traces"
     traced = [log for log in logs if any(True for _ in log.iter_kind("state"))]
     if traced:
-        traces_dir = out / "traces"
         traces_dir.mkdir(parents=True, exist_ok=True)
         for log in traced:
             _write(traces_dir / f"trial_{log.trial_id:05d}.csv", trace_csv(log), written)
+    _remove_others(trials_dir, "trial_*.jsonl", log_names)
+    _remove_others(traces_dir, "trial_*.csv", {f"trial_{log.trial_id:05d}.csv" for log in traced})
     return written
 
 

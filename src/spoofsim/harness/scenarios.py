@@ -5,6 +5,16 @@ Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
 
+A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
+loop but runs only the cycles that can matter.  The injector's straight-line
+claim bounds the first cycle at which tau can fall to the next threshold
+(`FalseIntruderInjector.first_cycle_within`); the encounter jumps to the
+cycle before it, which only updates the track, so every advised cycle takes
+its closure over one second.  The encounter ends at its RA, at a TA that
+leaves the unit outside TA/RA, or where the claimed range reaches its floor
+(`FalseIntruderInjector.floor_cycle`).  Where the injector may fall silent
+mid-run (the terrain crosses its activation floor), every cycle runs.
+
 A TCAS surveillance cycle evaluates its geometry once: the cruise state
 keeps its value for the last time asked, so the own position, the claimed
 intruder position and the activation-floor check at one cycle time share one
@@ -41,9 +51,6 @@ _GPWS_RAMP_DURATION_S = 1.5
 #: conflicting centred-needle/four-whites picture is sampled above that; the
 #: crew still executes the go-around at its own decision height.
 _GS_EVAL_FLOOR_FT = 550.0
-#: Surveillance-cycle offsets within one encounter, s: track acquisition,
-#: closure estimation, traffic-advisory crossing, resolution-advisory crossing.
-_TCAS_CYCLE_OFFSETS = (0, 1, 2, 3, 21)
 #: The Mode 2 alert envelope and the altimeter sweep; no config field sets them.
 _MODE2_ENVELOPE = gpws.Mode2Envelope()
 _SWEEP = radalt.SweepConfig()
@@ -246,6 +253,17 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         })
         return log
 
+    # Cycles may be skipped only while the injector answers every one or
+    # none: level cruise stays on one side of its activation floor over all
+    # the terrain (1e-6 ft spares the rounding of the lookup).
+    elevations = [z for _, z in terrain.vertices]
+    floor_ft = cfg.false_intruder_plan.activation_floor
+    skipping = (
+        m_to_ft(initial.altitude_msl - max(elevations)) > floor_ft + 1e-6
+        or m_to_ft(initial.altitude_msl - min(elevations)) < floor_ft - 1e-6
+    )
+    th = cfg.tcas_thresholds
+
     t = 0.0
     episodes = 0
     while (
@@ -259,20 +277,23 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             "episode": episodes, "icao_id": injector.icao_id,
             "bearing_deg": injector._bearing, "closure_mps": injector._speed,
         })
-        ta_handled = ra_handled = False
+        ta_handled = False
         # The encounter's first adversarial reply, kept for integrity analysis.
         sample: Optional[tcas.SurveillanceMessage] = None
-        tc = t
-        for k in _TCAS_CYCLE_OFFSETS:
+        k_end = injector.floor_cycle()
+        # The next advisory, and no cycle before `bound` can raise it: the TA
+        # first, as nothing tighter can fire before it (tau_ra_s and
+        # ra_band_ft lie inside the TA thresholds), then the RA.
+        bound, band = injector.first_cycle_within(th.tau_ta_s), th.ta_band_ft
+        k, advising = 0, False
+        while True:
             tc = t + k
             own = state_fn(tc)
             replies = unit.mode_s_cycle(own, (injector,), tc)
             if sample is None and replies:
                 sample = replies[0]
-            adv = unit.advise(own, tc)
-            if adv is None:
-                continue
-            if adv.level == "TA" and not ta_handled:
+            adv = unit.advise(own, tc) if advising else None
+            if adv is not None and adv.level == "TA" and not ta_handled:
                 ta_handled = True
                 log.add(tc, "advisory", {"level": "TA", "episode": episodes})
                 action = crew.tcas_act(adv, crew_state, policy, rng)
@@ -281,8 +302,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                     unit.set_mode(tcas.STANDBY)
                 if unit.mode != tcas.TA_RA:
                     break
-            elif adv.level == "RA" and not ra_handled:
-                ra_handled = True
+                bound, band = injector.first_cycle_within(th.tau_ra_s), th.ra_band_ft
+            elif adv is not None and adv.level == "RA":
                 injector.observe_advisory(adv)
                 log.add(tc, "advisory", {
                     "level": "RA", "episode": episodes,
@@ -295,6 +316,22 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                 elif action == crew.SET_STANDBY:
                     unit.set_mode(tcas.STANDBY)
                 break
+            # The first cycle that can raise the next advisory.
+            nxt = k + 1
+            if skipping:
+                track = unit.tracks.get(injector.icao_id)
+                # No track: Standby, or an injector that never answers.
+                if track is None or abs(track.relative_altitude) > band:
+                    nxt = math.inf
+                elif bound > nxt:
+                    nxt = bound
+            if nxt > k_end:
+                tc = t + k_end
+                break
+            # Advise only a second after the previous cycle: a closure taken
+            # over a longer gap reads high, and tau low.  A jump lands one
+            # cycle early, which only updates the track.
+            k, advising = (nxt, True) if nxt == k + 1 else (nxt - 1, False)
 
         if sample is not None:
             log.add(tc, "surveillance", sample.to_record())
@@ -377,7 +414,7 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         "agl_ft": eval_agl,
     })
 
-    action = crew.gs_act(indication, papi_ind, crew_state.go_around_agl_ft, crew_state)
+    action = crew.gs_act(indication, papi_ind, crew_state)
     if action.kind == crew.GO_AROUND:
         t_ga = (start_agl - crew_state.go_around_agl_ft) / rate_fps
         log.add(t_ga, "crew_action", {

@@ -42,6 +42,8 @@ TRACK_STALENESS_S = 6.0
 RA_RATE_FPM = 1500.0
 #: Bearing error of a Mode C (anonymous) track, uniform +/- this, degrees.
 MODE_C_BEARING_ERROR_DEG = 10.0
+#: Closest horizontal range a false intruder claims, m.
+CLAIM_FLOOR_M = 50.0
 
 
 def free_space_path_loss_db(distance_m: float) -> float:
@@ -445,7 +447,8 @@ class FalseIntruderInjector:
         """Claimed 3-D position at t."""
 
         own = own_position_3d(self.target_fn(t))
-        r = max(50.0, self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
+        r = max(CLAIM_FLOOR_M,
+                self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
         theta = math.radians(self._bearing)
         offset = np.array([
             r * math.cos(theta),
@@ -453,6 +456,35 @@ class FalseIntruderInjector:
             ft_to_m(self.plan.vertical_offset),
         ])
         return own + offset
+
+    def floor_cycle(self) -> int:
+        """The encounter's last surveillance cycle, in whole seconds from its
+        start: the first at which the claimed range sits at its floor.  The
+        claim stops closing there, so no later cycle can raise an advisory."""
+
+        return max(0, math.ceil(self.plan.start_tau_s - CLAIM_FLOOR_M / self._speed))
+
+    def first_cycle_within(self, tau_s: float) -> float:
+        """A lower bound on the first cycle k >= 1 of the encounter at which a
+        track updated once a second reads tau <= ``tau_s``; ``math.inf`` when
+        the claim never closes that fast.
+
+        The claimed slant range s = sqrt(r^2 + h^2), r = v (T - e), is convex
+        in the elapsed time e, so the closure over the second before cycle k
+        is at most the claim's rate v r / s at k - 1, and tau at k is at least
+        tau(k - 1) - 1 with tau(e) = s^2 / (v r).  The bound is the cycle one
+        second after tau(e) first falls to ``tau_s`` + 1 (at the larger root r
+        of r^2 - v (tau_s + 1) r + h^2 = 0), taken 1e-6 s early to absorb the
+        rounding of the tracked positions.
+        """
+
+        v, tau = self._speed, tau_s + 1.0
+        h = ft_to_m(self.plan.vertical_offset)
+        disc = (v * tau) ** 2 - 4.0 * h * h
+        if disc < 0:  # tau(e) bottoms out at 2 |h| / v
+            return math.inf
+        r = (v * tau + math.sqrt(disc)) / 2.0
+        return max(1, math.ceil(self.plan.start_tau_s - r / v + 1.0 - 1e-6))
 
     # -- responder interface ----------------------------------------------
 

@@ -204,22 +204,15 @@ def centred_indication():
 
 def test_gs_act_conflict_triggers_go_around():
     script = crew.GsCrewState(will_go_around=True, go_around_agl_ft=900.0, fallback="RNAV")
-    act = crew.gs_act(centred_indication(), PapiIndication(whites=4), 900.0, script)
+    act = crew.gs_act(centred_indication(), PapiIndication(whites=4), script)
     assert act.kind == crew.GO_AROUND
     assert act.approach_type == "RNAV"
-    assert act.altitude_ft == 900.0
-
-
-def test_gs_act_waits_for_decision_height():
-    script = crew.GsCrewState(will_go_around=True, go_around_agl_ft=500.0, fallback="VOR")
-    act = crew.gs_act(centred_indication(), PapiIndication(whites=4), 1200.0, script)
-    assert act.kind == crew.CONTINUE
 
 
 def test_gs_act_no_conflict_continues():
     script = crew.GsCrewState(will_go_around=True, go_around_agl_ft=900.0, fallback="SRA")
     # Two whites: the visual picture agrees with the centred glideslope.
-    act = crew.gs_act(centred_indication(), PapiIndication(whites=2), 900.0, script)
+    act = crew.gs_act(centred_indication(), PapiIndication(whites=2), script)
     assert act.kind == crew.CONTINUE
 
 

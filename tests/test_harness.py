@@ -327,14 +327,6 @@ def test_cost_reference_values():
     assert disruption_cost(cost_mod.SECOND_APPROACH, cost_mod.B777_200).usd == pytest.approx(516.25, abs=0.005)
 
 
-def test_cost_linearity():
-    base = disruption_cost(cost_mod.MISSED_APPROACH, cost_mod.B737_800)
-    double = disruption_cost(
-        cost_mod.MISSED_APPROACH, cost_mod.B737_800, fuel_price_cents_per_gal=2 * 184.58
-    )
-    assert double.usd == pytest.approx(2 * base.usd)
-
-
 def test_cost_kg_from_gallons():
     report = disruption_cost(cost_mod.SECOND_APPROACH, cost_mod.B737_800)
     assert report.extra_fuel_kg == pytest.approx(75.68 * 3.039)
@@ -390,6 +382,41 @@ def test_altitude_trace_emitted(tmp_path):
     assert len(traces) == 1
     header = traces[0].read_text().splitlines()[0]
     assert header == "time_s,altitude_ft,indicated_agl_ft"
+
+
+def test_rerun_into_run_directory_replaces_it(tmp_path, capsys):
+    """A smaller run into a used directory leaves a directory of that run:
+    the earlier run's surplus trial logs are removed, and the logs both runs
+    write are overwritten in place, not deleted and recreated."""
+
+    out = tmp_path / "out"
+    trials = _gs_run(out, trials=12)
+    inode = (trials / "trial_00000.jsonl").stat().st_ino
+    _gs_run(out, trials=5)
+    assert sorted(p.name for p in trials.iterdir()) == [
+        f"trial_{i:05d}.jsonl" for i in range(5)]
+    assert (trials / "trial_00000.jsonl").stat().st_ino == inode
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 0
+    assert "trials,5" in capsys.readouterr().out
+
+
+def test_rerun_without_traces_removes_them(tmp_path):
+    """A run without altitude traces into the directory of a traced run
+    leaves no trace behind; the directory then reads as the later run."""
+
+    out = tmp_path / "out"
+    for altitude_trace in (True, False):
+        cfg = small_config("GPWS", trials=2, output={"altitude_trace": altitude_trace},
+                           output_dir=str(out))
+        logs = run(cfg)
+        emit(cfg, logs, summarize(logs))
+        if altitude_trace:
+            assert len(list((out / "traces").glob("trial_*.csv"))) == 2
+    assert not list((out / "traces").glob("trial_*.csv"))
+    reread_cfg, reread = load_run(out)
+    assert reread_cfg.raw == cfg.raw
+    assert [log.to_jsonl() for log in reread] == [log.to_jsonl() for log in logs]
 
 
 def test_cli_run_and_summarize(tmp_path, capsys):

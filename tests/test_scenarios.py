@@ -1,22 +1,26 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
 computation, and each surveillance cycle evaluates it, and builds a message,
-at most once.  The GPWS
-ramp computes only the sweeps it reads, and neither trial calls numpy for a
-table lookup.  Trials read the objects `make_config` built and construct none
-of their own.  A strict xfail pins the TCAS cycle schedule that holds only
-for the default encounter geometry."""
+at most once.  The GPWS ramp computes only the sweeps it reads, and neither
+trial calls numpy for a table lookup.  Trials read the objects `make_config`
+built and construct none of their own.  TCAS encounters follow their own
+geometry: the scheduled trial writes the logs of a plain 1 Hz reference loop
+over random claims and thresholds."""
 
 import functools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spoofsim import crew, gpws, ils, radalt, tcas, world
 from spoofsim.harness import run
 from spoofsim.harness.config import make_config
+from spoofsim.harness.log import TrialLog
+from spoofsim.harness.runner import trial_seeds
 from spoofsim.harness.scenarios import SCENARIOS, _cruise_state_fn
+from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
 #: The golden-output seed.
 SEED = 20190118
@@ -66,8 +70,9 @@ def _counting(counts, name, fn):
 
 def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     """Work budget: one own-ship step, one terrain lookup and one claimed
-    intruder position per surveillance cycle at most.  The config, whose
-    checks look up the terrain too, is built before counting."""
+    intruder position per surveillance cycle at most, and at most 702
+    cycles, the count of the fixed schedule the encounter loop replaced.  The
+    config, whose checks look up the terrain too, is built before counting."""
 
     cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
     counts = Counter()
@@ -80,7 +85,7 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     monkeypatch.setattr(tcas.FalseIntruderInjector, "intruder_position",
                         counting("claimed", tcas.FalseIntruderInjector.intruder_position))
     run(cfg)
-    assert counts["cycle"] > 0 and counts["claimed"] > 0
+    assert 0 < counts["cycle"] <= 702 and counts["claimed"] > 0
     for name in ("step", "terrain", "claimed"):
         assert counts[name] <= counts["cycle"], (name, counts)
 
@@ -174,24 +179,196 @@ def _tcas_advisories(override):
     return counts
 
 
-_SCHEDULE_DEFECT = pytest.mark.xfail(strict=True, reason=(
-    "known defect, ROADMAP item 2: the surveillance cycles of an encounter run "
-    "at _TCAS_CYCLE_OFFSETS, the crossing times of the default geometry, so an "
-    "RA crossing anywhere else is never evaluated (150 episodes, 150 TAs, 0 RAs)"))
-
-
 @pytest.mark.parametrize("override", [
     pytest.param({}, id="defaults"),
-    pytest.param({"attacker": {"tcas": {"start_tau_s": 51.0}}}, id="start-tau-51",
-                 marks=_SCHEDULE_DEFECT),
-    pytest.param({"tcas_system": {"tau_ra_s": 25.0}}, id="tau-ra-25",
-                 marks=_SCHEDULE_DEFECT),
+    pytest.param({"attacker": {"tcas": {"start_tau_s": 51.0}}}, id="start-tau-51"),
+    pytest.param({"tcas_system": {"tau_ra_s": 25.0}}, id="tau-ra-25"),
+    pytest.param({"tcas_system": {"tau_ta_s": 40.0}}, id="tau-ta-40"),
 ])
 def test_tcas_encounters_reach_resolution_advisories(override):
     """An injected intruder that starts at tau 50-51 s and keeps closing
     crosses the TA threshold and then the RA threshold within its encounter,
-    so a run raises RAs (43 episodes, 43 TAs, 32 RAs on the defaults)."""
+    so every episode raises a TA and a run raises RAs (43 episodes, 43 TAs,
+    32 RAs on the defaults)."""
 
     counts = _tcas_advisories(override)
-    assert counts["episodes"] > 0 and counts["TA"] > 0
+    assert counts["episodes"] > 0 and counts["TA"] == counts["episodes"], dict(counts)
     assert counts["RA"] > 0, dict(counts)
+
+
+def _tcas_trial_1hz(cfg, trial_id, seed):
+    """`tcas_trial` with a plain 1 Hz encounter loop, the reference the
+    scheduled one must match: cycles run at t + k for k = 0, 1, 2, ..., each
+    one advised, until an RA, a TA that leaves the unit outside TA/RA, or the
+    cycle at which the claimed range reaches its floor (it stops closing).
+    Only attacked runs: a run without the attacker has no encounter loop."""
+
+    rng = np.random.default_rng(seed)
+    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
+    terrain, policy = cfg.terrain, cfg.tcas_policy
+    initial = world.AircraftState(
+        time=0.0, ground_position=(0.0, 0.0), altitude_msl=ft_to_m(cfg.cruise_altitude_ft),
+        vertical_speed=0.0, ground_speed=kn_to_mps(cfg.cruise_ground_speed_kn), heading=0.0,
+    )
+    state_fn = _cruise_state_fn(initial)
+
+    def agl_fn(t):
+        s = state_fn(t)
+        lo, hi = terrain.domain
+        return m_to_ft(s.altitude_msl - terrain.elevation_at(min(max(s.along_track, lo), hi)))
+
+    unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
+    crew_state = crew.sample_tcas_crew(policy, rng)
+    injector = tcas.FalseIntruderInjector(
+        cfg.false_intruder_plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
+        attacker_position=cfg.attacker_position_m,
+    )
+    t, episodes = 0.0, 0
+    while (episodes < cfg.max_episodes and not injector.budget_exhausted()
+           and not crew_state.settled):
+        injector.start_episode(t)
+        episodes += 1
+        log.add(t, "episode_start", {
+            "episode": episodes, "icao_id": injector.icao_id,
+            "bearing_deg": injector._bearing, "closure_mps": injector._speed,
+        })
+        ta_handled = False
+        sample = None
+        k_end = max(0, math.ceil(
+            cfg.false_intruder_plan.start_tau_s - tcas.CLAIM_FLOOR_M / injector._speed))
+        for k in range(k_end + 1):
+            tc = t + k
+            own = state_fn(tc)
+            replies = unit.mode_s_cycle(own, (injector,), tc)
+            if sample is None and replies:
+                sample = replies[0]
+            adv = unit.advise(own, tc)
+            if adv is None:
+                continue
+            if adv.level == "TA" and not ta_handled:
+                ta_handled = True
+                log.add(tc, "advisory", {"level": "TA", "episode": episodes})
+                action = crew.tcas_act(adv, crew_state, policy, rng)
+                log.add(tc, "crew_action", {"action": action, "episode": episodes})
+                if action == crew.SET_STANDBY:
+                    unit.set_mode(tcas.STANDBY)
+                if unit.mode != tcas.TA_RA:
+                    break
+            elif adv.level == "RA":
+                injector.observe_advisory(adv)
+                log.add(tc, "advisory", {
+                    "level": "RA", "episode": episodes,
+                    "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
+                })
+                action = crew.tcas_act(adv, crew_state, policy, rng)
+                log.add(tc, "crew_action", {"action": action, "episode": episodes})
+                if action == crew.SET_TA_ONLY:
+                    unit.set_mode(tcas.TA_ONLY)
+                elif action == crew.SET_STANDBY:
+                    unit.set_mode(tcas.STANDBY)
+                break
+        if sample is not None:
+            log.add(tc, "surveillance", sample.to_record())
+        unit.tracks.clear()
+        injector.end_episode()
+        t = tc + cfg.inter_episode_gap_s
+
+    final_mode = unit.mode
+    if crew_state.settled and crew_state.final_mode == final_mode:
+        final_action = crew_state.final_action
+    elif final_mode == tcas.TA_RA:
+        final_action = crew.CONTINUE
+    else:
+        final_action = crew.sample_categorical(rng, policy.action_given_final_mode[final_mode])
+    outcome = {crew.CONTINUE: "CONTINUED", crew.AVOIDANCE: "AVOIDED",
+               crew.DIVERT: "DIVERTED"}[final_action]
+    log.finish(t, outcome, {
+        "final_mode": final_mode, "final_action": final_action, "episodes": episodes,
+        "ras_observed": crew_state.ra_count,
+        "tas_after_downgrade": crew_state.ta_count_since_downgrade,
+    })
+    return log
+
+
+def _tcas_logs_agree(raw):
+    """The scheduled trials and the 1 Hz reference write the same JSONL."""
+
+    cfg = make_config(raw)
+    scheduled = [log.to_jsonl() for log in run(cfg)]
+    reference = [_tcas_trial_1hz(cfg, i, seed).to_jsonl()
+                 for i, seed in enumerate(trial_seeds(cfg.master_seed, cfg.trials))]
+    assert scheduled == reference
+
+
+def _seconds(lo, hi):
+    """Times in [lo, hi], whole seconds as often as not: a claim whose tau
+    falls exactly on a threshold at a cycle tests the rounding margin."""
+
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)).map(float),
+                     st.floats(min_value=lo, max_value=hi))
+
+
+@st.composite
+def _tcas_geometries(draw):
+    """A TCAS config whose claim and thresholds vary: the vertical offset may
+    be 0 or sit exactly on a band edge, and tau_ra_s lies anywhere below
+    tau_ta_s."""
+
+    tau_ta = draw(_seconds(1.0, 90.0))
+    ta_band = draw(st.floats(min_value=100.0, max_value=2000.0))
+    ra_band = draw(st.floats(min_value=50.0, max_value=ta_band))
+    offset = draw(st.one_of(
+        st.sampled_from([0.0, ra_band, -ra_band, ta_band, -ta_band]),
+        st.floats(min_value=-2500.0, max_value=2500.0),
+    ))
+    return {
+        "version": 1, "scenario": "TCAS", "trials": 2, "master_seed": draw(st.integers(0, 2**32)),
+        "attacker": {"tcas": {
+            "start_tau_s": draw(_seconds(0.5, 120.0)),
+            "approach_speed_mps": draw(_seconds(20.0, 400.0)),
+            "speed_jitter_mps": draw(st.sampled_from([0.0, 60.0]) | st.floats(0.0, 150.0)),
+            "bearing_jitter_deg": draw(st.floats(min_value=0.0, max_value=180.0)),
+            "vertical_offset_ft": offset,
+        }},
+        "tcas_system": {
+            "tau_ta_s": tau_ta,
+            "tau_ra_s": draw(_seconds(0.5, tau_ta).filter(lambda x: x < tau_ta)),
+            "ta_band_ft": ta_band,
+            "ra_band_ft": ra_band,
+            # Few encounters a trial: one that raises nothing costs the
+            # reference a cycle for every second of its claim.
+            "max_episodes": draw(st.integers(min_value=1, max_value=6)),
+        },
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=_tcas_geometries())
+@example(raw={"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
+# Tau falls exactly to tau_ta_s at cycle 1 in exact arithmetic; without its
+# rounding margin the predicted crossing lands a cycle late.
+@example(raw={
+    "version": 1, "scenario": "TCAS", "trials": 2, "master_seed": 0,
+    "attacker": {"tcas": {"start_tau_s": 14.0, "approach_speed_mps": 46.0,
+                          "bearing_jitter_deg": 0.0, "vertical_offset_ft": 0.0}},
+    "tcas_system": {"tau_ta_s": 13.0, "tau_ra_s": 1.0, "ta_band_ft": 100.0,
+                    "ra_band_ft": 50.0, "max_episodes": 3},
+})
+# A ridge past the runway brings level cruise below the activation floor for
+# part of the run, so the injector falls silent mid-encounter.
+@example(raw={
+    "version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
+    "world": {"cruise": {"altitude_ft": 2500.0},
+              "terrain": [[-50000.0, 100.0], [5000.0, 100.0], [8000.0, 400.0],
+                          [11000.0, 100.0], [50000.0, 100.0]]},
+})
+# An activation floor above the cruise: the injector never answers.
+@example(raw={"version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
+              "attacker": {"tcas": {"activation_floor_ft": 20000.0}}})
+def test_tcas_schedule_matches_1hz_reference(raw):
+    """Property: a scheduled encounter raises its TA and RA at exactly the
+    cycles of the 1 Hz reference, whatever the claim, the thresholds and the
+    terrain under the cruise, so the two write byte-identical logs (on the
+    defaults, the golden bytes)."""
+
+    _tcas_logs_agree(raw)
