@@ -240,27 +240,20 @@ class TcasPolicy:
 
 @dataclass
 class TcasCrewState:
-    """Sampled per-trial script plus running counters."""
+    """Sampled per-trial script plus running counters.  The alerting mode is
+    the unit's own (`tcas.TcasUnit.mode`), which `tcas_act` switches."""
 
     will_downgrade: bool
     will_standby: bool
     ra_threshold: int            # RAs received before leaving TA/RA
     ta_threshold: int            # further TAs before Standby (0 = straight there)
     final_action: str
-    mode: str = tcas.TA_RA
     ra_count: int = 0
     ta_count_since_downgrade: int = 0
 
-    @property
-    def settled(self) -> bool:
-        """No further mode transition can occur."""
-        if not self.will_downgrade:
-            return False
-        if self.mode == tcas.TA_RA:
-            return False
-        if self.mode == tcas.TA_ONLY:
-            return not self.will_standby
-        return True
+    def settled(self, mode: str) -> bool:
+        """No further mode transition can occur from the unit's `mode`."""
+        return mode == self.final_mode != tcas.TA_RA
 
     @property
     def final_mode(self) -> str:
@@ -295,8 +288,8 @@ def sample_tcas_crew(policy: TcasPolicy, rng: np.random.Generator) -> TcasCrewSt
     state = TcasCrewState(
         will_downgrade=will_downgrade,
         will_standby=will_standby,
-        ra_threshold=max(MIN_RAS_BEFORE_TA_ONLY, ra_threshold),
-        ta_threshold=max(MIN_EXTRA_TAS_BEFORE_STANDBY, ta_threshold),
+        ra_threshold=ra_threshold,
+        ta_threshold=ta_threshold,
         final_action="",
     )
     state.final_action = sample_categorical(
@@ -305,37 +298,34 @@ def sample_tcas_crew(policy: TcasPolicy, rng: np.random.Generator) -> TcasCrewSt
     return state
 
 
-def tcas_act(
-    event: tcas.Advisory,
-    history: TcasCrewState,
-    policy: TcasPolicy,
-    rng: np.random.Generator,
-) -> str:
-    """React to one advisory, mutating the crew history.
+def tcas_act(event: tcas.Advisory, unit: tcas.TcasUnit, script: TcasCrewState) -> str:
+    """React to one advisory as the crew's sampled ``script`` (from
+    `sample_tcas_crew`) says, switching ``unit`` to a lower alerting mode on a
+    downgrade, and return the action taken; the script's counters advance.
 
     RAs are followed until the sampled downgrade threshold is reached; a
     TA threshold of zero models going straight from full alerting to Standby.
     """
 
     if event.level == "RA":
-        if history.mode != tcas.TA_RA:
+        if unit.mode != tcas.TA_RA:
             raise ValueError("RA received while not in TA/RA mode")
-        history.ra_count += 1
-        if history.will_downgrade and history.ra_count >= history.ra_threshold:
-            if history.will_standby and history.ta_threshold == 0:
-                history.mode = tcas.STANDBY
+        script.ra_count += 1
+        if script.will_downgrade and script.ra_count >= script.ra_threshold:
+            if script.will_standby and script.ta_threshold == 0:
+                unit.set_mode(tcas.STANDBY)
                 return SET_STANDBY
-            history.mode = tcas.TA_ONLY
+            unit.set_mode(tcas.TA_ONLY)
             return SET_TA_ONLY
         return FOLLOW_RA
 
     if event.level == "TA":
-        if history.mode == tcas.STANDBY:
+        if unit.mode == tcas.STANDBY:
             raise ValueError("TA received while in Standby")
-        if history.mode == tcas.TA_ONLY and history.will_standby:
-            history.ta_count_since_downgrade += 1
-            if history.ta_count_since_downgrade >= history.ta_threshold:
-                history.mode = tcas.STANDBY
+        if unit.mode == tcas.TA_ONLY and script.will_standby:
+            script.ta_count_since_downgrade += 1
+            if script.ta_count_since_downgrade >= script.ta_threshold:
+                unit.set_mode(tcas.STANDBY)
                 return SET_STANDBY
         return CONTINUE
 
@@ -369,9 +359,8 @@ class GsPolicy:
 
 @dataclass
 class GsCrewState:
-    will_go_around: bool
     go_around_agl_ft: float
-    fallback: Optional[str]
+    fallback: Optional[str]      # approach flown after a go-around; None: no go-around
 
 
 def sample_gs_crew(policy: GsPolicy, rng: np.random.Generator) -> GsCrewState:
@@ -384,20 +373,14 @@ def sample_gs_crew(policy: GsPolicy, rng: np.random.Generator) -> GsCrewState:
         hi=policy.go_around_agl_hi_ft,
     )
     fallback = sample_categorical(rng, policy.fallback_approaches) if will_go_around else None
-    return GsCrewState(will_go_around=will_go_around, go_around_agl_ft=agl, fallback=fallback)
-
-
-@dataclass(frozen=True)
-class GsAction:
-    kind: str                       # CONTINUE | GO_AROUND | SELECT_APPROACH
-    approach_type: Optional[str] = None
+    return GsCrewState(go_around_agl_ft=agl, fallback=fallback)
 
 
 def gs_act(
     indication: GsIndication,
     papi_ind: PapiIndication,
     script: GsCrewState,
-) -> GsAction:
+) -> str:
     """Go around, to fly the crew's sampled fallback (``script``, from
     `sample_gs_crew`), when the visual cross-check conflicts with a centred
     glideslope and the crew is one that goes around; otherwise continue the
@@ -408,6 +391,4 @@ def gs_act(
         and abs(indication.deviation_dots) < 0.5
         and papi_ind.whites in (0, 4)
     )
-    if not cue_conflict or not script.will_go_around:
-        return GsAction(kind=CONTINUE)
-    return GsAction(kind=GO_AROUND, approach_type=script.fallback)
+    return GO_AROUND if cue_conflict and script.fallback is not None else CONTINUE

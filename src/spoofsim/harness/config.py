@@ -30,7 +30,9 @@ from ..gpws import AttackSchedule
 from ..ils import GlideslopeTx
 from ..tcas import AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
-from .scenarios import SCENARIOS, approach_start
+from .scenarios import (
+    SCENARIOS, approach_start, flown_glideslope, gs_eval_agl, gs_path_state,
+)
 
 CONFIG_VERSION = 1
 
@@ -429,6 +431,32 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
                     f"approach path ({path:.2f} m there), which runs from "
                     f"{start:.2f} m to the runway threshold at {threshold} m"
                 )
+    # A glideslope crew cross-checks the glideslope, then may go around,
+    # between the approach start and the runway threshold.  Above the start,
+    # the event would come before t = 0; at or past the threshold there is no
+    # PAPI picture, and the aircraft may be past a transmitter.
+    gs_policy = cfg.gs_policy
+    highest = gs_eval_agl(gs_policy.go_around_agl_hi_ft)
+    if highest > cfg.approach_start_agl_ft:
+        raise ConfigError(
+            f"world.approach.start_agl_ft: the approach starts at "
+            f"{cfg.approach_start_agl_ft} ft, below the highest crew go-around or "
+            f"glideslope check height, {highest} ft (from policies.gs.go_around_agl_hi_ft)"
+        )
+    lowest = gs_eval_agl(gs_policy.go_around_agl_lo_ft)
+    past = gs_path_state(cfg, lowest, 0.0).along_track - threshold
+    if past >= 0:
+        tx = flown_glideslope(cfg)
+        fields = ["world.runway.touchdown_zone_offset_m"]
+        if tx.legitimacy == "adversarial":
+            fields.append("attacker.gs.shift_m")
+        raise ConfigError(
+            f"{fields[-1]}: the lowest glideslope check, at {lowest} ft (from "
+            f"policies.gs.go_around_agl_lo_ft), lies {past:.2f} m past the runway "
+            f"threshold on the flown {tx.path_angle} deg path (attacker.gs.path_angle_deg) "
+            f"from the transmitter {tx.antenna_position} m beyond the threshold "
+            f"({' + '.join(fields)})"
+        )
     return cfg
 
 

@@ -240,7 +240,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         return m_to_ft(s.altitude_msl - terrain.elevation_at(along))
 
     unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
-    crew_state = crew.sample_tcas_crew(policy, rng)
+    script = crew.sample_tcas_crew(policy, rng)
     injector = tcas.FalseIntruderInjector(
         cfg.false_intruder_plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
         attacker_position=cfg.attacker_position_m,
@@ -269,7 +269,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     while (
         episodes < cfg.max_episodes
         and not injector.budget_exhausted()
-        and not crew_state.settled
+        and not script.settled(unit.mode)
     ):
         injector.start_episode(t)
         episodes += 1
@@ -296,10 +296,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             if adv is not None and adv.level == "TA" and not ta_handled:
                 ta_handled = True
                 log.add(tc, "advisory", {"level": "TA", "episode": episodes})
-                action = crew.tcas_act(adv, crew_state, policy, rng)
+                action = crew.tcas_act(adv, unit, script)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
-                if action == crew.SET_STANDBY:
-                    unit.set_mode(tcas.STANDBY)
                 if unit.mode != tcas.TA_RA:
                     break
                 bound, band = injector.first_cycle_within(th.tau_ra_s), th.ra_band_ft
@@ -309,12 +307,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                     "level": "RA", "episode": episodes,
                     "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
                 })
-                action = crew.tcas_act(adv, crew_state, policy, rng)
+                action = crew.tcas_act(adv, unit, script)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
-                if action == crew.SET_TA_ONLY:
-                    unit.set_mode(tcas.TA_ONLY)
-                elif action == crew.SET_STANDBY:
-                    unit.set_mode(tcas.STANDBY)
                 break
             # The first cycle that can raise the next advisory.
             nxt = k + 1
@@ -340,8 +334,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         t = tc + cfg.inter_episode_gap_s
 
     final_mode = unit.mode
-    if crew_state.settled and crew_state.final_mode == final_mode:
-        final_action = crew_state.final_action
+    if script.settled(final_mode):
+        final_action = script.final_action
     elif final_mode == tcas.TA_RA:
         final_action = crew.CONTINUE
     else:
@@ -358,8 +352,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         "final_mode": final_mode,
         "final_action": final_action,
         "episodes": episodes,
-        "ras_observed": crew_state.ra_count,
-        "tas_after_downgrade": crew_state.ta_count_since_downgrade,
+        "ras_observed": script.ra_count,
+        "tas_after_downgrade": script.ta_count_since_downgrade,
     })
     return log
 
@@ -368,42 +362,51 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 # displaced-glideslope approach
 
 
+def flown_glideslope(cfg: ScenarioConfig) -> ils.GlideslopeTx:
+    """The transmitter whose path a glideslope approach flies: the one of
+    highest power.  `ils.receive` captures by received power (1/d^2) instead,
+    so the nearby genuine transmitter recaptures below a crossover height (see
+    _GS_EVAL_FLOOR_FT); the mismatch is open in ROADMAP item 2."""
+
+    return max(cfg.glideslope, key=lambda tx: tx.tx_power)
+
+
+def gs_eval_agl(go_around_agl_ft: float) -> float:
+    """Height of the glideslope/visual cross-check for a crew that goes around
+    at ``go_around_agl_ft``: that height, or _GS_EVAL_FLOOR_FT if higher."""
+
+    return max(go_around_agl_ft, _GS_EVAL_FLOOR_FT)
+
+
+def gs_path_state(cfg: ScenarioConfig, agl_ft: float, t: float) -> world.AircraftState:
+    """Aircraft centred on the flown glideslope path at the given height."""
+
+    runway, tx = cfg.runway, flown_glideslope(cfg)
+    antenna_along = runway.threshold_position + tx.antenna_position
+    height = ft_to_m(agl_ft)
+    along = antenna_along - height / math.tan(math.radians(tx.path_angle))
+    return world.AircraftState(
+        time=t,
+        ground_position=(along, 0.0),
+        altitude_msl=runway.elevation + height,
+        vertical_speed=-fpm_to_mps(cfg.approach_descent_rate_fpm),
+        ground_speed=kn_to_mps(cfg.approach_ground_speed_kn),
+        heading=runway.true_bearing,
+        frame_bearing=runway.true_bearing,
+    )
+
+
 def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    runway, policy, txs = cfg.runway, cfg.gs_policy, cfg.glideslope
-    attack = cfg.attacker_enabled
-
-    vs = -fpm_to_mps(cfg.approach_descent_rate_fpm)
-    gs_mps = kn_to_mps(cfg.approach_ground_speed_kn)
-    rate_fps = -m_to_ft(vs)
+    runway, txs = cfg.runway, cfg.glideslope
+    rate_fps = m_to_ft(fpm_to_mps(cfg.approach_descent_rate_fpm))
     start_agl = cfg.approach_start_agl_ft
-    # Fly the path of the highest-power transmitter.  `ils.receive` captures
-    # by received power (1/d^2) instead, so the nearby genuine transmitter
-    # recaptures below a crossover height (see _GS_EVAL_FLOOR_FT); the
-    # mismatch is open in ROADMAP item 2.
-    captured = max(txs, key=lambda tx: tx.tx_power)
-    antenna_along = runway.threshold_position + captured.antenna_position
 
-    def state_on_path(agl_ft: float, t: float) -> world.AircraftState:
-        """Aircraft centred on the captured path at the given height."""
-
-        height = ft_to_m(agl_ft)
-        along = antenna_along - height / math.tan(math.radians(captured.path_angle))
-        return world.AircraftState(
-            time=t,
-            ground_position=(along, 0.0),
-            altitude_msl=runway.elevation + height,
-            vertical_speed=vs,
-            ground_speed=gs_mps,
-            heading=runway.true_bearing,
-            frame_bearing=runway.true_bearing,
-        )
-
-    crew_state = crew.sample_gs_crew(policy, rng)
-    eval_agl = max(crew_state.go_around_agl_ft, _GS_EVAL_FLOOR_FT)
+    script = crew.sample_gs_crew(cfg.gs_policy, rng)
+    eval_agl = gs_eval_agl(script.go_around_agl_ft)
     t_eval = (start_agl - eval_agl) / rate_fps
-    aircraft = state_on_path(eval_agl, t_eval)
+    aircraft = gs_path_state(cfg, eval_agl, t_eval)
     indication = ils.receive(aircraft, txs, runway)
     papi_ind = ils.papi(aircraft, runway, nominal_angle=txs[0].path_angle)
     log.add(t_eval, "gs_indication", {
@@ -414,25 +417,24 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         "agl_ft": eval_agl,
     })
 
-    action = crew.gs_act(indication, papi_ind, crew_state)
-    if action.kind == crew.GO_AROUND:
-        t_ga = (start_agl - crew_state.go_around_agl_ft) / rate_fps
+    if crew.gs_act(indication, papi_ind, script) == crew.GO_AROUND:
+        t_ga = (start_agl - script.go_around_agl_ft) / rate_fps
         log.add(t_ga, "crew_action", {
             "approach": 1, "action": crew.GO_AROUND,
-            "agl_ft": crew_state.go_around_agl_ft,
+            "agl_ft": script.go_around_agl_ft,
         })
-        log.add(t_ga, "fallback_selected", {"approach_type": action.approach_type})
+        log.add(t_ga, "fallback_selected", {"approach_type": script.fallback})
         # Second approach flown with the fallback procedure; no glideslope.
         t_land = t_ga + 300.0 + start_agl / rate_fps
         log.finish(t_land, "LANDED_FALLBACK", {
-            "approach": 2, "approach_type": action.approach_type,
+            "approach": 2, "approach_type": script.fallback,
         })
         return log
 
-    # Continue: descend the captured path to the surface.
+    # Continue: descend the flown path to the surface.
     t_land = (start_agl - 0.0) / rate_fps
-    touchdown_along = antenna_along
-    long_landing = attack and touchdown_along > runway.touchdown_zone_position
+    touchdown_along = gs_path_state(cfg, 0.0, t_land).along_track
+    long_landing = cfg.attacker_enabled and touchdown_along > runway.touchdown_zone_position
     log.add(t_land, "crew_action", {"approach": 1, "action": "LAND"})
     log.finish(t_land, "LANDED", {
         "approach": 1,

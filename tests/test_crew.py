@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spoofsim import crew, tcas
+from spoofsim.harness import run
+from spoofsim.harness.config import make_config
+from spoofsim.harness.runner import trial_seeds
 from spoofsim.ils import GsIndication, PapiIndication
 
 
@@ -138,54 +141,55 @@ def ta_event():
 
 
 def test_tcas_act_downgrade_path():
-    policy = crew.TcasPolicy()
-    rng = np.random.default_rng(5)
+    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=True, will_standby=True, ra_threshold=3, ta_threshold=2,
         final_action=crew.CONTINUE,
     )
-    assert crew.tcas_act(ra_event(), c, policy, rng) == crew.FOLLOW_RA
-    assert crew.tcas_act(ra_event(), c, policy, rng) == crew.FOLLOW_RA
-    assert crew.tcas_act(ra_event(), c, policy, rng) == crew.SET_TA_ONLY
-    assert c.mode == tcas.TA_ONLY
-    assert crew.tcas_act(ta_event(), c, policy, rng) == crew.CONTINUE
-    assert crew.tcas_act(ta_event(), c, policy, rng) == crew.SET_STANDBY
-    assert c.mode == tcas.STANDBY
-    assert c.settled
+    assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
+    assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
+    assert unit.mode == tcas.TA_RA
+    assert crew.tcas_act(ra_event(), unit, c) == crew.SET_TA_ONLY
+    assert unit.mode == tcas.TA_ONLY
+    assert not c.settled(unit.mode)
+    assert crew.tcas_act(ta_event(), unit, c) == crew.CONTINUE
+    assert crew.tcas_act(ta_event(), unit, c) == crew.SET_STANDBY
+    assert unit.mode == tcas.STANDBY
+    assert c.settled(unit.mode)
+    assert (c.ra_count, c.ta_count_since_downgrade) == (3, 2)
 
 
 def test_tcas_act_straight_to_standby():
-    policy = crew.TcasPolicy()
-    rng = np.random.default_rng(6)
+    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=True, will_standby=True, ra_threshold=1, ta_threshold=0,
         final_action=crew.CONTINUE,
     )
-    assert crew.tcas_act(ra_event(), c, policy, rng) == crew.SET_STANDBY
-    assert c.mode == tcas.STANDBY
+    assert crew.tcas_act(ra_event(), unit, c) == crew.SET_STANDBY
+    assert unit.mode == tcas.STANDBY
+    assert c.settled(unit.mode)
 
 
 def test_tcas_act_never_downgrades():
-    policy = crew.TcasPolicy()
-    rng = np.random.default_rng(7)
+    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=False, will_standby=False, ra_threshold=4, ta_threshold=2,
         final_action=crew.CONTINUE,
     )
     for _ in range(20):
-        assert crew.tcas_act(ra_event(), c, policy, rng) == crew.FOLLOW_RA
-    assert c.mode == tcas.TA_RA
-    assert not c.settled
+        assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
+    assert unit.mode == tcas.TA_RA
+    assert not c.settled(unit.mode)
 
 
 def test_tcas_act_rejects_inconsistent_events():
-    policy = crew.TcasPolicy()
-    rng = np.random.default_rng(8)
-    c = crew.TcasCrewState(True, True, 1, 0, crew.CONTINUE, mode=tcas.STANDBY)
+    unit = tcas.TcasUnit(mode=tcas.STANDBY)
+    c = crew.TcasCrewState(True, True, 1, 0, crew.CONTINUE)
     with pytest.raises(ValueError):
-        crew.tcas_act(ra_event(), c, policy, rng)
+        crew.tcas_act(ra_event(), unit, c)
     with pytest.raises(ValueError):
-        crew.tcas_act(ta_event(), c, policy, rng)
+        crew.tcas_act(ta_event(), unit, c)
+    assert unit.mode == tcas.STANDBY
 
 
 def test_tcas_action_tables_condition_on_final_mode():
@@ -203,17 +207,36 @@ def centred_indication():
 
 
 def test_gs_act_conflict_triggers_go_around():
-    script = crew.GsCrewState(will_go_around=True, go_around_agl_ft=900.0, fallback="RNAV")
-    act = crew.gs_act(centred_indication(), PapiIndication(whites=4), script)
-    assert act.kind == crew.GO_AROUND
-    assert act.approach_type == "RNAV"
+    script = crew.GsCrewState(go_around_agl_ft=900.0, fallback="RNAV")
+    assert crew.gs_act(centred_indication(), PapiIndication(whites=4), script) == crew.GO_AROUND
+    # A crew that does not go around continues despite the conflict.
+    script = crew.GsCrewState(go_around_agl_ft=900.0, fallback=None)
+    assert crew.gs_act(centred_indication(), PapiIndication(whites=4), script) == crew.CONTINUE
 
 
 def test_gs_act_no_conflict_continues():
-    script = crew.GsCrewState(will_go_around=True, go_around_agl_ft=900.0, fallback="SRA")
+    script = crew.GsCrewState(go_around_agl_ft=900.0, fallback="SRA")
     # Two whites: the visual picture agrees with the centred glideslope.
-    act = crew.gs_act(centred_indication(), PapiIndication(whites=2), script)
-    assert act.kind == crew.CONTINUE
+    assert crew.gs_act(centred_indication(), PapiIndication(whites=2), script) == crew.CONTINUE
+
+
+def test_gs_go_around_flies_the_sampled_fallback():
+    """A GS trial that goes around flies its crew's sampled fallback; one
+    whose crew sampled none lands on the glideslope."""
+
+    cfg = make_config({"version": 1, "scenario": "GS", "trials": 60, "master_seed": 1})
+    outcomes = set()
+    for log, seed in zip(run(cfg), trial_seeds(cfg.master_seed, cfg.trials)):
+        script = crew.sample_gs_crew(cfg.gs_policy, np.random.default_rng(seed))
+        outcomes.add(log.outcome)
+        if log.outcome == "LANDED_FALLBACK":
+            assert script.fallback is not None
+            assert log.events[-1]["payload"]["approach_type"] == script.fallback
+            assert [e["payload"]["approach_type"]
+                    for e in log.iter_kind("fallback_selected")] == [script.fallback]
+        elif script.fallback is None:
+            assert log.outcome == "LANDED"
+    assert outcomes == {"LANDED", "LANDED_FALLBACK"}
 
 
 def test_gs_crew_sampling():
@@ -223,9 +246,9 @@ def test_gs_crew_sampling():
     for _ in range(30_000):
         c = crew.sample_gs_crew(policy, rng)
         agls.append(c.go_around_agl_ft)
-        go += c.will_go_around
+        go += c.fallback is not None
         assert 200.0 <= c.go_around_agl_ft <= 1500.0
-        assert (c.fallback is None) == (not c.will_go_around)
+        assert c.fallback is None or c.fallback in policy.fallback_approaches
     assert abs(go / 30_000 - 26 / 30) < 0.01
     assert math.isclose(float(np.mean(agls)), 930.0, abs_tol=5.0)
     assert math.isclose(float(np.std(agls)), 235.8, abs_tol=10.0)

@@ -167,6 +167,83 @@ def test_terrain_above_approach_path_rejected(tmp_path, capsys):
                                     "terrain": [[-9000, 100], [0, 100.5], [2600, 100]]})
 
 
+def _cli_rejects(tmp_path, capsys, data, pattern):
+    """`validate-config` and `run` both exit 2 on `data`, with `pattern` in
+    the error, and `run` writes no output directory."""
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert re.search(pattern, capsys.readouterr().err)
+    assert main(["run", "--config", str(path), "--trials", "3",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert re.search(pattern, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, field, also", [
+    ({"attacker": {"gs": {"shift_m": 2899}}}, "attacker.gs.shift_m", "shift_m"),
+    ({"attacker": {"gs": {"shift_m": 3000}}}, "attacker.gs.shift_m", "shift_m"),
+    ({"attacker": {"gs": {"shift_m": 4100}}}, "attacker.gs.shift_m", "shift_m"),
+    ({"world": {"runway": {"touchdown_zone_offset_m": 1200}}}, "attacker.gs.shift_m",
+     "world.runway.touchdown_zone_offset_m"),
+    ({"attacker": {"gs": {"path_angle_deg": 6}}}, "attacker.gs.shift_m",
+     "attacker.gs.path_angle_deg"),
+    # A rogue transmitter weaker than the genuine one: the genuine path is flown.
+    ({"world": {"runway": {"touchdown_zone_offset_m": 3500, "length_m": 5000}},
+      "attacker": {"gs": {"tx_power_w": 1}}}, "world.runway.touchdown_zone_offset_m",
+     "world.runway.touchdown_zone_offset_m"),
+], ids=["shift-2899", "shift-3000", "shift-4100", "tdz-1200", "angle-6", "genuine-flown"])
+def test_gs_check_past_threshold_rejected(tmp_path, capsys, override, field, also):
+    """The glideslope cross-check at its lowest, max(go_around_agl_lo_ft,
+    550 ft) on the flown path, must come before the runway threshold (and so
+    before both transmitters); these runs used to exit 3 mid-run.  Every
+    scenario rejects them with exit 2, naming the field that places the
+    flown transmitter and the one changed."""
+
+    for scenario in ("GPWS", "TCAS", "GS"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: .*threshold") as err:
+            make_config({"version": 1, "scenario": scenario, **override})
+        assert also in str(err.value) and "go_around_agl_lo_ft" in str(err.value)
+    _cli_rejects(tmp_path, capsys, {"version": 1, "scenario": "GS", **override},
+                 rf"{re.escape(field)}: ")
+
+
+@pytest.mark.parametrize("override", [
+    {"attacker": {"gs": {"shift_m": 2898}}},
+    # A higher lowest check, 700 ft, lies before the threshold.
+    {"attacker": {"gs": {"shift_m": 3000}}, "policies": {"gs": {"go_around_agl_lo_ft": 700}}},
+    # No rogue transmitter: the genuine path is flown.
+    {"attacker": {"enabled": False, "gs": {"shift_m": 4100}}},
+], ids=["shift-2898", "shift-3000-lo-700", "no-attacker"])
+def test_gs_check_before_threshold_runs(tmp_path, override):
+    cfg = make_config({"version": 1, "scenario": "GS", "trials": 40, **override})
+    assert len(run(cfg)) == 40
+
+
+@pytest.mark.parametrize("override", [
+    {"world": {"approach": {"start_agl_ft": 500}}},
+    {"world": {"approach": {"start_agl_ft": 1400}}},
+    {"policies": {"gs": {"go_around_agl_hi_ft": 3000, "go_around_agl_mean_ft": 1500}}},
+], ids=["start-500", "start-1400", "hi-3000"])
+def test_gs_go_around_above_approach_start_rejected(tmp_path, capsys, override):
+    """A crew go-around height, or the glideslope check (no lower than
+    550 ft), above the approach start came before t = 0 (the first event at
+    t = -38.08 s for a 500 ft start).  Every scenario rejects it with exit 2;
+    a go-around ceiling at the start height runs with no event before t = 0."""
+
+    pattern = r"^world\.approach\.start_agl_ft: .*policies\.gs\.go_around_agl_hi_ft"
+    for scenario in ("GPWS", "TCAS", "GS", "BASELINE"):
+        with pytest.raises(ConfigError, match=pattern):
+            make_config({"version": 1, "scenario": scenario, **override})
+    _cli_rejects(tmp_path, capsys, {"version": 1, "scenario": "GS", **override},
+                 pattern.lstrip("^"))
+    cfg = make_config({"version": 1, "scenario": "GS", "trials": 40,
+                       "world": {"approach": {"start_agl_ft": 1200}},
+                       "policies": {"gs": {"go_around_agl_hi_ft": 1200}}})
+    assert min(e["t"] for log in run(cfg) for e in log.events) >= 0.0
+
+
 @pytest.mark.parametrize("text, field", [
     ('{"version": 1, "scenario": "GPWS", "world": {"terrain": [[-9000, NaN], [2600, 100]]}}',
      r"world\.terrain\.0\.1: must be a finite number, got nan"),

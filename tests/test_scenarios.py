@@ -196,6 +196,41 @@ def test_tcas_encounters_reach_resolution_advisories(override):
     assert counts["RA"] > 0, dict(counts)
 
 
+@pytest.mark.parametrize("override", [
+    pytest.param({}, id="defaults"),
+    pytest.param({"policies": {"tcas": {"p_downgrade": 0.0}}}, id="never-downgrade"),
+    pytest.param({"policies": {"tcas": {"p_downgrade": 1.0, "p_standby_given_downgrade": 1.0}}},
+                 id="always-standby"),
+    # The first RA spends the budget, often before the crew's path ends.
+    pytest.param({"attacker": {"tcas": {"alert_budget": 1}}}, id="budget-1"),
+])
+def test_tcas_run_outcome_invariants(override):
+    """Whatever path a crew takes, and wherever the run stops on it, its final
+    action is one the policy allows for the mode reached (CONTINUE in TA/RA),
+    it observes no more RAs than the attacker's budget and no more episodes
+    than allowed, and no episode raises its RA before its TA."""
+
+    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 200, "master_seed": SEED,
+                       **override})
+    table = cfg.tcas_policy.action_given_final_mode
+    for log in run(cfg):
+        end = log.events[-1]["payload"]
+        mode, action = end["final_mode"], end["final_action"]
+        assert table[mode].get(action, 0.0) > 0.0, end
+        assert mode != tcas.TA_RA or action == crew.CONTINUE, end
+        assert end["ras_observed"] <= cfg.false_intruder_plan.alert_budget, end
+        assert end["episodes"] <= cfg.max_episodes, end
+        with_ta = set()
+        for event in log.iter_kind("advisory"):
+            level, episode = event["payload"]["level"], event["payload"]["episode"]
+            if level == "TA":
+                with_ta.add(episode)
+            else:
+                assert episode in with_ta, (log.trial_id, event)
+        assert end["ras_observed"] == sum(
+            e["payload"]["level"] == "RA" for e in log.iter_kind("advisory")), end
+
+
 def _tcas_trial_1hz(cfg, trial_id, seed):
     """`tcas_trial` with a plain 1 Hz encounter loop, the reference the
     scheduled one must match: cycles run at t + k for k = 0, 1, 2, ..., each
@@ -225,7 +260,7 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
     )
     t, episodes = 0.0, 0
     while (episodes < cfg.max_episodes and not injector.budget_exhausted()
-           and not crew_state.settled):
+           and not crew_state.settled(unit.mode)):
         injector.start_episode(t)
         episodes += 1
         log.add(t, "episode_start", {
@@ -248,10 +283,8 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
             if adv.level == "TA" and not ta_handled:
                 ta_handled = True
                 log.add(tc, "advisory", {"level": "TA", "episode": episodes})
-                action = crew.tcas_act(adv, crew_state, policy, rng)
+                action = crew.tcas_act(adv, unit, crew_state)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
-                if action == crew.SET_STANDBY:
-                    unit.set_mode(tcas.STANDBY)
                 if unit.mode != tcas.TA_RA:
                     break
             elif adv.level == "RA":
@@ -260,12 +293,8 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
                     "level": "RA", "episode": episodes,
                     "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
                 })
-                action = crew.tcas_act(adv, crew_state, policy, rng)
+                action = crew.tcas_act(adv, unit, crew_state)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
-                if action == crew.SET_TA_ONLY:
-                    unit.set_mode(tcas.TA_ONLY)
-                elif action == crew.SET_STANDBY:
-                    unit.set_mode(tcas.STANDBY)
                 break
         if sample is not None:
             log.add(tc, "surveillance", sample.to_record())
@@ -274,7 +303,7 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
         t = tc + cfg.inter_episode_gap_s
 
     final_mode = unit.mode
-    if crew_state.settled and crew_state.final_mode == final_mode:
+    if crew_state.settled(final_mode):
         final_action = crew_state.final_action
     elif final_mode == tcas.TA_RA:
         final_action = crew.CONTINUE
