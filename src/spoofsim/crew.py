@@ -108,6 +108,20 @@ def sample_categorical(rng: np.random.Generator, dist: Dict[str, float]) -> str:
     return key  # guard against floating-point shortfall
 
 
+class PolicyFieldError(ValueError):
+    """A policy field that its sampler cannot use; the message starts with
+    the field's name (and, in a table, its row)."""
+
+
+def _check_bounded_mean(name: str, mean: float, lo: float, hi: float = math.inf) -> None:
+    """A clipped draw keeps its configured mean only for a mean strictly
+    inside the clip bounds (`truncated_normal`)."""
+
+    if not lo < mean < hi:
+        raise PolicyFieldError(
+            f"{name}: mean {mean} must lie strictly inside its sampler's bounds ({lo}, {hi})")
+
+
 def _check_distribution(dist: Dict[str, float], name: str) -> None:
     if abs(sum(dist.values()) - 1.0) > 1e-9:
         raise ValueError(f"{name} probabilities must sum to 1")
@@ -181,6 +195,8 @@ class GpwsPolicy:
     def __post_init__(self) -> None:
         for i, dist in enumerate(self.approach_actions):
             _check_distribution(dist, f"approach {i + 1} actions")
+        _check_bounded_mean("reaction_latency_mean_s", self.reaction_latency_mean_s,
+                            REACTION_LATENCY_FLOOR_S)
 
     def action_table(self, approach_index: int) -> Dict[str, float]:
         idx = min(approach_index, len(self.approach_actions)) - 1
@@ -210,6 +226,8 @@ def gpws_reaction_latency(policy: GpwsPolicy, rng: np.random.Generator) -> float
 #: Standby (0: straight from full alerting).
 MIN_RAS_BEFORE_TA_ONLY = 1
 MIN_EXTRA_TAS_BEFORE_STANDBY = 0
+#: What a crew does at the end of a run, by the mode it ends in.
+TCAS_FINAL_ACTIONS = (CONTINUE, AVOIDANCE, DIVERT)
 
 
 @dataclass(frozen=True)
@@ -234,8 +252,33 @@ class TcasPolicy:
     def __post_init__(self) -> None:
         if not 0 <= self.p_downgrade <= 1 or not 0 <= self.p_standby_given_downgrade <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
-        for mode, dist in self.action_given_final_mode.items():
+        _check_bounded_mean("ras_before_ta_only_mean", self.ras_before_ta_only_mean,
+                            float(MIN_RAS_BEFORE_TA_ONLY))
+        _check_bounded_mean("extra_tas_before_standby_mean",
+                            self.extra_tas_before_standby_mean,
+                            float(MIN_EXTRA_TAS_BEFORE_STANDBY))
+        # The table replaces the built-in one whole, so it needs every row.
+        name, table = "action_given_final_mode", self.action_given_final_mode
+        modes = (tcas.TA_RA, tcas.TA_ONLY, tcas.STANDBY)
+        missing = [mode for mode in modes if mode not in table]
+        if missing:
+            raise PolicyFieldError(
+                f"{name}: needs a row for each of {', '.join(modes)}; "
+                f"missing {', '.join(missing)}")
+        for mode, dist in table.items():
+            if mode not in modes:
+                raise PolicyFieldError(f"{name}.{mode}: unknown mode, expected one of "
+                                       f"{', '.join(modes)}")
+            unknown = [action for action in dist if action not in TCAS_FINAL_ACTIONS]
+            if unknown:
+                raise PolicyFieldError(f"{name}.{mode}: unknown action {unknown[0]!r}, "
+                                       f"expected one of {', '.join(TCAS_FINAL_ACTIONS)}")
             _check_distribution(dist, f"actions for final mode {mode}")
+        # A run that ends in TA/RA continues; its row is drawn but never used.
+        if table[tcas.TA_RA] != {CONTINUE: 1.0}:
+            raise PolicyFieldError(
+                f"{name}.{tcas.TA_RA}: must be {{{CONTINUE!r}: 1}}, got {table[tcas.TA_RA]}; "
+                f"a run that ends in TA/RA continues")
 
 
 @dataclass
@@ -355,6 +398,8 @@ class GsPolicy:
 
     def __post_init__(self) -> None:
         _check_distribution(self.fallback_approaches, "fallback approaches")
+        _check_bounded_mean("go_around_agl_mean_ft", self.go_around_agl_mean_ft,
+                            self.go_around_agl_lo_ft, self.go_around_agl_hi_ft)
 
 
 @dataclass

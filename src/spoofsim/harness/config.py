@@ -308,10 +308,14 @@ def validate_config_dict(data: Dict[str, Any]) -> None:
 
 
 def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """`make(*args, **kwargs)`; its ValueError/TypeError is a config error at `path`."""
+    """`make(*args, **kwargs)`; its ValueError/TypeError is a config error at
+    `path`, or at the policy field below it that a `crew.PolicyFieldError`
+    names."""
 
     try:
         return make(*args, **kwargs)
+    except crew.PolicyFieldError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

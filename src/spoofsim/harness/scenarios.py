@@ -18,8 +18,10 @@ mid-run (the terrain crosses its activation floor), every cycle runs.
 A TCAS surveillance cycle evaluates its geometry once: the cruise state
 keeps its value for the last time asked, so the own position, the claimed
 intruder position and the activation-floor check at one cycle time share one
-``world.step``; the injector's one reply per cycle reads the terrain and its
-claimed position once.
+``world.step``; the injector's one claim per cycle reads the terrain and its
+claimed position once.  The claim is plain floats and updates the track in
+place; only the encounter's first reply, the one its log keeps, becomes a
+`tcas.SurveillanceMessage`.
 """
 
 from __future__ import annotations
@@ -233,9 +235,10 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     )
     state_fn = _cruise_state_fn(initial)
 
+    lo, hi = terrain.domain
+
     def agl_fn(t: float) -> float:
         s = state_fn(t)
-        lo, hi = terrain.domain
         along = min(max(s.along_track, lo), hi)  # hold last profile value beyond the edge
         return m_to_ft(s.altitude_msl - terrain.elevation_at(along))
 
@@ -278,8 +281,9 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             "bearing_deg": injector._bearing, "closure_mps": injector._speed,
         })
         ta_handled = False
-        # The encounter's first adversarial reply, kept for integrity analysis.
-        sample: Optional[tcas.SurveillanceMessage] = None
+        # The time and claim of the encounter's first adversarial reply, kept
+        # for integrity analysis.
+        sample: Optional[tuple] = None
         k_end = injector.floor_cycle()
         # The next advisory, and no cycle before `bound` can raise it: the TA
         # first, as nothing tighter can fire before it (tau_ra_s and
@@ -289,9 +293,9 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         while True:
             tc = t + k
             own = state_fn(tc)
-            replies = unit.mode_s_cycle(own, (injector,), tc)
-            if sample is None and replies:
-                sample = replies[0]
+            claims = unit.mode_s_cycle(own, (injector,), tc)
+            if sample is None and claims:
+                sample = tc, claims[0]
             adv = unit.advise(own, tc) if advising else None
             if adv is not None and adv.level == "TA" and not ta_handled:
                 ta_handled = True
@@ -328,7 +332,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             k, advising = (nxt, True) if nxt == k + 1 else (nxt - 1, False)
 
         if sample is not None:
-            log.add(tc, "surveillance", sample.to_record())
+            log.add(tc, "surveillance", injector.reply(*sample).to_record())
         unit.tracks.clear()
         injector.end_episode()
         t = tc + cfg.inter_episode_gap_s

@@ -1,18 +1,21 @@
 """Mode C / Mode S surveillance, TA/RA advisory logic and false-intruder injection.
 
-A Mode S cycle asks each responder (a transponder or the attacker) for its
-reply directly, once per second.  Replies carry the position the responder
-wants the victim to reconstruct (`claimed_position`) beside the physical
-emission point (`position`), so time-of-arrival checks can be run over them.
-`Channel` serves the Mode C whisper-shout only.  Bit-level 1030/1090 MHz
-framing is out of scope.
+A Mode S cycle asks each responder (a transponder or the attacker) for the
+content of its reply directly, once per second: a `Claim` of plain floats,
+from which the cycle updates the track of the reply's id in place.  Only a
+reply that is kept becomes a `SurveillanceMessage` (`respond_mode_s`, or
+`FalseIntruderInjector.reply` for a claim a cycle returned); a message
+carries the position the responder wants the victim to reconstruct
+(`claimed_position`) beside the physical emission point (`position`), so
+time-of-arrival checks can be run over it.  `Channel` serves the Mode C
+whisper-shout only.  Bit-level 1030/1090 MHz framing is out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +47,11 @@ RA_RATE_FPM = 1500.0
 MODE_C_BEARING_ERROR_DEG = 10.0
 #: Closest horizontal range a false intruder claims, m.
 CLAIM_FLOOR_M = 50.0
+
+
+#: The content of a Mode S reply, as a surveillance cycle reads it:
+#: (icao_id, altitude ft, claimed position (x, y, z) m).
+Claim = Tuple[int, float, Tuple[float, float, float]]
 
 
 def free_space_path_loss_db(distance_m: float) -> float:
@@ -153,6 +161,16 @@ def own_position_3d(state: AircraftState) -> np.ndarray:
     )
 
 
+def slant_range(own: Sequence[float], other: Sequence[float]) -> float:
+    """Distance between two (x, y, z) points, equal to the last bit to
+    ``np.linalg.norm`` of their difference: it makes the same reduction,
+    the square root of the difference's dot product with itself.  (A plain
+    sum of squares, or ``math.hypot``, rounds differently.)"""
+
+    d = np.array((other[0] - own[0], other[1] - own[1], other[2] - own[2]))
+    return math.sqrt(d.dot(d))
+
+
 class Transponder:
     """Genuine aircraft transponder (Mode S or Mode C)."""
 
@@ -186,6 +204,15 @@ class Transponder:
             kind=kind, timestamp=t, icao_id=icao_id, altitude=self.altitude_ft(t),
             tx_power=self.tx_power, position=pos, claimed_position=pos,
         )
+
+    def claim(self, t: float) -> Optional[Claim]:
+        """The content of the Mode S reply at t; None for Mode C."""
+
+        if self.mode != "S":
+            return None
+        state = self.state_fn(t)
+        x, y = state.ground_position
+        return self.icao_id, m_to_ft(state.altitude_msl), (x, y, state.altitude_msl)
 
     def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
         return self._reply(MODE_S_REPLY, t, self.icao_id) if self.mode == "S" else None
@@ -237,37 +264,44 @@ class TcasUnit:
         self,
         key,
         t: float,
-        own_pos: np.ndarray,
+        own_pos: Sequence[float],
         own_alt_ft: float,
-        claimed: np.ndarray,
+        claimed: Sequence[float],
         reply_alt_ft: float,
         bearing_noise_deg: float,
         icao_id: Optional[int],
     ) -> Optional[IntruderTrack]:
-        slant = float(np.linalg.norm(claimed - own_pos))
+        """The track of ``key`` after this reply: a new one for a new key,
+        else the live track updated in place.  None for a zero range."""
+
+        slant = slant_range(own_pos, claimed)
         if slant <= 0:
             return None
         bearing = _bearing_between(own_pos, claimed)
         if bearing_noise_deg:
             bearing = (bearing + float(self.rng.uniform(-bearing_noise_deg, bearing_noise_deg))) % 360.0
-        prev = self.tracks.get(key)
-        if prev is not None:
-            # A duplicate address farther out than the live track is ignored.
-            if icao_id is not None and slant > prev.slant_range * 1.5 and t == prev.last_update:
-                return prev
-            dt = t - prev.last_update
-            closure = (prev.slant_range - slant) / dt if dt > 0 else prev.closure_rate
-        else:
-            closure = 0.0
-        track = IntruderTrack(
-            icao_id=icao_id,
-            slant_range=slant,
-            bearing=bearing,
-            relative_altitude=reply_alt_ft - own_alt_ft,
-            closure_rate=closure,
-            last_update=t,
-        )
-        self.tracks[key] = track
+        track = self.tracks.get(key)
+        if track is None:
+            track = IntruderTrack(
+                icao_id=icao_id,
+                slant_range=slant,
+                bearing=bearing,
+                relative_altitude=reply_alt_ft - own_alt_ft,
+                closure_rate=0.0,
+                last_update=t,
+            )
+            self.tracks[key] = track
+            return track
+        # A duplicate address farther out than the live track is ignored.
+        if icao_id is not None and slant > track.slant_range * 1.5 and t == track.last_update:
+            return track
+        dt = t - track.last_update
+        if dt > 0:
+            track.closure_rate = (track.slant_range - slant) / dt
+        track.slant_range = slant
+        track.bearing = bearing
+        track.relative_altitude = reply_alt_ft - own_alt_ft
+        track.last_update = t
         return track
 
     def drop_stale(self, t: float) -> None:
@@ -277,27 +311,34 @@ class TcasUnit:
 
     def mode_s_cycle(
         self, own: AircraftState, responders: Sequence, t: float
-    ) -> List[SurveillanceMessage]:
-        """One interrogation round: each responder's Mode S reply updates the
-        track of the id it carries.  Returns the replies."""
+    ) -> List[Claim]:
+        """One interrogation round: each responder's Mode S claim updates the
+        track of the id it carries.  Returns the claims, in responder order;
+        no message is built."""
 
         if self.mode == STANDBY:
             return []
-        own_pos = own_position_3d(own)
+        x, y = own.ground_position
+        own_pos = (x, y, own.altitude_msl)
         own_alt_ft = m_to_ft(own.altitude_msl)
-        replies = []
+        claims = []
+        updated = None
         for responder in responders:
-            reply = responder.respond_mode_s(t)
-            if reply is None:
+            claim = responder.claim(t)
+            if claim is None:
                 continue
-            replies.append(reply)
-            self._update_track(
-                reply.icao_id, t, own_pos, own_alt_ft,
-                np.array(reply.claimed_position), reply.altitude,
-                bearing_noise_deg=0.0, icao_id=reply.icao_id,
+            claims.append(claim)
+            icao_id, altitude, claimed = claim
+            track = self._update_track(
+                icao_id, t, own_pos, own_alt_ft, claimed, altitude,
+                bearing_noise_deg=0.0, icao_id=icao_id,
             )
-        self.drop_stale(t)
-        return replies
+            if track is not None:
+                updated = track
+        # A lone track that this cycle updated cannot be stale.
+        if updated is None or len(self.tracks) > 1:
+            self.drop_stale(t)
+        return claims
 
     def mode_c_cycle(
         self,
@@ -332,7 +373,7 @@ class TcasUnit:
                 suppressed.add(id(responder))
                 self._update_track(
                     f"anon-{id(responder)}", t, own_pos, own_alt_ft,
-                    np.array(reply.claimed_position), reply.altitude,
+                    reply.claimed_position, reply.altitude,
                     bearing_noise_deg=MODE_C_BEARING_ERROR_DEG, icao_id=None,
                 )
         self.drop_stale(t)
@@ -443,19 +484,20 @@ class FalseIntruderInjector:
 
     # -- virtual intruder geometry ---------------------------------------
 
-    def intruder_position(self, t: float) -> np.ndarray:
-        """Claimed 3-D position at t."""
+    def intruder_position(self, t: float) -> Tuple[float, float, float]:
+        """Claimed 3-D position at t: the target's position plus the offset
+        at the claimed range and bearing."""
 
-        own = own_position_3d(self.target_fn(t))
+        own = self.target_fn(t)
+        x, y = own.ground_position
         r = max(CLAIM_FLOOR_M,
                 self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
         theta = math.radians(self._bearing)
-        offset = np.array([
-            r * math.cos(theta),
-            r * math.sin(theta),
-            ft_to_m(self.plan.vertical_offset),
-        ])
-        return own + offset
+        return (
+            x + r * math.cos(theta),
+            y + r * math.sin(theta),
+            own.altitude_msl + ft_to_m(self.plan.vertical_offset),
+        )
 
     def floor_cycle(self) -> int:
         """The encounter's last surveillance cycle, in whole seconds from its
@@ -488,12 +530,25 @@ class FalseIntruderInjector:
 
     # -- responder interface ----------------------------------------------
 
-    def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
+    def claim(self, t: float) -> Optional[Claim]:
+        """The content of the reply at t; None while inactive."""
+
         if not self.active(t):
             return None
+        altitude = m_to_ft(self.target_fn(t).altitude_msl) + self.plan.vertical_offset
+        return self.icao_id, altitude, self.intruder_position(t)
+
+    def reply(self, t: float, claim: Claim) -> SurveillanceMessage:
+        """The reply message at t carrying ``claim``, sent from the attacker's
+        site."""
+
+        icao_id, altitude, claimed = claim
         return SurveillanceMessage(
-            kind=MODE_S_REPLY, timestamp=t, origin="adversarial", icao_id=self.icao_id,
-            altitude=m_to_ft(self.target_fn(t).altitude_msl) + self.plan.vertical_offset,
-            position=tuple(self.attacker_position),
-            claimed_position=tuple(self.intruder_position(t)),
+            kind=MODE_S_REPLY, timestamp=t, origin="adversarial", icao_id=icao_id,
+            altitude=altitude, position=tuple(self.attacker_position),
+            claimed_position=claimed,
         )
+
+    def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
+        claim = self.claim(t)
+        return None if claim is None else self.reply(t, claim)

@@ -266,6 +266,62 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, text, field):
     assert not (tmp_path / "out").exists()
 
 
+_TABLE = re.escape("policies.tcas.action_given_final_mode")
+
+
+@pytest.mark.parametrize("scenario, policies, field", [
+    ("TCAS", {"tcas": {"action_given_final_mode": {"TA_RA": {"CONTINUE": 1}}}},
+     rf"{_TABLE}: needs a row .*missing TA_ONLY, STANDBY"),
+    ("TCAS", {"tcas": {"action_given_final_mode": {
+        "TA_RA": {"CONTINUE": 1}, "TA_ONLY": {"LAND": 1}, "STANDBY": {"LAND": 1}}}},
+     rf"{_TABLE}\.TA_ONLY: unknown action 'LAND'"),
+    ("TCAS", {"tcas": {"action_given_final_mode": {
+        "TA_RA": {"CONTINUE": 0.5, "DIVERT": 0.5}, "TA_ONLY": {"CONTINUE": 1},
+        "STANDBY": {"CONTINUE": 1}}}},
+     rf"{_TABLE}\.TA_RA: must be"),
+    ("TCAS", {"tcas": {"action_given_final_mode": {
+        "TA_RA": {"CONTINUE": 1}, "TA_ONLY": {"CONTINUE": 1}, "STANDBY": {"CONTINUE": 1},
+        "OFF": {"CONTINUE": 1}}}},
+     rf"{_TABLE}\.OFF: unknown mode"),
+    ("TCAS", {"tcas": {"ras_before_ta_only_mean": 0.5}},
+     r"policies\.tcas\.ras_before_ta_only_mean: mean 0\.5 .*\(1\.0, inf\)"),
+    ("TCAS", {"tcas": {"ras_before_ta_only_mean": 1}},
+     r"policies\.tcas\.ras_before_ta_only_mean: "),
+    ("TCAS", {"tcas": {"extra_tas_before_standby_mean": 0}},
+     r"policies\.tcas\.extra_tas_before_standby_mean: "),
+    ("GPWS", {"gpws": {"reaction_latency_mean_s": 0}},
+     r"policies\.gpws\.reaction_latency_mean_s: "),
+    ("GS", {"gs": {"go_around_agl_mean_ft": 1600}},
+     r"policies\.gs\.go_around_agl_mean_ft: mean 1600 .*\(200\.0, 1500\.0\)"),
+    ("GS", {"gs": {"go_around_agl_mean_ft": 700, "go_around_agl_lo_ft": 700}},
+     r"policies\.gs\.go_around_agl_mean_ft: "),
+], ids=["table-partial", "table-land", "table-ta-ra", "table-unknown-mode",
+        "ras-mean-0.5", "ras-mean-at-floor", "extra-tas-mean-0", "latency-mean-0",
+        "go-around-mean-1600", "go-around-mean-at-lo"])
+def test_unusable_crew_policies_rejected(tmp_path, capsys, scenario, policies, field):
+    """A crew table without a row for every final mode, or with an action the
+    outcome map does not know, died mid-run with a KeyError traceback (exit
+    1); a bounded mean on or outside its sampler's bounds died mid-run with
+    exit 3.  Both commands now reject them with exit 2, naming the field."""
+
+    data = {"version": 1, "scenario": scenario, "policies": policies}
+    with pytest.raises(ConfigError, match="^" + field):
+        make_config(data)
+    _cli_rejects(tmp_path, capsys, data, field)
+
+
+def test_full_crew_table_replaces_the_built_in_one():
+    """A table with a row for every final mode runs, and its rows decide."""
+
+    table = {"TA_RA": {"CONTINUE": 1.0}, "TA_ONLY": {"DIVERT": 1.0},
+             "STANDBY": {"AVOIDANCE": 1.0}}
+    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 40,
+                       "policies": {"tcas": {"action_given_final_mode": table}}})
+    for log in run(cfg):
+        end = log.events[-1]["payload"]
+        assert end["final_action"] in table[end["final_mode"]], end
+
+
 def test_partial_config_merges_over_defaults():
     cfg = make_config({"version": 1, "scenario": "GS", "trials": 7,
                        "attacker": {"gs": {"shift_m": 1000.0}}})

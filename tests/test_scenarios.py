@@ -1,6 +1,7 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
-computation, and each surveillance cycle evaluates it, and builds a message,
-at most once.  The GPWS ramp computes only the sweeps it reads, and neither
+computation, and each surveillance cycle evaluates it at most once; an
+encounter builds one message and one track, and no cycle calls
+`np.linalg.norm`.  The GPWS ramp computes only the sweeps it reads, and neither
 trial calls numpy for a table lookup.  Trials read the objects `make_config`
 built and construct none of their own.  TCAS encounters follow their own
 geometry: the scheduled trial writes the logs of a plain 1 Hz reference loop
@@ -90,21 +91,42 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
         assert counts[name] <= counts["cycle"], (name, counts)
 
 
-def test_tcas_cycle_builds_one_message(monkeypatch):
-    """Work budget: a surveillance cycle builds the injector's reply and no
-    other message, so a TCAS `run()` at N=20 builds at most one
-    `SurveillanceMessage` per cycle."""
+def _tcas_run_counting(monkeypatch, targets):
+    """Calls of each (owner, attribute) in ``targets``, counted as
+    ``"<owner>.<attribute>"``, over a TCAS `run()` at N=20, and its episodes."""
 
     cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
     counts = Counter()
     counting = functools.partial(_counting, counts)
-    monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
-                        counting("cycle", tcas.TcasUnit.mode_s_cycle))
-    monkeypatch.setattr(tcas.SurveillanceMessage, "__init__",
-                        counting("messages", tcas.SurveillanceMessage.__init__))
-    run(cfg)
-    assert counts["messages"] > 0
-    assert counts["messages"] <= counts["cycle"], counts
+    for owner, attr in targets:
+        monkeypatch.setattr(owner, attr,
+                            counting(f"{owner.__name__}.{attr}", getattr(owner, attr)))
+    counts["episodes"] = sum(
+        1 for log in run(cfg) for _ in log.iter_kind("episode_start"))
+    return counts
+
+
+def test_tcas_cycle_builds_one_message(monkeypatch):
+    """Work budget: a surveillance cycle reads the injector's claim and builds
+    no message; only each encounter's logged reply is a
+    `SurveillanceMessage`, so a TCAS `run()` at N=20 builds at most one per
+    `episode_start`."""
+
+    counts = _tcas_run_counting(monkeypatch, [(tcas.SurveillanceMessage, "__init__")])
+    messages = counts["SurveillanceMessage.__init__"]
+    assert 0 < messages <= counts["episodes"], counts
+
+
+def test_tcas_tracks_update_in_place(monkeypatch):
+    """Work budget: an encounter builds its intruder's track once and updates
+    it in place each cycle, and the slant range takes no `np.linalg.norm`
+    call: a TCAS `run()` at N=20 builds at most one `IntruderTrack` per
+    episode and calls `np.linalg.norm` zero times."""
+
+    counts = _tcas_run_counting(
+        monkeypatch, [(tcas.IntruderTrack, "__init__"), (np.linalg, "norm")])
+    assert 0 < counts["IntruderTrack.__init__"] <= counts["episodes"], counts
+    assert counts["numpy.linalg.norm"] == 0, counts
 
 
 def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
@@ -274,9 +296,9 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
         for k in range(k_end + 1):
             tc = t + k
             own = state_fn(tc)
-            replies = unit.mode_s_cycle(own, (injector,), tc)
-            if sample is None and replies:
-                sample = replies[0]
+            claims = unit.mode_s_cycle(own, (injector,), tc)
+            if sample is None and claims:
+                sample = tc, claims[0]
             adv = unit.advise(own, tc)
             if adv is None:
                 continue
@@ -297,7 +319,7 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
                 break
         if sample is not None:
-            log.add(tc, "surveillance", sample.to_record())
+            log.add(tc, "surveillance", injector.reply(*sample).to_record())
         unit.tracks.clear()
         injector.end_episode()
         t = tc + cfg.inter_episode_gap_s

@@ -148,9 +148,9 @@ def test_mode_s_cycle_tracks_squittering_target():
     own = cruise_state()
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     intruder0 = cruise_state(along=9000.0, altitude_m=own.altitude_msl - ft_to_m(500.0))
-    replies = unit.mode_s_cycle(
+    claims = unit.mode_s_cycle(
         own, [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
-    assert [m.icao_id for m in replies] == [0x123456]
+    assert [icao_id for icao_id, _, _ in claims] == [0x123456]
     track = unit.tracks[0x123456]
     assert math.isclose(track.slant_range, math.hypot(9000.0, ft_to_m(500.0)), rel_tol=1e-9)
     assert track.closure_rate == 0.0
@@ -164,8 +164,10 @@ def test_mode_s_cycle_tracks_squittering_target():
 
 def test_mode_s_cycle_standby_is_silent():
     class Unasked(tcas.Transponder):
-        def respond_mode_s(self, t):
+        def claim(self, t):
             raise AssertionError("a Standby unit interrogates no one")
+
+        respond_mode_s = claim
 
     unit = tcas.TcasUnit(mode=tcas.STANDBY)
     responder = Unasked(0x1, "S", fixed_state_fn(cruise_state(along=5000.0)))
@@ -175,7 +177,9 @@ def test_mode_s_cycle_standby_is_silent():
 
 def test_mode_s_cycle_mixed_responders():
     """Mode S transponders and the active injector are tracked under their
-    ids; Mode C transponders and an injector below its floor give no reply."""
+    ids; Mode C transponders and an injector below its floor give no reply.
+    Each claim the cycle returns is the content of the responder's reply
+    message."""
 
     own = cruise_state(altitude_m=ft_to_m(12_000.0))
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
@@ -191,9 +195,11 @@ def test_mode_s_cycle_mixed_responders():
         tcas.Transponder(0x00BBBB, "S", fixed_state_fn(cruise_state(along=-7000.0))),
         tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=-3000.0))),
     ]
-    replies = unit.mode_s_cycle(own, responders, 0.0)
+    claims = unit.mode_s_cycle(own, responders, 0.0)
     ids = [0x00AAAA, active.icao_id, 0x00BBBB]
-    assert [m.icao_id for m in replies] == ids
+    assert [icao_id for icao_id, _, _ in claims] == ids
+    replies = [m for m in (r.respond_mode_s(0.0) for r in responders) if m is not None]
+    assert [(m.icao_id, m.altitude, m.claimed_position) for m in replies] == claims
     assert [m.origin for m in replies] == ["genuine", "adversarial", "genuine"]
     assert sorted(unit.tracks) == sorted(ids)
     assert unit.tracks[active.icao_id].relative_altitude == pytest.approx(-500.0)
@@ -203,6 +209,25 @@ def test_stale_tracks_dropped():
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     unit.tracks[1] = make_track(40.0, -500.0)
     unit.drop_stale(100.0)
+    assert unit.tracks == {}
+
+
+def test_mode_s_cycle_drops_stale_tracks():
+    """A cycle drops a track not updated for longer than the staleness limit,
+    whether another track is updated beside it or no responder replies; the
+    track a cycle updates is the live one, updated in place."""
+
+    own = cruise_state()
+    unit = tcas.TcasUnit(rng=np.random.default_rng(0))
+    first = tcas.Transponder(0x1, "S", fixed_state_fn(cruise_state(along=9000.0)))
+    second = tcas.Transponder(0x2, "S", fixed_state_fn(cruise_state(along=-9000.0)))
+    unit.mode_s_cycle(own, [first], 0.0)
+    track = unit.tracks[0x1]
+    unit.mode_s_cycle(own, [first, second], 1.0)
+    assert unit.tracks[0x1] is track and track.last_update == 1.0
+    unit.mode_s_cycle(own, [second], 1.0 + tcas.TRACK_STALENESS_S + 1.0)
+    assert sorted(unit.tracks) == [0x2]
+    unit.mode_s_cycle(own, [], 2.0 * tcas.TRACK_STALENESS_S + 3.0)
     assert unit.tracks == {}
 
 
@@ -264,6 +289,61 @@ def test_whisper_shout_requires_increasing_steps():
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         unit.mode_c_cycle(cruise_state(), [40.0, 30.0], tcas.Channel(), 0.0)
+
+
+#: Coordinates, m: signed zeros, flight-scale values, and any finite float
+#: (differences of the largest overflow to infinity on both sides).
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e5, max_value=1e5),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_points = st.tuples(_coords, _coords, _coords)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(own=_points, claimed=_points)
+def test_slant_range_equals_numpy_norm(own, claimed):
+    """The surveillance cycle's scalar slant range is equal to the last bit
+    to ``np.linalg.norm`` of the difference vector, so tracks, advisories
+    and logs keep their bytes."""
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.linalg.norm(np.array(claimed) - np.array(own)))
+        assert tcas.slant_range(own, claimed) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    along=_coords.filter(lambda v: abs(v) <= 1e7),
+    cross=_coords.filter(lambda v: abs(v) <= 1e7),
+    altitude=st.floats(min_value=-500.0, max_value=20_000.0),
+    t=st.floats(min_value=0.0, max_value=200.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start_tau=st.floats(min_value=0.5, max_value=120.0),
+    offset_ft=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3000.0, 3000.0)),
+)
+def test_intruder_position_equals_array_sum(along, cross, altitude, t, seed, start_tau,
+                                            offset_ft):
+    """The float-tuple claimed position is bit for bit the array sum it
+    replaced: the own position plus the offset at the claimed range and
+    bearing, element by element."""
+
+    plan = tcas.FalseIntruderPlan(start_tau_s=start_tau, vertical_offset=offset_ft)
+    own = AircraftState(
+        time=0.0, ground_position=(along, cross), altitude_msl=altitude,
+        vertical_speed=0.0, ground_speed=200.0, heading=0.0,
+    )
+    injector = tcas.FalseIntruderInjector(
+        plan, np.random.default_rng(seed), target_fn=fixed_state_fn(own))
+    injector.start_episode(0.0)
+    claimed = injector.intruder_position(t)
+    speed, theta = injector._speed, math.radians(injector._bearing)
+    r = max(tcas.CLAIM_FLOOR_M, speed * plan.start_tau_s - speed * (t - 0.0))
+    expected = tcas.own_position_3d(own) + np.array(
+        [r * math.cos(theta), r * math.sin(theta), ft_to_m(plan.vertical_offset)])
+    assert type(claimed) is tuple and len(claimed) == 3
+    assert [v.hex() for v in claimed] == [float(v).hex() for v in expected]
 
 
 # ---------------------------------------------------------------------------
