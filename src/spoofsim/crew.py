@@ -27,6 +27,7 @@ from .ils import GsIndication, PapiIndication
 LAND = "LAND"
 GO_AROUND = "GO_AROUND"
 TURN_OFF_GPWS = "TURN_OFF_GPWS"
+GPWS_ACTIONS = (LAND, GO_AROUND, TURN_OFF_GPWS)
 
 # TCAS crew actions
 FOLLOW_RA = "FOLLOW_RA"
@@ -193,8 +194,23 @@ class GpwsPolicy:
     )
 
     def __post_init__(self) -> None:
-        for i, dist in enumerate(self.approach_actions):
+        name, table = "approach_actions", self.approach_actions
+        if not table:
+            raise PolicyFieldError(f"{name}: needs at least one row (the first approach's)")
+        for i, dist in enumerate(table):
+            unknown = [action for action in dist if action not in GPWS_ACTIONS]
+            if unknown:
+                raise PolicyFieldError(f"{name}.{i}: unknown action {unknown[0]!r}, "
+                                       f"expected one of {', '.join(GPWS_ACTIONS)}")
             _check_distribution(dist, f"approach {i + 1} actions")
+        # The last row repeats for every later approach, and the trigger
+        # climbs each time, so a crew that always goes around never lands.
+        last = table[-1]
+        if not sum(p for action, p in last.items() if action != GO_AROUND) > 0:
+            raise PolicyFieldError(
+                f"{name}.{len(table) - 1}: the last row repeats for every later approach, "
+                f"so its {GO_AROUND} probability must be below 1 ({LAND} or "
+                f"{TURN_OFF_GPWS} above 0); got {last}")
         _check_bounded_mean("reaction_latency_mean_s", self.reaction_latency_mean_s,
                             REACTION_LATENCY_FLOOR_S)
 

@@ -5,12 +5,18 @@ looked up every fine-loop step with the scalar `world.interp`; the closure
 rate is estimated from the *indicated* radio-altimeter height, which is what
 a ramp-spoofing attacker manipulates.  One boundary is modelled; the Mode 2
 sub-modes (flap/gear configuration) are not distinguished.
+
+The fine loop compares each closure with `Mode2Envelope.threshold_fpm`
+itself and builds a `GpwsAlert` only on the step that alerts; `evaluate` is
+the same test as one call.  The estimator keeps its window in a deque, so a
+step drops its oldest sample in constant time.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
@@ -103,18 +109,19 @@ CLOSURE_WINDOW_S = 1.0
 class ClosureRateEstimator:
     """Backward difference of indicated AGL over `CLOSURE_WINDOW_S`."""
 
-    _samples: List[Tuple[float, float]] = field(default_factory=list)
+    _samples: Deque[Tuple[float, float]] = field(default_factory=deque)
 
     def update(self, t: float, indicated_agl_ft: float) -> Optional[float]:
         """Feed one (time, indicated AGL ft) sample; return closure in ft/min,
         or None until a full window of history exists."""
 
-        self._samples.append((t, indicated_agl_ft))
+        samples = self._samples
+        samples.append((t, indicated_agl_ft))
         # Keep just enough history to straddle the window.
         cutoff = t - CLOSURE_WINDOW_S
-        while len(self._samples) > 2 and self._samples[1][0] <= cutoff:
-            self._samples.pop(0)
-        t0, h0 = self._samples[0]
+        while len(samples) > 2 and samples[1][0] <= cutoff:
+            samples.popleft()
+        t0, h0 = samples[0]
         if t - t0 < CLOSURE_WINDOW_S - 1e-9:
             return None
         return (h0 - indicated_agl_ft) / (t - t0) * 60.0

@@ -5,6 +5,15 @@ Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
 
+A GPWS approach builds a `world.AircraftState` at its start, after its one
+`world.step` jump to just above the trigger, and where its fine loop ends.
+In between, the loop steps plain floats (time, along, cross, altitude) with
+`world.step`'s additions in its order, so the states it ends on are the ones
+a chain of `step` calls gives.  Each step ranges the ramp's delay for the
+sweep being read (`radalt.RampAttackPlan.delay_at`) and compares the closure
+with the Mode 2 threshold; a `gpws.GpwsAlert` is built only on the step that
+alerts.
+
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter.  The injector's straight-line
 claim bounds the first cycle at which tau can fall to the next threshold
@@ -34,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .. import crew, gpws, ils, radalt, tcas, world
-from ..units import fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
+from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
 from .log import TrialLog
 from .summary import summarize_gpws, summarize_gs, summarize_tcas
 
@@ -117,25 +126,36 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         if lead > 0:
             state = world.step(state, state.vertical_speed, state.ground_speed, lead)
 
+        # The fine loop makes `world.step`'s additions, in its order, on
+        # floats; the increments are the values `step` recomputes each call.
+        vs, gs, dt = state.vertical_speed, state.ground_speed, cfg.dt_s
+        world.check_step(vs, gs, dt)
+        theta = math.radians(state.heading - state.frame_bearing)
+        d = gs * dt
+        d_along, d_cross, d_alt = d * math.cos(theta), d * math.sin(theta), vs * dt
+        t, (along, cross), alt = state.time, state.ground_position, state.altitude_msl
         estimator = gpws.ClosureRateEstimator()
         plan: Optional[radalt.RampAttackPlan] = None
         attack_t0 = 0.0
         alert: Optional[gpws.GpwsAlert] = None
 
         while True:
-            state = world.step(state, state.vertical_speed, state.ground_speed, cfg.dt_s)
-            true_agl = m_to_ft(world.agl(state, terrain))
+            t += dt
+            along += d_along
+            cross += d_cross
+            alt += d_alt
+            true_agl = (alt - terrain.elevation_at(along)) / M_PER_FT
             # Touchdown: on the ground, or at the runway's elevation where the
             # terrain lies below it.
-            if true_agl <= 0 or state.altitude_msl <= runway.elevation:
+            if true_agl <= 0 or alt <= runway.elevation:
                 break
             if plan is None and true_agl <= trigger:
                 plan = radalt.RampAttackPlan(
                     ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S,
                     _SWEEP.sweep_period,
                 )
-                attack_t0 = state.time
-                log.add(state.time, "attack_start", {
+                attack_t0 = t
+                log.add(t, "attack_start", {
                     "approach": approach,
                     "trigger_agl_ft": trigger,
                     "apparent_descent_rate_mps": apparent_rate,
@@ -143,22 +163,24 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             if plan is None:
                 indicated = true_agl
             else:
-                # The spoofed echo is the sweep's only return, so it is ranged
-                # directly rather than picked out of a list by `measure`.
-                echo = plan.echo_at(state.time - attack_t0)
-                indicated = m_to_ft(radalt.range_height(echo.round_trip_time, _SWEEP))
+                # The spoofed echo is the sweep's only return, so its delay is
+                # ranged directly rather than picked out of a list by `measure`.
+                indicated = radalt.range_height(plan.delay_at(t - attack_t0), _SWEEP) / M_PER_FT
             if cfg.altitude_trace:
-                log.add(state.time, "state", {
-                    "altitude_ft": m_to_ft(state.altitude_msl),
+                log.add(t, "state", {
+                    "altitude_ft": m_to_ft(alt),
                     "indicated_agl_ft": indicated,
                 })
-            closure = estimator.update(state.time, indicated)
+            closure = estimator.update(t, indicated)
             if closure is not None:
-                alert = gpws.evaluate(
-                    max(indicated, 0.0), closure, _MODE2_ENVELOPE, time=state.time
-                )
-                if alert is not None:
+                alert_agl = max(indicated, 0.0)
+                if closure >= _MODE2_ENVELOPE.threshold_fpm(alert_agl):
+                    alert = gpws.GpwsAlert(time=t, trigger_agl=alert_agl)
                     break
+        state = world.AircraftState(
+            time=t, ground_position=(along, cross), altitude_msl=alt, vertical_speed=vs,
+            ground_speed=gs, heading=state.heading, frame_bearing=state.frame_bearing,
+        )
 
         if alert is None:
             # Envelope never entered: the approach completes.
@@ -168,14 +190,12 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         log.add(alert.time, "gpws_alert", {
             "approach": approach,
             "indicated_agl_ft": alert.trigger_agl,
-            "true_agl_ft": m_to_ft(world.agl(state, terrain)),
+            "true_agl_ft": true_agl,
             "kind": alert.kind,
         })
         latency = crew.gpws_reaction_latency(policy, rng)
         action = crew.gpws_act(approach, policy, rng)
-        min_agl = max(
-            0.0, m_to_ft(world.agl(state, terrain)) - rate_fps * latency
-        )
+        min_agl = max(0.0, true_agl - rate_fps * latency)
         t_action = alert.time + latency
 
         if action == crew.GO_AROUND:

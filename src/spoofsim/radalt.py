@@ -6,7 +6,9 @@ on either gives the same height, and the band itself does not enter);
 `range_height` ranges one delay, `measure` picks the echo first.  The
 attacker injects one delay per sweep, shrinking it so the indicated height
 descends at a chosen apparent rate; a ramp computes the delay of a sweep only
-when that sweep is read.
+when that sweep is read (`RampAttackPlan.delay_at`).  Where the spoofed echo
+is a sweep's only return, as in the GPWS fine loop, that delay is ranged
+directly; `echo_at` wraps it in a `PulseEcho` for `measure`.
 """
 
 from __future__ import annotations
@@ -98,11 +100,17 @@ class RampAttackPlan:
         if not self.sweep_period > 0:
             raise ValueError("sweep_period must be > 0")
 
-    def echo_at(self, elapsed: float) -> PulseEcho:
-        """The injected echo of the sweep in progress ``elapsed`` seconds into
-        the attack; only that sweep's delay is computed."""
+    def delay_at(self, elapsed: float) -> float:
+        """Round-trip delay (s) of the injected echo of the sweep in progress
+        ``elapsed`` seconds into the attack; only that sweep's delay is
+        computed."""
 
         n_sweeps = max(1, math.ceil(self.duration / self.sweep_period))
         k = min(int(elapsed / self.sweep_period), n_sweeps - 1)
         h = max(0.0, self.start_agl - self.apparent_descent_rate * k * self.sweep_period)
-        return PulseEcho(height_to_delay(h), -40.0, "adversarial")
+        return height_to_delay(h)
+
+    def echo_at(self, elapsed: float) -> PulseEcho:
+        """The injected echo itself, for `measure` among other returns."""
+
+        return PulseEcho(self.delay_at(elapsed), -40.0, "adversarial")

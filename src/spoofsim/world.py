@@ -8,6 +8,11 @@ axis so motion can be resolved into the frame.
 
 Integration is closed form (position and altitude are linear in dt), so
 ``step`` composes exactly: advancing by a+b equals advancing by a then b.
+``step`` serves the coarse jumps (to an attack window, along a cruise) and
+every other caller.  The GPWS fine loop integrates on floats instead: it
+checks its rates once with ``check_step`` and then makes ``step``'s additions,
+in ``step``'s order, on (time, along, cross, altitude) each step, so it
+reaches the same bits without an ``AircraftState`` per step.
 
 ``interp`` is a scalar piecewise-linear lookup that returns exactly what
 ``numpy.interp`` returns for one x; the terrain profile and the GPWS Mode 2
@@ -116,6 +121,26 @@ class TerrainProfile:
         return interp(along_track, self._x, self._z)
 
 
+def check_step(
+    commanded_vertical_speed: float, commanded_ground_speed: float, dt: float
+) -> None:
+    """Raise the ValueError `step` raises for these arguments, naming the
+    first one it cannot integrate; a caller that integrates many steps at the
+    same rates checks them once."""
+
+    for name, v in (
+        ("commanded_vertical_speed", commanded_vertical_speed),
+        ("commanded_ground_speed", commanded_ground_speed),
+        ("dt", dt),
+    ):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if commanded_ground_speed < 0:
+        raise ValueError("commanded ground speed must be >= 0")
+
+
 def step(
     state: AircraftState,
     commanded_vertical_speed: float,
@@ -128,19 +153,10 @@ def step(
         math.isfinite(commanded_vertical_speed)
         and math.isfinite(commanded_ground_speed)
         and math.isfinite(dt)
+        and dt > 0
+        and commanded_ground_speed >= 0
     ):
-        # Only on failure: name the first argument that is not finite.
-        for name, v in (
-            ("commanded_vertical_speed", commanded_vertical_speed),
-            ("commanded_ground_speed", commanded_ground_speed),
-            ("dt", dt),
-        ):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if commanded_ground_speed < 0:
-        raise ValueError("commanded ground speed must be >= 0")
+        check_step(commanded_vertical_speed, commanded_ground_speed, dt)
 
     theta = math.radians(state.heading - state.frame_bearing)
     d = commanded_ground_speed * dt

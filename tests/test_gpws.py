@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spoofsim import gpws
 
@@ -95,3 +95,53 @@ def test_estimator_sees_spoofed_ramp():
         rate = est.update(i * 0.1, 500.0 - rate_fps * i * 0.1)
     assert math.isclose(rate, rate_fps * 60.0, rel_tol=1e-9)
     assert ENV.contains(475.0, rate)
+
+
+def _list_closures(stream):
+    """The closures of a backward difference over a plain list, dropping its
+    oldest sample with ``list.pop(0)`` while the next one is at or before
+    ``t - CLOSURE_WINDOW_S``: the estimator's rule, written without a deque."""
+
+    samples, closures = [], []
+    for t, h in stream:
+        samples.append((t, h))
+        cutoff = t - gpws.CLOSURE_WINDOW_S
+        while len(samples) > 2 and samples[1][0] <= cutoff:
+            samples.pop(0)
+        t0, h0 = samples[0]
+        if t - t0 < gpws.CLOSURE_WINDOW_S - 1e-9:
+            closures.append(None)
+        else:
+            closures.append((h0 - h) / (t - t0) * 60.0)
+    return closures
+
+
+# Steps that land samples exactly on the window's cutoff (binary fractions of
+# a second) or within its 1e-9 slack, and arbitrary ones.
+_steps = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 1.0 - 1e-9, 1.0 - 2e-9, 5e-10]) | st.floats(
+    min_value=0.0, max_value=1.5)
+
+
+@st.composite
+def _streams(draw):
+    t, stream = draw(st.sampled_from([0.0, 12.5]) | st.floats(0.0, 1e4)), []
+    for step, h in draw(st.lists(
+            st.tuples(_steps, st.floats(min_value=-100.0, max_value=3000.0)), max_size=40)):
+        t += step
+        stream.append((t, h))
+    return stream
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stream=_streams())
+# The middle sample sits exactly on the cutoff of the last, so it starts the window.
+@example(stream=[(0.0, 500.0), (0.5, 490.0), (1.5, 470.0)])
+# A window 1e-9 short of a second is full; 2e-9 short is not.
+@example(stream=[(0.0, 500.0), (1.0 - 1e-9, 480.0)])
+@example(stream=[(0.0, 500.0), (1.0 - 2e-9, 480.0)])
+def test_estimator_equals_list_backward_difference(stream):
+    """Property: the deque estimator returns exactly the closures of the
+    plain list-based backward difference, sample by sample."""
+
+    est = gpws.ClosureRateEstimator()
+    assert [est.update(t, h) for t, h in stream] == _list_closures(stream)

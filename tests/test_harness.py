@@ -267,6 +267,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, text, field):
 
 
 _TABLE = re.escape("policies.tcas.action_given_final_mode")
+_GPWS_TABLE = re.escape("policies.gpws.approach_actions")
 
 
 @pytest.mark.parametrize("scenario, policies, field", [
@@ -291,23 +292,68 @@ _TABLE = re.escape("policies.tcas.action_given_final_mode")
      r"policies\.tcas\.extra_tas_before_standby_mean: "),
     ("GPWS", {"gpws": {"reaction_latency_mean_s": 0}},
      r"policies\.gpws\.reaction_latency_mean_s: "),
+    ("GPWS", {"gpws": {"approach_actions": []}},
+     rf"{_GPWS_TABLE}: needs at least one row"),
+    ("GPWS", {"gpws": {"approach_actions": [{"LAND": 1}, {"LANDD": 1}]}},
+     rf"{_GPWS_TABLE}\.1: unknown action 'LANDD'"),
     ("GS", {"gs": {"go_around_agl_mean_ft": 1600}},
      r"policies\.gs\.go_around_agl_mean_ft: mean 1600 .*\(200\.0, 1500\.0\)"),
     ("GS", {"gs": {"go_around_agl_mean_ft": 700, "go_around_agl_lo_ft": 700}},
      r"policies\.gs\.go_around_agl_mean_ft: "),
 ], ids=["table-partial", "table-land", "table-ta-ra", "table-unknown-mode",
         "ras-mean-0.5", "ras-mean-at-floor", "extra-tas-mean-0", "latency-mean-0",
+        "gpws-table-empty", "gpws-table-landd",
         "go-around-mean-1600", "go-around-mean-at-lo"])
 def test_unusable_crew_policies_rejected(tmp_path, capsys, scenario, policies, field):
     """A crew table without a row for every final mode, or with an action the
     outcome map does not know, died mid-run with a KeyError traceback (exit
-    1); a bounded mean on or outside its sampler's bounds died mid-run with
-    exit 3.  Both commands now reject them with exit 2, naming the field."""
+    1); an empty GPWS table died with an IndexError traceback (exit 1), and an
+    unknown GPWS action landed and then failed the log check (exit 3); a
+    bounded mean on or outside its sampler's bounds died mid-run with exit 3.
+    Both commands now reject them with exit 2, naming the field."""
 
     data = {"version": 1, "scenario": scenario, "policies": policies}
     with pytest.raises(ConfigError, match="^" + field):
         make_config(data)
     _cli_rejects(tmp_path, capsys, data, field)
+
+
+@pytest.mark.parametrize("table, row", [
+    ([{"GO_AROUND": 1}], 0),
+    ([{"LAND": 0.5, "GO_AROUND": 0.5}, {"GO_AROUND": 1.0}], 1),
+    # Within the sum check's slack of 1, and alone in its row, so the sampler
+    # falls through to it every time.
+    ([{"GO_AROUND": 0.9999999999}], 0),
+])
+def test_gpws_table_that_never_lands_rejected(tmp_path, capsys, table, row):
+    """The last row of the GPWS table repeats for every later approach, and
+    the trigger climbs until every approach alerts, so a last row that always
+    goes around made `run` loop forever.  It is rejected up front; it is
+    checked through `make_config` and `validate-config` only, never `run`."""
+
+    field = rf"{_GPWS_TABLE}\.{row}: the last row repeats .*GO_AROUND probability must be below 1"
+    data = {"version": 1, "scenario": "GPWS", "policies": {"gpws": {"approach_actions": table}}}
+    with pytest.raises(ConfigError, match="^" + field):
+        make_config(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert re.search(field, capsys.readouterr().err)
+
+
+def test_gpws_table_rows_decide():
+    """A table whose early rows go around and whose last row may land runs,
+    and each approach's action comes from its own row."""
+
+    table = [{"GO_AROUND": 1.0}, {"TURN_OFF_GPWS": 0.5, "GO_AROUND": 0.5}]
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20,
+                       "policies": {"gpws": {"approach_actions": table}}})
+    for log in run(cfg):
+        for event in log.iter_kind("crew_action"):
+            payload = event["payload"]
+            row = table[min(payload["approach"], len(table)) - 1]
+            assert row.get(payload["action"], 0.0) > 0.0, payload
+        assert log.events[-1]["payload"]["approach"] >= 2
 
 
 def test_full_crew_table_replaces_the_built_in_one():

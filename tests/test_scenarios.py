@@ -1,26 +1,34 @@
 """Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
 computation, and each surveillance cycle evaluates it at most once; an
 encounter builds one message and one track, and no cycle calls
-`np.linalg.norm`.  The GPWS ramp computes only the sweeps it reads, and neither
-trial calls numpy for a table lookup.  Trials read the objects `make_config`
-built and construct none of their own.  TCAS encounters follow their own
-geometry: the scheduled trial writes the logs of a plain 1 Hz reference loop
-over random claims and thresholds."""
+`np.linalg.norm`.  The GPWS ramp computes only the sweeps it reads, its fine
+loop builds no state, echo or `world.step` call per step, and neither trial
+calls numpy for a table lookup.  Trials read the objects `make_config` built
+and construct none of their own.  TCAS encounters follow their own geometry:
+the scheduled trial writes the logs of a plain 1 Hz reference loop over
+random claims and thresholds.  The GPWS float loop writes the logs of a
+reference loop that advances an `AircraftState` by `world.step` each step,
+over random approaches, step sizes, attack rates and terrain."""
 
+import dataclasses
 import functools
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spoofsim import crew, gpws, ils, radalt, tcas, world
 from spoofsim.harness import run
-from spoofsim.harness.config import make_config
+from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.runner import trial_seeds
-from spoofsim.harness.scenarios import SCENARIOS, _cruise_state_fn
+from spoofsim.harness.scenarios import (
+    _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _MODE2_ENVELOPE, _SWEEP, SCENARIOS,
+    _cruise_state_fn, approach_start,
+)
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
 #: The golden-output seed.
@@ -137,11 +145,34 @@ def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
     counting = functools.partial(_counting, counts)
     monkeypatch.setattr(radalt, "height_to_delay",
                         counting("delays", radalt.height_to_delay))
-    monkeypatch.setattr(radalt.RampAttackPlan, "echo_at",
-                        counting("reads", radalt.RampAttackPlan.echo_at))
+    monkeypatch.setattr(radalt.RampAttackPlan, "delay_at",
+                        counting("reads", radalt.RampAttackPlan.delay_at))
     run(make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED}))
     assert counts["reads"] > 0
     assert counts["delays"] == counts["reads"], counts
+
+
+def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
+    """Work budget: the fine loop steps floats, so a GPWS `run()` at N=20
+    builds at most three `AircraftState`s per approach (its start, the jump
+    to the attack window and the loop's end), no `PulseEcho`, and calls
+    `world.step` at most once per approach, for that jump.  The config, whose
+    checks build approach states too, is built before counting."""
+
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
+    counts = Counter()
+    for cls in (world.AircraftState, radalt.PulseEcho):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(world, "step", _counting(counts, "step", world.step))
+    approaches = sum(1 for log in run(cfg) for _ in log.iter_kind("approach_start"))
+    assert approaches >= 20 and counts["step"] > 0
+    assert counts["AircraftState"] <= 3 * approaches, (approaches, counts)
+    assert counts["PulseEcho"] == 0, counts
+    assert counts["step"] <= approaches, (approaches, counts)
 
 
 @pytest.mark.parametrize("scenario", ["GPWS", "TCAS"])
@@ -423,3 +454,196 @@ def test_tcas_schedule_matches_1hz_reference(raw):
     defaults, the golden bytes)."""
 
     _tcas_logs_agree(raw)
+
+
+def _gpws_trial_stepped(cfg, trial_id, seed):
+    """`gpws_trial` with a fine loop that advances an `AircraftState` by
+    `world.step` each step, ranges a `PulseEcho` from the ramp and alerts
+    through `gpws.evaluate`: the reference the float loop must match."""
+
+    rng = np.random.default_rng(seed)
+    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
+    runway, terrain, policy = cfg.runway, cfg.terrain, cfg.gpws_policy
+    apparent_rate = cfg.apparent_descent_rate_mps
+    t = 0.0
+
+    approach = 0
+    while True:
+        approach += 1
+        state = approach_start(cfg, t)
+        trigger = (
+            gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
+            if cfg.attacker_enabled
+            else -1.0
+        )
+        log.add(state.time, "approach_start", {
+            "approach": approach,
+            "start_agl_ft": cfg.approach_start_agl_ft,
+            "trigger_agl_ft": trigger if trigger > 0 else None,
+        })
+        if trigger <= 0:
+            t_land, _ = world.time_and_distance_to_touchdown(state, runway)
+            log.finish(state.time + t_land, "LANDED", {"approach": approach})
+            return log
+
+        rate_fps = -m_to_ft(state.vertical_speed)
+        agl_ft = m_to_ft(world.agl(state, terrain))
+        lead = (agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
+        if lead > 0:
+            state = world.step(state, state.vertical_speed, state.ground_speed, lead)
+
+        estimator = gpws.ClosureRateEstimator()
+        plan = None
+        attack_t0 = 0.0
+        alert = None
+        while True:
+            state = world.step(state, state.vertical_speed, state.ground_speed, cfg.dt_s)
+            true_agl = m_to_ft(world.agl(state, terrain))
+            if true_agl <= 0 or state.altitude_msl <= runway.elevation:
+                break
+            if plan is None and true_agl <= trigger:
+                plan = radalt.RampAttackPlan(
+                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S,
+                    _SWEEP.sweep_period,
+                )
+                attack_t0 = state.time
+                log.add(state.time, "attack_start", {
+                    "approach": approach,
+                    "trigger_agl_ft": trigger,
+                    "apparent_descent_rate_mps": apparent_rate,
+                })
+            if plan is None:
+                indicated = true_agl
+            else:
+                echo = plan.echo_at(state.time - attack_t0)
+                indicated = m_to_ft(radalt.range_height(echo.round_trip_time, _SWEEP))
+            if cfg.altitude_trace:
+                log.add(state.time, "state", {
+                    "altitude_ft": m_to_ft(state.altitude_msl),
+                    "indicated_agl_ft": indicated,
+                })
+            closure = estimator.update(state.time, indicated)
+            if closure is not None:
+                alert = gpws.evaluate(
+                    max(indicated, 0.0), closure, _MODE2_ENVELOPE, time=state.time
+                )
+                if alert is not None:
+                    break
+
+        if alert is None:
+            log.finish(state.time, "LANDED", {"approach": approach})
+            return log
+
+        log.add(alert.time, "gpws_alert", {
+            "approach": approach,
+            "indicated_agl_ft": alert.trigger_agl,
+            "true_agl_ft": m_to_ft(world.agl(state, terrain)),
+            "kind": alert.kind,
+        })
+        latency = crew.gpws_reaction_latency(policy, rng)
+        action = crew.gpws_act(approach, policy, rng)
+        min_agl = max(
+            0.0, m_to_ft(world.agl(state, terrain)) - rate_fps * latency
+        )
+        t_action = alert.time + latency
+
+        if action == crew.GO_AROUND:
+            log.add(t_action, "crew_action", {
+                "approach": approach, "action": action, "min_agl_ft": min_agl,
+            })
+            t = t_action + 60.0
+            continue
+        t_land, _ = world.time_and_distance_to_touchdown(state, runway)
+        t_done = max(t_action, state.time + t_land)
+        log.add(t_action, "crew_action", {"approach": approach, "action": action})
+        outcome = "LANDED_GPWS_OFF" if action == crew.TURN_OFF_GPWS else "LANDED"
+        log.finish(t_done, outcome, {"approach": approach})
+        return log
+
+
+@pytest.mark.parametrize("dt, message", [
+    (float("nan"), "dt must be finite, got nan"),
+    (float("inf"), "dt must be finite, got inf"),
+    (-0.1, "dt must be > 0, got -0.1"),
+])
+def test_gpws_fine_loop_keeps_step_checks(dt, message):
+    """The fine loop checks its step once per approach and raises what
+    `world.step` raises, as the stepped reference does.  (A zero step is left
+    out: a loop without the check would spin on it rather than fail.)"""
+
+    cfg = dataclasses.replace(
+        make_config({"version": 1, "scenario": "GPWS", "master_seed": SEED}), dt_s=dt)
+    for trial in (SCENARIOS["GPWS"].trial, _gpws_trial_stepped):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trial(cfg, 0, SEED)
+
+
+@st.composite
+def _gpws_approaches(draw):
+    """A GPWS config whose approach, step, attack rate and terrain vary.  The
+    terrain has up to three vertices between its ends, some of them above
+    the runway under the early approach; configs whose terrain meets the
+    descent path are rejected by `make_config` and not drawn again."""
+
+    xs = draw(st.lists(st.floats(min_value=-40000.0, max_value=4000.0),
+                       max_size=3, unique=True))
+    terrain = [[-50000.0, draw(st.floats(min_value=-200.0, max_value=100.0))]]
+    terrain += [[x, draw(st.floats(min_value=-200.0, max_value=250.0))] for x in sorted(xs)]
+    terrain.append([50000.0, draw(st.floats(min_value=-200.0, max_value=100.0))])
+    return {
+        "version": 1, "scenario": "GPWS", "trials": 3,
+        "master_seed": draw(st.integers(0, 2**32)),
+        "world": {
+            "dt_s": draw(st.sampled_from([0.1, 0.05, 0.2, 0.3, 1 / 3])
+                         | st.floats(min_value=0.01, max_value=1.0)),
+            "runway": {"true_bearing_deg": draw(
+                st.sampled_from([327.0, 0.0, 90.0, 180.0, 359.9])
+                | st.floats(min_value=-720.0, max_value=720.0))},
+            "approach": {
+                "descent_rate_fpm": draw(st.floats(min_value=300.0, max_value=3000.0)),
+                "ground_speed_kn": draw(st.floats(min_value=60.0, max_value=250.0)),
+            },
+            "terrain": terrain,
+        },
+        "attacker": {
+            "enabled": draw(st.booleans() | st.just(True)),
+            "gpws": {"apparent_descent_rate_mps": draw(
+                st.sampled_from([15.4, 1.0]) | st.floats(min_value=0.5, max_value=60.0))},
+        },
+        "output": {"altitude_trace": draw(st.booleans())},
+    }
+
+
+def _gpws_logs_agree(raw):
+    """The float loop and the stepped reference write the same JSONL."""
+
+    try:
+        cfg = make_config(raw)
+    except ConfigError:
+        assume(False)
+    fine = [log.to_jsonl() for log in run(cfg)]
+    reference = [_gpws_trial_stepped(cfg, i, seed).to_jsonl()
+                 for i, seed in enumerate(trial_seeds(cfg.master_seed, cfg.trials))]
+    assert fine == reference
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(raw=_gpws_approaches())
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "output": {"altitude_trace": True}})
+# Heading and frame bearing differ from 0: the cancellation in theta still
+# gives cos 1 and sin 0.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "world": {"runway": {"true_bearing_deg": 90.0}, "dt_s": 0.05}})
+# Terrain rising toward the runway under the attack window.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "world": {"terrain": [[-50000.0, 0.0], [-3000.0, 60.0], [50000.0, 100.0]]},
+              "output": {"altitude_trace": True}})
+def test_gpws_float_loop_matches_stepped_reference(raw):
+    """Property: the float fine loop makes `world.step`'s additions in its
+    order, so it writes the reference's bytes whatever the runway bearing,
+    step, approach rates, attack rate and terrain (on the defaults, the
+    golden bytes)."""
+
+    _gpws_logs_agree(raw)
