@@ -133,46 +133,13 @@ def _check_distribution(dist: Dict[str, float], name: str) -> None:
 # ---------------------------------------------------------------------------
 # GPWS policy
 
-
-def derive_gpws_latency_mean(
-    target_mean_agl_ft: float,
-    trigger_mean_ft: float,
-    descent_rate_fpm: float,
-    alert_delay_s: float,
-) -> float:
-    """Reaction-latency mean implied by the observed mean go-around height.
-
-    mean_agl = trigger_mean - rate * (alert_delay + latency_mean).
-    """
-
-    rate_fps = descent_rate_fpm / 60.0
-    return (trigger_mean_ft - target_mean_agl_ft) / rate_fps - alert_delay_s
-
-
-def derive_gpws_latency_sd(
-    target_sd_agl_ft: float,
-    trigger_window_ft: float,
-    descent_rate_fpm: float,
-) -> float:
-    """Reaction-latency sd implied by the observed go-around height spread.
-
-    Removes the variance contributed by the uniform trigger-altitude jitter.
-    """
-
-    rate_fps = descent_rate_fpm / 60.0
-    trigger_var = trigger_window_ft**2 / 12.0
-    latency_var = (target_sd_agl_ft**2 - trigger_var) / rate_fps**2
-    if latency_var <= 0:
-        raise ValueError("target sd is smaller than the trigger jitter alone")
-    return math.sqrt(latency_var)
-
-
-#: Alert-onset delay on a 1 s backward-difference closure estimator at a
-#: 0.1 s simulation step (estimator crossing plus quantisation).
-DEFAULT_ALERT_DELAY_S = 0.85
-
-_GPWS_TARGET_MEAN_AGL_FT = 403.9
-_GPWS_TARGET_SD_AGL_FT = 51.1
+#: Reaction-latency mean and sd of the GPWS crew, s, calibrated to the
+#: observed first-approach go-around height, 403.9 +- 51.1 ft, under the
+#: default attack: a trigger uniform over 450-500 ft, a 700 fpm descent and an
+#: alert 0.85 s after the trigger.  They are crew traits: a config that
+#: changes those defaults keeps them.  `tests/test_crew.py` derives both.
+GPWS_REACTION_LATENCY_MEAN_S = 5.244285714285717
+GPWS_REACTION_LATENCY_SD_S = 4.201641078805047
 #: Lower clip of a sampled reaction latency, s.
 REACTION_LATENCY_FLOOR_S = 0.0
 
@@ -186,12 +153,8 @@ class GpwsPolicy:
         {TURN_OFF_GPWS: 11 / 20, LAND: 8 / 20, GO_AROUND: 1 / 20},
         {TURN_OFF_GPWS: 1.0},
     )
-    reaction_latency_mean_s: float = derive_gpws_latency_mean(
-        _GPWS_TARGET_MEAN_AGL_FT, 475.0, 700.0, DEFAULT_ALERT_DELAY_S
-    )
-    reaction_latency_sd_s: float = derive_gpws_latency_sd(
-        _GPWS_TARGET_SD_AGL_FT, 50.0, 700.0
-    )
+    reaction_latency_mean_s: float = GPWS_REACTION_LATENCY_MEAN_S
+    reaction_latency_sd_s: float = GPWS_REACTION_LATENCY_SD_S
 
     def __post_init__(self) -> None:
         name, table = "approach_actions", self.approach_actions

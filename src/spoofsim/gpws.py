@@ -64,9 +64,9 @@ class GpwsAlert:
 class AttackSchedule:
     """Per-approach trigger altitude: base + increment*(n-1), jittered down."""
 
-    base_trigger_ft: float = 500.0
-    increment_per_approach_ft: float = 250.0
-    jitter_window_ft: float = 50.0
+    base_trigger_ft: float
+    increment_per_approach_ft: float
+    jitter_window_ft: float
 
     def window(self, approach_index: int) -> Tuple[float, float]:
         if approach_index < 1:
@@ -93,7 +93,7 @@ def evaluate(
 def scripted_trigger(
     approach_index: int,
     rng: np.random.Generator,
-    schedule: AttackSchedule = AttackSchedule(),
+    schedule: AttackSchedule,
 ) -> float:
     """Jittered trigger AGL (ft) for the given approach, deterministic per rng."""
 

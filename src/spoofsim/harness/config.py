@@ -82,7 +82,6 @@ SCHEMA = _obj(
                         "threshold_position_m": _num(0.0),
                         "touchdown_zone_offset_m": _nonneg(300.0),
                         "elevation_m": _num(100.0),
-                        "true_bearing_deg": _num(327.0),
                         "length_m": _pos(2600.0),
                     }
                 ),
@@ -340,7 +339,7 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
         threshold_position=rw["threshold_position_m"],
         touchdown_zone_offset=rw["touchdown_zone_offset_m"],
         elevation=rw["elevation_m"],
-        true_bearing=rw["true_bearing_deg"],
+        true_bearing=0.0,  # the frame is runway-aligned: no computation reads it
         length=rw["length_m"],
     )
     angle = a_gs["path_angle_deg"]

@@ -108,6 +108,8 @@ def trace_csv(log: TrialLog) -> str:
 
 #: File name of a trial's log in a run directory's ``trials`` directory.
 _TRIAL_LOG = "trial_{:05d}.jsonl"
+#: File name of a trial's altitude trace, in its ``traces`` directory.
+_TRACE = "trial_{:05d}.csv"
 
 
 def trial_path(out_dir: str | Path, trial_id: int) -> str:
@@ -143,12 +145,15 @@ def emit(cfg: ScenarioConfig, logs: Sequence[TrialLog], summary: Dict[str, Any])
 
     traces_dir = out / "traces"
     traced = [log for log in logs if any(True for _ in log.iter_kind("state"))]
+    trace_names = set()
     if traced:
         traces_dir.mkdir(parents=True, exist_ok=True)
         for log in traced:
-            _write(traces_dir / f"trial_{log.trial_id:05d}.csv", trace_csv(log), written)
+            name = _TRACE.format(log.trial_id)
+            _write(traces_dir / name, trace_csv(log), written)
+            trace_names.add(name)
     _remove_others(trials_dir, "trial_*.jsonl", log_names)
-    _remove_others(traces_dir, "trial_*.csv", {f"trial_{log.trial_id:05d}.csv" for log in traced})
+    _remove_others(traces_dir, "trial_*.csv", trace_names)
     return written
 
 

@@ -7,12 +7,13 @@ attack windows, so trials stay cheap at Monte-Carlo counts.
 
 A GPWS approach builds a `world.AircraftState` at its start, after its one
 `world.step` jump to just above the trigger, and where its fine loop ends.
-In between, the loop steps plain floats (time, along, cross, altitude) with
+In between, the loop steps plain floats (time, along, altitude) with
 `world.step`'s additions in its order, so the states it ends on are the ones
-a chain of `step` calls gives.  Each step ranges the ramp's delay for the
-sweep being read (`radalt.RampAttackPlan.delay_at`) and compares the closure
-with the Mode 2 threshold; a `gpws.GpwsAlert` is built only on the step that
-alerts.
+a chain of `step` calls gives; the approach flies heading 0, so a step moves
+it ``gs * dt`` along track and none across.  Each step ranges the ramp's
+delay for the sweep being read (`radalt.RampAttackPlan.delay_at`) and
+compares the closure with the Mode 2 threshold; a `gpws.GpwsAlert` is built
+only on the step that alerts.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter.  The injector's straight-line
@@ -83,8 +84,7 @@ def approach_start(cfg: ScenarioConfig, t0: float) -> world.AircraftState:
         altitude_msl=runway.elevation + height,
         vertical_speed=vs,
         ground_speed=gs,
-        heading=runway.true_bearing,
-        frame_bearing=runway.true_bearing,
+        heading=0.0,
     )
 
 
@@ -127,13 +127,12 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             state = world.step(state, state.vertical_speed, state.ground_speed, lead)
 
         # The fine loop makes `world.step`'s additions, in its order, on
-        # floats; the increments are the values `step` recomputes each call.
+        # floats; the increments are the values `step` recomputes each call
+        # (at heading 0, the whole distance goes along track).
         vs, gs, dt = state.vertical_speed, state.ground_speed, cfg.dt_s
         world.check_step(vs, gs, dt)
-        theta = math.radians(state.heading - state.frame_bearing)
-        d = gs * dt
-        d_along, d_cross, d_alt = d * math.cos(theta), d * math.sin(theta), vs * dt
-        t, (along, cross), alt = state.time, state.ground_position, state.altitude_msl
+        d_along, d_alt = gs * dt, vs * dt
+        t, along, alt = state.time, state.along_track, state.altitude_msl
         estimator = gpws.ClosureRateEstimator()
         plan: Optional[radalt.RampAttackPlan] = None
         attack_t0 = 0.0
@@ -142,7 +141,6 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         while True:
             t += dt
             along += d_along
-            cross += d_cross
             alt += d_alt
             true_agl = (alt - terrain.elevation_at(along)) / M_PER_FT
             # Touchdown: on the ground, or at the runway's elevation where the
@@ -178,8 +176,8 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
                     alert = gpws.GpwsAlert(time=t, trigger_agl=alert_agl)
                     break
         state = world.AircraftState(
-            time=t, ground_position=(along, cross), altitude_msl=alt, vertical_speed=vs,
-            ground_speed=gs, heading=state.heading, frame_bearing=state.frame_bearing,
+            time=t, ground_position=(along, 0.0), altitude_msl=alt, vertical_speed=vs,
+            ground_speed=gs, heading=0.0,
         )
 
         if alert is None:
@@ -415,8 +413,7 @@ def gs_path_state(cfg: ScenarioConfig, agl_ft: float, t: float) -> world.Aircraf
         altitude_msl=runway.elevation + height,
         vertical_speed=-fpm_to_mps(cfg.approach_descent_rate_fpm),
         ground_speed=kn_to_mps(cfg.approach_ground_speed_kn),
-        heading=runway.true_bearing,
-        frame_bearing=runway.true_bearing,
+        heading=0.0,
     )
 
 

@@ -3,16 +3,18 @@
 The simulation frame is 2-D lateral plus altitude: ``ground_position`` is an
 (along-track, cross-track) pair in metres relative to the runway threshold,
 with the along-track axis pointing in the landing direction.  ``heading`` is
-degrees true; ``frame_bearing`` records the true bearing of the +along-track
-axis so motion can be resolved into the frame.
+degrees from the +along-track axis toward +cross-track.  The frame is the
+only one: nothing the simulation computes depends on the runway's true
+bearing, so no state carries one.
 
 Integration is closed form (position and altitude are linear in dt), so
 ``step`` composes exactly: advancing by a+b equals advancing by a then b.
 ``step`` serves the coarse jumps (to an attack window, along a cruise) and
 every other caller.  The GPWS fine loop integrates on floats instead: it
 checks its rates once with ``check_step`` and then makes ``step``'s additions,
-in ``step``'s order, on (time, along, cross, altitude) each step, so it
-reaches the same bits without an ``AircraftState`` per step.
+in ``step``'s order, on (time, along, altitude) each step, so it reaches the
+same bits without an ``AircraftState`` per step.  Its heading is 0, so
+``step`` adds ``d * cos 0 == d`` along track and ``d * sin 0 == 0.0`` across.
 
 ``interp`` is a scalar piecewise-linear lookup that returns exactly what
 ``numpy.interp`` returns for one x; the terrain profile and the GPWS Mode 2
@@ -58,8 +60,7 @@ class AircraftState:
     altitude_msl: float                      # m
     vertical_speed: float                    # m/s, negative = descent
     ground_speed: float                      # m/s
-    heading: float                           # degrees true
-    frame_bearing: float = 0.0               # degrees true of +along-track axis
+    heading: float                           # degrees from +along-track axis
 
     def __post_init__(self) -> None:
         if self.ground_speed < 0:
@@ -75,7 +76,7 @@ class RunwayModel:
     threshold_position: float     # m, along-track coordinate of the threshold
     touchdown_zone_offset: float  # m beyond the threshold
     elevation: float              # m MSL
-    true_bearing: float           # degrees
+    true_bearing: float           # degrees true; no computation reads it
     length: float                 # m
 
     def __post_init__(self) -> None:
@@ -158,7 +159,7 @@ def step(
     ):
         check_step(commanded_vertical_speed, commanded_ground_speed, dt)
 
-    theta = math.radians(state.heading - state.frame_bearing)
+    theta = math.radians(state.heading)
     d = commanded_ground_speed * dt
     return AircraftState(
         time=state.time + dt,
@@ -170,7 +171,6 @@ def step(
         vertical_speed=commanded_vertical_speed,
         ground_speed=commanded_ground_speed,
         heading=state.heading,
-        frame_bearing=state.frame_bearing,
     )
 
 

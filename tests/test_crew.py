@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spoofsim import crew, tcas
+from spoofsim import crew, gpws, tcas
 from spoofsim.harness import run
-from spoofsim.harness.config import make_config
+from spoofsim.harness.config import default_config_dict, make_config
 from spoofsim.harness.runner import trial_seeds
 from spoofsim.ils import GsIndication, PapiIndication
 
@@ -86,12 +86,37 @@ def test_sample_categorical():
 
 
 def test_gpws_latency_derivation():
-    mean = crew.derive_gpws_latency_mean(403.9, 475.0, 700.0, 0.85)
-    assert math.isclose(mean, (475.0 - 403.9) / (700.0 / 60.0) - 0.85, rel_tol=1e-12)
-    sd = crew.derive_gpws_latency_sd(51.1, 50.0, 700.0)
-    assert math.isclose(sd**2, (51.1**2 - 50.0**2 / 12.0) / (700.0 / 60.0) ** 2, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        crew.derive_gpws_latency_sd(10.0, 50.0, 700.0)
+    """The crew's reaction-latency constants are the ones the default config
+    implies for the paper's first-approach go-around height, 403.9 +- 51.1 ft:
+    go-around height = trigger - rate * (alert delay + latency), with the
+    trigger uniform over the jitter window below the base trigger.  Changing
+    one of those defaults fails here instead of silently leaving the
+    calibration behind.
+
+    The 0.85 s alert delay is the calibration's assumption for a 1 s
+    closure window at a 0.1 s step.  Measured at the default seed with
+    N=4,000, the delay from the first-approach trigger crossing to the alert
+    is 0.857-0.957 s (mean 0.94 s), so the first-approach go-around height
+    comes out at 402.75 +- 47.1 ft: inside criterion 5's +-10/+-15 ft, but
+    biased low.  Recalibrating would change the logs, so the bias stays."""
+
+    target_mean_agl_ft, target_sd_agl_ft = 403.9, 51.1
+    alert_delay_s = 0.85
+    data = default_config_dict("GPWS")
+    attack = data["attacker"]["gpws"]
+    assert data["world"]["dt_s"] == 0.1 and gpws.CLOSURE_WINDOW_S == 1.0
+    window = attack["jitter_window_ft"]
+    trigger_mean_ft = attack["base_trigger_ft"] - window / 2
+    rate_fps = data["world"]["approach"]["descent_rate_fpm"] / 60.0
+
+    mean = (trigger_mean_ft - target_mean_agl_ft) / rate_fps - alert_delay_s
+    # Remove the variance of the uniform trigger jitter.
+    sd = math.sqrt((target_sd_agl_ft**2 - window**2 / 12.0) / rate_fps**2)
+    assert crew.GPWS_REACTION_LATENCY_MEAN_S == mean
+    assert crew.GPWS_REACTION_LATENCY_SD_S == sd
+    policy = crew.GpwsPolicy()
+    assert policy.reaction_latency_mean_s == mean
+    assert policy.reaction_latency_sd_s == sd
 
 
 def test_gpws_action_tables():

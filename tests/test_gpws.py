@@ -54,7 +54,7 @@ def test_evaluate():
 
 
 def test_scripted_trigger_windows():
-    sched = gpws.AttackSchedule()
+    sched = gpws.AttackSchedule(500.0, 250.0, 50.0)
     assert sched.window(1) == (450.0, 500.0)
     assert sched.window(2) == (700.0, 750.0)
     assert sched.window(3) == (950.0, 1000.0)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from spoofsim import ils, sentinel, tcas
 from spoofsim.harness import (
     ConfigError,
     default_config_dict,
@@ -374,6 +375,32 @@ def test_partial_config_merges_over_defaults():
     assert cfg.trials == 7
     assert cfg.raw["attacker"]["gs"]["shift_m"] == 1000.0
     assert cfg.raw["attacker"]["gs"]["tx_power_w"] == 50.0  # default retained
+
+
+#: Built-in defaults that stay beside the schema's, because code that runs
+#: without a config builds these objects with no arguments (the acceptance
+#: gate among it): each must equal what `make_config` builds from the
+#: schema's defaults.
+_BUILT_IN_COPIES = {
+    "false-intruder-plan": (lambda: tcas.FalseIntruderPlan(),
+                            lambda cfg: cfg.false_intruder_plan),
+    "advisory-thresholds": (lambda: tcas.AdvisoryThresholds(),
+                            lambda cfg: cfg.tcas_thresholds),
+    "sensor-grid": (lambda: sentinel.default_sensor_grid(),
+                    lambda cfg: sentinel.default_sensor_grid(cfg.sensor_extent_m)),
+    "residual-threshold": (lambda: sentinel.DEFAULT_RESIDUAL_THRESHOLD_M,
+                           lambda cfg: cfg.residual_threshold_m),
+    "glideslope-path-angle": (lambda: ils.GlideslopeTx(antenna_position=0.0).path_angle,
+                              lambda cfg: cfg.glideslope[0].path_angle),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILT_IN_COPIES))
+def test_built_in_copies_equal_config_defaults(name):
+    """A schema default changed without its built-in copy fails here."""
+
+    built_in, configured = _BUILT_IN_COPIES[name]
+    assert built_in() == configured(make_config(default_config_dict()))
 
 
 def test_load_config_errors(tmp_path):
@@ -753,6 +780,26 @@ def test_cli_corrupt_run_config_exit_code(tmp_path, capsys, corrupt, command):
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     assert main(command + ["--out", str(out)]) == 3
     assert "corrupt run directory" in capsys.readouterr().err
+
+
+def test_removed_true_bearing_leaf_rejected(tmp_path, capsys):
+    """`world.runway.true_bearing_deg` is gone: the frame is runway-aligned
+    and no computation read the bearing.  A config that still sets it exits
+    2 naming `world.runway`, and a run directory whose config.json carries
+    it is a corrupt run directory (exit 3), not a traceback."""
+
+    _cli_rejects(tmp_path, capsys, {"version": 1, "scenario": "GPWS",
+                                    "world": {"runway": {"true_bearing_deg": 327}}},
+                 r"world\.runway: .*'true_bearing_deg'")
+    out = tmp_path / "run"
+    _gs_run(out)
+    path = out / "config.json"
+    data = json.loads(path.read_text())
+    data["world"]["runway"]["true_bearing_deg"] = 327.0
+    path.write_text(json.dumps(data))
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "corrupt run directory" in err and "true_bearing_deg" in err
 
 
 def test_cli_missing_log_exit_code(tmp_path, capsys):
