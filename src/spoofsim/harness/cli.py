@@ -19,9 +19,9 @@ from .. import sentinel
 from .config import ConfigError, apply_scenario, default_config_dict, load_config, make_config
 from .cost import all_cost_reports
 from .output import emit, load_run, summary_csv, trial_path
-from .runner import run as run_trials
+from .runner import run_chunks
 from .scenarios import SCENARIOS
-from .summary import summarize
+from .summary import Summary, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,11 +64,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         data = apply_scenario(data, args.scenario)
     given = {"trials": args.trials, "master_seed": args.seed, "output_dir": args.out or None}
     cfg = make_config({**data, **{k: v for k, v in given.items() if v is not None}})
-    logs = run_trials(cfg)
-    summary = summarize(logs)
-    written = emit(cfg, logs, summary)
+    summary = Summary()
+    written = emit(cfg, run_chunks(cfg), summary)
     print(f"{cfg.scenario}: {cfg.trials} trials -> {len(written)} files in {cfg.output_dir}")
-    for key, value in summary["stats"].items():
+    for key, value in summary.result()["stats"].items():
         print(f"  {key}: {value}")
     return EXIT_OK
 
@@ -120,7 +119,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(run_cfg.master_seed if args.seed is None else args.seed)
     jitter_s = cfg.clock_jitter_ns * 1e-9
 
-    verdicts = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["subject", "residual_m", "flag", "reason"])
+    total = suspect = 0
     for log in logs:
         for event in log.iter_kind("surveillance"):
             p = event["payload"]
@@ -141,20 +143,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             except (ValueError, TypeError) as exc:
                 raise RuntimeError(f"corrupt trial log {trial_path(args.out, log.trial_id)}: "
                                    f"surveillance at t={event['t']}: {exc}") from exc
-            verdicts.append(verdict)
+            writer.writerow(verdict.to_record().values())
+            total += 1
+            suspect += verdict.flag == sentinel.SUSPECT
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subject", "residual_m", "flag", "reason"])
-    for v in verdicts:
-        writer.writerow(v.to_record().values())
     (Path(args.out) / "verdicts.csv").write_text(buf.getvalue())
-    if not verdicts:
+    if not total:
         print(f"no ground-side integrity check: the {run_cfg.scenario} run logged "
               "no surveillance messages")
         return EXIT_OK
-    suspect = sum(1 for v in verdicts if v.flag == sentinel.SUSPECT)
-    total = len(verdicts)
     print(f"checked {total} messages: {suspect} SUSPECT ({100.0 * suspect / total:.1f}%)")
     return EXIT_OK
 

@@ -17,6 +17,9 @@ _TIME_SLACK_S = 1e-9
 #: `json.loads` without its per-call argument handling; logs are read a line
 #: at a time, so this runs once per event.
 _decode = json.JSONDecoder().decode
+#: `json.dumps(..., sort_keys=True)` without building an encoder per call; it
+#: runs once per event written.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass
@@ -59,7 +62,7 @@ class TrialLog:
             record = dict(event)
             record["trial_id"] = self.trial_id
             record["seed"] = self.seed
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_encode(record))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -2,6 +2,13 @@
 
 All writes are deterministic for a given (config, seed) pair: same content,
 same filenames, fixed key ordering.
+
+Trial logs stream through both directions one at a time or one chunk at a
+time, so memory does not grow with N.  `emit` writes each chunk of logs and
+folds it into the summary before asking for the next chunk, and writes the
+run's ``config.json`` last; `load_run` checks that a run directory is
+complete from one listing of its trials, then parses each log only when its
+caller reaches it.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
+from .summary import Summary
 
 
 def _write(path: Path, content: str, written: List[Path]) -> None:
@@ -120,47 +128,70 @@ def trial_path(out_dir: str | Path, trial_id: int) -> str:
     return os.path.join(out_dir, "trials", _TRIAL_LOG.format(trial_id))
 
 
-def emit(cfg: ScenarioConfig, logs: Sequence[TrialLog], summary: Dict[str, Any]) -> List[Path]:
-    """Write a run directory at ``cfg.output_dir``: its config, every trial log,
-    the summary and report, and any altitude traces.  Files an earlier run
-    left there are overwritten in place, and trial logs and traces this run
-    did not write are removed."""
+def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
+         summary: Summary) -> List[Path]:
+    """Write a run directory at ``cfg.output_dir`` from the trial logs in
+    ``chunks``: each chunk's logs and altitude traces, folded into ``summary``
+    before the next chunk is asked for; then the summary and report; then the
+    config.  Files an earlier run left there are overwritten in place, and
+    trial logs and traces this run did not write are removed.
+
+    A directory is a complete run only once its ``config.json`` is there:
+    emit removes an earlier run's before it writes any trial log, and writes
+    its own last, under a temporary name moved into place, so a run that fails
+    midway leaves a directory that `load_run` refuses."""
 
     out = Path(cfg.output_dir)
     trials_dir = out / "trials"
+    traces_dir = out / "traces"
+    config = out / "config.json"
     try:
         trials_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {trials_dir}: {exc}") from exc
+    try:
+        config.unlink(missing_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot remove {config}: {exc}") from exc
 
     written: List[Path] = []
-    _write(out / "config.json", json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n", written)
-    log_names = set()
-    for log in logs:
-        name = _TRIAL_LOG.format(log.trial_id)
-        _write(trials_dir / name, log.to_jsonl(), written)
-        log_names.add(name)
-    _write(out / "summary.csv", summary_csv(summary), written)
-    _write(out / "report.txt", report_text(summary), written)
-
-    traces_dir = out / "traces"
-    traced = [log for log in logs if any(True for _ in log.iter_kind("state"))]
-    trace_names = set()
-    if traced:
-        traces_dir.mkdir(parents=True, exist_ok=True)
-        for log in traced:
-            name = _TRACE.format(log.trial_id)
-            _write(traces_dir / name, trace_csv(log), written)
-            trace_names.add(name)
+    log_names: Set[str] = set()
+    trace_names: Set[str] = set()
+    for chunk in chunks:
+        for log in chunk:
+            name = _TRIAL_LOG.format(log.trial_id)
+            _write(trials_dir / name, log.to_jsonl(), written)
+            log_names.add(name)
+            if any(True for _ in log.iter_kind("state")):
+                if not trace_names:
+                    traces_dir.mkdir(parents=True, exist_ok=True)
+                name = _TRACE.format(log.trial_id)
+                _write(traces_dir / name, trace_csv(log), written)
+                trace_names.add(name)
+            summary.add(log)
+        # Otherwise the loop variables hold this chunk (and its last log)
+        # while the next one is made.
+        chunk = log = None
+    result = summary.result()
+    _write(out / "summary.csv", summary_csv(result), written)
+    _write(out / "report.txt", report_text(result), written)
     _remove_others(trials_dir, "trial_*.jsonl", log_names)
     _remove_others(traces_dir, "trial_*.csv", trace_names)
+
+    staged = out / "config.json.tmp"
+    _write(staged, json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n", [])
+    try:
+        os.replace(staged, config)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {config}: {exc}") from exc
+    written.append(config)
     return written
 
 
-def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, List[TrialLog]]:
-    """The config a run directory records and its trial logs, tagged with the
-    config's scenario.  A missing or invalid ``config.json`` is a corrupt run
-    directory."""
+def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, Iterator[TrialLog]]:
+    """The config a run directory records and an iterator over its trial
+    logs, tagged with the config's scenario (see `load_logs`).  A missing or
+    invalid ``config.json`` is a corrupt run directory."""
 
     try:
         cfg = load_config(Path(out_dir) / "config.json")
@@ -169,21 +200,36 @@ def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, List[TrialLog]]:
     return cfg, load_logs(out_dir, cfg)
 
 
-def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> List[TrialLog]:
+def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     """The trial logs of a run directory produced under ``cfg``, in trial
-    order.  Refuses an incomplete set: the directory must hold exactly the
-    logs of trials 0..cfg.trials-1, each in its own file."""
+    order.  Refuses an incomplete set at once, from one listing of the
+    directory: it must hold exactly the logs of trials 0..cfg.trials-1, each
+    in its own file.  Each log is read and checked only when the iterator
+    reaches it, so a corrupt one raises there."""
 
     trials_dir = Path(out_dir) / "trials"
-    logs, missing = [], []
+    try:
+        names = fnmatch.filter(os.listdir(trials_dir), "trial_*.jsonl")
+    except (FileNotFoundError, NotADirectoryError):
+        names = []
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {trials_dir}: {exc}") from exc
+    present = set(names)
+    missing = [i for i in range(cfg.trials) if _TRIAL_LOG.format(i) not in present]
+    if missing or len(names) != cfg.trials:
+        raise RuntimeError(
+            f"{trials_dir} holds {len(names)} trial logs, expected ids 0..{cfg.trials - 1}"
+            + (f"; missing {missing[:5]}" if missing else "")
+        )
+    return _read_logs(out_dir, cfg)
+
+
+def _read_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     for trial_id in range(cfg.trials):
         path = trial_path(out_dir, trial_id)
         try:
             with open(path) as f:
                 blob = f.read()
-        except FileNotFoundError:
-            missing.append(trial_id)
-            continue
         except OSError as exc:
             raise RuntimeError(f"cannot read {path}: {exc}") from exc
         try:
@@ -192,12 +238,4 @@ def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> List[TrialLog]:
             raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
         if log.trial_id != trial_id:
             raise RuntimeError(f"corrupt trial log {path}: it holds trial {log.trial_id}")
-        logs.append(log)
-    found = len(fnmatch.filter(os.listdir(trials_dir), "trial_*.jsonl")) \
-        if trials_dir.is_dir() else 0
-    if missing or found != cfg.trials:
-        raise RuntimeError(
-            f"{trials_dir} holds {found} trial logs, expected ids 0..{cfg.trials - 1}"
-            + (f"; missing {missing[:5]}" if missing else "")
-        )
-    return logs
+        yield log

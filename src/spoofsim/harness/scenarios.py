@@ -39,14 +39,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 import numpy as np
 
 from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
 from .log import TrialLog
-from .summary import summarize_gpws, summarize_gs, summarize_tcas
+from .summary import GpwsSummary, GsSummary, TcasSummary
 
 if TYPE_CHECKING:  # config imports this module for the registry
     from .config import ScenarioConfig
@@ -471,17 +471,18 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario: its trial function, summarizer and config overrides."""
+    """One scenario: its trial function, the accumulator that summarizes its
+    logs (``add(log)``, then ``result()``) and its config overrides."""
 
     trial: Callable[[ScenarioConfig, int, int], TrialLog]
-    summarize: Callable[[Sequence[TrialLog]], Dict[str, Any]]
+    summary: Callable[[], Any]
     overrides: Dict[str, Any] = field(default_factory=dict)
 
 
 SCENARIOS: Dict[str, Scenario] = {
-    "GPWS": Scenario(gpws_trial, summarize_gpws),
-    "TCAS": Scenario(tcas_trial, summarize_tcas),
-    "GS": Scenario(gs_trial, summarize_gs),
+    "GPWS": Scenario(gpws_trial, GpwsSummary),
+    "TCAS": Scenario(tcas_trial, TcasSummary),
+    "GS": Scenario(gs_trial, GsSummary),
     # The glideslope approach with no attacker.
-    "BASELINE": Scenario(gs_trial, summarize_gs, {"attacker": {"enabled": False}}),
+    "BASELINE": Scenario(gs_trial, GsSummary, {"attacker": {"enabled": False}}),
 }

@@ -4,12 +4,19 @@ Table shapes follow the reporting conventions of the scenario outputs: the
 terrain-alert table lists actions per approach among the crews still flying
 that approach (a crew that lands is not carried forward); the collision-
 avoidance table is a final-mode by final-action matrix.
+
+A summary is a fold: each scenario's accumulator (`GpwsSummary`,
+`TcasSummary`, `GsSummary`) takes one log at a time with ``add`` and keeps
+counts plus the per-trial scalars its means and standard deviations need, and
+``result`` builds the tables and statistics.  `Summary` adds the outcome
+counts and picks the accumulator from the first log's scenario, so a run's
+logs can be summarized as they are produced or read, without holding them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .. import crew, tcas
 from .log import TrialLog
@@ -63,182 +70,229 @@ def _mean_sd(values: Sequence[float]) -> Dict[str, float]:
     return {"n": n, "mean": mean, "sd": math.sqrt(var)}
 
 
-def _check_homogeneous(logs: Sequence[TrialLog]) -> str:
-    if not logs:
-        raise ValueError("cannot summarize an empty set of trial logs")
-    scenarios = {log.scenario for log in logs}
-    if len(scenarios) != 1:
-        raise ValueError(f"logs span multiple scenarios: {sorted(scenarios)}")
-    return scenarios.pop()
+class GpwsSummary:
+    """Actions per approach among the crews still flying it, and the heights
+    of the first-approach go-arounds."""
 
+    def __init__(self) -> None:
+        self.trials = 0
+        self.per_approach: Dict[int, Dict[str, int]] = {}
+        self.first_go_around_agl: List[float] = []
 
-def summarize_gpws(logs: Sequence[TrialLog]) -> Dict[str, Any]:
-    per_approach: Dict[int, Dict[str, int]] = {}
-    first_go_around_agl: List[float] = []
-    for log in logs:
+    def add(self, log: TrialLog) -> None:
+        self.trials += 1
+        per_approach = self.per_approach
         for event in log.iter_kind("crew_action"):
             approach = _field(log, event, "approach", int)
             action = _field(log, event, "action", GPWS_ACTION_LABELS)
             per_approach.setdefault(approach, {}).setdefault(action, 0)
             per_approach[approach][action] += 1
             if approach == 1 and action == crew.GO_AROUND:
-                first_go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
+                self.first_go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
         if log.outcome == "LANDED" and not any(True for _ in log.iter_kind("crew_action")):
             # Unalerted approach concludes in a landing without a table entry.
             per_approach.setdefault(1, {}).setdefault(crew.LAND, 0)
             per_approach[1][crew.LAND] += 1
 
-    rows = []
-    for approach in sorted(per_approach):
-        actions = per_approach[approach]
-        participants = sum(actions.values())
-        for action in (crew.TURN_OFF_GPWS, crew.LAND, crew.GO_AROUND):
-            if action not in actions:
-                continue
-            count = actions[action]
-            rows.append([
-                approach, GPWS_ACTION_LABELS[action], count,
-                round(100.0 * count / participants, 1), participants,
-            ])
-    agl = _mean_sd(first_go_around_agl)
-    return {
-        "tables": {
-            "actions": {
-                "headers": ["Approach", "Action", "Count", "Percent", "Participants"],
-                "rows": rows,
-            }
-        },
-        "stats": {
-            "first_approach_go_around_fraction": (
-                per_approach.get(1, {}).get(crew.GO_AROUND, 0) / len(logs)
-            ),
-            "first_approach_land_fraction": (
-                per_approach.get(1, {}).get(crew.LAND, 0) / len(logs)
-            ),
-            "first_approach_go_around_min_agl_mean_ft": agl["mean"],
-            "first_approach_go_around_min_agl_sd_ft": agl["sd"],
-        },
-    }
+    def result(self) -> Dict[str, Any]:
+        per_approach = self.per_approach
+        rows = []
+        for approach in sorted(per_approach):
+            actions = per_approach[approach]
+            participants = sum(actions.values())
+            for action in (crew.TURN_OFF_GPWS, crew.LAND, crew.GO_AROUND):
+                if action not in actions:
+                    continue
+                count = actions[action]
+                rows.append([
+                    approach, GPWS_ACTION_LABELS[action], count,
+                    round(100.0 * count / participants, 1), participants,
+                ])
+        agl = _mean_sd(self.first_go_around_agl)
+        return {
+            "tables": {
+                "actions": {
+                    "headers": ["Approach", "Action", "Count", "Percent", "Participants"],
+                    "rows": rows,
+                }
+            },
+            "stats": {
+                "first_approach_go_around_fraction": (
+                    per_approach.get(1, {}).get(crew.GO_AROUND, 0) / self.trials
+                ),
+                "first_approach_land_fraction": (
+                    per_approach.get(1, {}).get(crew.LAND, 0) / self.trials
+                ),
+                "first_approach_go_around_min_agl_mean_ft": agl["mean"],
+                "first_approach_go_around_min_agl_sd_ft": agl["sd"],
+            },
+        }
 
 
-def summarize_tcas(logs: Sequence[TrialLog]) -> Dict[str, Any]:
-    matrix: Dict[str, Dict[str, int]] = {
-        a: {m: 0 for m in TCAS_MODE_LABELS} for a in TCAS_ACTION_LABELS
-    }
-    mode_counts = {m: 0 for m in TCAS_MODE_LABELS}
-    ras_before_downgrade: List[float] = []
-    tas_before_standby: List[float] = []
-    episode_counts: List[int] = []
-    for log in logs:
+class TcasSummary:
+    """The final-mode by final-action matrix, the advisories seen before each
+    downgrade, and the encounters per trial."""
+
+    def __init__(self) -> None:
+        self.trials = 0
+        self.matrix: Dict[str, Dict[str, int]] = {
+            a: {m: 0 for m in TCAS_MODE_LABELS} for a in TCAS_ACTION_LABELS
+        }
+        self.mode_counts = {m: 0 for m in TCAS_MODE_LABELS}
+        self.ras_before_downgrade: List[float] = []
+        self.tas_before_standby: List[float] = []
+        self.episodes_total = 0
+        self.episodes_max = -math.inf
+
+    def add(self, log: TrialLog) -> None:
+        self.trials += 1
         outcome = log.events[-1]
         mode = _field(log, outcome, "final_mode", TCAS_MODE_LABELS)
         action = _field(log, outcome, "final_action", TCAS_ACTION_LABELS)
-        matrix[action][mode] += 1
-        mode_counts[mode] += 1
-        episode_counts.append(_field(log, outcome, "episodes", int))
+        self.matrix[action][mode] += 1
+        self.mode_counts[mode] += 1
+        episodes = _field(log, outcome, "episodes", int)
+        self.episodes_total += episodes
+        self.episodes_max = max(self.episodes_max, episodes)
         if mode != tcas.TA_RA:
-            ras_before_downgrade.append(_field(log, outcome, "ras_observed", _NUMBER))
+            self.ras_before_downgrade.append(_field(log, outcome, "ras_observed", _NUMBER))
         if mode == tcas.STANDBY:
-            tas_before_standby.append(_field(log, outcome, "tas_after_downgrade", _NUMBER))
+            self.tas_before_standby.append(_field(log, outcome, "tas_after_downgrade", _NUMBER))
 
-    n = len(logs)
-    rows = []
-    for action, label in TCAS_ACTION_LABELS.items():
-        row = [label]
-        for mode in TCAS_MODE_LABELS:
-            count = matrix[action][mode]
-            row.extend([count, round(100.0 * count / n, 1)])
-        total = sum(matrix[action].values())
-        row.extend([total, round(100.0 * total / n, 1)])
-        rows.append(row)
-    ras = _mean_sd(ras_before_downgrade)
-    tas = _mean_sd(tas_before_standby)
-    return {
-        "tables": {
-            "responses": {
-                "headers": [
-                    "Action",
-                    "TA/RA", "TA/RA %",
-                    "TA-Only", "TA-Only %",
-                    "Standby", "Standby %",
-                    "Total", "Total %",
-                ],
-                "rows": rows,
-            }
-        },
-        "stats": {
-            "final_mode_ta_ra_fraction": mode_counts[tcas.TA_RA] / n,
-            "final_mode_ta_only_fraction": mode_counts[tcas.TA_ONLY] / n,
-            "final_mode_standby_fraction": mode_counts[tcas.STANDBY] / n,
-            "ras_before_ta_only_mean": ras["mean"],
-            "ras_before_ta_only_sd": ras["sd"],
-            "additional_tas_before_standby_mean": tas["mean"],
-            "additional_tas_before_standby_sd": tas["sd"],
-            "episodes_mean": sum(episode_counts) / n,
-            "episodes_max": max(episode_counts),
-        },
-    }
+    def result(self) -> Dict[str, Any]:
+        n = self.trials
+        rows = []
+        for action, label in TCAS_ACTION_LABELS.items():
+            row = [label]
+            for mode in TCAS_MODE_LABELS:
+                count = self.matrix[action][mode]
+                row.extend([count, round(100.0 * count / n, 1)])
+            total = sum(self.matrix[action].values())
+            row.extend([total, round(100.0 * total / n, 1)])
+            rows.append(row)
+        ras = _mean_sd(self.ras_before_downgrade)
+        tas = _mean_sd(self.tas_before_standby)
+        return {
+            "tables": {
+                "responses": {
+                    "headers": [
+                        "Action",
+                        "TA/RA", "TA/RA %",
+                        "TA-Only", "TA-Only %",
+                        "Standby", "Standby %",
+                        "Total", "Total %",
+                    ],
+                    "rows": rows,
+                }
+            },
+            "stats": {
+                "final_mode_ta_ra_fraction": self.mode_counts[tcas.TA_RA] / n,
+                "final_mode_ta_only_fraction": self.mode_counts[tcas.TA_ONLY] / n,
+                "final_mode_standby_fraction": self.mode_counts[tcas.STANDBY] / n,
+                "ras_before_ta_only_mean": ras["mean"],
+                "ras_before_ta_only_sd": ras["sd"],
+                "additional_tas_before_standby_mean": tas["mean"],
+                "additional_tas_before_standby_sd": tas["sd"],
+                "episodes_mean": self.episodes_total / n,
+                "episodes_max": self.episodes_max,
+            },
+        }
 
 
-def summarize_gs(logs: Sequence[TrialLog]) -> Dict[str, Any]:
-    go_around_agl: List[float] = []
-    fallbacks: Dict[str, int] = {}
-    landed_first = 0
-    for log in logs:
+class GsSummary:
+    """First-approach go-arounds, their heights, and the fallback approaches
+    flown after them."""
+
+    def __init__(self) -> None:
+        self.trials = 0
+        self.go_around_agl: List[float] = []
+        self.fallbacks: Dict[str, int] = {}
+        self.landed_first = 0
+
+    def add(self, log: TrialLog) -> None:
+        self.trials += 1
         went_around = False
         for event in log.iter_kind("crew_action"):
             if _field(log, event, "action", str) == crew.GO_AROUND \
                     and _field(log, event, "approach", int) == 1:
                 went_around = True
-                go_around_agl.append(_field(log, event, "agl_ft", _NUMBER))
+                self.go_around_agl.append(_field(log, event, "agl_ft", _NUMBER))
         if went_around:
             for event in log.iter_kind("fallback_selected"):
                 ft = _field(log, event, "approach_type", str)
-                fallbacks[ft] = fallbacks.get(ft, 0) + 1
+                self.fallbacks[ft] = self.fallbacks.get(ft, 0) + 1
         else:
-            landed_first += 1
+            self.landed_first += 1
 
-    n = len(logs)
-    n_ga = len(go_around_agl)
-    agl = _mean_sd(go_around_agl)
-    rows = [["Go-around", n_ga, round(100.0 * n_ga / n, 1)],
-            ["Land", landed_first, round(100.0 * landed_first / n, 1)]]
-    fb_rows = [
-        [ft, count, round(100.0 * count / n_ga, 1)]
-        for ft, count in sorted(fallbacks.items())
-    ]
-    return {
-        "tables": {
-            "first_approach": {
-                "headers": ["Action", "Count", "Percent"],
-                "rows": rows,
+    def result(self) -> Dict[str, Any]:
+        n = self.trials
+        n_ga = len(self.go_around_agl)
+        fallbacks = self.fallbacks
+        agl = _mean_sd(self.go_around_agl)
+        rows = [["Go-around", n_ga, round(100.0 * n_ga / n, 1)],
+                ["Land", self.landed_first, round(100.0 * self.landed_first / n, 1)]]
+        fb_rows = [
+            [ft, count, round(100.0 * count / n_ga, 1)]
+            for ft, count in sorted(fallbacks.items())
+        ]
+        return {
+            "tables": {
+                "first_approach": {
+                    "headers": ["Action", "Count", "Percent"],
+                    "rows": rows,
+                },
+                "fallback_approaches": {
+                    "headers": ["Approach type", "Count", "Percent"],
+                    "rows": fb_rows,
+                },
             },
-            "fallback_approaches": {
-                "headers": ["Approach type", "Count", "Percent"],
-                "rows": fb_rows,
+            "stats": {
+                "first_approach_go_around_fraction": n_ga / n,
+                "go_around_agl_mean_ft": agl["mean"],
+                "go_around_agl_sd_ft": agl["sd"],
+                "fallback_fractions": {
+                    ft: count / n_ga for ft, count in sorted(fallbacks.items())
+                } if n_ga else {},
             },
-        },
-        "stats": {
-            "first_approach_go_around_fraction": n_ga / n,
-            "go_around_agl_mean_ft": agl["mean"],
-            "go_around_agl_sd_ft": agl["sd"],
-            "fallback_fractions": {
-                ft: count / n_ga for ft, count in sorted(fallbacks.items())
-            } if n_ga else {},
-        },
-    }
+        }
 
 
-def summarize(logs: Sequence[TrialLog]) -> Dict[str, Any]:
-    from .scenarios import SCENARIOS  # the registry imports this module
+class Summary:
+    """The fold of one scenario's trial logs: their outcomes plus the
+    scenario's own accumulator, chosen by the first log added."""
 
-    scenario = _check_homogeneous(logs)
-    outcomes: Dict[str, int] = {}
-    for log in logs:
+    def __init__(self) -> None:
+        self.scenario: Optional[str] = None
+        self.outcomes: Dict[str, int] = {}
+        self._scenario_summary: Any = None
+
+    def add(self, log: TrialLog) -> None:
+        if self.scenario is None:
+            from .scenarios import SCENARIOS  # the registry imports this module
+
+            self.scenario = log.scenario
+            self._scenario_summary = SCENARIOS[log.scenario].summary()
+        elif log.scenario != self.scenario:
+            raise ValueError(
+                f"logs span multiple scenarios: {sorted({self.scenario, log.scenario})}")
         outcome = _field(log, log.events[-1], "outcome", str)
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-    result = SCENARIOS[scenario].summarize(logs)
-    result["scenario"] = scenario
-    result["trials"] = len(logs)
-    result["outcomes"] = dict(sorted(outcomes.items()))
-    return result
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        self._scenario_summary.add(log)
+
+    def result(self) -> Dict[str, Any]:
+        if self.scenario is None:
+            raise ValueError("cannot summarize an empty set of trial logs")
+        result = self._scenario_summary.result()
+        result["scenario"] = self.scenario
+        result["trials"] = self._scenario_summary.trials
+        result["outcomes"] = dict(sorted(self.outcomes.items()))
+        return result
+
+
+def summarize(logs: Iterable[TrialLog]) -> Dict[str, Any]:
+    """The summary of ``logs``, read once, in order."""
+
+    summary = Summary()
+    for log in logs:
+        summary.add(log)
+    return summary.result()

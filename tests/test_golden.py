@@ -1,5 +1,6 @@
 """Golden outputs: every registered scenario emits byte-identical files at the
-reference seed and trial count.
+reference seed and trial count, and at a trial count that spans several of
+the runner's chunks.
 
 A change that alters any of these hashes changes the emitted logs; that is
 only allowed as a deliberate correctness fix, with the new hashes recorded
@@ -11,6 +12,7 @@ import hashlib
 import pytest
 
 from spoofsim.harness.cli import main
+from spoofsim.harness.runner import CHUNK_TRIALS
 from spoofsim.harness.scenarios import SCENARIOS
 
 SEED = 20190118
@@ -39,6 +41,30 @@ EXPECTED = {
 }
 
 
+#: A trial count past two chunk boundaries (2 * CHUNK_TRIALS + 1 at 256 trials
+#: a chunk), with its hashes as the unchunked harness emitted them.
+TRIALS_ACROSS_CHUNKS = 513
+EXPECTED_ACROSS_CHUNKS = {
+    "GPWS": {
+        "trials": "cd1deea08cd8ef2b4023d459c65136acc04fe1403afd2b9a46150474a29058be",
+        "summary.csv": "af2919f5dfd1ab8cdc85e10c8d9b449c036142a7832e281ad214668e76ca5586",
+    },
+    "TCAS": {
+        "trials": "26ed31bd7bf420768ea49b08e48758b2b97fe2024370de537542c14fc96408f4",
+        "summary.csv": "abee7066ef2f50073b7fb474957a42e8b6f353f6b195b927b5c9668779fd436f",
+        "verdicts.csv": "9ec1cc2da4a2ebda232c23288c8e4934fceed5cc806482d4d138cee6b81d1754",
+    },
+    "GS": {
+        "trials": "fa2e65f695ea3c3f2ee6fc92092ea554a5d995c0c5a5b041ba88295711ba0031",
+        "summary.csv": "1393d5816af362679387c40445ed1aaa3f3f5cf2ceb042629f45ca533c84b206",
+    },
+    "BASELINE": {
+        "trials": "613830f76677ba8791a1a69256ebaec41c3367ccaa796faf10565282eb7972dd",
+        "summary.csv": "34aa2eb2ee50c1a06771ae4be144f44ee2b57036d7119b6aa06635f89c2d3752",
+    },
+}
+
+
 def trials_digest(out):
     digest = hashlib.sha256()
     for path in sorted((out / "trials").glob("trial_*.jsonl")):
@@ -46,13 +72,12 @@ def trials_digest(out):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("scenario", list(SCENARIOS))
-def test_golden_outputs(scenario, tmp_path, capsys):
-    assert scenario in EXPECTED, f"no golden hashes recorded for {scenario}"
-    expected = EXPECTED[scenario]
-    out = tmp_path / scenario
+def emitted_digests(scenario, trials, expected, out):
+    """Run ``scenario`` at the reference seed into ``out`` (and detect, when
+    ``expected`` has a verdicts hash); the hashes of what it wrote."""
+
     common = ["--scenario", scenario, "--seed", str(SEED), "--out", str(out)]
-    assert main(["run", "--trials", str(TRIALS)] + common) == 0
+    assert main(["run", "--trials", str(trials)] + common) == 0
     actual = {
         "trials": trials_digest(out),
         "summary.csv": hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest(),
@@ -60,5 +85,26 @@ def test_golden_outputs(scenario, tmp_path, capsys):
     if "verdicts.csv" in expected:
         assert main(["detect"] + common) == 0
         actual["verdicts.csv"] = hashlib.sha256((out / "verdicts.csv").read_bytes()).hexdigest()
+    return actual
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_golden_outputs(scenario, tmp_path, capsys):
+    assert scenario in EXPECTED, f"no golden hashes recorded for {scenario}"
+    expected = EXPECTED[scenario]
+    actual = emitted_digests(scenario, TRIALS, expected, tmp_path / scenario)
+    capsys.readouterr()
+    assert actual == expected
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_golden_outputs_across_chunks(scenario, tmp_path, capsys):
+    """Streaming the trials in chunks changes no byte: each accumulator folds
+    three chunks, the last of them a single trial at 256 trials a chunk."""
+
+    assert TRIALS_ACROSS_CHUNKS > 2 * CHUNK_TRIALS
+    assert scenario in EXPECTED_ACROSS_CHUNKS, f"no golden hashes recorded for {scenario}"
+    expected = EXPECTED_ACROSS_CHUNKS[scenario]
+    actual = emitted_digests(scenario, TRIALS_ACROSS_CHUNKS, expected, tmp_path / scenario)
     capsys.readouterr()
     assert actual == expected

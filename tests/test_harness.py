@@ -1,8 +1,11 @@
 """Config validation, trial logs, determinism, summaries, costs, CLI."""
 
+import dataclasses
+import itertools
 import json
 import math
 import re
+import weakref
 
 import pytest
 
@@ -20,7 +23,9 @@ from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_run
-from spoofsim.harness.scenarios import approach_start
+from spoofsim.harness.runner import CHUNK_TRIALS
+from spoofsim.harness.scenarios import SCENARIOS, approach_start
+from spoofsim.harness.summary import Summary
 
 
 def small_config(scenario, trials=5, **extra):
@@ -123,7 +128,7 @@ def test_terrain_below_runway_lands(tmp_path):
     out = tmp_path / "out"
     assert main(["validate-config", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--trials", "20", "--out", str(out)]) == 0
-    _, logs = load_run(out)
+    logs = list(load_run(out)[1])
     assert len(logs) == 20
     assert all(log.outcome == "LANDED" for log in logs)
 
@@ -560,11 +565,12 @@ def test_cost_errors():
 def test_emit_files(tmp_path):
     cfg = small_config("GS", trials=3, output_dir=str(tmp_path / "out"))
     logs = run(cfg)
-    written = emit(cfg, logs, summarize(logs))
+    written = emit(cfg, [logs], Summary())
     names = {p.name for p in written}
     assert {"trial_00000.jsonl", "trial_00001.jsonl", "trial_00002.jsonl",
             "summary.csv", "report.txt", "config.json"} <= names
     reread_cfg, reread = load_run(tmp_path / "out")
+    reread = list(reread)
     assert reread_cfg.raw == cfg.raw
     assert [l.to_jsonl() for l in reread] == [l.to_jsonl() for l in logs]
     assert {l.scenario for l in reread} == {"GS"}
@@ -574,7 +580,7 @@ def test_emit_deterministic(tmp_path):
     for d in ("a", "b"):
         cfg = small_config("GS", trials=3, output_dir=str(tmp_path / d))
         logs = run(cfg)
-        emit(cfg, logs, summarize(logs))
+        emit(cfg, [logs], Summary())
     for name in ("summary.csv", "report.txt", "trials/trial_00001.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -583,7 +589,7 @@ def test_altitude_trace_emitted(tmp_path):
     cfg = small_config("GPWS", trials=1, output={"altitude_trace": True},
                        output_dir=str(tmp_path / "out"))
     logs = run(cfg)
-    written = emit(cfg, logs, summarize(logs))
+    written = emit(cfg, [logs], Summary())
     traces = [p for p in written if p.parent.name == "traces"]
     assert len(traces) == 1
     header = traces[0].read_text().splitlines()[0]
@@ -616,7 +622,7 @@ def test_rerun_without_traces_removes_them(tmp_path):
         cfg = small_config("GPWS", trials=2, output={"altitude_trace": altitude_trace},
                            output_dir=str(out))
         logs = run(cfg)
-        emit(cfg, logs, summarize(logs))
+        emit(cfg, [logs], Summary())
         if altitude_trace:
             assert len(list((out / "traces").glob("trial_*.csv"))) == 2
     assert not list((out / "traces").glob("trial_*.csv"))
@@ -755,10 +761,10 @@ def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
     first["t"] = 1e9
     path.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*time order"):
-        load_run(tmp_path / "out")
+        list(load_run(tmp_path / "out")[1])
     path.write_text("".join(lines + lines[-1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*one outcome"):
-        load_run(tmp_path / "out")
+        list(load_run(tmp_path / "out")[1])
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -916,6 +922,85 @@ def test_cli_summarize_unreadable_payload_exit_code(tmp_path, capsys, scenario, 
     err = capsys.readouterr().err
     assert f"corrupt trial log in {out}" in err
     assert f"trial 3: {kind} field {field!r}" in err
+
+
+@pytest.fixture
+def live_logs(monkeypatch):
+    """A function that runs the CLI and returns the most `TrialLog`s that
+    were alive at once while it ran, counted at each construction through a
+    weak-reference set (a log is unhashable, so the set is keyed by a
+    construction counter)."""
+
+    alive = weakref.WeakValueDictionary()
+    counter = itertools.count()
+    peak = [0]
+    init = TrialLog.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive[next(counter)] = self
+        peak[0] = max(peak[0], len(alive))
+
+    monkeypatch.setattr(TrialLog, "__init__", counting_init)
+
+    def most_alive(argv):
+        peak[0] = len(alive)
+        assert main(argv) == 0
+        return peak[0]
+
+    return most_alive
+
+
+def test_commands_hold_at_most_one_chunk_of_logs(tmp_path, capsys, live_logs):
+    """run writes and folds each chunk before the next one is made, and
+    summarize and detect parse each log only when they reach it, so none of
+    them holds more than one chunk of trial logs, whatever N is."""
+
+    trials = str(2 * CHUNK_TRIALS + 3)
+    gs, tc = str(tmp_path / "gs"), str(tmp_path / "tcas")
+    peaks = {
+        "GS run": live_logs(["run", "--scenario", "GS", "--trials", trials, "--out", gs]),
+        "GS summarize": live_logs(["summarize", "--out", gs]),
+        "TCAS run": live_logs(["run", "--scenario", "TCAS", "--trials", trials, "--out", tc]),
+        "TCAS detect": live_logs(["detect", "--out", tc]),
+    }
+    capsys.readouterr()
+    assert all(0 < peak <= CHUNK_TRIALS for peak in peaks.values()), peaks
+
+
+def test_interrupted_rerun_is_refused(tmp_path, monkeypatch, capsys):
+    """A rerun that fails midway has overwritten some of an earlier run's
+    trial logs, which the earlier config.json would describe just as well.
+    run removes that config.json before it writes a trial log and writes its
+    own last, so the mixture is refused as a corrupt run directory."""
+
+    out = tmp_path / "out"
+    trials = 2 * CHUNK_TRIALS + 3
+    _gs_run(out, trials=trials)
+    gs = SCENARIOS["GS"]
+
+    def failing_trial(cfg, trial_id, seed):
+        if trial_id == CHUNK_TRIALS + 5:
+            raise RuntimeError(f"trial {trial_id} failed")
+        return gs.trial(cfg, trial_id, seed)
+
+    monkeypatch.setitem(SCENARIOS, "GS", dataclasses.replace(gs, trial=failing_trial))
+    rerun = ["run", "--scenario", "GS", "--trials", str(trials), "--seed", "6",
+             "--out", str(out)]
+    assert main(rerun) == 3
+    assert f"trial {CHUNK_TRIALS + 5} failed" in capsys.readouterr().err
+    assert len(list((out / "trials").glob("trial_*.jsonl"))) == trials
+    assert not (out / "config.json").exists()
+    assert not (out / "config.json.tmp").exists()
+    for command in (["summarize"], ["detect"]):
+        assert main(command + ["--out", str(out)]) == 3
+        assert "corrupt run directory" in capsys.readouterr().err
+
+    monkeypatch.setitem(SCENARIOS, "GS", gs)
+    assert main(rerun) == 0
+    assert not (out / "config.json.tmp").exists()
+    assert main(["summarize", "--out", str(out)]) == 0
+    assert f"trials,{trials}" in capsys.readouterr().out
 
 
 def test_cli_detect_bad_position_names_trial_file(tmp_path, capsys):
