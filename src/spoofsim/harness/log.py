@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Iterator, List, Optional
 
 OUTCOME = "outcome"
@@ -17,9 +18,37 @@ _TIME_SLACK_S = 1e-9
 #: `json.loads` without its per-call argument handling; logs are read a line
 #: at a time, so this runs once per event.
 _decode = json.JSONDecoder().decode
-#: `json.dumps(..., sort_keys=True)` without building an encoder per call; it
-#: runs once per event written.
-_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _floatstr(o: float, _repr=float.__repr__, _inf=math.inf) -> str:
+    """A float as `json.dumps` writes it, NaN and the infinities included."""
+
+    if o != o:
+        return "NaN"
+    if o == _inf:
+        return "Infinity"
+    if o == -_inf:
+        return "-Infinity"
+    return _repr(o)
+
+
+def _build_encoder(c_make=c_make_encoder):
+    """The encoder `json.dumps(..., sort_keys=True)` builds on every call:
+    ``encoder(o, 0)`` gives the chunks of ``o``'s JSON text.  The arguments
+    are `JSONEncoder.iterencode`'s for those settings, without the
+    circular-reference markers (a log is a tree); without the C accelerator
+    (``c_make`` None), the pure-Python one."""
+
+    default = json.JSONEncoder().default
+    if c_make is not None:
+        return c_make(None, default, encode_basestring_ascii, None, ": ", ", ",
+                      True, False, True)
+    return _make_iterencode(None, default, encode_basestring_ascii, None, _floatstr,
+                            ": ", ", ", True, False, True)
+
+
+#: Built once: it runs once per event written.
+_iterencode = _build_encoder()
 
 
 @dataclass
@@ -57,12 +86,20 @@ class TrialLog:
         return (e for e in self.events if e["kind"] == kind)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for event in self.events:
-            record = dict(event)
-            record["trial_id"] = self.trial_id
-            record["seed"] = self.seed
-            lines.append(_encode(record))
+        """One line per event: ``json.dumps`` of its ``t``, ``kind`` and
+        ``payload`` with the log's ``trial_id`` and ``seed``,
+        ``sort_keys=True``.  Those keys always sort as kind, payload, seed, t,
+        trial_id, so the line is framed around the encoded kind, payload and
+        t."""
+
+        join = "".join
+        seed = f', "seed": {join(_iterencode(self.seed, 0))}, "t": '
+        end = f', "trial_id": {join(_iterencode(self.trial_id, 0))}}}'
+        lines = [
+            f'{{"kind": {encode_basestring_ascii(e["kind"])}, "payload": '
+            f'{join(_iterencode(e["payload"], 0))}{seed}{join(_iterencode(e["t"], 0))}{end}'
+            for e in self.events
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod

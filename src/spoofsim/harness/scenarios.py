@@ -25,18 +25,22 @@ leaves the unit outside TA/RA, or where the claimed range reaches its floor
 (`FalseIntruderInjector.floor_cycle`).  Where the injector may fall silent
 mid-run (the terrain crosses its activation floor), every cycle runs.
 
-A TCAS surveillance cycle evaluates its geometry once: the cruise state
-keeps its value for the last time asked, so the own position, the claimed
-intruder position and the activation-floor check at one cycle time share one
-``world.step``; the injector's one claim per cycle reads the terrain and its
-claimed position once.  The claim is plain floats and updates the track in
-place; only the encounter's first reply, the one its log keeps, becomes a
-`tcas.SurveillanceMessage`.
+A TCAS surveillance cycle runs on floats.  Level cruise at heading 0 puts
+the own ship at ``(gs * t, 0.0, altitude)``, the position ``world.step``
+gives, so the cycle computes it in closed form (`cruise_position_fn`, which
+makes `world.step`'s checks once per trial) and builds no state.  The
+injector places its claim relative to that position, and the claim, plain
+floats, updates the track in place; only the encounter's first reply, the
+one its log keeps, becomes a `tcas.SurveillanceMessage`.  Where cycles may be
+skipped, cruise lies on one side of the activation floor over all the
+terrain, so the floor check has one answer for the trial and the cycle looks
+no terrain up; where the terrain straddles the floor, each claim looks up
+the height under the own ship once.  The injector's budget and episode
+checks run on every claim.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
@@ -218,22 +222,23 @@ def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 # false-intruder encounters
 
 
-def _cruise_state_fn(initial: world.AircraftState) -> Callable[[float], world.AircraftState]:
-    """Own-ship state at time t: ``initial`` held before its time, then one
-    closed-form ``world.step`` from it (no time integration).
+def cruise_position_fn(
+    altitude_m: float, ground_speed: float
+) -> Callable[[float], tcas.Position]:
+    """Own position at time t of level cruise from the origin at t = 0,
+    heading 0: the position of ``world.step`` from that state, in closed
+    form.  ``step`` adds ``0.0 + gs * t`` along track, ``0.0 + gs * t * 0.0``
+    across and ``altitude + 0.0 * t``, which are ``gs * t``, 0.0 and the
+    altitude wherever ``gs * t`` is finite and not -0.0 and the altitude is
+    not zero (a config's cruise speed and altitude are positive); before
+    t = 0 the aircraft holds its start.  Raises `world.step`'s ValueError
+    for a ground speed it rejects."""
 
-    The result for the last t is kept: one surveillance cycle reads the state
-    at the same t for the own position, the injector's claimed geometry and
-    the activation-floor check, and the state is frozen, so they share it.
-    """
+    world.check_step(0.0, ground_speed, 1.0)
+    start = (0.0, 0.0, altitude_m)
 
-    @functools.lru_cache(maxsize=1)
-    def fn(t: float) -> world.AircraftState:
-        if t <= initial.time:
-            return initial
-        return world.step(
-            initial, initial.vertical_speed, initial.ground_speed, t - initial.time
-        )
+    def fn(t: float) -> tcas.Position:
+        return (ground_speed * t, 0.0, altitude_m) if t > 0.0 else start
 
     return fn
 
@@ -242,28 +247,35 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     terrain, policy = cfg.terrain, cfg.tcas_policy
+    altitude = ft_to_m(cfg.cruise_altitude_ft)
+    own_fn = cruise_position_fn(altitude, kn_to_mps(cfg.cruise_ground_speed_kn))
 
-    initial = world.AircraftState(
-        time=0.0,
-        ground_position=(0.0, 0.0),
-        altitude_msl=ft_to_m(cfg.cruise_altitude_ft),
-        vertical_speed=0.0,
-        ground_speed=kn_to_mps(cfg.cruise_ground_speed_kn),
-        heading=0.0,
-    )
-    state_fn = _cruise_state_fn(initial)
+    # Cycles may be skipped only while the injector answers every one or
+    # none: level cruise stays on one side of its activation floor over all
+    # the terrain (1e-6 ft spares the rounding of the lookup).  There the
+    # floor check has one answer for the whole trial, and the height over
+    # the highest (or lowest) vertex gives it without a terrain lookup.
+    elevations = [z for _, z in terrain.vertices]
+    floor_ft = cfg.false_intruder_plan.activation_floor
+    over_highest = m_to_ft(altitude - max(elevations))
+    over_lowest = m_to_ft(altitude - min(elevations))
+    skipping = over_highest > floor_ft + 1e-6 or over_lowest < floor_ft - 1e-6
+    if skipping:
+        side_agl = over_highest if over_highest > floor_ft else over_lowest
 
-    lo, hi = terrain.domain
+        def agl_fn(t: float) -> float:
+            return side_agl
+    else:
+        lo, hi = terrain.domain
 
-    def agl_fn(t: float) -> float:
-        s = state_fn(t)
-        along = min(max(s.along_track, lo), hi)  # hold last profile value beyond the edge
-        return m_to_ft(s.altitude_msl - terrain.elevation_at(along))
+        def agl_fn(t: float) -> float:
+            along = min(max(own_fn(t)[0], lo), hi)  # hold last profile value beyond the edge
+            return m_to_ft(altitude - terrain.elevation_at(along))
 
     unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
     script = crew.sample_tcas_crew(policy, rng)
     injector = tcas.FalseIntruderInjector(
-        cfg.false_intruder_plan, rng, target_fn=state_fn, target_agl_fn=agl_fn,
+        cfg.false_intruder_plan, rng, target_agl_fn=agl_fn,
         attacker_position=cfg.attacker_position_m,
     )
 
@@ -274,16 +286,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         })
         return log
 
-    # Cycles may be skipped only while the injector answers every one or
-    # none: level cruise stays on one side of its activation floor over all
-    # the terrain (1e-6 ft spares the rounding of the lookup).
-    elevations = [z for _, z in terrain.vertices]
-    floor_ft = cfg.false_intruder_plan.activation_floor
-    skipping = (
-        m_to_ft(initial.altitude_msl - max(elevations)) > floor_ft + 1e-6
-        or m_to_ft(initial.altitude_msl - min(elevations)) < floor_ft - 1e-6
-    )
     th = cfg.tcas_thresholds
+    responders = (injector,)
 
     t = 0.0
     episodes = 0
@@ -310,11 +314,10 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         k, advising = 0, False
         while True:
             tc = t + k
-            own = state_fn(tc)
-            claims = unit.mode_s_cycle(own, (injector,), tc)
+            claims = unit.mode_s_cycle(own_fn(tc), responders, tc)
             if sample is None and claims:
                 sample = tc, claims[0]
-            adv = unit.advise(own, tc) if advising else None
+            adv = unit.advise(tc) if advising else None
             if adv is not None and adv.level == "TA" and not ta_handled:
                 ta_handled = True
                 log.add(tc, "advisory", {"level": "TA", "episode": episodes})
@@ -388,7 +391,7 @@ def flown_glideslope(cfg: ScenarioConfig) -> ils.GlideslopeTx:
     """The transmitter whose path a glideslope approach flies: the one of
     highest power.  `ils.receive` captures by received power (1/d^2) instead,
     so the nearby genuine transmitter recaptures below a crossover height (see
-    _GS_EVAL_FLOOR_FT); the mismatch is open in ROADMAP item 2."""
+    _GS_EVAL_FLOOR_FT); the mismatch is open in ROADMAP item 1."""
 
     return max(cfg.glideslope, key=lambda tx: tx.tx_power)
 

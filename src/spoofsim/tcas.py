@@ -2,8 +2,10 @@
 
 A Mode S cycle asks each responder (a transponder or the attacker) for the
 content of its reply directly, once per second: a `Claim` of plain floats,
-from which the cycle updates the track of the reply's id in place.  Only a
-reply that is kept becomes a `SurveillanceMessage` (`respond_mode_s`, or
+from which the cycle updates the track of the reply's id in place.  The
+cycle passes its own position, as floats, with the interrogation: the
+attacker places its false intruder relative to the aircraft it answers.
+Only a reply that is kept becomes a `SurveillanceMessage` (`respond_mode_s`, or
 `FalseIntruderInjector.reply` for a claim a cycle returned); a message
 carries the position the responder wants the victim to reconstruct
 (`claimed_position`) beside the physical emission point (`position`), so
@@ -49,9 +51,12 @@ MODE_C_BEARING_ERROR_DEG = 10.0
 CLAIM_FLOOR_M = 50.0
 
 
+#: A point (x, y, z) in the simulation frame, m: along-track, cross-track,
+#: altitude MSL.
+Position = Tuple[float, float, float]
 #: The content of a Mode S reply, as a surveillance cycle reads it:
-#: (icao_id, altitude ft, claimed position (x, y, z) m).
-Claim = Tuple[int, float, Tuple[float, float, float]]
+#: (icao_id, altitude ft, claimed position).
+Claim = Tuple[int, float, Position]
 
 
 def free_space_path_loss_db(distance_m: float) -> float:
@@ -205,8 +210,9 @@ class Transponder:
             tx_power=self.tx_power, position=pos, claimed_position=pos,
         )
 
-    def claim(self, t: float) -> Optional[Claim]:
-        """The content of the Mode S reply at t; None for Mode C."""
+    def claim(self, t: float, interrogator: Position) -> Optional[Claim]:
+        """The content of the Mode S reply at t; None for Mode C.  A genuine
+        reply does not depend on the ``interrogator``'s position."""
 
         if self.mode != "S":
             return None
@@ -310,21 +316,20 @@ class TcasUnit:
             del self.tracks[k]
 
     def mode_s_cycle(
-        self, own: AircraftState, responders: Sequence, t: float
+        self, own_pos: Position, responders: Sequence, t: float
     ) -> List[Claim]:
-        """One interrogation round: each responder's Mode S claim updates the
-        track of the id it carries.  Returns the claims, in responder order;
-        no message is built."""
+        """One interrogation round from ``own_pos``: each responder's Mode S
+        claim (``responder.claim(t, own_pos)``) updates the track of the id it
+        carries.  Returns the claims, in responder order; no message is
+        built."""
 
         if self.mode == STANDBY:
             return []
-        x, y = own.ground_position
-        own_pos = (x, y, own.altitude_msl)
-        own_alt_ft = m_to_ft(own.altitude_msl)
+        own_alt_ft = m_to_ft(own_pos[2])
         claims = []
         updated = None
         for responder in responders:
-            claim = responder.claim(t)
+            claim = responder.claim(t, own_pos)
             if claim is None:
                 continue
             claims.append(claim)
@@ -380,13 +385,13 @@ class TcasUnit:
 
     # -- advisory logic ---------------------------------------------------
 
-    def advise(self, own: AircraftState, t: float) -> Optional[Advisory]:
-        return advise(list(self.tracks.values()), own, self.mode, self.thresholds, t)
+    def advise(self, t: float) -> Optional[Advisory]:
+        return advise(list(self.tracks.values()), None, self.mode, self.thresholds, t)
 
 
 def advise(
     tracks: Sequence[IntruderTrack],
-    own: AircraftState,
+    own: Optional[AircraftState],
     mode: str,
     thresholds: AdvisoryThresholds = AdvisoryThresholds(),
     t: float = 0.0,
@@ -395,7 +400,8 @@ def advise(
 
     RA when tau and vertical proximity are inside the RA thresholds (TA/RA
     mode only); TA inside the TA thresholds (TA/RA and TA-Only); nothing in
-    Standby.  RA sense is opposite the intruder's relative position.
+    Standby.  RA sense is opposite the intruder's relative position.  The
+    tracks are relative to the own aircraft, so ``own`` is not read.
     """
 
     if mode == STANDBY:
@@ -429,13 +435,18 @@ def advise(
 
 class FalseIntruderInjector:
     """Attacker replying for a nonexistent aircraft converging on the victim.
-    Interrogated like a Mode S transponder."""
+    Interrogated like a Mode S transponder.
+
+    ``target_fn`` gives the victim's state at t for the methods that take only
+    a time; a surveillance cycle passes the victim's position instead, and a
+    caller that always does may leave ``target_fn`` out if it gives
+    ``target_agl_fn``."""
 
     def __init__(
         self,
         plan: FalseIntruderPlan,
         rng: np.random.Generator,
-        target_fn: Callable[[float], AircraftState],
+        target_fn: Optional[Callable[[float], AircraftState]] = None,
         target_agl_fn: Optional[Callable[[float], float]] = None,
         attacker_position: Sequence[float] = (0.0, 0.0, 0.0),
     ):
@@ -484,20 +495,29 @@ class FalseIntruderInjector:
 
     # -- virtual intruder geometry ---------------------------------------
 
-    def intruder_position(self, t: float) -> Tuple[float, float, float]:
-        """Claimed 3-D position at t: the target's position plus the offset
-        at the claimed range and bearing."""
+    def _target_position(self, t: float) -> Position:
+        state = self.target_fn(t)
+        x, y = state.ground_position
+        return x, y, state.altitude_msl
 
-        own = self.target_fn(t)
-        x, y = own.ground_position
+    def _claimed_position(self, t: float, target: Position) -> Position:
+        """Claimed 3-D position at t for a target at ``target``: the target's
+        position plus the offset at the claimed range and bearing."""
+
+        x, y, altitude = target
         r = max(CLAIM_FLOOR_M,
                 self._speed * self.plan.start_tau_s - self._speed * (t - self.episode_start))
         theta = math.radians(self._bearing)
         return (
             x + r * math.cos(theta),
             y + r * math.sin(theta),
-            own.altitude_msl + ft_to_m(self.plan.vertical_offset),
+            altitude + ft_to_m(self.plan.vertical_offset),
         )
+
+    def intruder_position(self, t: float) -> Position:
+        """Claimed 3-D position at t, for the target ``target_fn`` gives."""
+
+        return self._claimed_position(t, self._target_position(t))
 
     def floor_cycle(self) -> int:
         """The encounter's last surveillance cycle, in whole seconds from its
@@ -530,13 +550,16 @@ class FalseIntruderInjector:
 
     # -- responder interface ----------------------------------------------
 
-    def claim(self, t: float) -> Optional[Claim]:
-        """The content of the reply at t; None while inactive."""
+    def claim(self, t: float, interrogator: Optional[Position] = None) -> Optional[Claim]:
+        """The content of the reply at t to the target interrogating from
+        ``interrogator`` (by default, the position ``target_fn`` gives); None
+        while inactive."""
 
         if not self.active(t):
             return None
-        altitude = m_to_ft(self.target_fn(t).altitude_msl) + self.plan.vertical_offset
-        return self.icao_id, altitude, self.intruder_position(t)
+        target = self._target_position(t) if interrogator is None else interrogator
+        altitude = m_to_ft(target[2]) + self.plan.vertical_offset
+        return self.icao_id, altitude, self._claimed_position(t, target)
 
     def reply(self, t: float, claim: Claim) -> SurveillanceMessage:
         """The reply message at t carrying ``claim``, sent from the attacker's

@@ -5,9 +5,11 @@ import itertools
 import json
 import math
 import re
+import unittest.mock
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofsim import ils, sentinel, tcas
 from spoofsim.harness import (
@@ -19,6 +21,7 @@ from spoofsim.harness import (
     summarize,
 )
 from spoofsim.harness import cost as cost_mod
+from spoofsim.harness import log as log_module
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
@@ -446,6 +449,41 @@ def test_trial_log_jsonl_round_trip():
     assert clone.events == log.events
     with pytest.raises(ValueError, match="not an object"):
         TrialLog.from_jsonl("[1, 2]\n", scenario="GS")
+
+
+# Strings with non-ASCII, control, quote and backslash characters, or any.
+_text = st.text() | st.text(alphabet=st.characters(max_codepoint=0x1F)
+                            | st.sampled_from('"\\/\x7f\xe9\u2028\u20ac\U0001f600'))
+# Signed zeros, subnormals, the infinities and NaN, or any float.
+_float = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan])
+_value = st.recursive(
+    st.none() | st.booleans() | _float | _text
+    | st.integers(min_value=-2**70, max_value=2**70) | st.sampled_from([2**53 + 1, 2**64 - 1]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+_events = st.lists(st.fixed_dictionaries({
+    "t": _float, "kind": _text, "payload": st.dictionaries(_text, _value, max_size=5),
+}), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(events=_events, trial_id=st.integers(0, 2**64), seed=st.integers(0, 2**64),
+       pure_python=st.booleans())
+def test_trial_log_jsonl_equals_json_dumps(events, trial_id, seed, pure_python):
+    """Property: each line `to_jsonl` writes is `json.dumps` of the event with
+    the log's trial id and seed added, keys sorted, whatever strings, floats
+    and integers the payload and the time hold, with the C encoder or the
+    pure-Python one."""
+
+    log = TrialLog(trial_id=trial_id, seed=seed, scenario="GS", events=events)
+    expected = "".join(
+        json.dumps({**event, "trial_id": trial_id, "seed": seed}, sort_keys=True) + "\n"
+        for event in events)
+    encoder = log_module._build_encoder(None) if pure_python else log_module._iterencode
+    with unittest.mock.patch.object(log_module, "_iterencode", encoder):
+        assert log.to_jsonl() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Per-cycle evaluation in the TCAS trial: cached geometry equals a fresh
-computation, and each surveillance cycle evaluates it at most once; an
+"""Per-cycle evaluation in the TCAS trial: the closed-form own position
+equals `world.step`'s to the bit, a run makes no `world.step` call and, where
+the cruise stays on one side of the activation floor, no terrain lookup; an
 encounter builds one message and one track, and no cycle calls
 `np.linalg.norm`.  The GPWS ramp computes only the sweeps it reads, its fine
 loop builds no state, echo or `world.step` call per step, and neither trial
@@ -27,7 +28,7 @@ from spoofsim.harness.log import TrialLog
 from spoofsim.harness.runner import trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _MODE2_ENVELOPE, _SWEEP, SCENARIOS,
-    _cruise_state_fn, approach_start,
+    approach_start, cruise_position_fn,
 )
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
@@ -35,36 +36,61 @@ from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 SEED = 20190118
 
 
-def cruise_initial(heading=30.0):
-    return world.AircraftState(
-        time=0.0, ground_position=(0.0, 0.0), altitude_msl=10_000.0,
-        vertical_speed=0.0, ground_speed=240.0, heading=heading,
-    )
+def _cruise_state_fn(initial):
+    """Own-ship state at time t of the 1 Hz reference: ``initial`` held
+    before its time, then one ``world.step`` from it."""
 
-
-# Sequences of times with repeats, including t <= 0 (before the initial state).
-_times = st.lists(
-    st.floats(min_value=-50.0, max_value=500.0), min_size=1, max_size=6
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25))
-
-
-@settings(max_examples=100, deadline=None)
-@given(ts=_times, heading=st.floats(min_value=0.0, max_value=360.0))
-def test_cached_cruise_state_equals_fresh_step(ts, heading):
-    initial = cruise_initial(heading)
-    state_fn = _cruise_state_fn(initial)
-    for t in ts:
-        expected = initial if t <= initial.time else world.step(
+    def fn(t):
+        if t <= initial.time:
+            return initial
+        return world.step(
             initial, initial.vertical_speed, initial.ground_speed, t - initial.time
         )
-        assert state_fn(t) == expected
+
+    return fn
 
 
-def test_cached_cruise_state_keeps_step_checks():
-    state_fn = _cruise_state_fn(cruise_initial())
-    for _ in range(2):  # a failed evaluation is not cached
-        with pytest.raises(ValueError, match="finite"):
-            state_fn(float("nan"))
+def _position(state):
+    x, y = state.ground_position
+    return x, y, state.altitude_msl
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    # The config's cruise altitudes: positive and finite.
+    altitude=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    # Ground speeds the config accepts (and 0), and ones `world.step` rejects.
+    ground_speed=st.one_of(
+        st.floats(min_value=0.0, max_value=1e5),
+        st.floats(max_value=-5e-324),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+    # Cycle times, whole seconds as often as not, and times up to t = 0.
+    ts=st.lists(st.one_of(st.integers(-5, 10**6).map(float),
+                          st.floats(min_value=-100.0, max_value=1e7)),
+                min_size=1, max_size=10),
+)
+def test_cruise_position_equals_world_step(altitude, ground_speed, ts):
+    """Property: the cycle's closed-form own position is, to the bit, the
+    position of ``world.step`` from the cruise's initial state, and a ground
+    speed that ``world.step`` rejects raises its error up front."""
+
+    def initial(speed):
+        return world.AircraftState(
+            time=0.0, ground_position=(0.0, 0.0), altitude_msl=altitude,
+            vertical_speed=0.0, ground_speed=speed, heading=0.0,
+        )
+
+    try:
+        world.step(initial(0.0), 0.0, ground_speed, 1.0)
+    except ValueError as rejected:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rejected))}$"):
+            cruise_position_fn(altitude, ground_speed)
+        return
+    position = cruise_position_fn(altitude, ground_speed)
+    state_fn = _cruise_state_fn(initial(ground_speed))
+    for t in ts:
+        assert [v.hex() for v in position(t)] == [v.hex() for v in _position(state_fn(t))], t
 
 
 def _counting(counts, name, fn):
@@ -77,26 +103,58 @@ def _counting(counts, name, fn):
     return wrapped
 
 
-def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
-    """Work budget: one own-ship step, one terrain lookup and one claimed
-    intruder position per surveillance cycle at most, and at most 702
-    cycles, the count of the fixed schedule the encounter loop replaced.  The
-    config, whose checks look up the terrain too, is built before counting."""
+#: A TCAS config whose terrain straddles the activation floor: a ridge past
+#: the runway brings level cruise below it for part of the run, so the
+#: injector falls silent mid-encounter.
+_STRADDLING = {
+    "version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
+    "world": {"cruise": {"altitude_ft": 2500.0},
+              "terrain": [[-50000.0, 100.0], [5000.0, 100.0], [8000.0, 400.0],
+                          [11000.0, 100.0], [50000.0, 100.0]]},
+}
 
-    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
+
+def _tcas_work(monkeypatch, raw):
+    """Calls of the cycle's geometry over a TCAS `run()` of ``raw``, and the
+    trial count.  The config, whose checks look up the terrain too, is built
+    before counting."""
+
+    cfg = make_config(raw)
     counts = Counter()
     counting = functools.partial(_counting, counts)
     monkeypatch.setattr(world, "step", counting("step", world.step))
+    monkeypatch.setattr(world.AircraftState, "__init__",
+                        counting("state", world.AircraftState.__init__))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
     monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
                         counting("cycle", tcas.TcasUnit.mode_s_cycle))
-    monkeypatch.setattr(tcas.FalseIntruderInjector, "intruder_position",
-                        counting("claimed", tcas.FalseIntruderInjector.intruder_position))
+    monkeypatch.setattr(tcas.FalseIntruderInjector, "_claimed_position",
+                        counting("claimed", tcas.FalseIntruderInjector._claimed_position))
     run(cfg)
-    assert 0 < counts["cycle"] <= 702 and counts["claimed"] > 0
-    for name in ("step", "terrain", "claimed"):
-        assert counts[name] <= counts["cycle"], (name, counts)
+    monkeypatch.undo()
+    return counts, cfg.trials
+
+
+def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
+    """Work budget: a TCAS `run()` at N=20 makes no `world.step` call, builds
+    at most one `AircraftState` per trial and, on the defaults (cruise far
+    above the activation floor), makes no terrain lookup; each cycle claims
+    one intruder position at most, over at most 702 cycles, the count of the
+    fixed schedule the encounter loop replaced.  Where the terrain straddles
+    the floor, each cycle looks the terrain up once at most, and the run still
+    writes the 1 Hz reference's logs."""
+
+    counts, trials = _tcas_work(
+        monkeypatch, {"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
+    assert 0 < counts["cycle"] <= 702 and 0 < counts["claimed"] <= counts["cycle"], counts
+    assert counts["step"] == 0 and counts["terrain"] == 0, counts
+    assert counts["state"] <= trials, counts
+
+    counts, trials = _tcas_work(monkeypatch, _STRADDLING)
+    assert 0 < counts["terrain"] <= counts["cycle"], counts
+    assert counts["step"] == 0 and counts["state"] <= trials, counts
+    _tcas_logs_agree(_STRADDLING)
 
 
 def _tcas_run_counting(monkeypatch, targets):
@@ -175,8 +233,13 @@ def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
     assert counts["step"] <= approaches, (approaches, counts)
 
 
-@pytest.mark.parametrize("scenario", ["GPWS", "TCAS"])
-def test_lookups_make_no_numpy_calls(monkeypatch, scenario):
+@pytest.mark.parametrize("raw", [
+    {"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED},
+    # On the defaults a TCAS cycle looks nothing up; over terrain that
+    # straddles the activation floor, it does.
+    {**_STRADDLING, "trials": 20},
+], ids=["GPWS", "TCAS"])
+def test_lookups_make_no_numpy_calls(monkeypatch, raw):
     """Work budget: the terrain and Mode 2 envelope lookups of the fine loop
     and the surveillance cycle are scalar; `run()` at N=20 makes terrain
     lookups and no `np.interp` call."""
@@ -186,7 +249,7 @@ def test_lookups_make_no_numpy_calls(monkeypatch, scenario):
     monkeypatch.setattr(np, "interp", counting("np.interp", np.interp))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
-    run(make_config({"version": 1, "scenario": scenario, "trials": 20, "master_seed": SEED}))
+    run(make_config(raw))
     assert counts["terrain"] > 0
     assert counts["np.interp"] == 0, counts
 
@@ -326,11 +389,10 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
             cfg.false_intruder_plan.start_tau_s - tcas.CLAIM_FLOOR_M / injector._speed))
         for k in range(k_end + 1):
             tc = t + k
-            own = state_fn(tc)
-            claims = unit.mode_s_cycle(own, (injector,), tc)
+            claims = unit.mode_s_cycle(_position(state_fn(tc)), (injector,), tc)
             if sample is None and claims:
                 sample = tc, claims[0]
-            adv = unit.advise(own, tc)
+            adv = unit.advise(tc)
             if adv is None:
                 continue
             if adv.level == "TA" and not ta_handled:
@@ -436,14 +498,7 @@ def _tcas_geometries(draw):
     "tcas_system": {"tau_ta_s": 13.0, "tau_ra_s": 1.0, "ta_band_ft": 100.0,
                     "ra_band_ft": 50.0, "max_episodes": 3},
 })
-# A ridge past the runway brings level cruise below the activation floor for
-# part of the run, so the injector falls silent mid-encounter.
-@example(raw={
-    "version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
-    "world": {"cruise": {"altitude_ft": 2500.0},
-              "terrain": [[-50000.0, 100.0], [5000.0, 100.0], [8000.0, 400.0],
-                          [11000.0, 100.0], [50000.0, 100.0]]},
-})
+@example(raw=_STRADDLING)
 # An activation floor above the cruise: the injector never answers.
 @example(raw={"version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
               "attacker": {"tcas": {"activation_floor_ft": 20000.0}}})

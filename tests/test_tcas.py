@@ -22,6 +22,13 @@ def fixed_state_fn(state):
     return lambda t: state
 
 
+def position(state):
+    """The (x, y, z) position a Mode S cycle interrogates from."""
+
+    x, y = state.ground_position
+    return x, y, state.altitude_msl
+
+
 # ---------------------------------------------------------------------------
 # link budget and messages
 
@@ -149,14 +156,15 @@ def test_mode_s_cycle_tracks_squittering_target():
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     intruder0 = cruise_state(along=9000.0, altitude_m=own.altitude_msl - ft_to_m(500.0))
     claims = unit.mode_s_cycle(
-        own, [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
+        position(own), [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
     assert [icao_id for icao_id, _, _ in claims] == [0x123456]
     track = unit.tracks[0x123456]
     assert math.isclose(track.slant_range, math.hypot(9000.0, ft_to_m(500.0)), rel_tol=1e-9)
     assert track.closure_rate == 0.0
 
     intruder1 = cruise_state(along=8820.0, altitude_m=intruder0.altitude_msl)
-    unit.mode_s_cycle(own, [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder1))], 1.0)
+    unit.mode_s_cycle(
+        position(own), [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder1))], 1.0)
     track = unit.tracks[0x123456]
     assert math.isclose(track.closure_rate, 180.0, abs_tol=2.0)
     assert math.isclose(track.relative_altitude, -500.0, abs_tol=1e-6)
@@ -164,14 +172,14 @@ def test_mode_s_cycle_tracks_squittering_target():
 
 def test_mode_s_cycle_standby_is_silent():
     class Unasked(tcas.Transponder):
-        def claim(self, t):
+        def claim(self, t, interrogator):
             raise AssertionError("a Standby unit interrogates no one")
 
         respond_mode_s = claim
 
     unit = tcas.TcasUnit(mode=tcas.STANDBY)
     responder = Unasked(0x1, "S", fixed_state_fn(cruise_state(along=5000.0)))
-    assert unit.mode_s_cycle(cruise_state(), [responder], 0.0) == []
+    assert unit.mode_s_cycle(position(cruise_state()), [responder], 0.0) == []
     assert unit.tracks == {}
 
 
@@ -195,7 +203,7 @@ def test_mode_s_cycle_mixed_responders():
         tcas.Transponder(0x00BBBB, "S", fixed_state_fn(cruise_state(along=-7000.0))),
         tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=-3000.0))),
     ]
-    claims = unit.mode_s_cycle(own, responders, 0.0)
+    claims = unit.mode_s_cycle(position(own), responders, 0.0)
     ids = [0x00AAAA, active.icao_id, 0x00BBBB]
     assert [icao_id for icao_id, _, _ in claims] == ids
     replies = [m for m in (r.respond_mode_s(0.0) for r in responders) if m is not None]
@@ -217,7 +225,7 @@ def test_mode_s_cycle_drops_stale_tracks():
     whether another track is updated beside it or no responder replies; the
     track a cycle updates is the live one, updated in place."""
 
-    own = cruise_state()
+    own = position(cruise_state())
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     first = tcas.Transponder(0x1, "S", fixed_state_fn(cruise_state(along=9000.0)))
     second = tcas.Transponder(0x2, "S", fixed_state_fn(cruise_state(along=-9000.0)))
@@ -449,8 +457,8 @@ def test_injector_drives_unit_to_ra():
     injector.start_episode(0.0)
     levels = []
     for t in (0.0, 1.0, 2.0, 3.0, 21.0):
-        unit.mode_s_cycle(own, [injector], t)
-        adv = unit.advise(own, t)
+        unit.mode_s_cycle(position(own), [injector], t)
+        adv = unit.advise(t)
         if adv is not None:
             levels.append(adv.level)
     assert "TA" in levels and "RA" in levels
