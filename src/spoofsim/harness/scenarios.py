@@ -230,15 +230,22 @@ def cruise_position_fn(
     form.  ``step`` adds ``0.0 + gs * t`` along track, ``0.0 + gs * t * 0.0``
     across and ``altitude + 0.0 * t``, which are ``gs * t``, 0.0 and the
     altitude wherever ``gs * t`` is finite and not -0.0 and the altitude is
-    not zero (a config's cruise speed and altitude are positive); before
-    t = 0 the aircraft holds its start.  Raises `world.step`'s ValueError
-    for a ground speed it rejects."""
+    not zero (a config's cruise speed and altitude are positive); up to
+    t = 0, -inf included, the aircraft holds its start.  Raises `world.step`'s
+    ValueError for a ground speed it rejects, and at each call for a time it
+    rejects (NaN or +inf)."""
 
     world.check_step(0.0, ground_speed, 1.0)
     start = (0.0, 0.0, altitude_m)
+    inf = math.inf
 
     def fn(t: float) -> tcas.Position:
-        return (ground_speed * t, 0.0, altitude_m) if t > 0.0 else start
+        if 0.0 < t < inf:
+            return (ground_speed * t, 0.0, altitude_m)
+        if t <= 0.0:
+            return start
+        world.check_step(0.0, ground_speed, t)
+        raise AssertionError(f"world.step accepts t = {t}")  # unreachable
 
     return fn
 

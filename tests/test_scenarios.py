@@ -93,6 +93,52 @@ def test_cruise_position_equals_world_step(altitude, ground_speed, ts):
         assert [v.hex() for v in position(t)] == [v.hex() for v in _position(state_fn(t))], t
 
 
+def cruise_initial():
+    return world.AircraftState(
+        time=0.0, ground_position=(0.0, 0.0), altitude_msl=10_000.0,
+        vertical_speed=0.0, ground_speed=240.0, heading=0.0,
+    )
+
+
+# Sequences of times with repeats, including t <= 0 (before the initial state).
+_times = st.lists(
+    st.floats(min_value=-50.0, max_value=500.0), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ts=_times)
+def test_cached_cruise_state_equals_fresh_step(ts):
+    """The cruise position is computed per call and holds no state between
+    calls: times repeated and out of order each give the position of a fresh
+    ``world.step`` from the initial state (the initial state up to t = 0)."""
+
+    initial = cruise_initial()
+    position = cruise_position_fn(initial.altitude_msl, initial.ground_speed)
+    for t in ts:
+        expected = initial if t <= initial.time else world.step(
+            initial, initial.vertical_speed, initial.ground_speed, t - initial.time
+        )
+        assert position(t) == _position(expected), t
+
+
+def test_cached_cruise_state_keeps_step_checks():
+    """A time ``world.step`` cannot integrate to raises its error at every
+    call, not once; -inf, before the start, holds the start as the 1 Hz
+    reference does."""
+
+    initial = cruise_initial()
+    position = cruise_position_fn(initial.altitude_msl, initial.ground_speed)
+    state_fn = _cruise_state_fn(initial)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite") as reference:
+            state_fn(t)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
+                position(t)
+    assert position(-math.inf) == _position(state_fn(-math.inf)) == (0.0, 0.0, 10_000.0)
+
+
 def _counting(counts, name, fn):
     """``fn``, counting its calls under ``name``."""
 
