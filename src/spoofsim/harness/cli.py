@@ -9,17 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .. import sentinel
 from .config import ConfigError, apply_scenario, default_config_dict, load_config, make_config
 from .cost import all_cost_reports
+from .log import TrialLog
 from .output import emit, load_run, summary_csv, trial_path
-from .runner import run_chunks
+from .runner import CHUNK_TRIALS, run_chunks
 from .scenarios import SCENARIOS
 from .summary import Summary, summarize
 
@@ -107,6 +109,58 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: A position in a surveillance record: three finite numbers, never bools.
+_COORDINATE = (int, float)
+
+
+def _is_position(value: Any) -> bool:
+    if type(value) is not list or len(value) != 3:
+        return False
+    x, y, z = value
+    try:
+        return (type(x) in _COORDINATE and type(y) in _COORDINATE and type(z) in _COORDINATE
+                and math.isfinite(x) and math.isfinite(y) and math.isfinite(z))
+    except OverflowError:   # an integer beyond the float range
+        return False
+
+
+#: One chunk of surveillance messages: subjects, emission times, true
+#: positions (M, 3) and claimed positions (M, 3).
+_Messages = Tuple[List[str], List[float], np.ndarray, np.ndarray]
+
+
+def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messages]:
+    """The surveillance messages of ``logs`` that carry both a true and a
+    claimed position, in log order, gathered from `CHUNK_TRIALS` logs at a
+    time.  A message whose positions are not coordinates is a corrupt trial
+    log, raised as soon as its log is read."""
+
+    subjects: List[str] = []
+    times: List[float] = []
+    true_pos: List[List[float]] = []
+    claimed: List[List[float]] = []
+    for count, log in enumerate(logs, 1):
+        for event in log.iter_kind("surveillance"):
+            p = event["payload"]
+            position, claim = p.get("position_m"), p.get("claimed_position_m")
+            if position is None or claim is None:
+                continue
+            for key, value in (("position_m", position), ("claimed_position_m", claim)):
+                if not _is_position(value):
+                    raise RuntimeError(
+                        f"corrupt trial log {trial_path(out, log.trial_id)}: surveillance at "
+                        f"t={event['t']}: {key} must be three finite numbers, got {value!r}")
+            subjects.append(f"trial{log.trial_id}/t{event['t']}")
+            times.append(event["t"])
+            true_pos.append(position)
+            claimed.append(claim)
+        if subjects and count % CHUNK_TRIALS == 0:
+            yield subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
+            subjects, times, true_pos, claimed = [], [], [], []
+    if subjects:
+        yield subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     run_cfg, logs = load_run(args.out)
     if args.scenario and args.scenario != run_cfg.scenario:
@@ -123,29 +177,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["subject", "residual_m", "flag", "reason"])
     total = suspect = 0
-    for log in logs:
-        for event in log.iter_kind("surveillance"):
-            p = event["payload"]
-            true_pos = p.get("position_m")
-            claimed = p.get("claimed_position_m")
-            if true_pos is None or claimed is None:
-                continue
-            try:
-                arrivals = sentinel.observe_arrivals(
-                    true_pos, sensors, rng=rng, clock_jitter_s=jitter_s,
-                    emission_time=event["t"],
-                )
-                verdict = sentinel.toa_consistency(
-                    claimed, arrivals,
-                    threshold_m=cfg.residual_threshold_m,
-                    subject=f"trial{log.trial_id}/t{event['t']}",
-                )
-            except (ValueError, TypeError) as exc:
-                raise RuntimeError(f"corrupt trial log {trial_path(args.out, log.trial_id)}: "
-                                   f"surveillance at t={event['t']}: {exc}") from exc
+    # One TOA check per chunk of logs, over all of its messages at once.
+    for subjects, times, true_pos, claimed in _surveillance_chunks(args.out, logs):
+        arrivals = sentinel.arrival_times(true_pos, times, sensors, rng, jitter_s)
+        residuals = sentinel.residuals_m(claimed, arrivals, sensors).tolist()
+        for subject, residual in zip(subjects, residuals):
+            verdict = sentinel.classify(residual, cfg.residual_threshold_m, subject)
             writer.writerow(verdict.to_record().values())
-            total += 1
             suspect += verdict.flag == sentinel.SUSPECT
+        total += len(subjects)
 
     (Path(args.out) / "verdicts.csv").write_text(buf.getvalue())
     if not total:

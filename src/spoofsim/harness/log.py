@@ -15,9 +15,54 @@ from typing import Any, Dict, Iterator, List, Optional
 OUTCOME = "outcome"
 #: Slack allowed on event-time ordering, s (absorbs float rounding).
 _TIME_SLACK_S = 1e-9
-#: `json.loads` without its per-call argument handling; logs are read a line
-#: at a time, so this runs once per event.
+#: `json.loads` without its per-call argument handling, for the logs that
+#: `_scan` leaves to be read a line at a time.
 _decode = json.JSONDecoder().decode
+#: The scanner under it: the JSON value at an index of a string, and its end.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _scan(blob: str) -> Optional[List[Dict[str, Any]]]:
+    """The records of ``blob`` from one pass of the scanner over it, when
+    that reads exactly what `_lines` reads: every line an object that ends
+    at the line's ``"\n"``.  None otherwise, and whenever ``blob`` is not
+    ASCII or holds a ``"\r"``: `str.splitlines` also ends lines at those
+    (``"\r"``, U+0085, U+2028, ...) where JSON can read on."""
+
+    if not blob.isascii() or "\r" in blob:
+        return None
+    records = []
+    find = blob.find
+    end = len(blob)
+    i = 0
+    try:
+        while i < end:
+            nl = find("\n", i)
+            if nl < 0:
+                nl = end
+            if blob[i] != "{":
+                return None
+            record, stop = _scan_once(blob, i)
+            if stop != nl:
+                return None
+            records.append(record)
+            i = nl + 1
+    except (StopIteration, ValueError):
+        return None
+    return records
+
+
+def _lines(blob: str) -> Iterator[Dict[str, Any]]:
+    """The records of ``blob`` decoded one line at a time, blank lines
+    skipped; a line that is not JSON, or not an object, raises."""
+
+    for line in blob.splitlines():
+        if not line.strip():
+            continue
+        record = _decode(line)
+        if type(record) is not dict:
+            raise ValueError(f"record is not an object: {line[:80]}")
+        yield record
 
 
 def _floatstr(o: float, _repr=float.__repr__, _inf=math.inf) -> str:
@@ -106,19 +151,18 @@ class TrialLog:
     def from_jsonl(cls, blob: str, scenario: str) -> "TrialLog":
         """Parse and check a serialised log: every record an object with a
         finite number ``t``, a string ``kind``, an object ``payload`` and the
-        same integer ``trial_id`` and ``seed``; times in order; exactly one
-        outcome, last."""
+        same integer ``trial_id`` and ``seed``, and no other field; times in
+        order; exactly one outcome, last.  Records are read in one pass of
+        the JSON scanner (`_scan`) where that reads what the line-by-line
+        reader (`_lines`) would, and by that reader otherwise, so a corrupt
+        log raises the same error either way."""
 
         events = []
         ids = None
         prev_t = -math.inf
         outcomes = 0
-        for line in blob.splitlines():
-            if not line.strip():
-                continue
-            record = _decode(line)
-            if type(record) is not dict:
-                raise ValueError(f"record is not an object: {line[:80]}")
+        records = _scan(blob)
+        for record in _lines(blob) if records is None else records:
             line_ids = (record.pop("trial_id"), record.pop("seed"))
             if ids != line_ids:
                 if ids is not None:
@@ -133,6 +177,10 @@ class TrialLog:
                 raise ValueError(f"kind must be a string, got {kind!r}")
             if type(record["payload"]) is not dict:
                 raise ValueError(f"payload must be an object, got {record['payload']!r}")
+            if len(record) != 3:
+                extra = sorted(set(record) - {"t", "kind", "payload"})
+                raise ValueError(f"record has fields beyond t, kind, payload, trial_id "
+                                 f"and seed: {extra}")
             if t < prev_t - _TIME_SLACK_S:
                 raise ValueError("trial log events are not in time order")
             prev_t = t

@@ -234,7 +234,7 @@ def _read_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
             raise RuntimeError(f"cannot read {path}: {exc}") from exc
         try:
             log = TrialLog.from_jsonl(blob, cfg.scenario)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, OverflowError) as exc:
             raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
         if log.trial_id != trial_id:
             raise RuntimeError(f"corrupt trial log {path}: it holds trial {log.trial_id}")

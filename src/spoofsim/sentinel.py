@@ -50,13 +50,87 @@ class IntegrityVerdict:
         }
 
 
+def _sensor_arrays(sensors: Sequence[GroundSensor]) -> Tuple[np.ndarray, np.ndarray]:
+    """The sensors' positions, shape (K, 3), and clock biases, shape (K,)."""
+
+    positions = np.array([s.position for s in sensors], dtype=float).reshape(-1, 3)
+    return positions, np.array([s.clock_bias for s in sensors], dtype=float)
+
+
+def _offsets(positions: np.ndarray, sensor_positions: np.ndarray) -> np.ndarray:
+    """Propagation delays, s, from each point of ``positions`` (shape
+    (..., 3)) to each sensor: shape (..., K).  Each distance is the square
+    root of a vector-vector `np.matmul`, which gives `np.linalg.norm`'s bits;
+    `einsum` and a plain sum of squares round differently."""
+
+    d = sensor_positions - positions[..., None, :]
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]) / SPEED_OF_LIGHT
+
+
+def arrival_times(
+    true_positions: np.ndarray,
+    emission_times: np.ndarray,
+    sensors: Sequence[GroundSensor],
+    rng: Optional[np.random.Generator] = None,
+    clock_jitter_s: float = 0.0,
+) -> np.ndarray:
+    """Sensor timestamps, shape (M, K), for M emissions from the points
+    ``true_positions`` (shape (M, 3)) at ``emission_times`` (shape (M,)).
+    The jitter is one draw per (emission, sensor) in row order, the order
+    of one draw per timestamp; with no jitter nothing is drawn."""
+
+    sensor_positions, bias = _sensor_arrays(sensors)
+    times = np.asarray(emission_times, dtype=float)[:, None] + _offsets(
+        np.asarray(true_positions, dtype=float), sensor_positions)
+    times += bias
+    if clock_jitter_s > 0:
+        if rng is None:
+            raise ValueError("rng required when clock_jitter_s > 0")
+        times += rng.normal(0.0, clock_jitter_s, size=times.shape)
+    return times
+
+
+def residuals_m(
+    claimed_positions: np.ndarray,
+    times: np.ndarray,
+    sensors: Sequence[GroundSensor],
+) -> np.ndarray:
+    """RMS mismatch, m, between the observed and predicted pairwise
+    arrival-time differences of M messages: ``times`` (shape (M, K)) as
+    `arrival_times` gives them, against the points the messages claim
+    (shape (M, 3)).  Shape (M,)."""
+
+    sensor_positions, bias = _sensor_arrays(sensors)
+    observed = np.asarray(times, dtype=float) - bias
+    predicted = _offsets(np.asarray(claimed_positions, dtype=float), sensor_positions)
+    i, j = np.array(list(itertools.combinations(range(len(sensors)), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    diffs = (observed[:, i] - observed[:, j]) - (predicted[:, i] - predicted[:, j])
+    return SPEED_OF_LIGHT * np.sqrt(np.mean(np.square(diffs), axis=1))
+
+
+def classify(
+    residual: float,
+    threshold_m: float = DEFAULT_RESIDUAL_THRESHOLD_M,
+    subject: str = "message",
+) -> IntegrityVerdict:
+    """The verdict on a message whose TOA residual is ``residual`` m."""
+
+    if residual > threshold_m:
+        return IntegrityVerdict(
+            subject=subject, residual=residual, flag=SUSPECT,
+            reason=f"TOA residual {residual:.0f} m exceeds {threshold_m:.0f} m",
+        )
+    return IntegrityVerdict(
+        subject=subject, residual=residual, flag=CLEAN,
+        reason="arrival pattern consistent with claimed position",
+    )
+
+
 def predicted_arrival_offsets(
     position: Sequence[float], sensors: Sequence[GroundSensor]
 ) -> np.ndarray:
-    p = np.asarray(position, dtype=float)
-    return np.array(
-        [np.linalg.norm(np.asarray(s.position) - p) / SPEED_OF_LIGHT for s in sensors]
-    )
+    return _offsets(np.asarray(position, dtype=float), _sensor_arrays(sensors)[0])
 
 
 def toa_residual_m(
@@ -67,14 +141,8 @@ def toa_residual_m(
     arrival-time differences for the claimed emitter position."""
 
     sensors = [s for s, _ in arrivals]
-    observed = np.array([t - s.clock_bias for s, t in arrivals])
-    predicted = predicted_arrival_offsets(claimed_position, sensors)
-    diffs = []
-    for i, j in itertools.combinations(range(len(sensors)), 2):
-        obs_dt = observed[i] - observed[j]
-        pred_dt = predicted[i] - predicted[j]
-        diffs.append(obs_dt - pred_dt)
-    return float(SPEED_OF_LIGHT * math.sqrt(np.mean(np.square(diffs))))
+    times = np.array([[t for _, t in arrivals]], dtype=float)
+    return float(residuals_m(np.asarray(claimed_position, dtype=float)[None], times, sensors)[0])
 
 
 def toa_consistency(
@@ -90,16 +158,7 @@ def toa_consistency(
             subject=subject, residual=math.nan, flag=UNDETERMINED,
             reason=f"only {len(arrivals)} arrivals, need >= {MIN_SENSORS}",
         )
-    residual = toa_residual_m(claimed_position, arrivals)
-    if residual > threshold_m:
-        return IntegrityVerdict(
-            subject=subject, residual=residual, flag=SUSPECT,
-            reason=f"TOA residual {residual:.0f} m exceeds {threshold_m:.0f} m",
-        )
-    return IntegrityVerdict(
-        subject=subject, residual=residual, flag=CLEAN,
-        reason="arrival pattern consistent with claimed position",
-    )
+    return classify(toa_residual_m(claimed_position, arrivals), threshold_m, subject)
 
 
 def observe_arrivals(
@@ -111,16 +170,9 @@ def observe_arrivals(
 ) -> List[Tuple[GroundSensor, float]]:
     """Synthesise sensor timestamps for an emission from a known true point."""
 
-    offsets = predicted_arrival_offsets(true_position, sensors)
-    arrivals = []
-    for sensor, dt in zip(sensors, offsets):
-        t = emission_time + dt + sensor.clock_bias
-        if clock_jitter_s > 0:
-            if rng is None:
-                raise ValueError("rng required when clock_jitter_s > 0")
-            t += float(rng.normal(0.0, clock_jitter_s))
-        arrivals.append((sensor, t))
-    return arrivals
+    times = arrival_times(np.asarray(true_position, dtype=float)[None], [emission_time],
+                          sensors, rng, clock_jitter_s)
+    return list(zip(sensors, times[0].tolist()))
 
 
 def default_sensor_grid(extent_m: float = 20_000.0) -> List[GroundSensor]:

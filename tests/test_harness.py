@@ -920,8 +920,10 @@ def _rewrite_record(path, index, change):
     (-1, lambda r: r.update(seed=r["seed"] + 1)),
     (0, lambda r: r.update(kind=7)),
     (0, lambda r: r.update(payload=None)),
+    (1, lambda r: r.update(extra=[1])),
+    (0, lambda r: r.update(t=10**400)),
 ], ids=["t-string", "t-bool", "t-nan", "trial_id-string", "seed-differs",
-        "kind-int", "payload-null"])
+        "kind-int", "payload-null", "extra-field", "t-beyond-float"])
 @pytest.mark.parametrize("command", ["summarize", "detect"])
 def test_cli_mistyped_log_field_exit_code(tmp_path, capsys, index, change, command):
     """A JSON-valid trial log whose envelope fields have the wrong type is a
@@ -1053,3 +1055,33 @@ def test_cli_detect_bad_position_names_trial_file(tmp_path, capsys):
     assert main(["detect", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "corrupt trial log" in err and "trial_00002.jsonl" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("claimed_position_m", [1.0, float("nan"), 3.0]),
+    ("position_m", [float("inf"), 2.0, 3.0]),
+    ("claimed_position_m", [1.0, True, 3.0]),
+    ("position_m", [1.0, 2.0]),
+    ("claimed_position_m", [1.0, 2.0, 3.0, 4.0]),
+    ("position_m", [1.0, "2", 3.0]),
+    ("claimed_position_m", [1.0, [2.0], 3.0]),
+    ("position_m", {"x": 1.0}),
+    ("claimed_position_m", [10**400, 2.0, 3.0]),
+], ids=["nan", "inf", "bool", "two", "four", "string", "nested", "object", "beyond-float"])
+def test_cli_detect_rejects_non_coordinates(tmp_path, capsys, key, value):
+    """A surveillance position that is not three finite numbers (bools are
+    not numbers) is exit 3 naming the trial file and the record's time, and
+    no verdicts are written."""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "TCAS", "--trials", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trials" / "trial_00001.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    index = next(i for i, r in enumerate(records) if r["kind"] == "surveillance")
+    _rewrite_record(path, index, lambda r: r["payload"].update({key: value}))
+    assert main(["detect", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"corrupt trial log {path}: surveillance at t={records[index]['t']}: {key}" in err
+    assert not (out / "verdicts.csv").exists()
