@@ -71,8 +71,8 @@ def arrival_times(
     true_positions: np.ndarray,
     emission_times: np.ndarray,
     sensors: Sequence[GroundSensor],
-    rng: Optional[np.random.Generator] = None,
-    clock_jitter_s: float = 0.0,
+    rng: Optional[np.random.Generator],
+    clock_jitter_s: float,
 ) -> np.ndarray:
     """Sensor timestamps, shape (M, K), for M emissions from the points
     ``true_positions`` (shape (M, 3)) at ``emission_times`` (shape (M,)).
@@ -109,11 +109,7 @@ def residuals_m(
     return SPEED_OF_LIGHT * np.sqrt(np.mean(np.square(diffs), axis=1))
 
 
-def classify(
-    residual: float,
-    threshold_m: float = DEFAULT_RESIDUAL_THRESHOLD_M,
-    subject: str = "message",
-) -> IntegrityVerdict:
+def classify(residual: float, threshold_m: float, subject: str) -> IntegrityVerdict:
     """The verdict on a message whose TOA residual is ``residual`` m."""
 
     if residual > threshold_m:

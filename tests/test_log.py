@@ -176,6 +176,8 @@ def test_real_logs_take_one_scanner_pass():
         assert log_module._scan(blob) is not None
         log = TrialLog.from_jsonl(blob, scenario)
         assert log.to_jsonl() == blob
+        # Without its last newline too, as the line reader reads it.
+        assert log_module._scan(blob[:-1]) == log_module._scan(blob)
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["scanner", "line-reader"])
