@@ -20,7 +20,7 @@ from .. import sentinel
 from .config import ConfigError, apply_scenario, default_config_dict, load_config, make_config
 from .cost import all_cost_reports
 from .log import TrialLog
-from .output import emit, load_run, summary_csv, trial_path
+from .output import emit, load_run, summary_csv, trial_path, write_file
 from .runner import CHUNK_TRIALS, run_chunks
 from .scenarios import SCENARIOS
 from .summary import Summary, summarize
@@ -78,10 +78,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     _, logs = load_run(args.out)
     try:
         csv_text = summary_csv(summarize(logs))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: the standard deviation of numbers each within the
+        # float range can still fall outside it (1e200 beside 1,000 ft).
         raise RuntimeError(f"corrupt trial log in {args.out}: {exc}") from exc
     sys.stdout.write(csv_text)
-    (Path(args.out) / "summary.csv").write_text(csv_text)
+    write_file(Path(args.out) / "summary.csv", csv_text)
     return EXIT_OK
 
 
@@ -105,7 +107,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "costs.csv").write_text(buf.getvalue())
+        write_file(out / "costs.csv", buf.getvalue())
     return EXIT_OK
 
 
@@ -187,7 +189,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             suspect += verdict.flag == sentinel.SUSPECT
         total += len(subjects)
 
-    (Path(args.out) / "verdicts.csv").write_text(buf.getvalue())
+    write_file(Path(args.out) / "verdicts.csv", buf.getvalue())
     if not total:
         print(f"no ground-side integrity check: the {run_cfg.scenario} run logged "
               "no surveillance messages")

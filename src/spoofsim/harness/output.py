@@ -9,6 +9,11 @@ folds it into the summary before asking for the next chunk, and writes the
 run's ``config.json`` last; `load_run` checks that a run directory is
 complete from one listing of its trials, then parses each log only when its
 caller reaches it.
+
+Every file is written by `write_file`, in place: a file an earlier run left
+is overwritten from its start and then cut to the new length, never first
+truncated to zero, and its modification time moves on every run.  Trial
+logs are read back as raw bytes and decoded as UTF-8 (see `_read_log_text`).
 """
 
 from __future__ import annotations
@@ -26,12 +31,41 @@ from .log import TrialLog
 from .summary import Summary
 
 
-def _write(path: Path, content: str, written: List[Path]) -> None:
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8.  An existing file is overwritten
+    in place and then cut to the new length, never truncated to zero first:
+    on ext4, truncating a file to zero and writing it again (what opening
+    with ``O_TRUNC`` does) costs several times an in-place rewrite, and a
+    rerun into a used run directory rewrites thousands of files."""
+
+    data = text.encode("utf-8")
     try:
-        path.write_text(content)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(path: Path, content: str, written: List[Path]) -> None:
+    write_file(path, content)
     written.append(path)
+
+
+def _sync_directory(directory: Path) -> None:
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise RuntimeError(f"cannot sync {directory}: {exc}") from exc
 
 
 def _remove_others(directory: Path, pattern: str, keep: Set[str]) -> None:
@@ -150,9 +184,16 @@ def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {trials_dir}: {exc}") from exc
     try:
-        config.unlink(missing_ok=True)
+        config.unlink()
+    except FileNotFoundError:
+        pass
     except OSError as exc:
         raise RuntimeError(f"cannot remove {config}: {exc}") from exc
+    else:
+        # Trial logs are overwritten in place, so the removal must reach the
+        # disk before any of them does: an earlier config.json must not
+        # survive a power loss beside a mixture of old and new logs.
+        _sync_directory(out)
 
     written: List[Path] = []
     log_names: Set[str] = set()
@@ -224,14 +265,34 @@ def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     return _read_logs(out_dir, cfg)
 
 
+def _read_log_text(path: str) -> str:
+    """The file at ``path`` decoded as UTF-8, with the newline translation of
+    a file opened in text mode (``"\r\n"`` and ``"\r"`` read as ``"\n"``),
+    read without the text-IO layer."""
+
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(fd, os.fstat(fd).st_size + 1)
+            while more := os.read(fd, 65536):
+                data += more
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     for trial_id in range(cfg.trials):
         path = trial_path(out_dir, trial_id)
-        try:
-            with open(path) as f:
-                blob = f.read()
-        except OSError as exc:
-            raise RuntimeError(f"cannot read {path}: {exc}") from exc
+        blob = _read_log_text(path)
         try:
             log = TrialLog.from_jsonl(blob, cfg.scenario)
         except (ValueError, KeyError, OverflowError) as exc:

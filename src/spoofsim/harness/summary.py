@@ -38,13 +38,16 @@ TCAS_ACTION_LABELS = {
 }
 
 
-#: Payload field types (``_field``'s ``allowed``).
+#: Payload field types (``_field``'s ``allowed``).  A number summarize
+#: averages is a `_NUMBER`, or a `_COUNT` for an integer one.
 _NUMBER = (int, float)
+_COUNT = (int,)
 
 
 def _field(log: TrialLog, event: Dict[str, Any], key: str, allowed: Any) -> Any:
     """``event``'s payload field ``key``, which must be an instance of
-    ``allowed`` (never a bool) or, when ``allowed`` is a dict, one of its keys.
+    ``allowed`` (never a bool) or, when ``allowed`` is a dict, one of its keys;
+    a `_NUMBER` or `_COUNT` must also be finite and within the float range.
     Logs read back from a run directory may break this; the ValueError names
     the trial, the event kind and the field."""
 
@@ -56,6 +59,11 @@ def _field(log: TrialLog, event: Dict[str, Any], key: str, allowed: Any) -> Any:
         valid = type(value) is str and value in allowed
     else:
         valid = isinstance(value, allowed) and type(value) is not bool
+        if valid and (allowed is _NUMBER or allowed is _COUNT):
+            try:
+                valid = math.isfinite(value)
+            except OverflowError:   # an integer beyond the float range
+                valid = False
     if not valid:
         raise ValueError(f"trial {log.trial_id}: {event['kind']} field {key!r} is {value!r}")
     return value
@@ -151,7 +159,7 @@ class TcasSummary:
         action = _field(log, outcome, "final_action", TCAS_ACTION_LABELS)
         self.matrix[action][mode] += 1
         self.mode_counts[mode] += 1
-        episodes = _field(log, outcome, "episodes", int)
+        episodes = _field(log, outcome, "episodes", _COUNT)
         self.episodes_total += episodes
         self.episodes_max = max(self.episodes_max, episodes)
         if mode != tcas.TA_RA:

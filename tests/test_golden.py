@@ -8,6 +8,8 @@ here in the same change.
 """
 
 import hashlib
+import json
+import os
 
 import pytest
 
@@ -108,3 +110,37 @@ def test_golden_outputs_across_chunks(scenario, tmp_path, capsys):
     actual = emitted_digests(scenario, TRIALS_ACROSS_CHUNKS, expected, tmp_path / scenario)
     capsys.readouterr()
     assert actual == expected
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_golden_outputs_over_an_earlier_run(scenario, tmp_path, capsys):
+    """A run into the directory of an earlier, larger run (another seed, more
+    trials, altitude traces where the scenario has them) writes the bytes it
+    writes into a fresh directory, and rewrites every file it keeps: each
+    one's modification time moves, also where the content is unchanged."""
+
+    out = tmp_path / scenario
+    config = tmp_path / "traces.json"
+    config.write_text(json.dumps({"version": 1, "scenario": scenario,
+                                  "output": {"altitude_trace": True}}))
+    earlier = ["--scenario", scenario, "--seed", "7", "--out", str(out)]
+    assert main(["run", "--trials", "600", "--config", str(config)] + earlier) == 0
+    expected = EXPECTED_ACROSS_CHUNKS[scenario]
+    if "verdicts.csv" in expected:
+        assert main(["detect"] + earlier) == 0
+    # Set every file's time back, so that a rewrite shows however coarse the
+    # file system's clock is.
+    before = {}
+    for path in out.rglob("*"):
+        if path.is_file():
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
+            before[path] = (stat.st_mtime_ns - 10**9, stat.st_size)
+
+    actual = emitted_digests(scenario, TRIALS_ACROSS_CHUNKS, expected, out)
+    capsys.readouterr()
+    assert actual == expected
+    kept = [path for path in out.rglob("*") if path.is_file()]
+    assert all(path.stat().st_mtime_ns > before[path][0] for path in kept)
+    assert any(path.stat().st_size < before[path][1] for path in kept), \
+        "no file of the earlier run was longer: the test would not see a stale tail"

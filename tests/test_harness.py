@@ -964,6 +964,76 @@ def test_cli_summarize_unreadable_payload_exit_code(tmp_path, capsys, scenario, 
     assert f"trial 3: {kind} field {field!r}" in err
 
 
+@pytest.mark.parametrize("scenario,kind,field,value", [
+    ("TCAS", "outcome", "episodes", 10**400),
+    ("GS", "crew_action", "agl_ft", 10**400),
+    ("GPWS", "crew_action", "min_agl_ft", 10**400),
+    ("TCAS", "outcome", "ras_observed", float("inf")),
+    ("GS", "crew_action", "agl_ft", float("nan")),
+], ids=["tcas-episodes-beyond-float", "gs-agl-beyond-float", "gpws-min-agl-beyond-float",
+        "tcas-ras-infinite", "gs-agl-nan"])
+def test_cli_summarize_number_outside_float_range_exit_code(tmp_path, capsys, scenario,
+                                                            kind, field, value):
+    """A payload number summarize averages must be finite and within the
+    float range.  Set in every trial log, it gives exit 3 naming the trial,
+    the event kind and the field, never a traceback or statistics built
+    from it."""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--trials", "12", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    for path in (out / "trials").glob("trial_*.jsonl"):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for index, record in enumerate(records):
+            if record["kind"] == kind and field in record["payload"]:
+                _rewrite_record(path, index, lambda r: r["payload"].update({field: value}))
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"corrupt trial log in {out}" in err
+    assert re.search(rf"trial \d+: {kind} field {field!r}", err)
+
+
+def test_cli_summarize_spread_beyond_float_range_exit_code(tmp_path, capsys):
+    """Finite payload numbers whose standard deviation overflows a float (one
+    go-around height of 1e200 ft among ordinary ones) give exit 3, not an
+    OverflowError traceback."""
+
+    out = tmp_path / "out"
+    trials = _gs_run(out, trials=12)
+    path = trials / "trial_00000.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for index, record in enumerate(records):
+        if record["kind"] == "crew_action" and "agl_ft" in record["payload"]:
+            _rewrite_record(path, index, lambda r: r["payload"].update(agl_ft=1e200))
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 3
+    assert f"corrupt trial log in {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,blocked", [
+    ("run", "trials/trial_00000.jsonl"),
+    ("summarize", "summary.csv"),
+    ("detect", "verdicts.csv"),
+    ("cost", "costs.csv"),
+])
+def test_cli_write_failure_exit_code(tmp_path, capsys, command, blocked):
+    """A file a command cannot write is exit 3 with ``cannot write`` and its
+    path, never a traceback."""
+
+    out = tmp_path / "out"
+    _gs_run(out)
+    path = out / blocked
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    argv = [command, "--out", str(out)]
+    if command == "run":
+        argv += ["--scenario", "GS", "--trials", "4"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"cannot write {path}" in capsys.readouterr().err
+
+
 @pytest.fixture
 def live_logs(monkeypatch):
     """A function that runs the CLI and returns the most `TrialLog`s that
