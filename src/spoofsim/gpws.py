@@ -1,15 +1,14 @@
 """Excessive-terrain-closure (Mode 2) alerting and the scripted attack trigger.
 
-The alert envelope is a piecewise-linear boundary in (AGL, closure rate),
-looked up every fine-loop step with the scalar `world.interp`; the closure
-rate is estimated from the *indicated* radio-altimeter height, which is what
-a ramp-spoofing attacker manipulates.  One boundary is modelled; the Mode 2
-sub-modes (flap/gear configuration) are not distinguished.
+The alert envelope is a piecewise-linear boundary in (AGL, closure rate);
+the closure rate is estimated from the *indicated* radio-altimeter height,
+which is what a ramp-spoofing attacker manipulates.  One boundary is
+modelled; the Mode 2 sub-modes (flap/gear configuration) are not
+distinguished.
 
-The fine loop compares each closure with `Mode2Envelope.threshold_fpm`
-itself and builds a `GpwsAlert` only on the step that alerts; `evaluate` is
-the same test as one call.  The estimator keeps its window in a deque, so a
-step drops its oldest sample in constant time.
+`ClosureRateEstimator` takes one sample at a time and `evaluate` tests one
+point with the scalar `world.interp`; the fine loop, which flies blocks of
+steps, takes the same closures over rows of samples (`closure_rates`).
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ class Mode2Envelope:
         agls = [p[0] for p in self.boundary]
         if sorted(agls) != agls or len(set(agls)) != len(agls):
             raise ValueError("boundary AGL points must be strictly increasing")
-        # Float tables for `world.interp`, built once: the envelope is queried
-        # every step.
+        # Float tables for `world.interp`, built once.
         object.__setattr__(self, "_agl", [float(a) for a in agls])
         object.__setattr__(self, "_rate", [float(p[1]) for p in self.boundary])
 
@@ -125,3 +123,17 @@ class ClosureRateEstimator:
         if t - t0 < CLOSURE_WINDOW_S - 1e-9:
             return None
         return (h0 - indicated_agl_ft) / (t - t0) * 60.0
+
+
+def closure_rates(t: np.ndarray, indicated_agl_ft: np.ndarray) -> np.ndarray:
+    """`ClosureRateEstimator.update` of each row's (time, indicated AGL ft)
+    samples in column order, NaN for None; times in a row must not decrease.
+    The oldest sample it keeps is the last one at or before
+    ``t - CLOSURE_WINDOW_S`` (an earlier one), or the row's first."""
+
+    first = np.array([np.searchsorted(row, row - CLOSURE_WINDOW_S, side="right") for row in t])
+    at = np.arange(len(t))[:, None], np.maximum(first - 1, 0)
+    span = t - t[at]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closure = (indicated_agl_ft[at] - indicated_agl_ft) / span * 60.0
+    return np.where(span < CLOSURE_WINDOW_S - 1e-9, np.nan, closure)

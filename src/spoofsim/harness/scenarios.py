@@ -5,15 +5,15 @@ Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
 
-A GPWS approach builds a `world.AircraftState` at its start, after its one
-`world.step` jump to just above the trigger, and where its fine loop ends.
-In between, the loop steps plain floats (time, along, altitude) with
-`world.step`'s additions in its order, so the states it ends on are the ones
-a chain of `step` calls gives; the approach flies heading 0, so a step moves
-it ``gs * dt`` along track and none across.  Each step ranges the ramp's
-delay for the sweep being read (`radalt.RampAttackPlan.delay_at`) and
-compares the closure with the Mode 2 threshold; a `gpws.GpwsAlert` is built
-only on the step that alerts.
+GPWS trials fly their approaches in rounds.  Each approach's set-up (its
+start, trigger and one `world.step` jump to just above the trigger) and its
+alert handling (crew draws, events) are scalar, per trial, in its own RNG
+order.  Between them, the fine loop of a round runs as array blocks, a row
+per approach: a cumulative sum along each row makes `world.step`'s additions
+in its order (heading 0 moves ``gs * dt`` along track and none across), and
+the terrain, ramp (`radalt.ramp_heights`), closure (`gpws.closure_rates`)
+and Mode 2 threshold are the scalar ones' floats.  A row ends at touchdown or
+at its first alert; one that ends in neither way is flown again longer.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter.  The injector's straight-line
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,11 @@ _GPWS_RAMP_DURATION_S = 1.5
 #: conflicting centred-needle/four-whites picture is sampled above that; the
 #: crew still executes the go-around at its own decision height.
 _GS_EVAL_FLOOR_FT = 550.0
+#: GPWS trials flown together: few enough that their generators and fine
+#: loops stay small beside a chunk's logs.  A fine-loop block flies
+#: `_GPWS_BLOCK_S` at first (on the defaults every approach ends within it),
+#: over at most `_GPWS_BLOCK_CELLS` approaches x steps.
+_GPWS_GROUP, _GPWS_BLOCK_S, _GPWS_BLOCK_CELLS = 64, 6.4, 64 * 64
 #: The Mode 2 alert envelope and the altimeter sweep; no config field sets them.
 _MODE2_ENVELOPE = gpws.Mode2Envelope()
 _SWEEP = radalt.SweepConfig()
@@ -96,126 +101,175 @@ def approach_start(cfg: ScenarioConfig, t0: float) -> world.AircraftState:
 # terrain-alert spoofing
 
 
-def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
-    rng = np.random.default_rng(seed)
-    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
+def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
+    """The GPWS trials of ``trial_ids`` with their ``seeds``, in order, in
+    groups of `_GPWS_GROUP`.  A group flies rounds of approaches, the n-th of
+    each trial still flying in round n, one fine loop per round."""
+
+    if len(seeds) > _GPWS_GROUP:
+        return [log for g in range(0, len(seeds), _GPWS_GROUP) for log in gpws_trials(
+            cfg, trial_ids[g:g + _GPWS_GROUP], seeds[g:g + _GPWS_GROUP])]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    logs = [TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
+            for i, seed in zip(trial_ids, seeds)]
     runway, terrain, policy = cfg.runway, cfg.terrain, cfg.gpws_policy
-    apparent_rate = cfg.apparent_descent_rate_mps
-    t = 0.0
-
+    t_next = [0.0] * len(logs)  # when each trial's next approach starts
+    flying = range(len(logs))
     approach = 0
-    while True:
+    while flying:
         approach += 1
-        state = approach_start(cfg, t)
-        trigger = (
-            gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
-            if cfg.attacker_enabled
-            else -1.0
-        )
-        log.add(state.time, "approach_start", {
-            "approach": approach,
-            "start_agl_ft": cfg.approach_start_agl_ft,
-            "trigger_agl_ft": trigger if trigger > 0 else None,
-        })
-        if trigger <= 0:
-            # No attack: a nominal approach never enters the alert envelope.
-            t_land, _ = world.time_and_distance_to_touchdown(state, runway)
-            log.finish(state.time + t_land, "LANDED", {"approach": approach})
-            return log
+        rows = []  # (trial, trigger, state just above the trigger)
+        for k in flying:
+            rng, log = rngs[k], logs[k]
+            state = approach_start(cfg, t_next[k])
+            trigger = (gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
+                       if cfg.attacker_enabled else -1.0)
+            log.add(state.time, "approach_start", {
+                "approach": approach,
+                "start_agl_ft": cfg.approach_start_agl_ft,
+                "trigger_agl_ft": trigger if trigger > 0 else None,
+            })
+            if trigger <= 0:
+                # No attack: a nominal approach never enters the alert envelope.
+                t_land, _ = world.time_and_distance_to_touchdown(state, runway)
+                log.finish(state.time + t_land, "LANDED", {"approach": approach})
+                continue
+            # Jump to just above the trigger; the fine loop steps from there.
+            rate_fps = -m_to_ft(state.vertical_speed)  # ft/s, positive down
+            agl_ft = m_to_ft(world.agl(state, terrain))
+            lead = (agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
+            if lead > 0:
+                state = world.step(state, state.vertical_speed, state.ground_speed, lead)
+            world.check_step(state.vertical_speed, state.ground_speed, cfg.dt_s)
+            rows.append((k, trigger, state))
 
-        # Jump to just above the trigger, then step finely through the attack.
-        rate_fps = -m_to_ft(state.vertical_speed)  # ft/s, positive down
-        agl_ft = m_to_ft(world.agl(state, terrain))
-        lead = (agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
-        if lead > 0:
-            state = world.step(state, state.vertical_speed, state.ground_speed, lead)
-
-        # The fine loop makes `world.step`'s additions, in its order, on
-        # floats; the increments are the values `step` recomputes each call
-        # (at heading 0, the whole distance goes along track).
-        vs, gs, dt = state.vertical_speed, state.ground_speed, cfg.dt_s
-        world.check_step(vs, gs, dt)
-        d_along, d_alt = gs * dt, vs * dt
-        t, along, alt = state.time, state.along_track, state.altitude_msl
-        estimator = gpws.ClosureRateEstimator()
-        plan: Optional[radalt.RampAttackPlan] = None
-        attack_t0 = 0.0
-        alert: Optional[gpws.GpwsAlert] = None
-
-        while True:
-            t += dt
-            along += d_along
-            alt += d_alt
-            true_agl = (alt - terrain.elevation_at(along)) / M_PER_FT
-            # Touchdown: on the ground, or at the runway's elevation where the
-            # terrain lies below it.
-            if true_agl <= 0 or alt <= runway.elevation:
-                break
-            if plan is None and true_agl <= trigger:
-                plan = radalt.RampAttackPlan(
-                    ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S,
-                    _SWEEP.sweep_period,
-                )
-                attack_t0 = t
-                log.add(t, "attack_start", {
+        flying = []
+        for (k, trigger, state), (alerted, p, t, along, alt, true_agl, indicated) in zip(
+                rows, _gpws_fine_loop(cfg, rows)):
+            rng, log = rngs[k], logs[k]
+            # The steps that reach the alert test: the touchdown step does not.
+            n = len(t) if alerted else len(t) - 1
+            _log_states(log, cfg, t, alt, indicated, range(min(p, n)))
+            if p < n:
+                log.add(t[p], "attack_start", {
                     "approach": approach,
                     "trigger_agl_ft": trigger,
-                    "apparent_descent_rate_mps": apparent_rate,
+                    "apparent_descent_rate_mps": cfg.apparent_descent_rate_mps,
                 })
-            if plan is None:
-                indicated = true_agl
-            else:
-                # The spoofed echo is the sweep's only return, so its delay is
-                # ranged directly rather than picked out of a list by `measure`.
-                indicated = radalt.range_height(plan.delay_at(t - attack_t0), _SWEEP) / M_PER_FT
-            if cfg.altitude_trace:
-                log.add(t, "state", {
-                    "altitude_ft": m_to_ft(alt),
-                    "indicated_agl_ft": indicated,
-                })
-            closure = estimator.update(t, indicated)
-            if closure is not None:
-                alert_agl = max(indicated, 0.0)
-                if closure >= _MODE2_ENVELOPE.threshold_fpm(alert_agl):
-                    alert = gpws.GpwsAlert(time=t, trigger_agl=alert_agl)
-                    break
-        state = world.AircraftState(
-            time=t, ground_position=(along, 0.0), altitude_msl=alt, vertical_speed=vs,
-            ground_speed=gs, heading=0.0,
-        )
+                _log_states(log, cfg, t, alt, indicated, range(p, n))
+            if not alerted:
+                # Envelope never entered: the approach completes.
+                log.finish(t[-1], "LANDED", {"approach": approach})
+                continue
 
-        if alert is None:
-            # Envelope never entered: the approach completes.
-            log.finish(state.time, "LANDED", {"approach": approach})
-            return log
-
-        log.add(alert.time, "gpws_alert", {
-            "approach": approach,
-            "indicated_agl_ft": alert.trigger_agl,
-            "true_agl_ft": true_agl,
-            "kind": alert.kind,
-        })
-        latency = crew.gpws_reaction_latency(policy, rng)
-        action = crew.gpws_act(approach, policy, rng)
-        min_agl = max(0.0, true_agl - rate_fps * latency)
-        t_action = alert.time + latency
-
-        if action == crew.GO_AROUND:
-            log.add(t_action, "crew_action", {
-                "approach": approach, "action": action, "min_agl_ft": min_agl,
+            alert = gpws.GpwsAlert(time=t[-1], trigger_agl=max(indicated[-1], 0.0))
+            log.add(alert.time, "gpws_alert", {
+                "approach": approach,
+                "indicated_agl_ft": alert.trigger_agl,
+                "true_agl_ft": true_agl,
+                "kind": alert.kind,
             })
-            t = t_action + 60.0  # repositioning for the next approach
-            continue
-        t_land, _ = world.time_and_distance_to_touchdown(state, runway)
-        t_done = max(t_action, state.time + t_land)
-        if action == crew.TURN_OFF_GPWS:
+            latency = crew.gpws_reaction_latency(policy, rng)
+            action = crew.gpws_act(approach, policy, rng)
+            rate_fps = -m_to_ft(state.vertical_speed)
+            min_agl = max(0.0, true_agl - rate_fps * latency)
+            t_action = alert.time + latency
+
+            if action == crew.GO_AROUND:
+                log.add(t_action, "crew_action", {
+                    "approach": approach, "action": action, "min_agl_ft": min_agl,
+                })
+                t_next[k] = t_action + 60.0  # repositioning for the next approach
+                flying.append(k)
+                continue
+            state = world.AircraftState(
+                time=t[-1], ground_position=(along, 0.0), altitude_msl=alt[-1], heading=0.0,
+                vertical_speed=state.vertical_speed, ground_speed=state.ground_speed)
+            t_land, _ = world.time_and_distance_to_touchdown(state, runway)
+            t_done = max(t_action, state.time + t_land)
             log.add(t_action, "crew_action", {"approach": approach, "action": action})
-            log.finish(t_done, "LANDED_GPWS_OFF", {"approach": approach})
-            return log
-        # LAND: continue the descent despite the alert.
-        log.add(t_action, "crew_action", {"approach": approach, "action": action})
-        log.finish(t_done, "LANDED", {"approach": approach})
-        return log
+            # LAND continues the descent despite the alert.
+            outcome = "LANDED_GPWS_OFF" if action == crew.TURN_OFF_GPWS else "LANDED"
+            log.finish(t_done, outcome, {"approach": approach})
+    return logs
+
+
+def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
+    return gpws_trials(cfg, [trial_id], [seed])[0]
+
+
+def _log_states(log: TrialLog, cfg: ScenarioConfig, t, alt, indicated, steps: range) -> None:
+    """The altitude trace of the fine loop's ``steps``, if it is on."""
+
+    for i in steps if cfg.altitude_trace else ():
+        log.add(t[i], "state", {"altitude_ft": m_to_ft(alt[i]), "indicated_agl_ft": indicated[i]})
+
+
+def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> list:
+    """The fine loop of each (trial, trigger, start state) row up to touchdown
+    or the first alert: whether it alerted, the ramp's first step (or past
+    the last), the steps' times, last along-track, altitudes, last true AGL
+    and indicated AGLs.  Raises `elevation_at`'s ValueError off the terrain."""
+
+    flights: list = [None] * len(rows)
+    pending = list(range(len(rows)))
+    steps = math.ceil(_GPWS_BLOCK_S / cfg.dt_s)
+    while pending:
+        per_block = max(1, _GPWS_BLOCK_CELLS // steps)
+        for b in range(0, len(pending), per_block):
+            block = pending[b:b + per_block]
+            for r, flight in zip(block, _gpws_block(cfg, [rows[r] for r in block], steps)):
+                flights[r] = flight
+        pending = [r for r in pending if flights[r] is None]
+        steps *= 4
+    return flights
+
+
+def _gpws_block(cfg: ScenarioConfig, rows: list, steps: int) -> list:
+    """`_gpws_fine_loop` of ``rows`` over ``steps`` steps as one array block:
+    None for a row that ends neither way in it.  The terrain and Mode 2
+    lookups are `numpy.interp`, which `world.interp` equals."""
+
+    terrain, dt = cfg.terrain, cfg.dt_s
+    vs, gs = rows[0][2].vertical_speed, rows[0][2].ground_speed
+
+    def walk(starts, d):  # row r: starts[r] + d + d + ..., added in sequence
+        x = np.full((len(rows), steps + 1), d)
+        x[:, 0] = starts
+        return np.cumsum(x, axis=1, out=x)[:, 1:]
+
+    def first(mask):  # each row's first True column, or `steps`
+        return np.where(mask.any(axis=1), mask.argmax(axis=1), steps)
+
+    t = walk([state.time for _, _, state in rows], dt)
+    along = walk([state.along_track for _, _, state in rows], gs * dt)
+    alt = walk([state.altitude_msl for _, _, state in rows], vs * dt)
+    true_agl = (alt - np.interp(along, *zip(*terrain.vertices))) / M_PER_FT
+    # Touchdown: on the ground, or at the runway's elevation where the
+    # terrain lies below it.
+    down = first((true_agl <= 0) | (alt <= cfg.runway.elevation))
+    # The ramp starts where the true height first reaches the trigger; the
+    # spoofed echo is the sweep's only return.
+    p = first(true_agl <= np.array([[trigger] for _, trigger, _ in rows]))
+    at = np.arange(len(rows))[:, None], np.minimum(p, steps - 1)[:, None]
+    ramp = radalt.ramp_heights(ft_to_m(true_agl[at]), t - t[at], cfg.apparent_descent_rate_mps,
+                               _GPWS_RAMP_DURATION_S, _SWEEP)
+    indicated = np.where(np.arange(steps) >= p[:, None], ramp / M_PER_FT, true_agl)
+    closure = gpws.closure_rates(t, indicated)
+    alert_agl = np.where(0.0 > indicated, 0.0, indicated)  # max(indicated, 0.0)
+    threshold = np.interp(alert_agl, *zip(*_MODE2_ENVELOPE.boundary))
+    # An alert counts before touchdown only.
+    end = np.minimum(first(closure >= threshold), down)
+    # The along-track position only grows, from inside the terrain.
+    outside = first(along > terrain.domain[1])
+    flights: list = []
+    for r, (e, out) in enumerate(zip(end.tolist(), outside.tolist())):
+        if out <= e and out < steps:
+            terrain.elevation_at(float(along[r, out]))  # raises
+        flights.append(None if e == steps else (
+            bool(e < down[r]), int(p[r]), t[r, :e + 1].tolist(), float(along[r, e]),
+            alt[r, :e + 1].tolist(), float(true_agl[r, e]), indicated[r, :e + 1].tolist()))
+    return flights
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +536,18 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 @dataclass(frozen=True)
 class Scenario:
     """One scenario: its trial function, the accumulator that summarizes its
-    logs (``add(log)``, then ``result()``) and its config overrides."""
+    logs (``add(log)``, then ``result()``), its config overrides and, where
+    it runs many trials faster together, its batch function (config, trial
+    ids, seeds -> logs in order)."""
 
     trial: Callable[[ScenarioConfig, int, int], TrialLog]
     summary: Callable[[], Any]
     overrides: Dict[str, Any] = field(default_factory=dict)
+    batch: Optional[Callable[[ScenarioConfig, Sequence[int], Sequence[int]], List[TrialLog]]] = None
 
 
 SCENARIOS: Dict[str, Scenario] = {
-    "GPWS": Scenario(gpws_trial, GpwsSummary),
+    "GPWS": Scenario(gpws_trial, GpwsSummary, batch=gpws_trials),
     "TCAS": Scenario(tcas_trial, TcasSummary),
     "GS": Scenario(gs_trial, GsSummary),
     # The glideslope approach with no attacker.

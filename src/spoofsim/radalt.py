@@ -8,7 +8,8 @@ attacker injects one delay per sweep, shrinking it so the indicated height
 descends at a chosen apparent rate; a ramp computes the delay of a sweep only
 when that sweep is read (`RampAttackPlan.delay_at`).  Where the spoofed echo
 is a sweep's only return, as in the GPWS fine loop, that delay is ranged
-directly; `echo_at` wraps it in a `PulseEcho` for `measure`.
+directly: `ramp_heights` gives those heights for arrays of ramps and read
+times at once.  `echo_at` wraps one delay in a `PulseEcho` for `measure`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .units import SPEED_OF_LIGHT
 
@@ -114,3 +117,17 @@ class RampAttackPlan:
         """The injected echo itself, for `measure` among other returns."""
 
         return PulseEcho(self.delay_at(elapsed), -40.0, "adversarial")
+
+
+def ramp_heights(start_agl: np.ndarray, elapsed: np.ndarray, apparent_descent_rate: float,
+                 duration: float, sweep: SweepConfig) -> np.ndarray:
+    """``range_height`` of ``RampAttackPlan.delay_at`` elementwise, in the
+    same float operations (``astype(int64)`` and ``rint`` are ``int()`` of a
+    non-negative ``elapsed`` and ``round()``)."""
+
+    period, q = sweep.sweep_period, sweep.range_resolution
+    n_sweeps = max(1, math.ceil(duration / period))
+    k = np.minimum((elapsed / period).astype(np.int64), n_sweeps - 1)
+    h = start_agl - apparent_descent_rate * k * period
+    delay = 2.0 * np.where(h > 0.0, h, 0.0) / SPEED_OF_LIGHT
+    return np.rint(SPEED_OF_LIGHT * delay / 2.0 / q) * q

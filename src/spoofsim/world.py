@@ -10,15 +10,15 @@ bearing, so no state carries one.
 Integration is closed form (position and altitude are linear in dt), so
 ``step`` composes exactly: advancing by a+b equals advancing by a then b.
 ``step`` serves the coarse jumps (to an attack window, along a cruise) and
-every other caller.  The GPWS fine loop integrates on floats instead: it
-checks its rates once with ``check_step`` and then makes ``step``'s additions,
-in ``step``'s order, on (time, along, altitude) each step, so it reaches the
-same bits without an ``AircraftState`` per step.  Its heading is 0, so
-``step`` adds ``d * cos 0 == d`` along track and ``d * sin 0 == 0.0`` across.
+every other caller.  The GPWS fine loop checks its rates with ``check_step``
+and integrates array blocks: a cumulative sum along each row makes
+``step``'s additions, in ``step``'s order, on (time, along, altitude).  Its
+heading is 0, so ``step`` adds ``d * cos 0 == d`` along track and
+``d * sin 0 == 0.0`` across.
 
 ``interp`` is a scalar piecewise-linear lookup that returns exactly what
 ``numpy.interp`` returns for one x; the terrain profile and the GPWS Mode 2
-envelope use it, since both are queried once per 0.1 s step.
+envelope use it for single lookups, the fine loop ``numpy.interp`` itself.
 """
 
 from __future__ import annotations

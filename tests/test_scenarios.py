@@ -2,14 +2,15 @@
 equals `world.step`'s to the bit, a run makes no `world.step` call and, where
 the cruise stays on one side of the activation floor, no terrain lookup; an
 encounter builds one message and one track, and no cycle calls
-`np.linalg.norm`.  The GPWS ramp computes only the sweeps it reads, its fine
-loop builds no state, echo or `world.step` call per step, and neither trial
-calls numpy for a table lookup.  Trials read the objects `make_config` built
-and construct none of their own.  TCAS encounters follow their own geometry:
-the scheduled trial writes the logs of a plain 1 Hz reference loop over
-random claims and thresholds.  The GPWS float loop writes the logs of a
-reference loop that advances an `AircraftState` by `world.step` each step,
-over random approaches, step sizes, attack rates and terrain."""
+`np.linalg.norm`, nor `np.interp` for a terrain lookup.  The GPWS fine loop
+runs as array kernels: it builds no state, echo or `world.step` call per
+step, and makes no per-step scalar call.  Trials read the objects
+`make_config` built and construct none of their own.  TCAS encounters follow
+their own geometry: the scheduled trial writes the logs of a plain 1 Hz
+reference loop over random claims and thresholds.  The GPWS array loop
+writes the logs of a reference loop that advances an `AircraftState` by
+`world.step` each step, over random approaches, step sizes, attack rates
+and terrain."""
 
 import dataclasses
 import functools
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spoofsim import crew, gpws, ils, radalt, tcas, world
-from spoofsim.harness import run
+from spoofsim.harness import run, scenarios
 from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.runner import trial_seeds
@@ -241,19 +242,28 @@ def test_tcas_tracks_update_in_place(monkeypatch):
     assert counts["numpy.linalg.norm"] == 0, counts
 
 
-def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
-    """Work budget: an attacked approach computes the injected delay of each
-    sweep the fine loop reads, and of no other sweep."""
+def test_gpws_fine_loop_runs_as_array_kernels(monkeypatch):
+    """Work budget: the fine loop flies each approach round as array blocks,
+    so a GPWS `run()` at N=20 makes no per-step scalar call: no
+    `ClosureRateEstimator.update`, `Mode2Envelope.threshold_fpm` or
+    `RampAttackPlan.delay_at`.  It looks the terrain up with `elevation_at`
+    at most once per approach (for the jump to the attack window) and calls
+    `np.interp` at most twice per kernel call (terrain and envelope).  The
+    config, whose checks look up the terrain too, is built before counting."""
 
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
     counts = Counter()
-    counting = functools.partial(_counting, counts)
-    monkeypatch.setattr(radalt, "height_to_delay",
-                        counting("delays", radalt.height_to_delay))
-    monkeypatch.setattr(radalt.RampAttackPlan, "delay_at",
-                        counting("reads", radalt.RampAttackPlan.delay_at))
-    run(make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED}))
-    assert counts["reads"] > 0
-    assert counts["delays"] == counts["reads"], counts
+    for owner, attr in [
+        (gpws.ClosureRateEstimator, "update"), (gpws.Mode2Envelope, "threshold_fpm"),
+        (radalt.RampAttackPlan, "delay_at"), (world.TerrainProfile, "elevation_at"),
+        (np, "interp"), (scenarios, "_gpws_block"),
+    ]:
+        monkeypatch.setattr(owner, attr, _counting(counts, attr, getattr(owner, attr)))
+    approaches = sum(1 for log in run(cfg) for _ in log.iter_kind("approach_start"))
+    assert approaches >= 20 and counts["_gpws_block"] > 0, counts
+    assert counts["update"] == counts["threshold_fpm"] == counts["delay_at"] == 0, counts
+    assert 0 < counts["elevation_at"] <= approaches, (approaches, counts)
+    assert 0 < counts["interp"] <= 2 * counts["_gpws_block"], counts
 
 
 def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
@@ -280,15 +290,13 @@ def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("raw", [
-    {"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED},
     # On the defaults a TCAS cycle looks nothing up; over terrain that
     # straddles the activation floor, it does.
     {**_STRADDLING, "trials": 20},
-], ids=["GPWS", "TCAS"])
+], ids=["TCAS"])
 def test_lookups_make_no_numpy_calls(monkeypatch, raw):
-    """Work budget: the terrain and Mode 2 envelope lookups of the fine loop
-    and the surveillance cycle are scalar; `run()` at N=20 makes terrain
-    lookups and no `np.interp` call."""
+    """Work budget: the terrain lookups of the surveillance cycle are scalar;
+    `run()` at N=20 makes terrain lookups and no `np.interp` call."""
 
     counts = Counter()
     counting = functools.partial(_counting, counts)
@@ -560,7 +568,7 @@ def test_tcas_schedule_matches_1hz_reference(raw):
 def _gpws_trial_stepped(cfg, trial_id, seed):
     """`gpws_trial` with a fine loop that advances an `AircraftState` by
     `world.step` each step, ranges a `PulseEcho` from the ramp and alerts
-    through `gpws.evaluate`: the reference the float loop must match."""
+    through `gpws.evaluate`: the reference the array loop must match."""
 
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
@@ -679,6 +687,27 @@ def test_gpws_fine_loop_keeps_step_checks(dt, message):
             trial(cfg, 0, SEED)
 
 
+# The terrain ends before the touchdown zone (300 m), or between the last
+# step above the runway and the step that touches down (305.1 m).
+@pytest.mark.parametrize("terrain_end", [250.0, 301.0])
+def test_gpws_fine_loop_raises_off_the_terrain(terrain_end):
+    """A step that leaves the terrain before the approach ends, or as it
+    touches down, raises `elevation_at`'s ValueError, as in the stepped
+    reference.  (`make_config` rejects a terrain that ends before the runway
+    does.)"""
+
+    cfg = make_config({"version": 1, "scenario": "GPWS", "master_seed": SEED,
+                       "attacker": {"gpws": {"apparent_descent_rate_mps": 0.5}}})
+    cfg = dataclasses.replace(
+        cfg, terrain=world.TerrainProfile([(-50000.0, 0.0), (terrain_end, 0.0)]))
+    messages = []
+    for trial in (SCENARIOS["GPWS"].trial, _gpws_trial_stepped):
+        with pytest.raises(ValueError, match="outside terrain domain") as exc:
+            trial(cfg, 0, SEED)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 @st.composite
 def _gpws_approaches(draw):
     """A GPWS config whose approach, step, attack rate and terrain vary.  The
@@ -713,7 +742,7 @@ def _gpws_approaches(draw):
 
 
 def _gpws_logs_agree(raw):
-    """The float loop and the stepped reference write the same JSONL."""
+    """The array loop and the stepped reference write the same JSONL."""
 
     try:
         cfg = make_config(raw)
@@ -734,9 +763,26 @@ def _gpws_logs_agree(raw):
 @example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
               "world": {"terrain": [[-50000.0, 0.0], [-3000.0, 60.0], [50000.0, 100.0]]},
               "output": {"altitude_trace": True}})
+# Two groups of array rows, and up to three approach rounds.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 70, "master_seed": SEED,
+              "output": {"altitude_trace": True}})
+# No row alerts: each flies to touchdown, past its first block.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "attacker": {"gpws": {"apparent_descent_rate_mps": 0.5}}})
+# A step that does not divide the closure window.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "world": {"dt_s": 0.07}})
+# A step whose sums put samples exactly on the window's edge.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "world": {"dt_s": 0.25}})
+# A ramp that reaches the ground before the alert, traced.
+@example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
+              "attacker": {"gpws": {"apparent_descent_rate_mps": 3000.0}},
+              "output": {"altitude_trace": True}})
 def test_gpws_float_loop_matches_stepped_reference(raw):
-    """Property: the float fine loop makes `world.step`'s additions in its
-    order, so it writes the reference's bytes whatever the step, approach
-    rates, attack rate and terrain (on the defaults, the golden bytes)."""
+    """Property: the array fine loop makes `world.step`'s additions in its
+    order, and its closures, ramp and lookups are the scalar ones', so it
+    writes the reference's bytes whatever the step, approach rates, attack
+    rate, terrain and batch (on the defaults, the golden bytes)."""
 
     _gpws_logs_agree(raw)
