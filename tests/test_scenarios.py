@@ -4,7 +4,8 @@ the cruise stays on one side of the activation floor, no terrain lookup; an
 encounter builds one message and one track, and no cycle calls
 `np.linalg.norm`, nor `np.interp` for a terrain lookup.  The GPWS fine loop
 runs as array kernels: it builds no state, echo or `world.step` call per
-step, and makes no per-step scalar call.  Trials read the objects
+step, and makes no per-step scalar call; its ramp computes the heights of
+the steps its blocks fly and no other sweep.  Trials read the objects
 `make_config` built and construct none of their own.  TCAS encounters follow
 their own geometry: the scheduled trial writes the logs of a plain 1 Hz
 reference loop over random claims and thresholds.  The GPWS array loop
@@ -266,6 +267,36 @@ def test_gpws_fine_loop_runs_as_array_kernels(monkeypatch):
     assert 0 < counts["interp"] <= 2 * counts["_gpws_block"], counts
 
 
+def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
+    """Work budget: an attacked approach computes the injected echo's height
+    of each step its array block flies, one `radalt.ramp_heights` call per
+    block over that block's steps, and of no other sweep of the ramp; no
+    per-sweep `height_to_delay` or `RampAttackPlan.delay_at` call."""
+
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
+    counts = Counter()
+    blocks, ramps = [], []
+    block_fn, ramp_fn = scenarios._gpws_block, radalt.ramp_heights
+
+    def counting_block(cfg, rows, steps):
+        blocks.append((len(rows), steps))
+        return block_fn(cfg, rows, steps)
+
+    def counting_ramp(start_agl, elapsed, *args):
+        ramps.append(np.shape(elapsed))
+        return ramp_fn(start_agl, elapsed, *args)
+
+    monkeypatch.setattr(scenarios, "_gpws_block", counting_block)
+    monkeypatch.setattr(radalt, "ramp_heights", counting_ramp)
+    monkeypatch.setattr(radalt, "height_to_delay",
+                        _counting(counts, "delays", radalt.height_to_delay))
+    monkeypatch.setattr(radalt.RampAttackPlan, "delay_at",
+                        _counting(counts, "reads", radalt.RampAttackPlan.delay_at))
+    run(cfg)
+    assert blocks and ramps == blocks, (blocks, ramps)
+    assert counts["delays"] == counts["reads"] == 0, counts
+
+
 def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
     """Work budget: the fine loop steps floats, so a GPWS `run()` at N=20
     builds at most three `AircraftState`s per approach (its start, the jump
@@ -290,22 +321,29 @@ def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("raw", [
+    {"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED},
     # On the defaults a TCAS cycle looks nothing up; over terrain that
     # straddles the activation floor, it does.
     {**_STRADDLING, "trials": 20},
-], ids=["TCAS"])
+], ids=["GPWS", "TCAS"])
 def test_lookups_make_no_numpy_calls(monkeypatch, raw):
-    """Work budget: the terrain lookups of the surveillance cycle are scalar;
-    `run()` at N=20 makes terrain lookups and no `np.interp` call."""
+    """Work budget: the single terrain lookups of the GPWS approach set-up
+    and the surveillance cycle are scalar; `run()` at N=20 makes terrain
+    lookups, and its only `np.interp` calls are the GPWS array kernel's two
+    per block (terrain and envelope), none in a TCAS run.  The config, whose
+    checks look up the terrain too, is built before counting."""
 
+    cfg = make_config(raw)
     counts = Counter()
     counting = functools.partial(_counting, counts)
     monkeypatch.setattr(np, "interp", counting("np.interp", np.interp))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
-    run(make_config(raw))
+    monkeypatch.setattr(scenarios, "_gpws_block",
+                        counting("blocks", scenarios._gpws_block))
+    run(cfg)
     assert counts["terrain"] > 0
-    assert counts["np.interp"] == 0, counts
+    assert counts["np.interp"] == 2 * counts["blocks"], counts
 
 
 #: Objects built from the config (or, for the envelope and the sweep, from no
