@@ -164,6 +164,8 @@ def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messag
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: {args.seed} is less than the minimum of 0")
     run_cfg, logs = load_run(args.out)
     if args.scenario and args.scenario != run_cfg.scenario:
         raise ConfigError(f"--scenario {args.scenario} contradicts the {run_cfg.scenario} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import fnmatch
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -256,11 +257,15 @@ def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     except OSError as exc:
         raise RuntimeError(f"cannot read {trials_dir}: {exc}") from exc
     present = set(names)
-    missing = [i for i in range(cfg.trials) if _TRIAL_LOG.format(i) not in present]
+    # At most five missing ids: every id looked at before the fifth is a file
+    # present or a missing one, so the search costs what the directory holds,
+    # whatever N config.json claims.
+    missing = list(itertools.islice(
+        (i for i in range(cfg.trials) if _TRIAL_LOG.format(i) not in present), 5))
     if missing or len(names) != cfg.trials:
         raise RuntimeError(
             f"{trials_dir} holds {len(names)} trial logs, expected ids 0..{cfg.trials - 1}"
-            + (f"; missing {missing[:5]}" if missing else "")
+            + (f"; missing {missing}" if missing else "")
         )
     return _read_logs(out_dir, cfg)
 

@@ -21,8 +21,8 @@ from .scenarios import SCENARIOS
 #: Trials per chunk.  Large enough that writing a chunk's files together keeps
 #: the trial code warm between bursts of syscalls (writing each log as soon as
 #: its trial ends cost about 40% of GS throughput), small enough that a chunk's
-#: logs are a few MB.  A chunk is also what a scenario's batch function gets:
-#: the GPWS fine loop flies a chunk's approaches as array blocks.
+#: logs are a few MB.  A chunk is also the batch a scenario's `trials`
+#: function runs: a GPWS approach round spans the chunk.
 CHUNK_TRIALS = 256
 
 
@@ -40,8 +40,7 @@ def run_chunks(config: ScenarioConfig) -> Iterator[List[TrialLog]]:
     seeds = trial_seeds(config.master_seed, config.trials)
     for start in range(0, config.trials, CHUNK_TRIALS):
         ids = range(start, min(start + CHUNK_TRIALS, config.trials))
-        yield (scenario.batch(config, ids, seeds[ids.start:ids.stop]) if scenario.batch
-               else [scenario.trial(config, i, seeds[i]) for i in ids])
+        yield scenario.trials(config, ids, seeds[ids.start:ids.stop])
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:

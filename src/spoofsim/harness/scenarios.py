@@ -5,15 +5,18 @@ Trials are deterministic per (config, trial seed).  Kinematics between points
 of interest advance in closed form; fine 0.1 s stepping runs only inside
 attack windows, so trials stay cheap at Monte-Carlo counts.
 
-GPWS trials fly their approaches in rounds.  Each approach's set-up (its
-start, trigger and one `world.step` jump to just above the trigger) and its
-alert handling (crew draws, events) are scalar, per trial, in its own RNG
-order.  Between them, the fine loop of a round runs as array blocks, a row
-per approach: a cumulative sum along each row makes `world.step`'s additions
-in its order (heading 0 moves ``gs * dt`` along track and none across), and
-the terrain, ramp (`radalt.ramp_heights`), closure (`gpws.closure_rates`)
-and Mode 2 threshold are the scalar ones' floats.  A row ends at touchdown or
-at its first alert; one that ends in neither way is flown again longer.
+Every scenario runs a batch of trials, the runner's chunk, through one
+function.  GPWS trials fly their approaches in rounds over the whole batch.
+Each approach's set-up (its start, trigger and one `world.step` jump to just
+above the trigger) and its alert handling (crew draws, events) are scalar,
+per trial, in its own RNG order.  Between them, the fine loop of a round runs
+as array blocks, a row per approach: a cumulative sum along each row makes
+`world.step`'s additions in its order (heading 0 moves ``gs * dt`` along
+track and none across), and the terrain, ramp (`radalt.ramp_heights`),
+closure (`gpws.closure_rates`) and Mode 2 threshold are the scalar ones'
+floats.  A row ends at touchdown or at its first alert, and its alert is
+handled as soon as its block ends; one that ends in neither way is flown
+again longer.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter.  The injector's straight-line
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +70,9 @@ _GPWS_RAMP_DURATION_S = 1.5
 #: conflicting centred-needle/four-whites picture is sampled above that; the
 #: crew still executes the go-around at its own decision height.
 _GS_EVAL_FLOOR_FT = 550.0
-#: GPWS trials flown together: few enough that their generators and fine
-#: loops stay small beside a chunk's logs.  A fine-loop block flies
-#: `_GPWS_BLOCK_S` at first (on the defaults every approach ends within it),
-#: over at most `_GPWS_BLOCK_CELLS` approaches x steps.
-_GPWS_GROUP, _GPWS_BLOCK_S, _GPWS_BLOCK_CELLS = 64, 6.4, 64 * 64
+#: A fine-loop block flies `_GPWS_BLOCK_S` at first (on the defaults every
+#: approach ends within it), over at most `_GPWS_BLOCK_CELLS` approaches x steps.
+_GPWS_BLOCK_S, _GPWS_BLOCK_CELLS = 6.4, 64 * 64
 #: The Mode 2 alert envelope and the altimeter sweep; no config field sets them.
 _MODE2_ENVELOPE = gpws.Mode2Envelope()
 _SWEEP = radalt.SweepConfig()
@@ -102,13 +103,10 @@ def approach_start(cfg: ScenarioConfig, t0: float) -> world.AircraftState:
 
 
 def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
-    """The GPWS trials of ``trial_ids`` with their ``seeds``, in order, in
-    groups of `_GPWS_GROUP`.  A group flies rounds of approaches, the n-th of
-    each trial still flying in round n, one fine loop per round."""
+    """The GPWS trials of ``trial_ids`` with their ``seeds``, in order.  They
+    fly rounds of approaches, the n-th of each trial still flying in round n,
+    one fine loop per round."""
 
-    if len(seeds) > _GPWS_GROUP:
-        return [log for g in range(0, len(seeds), _GPWS_GROUP) for log in gpws_trials(
-            cfg, trial_ids[g:g + _GPWS_GROUP], seeds[g:g + _GPWS_GROUP])]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     logs = [TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
             for i, seed in zip(trial_ids, seeds)]
@@ -119,7 +117,7 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     while flying:
         approach += 1
         rows = []  # (trial, trigger, state just above the trigger)
-        for k in flying:
+        for k in sorted(flying):  # trial order; the fine loop yields rows as blocks end
             rng, log = rngs[k], logs[k]
             state = approach_start(cfg, t_next[k])
             trigger = (gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
@@ -144,8 +142,8 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
             rows.append((k, trigger, state))
 
         flying = []
-        for (k, trigger, state), (alerted, p, t, along, alt, true_agl, indicated) in zip(
-                rows, _gpws_fine_loop(cfg, rows)):
+        for (k, trigger, state), (alerted, p, t, along, alt, true_agl, indicated) in (
+                _gpws_fine_loop(cfg, rows)):
             rng, log = rngs[k], logs[k]
             # The steps that reach the alert test: the touchdown step does not.
             n = len(t) if alerted else len(t) - 1
@@ -194,10 +192,6 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     return logs
 
 
-def gpws_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
-    return gpws_trials(cfg, [trial_id], [seed])[0]
-
-
 def _log_states(log: TrialLog, cfg: ScenarioConfig, t, alt, indicated, steps: range) -> None:
     """The altitude trace of the fine loop's ``steps``, if it is on."""
 
@@ -205,24 +199,24 @@ def _log_states(log: TrialLog, cfg: ScenarioConfig, t, alt, indicated, steps: ra
         log.add(t[i], "state", {"altitude_ft": m_to_ft(alt[i]), "indicated_agl_ft": indicated[i]})
 
 
-def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> list:
+def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> Iterator[tuple]:
     """The fine loop of each (trial, trigger, start state) row up to touchdown
-    or the first alert: whether it alerted, the ramp's first step (or past
-    the last), the steps' times, last along-track, altitudes, last true AGL
-    and indicated AGLs.  Raises `elevation_at`'s ValueError off the terrain."""
+    or the first alert, as ``(row, flight)`` pairs yielded as each block
+    ends.  A flight is whether it alerted, the ramp's first step (or past the
+    last), the steps' times, last along-track, altitudes, last true AGL and
+    indicated AGLs.  Raises `elevation_at`'s ValueError off the terrain."""
 
-    flights: list = [None] * len(rows)
-    pending = list(range(len(rows)))
     steps = math.ceil(_GPWS_BLOCK_S / cfg.dt_s)
-    while pending:
-        per_block = max(1, _GPWS_BLOCK_CELLS // steps)
-        for b in range(0, len(pending), per_block):
-            block = pending[b:b + per_block]
-            for r, flight in zip(block, _gpws_block(cfg, [rows[r] for r in block], steps)):
-                flights[r] = flight
-        pending = [r for r in pending if flights[r] is None]
-        steps *= 4
-    return flights
+    while rows:
+        per_block, longer = max(1, _GPWS_BLOCK_CELLS // steps), []
+        for b in range(0, len(rows), per_block):
+            block = rows[b:b + per_block]
+            for row, flight in zip(block, _gpws_block(cfg, block, steps)):
+                if flight is None:
+                    longer.append(row)
+                else:
+                    yield row, flight
+        rows, steps = longer, steps * 4
 
 
 def _gpws_block(cfg: ScenarioConfig, rows: list, steps: int) -> list:
@@ -444,6 +438,10 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     return log
 
 
+def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
+    return [tcas_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+
+
 # ---------------------------------------------------------------------------
 # displaced-glideslope approach
 
@@ -529,27 +527,29 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
     return log
 
 
+def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
+    return [gs_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+
+
 # ---------------------------------------------------------------------------
 # registry
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario: its trial function, the accumulator that summarizes its
-    logs (``add(log)``, then ``result()``), its config overrides and, where
-    it runs many trials faster together, its batch function (config, trial
-    ids, seeds -> logs in order)."""
+    """One scenario: its trials function (config, trial ids, seeds -> the
+    trials' logs in order), the accumulator that summarizes its logs
+    (``add(log)``, then ``result()``) and its config overrides."""
 
-    trial: Callable[[ScenarioConfig, int, int], TrialLog]
+    trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], List[TrialLog]]
     summary: Callable[[], Any]
     overrides: Dict[str, Any] = field(default_factory=dict)
-    batch: Optional[Callable[[ScenarioConfig, Sequence[int], Sequence[int]], List[TrialLog]]] = None
 
 
 SCENARIOS: Dict[str, Scenario] = {
-    "GPWS": Scenario(gpws_trial, GpwsSummary, batch=gpws_trials),
-    "TCAS": Scenario(tcas_trial, TcasSummary),
-    "GS": Scenario(gs_trial, GsSummary),
+    "GPWS": Scenario(gpws_trials, GpwsSummary),
+    "TCAS": Scenario(tcas_trials, TcasSummary),
+    "GS": Scenario(gs_trials, GsSummary),
     # The glideslope approach with no attacker.
-    "BASELINE": Scenario(gs_trial, GsSummary, {"attacker": {"enabled": False}}),
+    "BASELINE": Scenario(gs_trials, GsSummary, {"attacker": {"enabled": False}}),
 }

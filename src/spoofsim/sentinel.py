@@ -123,12 +123,6 @@ def classify(residual: float, threshold_m: float, subject: str) -> IntegrityVerd
     )
 
 
-def predicted_arrival_offsets(
-    position: Sequence[float], sensors: Sequence[GroundSensor]
-) -> np.ndarray:
-    return _offsets(np.asarray(position, dtype=float), _sensor_arrays(sensors)[0])
-
-
 def toa_residual_m(
     claimed_position: Sequence[float],
     arrivals: Sequence[Tuple[GroundSensor, float]],

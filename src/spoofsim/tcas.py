@@ -514,11 +514,6 @@ class FalseIntruderInjector:
             altitude + ft_to_m(self.plan.vertical_offset),
         )
 
-    def intruder_position(self, t: float) -> Position:
-        """Claimed 3-D position at t, for the target ``target_fn`` gives."""
-
-        return self._claimed_position(t, self._target_position(t))
-
     def floor_cycle(self) -> int:
         """The encounter's last surveillance cycle, in whole seconds from its
         start: the first at which the claimed range sits at its floor.  The

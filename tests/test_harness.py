@@ -22,6 +22,7 @@ from spoofsim.harness import (
 )
 from spoofsim.harness import cost as cost_mod
 from spoofsim.harness import log as log_module
+from spoofsim.harness import output
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
@@ -855,6 +856,41 @@ def test_cli_missing_log_exit_code(tmp_path, capsys):
     assert "missing [9]" in capsys.readouterr().err
 
 
+def test_missing_logs_found_at_the_cost_of_the_files_present(tmp_path, monkeypatch, capsys):
+    """A config.json that claims far more trials than the directory holds is
+    refused at once: the reader names the first five missing ids after
+    formatting at most (files + 5) file names, not one per claimed trial."""
+
+    class CountingFormat(str):
+        calls = 0
+
+        def format(self, *args):
+            CountingFormat.calls += 1
+            return str.format(self, *args)
+
+    out = tmp_path / "out"
+    _gs_run(out, trials=3)
+    path = out / "config.json"
+    data = json.loads(path.read_text())
+    data["trials"] = 10**12
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(output, "_TRIAL_LOG", CountingFormat(output._TRIAL_LOG))
+    assert main(["summarize", "--out", str(out)]) == 3
+    assert "missing [3, 4, 5, 6, 7]" in capsys.readouterr().err
+    assert 0 < CountingFormat.calls <= 3 + 5
+
+
+def test_detect_rejects_a_negative_seed(tmp_path, capsys):
+    """`detect --seed` is the jitter seed: a negative one is a config error
+    naming `--seed` (exit 2), as `run --seed -1` names `master_seed`."""
+
+    out = tmp_path / "out"
+    _gs_run(out)
+    assert main(["detect", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (out / "verdicts.csv").exists()
+
+
 def test_cli_misplaced_or_stray_log_exit_code(tmp_path, capsys):
     """The reader takes N from config.json and reads trial i from its own
     file: a file holding another trial, or a trial file beyond N (left by an
@@ -1089,12 +1125,12 @@ def test_interrupted_rerun_is_refused(tmp_path, monkeypatch, capsys):
     _gs_run(out, trials=trials)
     gs = SCENARIOS["GS"]
 
-    def failing_trial(cfg, trial_id, seed):
-        if trial_id == CHUNK_TRIALS + 5:
-            raise RuntimeError(f"trial {trial_id} failed")
-        return gs.trial(cfg, trial_id, seed)
+    def failing_trials(cfg, trial_ids, seeds):
+        if CHUNK_TRIALS + 5 in trial_ids:
+            raise RuntimeError(f"trial {CHUNK_TRIALS + 5} failed")
+        return gs.trials(cfg, trial_ids, seeds)
 
-    monkeypatch.setitem(SCENARIOS, "GS", dataclasses.replace(gs, trial=failing_trial))
+    monkeypatch.setitem(SCENARIOS, "GS", dataclasses.replace(gs, trials=failing_trials))
     rerun = ["run", "--scenario", "GS", "--trials", str(trials), "--seed", "6",
              "--out", str(out)]
     assert main(rerun) == 3

@@ -27,7 +27,7 @@ from spoofsim import crew, gpws, ils, radalt, tcas, world
 from spoofsim.harness import run, scenarios
 from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
-from spoofsim.harness.runner import trial_seeds
+from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _MODE2_ENVELOPE, _SWEEP, SCENARIOS,
     approach_start, cruise_position_fn,
@@ -320,6 +320,36 @@ def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
     assert counts["step"] <= approaches, (approaches, counts)
 
 
+def test_gpws_alerts_handled_as_each_block_ends(monkeypatch):
+    """A round's alerts are handled as their block ends: each alerting row of
+    a `_gpws_block` call draws its crew latency before the next call, so a
+    round holds one block of flights at a time.  At N=200 the first round
+    has 200 rows; a 0.05 s step makes the first blocks 128 steps by 32 rows,
+    so the rows of every 64 trials span two blocks."""
+
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 200, "master_seed": SEED,
+                       "world": {"dt_s": 0.05}})
+    calls = []  # a block's count of alerting rows, or "latency"
+    block_fn, latency_fn = scenarios._gpws_block, crew.gpws_reaction_latency
+
+    def recording_block(cfg, rows, steps):
+        flights = block_fn(cfg, rows, steps)
+        calls.append(sum(1 for flight in flights if flight is not None and flight[0]))
+        return flights
+
+    def recording_latency(*args):
+        calls.append("latency")
+        return latency_fn(*args)
+
+    monkeypatch.setattr(scenarios, "_gpws_block", recording_block)
+    monkeypatch.setattr(crew, "gpws_reaction_latency", recording_latency)
+    run(cfg)
+    blocks = [i for i, call in enumerate(calls) if call != "latency"]
+    assert len(blocks) >= 7 and calls[blocks[0]] > 0, calls
+    for i, j in zip(blocks, blocks[1:] + [len(calls)]):
+        assert calls[i + 1:j] == ["latency"] * calls[i], (i, calls)
+
+
 @pytest.mark.parametrize("raw", [
     {"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED},
     # On the defaults a TCAS cycle looks nothing up; over terrain that
@@ -373,6 +403,30 @@ def test_trials_construct_no_config_objects(monkeypatch, scenario):
     counts.clear()
     assert len(run(cfg)) == 20
     assert not counts, counts
+
+
+@pytest.mark.parametrize("scenario, name", [
+    ("TCAS", "tcas_trial"), ("GS", "gs_trial"), ("BASELINE", "gs_trial"),
+])
+def test_trials_call_the_trial_function_by_module_name(monkeypatch, scenario, name):
+    """A TCAS or glideslope batch calls its one-trial function by its name
+    in `harness.scenarios`, once per trial in trial order, so a function
+    bound over that name (as perfbench's tracer binds its wrappers) sees
+    every trial of a `run()` over more than one chunk."""
+
+    cfg = make_config({"version": 1, "scenario": scenario, "trials": CHUNK_TRIALS + 3,
+                       "master_seed": SEED})
+    seen = []
+    trial = getattr(scenarios, name)
+
+    def recording(cfg, trial_id, seed):
+        seen.append((trial_id, seed))
+        return trial(cfg, trial_id, seed)
+
+    monkeypatch.setattr(scenarios, name, recording)
+    logs = run(cfg)
+    assert seen == list(enumerate(trial_seeds(SEED, cfg.trials)))
+    assert seen == [(log.trial_id, log.seed) for log in logs]
 
 
 def _tcas_advisories(override):
@@ -603,8 +657,12 @@ def test_tcas_schedule_matches_1hz_reference(raw):
     _tcas_logs_agree(raw)
 
 
+def _gpws_trial(cfg, trial_id, seed):
+    return SCENARIOS["GPWS"].trials(cfg, [trial_id], [seed])[0]
+
+
 def _gpws_trial_stepped(cfg, trial_id, seed):
-    """`gpws_trial` with a fine loop that advances an `AircraftState` by
+    """A GPWS trial with a fine loop that advances an `AircraftState` by
     `world.step` each step, ranges a `PulseEcho` from the ramp and alerts
     through `gpws.evaluate`: the reference the array loop must match."""
 
@@ -720,7 +778,7 @@ def test_gpws_fine_loop_keeps_step_checks(dt, message):
 
     cfg = dataclasses.replace(
         make_config({"version": 1, "scenario": "GPWS", "master_seed": SEED}), dt_s=dt)
-    for trial in (SCENARIOS["GPWS"].trial, _gpws_trial_stepped):
+    for trial in (_gpws_trial, _gpws_trial_stepped):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             trial(cfg, 0, SEED)
 
@@ -739,7 +797,7 @@ def test_gpws_fine_loop_raises_off_the_terrain(terrain_end):
     cfg = dataclasses.replace(
         cfg, terrain=world.TerrainProfile([(-50000.0, 0.0), (terrain_end, 0.0)]))
     messages = []
-    for trial in (SCENARIOS["GPWS"].trial, _gpws_trial_stepped):
+    for trial in (_gpws_trial, _gpws_trial_stepped):
         with pytest.raises(ValueError, match="outside terrain domain") as exc:
             trial(cfg, 0, SEED)
         messages.append(str(exc.value))
@@ -801,7 +859,7 @@ def _gpws_logs_agree(raw):
 @example(raw={"version": 1, "scenario": "GPWS", "trials": 5, "master_seed": SEED,
               "world": {"terrain": [[-50000.0, 0.0], [-3000.0, 60.0], [50000.0, 100.0]]},
               "output": {"altitude_trace": True}})
-# Two groups of array rows, and up to three approach rounds.
+# One round of 70 rows in two array blocks, and up to three approach rounds.
 @example(raw={"version": 1, "scenario": "GPWS", "trials": 70, "master_seed": SEED,
               "output": {"altitude_trace": True}})
 # No row alerts: each flies to touchdown, past its first block.

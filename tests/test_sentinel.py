@@ -129,8 +129,8 @@ def test_batched_toa_kernel_matches_scalar_reference(seed, extent, batch, spread
     """Property: over a batch of messages, `arrival_times` and `residuals_m`
     give the scalar reference's residuals to the bit and leave the jitter RNG
     in the same state, and the one-message wrappers give its arrivals,
-    offsets, residuals and verdicts to the bit, for any sensor extent, clock
-    biases, jitter (none included) and batch size."""
+    residuals and verdicts to the bit, for any sensor extent, clock biases,
+    jitter (none included) and batch size."""
 
     data = np.random.default_rng(seed)
     sensors = [
@@ -161,8 +161,6 @@ def test_batched_toa_kernel_matches_scalar_reference(seed, extent, batch, spread
                                         emission_time=t)
         assert [s for s, _ in got] == sensors
         assert _bits([x for _, x in got]) == _bits([x for _, x in expected])
-        assert _bits(sentinel.predicted_arrival_offsets(c, sensors)) == _bits(
-            _ref_offsets(c, sensors))
         residual = _ref_residual_m(c, expected)
         assert _bits(sentinel.toa_residual_m(c, got)) == _bits(residual)
         verdict = sentinel.toa_consistency(c, got, subject="m")

@@ -343,9 +343,10 @@ def test_intruder_position_equals_array_sum(along, cross, altitude, t, seed, sta
         vertical_speed=0.0, ground_speed=200.0, heading=0.0,
     )
     injector = tcas.FalseIntruderInjector(
-        plan, np.random.default_rng(seed), target_fn=fixed_state_fn(own))
+        plan, np.random.default_rng(seed), target_fn=fixed_state_fn(own),
+        target_agl_fn=lambda t: math.inf)
     injector.start_episode(0.0)
-    claimed = injector.intruder_position(t)
+    claimed = injector.claim(t)[2]
     speed, theta = injector._speed, math.radians(injector._bearing)
     r = max(tcas.CLAIM_FLOOR_M, speed * plan.start_tau_s - speed * (t - 0.0))
     expected = tcas.own_position_3d(own) + np.array(
@@ -406,7 +407,7 @@ def test_injector_claim_recomputed_each_encounter(seed, t, episodes):
     claims = []
     for _ in range(episodes):
         injector.start_episode(t)
-        claimed = injector.intruder_position(t)
+        claimed = injector.claim(t)[2]
         offset = claimed - tcas.own_position_3d(own)
         theta = math.radians(injector._bearing)
         r = injector._speed * plan.start_tau_s
@@ -439,8 +440,8 @@ def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
 def test_injector_claims_converging_geometry():
     injector, own = make_injector()
     injector.start_episode(0.0)
-    p0 = injector.intruder_position(0.0)
-    p10 = injector.intruder_position(10.0)
+    p0 = injector.claim(0.0)[2]
+    p10 = injector.claim(10.0)[2]
     own_pos = tcas.own_position_3d(own)
     assert np.linalg.norm(p10 - own_pos) < np.linalg.norm(p0 - own_pos)
     # Claimed track is airborne near the victim; emission point is the ground site.
