@@ -26,9 +26,25 @@ from .scenarios import SCENARIOS
 CHUNK_TRIALS = 256
 
 
-def trial_seeds(master_seed: int, trials: int) -> List[int]:
-    state = np.random.SeedSequence(master_seed).generate_state(trials, dtype=np.uint64)
-    return [int(s) for s in state]
+#: `SeedSequence.generate_state`'s hash constants (numpy/random/bit_generator.pyx).
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def trial_seeds(master_seed: int, ids: range) -> List[int]:
+    """The seeds of trials ``ids``: those words of
+    ``SeedSequence(master_seed).generate_state(n, np.uint64)`` (for any n
+    past them), computed for those words only.  Seed i is the 32-bit words
+    2i (low) and 2i + 1; word j hashes pool word j % 4 with the constants
+    ``INIT_B * MULT_B**j`` and ``INIT_B * MULT_B**(j + 1)`` mod 2**32."""
+
+    pool = np.random.SeedSequence(master_seed).pool
+    j = np.arange(2 * ids.start, 2 * ids.stop)
+    hash_const = np.full(len(j) + 1, _MULT_B, dtype=np.uint32)
+    hash_const[0] = _INIT_B * pow(_MULT_B, 2 * ids.start, 2**32) % 2**32
+    hash_const = np.cumprod(hash_const, dtype=np.uint32)  # wraps mod 2**32
+    word = (pool[j % 4] ^ hash_const[:-1]) * hash_const[1:]
+    word ^= word >> np.uint32(16)
+    return word.astype("<u4").view("<u8").tolist()
 
 
 def run_chunks(config: ScenarioConfig) -> Iterator[List[TrialLog]]:
@@ -37,10 +53,9 @@ def run_chunks(config: ScenarioConfig) -> Iterator[List[TrialLog]]:
     it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
-    seeds = trial_seeds(config.master_seed, config.trials)
     for start in range(0, config.trials, CHUNK_TRIALS):
         ids = range(start, min(start + CHUNK_TRIALS, config.trials))
-        yield scenario.trials(config, ids, seeds[ids.start:ids.stop])
+        yield scenario.trials(config, ids, trial_seeds(config.master_seed, ids))
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:

@@ -21,32 +21,36 @@ again longer.
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter.  The injector's straight-line
 claim bounds the first cycle at which tau can fall to the next threshold
-(`FalseIntruderInjector.first_cycle_within`); the encounter jumps to the
-cycle before it, which only updates the track, so every advised cycle takes
-its closure over one second.  The encounter ends at its RA, at a TA that
-leaves the unit outside TA/RA, or where the claimed range reaches its floor
-(`FalseIntruderInjector.floor_cycle`).  Where the injector may fall silent
-mid-run (the terrain crosses its activation floor), every cycle runs.
+(`FalseIntruderInjector.first_cycle_within`); after cycle 0 the encounter
+jumps to the cycle before it, which only updates the track, so every advised
+cycle takes its closure over one second.  The encounter ends at its RA, at
+a TA that leaves the unit outside TA/RA, or where the claimed range reaches
+its floor (`FalseIntruderInjector.floor_cycle`).  Where the injector may
+fall silent mid-run (the terrain crosses its activation floor), every cycle
+runs, and a track goes stale as `TcasUnit.drop_stale` drops it.
 
-A TCAS surveillance cycle runs on floats.  Level cruise at heading 0 puts
-the own ship at ``(gs * t, 0.0, altitude)``, the position ``world.step``
-gives, so the cycle computes it in closed form (`cruise_position_fn`, which
-makes `world.step`'s checks once per trial) and builds no state.  The
-injector places its claim relative to that position, and the claim, plain
-floats, updates the track in place; only the encounter's first reply, the
-one its log keeps, becomes a `tcas.SurveillanceMessage`.  Where cycles may be
-skipped, cruise lies on one side of the activation floor over all the
-terrain, so the floor check has one answer for the trial and the cycle looks
-no terrain up; where the terrain straddles the floor, each claim looks up
-the height under the own ship once.  The injector's budget and episode
-checks run on every claim.
+TCAS trials fly their encounters in rounds over the batch, the n-th of each
+trial still running in round n.  A trial is a generator (`tcas_trial`)
+whose scalar part keeps its own RNG and event order: the episode draws, the
+crew's reactions, the injector's budget, the log and the one
+`tcas.SurveillanceMessage` per encounter.  It yields each encounter the
+injector answers, and `_tcas_encounters` flies a round's encounters as
+arrays, a row each, with the scalar cycle's floats: the own ship at
+``(gs * t, 0.0, altitude)`` (the position ``world.step`` gives), the claim
+placed relative to it, the slant range (`tcas.slant_ranges`), the track's
+closure and tau.  Where cruise lies on one side of the activation floor
+over all the terrain, the floor check has one answer for the run and no
+cycle looks the terrain up; where the terrain straddles the floor, each
+row's cycle looks up the height under the own ship once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence,
+)
 
 import numpy as np
 
@@ -298,41 +302,48 @@ def cruise_position_fn(
     return fn
 
 
-def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
+def _injector_answers(cfg: ScenarioConfig) -> Optional[bool]:
+    """Whether the injector answers every cycle (True) or none (False),
+    where level cruise lies on one side of its activation floor over all the
+    terrain (1e-6 ft spares the rounding of the lookup); None where the
+    terrain straddles the floor, so a cycle looks the height under the own
+    ship up."""
+
+    altitude = ft_to_m(cfg.cruise_altitude_ft)
+    elevations = [z for _, z in cfg.terrain.vertices]
+    floor_ft = cfg.false_intruder_plan.activation_floor
+    if m_to_ft(altitude - max(elevations)) > floor_ft + 1e-6:
+        return True
+    if m_to_ft(altitude - min(elevations)) < floor_ft - 1e-6:
+        return False
+    return None
+
+
+def _relative_altitude_ft(cfg: ScenarioConfig) -> float:
+    """The claim's altitude above the own ship as a track reads it, ft: the
+    reply's altitude less the own altitude, both in ft."""
+
+    own_ft = m_to_ft(ft_to_m(cfg.cruise_altitude_ft))
+    return (own_ft + cfg.false_intruder_plan.vertical_offset) - own_ft
+
+
+def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple, tuple, TrialLog]:
+    """The TCAS trial of ``trial_id``, as a generator that `tcas_trials`
+    drives: it yields each encounter that the injector answers, as an
+    `_tcas_encounters` row, is sent back that row's flight and returns the
+    trial's log."""
+
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    terrain, policy = cfg.terrain, cfg.tcas_policy
+    policy, th = cfg.tcas_policy, cfg.tcas_thresholds
     altitude = ft_to_m(cfg.cruise_altitude_ft)
     own_fn = cruise_position_fn(altitude, kn_to_mps(cfg.cruise_ground_speed_kn))
+    answers, rel = _injector_answers(cfg), _relative_altitude_ft(cfg)
 
-    # Cycles may be skipped only while the injector answers every one or
-    # none: level cruise stays on one side of its activation floor over all
-    # the terrain (1e-6 ft spares the rounding of the lookup).  There the
-    # floor check has one answer for the whole trial, and the height over
-    # the highest (or lowest) vertex gives it without a terrain lookup.
-    elevations = [z for _, z in terrain.vertices]
-    floor_ft = cfg.false_intruder_plan.activation_floor
-    over_highest = m_to_ft(altitude - max(elevations))
-    over_lowest = m_to_ft(altitude - min(elevations))
-    skipping = over_highest > floor_ft + 1e-6 or over_lowest < floor_ft - 1e-6
-    if skipping:
-        side_agl = over_highest if over_highest > floor_ft else over_lowest
-
-        def agl_fn(t: float) -> float:
-            return side_agl
-    else:
-        lo, hi = terrain.domain
-
-        def agl_fn(t: float) -> float:
-            along = min(max(own_fn(t)[0], lo), hi)  # hold last profile value beyond the edge
-            return m_to_ft(altitude - terrain.elevation_at(along))
-
-    unit = tcas.TcasUnit(thresholds=cfg.tcas_thresholds, mode=tcas.TA_RA, rng=rng)
+    unit = tcas.TcasUnit(thresholds=th, mode=tcas.TA_RA, rng=rng)
     script = crew.sample_tcas_crew(policy, rng)
     injector = tcas.FalseIntruderInjector(
-        cfg.false_intruder_plan, rng, target_agl_fn=agl_fn,
-        attacker_position=cfg.attacker_position_m,
-    )
+        cfg.false_intruder_plan, rng, attacker_position=cfg.attacker_position_m)
 
     if not cfg.attacker_enabled:
         log.finish(0.0, "CONTINUED", {
@@ -341,9 +352,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
         })
         return log
 
-    th = cfg.tcas_thresholds
-    responders = (injector,)
-
+    claim_altitude = m_to_ft(altitude) + cfg.false_intruder_plan.vertical_offset
     t = 0.0
     episodes = 0
     while (
@@ -357,59 +366,45 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
             "episode": episodes, "icao_id": injector.icao_id,
             "bearing_deg": injector._bearing, "closure_mps": injector._speed,
         })
-        ta_handled = False
-        # The time and claim of the encounter's first adversarial reply, kept
-        # for integrity analysis.
-        sample: Optional[tuple] = None
+        own_fn(t)  # `world.step`'s time checks, as the encounter's first cycle makes them
         k_end = injector.floor_cycle()
-        # The next advisory, and no cycle before `bound` can raise it: the TA
-        # first, as nothing tighter can fire before it (tau_ra_s and
-        # ra_band_ft lie inside the TA thresholds), then the RA.
-        bound, band = injector.first_cycle_within(th.tau_ta_s), th.ta_band_ft
-        k, advising = 0, False
-        while True:
-            tc = t + k
-            claims = unit.mode_s_cycle(own_fn(tc), responders, tc)
-            if sample is None and claims:
-                sample = tc, claims[0]
-            adv = unit.advise(tc) if advising else None
-            if adv is not None and adv.level == "TA" and not ta_handled:
-                ta_handled = True
-                log.add(tc, "advisory", {"level": "TA", "episode": episodes})
-                action = crew.tcas_act(adv, unit, script)
-                log.add(tc, "crew_action", {"action": action, "episode": episodes})
+        sample, advisories = None, ()
+        if unit.mode != tcas.STANDBY and answers is not False:
+            # The first cycles that can raise the TA, and the RA after it:
+            # where the injector may fall silent, every cycle runs.
+            ta_from = ra_from = 1
+            if answers:
+                ta_from = (injector.first_cycle_within(th.tau_ta_s)
+                           if abs(rel) <= th.ta_band_ft else math.inf)
+                ra_from = (injector.first_cycle_within(th.tau_ra_s)
+                           if abs(rel) <= th.ra_band_ft else math.inf)
+            sample, advisories = yield (t, injector._speed, injector._bearing, k_end,
+                                        unit.mode == tcas.TA_RA, ta_from, ra_from)
+        tc = t + k_end
+        for ta, tc_adv in advisories:
+            if ta:
+                log.add(tc_adv, "advisory", {"level": "TA", "episode": episodes})
+                action = crew.tcas_act(tcas.Advisory(level="TA", time=tc_adv), unit, script)
+                log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
                 if unit.mode != tcas.TA_RA:
+                    tc = tc_adv
                     break
-                bound, band = injector.first_cycle_within(th.tau_ra_s), th.ra_band_ft
-            elif adv is not None and adv.level == "RA":
+            else:
+                adv = tcas.resolution_advisory(rel, tc_adv)
                 injector.observe_advisory(adv)
-                log.add(tc, "advisory", {
+                log.add(tc_adv, "advisory", {
                     "level": "RA", "episode": episodes,
                     "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
                 })
                 action = crew.tcas_act(adv, unit, script)
-                log.add(tc, "crew_action", {"action": action, "episode": episodes})
+                log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
+                tc = tc_adv
                 break
-            # The first cycle that can raise the next advisory.
-            nxt = k + 1
-            if skipping:
-                track = unit.tracks.get(injector.icao_id)
-                # No track: Standby, or an injector that never answers.
-                if track is None or abs(track.relative_altitude) > band:
-                    nxt = math.inf
-                elif bound > nxt:
-                    nxt = bound
-            if nxt > k_end:
-                tc = t + k_end
-                break
-            # Advise only a second after the previous cycle: a closure taken
-            # over a longer gap reads high, and tau low.  A jump lands one
-            # cycle early, which only updates the track.
-            k, advising = (nxt, True) if nxt == k + 1 else (nxt - 1, False)
 
         if sample is not None:
-            log.add(tc, "surveillance", injector.reply(*sample).to_record())
-        unit.tracks.clear()
+            tc_sample, claimed = sample
+            claim = (injector.icao_id, claim_altitude, claimed)
+            log.add(tc, "surveillance", injector.reply(tc_sample, claim).to_record())
         injector.end_episode()
         t = tc + cfg.inter_episode_gap_s
 
@@ -439,7 +434,128 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
 
 def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
-    return [tcas_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+    """The TCAS trials of ``trial_ids`` with their ``seeds``, in order.  Each
+    trial's generator is started by its name, `tcas_trial`; they fly rounds
+    of encounters, the n-th encounter each trial yields in round n, one
+    `_tcas_encounters` call per round."""
+
+    trials = [tcas_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+    logs: List[Any] = [None] * len(trials)
+    flights: List[Any] = [None] * len(trials)  # what each trial is sent next
+    running = range(len(trials))
+    while running:
+        rows, flying = [], []
+        for k in running:
+            try:
+                rows.append(trials[k].send(flights[k]))
+                flying.append(k)
+            except StopIteration as done:
+                logs[k] = done.value
+        for k, flight in zip(flying, _tcas_encounters(cfg, rows)):
+            flights[k] = flight
+        running = flying
+    return logs
+
+
+def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
+    """The surveillance cycles of each encounter row ``(t, speed, bearing,
+    k_end, ta_ra, ta_from, ra_from)``, in lockstep as arrays, one row each.
+
+    A row's encounter starts at t, with the claim's closure speed and
+    bearing, and runs the cycles of a 1 Hz loop that can matter up to cycle
+    k_end: cycle 0, then the cycle before the first that can advise (from
+    ``ta_from``, or ``ra_from`` once a TA is raised in TA/RA mode, ``ta_ra``)
+    and every cycle after it, each advised, until its advisory.  The track
+    is the state `TcasUnit._update_track` and `drop_stale` keep: a new track
+    has no closure, an update takes its closure over the time since the last
+    one, and a track not updated for over `tcas.TRACK_STALENESS_S` is
+    dropped.  A cycle reads tau as `advise` does.  Returns each row's flight:
+    the time and claimed position of its first claim (None without one), and
+    its advisories as ``(is_ta, time)``, a TA (in TA/RA mode, followed by the
+    RA it reaches) or an RA."""
+
+    th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
+    altitude, gs = ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn)
+    rel = abs(_relative_altitude_ft(cfg))
+    ta_tau = th.tau_ta_s if rel <= th.ta_band_ft else -math.inf
+    ra_tau = th.tau_ra_s if rel <= th.ra_band_ft else -math.inf
+    lookup = _injector_answers(cfg) is None
+    lo, hi = cfg.terrain.domain
+
+    def answering(x):  # whether the injector answers own ships at along-track x
+        return np.array([m_to_ft(altitude - cfg.terrain.elevation_at(min(max(xi, lo), hi)))
+                         > plan.activation_floor for xi in x.tolist()], dtype=bool)
+
+    # A row per encounter: its parameters, then its cycle and its track,
+    # compacted as rows end.  A row without a track has ``last`` -inf, so a
+    # new track's closure is 0 (or -0) and reads no tau.
+    m = np.zeros((len(rows), 15))
+    if rows:
+        p = np.array(rows, dtype=float)
+        m[:, 0], m[:, 1], m[:, 2], m[:, 5:9] = p[:, 0], p[:, 1], p[:, 1] * plan.start_tau_s, p[:, 3:]
+        theta = [math.radians(b) for b in p[:, 2].tolist()]
+        m[:, 3], m[:, 4] = [math.cos(a) for a in theta], [math.sin(a) for a in theta]
+        m[:, 9], m[:, 14] = ta_tau, -math.inf
+    ids = np.arange(len(rows))
+    samples: List[Any] = [None] * len(rows)
+    advisories: List[list] = [[] for _ in rows]
+    own, claim = np.zeros((len(rows), 3)), np.empty((len(rows), 3))
+    own[:, 2], claim[:, 2] = altitude, altitude + ft_to_m(plan.vertical_offset)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(m):
+            (t, v, vt, cos, sin, k_end, ta_ra, k_from, ra_from, tau_at,
+             k, claimed, slant, closure, last) = m.T
+            own, claim = own[:len(m)], claim[:len(m)]
+            tc = t + k
+            x = np.multiply(gs, tc, out=own[:, 0])
+            r = np.maximum(vt - v * (tc - t), tcas.CLAIM_FLOOR_M)
+            np.add(x, r * cos, out=claim[:, 0])
+            np.add(0.0, r * sin, out=claim[:, 1])
+            now = tcas.slant_ranges(own, claim)
+            answered = answering(x) if lookup else True
+            first = np.flatnonzero(answered & (claimed == 0))
+            if first.size:
+                claimed[first] = 1.0
+                for i, tci, pos in zip(ids[first].tolist(), tc[first].tolist(),
+                                       claim[first].tolist()):
+                    samples[i] = tci, tuple(pos)
+
+            dt = tc - last
+            update = answered & (now > 0)
+            same = dt == 0
+            if same.any():  # a duplicate address farther out than the track is ignored
+                update &= ~(same & (now > slant * 1.5))
+            np.copyto(closure, (slant - now) / dt, where=update & (dt > 0))
+            np.copyto(slant, now, where=update)
+            np.copyto(last, tc, where=update)
+            stale = tc - last > tcas.TRACK_STALENESS_S
+            if stale.any():
+                last[stale], closure[stale] = -math.inf, 0.0
+
+            tau = slant / closure
+            fired = (k >= k_from) & (closure > 0) & (tau <= tau_at)
+            ended = fired
+            if fired.any():
+                ra = fired & (ta_ra > 0) & (tau <= ra_tau)
+                for i, tci, is_ra in zip(ids[fired].tolist(), tc[fired].tolist(),
+                                         ra[fired].tolist()):
+                    advisories[i].append((not is_ra, tci))
+                # A TA in TA/RA mode goes on to the RA.
+                onward = fired & ~ra & (ta_ra > 0)
+                tau_at[onward] = ra_tau
+                k_from[onward] = ra_from[onward]
+                ended = fired & ~onward
+
+            # The next cycle that can advise; a jump lands one cycle early,
+            # which only updates the track.
+            k1 = k + 1
+            nxt = np.maximum(k1, k_from)
+            keep = (nxt <= k_end) & ~ended
+            if not lookup:
+                keep &= last > -math.inf  # a cycle that keeps no track ends the encounter
+            k[:] = np.where(nxt > k1, nxt - 1, nxt)
+            m, ids = m[keep], ids[keep]
+    return list(zip(samples, advisories))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +566,7 @@ def flown_glideslope(cfg: ScenarioConfig) -> ils.GlideslopeTx:
     """The transmitter whose path a glideslope approach flies: the one of
     highest power.  `ils.receive` captures by received power (1/d^2) instead,
     so the nearby genuine transmitter recaptures below a crossover height (see
-    _GS_EVAL_FLOOR_FT); the mismatch is open in ROADMAP item 1."""
+    _GS_EVAL_FLOOR_FT); the mismatch is open in ROADMAP item 5."""
 
     return max(cfg.glideslope, key=lambda tx: tx.tx_power)
 

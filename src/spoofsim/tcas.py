@@ -176,6 +176,15 @@ def slant_range(own: Sequence[float], other: Sequence[float]) -> float:
     return math.sqrt(d.dot(d))
 
 
+def slant_ranges(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """`slant_range` of each row of two (M, 3) arrays, to the bit: the square
+    root of a vector-vector `np.matmul` of each difference (`einsum` and a
+    sum of squares round differently)."""
+
+    d = other - own
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
 class Transponder:
     """Genuine aircraft transponder (Mode S or Mode C)."""
 
@@ -418,19 +427,25 @@ def advise(
             and tau <= thresholds.tau_ra_s
             and abs(rel) <= thresholds.ra_band_ft
         ):
-            if rel < 0:
-                sense, rate = "CLIMB", RA_RATE_FPM
-            elif rel > 0:
-                sense, rate = "DESCEND", -RA_RATE_FPM
-            else:
-                sense, rate = "HOLD_VS", 0.0
-            best = Advisory(level="RA", time=t, ra_sense=sense,
-                            commanded_rate=rate)
+            best = resolution_advisory(rel, t)
             best_tau = tau
         elif tau <= thresholds.tau_ta_s and abs(rel) <= thresholds.ta_band_ft:
             best = Advisory(level="TA", time=t)
             best_tau = tau
     return best
+
+
+def resolution_advisory(relative_altitude: float, t: float) -> Advisory:
+    """The RA at t against an intruder ``relative_altitude`` ft above: its
+    sense is opposite the intruder."""
+
+    if relative_altitude < 0:
+        sense, rate = "CLIMB", RA_RATE_FPM
+    elif relative_altitude > 0:
+        sense, rate = "DESCEND", -RA_RATE_FPM
+    else:
+        sense, rate = "HOLD_VS", 0.0
+    return Advisory(level="RA", time=t, ra_sense=sense, commanded_rate=rate)
 
 
 class FalseIntruderInjector:
@@ -440,7 +455,9 @@ class FalseIntruderInjector:
     ``target_fn`` gives the victim's state at t for the methods that take only
     a time; a surveillance cycle passes the victim's position instead, and a
     caller that always does may leave ``target_fn`` out if it gives
-    ``target_agl_fn``."""
+    ``target_agl_fn``.  A caller that places the claims itself (the TCAS
+    scenario's encounter kernel, through `floor_cycle` and
+    `first_cycle_within`) and asks for no claim may leave both out."""
 
     def __init__(
         self,

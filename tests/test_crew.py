@@ -251,7 +251,7 @@ def test_gs_go_around_flies_the_sampled_fallback():
 
     cfg = make_config({"version": 1, "scenario": "GS", "trials": 60, "master_seed": 1})
     outcomes = set()
-    for log, seed in zip(run(cfg), trial_seeds(cfg.master_seed, cfg.trials)):
+    for log, seed in zip(run(cfg), trial_seeds(cfg.master_seed, range(cfg.trials))):
         script = crew.sample_gs_crew(cfg.gs_policy, np.random.default_rng(seed))
         outcomes.add(log.outcome)
         if log.outcome == "LANDED_FALLBACK":

@@ -5,11 +5,13 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import unittest.mock
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from spoofsim import ils, sentinel, tcas
 from spoofsim.harness import (
@@ -27,7 +29,7 @@ from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_run
-from spoofsim.harness.runner import CHUNK_TRIALS
+from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
 from spoofsim.harness.scenarios import SCENARIOS, approach_start
 from spoofsim.harness.summary import Summary
 
@@ -503,6 +505,47 @@ def test_trial_seed_independent_of_count():
     many = run(small_config("GS", trials=6))
     for a, b in zip(few, many):
         assert a.to_jsonl() == b.to_jsonl()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    master=st.one_of(st.sampled_from([0, 20190118, 2**64 + 5, 2**200 - 1]),
+                     st.integers(0, 2**64), st.integers(0, 2**256)),
+    start=st.integers(0, 3 * CHUNK_TRIALS),
+    length=st.integers(0, 2 * CHUNK_TRIALS + 1),
+)
+# Two whole chunks, and ranges across a chunk boundary.
+@example(master=20190118, start=0, length=2 * CHUNK_TRIALS)
+@example(master=2**200 - 1, start=CHUNK_TRIALS - 1, length=3)
+@example(master=0, start=2 * CHUNK_TRIALS - 2, length=CHUNK_TRIALS + 4)
+def test_trial_seeds_are_words_of_generate_state(master, start, length):
+    """Property: the seeds of any range of trial ids are, as Python ints,
+    those words of ``SeedSequence(master).generate_state(n, np.uint64)``,
+    the seeds the whole run's state would give them."""
+
+    ids = range(start, start + length)
+    state = np.random.SeedSequence(master).generate_state(ids.stop, np.uint64)
+    seeds = trial_seeds(master, ids)
+    assert seeds == [int(s) for s in state[start:]]
+    assert all(type(s) is int for s in seeds)
+
+
+def test_first_chunk_allocates_for_the_chunk_only():
+    """`run_chunks` makes each chunk's seeds as it reaches the chunk: taking
+    the first chunk of a run of 10**6 trials allocates no more than of a
+    run of one chunk (all N seeds would take tens of MB)."""
+
+    def first_chunk_peak(trials):
+        chunks = run_chunks(small_config("GS", trials=trials))
+        tracemalloc.start()
+        try:
+            next(chunks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk, large = first_chunk_peak(CHUNK_TRIALS), first_chunk_peak(10**6)
+    assert large < one_chunk + 2**20, (one_chunk, large)
 
 
 def test_seed_changes_results():

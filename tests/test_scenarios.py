@@ -162,24 +162,47 @@ _STRADDLING = {
 }
 
 
+#: Level cruise over two ridges that bring it below the activation floor at
+#: t in (4.7, 8.0) s and (10.6, 19.8) s.
+_SILENT_RIDGES = {
+    "version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
+    "world": {"cruise": {"altitude_ft": 2500.0},
+              "terrain": [[-50000.0, 100.0], [550.0, 100.0], [600.0, 400.0], [900.0, 400.0],
+                          [950.0, 100.0], [1250.0, 100.0], [1300.0, 400.0], [2300.0, 400.0],
+                          [2350.0, 100.0], [50000.0, 100.0]]},
+}
+
+
 def _tcas_work(monkeypatch, raw):
-    """Calls of the cycle's geometry over a TCAS `run()` of ``raw``, and the
+    """Calls of the encounters' geometry over a TCAS `run()` of ``raw``, the
+    rows of the cycles the encounter kernel evaluates (``"cycles"``, summed
+    over its `tcas.slant_ranges` calls, one per lockstep iteration), and the
     trial count.  The config, whose checks look up the terrain too, is built
     before counting."""
 
     cfg = make_config(raw)
     counts = Counter()
     counting = functools.partial(_counting, counts)
+    slant_ranges = tcas.slant_ranges
+
+    def counting_ranges(own, other):
+        counts["iterations"] += 1
+        counts["cycles"] += len(own)
+        return slant_ranges(own, other)
+
     monkeypatch.setattr(world, "step", counting("step", world.step))
     monkeypatch.setattr(world.AircraftState, "__init__",
                         counting("state", world.AircraftState.__init__))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
-    monkeypatch.setattr(tcas.TcasUnit, "mode_s_cycle",
-                        counting("cycle", tcas.TcasUnit.mode_s_cycle))
-    monkeypatch.setattr(tcas.FalseIntruderInjector, "_claimed_position",
-                        counting("claimed", tcas.FalseIntruderInjector._claimed_position))
-    run(cfg)
+    monkeypatch.setattr(tcas, "slant_ranges", counting_ranges)
+    monkeypatch.setattr(scenarios, "_tcas_encounters",
+                        counting("rounds", scenarios._tcas_encounters))
+    for owner, attr in [(tcas.TcasUnit, "mode_s_cycle"), (tcas.TcasUnit, "advise"),
+                        (tcas, "advise"), (tcas, "slant_range"),
+                        (tcas.FalseIntruderInjector, "_claimed_position")]:
+        monkeypatch.setattr(owner, attr, counting(f"scalar {attr}", getattr(owner, attr)))
+    counts["episodes"] = sum(1 for log in run(cfg) for _ in log.iter_kind("episode_start"))
     monkeypatch.undo()
     return counts, cfg.trials
 
@@ -187,22 +210,42 @@ def _tcas_work(monkeypatch, raw):
 def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     """Work budget: a TCAS `run()` at N=20 makes no `world.step` call, builds
     at most one `AircraftState` per trial and, on the defaults (cruise far
-    above the activation floor), makes no terrain lookup; each cycle claims
-    one intruder position at most, over at most 702 cycles, the count of the
-    fixed schedule the encounter loop replaced.  Where the terrain straddles
-    the floor, each cycle looks the terrain up once at most, and the run still
-    writes the 1 Hz reference's logs."""
+    above the activation floor), makes no terrain lookup; the encounter
+    kernel evaluates each cycle's geometry once, for at most 702 cycles, the
+    count of the fixed schedule the encounter loop replaced.  Where the
+    terrain straddles the floor, each cycle looks the terrain up once at
+    most, and the run still writes the 1 Hz reference's logs."""
 
     counts, trials = _tcas_work(
         monkeypatch, {"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
-    assert 0 < counts["cycle"] <= 702 and 0 < counts["claimed"] <= counts["cycle"], counts
+    assert 0 < counts["cycles"] <= 702, counts
     assert counts["step"] == 0 and counts["terrain"] == 0, counts
     assert counts["state"] <= trials, counts
 
     counts, trials = _tcas_work(monkeypatch, _STRADDLING)
-    assert 0 < counts["terrain"] <= counts["cycle"], counts
+    assert 0 < counts["terrain"] <= counts["cycles"], counts
     assert counts["step"] == 0 and counts["state"] <= trials, counts
     _tcas_logs_agree(_STRADDLING)
+
+
+@pytest.mark.parametrize("start_tau_s", [50.0, 1e5])
+def test_tcas_encounters_run_as_array_rounds(monkeypatch, start_tau_s):
+    """Work budget: a TCAS `run()` at N=20 flies its encounters in the
+    kernel's array rounds, one `_tcas_encounters` call per round, and makes
+    no scalar cycle: no `TcasUnit.mode_s_cycle`, `advise` (the unit's or the
+    module's), `slant_range` or `_claimed_position` call.  On the defaults
+    each encounter runs its cycles 0, 2, 3, 20 and 21 or fewer, so the
+    lockstep iterations per episode stay a handful whatever the claim's
+    starting tau: a 1 Hz loop would run ``floor_cycle`` (about ``start_tau_s``)
+    cycles."""
+
+    counts, _ = _tcas_work(monkeypatch, {
+        "version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED,
+        "attacker": {"tcas": {"start_tau_s": start_tau_s}}})
+    assert counts["episodes"] >= 20 and 0 < counts["rounds"] <= counts["episodes"], counts
+    assert not [name for name in counts if name.startswith("scalar")], counts
+    assert counts["cycles"] <= 5 * counts["episodes"], counts
+    assert counts["iterations"] <= 8 * counts["rounds"], counts
 
 
 def _tcas_run_counting(monkeypatch, targets):
@@ -232,14 +275,15 @@ def test_tcas_cycle_builds_one_message(monkeypatch):
 
 
 def test_tcas_tracks_update_in_place(monkeypatch):
-    """Work budget: an encounter builds its intruder's track once and updates
-    it in place each cycle, and the slant range takes no `np.linalg.norm`
-    call: a TCAS `run()` at N=20 builds at most one `IntruderTrack` per
-    episode and calls `np.linalg.norm` zero times."""
+    """Work budget: the encounter kernel keeps each encounter's track as
+    array state, updated in place each cycle, and the slant range takes no
+    `np.linalg.norm` call: a TCAS `run()` at N=20 builds no `IntruderTrack`
+    and calls `np.linalg.norm` zero times."""
 
     counts = _tcas_run_counting(
         monkeypatch, [(tcas.IntruderTrack, "__init__"), (np.linalg, "norm")])
-    assert 0 < counts["IntruderTrack.__init__"] <= counts["episodes"], counts
+    assert counts["episodes"] > 0, counts
+    assert counts["IntruderTrack.__init__"] == 0, counts
     assert counts["numpy.linalg.norm"] == 0, counts
 
 
@@ -425,7 +469,7 @@ def test_trials_call_the_trial_function_by_module_name(monkeypatch, scenario, na
 
     monkeypatch.setattr(scenarios, name, recording)
     logs = run(cfg)
-    assert seen == list(enumerate(trial_seeds(SEED, cfg.trials)))
+    assert seen == list(enumerate(trial_seeds(SEED, range(cfg.trials))))
     assert seen == [(log.trial_id, log.seed) for log in logs]
 
 
@@ -586,7 +630,7 @@ def _tcas_logs_agree(raw):
     cfg = make_config(raw)
     scheduled = [log.to_jsonl() for log in run(cfg)]
     reference = [_tcas_trial_1hz(cfg, i, seed).to_jsonl()
-                 for i, seed in enumerate(trial_seeds(cfg.master_seed, cfg.trials))]
+                 for i, seed in enumerate(trial_seeds(cfg.master_seed, range(cfg.trials)))]
     assert scheduled == reference
 
 
@@ -648,6 +692,17 @@ def _tcas_geometries(draw):
 # An activation floor above the cruise: the injector never answers.
 @example(raw={"version": 1, "scenario": "TCAS", "trials": 4, "master_seed": SEED,
               "attacker": {"tcas": {"activation_floor_ft": 20000.0}}})
+# Two chunks on the defaults: rounds over each chunk, up to 15 of them.
+@example(raw={"version": 1, "scenario": "TCAS", "trials": CHUNK_TRIALS + 3,
+              "master_seed": SEED})
+# Two ridges silence the injector between the first encounter's TA and RA:
+# for 3 cycles (the next update's closure spans 4 s) and for 9, past
+# `TRACK_STALENESS_S` (the track is dropped and built again).
+@example(raw=_SILENT_RIDGES)
+@example(raw={"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED,
+              "policies": {"tcas": {"p_downgrade": 1.0, "p_standby_given_downgrade": 1.0}}})
+@example(raw={"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED,
+              "attacker": {"tcas": {"alert_budget": 1}}})
 def test_tcas_schedule_matches_1hz_reference(raw):
     """Property: a scheduled encounter raises its TA and RA at exactly the
     cycles of the 1 Hz reference, whatever the claim, the thresholds and the
@@ -846,7 +901,7 @@ def _gpws_logs_agree(raw):
         assume(False)
     fine = [log.to_jsonl() for log in run(cfg)]
     reference = [_gpws_trial_stepped(cfg, i, seed).to_jsonl()
-                 for i, seed in enumerate(trial_seeds(cfg.master_seed, cfg.trials))]
+                 for i, seed in enumerate(trial_seeds(cfg.master_seed, range(cfg.trials)))]
     assert fine == reference
 
 

@@ -321,6 +321,29 @@ def test_slant_range_equals_numpy_norm(own, claimed):
         assert tcas.slant_range(own, claimed) == expected
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=300),
+    extent=st.sampled_from([1e3, 1e6, 1e7]),
+)
+def test_slant_ranges_equal_slant_range(seed, rows, extent):
+    """The encounter kernel's batched slant range (`tcas.slant_ranges`, a
+    vector-vector `np.matmul` per row) equals `tcas.slant_range` to the bit,
+    for points anywhere within ``extent`` and differences from 1e-2 to
+    1e5 m, so logs keep their bytes on every numpy the package accepts."""
+
+    rng = np.random.default_rng(seed)
+    own = rng.uniform(-extent, extent, (rows, 3))
+    direction = rng.normal(size=(rows, 3))
+    length = 10.0 ** rng.uniform(-2.0, 5.0, (rows, 1))
+    other = own + direction / np.linalg.norm(direction, axis=1, keepdims=True) * length
+    batched = tcas.slant_ranges(own, other)
+    assert batched.shape == (rows,)
+    expected = [tcas.slant_range(o, p).hex() for o, p in zip(own.tolist(), other.tolist())]
+    assert [v.hex() for v in batched.tolist()] == expected
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     along=_coords.filter(lambda v: abs(v) <= 1e7),
