@@ -31,11 +31,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 
 
 def trial_seeds(master_seed: int, ids: range) -> List[int]:
-    """The seeds of trials ``ids``: those words of
-    ``SeedSequence(master_seed).generate_state(n, np.uint64)`` (for any n
-    past them), computed for those words only.  Seed i is the 32-bit words
-    2i (low) and 2i + 1; word j hashes pool word j % 4 with the constants
-    ``INIT_B * MULT_B**j`` and ``INIT_B * MULT_B**(j + 1)`` mod 2**32."""
+    """Words ``ids`` of ``SeedSequence(master_seed).generate_state(n,
+    np.uint64)``, made alone: seed i is 32-bit words 2i (low) and 2i + 1, and
+    word j hashes pool word j % 4 with ``INIT_B * MULT_B**j`` mod 2**32."""
 
     pool = np.random.SeedSequence(master_seed).pool
     j = np.arange(2 * ids.start, 2 * ids.stop)

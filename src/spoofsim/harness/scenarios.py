@@ -19,38 +19,28 @@ handled as soon as its block ends; one that ends in neither way is flown
 again longer.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
-loop but runs only the cycles that can matter.  The injector's straight-line
-claim bounds the first cycle at which tau can fall to the next threshold
-(`FalseIntruderInjector.first_cycle_within`); after cycle 0 the encounter
-jumps to the cycle before it, which only updates the track, so every advised
-cycle takes its closure over one second.  The encounter ends at its RA, at
-a TA that leaves the unit outside TA/RA, or where the claimed range reaches
-its floor (`FalseIntruderInjector.floor_cycle`).  Where the injector may
-fall silent mid-run (the terrain crosses its activation floor), every cycle
-runs, and a track goes stale as `TcasUnit.drop_stale` drops it.
-
-TCAS trials fly their encounters in rounds over the batch, the n-th of each
-trial still running in round n.  A trial is a generator (`tcas_trial`)
-whose scalar part keeps its own RNG and event order: the episode draws, the
-crew's reactions, the injector's budget, the log and the one
-`tcas.SurveillanceMessage` per encounter.  It yields each encounter the
-injector answers, and `_tcas_encounters` flies a round's encounters as
-arrays, a row each, with the scalar cycle's floats: the own ship at
-``(gs * t, 0.0, altitude)`` (the position ``world.step`` gives), the claim
-placed relative to it, the slant range (`tcas.slant_ranges`), the track's
-closure and tau.  Where cruise lies on one side of the activation floor
-over all the terrain, the floor check has one answer for the run and no
-cycle looks the terrain up; where the terrain straddles the floor, each
-row's cycle looks up the height under the own ship once.
+loop but runs only the cycles that can matter: after cycle 0 it jumps to the
+cycle before the first at which tau can fall to the next threshold
+(`FalseIntruderInjector.first_cycle_within`, from the injector's
+straight-line claim), which only updates the track, so every advised cycle
+takes its closure over one second.  It ends at its RA, at a TA that leaves
+the unit outside TA/RA, or where the claimed range reaches its floor
+(`FalseIntruderInjector.floor_cycle`).  Where the terrain crosses the
+injector's activation floor, every cycle runs and looks the terrain up, and
+a track not updated goes stale as `TcasUnit.drop_stale` drops it.  Each
+trial is a generator (`tcas_trial`) whose scalar steps keep its own order:
+episode draws, crew reactions, the budget, the log and the one
+`tcas.SurveillanceMessage` per encounter.  Round n flies the n-th encounter
+of every trial as array rows (`_tcas_encounters`) with the scalar cycle's
+floats: the own ship at ``(gs * t, 0.0, altitude)``, as ``world.step``
+places it, the claim relative to it, and `tcas.slant_ranges`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Sequence
 
 import numpy as np
 
@@ -302,43 +292,32 @@ def cruise_position_fn(
     return fn
 
 
-def _injector_answers(cfg: ScenarioConfig) -> Optional[bool]:
-    """Whether the injector answers every cycle (True) or none (False),
-    where level cruise lies on one side of its activation floor over all the
-    terrain (1e-6 ft spares the rounding of the lookup); None where the
-    terrain straddles the floor, so a cycle looks the height under the own
-    ship up."""
+def _claim_frame(cfg: ScenarioConfig) -> tuple:
+    """Whether the injector answers every cycle (True) or none (False), where
+    level cruise lies on one side of its activation floor over all the
+    terrain (1e-6 ft spares the rounding of the lookup), or None where the
+    terrain straddles the floor; the claim's altitude, ft; and its altitude
+    above the own ship as a track reads it, ft."""
 
     altitude = ft_to_m(cfg.cruise_altitude_ft)
     elevations = [z for _, z in cfg.terrain.vertices]
     floor_ft = cfg.false_intruder_plan.activation_floor
-    if m_to_ft(altitude - max(elevations)) > floor_ft + 1e-6:
-        return True
-    if m_to_ft(altitude - min(elevations)) < floor_ft - 1e-6:
-        return False
-    return None
-
-
-def _relative_altitude_ft(cfg: ScenarioConfig) -> float:
-    """The claim's altitude above the own ship as a track reads it, ft: the
-    reply's altitude less the own altitude, both in ft."""
-
-    own_ft = m_to_ft(ft_to_m(cfg.cruise_altitude_ft))
-    return (own_ft + cfg.false_intruder_plan.vertical_offset) - own_ft
+    answers = (True if m_to_ft(altitude - max(elevations)) > floor_ft + 1e-6
+               else False if m_to_ft(altitude - min(elevations)) < floor_ft - 1e-6 else None)
+    claim_ft = m_to_ft(altitude) + cfg.false_intruder_plan.vertical_offset
+    return answers, claim_ft, claim_ft - m_to_ft(altitude)
 
 
 def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple, tuple, TrialLog]:
-    """The TCAS trial of ``trial_id``, as a generator that `tcas_trials`
-    drives: it yields each encounter that the injector answers, as an
-    `_tcas_encounters` row, is sent back that row's flight and returns the
-    trial's log."""
+    """The TCAS trial of ``trial_id`` as a generator: it yields each
+    encounter the injector answers as an `_tcas_encounters` row, is sent
+    back its flight, and returns the trial's log."""
 
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     policy, th = cfg.tcas_policy, cfg.tcas_thresholds
-    altitude = ft_to_m(cfg.cruise_altitude_ft)
-    own_fn = cruise_position_fn(altitude, kn_to_mps(cfg.cruise_ground_speed_kn))
-    answers, rel = _injector_answers(cfg), _relative_altitude_ft(cfg)
+    own_fn = cruise_position_fn(ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn))
+    answers, claim_ft, rel = _claim_frame(cfg)
 
     unit = tcas.TcasUnit(thresholds=th, mode=tcas.TA_RA, rng=rng)
     script = crew.sample_tcas_crew(policy, rng)
@@ -352,7 +331,6 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple
         })
         return log
 
-    claim_altitude = m_to_ft(altitude) + cfg.false_intruder_plan.vertical_offset
     t = 0.0
     episodes = 0
     while (
@@ -370,7 +348,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple
         k_end = injector.floor_cycle()
         sample, advisories = None, ()
         if unit.mode != tcas.STANDBY and answers is not False:
-            # The first cycles that can raise the TA, and the RA after it:
+            # The first cycles that can raise the TA, and the RA after it;
             # where the injector may fall silent, every cycle runs.
             ta_from = ra_from = 1
             if answers:
@@ -382,28 +360,20 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple
                                         unit.mode == tcas.TA_RA, ta_from, ra_from)
         tc = t + k_end
         for ta, tc_adv in advisories:
-            if ta:
-                log.add(tc_adv, "advisory", {"level": "TA", "episode": episodes})
-                action = crew.tcas_act(tcas.Advisory(level="TA", time=tc_adv), unit, script)
-                log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
-                if unit.mode != tcas.TA_RA:
-                    tc = tc_adv
-                    break
-            else:
-                adv = tcas.resolution_advisory(rel, tc_adv)
-                injector.observe_advisory(adv)
-                log.add(tc_adv, "advisory", {
-                    "level": "RA", "episode": episodes,
-                    "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
-                })
-                action = crew.tcas_act(adv, unit, script)
-                log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
+            adv = tcas.Advisory(level="TA", time=tc_adv) if ta else tcas.resolution_advisory(rel, tc_adv)
+            injector.observe_advisory(adv)
+            event = {"level": adv.level, "episode": episodes}
+            if not ta:
+                event.update(ra_sense=adv.ra_sense, commanded_rate_fpm=adv.commanded_rate)
+            log.add(tc_adv, "advisory", event)
+            action = crew.tcas_act(adv, unit, script)
+            log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
+            if not ta or unit.mode != tcas.TA_RA:
                 tc = tc_adv
                 break
-
         if sample is not None:
             tc_sample, claimed = sample
-            claim = (injector.icao_id, claim_altitude, claimed)
+            claim = (injector.icao_id, claim_ft, claimed)
             log.add(tc, "surveillance", injector.reply(tc_sample, claim).to_record())
         injector.end_episode()
         t = tc + cfg.inter_episode_gap_s
@@ -434,68 +404,57 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple
 
 
 def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
-    """The TCAS trials of ``trial_ids`` with their ``seeds``, in order.  Each
-    trial's generator is started by its name, `tcas_trial`; they fly rounds
-    of encounters, the n-th encounter each trial yields in round n, one
-    `_tcas_encounters` call per round."""
+    """The TCAS trials of ``trial_ids`` with their ``seeds``, in order, each
+    started by its name, `tcas_trial`.  Round n flies the n-th encounter
+    each trial still running yields, in one `_tcas_encounters` call."""
 
     trials = [tcas_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
     logs: List[Any] = [None] * len(trials)
-    flights: List[Any] = [None] * len(trials)  # what each trial is sent next
+    flights: Dict[int, tuple] = {}  # what each trial is sent next
     running = range(len(trials))
     while running:
         rows, flying = [], []
         for k in running:
             try:
-                rows.append(trials[k].send(flights[k]))
+                rows.append(trials[k].send(flights.get(k)))
                 flying.append(k)
             except StopIteration as done:
                 logs[k] = done.value
-        for k, flight in zip(flying, _tcas_encounters(cfg, rows)):
-            flights[k] = flight
+        flights = dict(zip(flying, _tcas_encounters(cfg, rows)))
         running = flying
     return logs
 
 
 def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
-    """The surveillance cycles of each encounter row ``(t, speed, bearing,
-    k_end, ta_ra, ta_from, ra_from)``, in lockstep as arrays, one row each.
-
-    A row's encounter starts at t, with the claim's closure speed and
-    bearing, and runs the cycles of a 1 Hz loop that can matter up to cycle
-    k_end: cycle 0, then the cycle before the first that can advise (from
-    ``ta_from``, or ``ra_from`` once a TA is raised in TA/RA mode, ``ta_ra``)
-    and every cycle after it, each advised, until its advisory.  The track
-    is the state `TcasUnit._update_track` and `drop_stale` keep: a new track
-    has no closure, an update takes its closure over the time since the last
-    one, and a track not updated for over `tcas.TRACK_STALENESS_S` is
-    dropped.  A cycle reads tau as `advise` does.  Returns each row's flight:
-    the time and claimed position of its first claim (None without one), and
-    its advisories as ``(is_ta, time)``, a TA (in TA/RA mode, followed by the
-    RA it reaches) or an RA."""
+    """The flights of encounter rows ``(t, speed, bearing, k_end, ta_ra,
+    ta_from, ra_from)``, flown in lockstep as arrays: from t, each runs
+    cycle 0, then the cycle before the first that can advise (``ta_from``,
+    or ``ra_from`` after a TA in TA/RA mode, ``ta_ra``) and each cycle after
+    it, advised, until its advisory or cycle k_end.  The track keeps
+    `TcasUnit._update_track`'s closure and `drop_stale`'s staleness, and tau
+    is read as `advise` reads it.  A flight is its first claim's time and
+    position (None without one) and its advisories as ``(is_ta, time)``."""
 
     th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
     altitude, gs = ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn)
-    rel = abs(_relative_altitude_ft(cfg))
-    ta_tau = th.tau_ta_s if rel <= th.ta_band_ft else -math.inf
-    ra_tau = th.tau_ra_s if rel <= th.ra_band_ft else -math.inf
-    lookup = _injector_answers(cfg) is None
+    answers, _, rel = _claim_frame(cfg)
+    ta_tau = th.tau_ta_s if abs(rel) <= th.ta_band_ft else -math.inf
+    ra_tau = th.tau_ra_s if abs(rel) <= th.ra_band_ft else -math.inf
     lo, hi = cfg.terrain.domain
 
     def answering(x):  # whether the injector answers own ships at along-track x
         return np.array([m_to_ft(altitude - cfg.terrain.elevation_at(min(max(xi, lo), hi)))
                          > plan.activation_floor for xi in x.tolist()], dtype=bool)
 
-    # A row per encounter: its parameters, then its cycle and its track,
-    # compacted as rows end.  A row without a track has ``last`` -inf, so a
-    # new track's closure is 0 (or -0) and reads no tau.
+    # A row per encounter, its parameters and then its cycle and track,
+    # compacted as rows end.  No track is ``last`` -inf, so a new track's
+    # closure is (-)0 and reads no tau.
+    p = np.array(rows, dtype=float).reshape(-1, 7)
+    theta = [math.radians(b) for b in p[:, 2].tolist()]
     m = np.zeros((len(rows), 15))
-    if rows:
-        p = np.array(rows, dtype=float)
-        m[:, 0], m[:, 1], m[:, 2], m[:, 5:9] = p[:, 0], p[:, 1], p[:, 1] * plan.start_tau_s, p[:, 3:]
-        theta = [math.radians(b) for b in p[:, 2].tolist()]
-        m[:, 3], m[:, 4] = [math.cos(a) for a in theta], [math.sin(a) for a in theta]
-        m[:, 9], m[:, 14] = ta_tau, -math.inf
+    m[:, 0], m[:, 1], m[:, 2], m[:, 5:9] = p[:, 0], p[:, 1], p[:, 1] * plan.start_tau_s, p[:, 3:]
+    m[:, 3], m[:, 4] = [math.cos(a) for a in theta], [math.sin(a) for a in theta]
+    m[:, 9], m[:, 14] = ta_tau, -math.inf
     ids = np.arange(len(rows))
     samples: List[Any] = [None] * len(rows)
     advisories: List[list] = [[] for _ in rows]
@@ -512,7 +471,7 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
             np.add(x, r * cos, out=claim[:, 0])
             np.add(0.0, r * sin, out=claim[:, 1])
             now = tcas.slant_ranges(own, claim)
-            answered = answering(x) if lookup else True
+            answered = answering(x) if answers is None else True
             first = np.flatnonzero(answered & (claimed == 0))
             if first.size:
                 claimed[first] = 1.0
@@ -534,7 +493,6 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
 
             tau = slant / closure
             fired = (k >= k_from) & (closure > 0) & (tau <= tau_at)
-            ended = fired
             if fired.any():
                 ra = fired & (ta_ra > 0) & (tau <= ra_tau)
                 for i, tci, is_ra in zip(ids[fired].tolist(), tc[fired].tolist(),
@@ -542,16 +500,15 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
                     advisories[i].append((not is_ra, tci))
                 # A TA in TA/RA mode goes on to the RA.
                 onward = fired & ~ra & (ta_ra > 0)
-                tau_at[onward] = ra_tau
-                k_from[onward] = ra_from[onward]
-                ended = fired & ~onward
+                tau_at[onward], k_from[onward] = ra_tau, ra_from[onward]
+                fired &= ~onward
 
             # The next cycle that can advise; a jump lands one cycle early,
             # which only updates the track.
             k1 = k + 1
             nxt = np.maximum(k1, k_from)
-            keep = (nxt <= k_end) & ~ended
-            if not lookup:
+            keep = (nxt <= k_end) & ~fired
+            if answers:
                 keep &= last > -math.inf  # a cycle that keeps no track ends the encounter
             k[:] = np.where(nxt > k1, nxt - 1, nxt)
             m, ids = m[keep], ids[keep]

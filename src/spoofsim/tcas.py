@@ -177,9 +177,8 @@ def slant_range(own: Sequence[float], other: Sequence[float]) -> float:
 
 
 def slant_ranges(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """`slant_range` of each row of two (M, 3) arrays, to the bit: the square
-    root of a vector-vector `np.matmul` of each difference (`einsum` and a
-    sum of squares round differently)."""
+    """`slant_range` of each row of two (M, 3) arrays, to the bit: a vector-
+    vector `np.matmul` per row (`einsum` and a sum of squares round apart)."""
 
     d = other - own
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
@@ -455,9 +454,7 @@ class FalseIntruderInjector:
     ``target_fn`` gives the victim's state at t for the methods that take only
     a time; a surveillance cycle passes the victim's position instead, and a
     caller that always does may leave ``target_fn`` out if it gives
-    ``target_agl_fn``.  A caller that places the claims itself (the TCAS
-    scenario's encounter kernel, through `floor_cycle` and
-    `first_cycle_within`) and asks for no claim may leave both out."""
+    ``target_agl_fn``.  A caller that asks for no claim may leave both out."""
 
     def __init__(
         self,
