@@ -33,7 +33,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 def trial_seeds(master_seed: int, ids: range) -> List[int]:
     """Words ``ids`` of ``SeedSequence(master_seed).generate_state(n,
     np.uint64)``, made alone: seed i is 32-bit words 2i (low) and 2i + 1, and
-    word j hashes pool word j % 4 with ``INIT_B * MULT_B**j`` mod 2**32."""
+    word j is pool word j % 4 xor c_j, times c_(j+1), xor itself >> 16, with
+    c_j = ``INIT_B * MULT_B**j`` mod 2**32."""
 
     pool = np.random.SeedSequence(master_seed).pool
     j = np.arange(2 * ids.start, 2 * ids.stop)

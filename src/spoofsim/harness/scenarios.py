@@ -293,11 +293,10 @@ def cruise_position_fn(
 
 
 def _claim_frame(cfg: ScenarioConfig) -> tuple:
-    """Whether the injector answers every cycle (True) or none (False), where
-    level cruise lies on one side of its activation floor over all the
-    terrain (1e-6 ft spares the rounding of the lookup), or None where the
-    terrain straddles the floor; the claim's altitude, ft; and its altitude
-    above the own ship as a track reads it, ft."""
+    """Whether the injector answers every cycle (True) or none (False), as
+    cruise lies above or below its activation floor over all the terrain
+    (1e-6 ft spares the lookup's rounding), or None; the claim's altitude
+    and its altitude above the own ship as a track reads them, ft."""
 
     altitude = ft_to_m(cfg.cruise_altitude_ft)
     elevations = [z for _, z in cfg.terrain.vertices]
