@@ -355,7 +355,9 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple
                            if abs(rel) <= th.ta_band_ft else math.inf)
                 ra_from = (injector.first_cycle_within(th.tau_ra_s)
                            if abs(rel) <= th.ra_band_ft else math.inf)
-            sample, advisories = yield (t, injector._speed, injector._bearing, k_end,
+            v, theta = injector._speed, math.radians(injector._bearing)
+            sample, advisories = yield (t, v, v * cfg.false_intruder_plan.start_tau_s,
+                                        math.cos(theta), math.sin(theta), k_end,
                                         unit.mode == tcas.TA_RA, ta_from, ra_from)
         tc = t + k_end
         for ta, tc_adv in advisories:
@@ -425,14 +427,15 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
 
 
 def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
-    """The flights of encounter rows ``(t, speed, bearing, k_end, ta_ra,
-    ta_from, ra_from)``, flown in lockstep as arrays: from t, each runs
-    cycle 0, then the cycle before the first that can advise (``ta_from``,
-    or ``ra_from`` after a TA in TA/RA mode, ``ta_ra``) and each cycle after
-    it, advised, until its advisory or cycle k_end.  The track keeps
-    `TcasUnit._update_track`'s closure and `drop_stale`'s staleness, and tau
-    is read as `advise` reads it.  A flight is its first claim's time and
-    position (None without one) and its advisories as ``(is_ta, time)``."""
+    """The flights of encounter rows ``(t, speed, speed * start_tau_s, cos
+    and sin of the bearing, k_end, ta_ra, ta_from, ra_from)``, flown in
+    lockstep as arrays: from t, each runs cycle 0, then the cycle before the
+    first that can advise (``ta_from``, or ``ra_from`` after a TA in TA/RA
+    mode, ``ta_ra``) and each cycle after it, advised, until its advisory or
+    cycle k_end.  The track keeps `TcasUnit._update_track`'s closure and
+    `drop_stale`'s staleness, and tau is read as `advise` reads it.  A flight
+    is its first claim's time and position (None without one) and its
+    advisories as ``(is_ta, time)``."""
 
     th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
     altitude, gs = ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn)
@@ -448,11 +451,8 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     # A row per encounter, its parameters and then its cycle and track,
     # compacted as rows end.  No track is ``last`` -inf, so a new track's
     # closure is (-)0 and reads no tau.
-    p = np.array(rows, dtype=float).reshape(-1, 7)
-    theta = [math.radians(b) for b in p[:, 2].tolist()]
     m = np.zeros((len(rows), 15))
-    m[:, 0], m[:, 1], m[:, 2], m[:, 5:9] = p[:, 0], p[:, 1], p[:, 1] * plan.start_tau_s, p[:, 3:]
-    m[:, 3], m[:, 4] = [math.cos(a) for a in theta], [math.sin(a) for a in theta]
+    m[:, :9] = np.array(rows, dtype=float).reshape(-1, 9)
     m[:, 9], m[:, 14] = ta_tau, -math.inf
     ids = np.arange(len(rows))
     samples: List[Any] = [None] * len(rows)
