@@ -1,8 +1,9 @@
-"""Per-cycle evaluation in the TCAS trial: the closed-form own position
+"""Per-cycle evaluation in the TCAS trials: the closed-form own position
 equals `world.step`'s to the bit, a run makes no `world.step` call and, where
-the cruise stays on one side of the activation floor, no terrain lookup; an
-encounter builds one message and one track, and no cycle calls
-`np.linalg.norm`, nor `np.interp` for a terrain lookup.  The GPWS fine loop
+the cruise stays on one side of the activation floor, no terrain lookup; the
+encounters run as array rounds with no scalar cycle, an encounter builds one
+message and no `IntruderTrack`, and no cycle calls `np.linalg.norm`, nor
+`np.interp` for a terrain lookup.  The GPWS fine loop
 runs as array kernels: it builds no state, echo or `world.step` call per
 step, and makes no per-step scalar call; its ramp computes the heights of
 the steps its blocks fly and no other sweep.  Trials read the objects
