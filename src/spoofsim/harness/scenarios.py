@@ -449,8 +449,8 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
                          > plan.activation_floor for xi in x.tolist()], dtype=bool)
 
     # A row per encounter, its parameters and then its cycle and track,
-    # compacted as rows end.  No track is ``last`` -inf, so a new track's
-    # closure is (-)0 and reads no tau.
+    # compacted as rows end.  A row without a track has ``last`` -inf, so a
+    # new track's closure is (-)0 and reads no tau.
     m = np.zeros((len(rows), 15))
     m[:, :9] = np.array(rows, dtype=float).reshape(-1, 9)
     m[:, 9], m[:, 14] = ta_tau, -math.inf
