@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .. import sentinel
-from .config import ConfigError, apply_scenario, default_config_dict, load_config, make_config
+from .config import ConfigError, apply_scenario, default_config_dict, field_errors, load_config, make_config
 from .cost import all_cost_reports
 from .log import TrialLog
 from .output import emit, load_run, summary_csv, trial_path, write_file
@@ -164,8 +164,8 @@ def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messag
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed: {args.seed} is less than the minimum of 0")
+    for error in [] if args.seed is None else field_errors("master_seed", args.seed):
+        raise ConfigError(f"--seed: {error}")
     run_cfg, logs = load_run(args.out)
     if args.scenario and args.scenario != run_cfg.scenario:
         raise ConfigError(f"--scenario {args.scenario} contradicts the {run_cfg.scenario} "

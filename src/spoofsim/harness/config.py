@@ -19,11 +19,10 @@ import copy
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import jsonschema
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import crew
 from ..gpws import AttackSchedule
@@ -41,15 +40,8 @@ class ConfigError(Exception):
     """Invalid scenario configuration; message carries the failing field."""
 
 
-def _obj(properties: dict, required: Optional[List[str]] = None) -> dict:
-    schema = {
-        "type": "object",
-        "properties": properties,
-        "additionalProperties": False,
-    }
-    if required:
-        schema["required"] = required
-    return schema
+def _obj(properties: dict, **keywords: Any) -> dict:
+    return {"type": "object", "properties": properties, "additionalProperties": False, **keywords}
 
 
 def _num(default: Optional[float] = None, **bounds: float) -> dict:
@@ -62,10 +54,7 @@ def _num(default: Optional[float] = None, **bounds: float) -> dict:
 _pos = functools.partial(_num, exclusiveMinimum=0)
 _nonneg = functools.partial(_num, minimum=0)
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
-_DIST = {
-    "type": "object",
-    "additionalProperties": {"type": "number", "minimum": 0, "maximum": 1},
-}
+_DIST = {"type": "object", "additionalProperties": _PROB}
 
 SCHEMA = _obj(
     {
@@ -212,13 +201,8 @@ def _schema_defaults(schema: dict) -> Dict[str, Any]:
     that declare `properties`, so open maps (distributions, policy tables)
     get no default that would replace the crew model's own."""
 
-    out: Dict[str, Any] = {}
-    for key, sub in schema["properties"].items():
-        if "properties" in sub:
-            out[key] = _schema_defaults(sub)
-        elif "default" in sub:
-            out[key] = copy.deepcopy(sub["default"])
-    return out
+    return {key: _schema_defaults(sub) if "properties" in sub else copy.deepcopy(sub["default"])
+            for key, sub in schema["properties"].items() if "properties" in sub or "default" in sub}
 
 
 def apply_scenario(data: Dict[str, Any], scenario: str) -> Dict[str, Any]:
@@ -284,26 +268,71 @@ class ScenarioConfig:
     residual_threshold_m: float
 
 
-def _non_finite(value: Any, path: str) -> List[str]:
-    """An error for each NaN or infinite number in `value` (JSON's `NaN` and
-    `Infinity` literals parse to these, and the schema bounds let NaN pass)."""
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": numbers.Number}
+
+
+def _is(kind: str, value: Any) -> bool:
+    """JSON Schema's `type`, but an `integer` is an `int`: 3.0 is a `number` only."""
+
+    return isinstance(value, _TYPES[kind]) and (kind == "boolean") == isinstance(value, bool)
+
+
+#: jsonschema's messages for each keyword `SCHEMA` uses, from (its argument,
+#: the value, the enclosing schema).  `_check` descends by `properties`,
+#: `additionalProperties` and `items` itself.
+_KEYWORDS: Dict[str, Callable[[Any, Any, dict], List[str]]] = {
+    "type": lambda t, v, s: [] if _is(t, v) else [f"{v!r} is not of type {t!r}"],
+    "enum": lambda e, v, s: [] if any(x == v and isinstance(x, bool) == isinstance(v, bool)
+                                      for x in e) else [f"{v!r} is not one of {e!r}"],
+    "const": lambda c, v, s: [f"{c!r} was expected"] if _KEYWORDS["enum"]([c], v, s) else [],
+    "minimum": lambda n, v, s: [f"{v!r} is less than the minimum of {n!r}"]
+    if _is("number", v) and v < n else [],
+    "exclusiveMinimum": lambda n, v, s: [f"{v!r} is less than or equal to the minimum of {n!r}"]
+    if _is("number", v) and v <= n else [],
+    "maximum": lambda n, v, s: [f"{v!r} is greater than the maximum of {n!r}"]
+    if _is("number", v) and v > n else [],
+    "minItems": lambda n, v, s: [f"{v!r} is too short"] if _is("array", v) and len(v) < n else [],
+    "maxItems": lambda n, v, s: [f"{v!r} is too long"] if _is("array", v) and len(v) > n else [],
+    "required": lambda r, v, s: [f"{k!r} is a required property" for k in r
+                                 if _is("object", v) and k not in v],
+    "additionalProperties": lambda a, v, s: [
+        f"Additional properties are not allowed ({', '.join(map(repr, x))} "
+        f"{'was' if len(x) == 1 else 'were'} unexpected)"
+        for x in [sorted((k for k in v if k not in s.get("properties", {})), key=str)] if x
+    ] if a is False and _is("object", v) else [],
+    **dict.fromkeys(["properties", "items", "default"], lambda *_: []),
+}
+
+
+def _check(schema: dict, value: Any, path: tuple = ()) -> Iterator[Tuple[bool, tuple, str]]:
+    """Every error of `value` under `schema`, as (from a keyword?, path, message):
+    a NaN or infinity anywhere (the bounds let NaN pass), then each keyword the
+    value fails, in the schema's order; then the same for each item or member."""
 
     if isinstance(value, float) and not math.isfinite(value):
-        return [f"{path}: must be a finite number, got {value}"]
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    return [msg for k, v in items for msg in _non_finite(v, f"{path}.{k}".lstrip("."))]
+        yield False, path, f"must be a finite number, got {value}"
+    for keyword, arg in schema.items():
+        yield from ((True, path, msg) for msg in _KEYWORDS[keyword](arg, value, schema))
+    extra = schema.get("items" if isinstance(value, list) else "additionalProperties")
+    known, extra = schema.get("properties", {}), extra if isinstance(extra, dict) else {}
+    children = dict(enumerate(value)) if isinstance(value, list) else value
+    for key, child in children.items() if isinstance(children, dict) else ():
+        yield from _check(known.get(key, extra), child, path + (key,))
 
 
 def validate_config_dict(data: Dict[str, Any]) -> None:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    msgs = _non_finite(data, "")
-    for err in errors:
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        msgs.append(f"{path}: {err.message}")
-    if msgs:
-        raise ConfigError("; ".join(msgs))
+    # Non-finite numbers in document order, then keyword errors by path, as jsonschema sorts.
+    errors = sorted(_check(SCHEMA, data), key=lambda e: (e[0], e[1] if e[0] else ()))
+    if errors:
+        raise ConfigError("; ".join(
+            f"{'.'.join(map(str, path)) or '<root>'}: {msg}" for _, path, msg in errors))
+
+
+def field_errors(name: str, value: Any) -> List[str]:
+    """The schema's messages for `value` as the top-level field `name`."""
+
+    return [msg for _, _, msg in _check(SCHEMA["properties"][name], value)]
 
 
 def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:

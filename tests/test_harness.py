@@ -278,6 +278,22 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, text, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"version": 1, "scenario": "TCAS", "trials": 3.0}, "trials"),
+    ({"version": 1, "scenario": "GPWS", "master_seed": 5.0}, "master_seed"),
+    ({"version": 1, "scenario": "TCAS", "tcas_system": {"max_episodes": 2.0}},
+     "tcas_system.max_episodes"),
+    ({"version": 1, "scenario": "TCAS", "attacker": {"tcas": {"alert_budget": 2.0}}},
+     "attacker.tcas.alert_budget"),
+], ids=["trials", "master-seed", "max-episodes", "alert-budget"])
+def test_integral_floats_in_integer_fields_rejected(tmp_path, capsys, data, field):
+    """A count is an `int`.  `trials: 3.0` used to validate, then `run` failed
+    with a TypeError traceback after making `trials/`; both commands now
+    reject every integer field given as a float with exit 2."""
+
+    _cli_rejects(tmp_path, capsys, data, rf"{re.escape(field)}: \d\.0 is not of type 'integer'")
+
+
 _TABLE = re.escape("policies.tcas.action_given_final_mode")
 _GPWS_TABLE = re.escape("policies.gpws.approach_actions")
 

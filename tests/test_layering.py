@@ -1,7 +1,11 @@
 """Static layering: `harness/config.py` is the only module that knows the
-config's JSON layout, so no other module subscripts a config's `raw` dict."""
+config's JSON layout, so no other module subscripts a config's `raw` dict.
+`jsonschema` is a test dependency: no module imports it, no command loads it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spoofsim
@@ -86,3 +90,53 @@ def test_only_output_module_names_run_dir_layout():
         for line in run_dir_names(path)
     ]
     assert not offenders, offenders
+
+
+def imported_modules(path):
+    """Every absolute module name the file imports."""
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_imported_modules_finds_them(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import jsonschema.validators as v\nfrom jsonschema import exceptions\n"
+                     "from . import config\ndef f():\n    import json\n")
+    assert imported_modules(probe) == ["jsonschema.validators", "jsonschema", "json"]
+
+
+def test_no_module_imports_jsonschema():
+    """`jsonschema` is a test dependency: config validation walks `SCHEMA` itself."""
+
+    offenders = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if any(name.split(".")[0] == "jsonschema" for name in imported_modules(path))
+    ]
+    assert not offenders, offenders
+
+
+def test_commands_run_without_jsonschema(tmp_path):
+    """Neither building a config nor rejecting one loads `jsonschema`."""
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1, "scenario": "GS", "trials": 0}')
+    script = (
+        "import sys\n"
+        "from spoofsim.harness import cli, config\n"
+        "config.make_config(config.default_config_dict('GS'))\n"
+        f"assert cli.main(['validate-config', '--config', {str(bad)!r}]) == 2\n"
+        "sys.exit('jsonschema was imported' if 'jsonschema' in sys.modules else 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "trials: 0 is less than the minimum of 1" in done.stderr
