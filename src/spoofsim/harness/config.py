@@ -496,10 +496,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """`make_config` of a JSON file; every error message starts with its path."""
 
     try:
-        return make_config(json.loads(Path(path).read_text()))
-    except OSError as exc:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer of more than 4,300 digits; arrays nested about 1,000 deep.
+        raise ConfigError(f"{path}: cannot parse JSON: {exc}") from exc
+    try:
+        return make_config(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

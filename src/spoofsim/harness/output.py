@@ -300,7 +300,7 @@ def _read_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
         blob = _read_log_text(path)
         try:
             log = TrialLog.from_jsonl(blob, cfg.scenario)
-        except (ValueError, KeyError, OverflowError) as exc:
+        except (ValueError, KeyError, OverflowError, RecursionError) as exc:
             raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
         if log.trial_id != trial_id:
             raise RuntimeError(f"corrupt trial log {path}: it holds trial {log.trial_id}")

@@ -47,6 +47,7 @@ import numpy as np
 from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
 from .log import TrialLog
+from .seeds import trial_generators
 from .summary import GpwsSummary, GsSummary, TcasSummary
 
 if TYPE_CHECKING:  # config imports this module for the registry
@@ -101,7 +102,7 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     fly rounds of approaches, the n-th of each trial still flying in round n,
     one fine loop per round."""
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = list(trial_generators(seeds))
     logs = [TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
             for i, seed in zip(trial_ids, seeds)]
     runway, terrain, policy = cfg.runway, cfg.terrain, cfg.gpws_policy
@@ -307,12 +308,13 @@ def _claim_frame(cfg: ScenarioConfig) -> tuple:
     return answers, claim_ft, claim_ft - m_to_ft(altitude)
 
 
-def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> Generator[tuple, tuple, TrialLog]:
-    """The TCAS trial of ``trial_id`` as a generator: it yields each
-    encounter the injector answers as an `_tcas_encounters` row, is sent
-    back its flight, and returns the trial's log."""
+def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
+               rng: np.random.Generator) -> Generator[tuple, tuple, TrialLog]:
+    """The TCAS trial of ``trial_id``, drawing from ``rng``, the generator
+    of its ``seed``, as a generator: it yields each encounter the injector
+    answers as an `_tcas_encounters` row, is sent back its flight, and
+    returns the trial's log."""
 
-    rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     policy, th = cfg.tcas_policy, cfg.tcas_thresholds
     own_fn = cruise_position_fn(ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn))
@@ -409,7 +411,8 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     started by its name, `tcas_trial`.  Round n flies the n-th encounter
     each trial still running yields, in one `_tcas_encounters` call."""
 
-    trials = [tcas_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+    trials = [tcas_trial(cfg, i, seed, rng)
+              for i, seed, rng in zip(trial_ids, seeds, trial_generators(seeds))]
     logs: List[Any] = [None] * len(trials)
     flights: Dict[int, tuple] = {}  # what each trial is sent next
     running = range(len(trials))
@@ -551,8 +554,7 @@ def gs_path_state(cfg: ScenarioConfig, agl_ft: float, t: float) -> world.Aircraf
     )
 
 
-def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
-    rng = np.random.default_rng(seed)
+def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int, rng: np.random.Generator) -> TrialLog:
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     runway, txs = cfg.runway, cfg.glideslope
     rate_fps = m_to_ft(fpm_to_mps(cfg.approach_descent_rate_fpm))
@@ -600,7 +602,11 @@ def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int) -> TrialLog:
 
 
 def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
-    return [gs_trial(cfg, i, seed) for i, seed in zip(trial_ids, seeds)]
+    """The glideslope trials of ``trial_ids`` with their ``seeds``, in
+    order, each generator built just before its trial."""
+
+    return [gs_trial(cfg, i, seed, rng)
+            for i, seed, rng in zip(trial_ids, seeds, trial_generators(seeds))]
 
 
 # ---------------------------------------------------------------------------

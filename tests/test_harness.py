@@ -31,6 +31,7 @@ from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_run
 from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
 from spoofsim.harness.scenarios import SCENARIOS, approach_start
+from spoofsim.harness.seeds import seed_states, trial_generators
 from spoofsim.harness.summary import Summary
 
 
@@ -439,6 +440,30 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b'{"version": 1, "scenario": "GS", "master_seed": ' + b"9" * 5000 + b"}",
+     "cannot parse JSON: Exceeds the limit (4300 digits)"),
+    (b'{"version": 1, "scenario": "GS", "zz": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+     "cannot parse JSON: maximum recursion depth exceeded"),
+    (b'{"version": 1, "scenario": "GS", "zz": "\xff"}',
+     "cannot read: 'utf-8' codec can't decode byte 0xff"),
+], ids=["5000-digit-seed", "5000-deep-arrays", "not-utf-8"])
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_unparseable_config_exit_code(tmp_path, capsys, data, reason, command):
+    """A config file whose text `json.loads` cannot turn into values (an
+    integer of more than 4,300 digits, arrays nested past the recursion
+    limit) or that is not UTF-8 is a config error naming the file: exit 2,
+    and `run` makes no output directory."""
+
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    assert f"config error: {path}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # trial log
 
@@ -544,6 +569,29 @@ def test_trial_seeds_are_words_of_generate_state(master, start, length):
     seeds = trial_seeds(master, ids)
     assert seeds == [int(s) for s in state[start:]]
     assert all(type(s) is int for s in seeds)
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+                      max_size=2 * CHUNK_TRIALS + 1))
+@example(seeds=_EDGE_SEEDS)
+@example(seeds=[])
+def test_trial_generators_are_default_rng(seeds):
+    """Property: for any 64-bit seeds, `seed_states` gives the words of
+    ``SeedSequence(s).generate_state(4, np.uint64)`` and `trial_generators`
+    the generator ``np.random.default_rng(s)`` gives, state and draws."""
+
+    states = seed_states(seeds)
+    assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+    for seed, words, rng in zip(seeds, states, trial_generators(seeds), strict=True):
+        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        expected = np.random.default_rng(seed)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.integers(2**64, size=3, dtype=np.uint64).tolist() == \
+            expected.integers(2**64, size=3, dtype=np.uint64).tolist()
 
 
 def test_first_chunk_allocates_for_the_chunk_only():
@@ -1029,6 +1077,24 @@ def test_cli_mistyped_log_field_exit_code(tmp_path, capsys, index, change, comma
     assert main([command, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "corrupt trial log" in err and "trial_00001.jsonl" in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "detect"])
+def test_cli_deeply_nested_log_exit_code(tmp_path, capsys, command):
+    """A trial log whose payload nests arrays past the recursion limit is a
+    corrupt trial log naming the file (exit 3), like any other it cannot
+    read."""
+
+    out = tmp_path / "out"
+    path = _gs_run(out) / "trial_00001.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["payload"] = "deep"
+    lines[0] = json.dumps(record).replace('"deep"', "[" * 3000 + "]" * 3000) + "\n"
+    path.write_text("".join(lines))
+    assert main([command, "--out", str(out)]) == 3
+    assert (f"corrupt trial log {path}: maximum recursion depth exceeded"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("scenario,kind,change,field", [

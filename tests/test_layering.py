@@ -1,12 +1,15 @@
 """Static layering: `harness/config.py` is the only module that knows the
 config's JSON layout, so no other module subscripts a config's `raw` dict.
-`jsonschema` is a test dependency: no module imports it, no command loads it."""
+`jsonschema` is a test dependency: no module imports it, no command loads it.
+Set-up draws no random numbers, so it does not load `numpy.random`."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import spoofsim
 
@@ -140,3 +143,30 @@ def test_commands_run_without_jsonschema(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "trials: 0 is less than the minimum of 1" in done.stderr
+
+
+def test_setup_leaves_numpy_random_unimported(tmp_path):
+    """Importing the CLI, building every scenario's default config and
+    validating a config file through `main` do not import `numpy.random`
+    (numpy 2 loads it at first use): trial generators are made per chunk, at
+    run time, and importing it adds to every command's start-up."""
+
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    if probe.stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.random when numpy is imported")
+    good = tmp_path / "good.json"
+    good.write_text('{"version": 1, "scenario": "TCAS"}')
+    script = (
+        "import sys\n"
+        "from spoofsim.harness import cli, config, scenarios\n"
+        "for name in scenarios.SCENARIOS:\n"
+        "    config.make_config(config.default_config_dict(name))\n"
+        f"assert cli.main(['validate-config', '--config', {str(good)!r}]) == 0\n"
+        "sys.exit('numpy.random was imported' if 'numpy.random' in sys.modules else 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

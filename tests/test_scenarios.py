@@ -457,16 +457,18 @@ def test_trials_call_the_trial_function_by_module_name(monkeypatch, scenario, na
     """A TCAS or glideslope batch calls its one-trial function by its name
     in `harness.scenarios`, once per trial in trial order, so a function
     bound over that name (as perfbench's tracer binds its wrappers) sees
-    every trial of a `run()` over more than one chunk."""
+    every trial of a `run()` over more than one chunk.  Each is handed the
+    generator ``default_rng`` of its seed would be, unused."""
 
     cfg = make_config({"version": 1, "scenario": scenario, "trials": CHUNK_TRIALS + 3,
                        "master_seed": SEED})
     seen = []
     trial = getattr(scenarios, name)
 
-    def recording(cfg, trial_id, seed):
+    def recording(cfg, trial_id, seed, rng):
         seen.append((trial_id, seed))
-        return trial(cfg, trial_id, seed)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        return trial(cfg, trial_id, seed, rng)
 
     monkeypatch.setattr(scenarios, name, recording)
     logs = run(cfg)
