@@ -6,9 +6,9 @@ downgrade thresholds for collision-avoidance advisories, and go-around
 altitude statistics for glideslope anomalies.  Samplers are deterministic
 given (policy, rng seed).
 
-Bounded normal draws are clipped to their physical bounds; by default the
-pre-clip centre is shifted so the post-clip mean equals the configured mean,
-keeping the simulated statistics on the configured values.
+Bounded normal draws are clipped to their physical bounds, and the pre-clip
+centre is shifted so the post-clip mean equals the configured mean, keeping
+the simulated statistics on the configured values.
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ def truncated_normal(
     sd: float,
     lo: float = -math.inf,
     hi: float = math.inf,
-    preserve_mean: bool = True,
 ) -> float:
+    """A draw of N(centre, sd) clipped to [lo, hi], its centre chosen so the
+    clipped draw's mean is ``mean``."""
+
     centre = mean
-    if preserve_mean and (lo > -math.inf or hi < math.inf):
+    if lo > -math.inf or hi < math.inf:
         centre = _mean_preserving_centre(mean, sd, lo, hi)
     # Equal to `np.clip`, sign of zero included, without its per-call dispatch.
     return float(min(max(rng.normal(centre, sd), lo), hi))

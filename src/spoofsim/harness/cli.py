@@ -180,7 +180,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["subject", "residual_m", "flag", "reason"])
-    total = suspect = 0
+    total = suspect = undetermined = 0
     # One TOA check per chunk of logs, over all of its messages at once.
     for subjects, times, true_pos, claimed in _surveillance_chunks(args.out, logs):
         arrivals = sentinel.arrival_times(true_pos, times, sensors, rng, jitter_s)
@@ -189,6 +189,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             verdict = sentinel.classify(residual, cfg.residual_threshold_m, subject)
             writer.writerow(verdict.to_record().values())
             suspect += verdict.flag == sentinel.SUSPECT
+            undetermined += verdict.flag == sentinel.UNDETERMINED
         total += len(subjects)
 
     write_file(Path(args.out) / "verdicts.csv", buf.getvalue())
@@ -196,7 +197,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         print(f"no ground-side integrity check: the {run_cfg.scenario} run logged "
               "no surveillance messages")
         return EXIT_OK
-    print(f"checked {total} messages: {suspect} SUSPECT ({100.0 * suspect / total:.1f}%)")
+    print(f"checked {total} messages: {suspect} SUSPECT ({100.0 * suspect / total:.1f}%)"
+          + (f", {undetermined} UNDETERMINED" if undetermined else ""))
     return EXIT_OK
 
 

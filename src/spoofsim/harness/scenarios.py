@@ -13,10 +13,10 @@ per trial, in its own RNG order.  Between them, the fine loop of a round runs
 as array blocks, a row per approach: a cumulative sum along each row makes
 `world.step`'s additions in its order (heading 0 moves ``gs * dt`` along
 track and none across), and the terrain, ramp (`radalt.ramp_heights`),
-closure (`gpws.closure_rates`) and Mode 2 threshold are the scalar ones'
-floats.  A row ends at touchdown or at its first alert, and its alert is
-handled as soon as its block ends; one that ends in neither way is flown
-again longer.
+closure (`gpws.closure_rates`) and Mode 2 threshold are the floats of a
+loop that steps one sample at a time (`tests/reference.py`).  A row ends at
+touchdown or at its first alert, and its alert is handled as soon as its
+block ends; one that ends in neither way is flown again longer.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter: after cycle 0 it jumps to the
@@ -68,8 +68,7 @@ _GS_EVAL_FLOOR_FT = 550.0
 #: A fine-loop block flies `_GPWS_BLOCK_S` at first (on the defaults every
 #: approach ends within it), over at most `_GPWS_BLOCK_CELLS` approaches x steps.
 _GPWS_BLOCK_S, _GPWS_BLOCK_CELLS = 6.4, 64 * 64
-#: The Mode 2 alert envelope and the altimeter sweep; no config field sets them.
-_MODE2_ENVELOPE = gpws.Mode2Envelope()
+#: The altimeter sweep; no config field sets it.
 _SWEEP = radalt.SweepConfig()
 
 
@@ -155,18 +154,17 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
                 log.finish(t[-1], "LANDED", {"approach": approach})
                 continue
 
-            alert = gpws.GpwsAlert(time=t[-1], trigger_agl=max(indicated[-1], 0.0))
-            log.add(alert.time, "gpws_alert", {
+            log.add(t[-1], "gpws_alert", {
                 "approach": approach,
-                "indicated_agl_ft": alert.trigger_agl,
+                "indicated_agl_ft": max(indicated[-1], 0.0),
                 "true_agl_ft": true_agl,
-                "kind": alert.kind,
+                "kind": gpws.ALERT_KIND,
             })
             latency = crew.gpws_reaction_latency(policy, rng)
             action = crew.gpws_act(approach, policy, rng)
             rate_fps = -m_to_ft(state.vertical_speed)
             min_agl = max(0.0, true_agl - rate_fps * latency)
-            t_action = alert.time + latency
+            t_action = t[-1] + latency
 
             if action == crew.GO_AROUND:
                 log.add(t_action, "crew_action", {
@@ -246,7 +244,7 @@ def _gpws_block(cfg: ScenarioConfig, rows: list, steps: int) -> list:
     indicated = np.where(np.arange(steps) >= p[:, None], ramp / M_PER_FT, true_agl)
     closure = gpws.closure_rates(t, indicated)
     alert_agl = np.where(0.0 > indicated, 0.0, indicated)  # max(indicated, 0.0)
-    threshold = np.interp(alert_agl, *zip(*_MODE2_ENVELOPE.boundary))
+    threshold = np.interp(alert_agl, gpws.BOUNDARY_AGL_FT, gpws.BOUNDARY_RATE_FPM)
     # An alert counts before touchdown only.
     end = np.minimum(first(closure >= threshold), down)
     # The along-track position only grows, from inside the terrain.

@@ -3,7 +3,10 @@
 A time-of-arrival consistency test compares the arrival-time differences a
 claimed emitter position predicts at a set of ground sensors against the
 differences actually observed.  It is a pure function over logged
-observations, so verdicts are replayable.
+observations, so verdicts are replayable.  Sensor clocks are taken as
+calibrated: a timestamp is the emission time plus the propagation delay, plus
+any jitter.  A residual that is not finite (distances beyond float range)
+decides nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ MIN_SENSORS = 4
 class GroundSensor:
     sensor_id: str
     position: Tuple[float, float, float]   # m (x, y, elevation)
-    clock_bias: float = 0.0                # s, calibrated out before use
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,10 @@ class IntegrityVerdict:
         }
 
 
-def _sensor_arrays(sensors: Sequence[GroundSensor]) -> Tuple[np.ndarray, np.ndarray]:
-    """The sensors' positions, shape (K, 3), and clock biases, shape (K,)."""
+def _sensor_positions(sensors: Sequence[GroundSensor]) -> np.ndarray:
+    """The sensors' positions, shape (K, 3)."""
 
-    positions = np.array([s.position for s in sensors], dtype=float).reshape(-1, 3)
-    return positions, np.array([s.clock_bias for s in sensors], dtype=float)
+    return np.array([s.position for s in sensors], dtype=float).reshape(-1, 3)
 
 
 def _offsets(positions: np.ndarray, sensor_positions: np.ndarray) -> np.ndarray:
@@ -79,10 +80,9 @@ def arrival_times(
     The jitter is one draw per (emission, sensor) in row order, the order
     of one draw per timestamp; with no jitter nothing is drawn."""
 
-    sensor_positions, bias = _sensor_arrays(sensors)
-    times = np.asarray(emission_times, dtype=float)[:, None] + _offsets(
-        np.asarray(true_positions, dtype=float), sensor_positions)
-    times += bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = np.asarray(emission_times, dtype=float)[:, None] + _offsets(
+            np.asarray(true_positions, dtype=float), _sensor_positions(sensors))
     if clock_jitter_s > 0:
         if rng is None:
             raise ValueError("rng required when clock_jitter_s > 0")
@@ -98,20 +98,26 @@ def residuals_m(
     """RMS mismatch, m, between the observed and predicted pairwise
     arrival-time differences of M messages: ``times`` (shape (M, K)) as
     `arrival_times` gives them, against the points the messages claim
-    (shape (M, 3)).  Shape (M,)."""
+    (shape (M, 3)).  Shape (M,); NaN or inf where the distances overflow."""
 
-    sensor_positions, bias = _sensor_arrays(sensors)
-    observed = np.asarray(times, dtype=float) - bias
-    predicted = _offsets(np.asarray(claimed_positions, dtype=float), sensor_positions)
+    observed = np.asarray(times, dtype=float)
     i, j = np.array(list(itertools.combinations(range(len(sensors)), 2)),
                     dtype=np.intp).reshape(-1, 2).T
-    diffs = (observed[:, i] - observed[:, j]) - (predicted[:, i] - predicted[:, j])
-    return SPEED_OF_LIGHT * np.sqrt(np.mean(np.square(diffs), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = _offsets(np.asarray(claimed_positions, dtype=float),
+                             _sensor_positions(sensors))
+        diffs = (observed[:, i] - observed[:, j]) - (predicted[:, i] - predicted[:, j])
+        return SPEED_OF_LIGHT * np.sqrt(np.mean(np.square(diffs), axis=1))
 
 
 def classify(residual: float, threshold_m: float, subject: str) -> IntegrityVerdict:
     """The verdict on a message whose TOA residual is ``residual`` m."""
 
+    if not math.isfinite(residual):
+        return IntegrityVerdict(
+            subject=subject, residual=residual, flag=UNDETERMINED,
+            reason="TOA residual not finite: distances beyond float range",
+        )
     if residual > threshold_m:
         return IntegrityVerdict(
             subject=subject, residual=residual, flag=SUSPECT,
@@ -138,17 +144,17 @@ def toa_residual_m(
 def toa_consistency(
     claimed_position: Sequence[float],
     arrivals: Sequence[Tuple[GroundSensor, float]],
-    threshold_m: float = DEFAULT_RESIDUAL_THRESHOLD_M,
-    subject: str = "message",
 ) -> IntegrityVerdict:
-    """Flag a message whose arrival-time pattern contradicts its claimed origin."""
+    """Flag a message whose arrival-time pattern contradicts its claimed
+    origin, at `DEFAULT_RESIDUAL_THRESHOLD_M`."""
 
     if len(arrivals) < MIN_SENSORS:
         return IntegrityVerdict(
-            subject=subject, residual=math.nan, flag=UNDETERMINED,
+            subject="message", residual=math.nan, flag=UNDETERMINED,
             reason=f"only {len(arrivals)} arrivals, need >= {MIN_SENSORS}",
         )
-    return classify(toa_residual_m(claimed_position, arrivals), threshold_m, subject)
+    return classify(toa_residual_m(claimed_position, arrivals),
+                    DEFAULT_RESIDUAL_THRESHOLD_M, "message")
 
 
 def observe_arrivals(
@@ -156,11 +162,11 @@ def observe_arrivals(
     sensors: Sequence[GroundSensor],
     rng: Optional[np.random.Generator] = None,
     clock_jitter_s: float = 0.0,
-    emission_time: float = 0.0,
 ) -> List[Tuple[GroundSensor, float]]:
-    """Synthesise sensor timestamps for an emission from a known true point."""
+    """Synthesise sensor timestamps for an emission at t = 0 from a known
+    true point."""
 
-    times = arrival_times(np.asarray(true_position, dtype=float)[None], [emission_time],
+    times = arrival_times(np.asarray(true_position, dtype=float)[None], [0.0],
                           sensors, rng, clock_jitter_s)
     return list(zip(sensors, times[0].tolist()))
 

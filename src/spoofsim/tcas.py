@@ -1,16 +1,16 @@
 """Mode C / Mode S surveillance, TA/RA advisory logic and false-intruder injection.
 
-A Mode S cycle asks each responder (a transponder or the attacker) for the
-content of its reply directly, once per second: a `Claim` of plain floats,
-from which the cycle updates the track of the reply's id in place.  The
-cycle passes its own position, as floats, with the interrogation: the
-attacker places its false intruder relative to the aircraft it answers.
-Only a reply that is kept becomes a `SurveillanceMessage` (`respond_mode_s`, or
-`FalseIntruderInjector.reply` for a claim a cycle returned); a message
-carries the position the responder wants the victim to reconstruct
-(`claimed_position`) beside the physical emission point (`position`), so
-time-of-arrival checks can be run over it.  `Channel` serves the Mode C
-whisper-shout only.  Bit-level 1030/1090 MHz framing is out of scope.
+The Mode S surveillance of a false-intruder encounter runs in the scenario's
+array kernel, once per second: it reads the attacker's claim as plain
+floats, placed relative to the aircraft it answers, and keeps the track with
+`TcasUnit._update_track`'s closure and `drop_stale`'s staleness; `advise`
+reads the tracks.  Only a reply that is kept becomes a `SurveillanceMessage`
+(`FalseIntruderInjector.reply`); a message carries the position the
+responder wants the victim to reconstruct (`claimed_position`) beside the
+physical emission point (`position`), so time-of-arrival checks can be run
+over it.  `TcasUnit.mode_c_cycle` runs the Mode C whisper-shout over the
+`Transponder`s of a `Channel`.  Bit-level 1030/1090 MHz framing is out of
+scope.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class SurveillanceMessage:
     origin: str = "genuine"                    # "genuine" | "adversarial"
     icao_id: Optional[int] = None              # 24-bit, Mode S only
     altitude: Optional[float] = None           # ft, replies
-    tx_power: float = MAX_TX_POWER_DBM         # dBm
     position: Optional[tuple] = None           # true emission point (x, y, z) m
     claimed_position: Optional[tuple] = None   # position encoded for the victim
 
@@ -89,7 +88,7 @@ class SurveillanceMessage:
             "origin": self.origin,
             "icao_id": self.icao_id,
             "altitude_ft": self.altitude,
-            "tx_power_dbm": self.tx_power,
+            "tx_power_dbm": MAX_TX_POWER_DBM,
             "position_m": list(self.position) if self.position is not None else None,
             "claimed_position_m": (
                 list(self.claimed_position) if self.claimed_position is not None else None
@@ -185,15 +184,14 @@ def slant_ranges(own: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 
 class Transponder:
-    """Genuine aircraft transponder (Mode S or Mode C)."""
+    """Genuine aircraft transponder (Mode S or Mode C), transmitting at
+    `MAX_TX_POWER_DBM` and hearing down to `DEFAULT_SENSITIVITY_DBM`."""
 
     def __init__(
         self,
         icao_id: Optional[int],
         mode: str,
         state_fn: Callable[[float], AircraftState],
-        tx_power: float = MAX_TX_POWER_DBM,
-        sensitivity: float = DEFAULT_SENSITIVITY_DBM,
     ):
         if mode not in ("S", "C"):
             raise ValueError("mode must be 'S' or 'C'")
@@ -202,8 +200,6 @@ class Transponder:
         self.icao_id = icao_id
         self.mode = mode
         self.state_fn = state_fn
-        self.tx_power = tx_power
-        self.sensitivity = sensitivity
 
     def position(self, t: float) -> np.ndarray:
         return own_position_3d(self.state_fn(t))
@@ -215,24 +211,11 @@ class Transponder:
         pos = tuple(self.position(t))
         return SurveillanceMessage(
             kind=kind, timestamp=t, icao_id=icao_id, altitude=self.altitude_ft(t),
-            tx_power=self.tx_power, position=pos, claimed_position=pos,
+            position=pos, claimed_position=pos,
         )
 
-    def claim(self, t: float, interrogator: Position) -> Optional[Claim]:
-        """The content of the Mode S reply at t; None for Mode C.  A genuine
-        reply does not depend on the ``interrogator``'s position."""
-
-        if self.mode != "S":
-            return None
-        state = self.state_fn(t)
-        x, y = state.ground_position
-        return self.icao_id, m_to_ft(state.altitude_msl), (x, y, state.altitude_msl)
-
-    def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
-        return self._reply(MODE_S_REPLY, t, self.icao_id) if self.mode == "S" else None
-
     def respond_mode_c(self, t: float, received_power_dbm: float) -> Optional[SurveillanceMessage]:
-        if self.mode == "S" or received_power_dbm < self.sensitivity:
+        if self.mode == "S" or received_power_dbm < DEFAULT_SENSITIVITY_DBM:
             return None
         return self._reply(MODE_C_REPLY, t, None)
 
@@ -323,36 +306,6 @@ class TcasUnit:
         for k in stale:
             del self.tracks[k]
 
-    def mode_s_cycle(
-        self, own_pos: Position, responders: Sequence, t: float
-    ) -> List[Claim]:
-        """One interrogation round from ``own_pos``: each responder's Mode S
-        claim (``responder.claim(t, own_pos)``) updates the track of the id it
-        carries.  Returns the claims, in responder order; no message is
-        built."""
-
-        if self.mode == STANDBY:
-            return []
-        own_alt_ft = m_to_ft(own_pos[2])
-        claims = []
-        updated = None
-        for responder in responders:
-            claim = responder.claim(t, own_pos)
-            if claim is None:
-                continue
-            claims.append(claim)
-            icao_id, altitude, claimed = claim
-            track = self._update_track(
-                icao_id, t, own_pos, own_alt_ft, claimed, altitude,
-                bearing_noise_deg=0.0, icao_id=icao_id,
-            )
-            if track is not None:
-                updated = track
-        # A lone track that this cycle updated cannot be stale.
-        if updated is None or len(self.tracks) > 1:
-            self.drop_stale(t)
-        return claims
-
     def mode_c_cycle(
         self,
         own: AircraftState,
@@ -390,11 +343,6 @@ class TcasUnit:
                     bearing_noise_deg=MODE_C_BEARING_ERROR_DEG, icao_id=None,
                 )
         self.drop_stale(t)
-
-    # -- advisory logic ---------------------------------------------------
-
-    def advise(self, t: float) -> Optional[Advisory]:
-        return advise(list(self.tracks.values()), None, self.mode, self.thresholds, t)
 
 
 def advise(
@@ -452,9 +400,12 @@ class FalseIntruderInjector:
     Interrogated like a Mode S transponder.
 
     ``target_fn`` gives the victim's state at t for the methods that take only
-    a time; a surveillance cycle passes the victim's position instead, and a
-    caller that always does may leave ``target_fn`` out if it gives
-    ``target_agl_fn``.  A caller that asks for no claim may leave both out."""
+    a time; a surveillance cycle passes the victim's position instead.
+    `active` compares ``target_agl_fn`` at t (ft; by default, the altitude
+    of ``target_fn``'s state) with the activation floor, so a caller that
+    always passes the position may leave ``target_fn`` out if it gives
+    ``target_agl_fn``.  A caller that asks for no claim may leave both out.
+    The attacker's site, ``attacker_position`` (m), is held as floats."""
 
     def __init__(
         self,
@@ -467,8 +418,8 @@ class FalseIntruderInjector:
         self.plan = plan
         self.rng = rng
         self.target_fn = target_fn
-        self.target_agl_fn = target_agl_fn or (lambda t: m_to_ft(target_fn(t).altitude_msl))
-        self.attacker_position = np.asarray(attacker_position, dtype=float)
+        self.target_agl_fn = target_agl_fn
+        self.attacker_position = tuple(float(v) for v in attacker_position)
         self.icao_id: Optional[int] = None
         self.ras_observed = 0
         self.episode_start: Optional[float] = None
@@ -483,7 +434,9 @@ class FalseIntruderInjector:
     def active(self, t: float) -> bool:
         if self.budget_exhausted() or self.episode_start is None:
             return False
-        return self.target_agl_fn(t) > self.plan.activation_floor
+        agl_ft = (self.target_agl_fn(t) if self.target_agl_fn is not None
+                  else m_to_ft(self.target_fn(t).altitude_msl))
+        return agl_ft > self.plan.activation_floor
 
     def start_episode(self, t: float) -> None:
         """Begin a new encounter with per-encounter bearing/speed variation."""
@@ -577,7 +530,7 @@ class FalseIntruderInjector:
         icao_id, altitude, claimed = claim
         return SurveillanceMessage(
             kind=MODE_S_REPLY, timestamp=t, origin="adversarial", icao_id=icao_id,
-            altitude=altitude, position=tuple(self.attacker_position),
+            altitude=altitude, position=self.attacker_position,
             claimed_position=claimed,
         )
 

@@ -1,0 +1,169 @@
+"""Scalar references that the array kernels in `spoofsim` are tested against.
+
+Each is the model as it ran one sample, one sweep or one cycle at a time
+before the kernel replaced it, kept here so the tests can compare the two
+to the bit:
+
+- `ClosureRateEstimator`, `evaluate` and `GpwsAlert`: the GPWS closure rate
+  and alert, against `gpws.closure_rates` and the fine loop's envelope;
+- `RampAttackPlan`: the ramp attack one sweep at a time, against
+  `radalt.ramp_heights`;
+- `mode_s_cycle` and `ModeSTransponder`: a Mode S surveillance cycle over
+  responders' claims, against the TCAS encounter kernel.
+
+No module under `src` imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, List, Optional, Sequence, Tuple
+
+from spoofsim import tcas
+from spoofsim.gpws import CLOSURE_WINDOW_S, Mode2Envelope
+from spoofsim.radalt import PulseEcho, height_to_delay
+from spoofsim.tcas import MODE_S_REPLY, STANDBY, Claim, Position, SurveillanceMessage
+from spoofsim.units import m_to_ft
+
+
+# ---------------------------------------------------------------------------
+# GPWS
+
+
+@dataclass(frozen=True)
+class GpwsAlert:
+    time: float                 # s
+    trigger_agl: float          # ft (indicated)
+    kind: str = "TERRAIN_PULL_UP"
+
+
+def evaluate(
+    agl_ft: float,
+    closure_rate_fpm: float,
+    envelope: Mode2Envelope,
+    time: float = 0.0,
+) -> Optional[GpwsAlert]:
+    """Alert iff (AGL, closure rate) lies in the envelope."""
+
+    if agl_ft < 0:
+        raise ValueError("agl must be >= 0")
+    if envelope.contains(agl_ft, closure_rate_fpm):
+        return GpwsAlert(time=time, trigger_agl=agl_ft)
+    return None
+
+
+@dataclass
+class ClosureRateEstimator:
+    """Backward difference of indicated AGL over `CLOSURE_WINDOW_S`."""
+
+    _samples: Deque[Tuple[float, float]] = field(default_factory=deque)
+
+    def update(self, t: float, indicated_agl_ft: float) -> Optional[float]:
+        """Feed one (time, indicated AGL ft) sample; return closure in ft/min,
+        or None until a full window of history exists."""
+
+        samples = self._samples
+        samples.append((t, indicated_agl_ft))
+        # Keep just enough history to straddle the window.
+        cutoff = t - CLOSURE_WINDOW_S
+        while len(samples) > 2 and samples[1][0] <= cutoff:
+            samples.popleft()
+        t0, h0 = samples[0]
+        if t - t0 < CLOSURE_WINDOW_S - 1e-9:
+            return None
+        return (h0 - indicated_agl_ft) / (t - t0) * 60.0
+
+
+# ---------------------------------------------------------------------------
+# radio altimeter
+
+
+@dataclass(frozen=True)
+class RampAttackPlan:
+    """An apparent-descent attack: the injected echo mimics a height that
+    falls at ``apparent_descent_rate`` from ``start_agl``, one step per sweep,
+    clipped at the ground and held after ``duration``."""
+
+    start_agl: float               # m
+    apparent_descent_rate: float   # m/s
+    duration: float                # s
+    sweep_period: float            # s
+
+    def __post_init__(self) -> None:
+        if not self.duration > 0:
+            raise ValueError("duration must be > 0")
+        if not self.apparent_descent_rate >= 0:
+            raise ValueError("apparent_descent_rate must be >= 0")
+        if not self.start_agl >= 0:
+            raise ValueError("start_agl must be >= 0")
+        if not self.sweep_period > 0:
+            raise ValueError("sweep_period must be > 0")
+
+    def delay_at(self, elapsed: float) -> float:
+        """Round-trip delay (s) of the injected echo of the sweep in progress
+        ``elapsed`` seconds into the attack; only that sweep's delay is
+        computed."""
+
+        n_sweeps = max(1, math.ceil(self.duration / self.sweep_period))
+        k = min(int(elapsed / self.sweep_period), n_sweeps - 1)
+        h = max(0.0, self.start_agl - self.apparent_descent_rate * k * self.sweep_period)
+        return height_to_delay(h)
+
+    def echo_at(self, elapsed: float) -> PulseEcho:
+        """The injected echo itself, for `measure` among other returns."""
+
+        return PulseEcho(self.delay_at(elapsed), -40.0)
+
+
+# ---------------------------------------------------------------------------
+# Mode S surveillance
+
+
+class ModeSTransponder(tcas.Transponder):
+    """A `tcas.Transponder` that also answers Mode S interrogations."""
+
+    def claim(self, t: float, interrogator: Position) -> Optional[Claim]:
+        """The content of the Mode S reply at t; None for Mode C.  A genuine
+        reply does not depend on the ``interrogator``'s position."""
+
+        if self.mode != "S":
+            return None
+        state = self.state_fn(t)
+        x, y = state.ground_position
+        return self.icao_id, m_to_ft(state.altitude_msl), (x, y, state.altitude_msl)
+
+    def respond_mode_s(self, t: float) -> Optional[SurveillanceMessage]:
+        return self._reply(MODE_S_REPLY, t, self.icao_id) if self.mode == "S" else None
+
+
+def mode_s_cycle(
+    unit: tcas.TcasUnit, own_pos: Position, responders: Sequence, t: float
+) -> List[Claim]:
+    """One interrogation round of ``unit`` from ``own_pos``: each responder's
+    Mode S claim (``responder.claim(t, own_pos)``) updates the track of the id
+    it carries.  Returns the claims, in responder order; no message is
+    built."""
+
+    if unit.mode == STANDBY:
+        return []
+    own_alt_ft = m_to_ft(own_pos[2])
+    claims = []
+    updated = None
+    for responder in responders:
+        claim = responder.claim(t, own_pos)
+        if claim is None:
+            continue
+        claims.append(claim)
+        icao_id, altitude, claimed = claim
+        track = unit._update_track(
+            icao_id, t, own_pos, own_alt_ft, claimed, altitude,
+            bearing_noise_deg=0.0, icao_id=icao_id,
+        )
+        if track is not None:
+            updated = track
+    # A lone track that this cycle updated cannot be stale.
+    if updated is None or len(unit.tracks) > 1:
+        unit.drop_stale(t)
+    return claims

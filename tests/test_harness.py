@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 import unittest.mock
 import weakref
 
@@ -834,6 +835,41 @@ def test_cli_detect_uses_run_config(tmp_path, capsys):
     (out / "config.json").write_text("{not json")
     assert main(["detect", "--out", str(out)]) == 3
     assert "config.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run_overrides, detect_overrides", [
+    ({"attacker": {"tcas": {"position_m": [1e300, 0, 0]}}}, None),
+    ({}, {"sentinel": {"sensor_extent_m": 1e300}}),
+])
+def test_cli_detect_non_finite_residuals_undetermined(tmp_path, capsys, run_overrides,
+                                                      detect_overrides):
+    """An attacker site or a sensor grid so far out that the distances
+    overflow gives residuals that are not finite: each such message is
+    UNDETERMINED, not CLEAN, and numpy's overflow warnings stay off stderr."""
+
+    out, config = tmp_path / "out", tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "scenario": "TCAS", "trials": 3,
+                                  **run_overrides}))
+    argv = ["detect", "--out", str(out)]
+    if detect_overrides:
+        (tmp_path / "detect.json").write_text(json.dumps({"version": 1, "scenario": "TCAS",
+                                                          **detect_overrides}))
+        argv += ["--config", str(tmp_path / "detect.json")]
+    assert main(["validate-config", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    printed = capsys.readouterr()
+    checked, undetermined = re.fullmatch(
+        r"checked (\d+) messages: 0 SUSPECT \(0\.0%\), (\d+) UNDETERMINED\n", printed.out
+    ).groups()
+    assert int(checked) > 0 and undetermined == checked, printed.out
+    assert printed.err == ""
+    rows = (out / "verdicts.csv").read_text().splitlines()[1:]
+    assert len(rows) == int(checked)
+    assert all(row.split(",")[2] == sentinel.UNDETERMINED for row in rows), rows
 
 
 def test_cli_cost(capsys):

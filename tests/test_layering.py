@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spoofsim
+from spoofsim.harness.config import SCHEMA
 
 PACKAGE = Path(spoofsim.__file__).parent
 LAYOUT_OWNER = PACKAGE / "harness" / "config.py"
@@ -170,3 +171,129 @@ def test_setup_leaves_numpy_random_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# One implementation of each model, and few settable values
+
+TESTS = Path(__file__).parent
+REFERENCE = TESTS / "reference.py"
+
+
+def test_no_module_imports_the_tests():
+    """`src` stands alone: no module imports `reference` or anything else
+    under `tests/`, so a scalar reference cannot be reached by a run."""
+
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    offenders = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in imported_modules(path) if name.split(".")[0] in test_modules
+    ]
+    assert not offenders, offenders
+
+
+def defined_names(path, bases=()):
+    """Names the file defines: its top-level functions, classes and
+    assignments, and ``Class.member`` for each method and class attribute.
+    A member of a class deriving from one of ``bases`` (by name) is also
+    named after that base."""
+
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            owners = [node.name] + [b for b in map(ast.unparse, node.bases)
+                                    if b.split(".")[-1] in bases]
+            for item in node.body:
+                member = getattr(item, "name", None) or getattr(getattr(item, "target", None),
+                                                                "id", None)
+                if member:
+                    names.update(f"{owner.split('.')[-1]}.{member}" for owner in owners)
+    return names
+
+
+def test_defined_names_finds_them(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("X = 1\nY: int = 2\ndef f(): pass\nclass A(tcas.B):\n"
+                     "    z: int = 0\n    def g(self): pass\n")
+    assert defined_names(probe) == {"X", "Y", "f", "A", "A.z", "A.g"}
+    assert defined_names(probe, {"B"}) == defined_names(probe) | {"B.z", "B.g"}
+
+
+def test_references_are_not_also_in_src():
+    """Each model has one implementation in `src`: no top-level name of
+    `tests/reference.py` is defined under `src/spoofsim`, at top level or as
+    a member, and no member it adds to a subclass of a `src` class is
+    defined on that class there."""
+
+    src_names = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = defined_names(path)
+        src_names |= names | {n.split(".")[1] for n in names if "." in n}
+    src_classes = {n for n in src_names if "." not in n and n[:1].isupper()}
+    reference = {n for n in defined_names(REFERENCE, src_classes)
+                 if "." not in n or n.split(".")[0] in src_classes}
+    assert {"mode_s_cycle", "ClosureRateEstimator", "Transponder.claim"} <= reference
+    assert not reference & src_names, sorted(reference & src_names)
+
+
+def settable_values(schema, package):
+    """The values a caller can set: `schema`'s leaves, the public fields with
+    a default of the package's dataclasses (a `ClassVar` is not a field), and
+    the parameters with a default of its module-level functions and of the
+    methods of its module-level classes."""
+
+    def leaves(node):
+        properties = node.get("properties")
+        return 1 if properties is None else sum(map(leaves, properties.values()))
+
+    def defaults(function):
+        return len(function.args.defaults) + sum(d is not None for d in function.args.kw_defaults)
+
+    def is_dataclass(cls):
+        return any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+                   for d in cls.decorator_list)
+
+    count = leaves(schema)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, functions):
+                count += defaults(node)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions):
+                        count += defaults(item)
+                    elif (is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                          and item.value is not None and not item.target.id.startswith("_")
+                          and "ClassVar" not in ast.unparse(item.annotation)):
+                        count += 1
+    return count
+
+
+def test_settable_values_counts_them(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "m.py").write_text(
+        "from dataclasses import dataclass, field\nfrom typing import ClassVar\n"
+        "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int = 1\n    _c: int = 2\n"
+        "    d: ClassVar[int] = 3\n    e: list = field(default_factory=list)\n"
+        "    def f(self, x, y=1, *, z=2): pass\n"
+        "class B:\n    g: int = 4\n    def __init__(self, p=0): pass\n"
+        "def h(q, r=1):\n    def nested(s=1): pass\n")
+    schema = {"properties": {"x": {}, "y": {"properties": {"z": {}, "w": {}}}}}
+    # leaves x, z, w; fields b, e; defaults y, z, p, r
+    assert settable_values(schema, package) == 3 + 2 + 4
+
+
+def test_settable_values():
+    """Ratchet: the values a caller can set do not grow back.  (143 before
+    the scalar references moved to the tests and the options only tests
+    set became constants.)"""
+
+    assert settable_values(SCHEMA, PACKAGE) <= 129

@@ -1,12 +1,16 @@
-"""FMCW altimeter model and ramp-attack tests."""
+"""FMCW altimeter model and ramp-attack tests.  The ramp is the scalar
+reference `RampAttackPlan` in `reference.py`."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spoofsim import radalt
 from spoofsim.units import SPEED_OF_LIGHT, ft_to_m
+
+from reference import RampAttackPlan
 
 SWEEP = radalt.SweepConfig()
 
@@ -29,7 +33,7 @@ def test_delay_difference_between_display_heights():
 
 def test_measure_strongest_echo_wins():
     genuine = radalt.PulseEcho(radalt.height_to_delay(500.0), -60.0)
-    spoof = radalt.PulseEcho(radalt.height_to_delay(100.0), -40.0, source="adversarial")
+    spoof = radalt.PulseEcho(radalt.height_to_delay(100.0), -40.0)
     h = radalt.measure([genuine, spoof], SWEEP)
     assert math.isclose(h, 100.0, abs_tol=SWEEP.range_resolution)
 
@@ -56,7 +60,7 @@ def test_range_height_is_measure_of_one_echo(height, other):
     """Ranging one delay gives what `measure` gives for that echo, alone or
     as the strongest of two: c*t/2 quantised to the range resolution."""
 
-    echo = radalt.PulseEcho(radalt.height_to_delay(height), -40.0, "adversarial")
+    echo = radalt.PulseEcho(radalt.height_to_delay(height), -40.0)
     weaker = radalt.PulseEcho(radalt.height_to_delay(other), -60.0)
     h = radalt.range_height(echo.round_trip_time, SWEEP)
     q = SWEEP.range_resolution
@@ -65,7 +69,7 @@ def test_range_height_is_measure_of_one_echo(height, other):
 
 
 def ramp(start_agl, rate, duration):
-    return radalt.RampAttackPlan(start_agl, rate, duration, SWEEP.sweep_period)
+    return RampAttackPlan(start_agl, rate, duration, SWEEP.sweep_period)
 
 
 def reference_delays(start_agl, rate, duration, sweep_period):
@@ -107,7 +111,26 @@ def test_echo_at_equals_crafted_delays(start_agl, rate, duration, fractions):
         idx = min(int(elapsed / SWEEP.sweep_period), len(delays) - 1)
         echo = plan.echo_at(elapsed)
         assert echo.round_trip_time == delays[idx]
-        assert echo.received_power == -40.0 and echo.source == "adversarial"
+        assert echo.received_power == -40.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start_agl=st.floats(min_value=0.0, max_value=1000.0),
+    rate=st.floats(min_value=0.0, max_value=200.0),
+    duration=st.floats(min_value=1e-3, max_value=3.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+)
+def test_ramp_heights_equal_plan(start_agl, rate, duration, fractions):
+    """The fine loop's ramp kernel ranges, to the bit, the delay the
+    reference plan injects at each read time."""
+
+    plan = ramp(start_agl, rate, duration)
+    elapsed = [0.0, duration, 2.0 * duration] + [2.0 * duration * f for f in fractions]
+    got = radalt.ramp_heights(np.full(len(elapsed), start_agl), np.array(elapsed), rate,
+                              duration, SWEEP)
+    expected = [radalt.range_height(plan.delay_at(e), SWEEP) for e in elapsed]
+    assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
 
 
 @pytest.mark.parametrize("start_agl, rate, duration, sweep_period, field", [
@@ -122,8 +145,8 @@ def test_echo_at_equals_crafted_delays(start_agl, rate, duration, fractions):
 ])
 def test_plan_validation(start_agl, rate, duration, sweep_period, field):
     with pytest.raises(ValueError, match=field):
-        radalt.RampAttackPlan(start_agl, rate, duration, sweep_period)
-    radalt.RampAttackPlan(0.0, 0.0, 1e-3, 0.01)  # the edges are accepted
+        RampAttackPlan(start_agl, rate, duration, sweep_period)
+    RampAttackPlan(0.0, 0.0, 1e-3, 0.01)  # the edges are accepted
 
 
 def injected_height(plan, elapsed):
@@ -144,14 +167,16 @@ def test_indicated_agl_tracks_rate():
 
 
 def test_ramp_echo_is_adversarial():
+    """The injected echo outpowers a genuine return, so `measure` ranges it."""
+
     plan = ramp(150.0, 15.4, 0.5)
     echo = plan.echo_at(0.1)
-    assert echo.source == "adversarial"
     assert echo.round_trip_time == radalt.height_to_delay(150.0 - 15.4 * 10 * 0.01)
+    genuine = radalt.PulseEcho(radalt.height_to_delay(150.0), -60.0)
+    expected = radalt.range_height(echo.round_trip_time, SWEEP)
+    assert radalt.measure([genuine, echo], SWEEP) == expected
 
 
 def test_echo_validation():
     with pytest.raises(ValueError):
         radalt.PulseEcho(-1e-9, -50.0)
-    with pytest.raises(ValueError):
-        radalt.PulseEcho(1e-7, -50.0, source="other")

@@ -12,7 +12,8 @@ their own geometry: the scheduled trial writes the logs of a plain 1 Hz
 reference loop over random claims and thresholds.  The GPWS array loop
 writes the logs of a reference loop that advances an `AircraftState` by
 `world.step` each step, over random approaches, step sizes, attack rates
-and terrain."""
+and terrain.  Both reference loops run the scalar models of `reference.py`,
+which no module under `src` imports."""
 
 import dataclasses
 import functools
@@ -30,10 +31,12 @@ from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
-    _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _MODE2_ENVELOPE, _SWEEP, SCENARIOS,
-    approach_start, cruise_position_fn,
+    _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _SWEEP, SCENARIOS, approach_start,
+    cruise_position_fn,
 )
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
+
+from reference import ClosureRateEstimator, RampAttackPlan, evaluate, mode_s_cycle
 
 #: The golden-output seed.
 SEED = 20190118
@@ -199,8 +202,7 @@ def _tcas_work(monkeypatch, raw):
     monkeypatch.setattr(tcas, "slant_ranges", counting_ranges)
     monkeypatch.setattr(scenarios, "_tcas_encounters",
                         counting("rounds", scenarios._tcas_encounters))
-    for owner, attr in [(tcas.TcasUnit, "mode_s_cycle"), (tcas.TcasUnit, "advise"),
-                        (tcas, "advise"), (tcas, "slant_range"),
+    for owner, attr in [(tcas, "advise"), (tcas, "slant_range"),
                         (tcas.FalseIntruderInjector, "_claimed_position")]:
         monkeypatch.setattr(owner, attr, counting(f"scalar {attr}", getattr(owner, attr)))
     counts["episodes"] = sum(1 for log in run(cfg) for _ in log.iter_kind("episode_start"))
@@ -233,9 +235,10 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
 def test_tcas_encounters_run_as_array_rounds(monkeypatch, start_tau_s):
     """Work budget: a TCAS `run()` at N=20 flies its encounters in the
     kernel's array rounds, one `_tcas_encounters` call per round, and makes
-    no scalar cycle: no `TcasUnit.mode_s_cycle`, `advise` (the unit's or the
-    module's), `slant_range` or `_claimed_position` call.  On the defaults
-    each encounter runs its cycles 0, 2, 3, 20 and 21 or fewer, so the
+    no scalar cycle: no `advise`, `slant_range` or `_claimed_position` call
+    (the scalar Mode S cycle is a test reference, out of the run's reach).
+    On the defaults each encounter runs its cycles 0, 2, 3, 20 and 21 or
+    fewer, so the
     lockstep iterations per episode stay a handful whatever the claim's
     starting tau: a 1 Hz loop would run ``floor_cycle`` (about ``start_tau_s``)
     cycles."""
@@ -275,6 +278,42 @@ def test_tcas_cycle_builds_one_message(monkeypatch):
     assert 0 < messages <= counts["episodes"], counts
 
 
+def test_tcas_injector_holds_no_function_or_array(monkeypatch):
+    """Work budget: a TCAS trial's injector, which the trial never asks
+    whether it is active, holds no default AGL function and its site as a
+    tuple of floats, not an array."""
+
+    injectors = []
+
+    class Recording(tcas.FalseIntruderInjector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            injectors.append(self)
+
+    monkeypatch.setattr(tcas, "FalseIntruderInjector", Recording)
+    run(make_config({"version": 1, "scenario": "TCAS", "trials": 3, "master_seed": SEED}))
+    assert len(injectors) == 3
+    for injector in injectors:
+        held = vars(injector).values()
+        assert not [v for v in held if callable(v) or isinstance(v, np.ndarray)], vars(injector)
+        assert injector.attacker_position == (-5000.0, 8000.0, 150.0)
+        assert all(type(v) is float for v in injector.attacker_position)
+
+
+def test_tcas_integer_attacker_position_logs_floats():
+    """An attacker site given as JSON integers logs the bytes of the same
+    site given as floats (``-5000.0``, not ``-5000``)."""
+
+    def logs(position):
+        cfg = make_config({"version": 1, "scenario": "TCAS", "trials": 3, "master_seed": SEED,
+                           "attacker": {"tcas": {"position_m": position}}})
+        return [log.to_jsonl() for log in run(cfg)]
+
+    as_floats = logs([-5000.0, 8000.0, 150.0])
+    assert logs([-5000, 8000, 150]) == as_floats
+    assert '"position_m": [-5000.0, 8000.0, 150.0]' in "".join(as_floats)
+
+
 def test_tcas_tracks_update_in_place(monkeypatch):
     """Work budget: the encounter kernel keeps each encounter's track as
     array state, updated in place each cycle, and the slant range takes no
@@ -291,23 +330,23 @@ def test_tcas_tracks_update_in_place(monkeypatch):
 def test_gpws_fine_loop_runs_as_array_kernels(monkeypatch):
     """Work budget: the fine loop flies each approach round as array blocks,
     so a GPWS `run()` at N=20 makes no per-step scalar call: no
-    `ClosureRateEstimator.update`, `Mode2Envelope.threshold_fpm` or
-    `RampAttackPlan.delay_at`.  It looks the terrain up with `elevation_at`
-    at most once per approach (for the jump to the attack window) and calls
+    `Mode2Envelope.threshold_fpm` (the scalar closure estimator and ramp are
+    test references, out of the run's reach).  It looks the terrain up with
+    `elevation_at` at most once per approach (for the jump to the attack
+    window) and calls
     `np.interp` at most twice per kernel call (terrain and envelope).  The
     config, whose checks look up the terrain too, is built before counting."""
 
     cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
     counts = Counter()
     for owner, attr in [
-        (gpws.ClosureRateEstimator, "update"), (gpws.Mode2Envelope, "threshold_fpm"),
-        (radalt.RampAttackPlan, "delay_at"), (world.TerrainProfile, "elevation_at"),
+        (gpws.Mode2Envelope, "threshold_fpm"), (world.TerrainProfile, "elevation_at"),
         (np, "interp"), (scenarios, "_gpws_block"),
     ]:
         monkeypatch.setattr(owner, attr, _counting(counts, attr, getattr(owner, attr)))
     approaches = sum(1 for log in run(cfg) for _ in log.iter_kind("approach_start"))
     assert approaches >= 20 and counts["_gpws_block"] > 0, counts
-    assert counts["update"] == counts["threshold_fpm"] == counts["delay_at"] == 0, counts
+    assert counts["threshold_fpm"] == 0, counts
     assert 0 < counts["elevation_at"] <= approaches, (approaches, counts)
     assert 0 < counts["interp"] <= 2 * counts["_gpws_block"], counts
 
@@ -316,7 +355,7 @@ def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
     """Work budget: an attacked approach computes the injected echo's height
     of each step its array block flies, one `radalt.ramp_heights` call per
     block over that block's steps, and of no other sweep of the ramp; no
-    per-sweep `height_to_delay` or `RampAttackPlan.delay_at` call."""
+    per-sweep `height_to_delay` call."""
 
     cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
     counts = Counter()
@@ -335,11 +374,9 @@ def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
     monkeypatch.setattr(radalt, "ramp_heights", counting_ramp)
     monkeypatch.setattr(radalt, "height_to_delay",
                         _counting(counts, "delays", radalt.height_to_delay))
-    monkeypatch.setattr(radalt.RampAttackPlan, "delay_at",
-                        _counting(counts, "reads", radalt.RampAttackPlan.delay_at))
     run(cfg)
     assert blocks and ramps == blocks, (blocks, ramps)
-    assert counts["delays"] == counts["reads"] == 0, counts
+    assert counts["delays"] == 0, counts
 
 
 def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
@@ -582,10 +619,10 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
             cfg.false_intruder_plan.start_tau_s - tcas.CLAIM_FLOOR_M / injector._speed))
         for k in range(k_end + 1):
             tc = t + k
-            claims = unit.mode_s_cycle(_position(state_fn(tc)), (injector,), tc)
+            claims = mode_s_cycle(unit, _position(state_fn(tc)), (injector,), tc)
             if sample is None and claims:
                 sample = tc, claims[0]
-            adv = unit.advise(tc)
+            adv = tcas.advise(list(unit.tracks.values()), None, unit.mode, unit.thresholds, tc)
             if adv is None:
                 continue
             if adv.level == "TA" and not ta_handled:
@@ -722,7 +759,7 @@ def _gpws_trial(cfg, trial_id, seed):
 def _gpws_trial_stepped(cfg, trial_id, seed):
     """A GPWS trial with a fine loop that advances an `AircraftState` by
     `world.step` each step, ranges a `PulseEcho` from the ramp and alerts
-    through `gpws.evaluate`: the reference the array loop must match."""
+    through `evaluate`: the reference the array loop must match."""
 
     rng = np.random.default_rng(seed)
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
@@ -755,7 +792,7 @@ def _gpws_trial_stepped(cfg, trial_id, seed):
         if lead > 0:
             state = world.step(state, state.vertical_speed, state.ground_speed, lead)
 
-        estimator = gpws.ClosureRateEstimator()
+        estimator = ClosureRateEstimator()
         plan = None
         attack_t0 = 0.0
         alert = None
@@ -765,7 +802,7 @@ def _gpws_trial_stepped(cfg, trial_id, seed):
             if true_agl <= 0 or state.altitude_msl <= runway.elevation:
                 break
             if plan is None and true_agl <= trigger:
-                plan = radalt.RampAttackPlan(
+                plan = RampAttackPlan(
                     ft_to_m(true_agl), apparent_rate, _GPWS_RAMP_DURATION_S,
                     _SWEEP.sweep_period,
                 )
@@ -787,8 +824,8 @@ def _gpws_trial_stepped(cfg, trial_id, seed):
                 })
             closure = estimator.update(state.time, indicated)
             if closure is not None:
-                alert = gpws.evaluate(
-                    max(indicated, 0.0), closure, _MODE2_ENVELOPE, time=state.time
+                alert = evaluate(
+                    max(indicated, 0.0), closure, gpws.Mode2Envelope(), time=state.time
                 )
                 if alert is not None:
                     break

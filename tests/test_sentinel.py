@@ -49,14 +49,11 @@ def test_residual_scales_with_noise():
     assert float(np.mean(residuals)) < 500.0
 
 
-def test_clock_bias_calibrated_out():
-    biased = [
-        sentinel.GroundSensor(s.sensor_id, s.position, clock_bias=1e-5 * i)
-        for i, s in enumerate(SENSORS)
-    ]
-    position = (0.0, 0.0, 3000.0)
-    arrivals = sentinel.observe_arrivals(position, biased)
-    assert sentinel.toa_consistency(position, arrivals).flag == sentinel.CLEAN
+@pytest.mark.parametrize("residual", [math.nan, math.inf])
+def test_non_finite_residual_is_undetermined(residual):
+    verdict = sentinel.classify(residual, sentinel.DEFAULT_RESIDUAL_THRESHOLD_M, "m")
+    assert verdict.flag == sentinel.UNDETERMINED
+    assert "not finite" in verdict.reason
 
 
 def test_observe_arrivals_requires_rng_with_jitter():
@@ -88,7 +85,7 @@ def _ref_offsets(position, sensors):
 
 def _ref_residual_m(claimed_position, arrivals):
     sensors = [s for s, _ in arrivals]
-    observed = np.array([t - s.clock_bias for s, t in arrivals])
+    observed = np.array([t for _, t in arrivals])
     predicted = _ref_offsets(claimed_position, sensors)
     diffs = []
     for i, j in itertools.combinations(range(len(sensors)), 2):
@@ -100,7 +97,7 @@ def _ref_observe_arrivals(true_position, sensors, rng=None, clock_jitter_s=0.0,
                           emission_time=0.0):
     arrivals = []
     for sensor, dt in zip(sensors, _ref_offsets(true_position, sensors)):
-        t = emission_time + dt + sensor.clock_bias
+        t = emission_time + dt
         if clock_jitter_s > 0:
             t += float(rng.normal(0.0, clock_jitter_s))
         arrivals.append((sensor, t))
@@ -121,23 +118,18 @@ _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     batch=st.integers(1, 300),
     spread=st.floats(1.0, 1e6),
     jitter_s=st.just(0.0) | st.floats(1e-12, 1e-5),
-    biased=st.booleans(),
     points=st.lists(st.tuples(_coordinate, _coordinate, _coordinate), max_size=3),
 )
 def test_batched_toa_kernel_matches_scalar_reference(seed, extent, batch, spread, jitter_s,
-                                                     biased, points):
+                                                     points):
     """Property: over a batch of messages, `arrival_times` and `residuals_m`
     give the scalar reference's residuals to the bit and leave the jitter RNG
-    in the same state, and the one-message wrappers give its arrivals,
-    residuals and verdicts to the bit, for any sensor extent, clock biases,
-    jitter (none included) and batch size."""
+    in the same state, and the one-message wrappers give its arrivals (at
+    emission time 0), residuals and verdicts to the bit, for any sensor
+    extent, jitter (none included) and batch size."""
 
     data = np.random.default_rng(seed)
-    sensors = [
-        sentinel.GroundSensor(s.sensor_id, s.position,
-                              float(data.uniform(-1e-4, 1e-4)) if biased else 0.0)
-        for s in sentinel.default_sensor_grid(extent)
-    ]
+    sensors = sentinel.default_sensor_grid(extent)
     true_pos = data.uniform(-spread, spread, (batch, 3))
     claimed = data.uniform(-spread, spread, (batch, 3))
     # Points drawn by hypothesis, and a sensor's own position (distance 0).
@@ -155,15 +147,14 @@ def test_batched_toa_kernel_matches_scalar_reference(seed, extent, batch, spread
     assert _bits(sentinel.residuals_m(claimed, arrivals, sensors)) == _bits(reference)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    for p, c, t in zip(true_pos.tolist()[:3], claimed.tolist()[:3], times.tolist()[:3]):
-        expected = _ref_observe_arrivals(p, sensors, ref_rng, jitter_s, t)
-        got = sentinel.observe_arrivals(p, sensors, rng=rng, clock_jitter_s=jitter_s,
-                                        emission_time=t)
+    for p, c in zip(true_pos.tolist()[:3], claimed.tolist()[:3]):
+        expected = _ref_observe_arrivals(p, sensors, ref_rng, jitter_s)
+        got = sentinel.observe_arrivals(p, sensors, rng=rng, clock_jitter_s=jitter_s)
         assert [s for s, _ in got] == sensors
         assert _bits([x for _, x in got]) == _bits([x for _, x in expected])
         residual = _ref_residual_m(c, expected)
         assert _bits(sentinel.toa_residual_m(c, got)) == _bits(residual)
-        verdict = sentinel.toa_consistency(c, got, subject="m")
+        verdict = sentinel.toa_consistency(c, got)
         assert _bits(verdict.residual) == _bits(residual)
         assert verdict.flag == (sentinel.SUSPECT if residual > sentinel.DEFAULT_RESIDUAL_THRESHOLD_M
                                 else sentinel.CLEAN)

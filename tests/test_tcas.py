@@ -1,4 +1,5 @@
-"""Surveillance, advisory logic, whisper-shout and false-intruder tests."""
+"""Surveillance, advisory logic, whisper-shout and false-intruder tests.  The
+Mode S cycle and transponder are the scalar references in `reference.py`."""
 
 import math
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from spoofsim import tcas
 from spoofsim.world import AircraftState
 from spoofsim.units import ft_to_m
+
+from reference import ModeSTransponder, mode_s_cycle
 
 
 def cruise_state(along=0.0, altitude_m=3000.0, gs=100.0):
@@ -155,23 +158,23 @@ def test_mode_s_cycle_tracks_squittering_target():
     own = cruise_state()
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
     intruder0 = cruise_state(along=9000.0, altitude_m=own.altitude_msl - ft_to_m(500.0))
-    claims = unit.mode_s_cycle(
-        position(own), [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
+    claims = mode_s_cycle(
+        unit, position(own), [ModeSTransponder(0x123456, "S", fixed_state_fn(intruder0))], 0.0)
     assert [icao_id for icao_id, _, _ in claims] == [0x123456]
     track = unit.tracks[0x123456]
     assert math.isclose(track.slant_range, math.hypot(9000.0, ft_to_m(500.0)), rel_tol=1e-9)
     assert track.closure_rate == 0.0
 
     intruder1 = cruise_state(along=8820.0, altitude_m=intruder0.altitude_msl)
-    unit.mode_s_cycle(
-        position(own), [tcas.Transponder(0x123456, "S", fixed_state_fn(intruder1))], 1.0)
+    mode_s_cycle(
+        unit, position(own), [ModeSTransponder(0x123456, "S", fixed_state_fn(intruder1))], 1.0)
     track = unit.tracks[0x123456]
     assert math.isclose(track.closure_rate, 180.0, abs_tol=2.0)
     assert math.isclose(track.relative_altitude, -500.0, abs_tol=1e-6)
 
 
 def test_mode_s_cycle_standby_is_silent():
-    class Unasked(tcas.Transponder):
+    class Unasked(ModeSTransponder):
         def claim(self, t, interrogator):
             raise AssertionError("a Standby unit interrogates no one")
 
@@ -179,7 +182,7 @@ def test_mode_s_cycle_standby_is_silent():
 
     unit = tcas.TcasUnit(mode=tcas.STANDBY)
     responder = Unasked(0x1, "S", fixed_state_fn(cruise_state(along=5000.0)))
-    assert unit.mode_s_cycle(position(cruise_state()), [responder], 0.0) == []
+    assert mode_s_cycle(unit, position(cruise_state()), [responder], 0.0) == []
     assert unit.tracks == {}
 
 
@@ -196,14 +199,14 @@ def test_mode_s_cycle_mixed_responders():
     active.start_episode(0.0)
     below.start_episode(0.0)
     responders = [
-        tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=4000.0))),
-        tcas.Transponder(0x00AAAA, "S", fixed_state_fn(cruise_state(along=6000.0))),
+        ModeSTransponder(None, "C", fixed_state_fn(cruise_state(along=4000.0))),
+        ModeSTransponder(0x00AAAA, "S", fixed_state_fn(cruise_state(along=6000.0))),
         below,
         active,
-        tcas.Transponder(0x00BBBB, "S", fixed_state_fn(cruise_state(along=-7000.0))),
-        tcas.Transponder(None, "C", fixed_state_fn(cruise_state(along=-3000.0))),
+        ModeSTransponder(0x00BBBB, "S", fixed_state_fn(cruise_state(along=-7000.0))),
+        ModeSTransponder(None, "C", fixed_state_fn(cruise_state(along=-3000.0))),
     ]
-    claims = unit.mode_s_cycle(position(own), responders, 0.0)
+    claims = mode_s_cycle(unit, position(own), responders, 0.0)
     ids = [0x00AAAA, active.icao_id, 0x00BBBB]
     assert [icao_id for icao_id, _, _ in claims] == ids
     replies = [m for m in (r.respond_mode_s(0.0) for r in responders) if m is not None]
@@ -227,15 +230,15 @@ def test_mode_s_cycle_drops_stale_tracks():
 
     own = position(cruise_state())
     unit = tcas.TcasUnit(rng=np.random.default_rng(0))
-    first = tcas.Transponder(0x1, "S", fixed_state_fn(cruise_state(along=9000.0)))
-    second = tcas.Transponder(0x2, "S", fixed_state_fn(cruise_state(along=-9000.0)))
-    unit.mode_s_cycle(own, [first], 0.0)
+    first = ModeSTransponder(0x1, "S", fixed_state_fn(cruise_state(along=9000.0)))
+    second = ModeSTransponder(0x2, "S", fixed_state_fn(cruise_state(along=-9000.0)))
+    mode_s_cycle(unit, own, [first], 0.0)
     track = unit.tracks[0x1]
-    unit.mode_s_cycle(own, [first, second], 1.0)
+    mode_s_cycle(unit, own, [first, second], 1.0)
     assert unit.tracks[0x1] is track and track.last_update == 1.0
-    unit.mode_s_cycle(own, [second], 1.0 + tcas.TRACK_STALENESS_S + 1.0)
+    mode_s_cycle(unit, own, [second], 1.0 + tcas.TRACK_STALENESS_S + 1.0)
     assert sorted(unit.tracks) == [0x2]
-    unit.mode_s_cycle(own, [], 2.0 * tcas.TRACK_STALENESS_S + 3.0)
+    mode_s_cycle(unit, own, [], 2.0 * tcas.TRACK_STALENESS_S + 3.0)
     assert unit.tracks == {}
 
 
@@ -288,7 +291,7 @@ def test_whisper_shout_one_reply_per_cycle(fleet):
     assert len(positions) == len(set(positions))  # at most one reply each
     for tr in responders:
         distance = float(np.linalg.norm(tr.position(0.0) - np.array([0.0, 0.0, 3000.0])))
-        audible = 54.0 - tcas.free_space_path_loss_db(distance) >= tr.sensitivity
+        audible = 54.0 - tcas.free_space_path_loss_db(distance) >= tcas.DEFAULT_SENSITIVITY_DBM
         replied = tuple(tr.position(0.0)) in positions
         assert replied == audible
 
@@ -481,8 +484,8 @@ def test_injector_drives_unit_to_ra():
     injector.start_episode(0.0)
     levels = []
     for t in (0.0, 1.0, 2.0, 3.0, 21.0):
-        unit.mode_s_cycle(position(own), [injector], t)
-        adv = unit.advise(t)
+        mode_s_cycle(unit, position(own), [injector], t)
+        adv = tcas.advise(list(unit.tracks.values()), None, unit.mode, unit.thresholds, t)
         if adv is not None:
             levels.append(adv.level)
     assert "TA" in levels and "RA" in levels
