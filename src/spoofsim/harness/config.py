@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -116,8 +117,10 @@ SCHEMA = _obj(
                         "activation_floor_ft": _nonneg(2000.0),
                         "alert_budget": {"type": "integer", "minimum": 0, "default": 10},
                         "start_tau_s": _pos(50.0),
-                        "bearing_jitter_deg": _nonneg(180.0),
-                        "speed_jitter_mps": _nonneg(60.0),
+                        "bearing_jitter_deg": {**_nonneg(180.0, maximum=180), "description":
+                                               "+/- degrees; 180 already covers every bearing"},
+                        "speed_jitter_mps": {**_nonneg(60.0, maximum=sys.float_info.max / 2),
+                                             "description": "+/- m/s; 2 * jitter must be finite"},
                         "position_m": {
                             "type": "array",
                             "items": _num(),
@@ -301,7 +304,7 @@ _KEYWORDS: Dict[str, Callable[[Any, Any, dict], List[str]]] = {
         f"{'was' if len(x) == 1 else 'were'} unexpected)"
         for x in [sorted((k for k in v if k not in s.get("properties", {})), key=str)] if x
     ] if a is False and _is("object", v) else [],
-    **dict.fromkeys(["properties", "items", "default"], lambda *_: []),
+    **dict.fromkeys(["properties", "items", "default", "description"], lambda *_: []),
 }
 
 

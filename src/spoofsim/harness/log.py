@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 OUTCOME = "outcome"
 #: Slack allowed on event-time ordering, s (absorbs float rounding).
@@ -94,6 +94,58 @@ def _build_encoder(c_make=c_make_encoder):
 
 #: Built once: it runs once per event written.
 _iterencode = _build_encoder()
+#: Record shapes past this many take the generic encoder.
+_MAX_SHAPES = 64
+#: Line encoders by record shape: kind, type of ``t``, payload keys, their value types.
+_shapes: Dict[tuple, Callable[..., Optional[str]]] = {}
+#: An f-string field writing ``@``, of this exact type, as `json.dumps` does.
+_ATOMS = {float: "{@!r}", int: "{@!r}", str: "{_e(@)}", type(None): "null"}
+_BRACES = str.maketrans({"{": "{{", "}": "}}"})
+
+
+def _generic(*record: Any) -> None:
+    """The line encoder of a shape that `_compile` does not cover."""
+
+
+def _compile(key: tuple, t: Any, payload: Dict[str, Any]) -> Callable[..., Optional[str]]:
+    """The line encoder of shape ``key``, from a record with time ``t`` and
+    ``payload``: an f-string by `json.dumps`' rules (``sort_keys``, ``", "``,
+    ``": "``) over exact floats and ints (by repr), strings, None and lists of
+    these.  None for a non-finite float or a list element of another type;
+    ValueError for a list of another length or an int too long to repr."""
+
+    if len(_shapes) >= _MAX_SHAPES:
+        return _generic
+    targets, checks, floats, fields = [], [], [], {}
+
+    def field(name: str, value: Any, check: bool) -> str:
+        floats.extend([name] if type(value) is float else [])
+        checks.extend([f"type({name}) is {type(value).__name__}"] if check else [])
+        return _ATOMS[type(value)].replace("@", name)
+
+    try:
+        for i, (k, v) in enumerate(payload.items()):
+            if type(v) is list:
+                names = [f"v{i}_{j}" for j in range(len(v))]
+                targets.append(f"[{', '.join(names)}]")
+                fields[k] = f"[{', '.join(field(n, x, True) for n, x in zip(names, v))}]"
+            else:
+                targets.append(f"v{i}")
+                fields[k] = field(f"v{i}", v, False)
+        head = f'{{"kind": {encode_basestring_ascii(key[0])}, "payload": {{'
+        body = ", ".join(f"{encode_basestring_ascii(k).translate(_BRACES)}: {fields[k]}"
+                         for k in sorted(fields))
+        line = f"{head.translate(_BRACES)}{body}}}}}{{seed}}{field('t', t, False)}{{end}}"
+    except (KeyError, TypeError):  # a value of another type; a kind or key not a string
+        encode = _generic
+    else:
+        guard = " and ".join(checks + [f"0.0 * {' * '.join(floats)} == 0.0"] * bool(floats))
+        namespace = {"_e": encode_basestring_ascii, "NoneType": type(None)}
+        exec(f"def line(t, p, seed, end):\n    [{', '.join(targets)}] = p.values()\n"
+             f"    if {guard or True}:\n        return f{line!r}", namespace)
+        encode = namespace["line"]
+    _shapes[key] = encode
+    return encode
 
 
 @dataclass
@@ -104,13 +156,14 @@ class TrialLog:
     events: List[Dict[str, Any]] = field(default_factory=list)
 
     def add(self, t: float, kind: str, payload: Optional[Dict[str, Any]] = None) -> None:
-        if self.finished:
-            raise ValueError("trial already has a terminal outcome")
-        if self.events and t < self.events[-1]["t"] - _TIME_SLACK_S:
-            raise ValueError(
-                f"events must be time-ordered: {t} after {self.events[-1]['t']}"
-            )
-        self.events.append({"t": float(t), "kind": kind, "payload": payload or {}})
+        events = self.events
+        if events:
+            last = events[-1]
+            if last["kind"] == OUTCOME:
+                raise ValueError("trial already has a terminal outcome")
+            if t < last["t"] - _TIME_SLACK_S:
+                raise ValueError(f"events must be time-ordered: {t} after {last['t']}")
+        events.append({"t": float(t), "kind": kind, "payload": payload or {}})
 
     def finish(self, t: float, outcome: str, payload: Optional[Dict[str, Any]] = None) -> None:
         detail = {"outcome": outcome}
@@ -135,16 +188,24 @@ class TrialLog:
         ``payload`` with the log's ``trial_id`` and ``seed``,
         ``sort_keys=True``.  Those keys always sort as kind, payload, seed, t,
         trial_id, so the line is framed around the encoded kind, payload and
-        t."""
+        t: by the compiled encoder of the record's shape (`_compile`), or by
+        the generic encoder."""
 
         join = "".join
         seed = f', "seed": {join(_iterencode(self.seed, 0))}, "t": '
         end = f', "trial_id": {join(_iterencode(self.trial_id, 0))}}}'
-        lines = [
-            f'{{"kind": {encode_basestring_ascii(e["kind"])}, "payload": '
-            f'{join(_iterencode(e["payload"], 0))}{seed}{join(_iterencode(e["t"], 0))}{end}'
-            for e in self.events
-        ]
+        lines = []
+        for e in self.events:
+            t, kind, payload = e["t"], e["kind"], e["payload"]
+            line = None
+            if type(payload) is dict:
+                key = (kind, type(t), *payload, *map(type, payload.values()))
+                try:
+                    line = (_shapes.get(key) or _compile(key, t, payload))(t, payload, seed, end)
+                except ValueError:
+                    pass
+            lines.append(line or f'{{"kind": {encode_basestring_ascii(kind)}, "payload": '
+                                 f'{join(_iterencode(payload, 0))}{seed}{join(_iterencode(t, 0))}{end}')
         return "\n".join(lines) + "\n"
 
     @classmethod

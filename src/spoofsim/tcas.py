@@ -439,18 +439,14 @@ class FalseIntruderInjector:
         return agl_ft > self.plan.activation_floor
 
     def start_episode(self, t: float) -> None:
-        """Begin a new encounter with per-encounter bearing/speed variation."""
+        """Begin a new encounter with per-encounter bearing/speed variation,
+        each ``lo + (hi - lo) * random()``: `Generator.uniform` to the bit."""
 
         self.episode_start = t
-        self._bearing = (
-            self.plan.approach_bearing
-            + float(self.rng.uniform(-self.plan.bearing_jitter_deg, self.plan.bearing_jitter_deg))
-        ) % 360.0
-        self._speed = max(
-            30.0,
-            self.plan.approach_speed
-            + float(self.rng.uniform(-self.plan.speed_jitter_mps, self.plan.speed_jitter_mps)),
-        )
+        plan, random = self.plan, self.rng.random
+        bearing, speed = plan.bearing_jitter_deg, plan.speed_jitter_mps
+        self._bearing = (plan.approach_bearing + (-bearing + (bearing + bearing) * random())) % 360.0
+        self._speed = max(30.0, plan.approach_speed + (-speed + (speed + speed) * random()))
         self.icao_id = int(self.rng.integers(0, 2**24))
 
     def end_episode(self) -> None:

@@ -9,7 +9,9 @@ to the bit:
 - `RampAttackPlan`: the ramp attack one sweep at a time, against
   `radalt.ramp_heights`;
 - `mode_s_cycle` and `ModeSTransponder`: a Mode S surveillance cycle over
-  responders' claims, against the TCAS encounter kernel.
+  responders' claims, against the TCAS encounter kernel;
+- `uniform_start_episode`: an encounter's draws by `Generator.uniform`,
+  against `FalseIntruderInjector.start_episode`.
 
 No module under `src` imports this one.
 """
@@ -167,3 +169,22 @@ def mode_s_cycle(
     if updated is None or len(unit.tracks) > 1:
         unit.drop_stale(t)
     return claims
+
+
+def uniform_start_episode(injector: tcas.FalseIntruderInjector, t: float) -> None:
+    """`FalseIntruderInjector.start_episode` with its bearing and speed drawn
+    by `Generator.uniform`."""
+
+    injector.episode_start = t
+    injector._bearing = (
+        injector.plan.approach_bearing
+        + float(injector.rng.uniform(-injector.plan.bearing_jitter_deg,
+                                     injector.plan.bearing_jitter_deg))
+    ) % 360.0
+    injector._speed = max(
+        30.0,
+        injector.plan.approach_speed
+        + float(injector.rng.uniform(-injector.plan.speed_jitter_mps,
+                                     injector.plan.speed_jitter_mps)),
+    )
+    injector.icao_id = int(injector.rng.integers(0, 2**24))

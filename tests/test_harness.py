@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 import unittest.mock
@@ -27,7 +28,7 @@ from spoofsim.harness import cost as cost_mod
 from spoofsim.harness import log as log_module
 from spoofsim.harness import output
 from spoofsim.harness.cli import main
-from spoofsim.harness.config import make_config
+from spoofsim.harness.config import make_config, validate_config_dict
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_run
 from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
@@ -296,6 +297,21 @@ def test_integral_floats_in_integer_fields_rejected(tmp_path, capsys, data, fiel
     _cli_rejects(tmp_path, capsys, data, rf"{re.escape(field)}: \d\.0 is not of type 'integer'")
 
 
+@pytest.mark.parametrize("field, bound", [
+    ("bearing_jitter_deg", 180), ("speed_jitter_mps", sys.float_info.max / 2)])
+def test_unbounded_injector_jitter_rejected(tmp_path, capsys, field, bound):
+    """A jitter of 1e308 used to validate, then `run` failed with an
+    OverflowError traceback from `Generator.uniform` after making `trials/`.
+    Both commands now reject it with exit 2, naming the field; the bound
+    itself validates."""
+
+    data = {"version": 1, "scenario": "TCAS", "attacker": {"tcas": {field: 1e308}}}
+    _cli_rejects(tmp_path, capsys, data, rf"attacker\.tcas\.{field}: 1e\+308 is greater "
+                                         rf"than the maximum of {re.escape(repr(bound))}")
+    data["attacker"]["tcas"][field] = bound
+    validate_config_dict(data)
+
+
 _TABLE = re.escape("policies.tcas.action_given_final_mode")
 _GPWS_TABLE = re.escape("policies.gpws.approach_actions")
 
@@ -527,7 +543,8 @@ def test_trial_log_jsonl_equals_json_dumps(events, trial_id, seed, pure_python):
         json.dumps({**event, "trial_id": trial_id, "seed": seed}, sort_keys=True) + "\n"
         for event in events)
     encoder = log_module._build_encoder(None) if pure_python else log_module._iterencode
-    with unittest.mock.patch.object(log_module, "_iterencode", encoder):
+    with unittest.mock.patch.object(log_module, "_iterencode", encoder), \
+            unittest.mock.patch.dict(log_module._shapes, clear=True):
         assert log.to_jsonl() == expected
 
 

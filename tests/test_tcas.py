@@ -2,6 +2,7 @@
 Mode S cycle and transponder are the scalar references in `reference.py`."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from spoofsim import tcas
 from spoofsim.world import AircraftState
 from spoofsim.units import ft_to_m
 
-from reference import ModeSTransponder, mode_s_cycle
+from reference import ModeSTransponder, mode_s_cycle, uniform_start_episode
 
 
 def cruise_state(along=0.0, altitude_m=3000.0, gs=100.0):
@@ -413,6 +414,37 @@ def test_injector_budget_counts_ras_only():
         injector.observe_advisory(tcas.Advisory(level="RA", time=0.0, ra_sense="CLIMB"))
     assert injector.budget_exhausted()
     assert not injector.active(0.0)
+
+
+_JITTERS = st.sampled_from([0.0, 5e-324, 1e-310, 180.0]) | st.floats(0.0, 180.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    bearing_jitter=_JITTERS,
+    speed_jitter=_JITTERS | st.sampled_from([1e6, 1e300, sys.float_info.max / 2]),
+    episodes=st.integers(min_value=2, max_value=7),
+)
+def test_start_episode_draws_as_uniform(seed, bearing_jitter, speed_jitter, episodes):
+    """Property: over consecutive encounters, so that the doubles interleave
+    with `integers`' buffered draws, `start_episode` sets the bearing, speed
+    and ICAO id that `Generator.uniform` and `integers` give, to the bit,
+    for jitters from 0 through subnormals to the schema's bounds."""
+
+    plan = tcas.FalseIntruderPlan(bearing_jitter_deg=bearing_jitter,
+                                  speed_jitter_mps=speed_jitter)
+    own = cruise_state()
+    injector, reference = (
+        tcas.FalseIntruderInjector(plan, np.random.default_rng(seed),
+                                   target_fn=fixed_state_fn(own))
+        for _ in range(2))
+    for k in range(episodes):
+        injector.start_episode(float(k))
+        uniform_start_episode(reference, float(k))
+        assert ((injector._bearing.hex(), injector._speed.hex(), injector.icao_id)
+                == (reference._bearing.hex(), reference._speed.hex(), reference.icao_id))
+    assert injector.rng.random() == reference.rng.random()
 
 
 @settings(max_examples=50, deadline=None)
