@@ -7,8 +7,8 @@ modelled; the Mode 2 sub-modes (flap/gear configuration) are not
 distinguished.
 
 The fine loop, which flies blocks of steps, takes the closures over rows of
-samples (`closure_rates`) and looks the boundary up with ``numpy.interp``;
-`Mode2Envelope` tests one point with the scalar `world.interp`.
+samples (`closure_rates`); it and `Mode2Envelope` look the boundary up with
+``numpy.interp``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-
-from .world import interp
 
 #: The boundary's AGL points (ft) and the closure rates (ft/min) at them:
 #: linear through (200 ft, 2000 ft/min) and (790 ft, 3000 ft/min), flat
@@ -34,10 +32,9 @@ class Mode2Envelope:
     """The alert region over the boundary; no config field sets it."""
 
     def threshold_fpm(self, agl_ft: float) -> float:
-        """Minimum closure rate (ft/min) that alerts at this AGL; equal to
-        ``numpy.interp`` over the boundary."""
+        """Minimum closure rate (ft/min) that alerts at this AGL."""
 
-        return interp(agl_ft, BOUNDARY_AGL_FT, BOUNDARY_RATE_FPM)
+        return float(np.interp(agl_ft, BOUNDARY_AGL_FT, BOUNDARY_RATE_FPM))
 
     def contains(self, agl_ft: float, closure_rate_fpm: float) -> bool:
         """Alert region is closed upward in closure rate."""

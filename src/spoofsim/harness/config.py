@@ -28,13 +28,16 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from .. import crew
 from ..gpws import AttackSchedule
 from ..ils import GlideslopeTx
-from ..tcas import AdvisoryThresholds, FalseIntruderPlan
+from ..tcas import MIN_CLOSURE_MPS, AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
 from .scenarios import (
     SCENARIOS, approach_start, flown_glideslope, gs_eval_agl, gs_path_state,
 )
 
 CONFIG_VERSION = 1
+#: The longest time a TCAS run may span, s.  Floats there are 2**-20 s
+#: (about 1 us) apart, so its 1 Hz cycle times stay distinct.
+TCAS_SPAN_LIMIT_S = 2.0**32
 
 
 class ConfigError(Exception):
@@ -188,7 +191,8 @@ SCHEMA = _obj(
         ),
         "sentinel": _obj(
             {
-                "sensor_extent_m": _pos(20000.0),
+                "sensor_extent_m": {**_pos(20000.0, maximum=1e9), "description": "floats are "
+                                    "1.2e-7 m apart at 1e9 m; at 1e150 they hide kilometres"},
                 "clock_jitter_ns": _nonneg(100.0),
                 "residual_threshold_m": _pos(500.0),
             }
@@ -310,10 +314,11 @@ _KEYWORDS: Dict[str, Callable[[Any, Any, dict], List[str]]] = {
 
 def _check(schema: dict, value: Any, path: tuple = ()) -> Iterator[Tuple[bool, tuple, str]]:
     """Every error of `value` under `schema`, as (from a keyword?, path, message):
-    a NaN or infinity anywhere (the bounds let NaN pass), then each keyword the
-    value fails, in the schema's order; then the same for each item or member."""
+    a number beyond float range anywhere (the bounds let NaN pass, and an int
+    overflows in arithmetic), then each keyword the value fails, in the
+    schema's order; then the same for each item or member."""
 
-    if isinstance(value, float) and not math.isfinite(value):
+    if _is("number", value) and not -sys.float_info.max <= value <= sys.float_info.max:
         yield False, path, f"must be a finite number, got {value}"
     for keyword, arg in schema.items():
         yield from ((True, path, msg) for msg in _KEYWORDS[keyword](arg, value, schema))
@@ -492,6 +497,23 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
             f"from the transmitter {tx.antenna_position} m beyond the threshold "
             f"({' + '.join(fields)})"
         )
+    # A TCAS run's cycle times stay distinct, and the claim's reach within the
+    # larger tau (+ 1 s) squares in float range, as `first_cycle_within` needs.
+    plan = cfg.false_intruder_plan
+    span = min(cfg.max_episodes, TCAS_SPAN_LIMIT_S) * (
+        float(cfg.inter_episode_gap_s) + math.ceil(plan.start_tau_s))
+    if span > TCAS_SPAN_LIMIT_S:
+        raise ConfigError(
+            f"tcas_system.inter_episode_gap_s: a TCAS run may span {span:g} s (tcas_system."
+            f"max_episodes x (tcas_system.inter_episode_gap_s + ceil(attacker.tcas.start_tau_s)))"
+            f", past the {TCAS_SPAN_LIMIT_S:.0f} s within which its 1 Hz cycle times stay distinct")
+    speed = max(MIN_CLOSURE_MPS, float(plan.approach_speed) + plan.speed_jitter_mps)
+    reach = speed * (cfg.tcas_thresholds.tau_ta_s + 1.0)
+    if not math.isfinite(reach * reach):
+        raise ConfigError(
+            f"attacker.tcas.approach_speed_mps: a claim may close at {speed:g} m/s (with "
+            f"attacker.tcas.speed_jitter_mps), {reach:g} m in tcas_system.tau_ta_s + 1 s, "
+            "whose square overflows")
     return cfg
 
 

@@ -26,8 +26,9 @@ straight-line claim), which only updates the track, so every advised cycle
 takes its closure over one second.  It ends at its RA, at a TA that leaves
 the unit outside TA/RA, or where the claimed range reaches its floor
 (`FalseIntruderInjector.floor_cycle`).  Where the terrain crosses the
-injector's activation floor, every cycle runs and looks the terrain up, and
-a track not updated goes stale as `TcasUnit.drop_stale` drops it.  Each
+injector's activation floor, every cycle runs, each step of the lockstep
+looks up the terrain under all its rows at once, and a track not updated
+goes stale as `TcasUnit.drop_stale` drops it.  Each
 trial is a generator (`tcas_trial`) whose scalar steps keep its own order:
 episode draws, crew reactions, the budget, the log and the one
 `tcas.SurveillanceMessage` per encounter.  Round n flies the n-th encounter
@@ -104,7 +105,13 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     rngs = list(trial_generators(seeds))
     logs = [TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
             for i, seed in zip(trial_ids, seeds)]
-    runway, terrain, policy = cfg.runway, cfg.terrain, cfg.gpws_policy
+    runway, policy = cfg.runway, cfg.gpws_policy
+    # Every approach starts at the same point and flies at the same rates.
+    start = approach_start(cfg, 0.0)
+    start_agl_ft = m_to_ft(world.agl(start, cfg.terrain))
+    rate_fps = -m_to_ft(start.vertical_speed)  # ft/s, positive down
+    if cfg.attacker_enabled:
+        world.check_step(start.vertical_speed, start.ground_speed, cfg.dt_s)
     t_next = [0.0] * len(logs)  # when each trial's next approach starts
     flying = range(len(logs))
     approach = 0
@@ -127,12 +134,9 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
                 log.finish(state.time + t_land, "LANDED", {"approach": approach})
                 continue
             # Jump to just above the trigger; the fine loop steps from there.
-            rate_fps = -m_to_ft(state.vertical_speed)  # ft/s, positive down
-            agl_ft = m_to_ft(world.agl(state, terrain))
-            lead = (agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
+            lead = (start_agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
             if lead > 0:
                 state = world.step(state, state.vertical_speed, state.ground_speed, lead)
-            world.check_step(state.vertical_speed, state.ground_speed, cfg.dt_s)
             rows.append((k, trigger, state))
 
         flying = []
@@ -162,7 +166,6 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
             })
             latency = crew.gpws_reaction_latency(policy, rng)
             action = crew.gpws_act(approach, policy, rng)
-            rate_fps = -m_to_ft(state.vertical_speed)
             min_agl = max(0.0, true_agl - rate_fps * latency)
             t_action = t[-1] + latency
 
@@ -214,8 +217,7 @@ def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> Iterator[tuple]:
 
 def _gpws_block(cfg: ScenarioConfig, rows: list, steps: int) -> list:
     """`_gpws_fine_loop` of ``rows`` over ``steps`` steps as one array block:
-    None for a row that ends neither way in it.  The terrain and Mode 2
-    lookups are `numpy.interp`, which `world.interp` equals."""
+    None for a row that ends neither way in it."""
 
     terrain, dt = cfg.terrain, cfg.dt_s
     vs, gs = rows[0][2].vertical_speed, rows[0][2].ground_speed
@@ -263,34 +265,6 @@ def _gpws_block(cfg: ScenarioConfig, rows: list, steps: int) -> list:
 # false-intruder encounters
 
 
-def cruise_position_fn(
-    altitude_m: float, ground_speed: float
-) -> Callable[[float], tcas.Position]:
-    """Own position at time t of level cruise from the origin at t = 0,
-    heading 0: the position of ``world.step`` from that state, in closed
-    form.  ``step`` adds ``0.0 + gs * t`` along track, ``0.0 + gs * t * 0.0``
-    across and ``altitude + 0.0 * t``, which are ``gs * t``, 0.0 and the
-    altitude wherever ``gs * t`` is finite and not -0.0 and the altitude is
-    not zero (a config's cruise speed and altitude are positive); up to
-    t = 0, -inf included, the aircraft holds its start.  Raises `world.step`'s
-    ValueError for a ground speed it rejects, and at each call for a time it
-    rejects (NaN or +inf)."""
-
-    world.check_step(0.0, ground_speed, 1.0)
-    start = (0.0, 0.0, altitude_m)
-    inf = math.inf
-
-    def fn(t: float) -> tcas.Position:
-        if 0.0 < t < inf:
-            return (ground_speed * t, 0.0, altitude_m)
-        if t <= 0.0:
-            return start
-        world.check_step(0.0, ground_speed, t)
-        raise AssertionError(f"world.step accepts t = {t}")  # unreachable
-
-    return fn
-
-
 def _claim_frame(cfg: ScenarioConfig) -> tuple:
     """Whether the injector answers every cycle (True) or none (False), as
     cruise lies above or below its activation floor over all the terrain
@@ -315,7 +289,6 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
 
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     policy, th = cfg.tcas_policy, cfg.tcas_thresholds
-    own_fn = cruise_position_fn(ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn))
     answers, claim_ft, rel = _claim_frame(cfg)
 
     unit = tcas.TcasUnit(thresholds=th, mode=tcas.TA_RA, rng=rng)
@@ -343,7 +316,6 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
             "episode": episodes, "icao_id": injector.icao_id,
             "bearing_deg": injector._bearing, "closure_mps": injector._speed,
         })
-        own_fn(t)  # `world.step`'s time checks, as the encounter's first cycle makes them
         k_end = injector.floor_cycle()
         sample, advisories = None, ()
         if unit.mode != tcas.STANDBY and answers is not False:
@@ -443,11 +415,9 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     answers, _, rel = _claim_frame(cfg)
     ta_tau = th.tau_ta_s if abs(rel) <= th.ta_band_ft else -math.inf
     ra_tau = th.tau_ra_s if abs(rel) <= th.ra_band_ft else -math.inf
-    lo, hi = cfg.terrain.domain
-
-    def answering(x):  # whether the injector answers own ships at along-track x
-        return np.array([m_to_ft(altitude - cfg.terrain.elevation_at(min(max(xi, lo), hi)))
-                         > plan.activation_floor for xi in x.tolist()], dtype=bool)
+    # The terrain under the own ship; `numpy.interp` holds the end values
+    # outside the profile, as a lookup clipped to its domain does.
+    terrain = tuple(zip(*cfg.terrain.vertices))
 
     # A row per encounter, its parameters and then its cycle and track,
     # compacted as rows end.  A row without a track has ``last`` -inf, so a
@@ -471,7 +441,8 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
             np.add(x, r * cos, out=claim[:, 0])
             np.add(0.0, r * sin, out=claim[:, 1])
             now = tcas.slant_ranges(own, claim)
-            answered = answering(x) if answers is None else True
+            answered = (True if answers is not None else
+                        m_to_ft(altitude - np.interp(x, *terrain)) > plan.activation_floor)
             first = np.flatnonzero(answered & (claimed == 0))
             if first.size:
                 claimed[first] = 1.0

@@ -49,6 +49,8 @@ RA_RATE_FPM = 1500.0
 MODE_C_BEARING_ERROR_DEG = 10.0
 #: Closest horizontal range a false intruder claims, m.
 CLAIM_FLOOR_M = 50.0
+#: Slowest closure a false intruder claims, m/s.
+MIN_CLOSURE_MPS = 30.0
 
 
 #: A point (x, y, z) in the simulation frame, m: along-track, cross-track,
@@ -166,18 +168,16 @@ def own_position_3d(state: AircraftState) -> np.ndarray:
 
 
 def slant_range(own: Sequence[float], other: Sequence[float]) -> float:
-    """Distance between two (x, y, z) points, equal to the last bit to
-    ``np.linalg.norm`` of their difference: it makes the same reduction,
-    the square root of the difference's dot product with itself.  (A plain
-    sum of squares, or ``math.hypot``, rounds differently.)"""
+    """Distance between two (x, y, z) points: `slant_ranges` of one row."""
 
-    d = np.array((other[0] - own[0], other[1] - own[1], other[2] - own[2]))
-    return math.sqrt(d.dot(d))
+    return float(slant_ranges(np.array([own], dtype=float), np.array([other], dtype=float))[0])
 
 
 def slant_ranges(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """`slant_range` of each row of two (M, 3) arrays, to the bit: a vector-
-    vector `np.matmul` per row (`einsum` and a sum of squares round apart)."""
+    """The distance between each row of two (M, 3) arrays, equal to the last
+    bit to ``np.linalg.norm`` of the row's difference: the square root of a
+    vector-vector `np.matmul` per row, the reduction ``norm`` makes (`einsum`,
+    a sum of squares and ``math.hypot`` round apart)."""
 
     d = other - own
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
@@ -446,7 +446,7 @@ class FalseIntruderInjector:
         plan, random = self.plan, self.rng.random
         bearing, speed = plan.bearing_jitter_deg, plan.speed_jitter_mps
         self._bearing = (plan.approach_bearing + (-bearing + (bearing + bearing) * random())) % 360.0
-        self._speed = max(30.0, plan.approach_speed + (-speed + (speed + speed) * random()))
+        self._speed = max(MIN_CLOSURE_MPS, plan.approach_speed + (-speed + (speed + speed) * random()))
         self.icao_id = int(self.rng.integers(0, 2**24))
 
     def end_episode(self) -> None:

@@ -15,40 +15,15 @@ and integrates array blocks: a cumulative sum along each row makes
 ``step``'s additions, in ``step``'s order, on (time, along, altitude).  Its
 heading is 0, so ``step`` adds ``d * cos 0 == d`` along track and
 ``d * sin 0 == 0.0`` across.
-
-``interp`` is a scalar piecewise-linear lookup that returns exactly what
-``numpy.interp`` returns for one x; the terrain profile and the GPWS Mode 2
-envelope use it for single lookups, the fine loop ``numpy.interp`` itself.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-
-def interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
-    """``numpy.interp(x, xp, fp)`` for one float x and strictly increasing xp.
-    It does numpy's float operations in numpy's order, so the result is equal
-    to the last bit wherever numpy does not fuse the multiply-add (its x86-64
-    baseline build does not)."""
-
-    if x != x and len(xp) > 1:
-        return x  # numpy passes NaN through (a one-point table returns its value)
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or x == xp[j]:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    y = slope * (x - xp[j]) + fp[j]
-    if y != y:  # NaN one way: numpy tries from the right end, then equal ends
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if y != y and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,7 +73,7 @@ class TerrainProfile:
         if len(points) < 2:
             raise ValueError("terrain profile needs at least two points")
         pts = sorted(points)
-        # Float lists, the tables of `interp`.
+        # Float lists, the tables of `numpy.interp`.
         self._x = [float(p[0]) for p in pts]
         self._z = [float(p[1]) for p in pts]
         if len(set(self._x)) != len(self._x):
@@ -119,15 +94,15 @@ class TerrainProfile:
             raise ValueError(
                 f"position {along_track} m outside terrain domain {self.domain}"
             )
-        return interp(along_track, self._x, self._z)
+        return float(np.interp(along_track, self._x, self._z))
 
 
 def check_step(
     commanded_vertical_speed: float, commanded_ground_speed: float, dt: float
 ) -> None:
-    """Raise the ValueError `step` raises for these arguments, naming the
-    first one it cannot integrate; a caller that integrates many steps at the
-    same rates checks them once."""
+    """`step`'s checks: raise a ValueError naming the first of these
+    arguments it cannot integrate.  A caller that integrates many steps at
+    the same rates checks them once."""
 
     for name, v in (
         ("commanded_vertical_speed", commanded_vertical_speed),
@@ -150,15 +125,7 @@ def step(
 ) -> AircraftState:
     """Advance the state by dt at the commanded rates (exact integration)."""
 
-    if not (
-        math.isfinite(commanded_vertical_speed)
-        and math.isfinite(commanded_ground_speed)
-        and math.isfinite(dt)
-        and dt > 0
-        and commanded_ground_speed >= 0
-    ):
-        check_step(commanded_vertical_speed, commanded_ground_speed, dt)
-
+    check_step(commanded_vertical_speed, commanded_ground_speed, dt)
     theta = math.radians(state.heading)
     d = commanded_ground_speed * dt
     return AircraftState(

@@ -312,6 +312,49 @@ def test_unbounded_injector_jitter_rejected(tmp_path, capsys, field, bound):
     validate_config_dict(data)
 
 
+_SPAN = (r"tcas_system\.inter_episode_gap_s: a TCAS run may span {} s \(tcas_system\.max_episodes "
+         r"x \(tcas_system\.inter_episode_gap_s \+ ceil\(attacker\.tcas\.start_tau_s\)\)\)")
+_CLOSURE = (r"attacker\.tcas\.approach_speed_mps: a claim may close at {} m/s \(with "
+            r"attacker\.tcas\.speed_jitter_mps\), .* whose square overflows")
+
+
+@pytest.mark.parametrize("data, pattern", [
+    ({"tcas_system": {"inter_episode_gap_s": 1e16}}, _SPAN.format(r"3e\+17")),
+    ({"tcas_system": {"inter_episode_gap_s": 1e308}}, _SPAN.format("inf")),
+    ({"attacker": {"tcas": {"approach_speed_mps": 1e300}}}, _CLOSURE.format(r"1e\+300")),
+    ({"attacker": {"tcas": {"speed_jitter_mps": 1e154}}}, _CLOSURE.format(r"1e\+154")),
+    ({"sentinel": {"sensor_extent_m": 1e150}},
+     r"sentinel\.sensor_extent_m: 1e\+150 is greater than the maximum of 1000000000\.0"),
+    ({"world": {"approach": {"start_agl_ft": 10**400}}},
+     r"world\.approach\.start_agl_ft: must be a finite number, got 1000"),
+], ids=["gap-1e16", "gap-1e308", "approach-speed-1e300", "speed-jitter-1e154",
+        "sensor-extent-1e150", "start-agl-10**400"])
+def test_values_past_float_resolution_rejected(tmp_path, capsys, data, pattern):
+    """Values that floats cannot carry through a run are rejected up front,
+    with exit 2 naming the field, by both commands.  A TCAS time span of
+    1e16 s used to validate and put later cycles 2 s apart; one of 1e308
+    exited 3 mid-run.  A closure of 1e154 m/s made `run` exit 1 with an
+    OverflowError traceback.  A sensor grid 1e150 m out made `detect`
+    call every message CLEAN, its displacement lost in rounding.  An integer
+    beyond float range made `validate-config` exit 1 with an OverflowError
+    traceback."""
+
+    _cli_rejects(tmp_path, capsys, {"version": 1, "scenario": "TCAS", **data}, pattern)
+
+
+def test_values_at_the_float_bounds_run(tmp_path, capsys):
+    """The largest time span (2**32 s) and a closure whose reach squares just
+    inside float range validate and run."""
+
+    for data in ({"tcas_system": {"max_episodes": 1, "inter_episode_gap_s": 2.0**32 - 50}},
+                 {"attacker": {"tcas": {"speed_jitter_mps": 1e152}}}):
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps({"version": 1, "scenario": "TCAS", **data}))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--trials", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
 _TABLE = re.escape("policies.tcas.action_given_final_mode")
 _GPWS_TABLE = re.escape("policies.gpws.approach_actions")
 
@@ -856,13 +899,15 @@ def test_cli_detect_uses_run_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("run_overrides, detect_overrides", [
     ({"attacker": {"tcas": {"position_m": [1e300, 0, 0]}}}, None),
-    ({}, {"sentinel": {"sensor_extent_m": 1e300}}),
+    ({}, {"sentinel": {"clock_jitter_ns": 1e300}}),
 ])
 def test_cli_detect_non_finite_residuals_undetermined(tmp_path, capsys, run_overrides,
                                                       detect_overrides):
-    """An attacker site or a sensor grid so far out that the distances
-    overflow gives residuals that are not finite: each such message is
-    UNDETERMINED, not CLEAN, and numpy's overflow warnings stay off stderr."""
+    """An attacker site so far out that the distances overflow, or clock
+    jitter so large that the timing differences' squares do, gives residuals
+    that are not finite: each such message is UNDETERMINED, not CLEAN, and
+    numpy's overflow warnings stay off stderr.  (A sensor grid that far out
+    is rejected up front, `test_values_past_float_resolution_rejected`.)"""
 
     out, config = tmp_path / "out", tmp_path / "run.json"
     config.write_text(json.dumps({"version": 1, "scenario": "TCAS", "trials": 3,

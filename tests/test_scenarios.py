@@ -1,12 +1,12 @@
-"""Per-cycle evaluation in the TCAS trials: the closed-form own position
-equals `world.step`'s to the bit, a run makes no `world.step` call and, where
-the cruise stays on one side of the activation floor, no terrain lookup; the
-encounters run as array rounds with no scalar cycle, an encounter builds one
-message and no `IntruderTrack`, and no cycle calls `np.linalg.norm`, nor
-`np.interp` for a terrain lookup.  The GPWS fine loop
-runs as array kernels: it builds no state, echo or `world.step` call per
-step, and makes no per-step scalar call; its ramp computes the heights of
-the steps its blocks fly and no other sweep.  Trials read the objects
+"""Per-cycle evaluation in the TCAS trials: a run makes no `world.step`
+call and, where the cruise stays on one side of the activation floor, no
+terrain lookup, else one `np.interp` per lockstep iteration; the encounters
+run as array rounds with no scalar cycle, an encounter builds one message
+and no `IntruderTrack`, and no cycle calls `np.linalg.norm`.  The GPWS
+approach set-up looks the terrain up once per batch, and the fine loop runs
+as array kernels: it builds no state, echo or `world.step` call per step,
+and makes no per-step scalar call; its ramp computes the heights of the
+steps its blocks fly and no other sweep.  Trials read the objects
 `make_config` built and construct none of their own.  TCAS encounters follow
 their own geometry: the scheduled trial writes the logs of a plain 1 Hz
 reference loop over random claims and thresholds.  The GPWS array loop
@@ -32,7 +32,6 @@ from spoofsim.harness.log import TrialLog
 from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _SWEEP, SCENARIOS, approach_start,
-    cruise_position_fn,
 )
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
@@ -59,90 +58,6 @@ def _cruise_state_fn(initial):
 def _position(state):
     x, y = state.ground_position
     return x, y, state.altitude_msl
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    # The config's cruise altitudes: positive and finite.
-    altitude=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    # Ground speeds the config accepts (and 0), and ones `world.step` rejects.
-    ground_speed=st.one_of(
-        st.floats(min_value=0.0, max_value=1e5),
-        st.floats(max_value=-5e-324),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-    ),
-    # Cycle times, whole seconds as often as not, and times up to t = 0.
-    ts=st.lists(st.one_of(st.integers(-5, 10**6).map(float),
-                          st.floats(min_value=-100.0, max_value=1e7)),
-                min_size=1, max_size=10),
-)
-def test_cruise_position_equals_world_step(altitude, ground_speed, ts):
-    """Property: the cycle's closed-form own position is, to the bit, the
-    position of ``world.step`` from the cruise's initial state, and a ground
-    speed that ``world.step`` rejects raises its error up front."""
-
-    def initial(speed):
-        return world.AircraftState(
-            time=0.0, ground_position=(0.0, 0.0), altitude_msl=altitude,
-            vertical_speed=0.0, ground_speed=speed, heading=0.0,
-        )
-
-    try:
-        world.step(initial(0.0), 0.0, ground_speed, 1.0)
-    except ValueError as rejected:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(rejected))}$"):
-            cruise_position_fn(altitude, ground_speed)
-        return
-    position = cruise_position_fn(altitude, ground_speed)
-    state_fn = _cruise_state_fn(initial(ground_speed))
-    for t in ts:
-        assert [v.hex() for v in position(t)] == [v.hex() for v in _position(state_fn(t))], t
-
-
-def cruise_initial():
-    return world.AircraftState(
-        time=0.0, ground_position=(0.0, 0.0), altitude_msl=10_000.0,
-        vertical_speed=0.0, ground_speed=240.0, heading=0.0,
-    )
-
-
-# Sequences of times with repeats, including t <= 0 (before the initial state).
-_times = st.lists(
-    st.floats(min_value=-50.0, max_value=500.0), min_size=1, max_size=6
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(ts=_times)
-def test_cached_cruise_state_equals_fresh_step(ts):
-    """The cruise position is computed per call and holds no state between
-    calls: times repeated and out of order each give the position of a fresh
-    ``world.step`` from the initial state (the initial state up to t = 0)."""
-
-    initial = cruise_initial()
-    position = cruise_position_fn(initial.altitude_msl, initial.ground_speed)
-    for t in ts:
-        expected = initial if t <= initial.time else world.step(
-            initial, initial.vertical_speed, initial.ground_speed, t - initial.time
-        )
-        assert position(t) == _position(expected), t
-
-
-def test_cached_cruise_state_keeps_step_checks():
-    """A time ``world.step`` cannot integrate to raises its error at every
-    call, not once; -inf, before the start, holds the start as the 1 Hz
-    reference does."""
-
-    initial = cruise_initial()
-    position = cruise_position_fn(initial.altitude_msl, initial.ground_speed)
-    state_fn = _cruise_state_fn(initial)
-    for t in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite") as reference:
-            state_fn(t)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(reference.value))}$"):
-                position(t)
-    assert position(-math.inf) == _position(state_fn(-math.inf)) == (0.0, 0.0, 10_000.0)
 
 
 def _counting(counts, name, fn):
@@ -178,7 +93,8 @@ _SILENT_RIDGES = {
 
 
 def _tcas_work(monkeypatch, raw):
-    """Calls of the encounters' geometry over a TCAS `run()` of ``raw``, the
+    """Calls of the encounters' geometry and terrain lookups (``"terrain"``
+    for `elevation_at`, ``"np.interp"``) over a TCAS `run()` of ``raw``, the
     rows of the cycles the encounter kernel evaluates (``"cycles"``, summed
     over its `tcas.slant_ranges` calls, one per lockstep iteration), and the
     trial count.  The config, whose checks look up the terrain too, is built
@@ -199,6 +115,7 @@ def _tcas_work(monkeypatch, raw):
                         counting("state", world.AircraftState.__init__))
     monkeypatch.setattr(world.TerrainProfile, "elevation_at",
                         counting("terrain", world.TerrainProfile.elevation_at))
+    monkeypatch.setattr(np, "interp", counting("np.interp", np.interp))
     monkeypatch.setattr(tcas, "slant_ranges", counting_ranges)
     monkeypatch.setattr(scenarios, "_tcas_encounters",
                         counting("rounds", scenarios._tcas_encounters))
@@ -216,17 +133,18 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     above the activation floor), makes no terrain lookup; the encounter
     kernel evaluates each cycle's geometry once, for at most 702 cycles, the
     count of the fixed schedule the encounter loop replaced.  Where the
-    terrain straddles the floor, each cycle looks the terrain up once at
-    most, and the run still writes the 1 Hz reference's logs."""
+    terrain straddles the floor, each lockstep iteration looks up the terrain
+    under all its rows in one `np.interp` call, with no `elevation_at`, and
+    the run still writes the 1 Hz reference's logs."""
 
     counts, trials = _tcas_work(
         monkeypatch, {"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
     assert 0 < counts["cycles"] <= 702, counts
-    assert counts["step"] == 0 and counts["terrain"] == 0, counts
+    assert counts["step"] == counts["terrain"] == counts["np.interp"] == 0, counts
     assert counts["state"] <= trials, counts
 
     counts, trials = _tcas_work(monkeypatch, _STRADDLING)
-    assert 0 < counts["terrain"] <= counts["cycles"], counts
+    assert counts["terrain"] == 0 and 0 < counts["np.interp"] == counts["iterations"], counts
     assert counts["step"] == 0 and counts["state"] <= trials, counts
     _tcas_logs_agree(_STRADDLING)
 
@@ -329,15 +247,17 @@ def test_tcas_tracks_update_in_place(monkeypatch):
 
 def test_gpws_fine_loop_runs_as_array_kernels(monkeypatch):
     """Work budget: the fine loop flies each approach round as array blocks,
-    so a GPWS `run()` at N=20 makes no per-step scalar call: no
+    so a GPWS `run()` over two batches makes no per-step scalar call: no
     `Mode2Envelope.threshold_fpm` (the scalar closure estimator and ramp are
-    test references, out of the run's reach).  It looks the terrain up with
-    `elevation_at` at most once per approach (for the jump to the attack
-    window) and calls
-    `np.interp` at most twice per kernel call (terrain and envelope).  The
-    config, whose checks look up the terrain too, is built before counting."""
+    test references, out of the run's reach).  Every approach starts at the
+    same point, so the set-up looks the terrain up with `elevation_at` once
+    per batch (for the jumps to the attack window), and `np.interp` is
+    called at most twice per kernel call (terrain and envelope) besides.
+    The config, whose checks look up the terrain too, is built before
+    counting."""
 
-    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": 20, "master_seed": SEED})
+    cfg = make_config({"version": 1, "scenario": "GPWS", "trials": CHUNK_TRIALS + 3,
+                       "master_seed": SEED})
     counts = Counter()
     for owner, attr in [
         (gpws.Mode2Envelope, "threshold_fpm"), (world.TerrainProfile, "elevation_at"),
@@ -345,10 +265,10 @@ def test_gpws_fine_loop_runs_as_array_kernels(monkeypatch):
     ]:
         monkeypatch.setattr(owner, attr, _counting(counts, attr, getattr(owner, attr)))
     approaches = sum(1 for log in run(cfg) for _ in log.iter_kind("approach_start"))
-    assert approaches >= 20 and counts["_gpws_block"] > 0, counts
+    assert approaches > cfg.trials and counts["_gpws_block"] > 0, counts
     assert counts["threshold_fpm"] == 0, counts
-    assert 0 < counts["elevation_at"] <= approaches, (approaches, counts)
-    assert 0 < counts["interp"] <= 2 * counts["_gpws_block"], counts
+    assert counts["elevation_at"] == 2, counts
+    assert 0 < counts["interp"] <= 2 * counts["_gpws_block"] + 2, counts
 
 
 def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
@@ -439,11 +359,14 @@ def test_gpws_alerts_handled_as_each_block_ends(monkeypatch):
     {**_STRADDLING, "trials": 20},
 ], ids=["GPWS", "TCAS"])
 def test_lookups_make_no_numpy_calls(monkeypatch, raw):
-    """Work budget: the single terrain lookups of the GPWS approach set-up
-    and the surveillance cycle are scalar; `run()` at N=20 makes terrain
-    lookups, and its only `np.interp` calls are the GPWS array kernel's two
-    per block (terrain and envelope), none in a TCAS run.  The config, whose
-    checks look up the terrain too, is built before counting."""
+    """Work budget: no terrain or Mode 2 lookup is made one point at a time
+    beyond one per batch.  A GPWS `run()` at N=20 looks the terrain up once
+    with `elevation_at` (one `np.interp`) for its approach set-up, and its
+    array kernel makes two `np.interp` calls per block (terrain and
+    envelope); a TCAS run over terrain that straddles the activation floor
+    makes one per lockstep iteration, over all the iteration's rows, and no
+    `elevation_at` call.  The config, whose checks look up the terrain too,
+    is built before counting."""
 
     cfg = make_config(raw)
     counts = Counter()
@@ -453,9 +376,14 @@ def test_lookups_make_no_numpy_calls(monkeypatch, raw):
                         counting("terrain", world.TerrainProfile.elevation_at))
     monkeypatch.setattr(scenarios, "_gpws_block",
                         counting("blocks", scenarios._gpws_block))
+    monkeypatch.setattr(tcas, "slant_ranges", counting("iterations", tcas.slant_ranges))
     run(cfg)
-    assert counts["terrain"] > 0
-    assert counts["np.interp"] == 2 * counts["blocks"], counts
+    if cfg.scenario == "GPWS":
+        assert counts["terrain"] == 1 and counts["blocks"] > 0, counts
+        assert counts["np.interp"] == 2 * counts["blocks"] + 1, counts
+    else:
+        assert counts["terrain"] == 0 and counts["iterations"] > 0, counts
+        assert counts["np.interp"] == counts["iterations"], counts
 
 
 #: Objects built from the config (or, for the envelope and the sweep, from no

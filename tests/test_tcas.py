@@ -331,11 +331,12 @@ def test_slant_range_equals_numpy_norm(own, claimed):
     rows=st.integers(min_value=1, max_value=300),
     extent=st.sampled_from([1e3, 1e6, 1e7]),
 )
-def test_slant_ranges_equal_slant_range(seed, rows, extent):
+def test_slant_ranges_equal_numpy_norm(seed, rows, extent):
     """The encounter kernel's batched slant range (`tcas.slant_ranges`, a
-    vector-vector `np.matmul` per row) equals `tcas.slant_range` to the bit,
-    for points anywhere within ``extent`` and differences from 1e-2 to
-    1e5 m, so logs keep their bytes on every numpy the package accepts."""
+    vector-vector `np.matmul` per row) equals ``np.linalg.norm`` of each
+    row's difference to the bit, for points anywhere within ``extent`` and
+    differences from 1e-2 to 1e5 m, so logs keep their bytes on every numpy
+    the package accepts."""
 
     rng = np.random.default_rng(seed)
     own = rng.uniform(-extent, extent, (rows, 3))
@@ -344,7 +345,7 @@ def test_slant_ranges_equal_slant_range(seed, rows, extent):
     other = own + direction / np.linalg.norm(direction, axis=1, keepdims=True) * length
     batched = tcas.slant_ranges(own, other)
     assert batched.shape == (rows,)
-    expected = [tcas.slant_range(o, p).hex() for o, p in zip(own.tolist(), other.tolist())]
+    expected = [float(np.linalg.norm(p - o)).hex() for o, p in zip(own, other)]
     assert [v.hex() for v in batched.tolist()] == expected
 
 

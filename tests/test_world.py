@@ -2,9 +2,8 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from spoofsim import world
 from spoofsim.units import fpm_to_mps, ft_to_m, kn_to_mps, m_to_statute_miles
@@ -108,71 +107,6 @@ def test_terrain_interpolation_and_domain():
         world.TerrainProfile([(0.0, 0.0), (0.0, 1.0), (5.0, 1.0)])
     flat = world.TerrainProfile([(-1e6, 12.0), (1e6, 12.0)])
     assert flat.elevation_at(0.0) == 12.0
-
-
-# Strictly increasing tables of 1-6 points and their values; both include
-# signed zeros and large magnitudes, the values also infinities and (forced
-# half the time) equal neighbours.
-_EDGE = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e300, -1e300, 1.7e308, -1.7e308]
-_XS = st.lists(
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE)),
-    min_size=1, max_size=6, unique=True,
-).map(sorted).filter(lambda xs: all(a < b for a, b in zip(xs, xs[1:])))
-_FS = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGE + [math.inf, -math.inf]))
-
-
-@st.composite
-def _tables(draw):
-    xp = draw(_XS)
-    fp = draw(st.lists(_FS, min_size=len(xp), max_size=len(xp)))
-    if len(fp) > 1 and draw(st.booleans()):
-        i = draw(st.integers(0, len(fp) - 2))
-        fp[i + 1] = fp[i]
-    return xp, fp
-
-
-@st.composite
-def _inside(draw, xp):
-    """A point strictly between two neighbouring vertices (or at the left
-    one, when they are adjacent floats): the midpoint or next to an end."""
-
-    i = draw(st.integers(0, len(xp) - 2))
-    a, b = xp[i], xp[i + 1]
-    return draw(st.sampled_from([a / 2 + b / 2, math.nextafter(a, b), math.nextafter(b, a)]))
-
-
-@settings(max_examples=500, deadline=None)
-@given(table=_tables(), data=st.data())
-def test_interp_equals_numpy(table, data):
-    """`world.interp` returns what `np.interp` returns, to the last bit and the
-    sign of zero: at and between the vertices, outside the table, at +/-0.0,
-    at large magnitudes (where x - xp overflows) and for non-finite x."""
-
-    xp, fp = table
-    specials = _EDGE + [math.inf, -math.inf, math.nan]
-    xs = [st.sampled_from(xp), st.floats(), st.sampled_from(specials)]
-    if len(xp) > 1:
-        xs.append(_inside(xp))
-    x = data.draw(st.one_of(xs))
-    got = world.interp(x, xp, fp)
-    expected = float(np.interp(x, xp, fp))
-    assert type(got) is float
-    if math.isnan(expected):
-        assert math.isnan(got)
-    else:
-        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
-
-
-def test_interp_known_cases():
-    xp, fp = [0.0, 1.0, 3.0], [10.0, 20.0, 0.0]
-    assert world.interp(0.5, xp, fp) == 15.0
-    assert world.interp(2.0, xp, fp) == 10.0
-    assert world.interp(-5.0, xp, fp) == 10.0
-    assert world.interp(5.0, xp, fp) == 0.0
-    assert world.interp(1.0, xp, fp) == 20.0
-    # Equal infinite ends: numpy's fallback keeps the end value.
-    assert world.interp(0.5, [0.0, 1.0], [math.inf, math.inf]) == math.inf
-    assert math.isnan(world.interp(math.nan, xp, fp))
 
 
 def test_agl():
