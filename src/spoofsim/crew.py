@@ -265,7 +265,8 @@ class TcasPolicy:
 @dataclass
 class TcasCrewState:
     """Sampled per-trial script plus running counters.  The alerting mode is
-    the unit's own (`tcas.TcasUnit.mode`), which `tcas_act` switches."""
+    the trial's own value: `tcas_act` takes it and returns the mode the crew
+    leaves."""
 
     will_downgrade: bool
     will_standby: bool
@@ -276,7 +277,7 @@ class TcasCrewState:
     ta_count_since_downgrade: int = 0
 
     def settled(self, mode: str) -> bool:
-        """No further mode transition can occur from the unit's `mode`."""
+        """No further mode transition can occur from alerting `mode`."""
         return mode == self.final_mode != tcas.TA_RA
 
     @property
@@ -289,71 +290,45 @@ class TcasCrewState:
 def sample_tcas_crew(policy: TcasPolicy, rng: np.random.Generator) -> TcasCrewState:
     will_downgrade = rng.random() < policy.p_downgrade
     will_standby = will_downgrade and rng.random() < policy.p_standby_given_downgrade
-    ra_threshold = int(
-        round(
-            truncated_normal(
-                rng,
-                policy.ras_before_ta_only_mean,
-                policy.ras_before_ta_only_sd,
-                lo=float(MIN_RAS_BEFORE_TA_ONLY),
-            )
-        )
-    )
-    ta_threshold = int(
-        round(
-            truncated_normal(
-                rng,
-                policy.extra_tas_before_standby_mean,
-                policy.extra_tas_before_standby_sd,
-                lo=float(MIN_EXTRA_TAS_BEFORE_STANDBY),
-            )
-        )
-    )
-    state = TcasCrewState(
-        will_downgrade=will_downgrade,
-        will_standby=will_standby,
-        ra_threshold=ra_threshold,
-        ta_threshold=ta_threshold,
-        final_action="",
-    )
-    state.final_action = sample_categorical(
-        rng, policy.action_given_final_mode[state.final_mode]
-    )
+    ra_threshold = int(round(truncated_normal(
+        rng, policy.ras_before_ta_only_mean, policy.ras_before_ta_only_sd,
+        lo=float(MIN_RAS_BEFORE_TA_ONLY))))
+    ta_threshold = int(round(truncated_normal(
+        rng, policy.extra_tas_before_standby_mean, policy.extra_tas_before_standby_sd,
+        lo=float(MIN_EXTRA_TAS_BEFORE_STANDBY))))
+    state = TcasCrewState(will_downgrade, will_standby, ra_threshold, ta_threshold,
+                          final_action="")
+    state.final_action = sample_categorical(rng, policy.action_given_final_mode[state.final_mode])
     return state
 
 
-def tcas_act(event: tcas.Advisory, unit: tcas.TcasUnit, script: TcasCrewState) -> str:
-    """React to one advisory as the crew's sampled ``script`` (from
-    `sample_tcas_crew`) says, switching ``unit`` to a lower alerting mode on a
-    downgrade, and return the action taken; the script's counters advance.
+def tcas_act(level: str, mode: str, script: TcasCrewState) -> Tuple[str, str]:
+    """The crew's action on an advisory of ``level`` ("TA" or "RA") raised in
+    alerting ``mode``, as its sampled ``script`` (`sample_tcas_crew`) says,
+    and the mode it leaves, lower after a downgrade; the script's counters
+    advance.  RAs are followed until the sampled downgrade threshold; a TA
+    threshold of zero goes straight from full alerting to Standby."""
 
-    RAs are followed until the sampled downgrade threshold is reached; a
-    TA threshold of zero models going straight from full alerting to Standby.
-    """
-
-    if event.level == "RA":
-        if unit.mode != tcas.TA_RA:
+    if level == "RA":
+        if mode != tcas.TA_RA:
             raise ValueError("RA received while not in TA/RA mode")
         script.ra_count += 1
         if script.will_downgrade and script.ra_count >= script.ra_threshold:
             if script.will_standby and script.ta_threshold == 0:
-                unit.set_mode(tcas.STANDBY)
-                return SET_STANDBY
-            unit.set_mode(tcas.TA_ONLY)
-            return SET_TA_ONLY
-        return FOLLOW_RA
+                return SET_STANDBY, tcas.STANDBY
+            return SET_TA_ONLY, tcas.TA_ONLY
+        return FOLLOW_RA, mode
 
-    if event.level == "TA":
-        if unit.mode == tcas.STANDBY:
+    if level == "TA":
+        if mode == tcas.STANDBY:
             raise ValueError("TA received while in Standby")
-        if unit.mode == tcas.TA_ONLY and script.will_standby:
+        if mode == tcas.TA_ONLY and script.will_standby:
             script.ta_count_since_downgrade += 1
             if script.ta_count_since_downgrade >= script.ta_threshold:
-                unit.set_mode(tcas.STANDBY)
-                return SET_STANDBY
-        return CONTINUE
+                return SET_STANDBY, tcas.STANDBY
+        return CONTINUE, mode
 
-    raise ValueError(f"unknown advisory level {event.level!r}")
+    raise ValueError(f"unknown advisory level {level!r}")
 
 
 # ---------------------------------------------------------------------------

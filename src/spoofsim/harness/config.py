@@ -31,13 +31,16 @@ from ..ils import GlideslopeTx
 from ..tcas import MIN_CLOSURE_MPS, AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
 from .scenarios import (
-    SCENARIOS, approach_start, flown_glideslope, gs_eval_agl, gs_path_state,
+    SCENARIOS, approach_start, flown_glideslope, gpws_lead_end, gs_eval_agl, gs_path_state,
 )
 
 CONFIG_VERSION = 1
 #: The longest time a TCAS run may span, s.  Floats there are 2**-20 s
 #: (about 1 us) apart, so its 1 Hz cycle times stay distinct.
 TCAS_SPAN_LIMIT_S = 2.0**32
+#: The most steps a GPWS approach's fine loop may take.  Its blocks grow 4x
+#: until one holds the approach, so an array stays under 4 MiB.
+GPWS_STEP_LIMIT = 2**17
 
 
 class ConfigError(Exception):
@@ -96,9 +99,13 @@ SCHEMA = _obj(
                         "start_agl_ft": _pos(1500.0),
                     }
                 ),
-                "cruise": _obj(
-                    {"altitude_ft": _pos(12000.0), "ground_speed_kn": _pos(230.0)}
-                ),
+                "cruise": _obj({
+                    "altitude_ft": {**_pos(12000.0, maximum=1e9), "description": "floats are "
+                                    "1.2e-7 ft apart at 1e9 ft; 1e308 absorbs a -500 ft offset"},
+                    "ground_speed_kn": {**_pos(230.0, maximum=1e4), "description": "1e4 kn "
+                                        "is 2.2e13 m in a 2**32 s TCAS run; floats there are "
+                                        "0.004 m apart"},
+                }),
             }
         ),
         "attacker": _obj(
@@ -116,7 +123,9 @@ SCHEMA = _obj(
                     {
                         "approach_bearing_deg": _num(45.0),
                         "approach_speed_mps": _pos(180.0),
-                        "vertical_offset_ft": _num(-500.0),
+                        "vertical_offset_ft": {**_num(-500.0, minimum=-1e9, maximum=1e9),
+                                               "description": "ft; the slant range squares "
+                                               "it, and floats are 1.2e-7 ft apart at 1e9 ft"},
                         "activation_floor_ft": _nonneg(2000.0),
                         "alert_budget": {"type": "integer", "minimum": 0, "default": 10},
                         "start_tau_s": _pos(50.0),
@@ -471,6 +480,21 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
                     f"approach path ({path:.2f} m there), which runs from "
                     f"{start:.2f} m to the runway threshold at {threshold} m"
                 )
+    # A GPWS fine loop flies from `gpws_lead_end` at the farthest to touchdown
+    # (by the touchdown zone) and a step on; each step needs terrain under it.
+    tdz, lead_end = runway.touchdown_zone_position, gpws_lead_end(cfg)
+    reach = max(tdz, lead_end) + first.ground_speed * cfg.dt_s
+    if reach > hi:
+        name = "world.dt_s" if lead_end <= tdz else "world.runway.elevation_m"
+        raise ConfigError(
+            f"{name}: a GPWS fine loop may step to {reach:g} m, past the terrain's end at {hi} m:"
+            f" one {cfg.dt_s:g} s step past the touchdown zone at {tdz} m or past its start, "
+            f"{lead_end:g} m (its jump from the approach start, {first.altitude_msl:g} m high)")
+    steps = cfg.approach_start_agl_ft / (cfg.approach_descent_rate_fpm / 60.0) / cfg.dt_s
+    if steps > GPWS_STEP_LIMIT:
+        raise ConfigError(
+            f"world.dt_s: a GPWS approach (world.approach) may take {steps:g} fine-loop steps of "
+            f"{cfg.dt_s:g} s, more than the {GPWS_STEP_LIMIT} its arrays are bounded by")
     # A glideslope crew cross-checks the glideslope, then may go around,
     # between the approach start and the runway threshold.  Above the start,
     # the event would come before t = 0; at or past the threshold there is no
@@ -498,7 +522,7 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
             f"({' + '.join(fields)})"
         )
     # A TCAS run's cycle times stay distinct, and the claim's reach within the
-    # larger tau (+ 1 s) squares in float range, as `first_cycle_within` needs.
+    # larger tau (+ 1 s) squares in float range, as `_first_cycles` needs.
     plan = cfg.false_intruder_plan
     span = min(cfg.max_episodes, TCAS_SPAN_LIMIT_S) * (
         float(cfg.inter_episode_gap_s) + math.ceil(plan.start_tau_s))

@@ -20,21 +20,21 @@ block ends; one that ends in neither way is flown again longer.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter: after cycle 0 it jumps to the
-cycle before the first at which tau can fall to the next threshold
-(`FalseIntruderInjector.first_cycle_within`, from the injector's
-straight-line claim), which only updates the track, so every advised cycle
-takes its closure over one second.  It ends at its RA, at a TA that leaves
-the unit outside TA/RA, or where the claimed range reaches its floor
-(`FalseIntruderInjector.floor_cycle`).  Where the terrain crosses the
-injector's activation floor, every cycle runs, each step of the lockstep
-looks up the terrain under all its rows at once, and a track not updated
-goes stale as `TcasUnit.drop_stale` drops it.  Each
-trial is a generator (`tcas_trial`) whose scalar steps keep its own order:
-episode draws, crew reactions, the budget, the log and the one
-`tcas.SurveillanceMessage` per encounter.  Round n flies the n-th encounter
-of every trial as array rows (`_tcas_encounters`) with the scalar cycle's
-floats: the own ship at ``(gs * t, 0.0, altitude)``, as ``world.step``
-places it, the claim relative to it, and `tcas.slant_ranges`.
+cycle before the first at which tau can fall to the next threshold, which
+only updates the track, so every advised cycle takes its closure over one
+second.  The array kernel (`_tcas_encounters`) owns that schedule, bounded
+from each row's closure speed (`_first_cycles`).  An encounter ends at its
+RA, at a TA that leaves the crew outside TA/RA, or where the claimed range
+reaches its floor (`FalseIntruderInjector.floor_cycle`).  Where the terrain
+crosses the injector's activation floor, every cycle runs, each step of the
+lockstep looks up the terrain under all its rows at once, and a track not
+updated goes stale as `TcasUnit.drop_stale` drops it.  Each trial is a
+generator (`tcas_trial`) whose scalar steps keep its own order: episode
+draws, crew reactions and the alerting mode they leave (a plain value), the
+budget, the log and the one `tcas.SurveillanceMessage` per encounter.  Round
+n flies the n-th encounter of every trial as array rows with the scalar
+cycle's floats: the own ship at ``(gs * t, 0.0, altitude)``, as
+``world.step`` places it, the claim relative to it, and `tcas.slant_ranges`.
 """
 
 from __future__ import annotations
@@ -95,6 +95,18 @@ def approach_start(cfg: ScenarioConfig, t0: float) -> world.AircraftState:
 
 # ---------------------------------------------------------------------------
 # terrain-alert spoofing
+
+
+def gpws_lead_end(cfg: ScenarioConfig) -> float:
+    """The farthest along-track point, m, at which a GPWS fine loop starts:
+    `gpws_trials`' jump to just above the lowest trigger that attacks."""
+
+    start = approach_start(cfg, 0.0)
+    trigger = max(cfg.gpws_attack_schedule.window(1)[0], 0.0)
+    # `world.agl` inline: a GS or TCAS run's config makes no world-layer call.
+    agl = start.altitude_msl - cfg.terrain.elevation_at(start.along_track)
+    lead = (m_to_ft(agl) - (trigger + _GPWS_LEAD_FT)) / -m_to_ft(start.vertical_speed)
+    return start.along_track + start.ground_speed * max(lead, 0.0)
 
 
 def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
@@ -288,27 +300,29 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
     returns the trial's log."""
 
     log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    policy, th = cfg.tcas_policy, cfg.tcas_thresholds
+    policy = cfg.tcas_policy
     answers, claim_ft, rel = _claim_frame(cfg)
 
-    unit = tcas.TcasUnit(thresholds=th, mode=tcas.TA_RA, rng=rng)
+    mode = tcas.TA_RA  # the alerting mode, lowered by the crew's downgrades
     script = crew.sample_tcas_crew(policy, rng)
     injector = tcas.FalseIntruderInjector(
         cfg.false_intruder_plan, rng, attacker_position=cfg.attacker_position_m)
 
     if not cfg.attacker_enabled:
         log.finish(0.0, "CONTINUED", {
-            "final_mode": unit.mode, "final_action": crew.CONTINUE,
+            "final_mode": mode, "final_action": crew.CONTINUE,
             "episodes": 0, "ras_observed": 0, "tas_after_downgrade": 0,
         })
         return log
 
+    # Every RA of the run is against the same claimed relative altitude.
+    ra = tcas.resolution_advisory(rel, 0.0)
     t = 0.0
     episodes = 0
     while (
         episodes < cfg.max_episodes
         and not injector.budget_exhausted()
-        and not script.settled(unit.mode)
+        and not script.settled(mode)
     ):
         injector.start_episode(t)
         episodes += 1
@@ -318,60 +332,42 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
         })
         k_end = injector.floor_cycle()
         sample, advisories = None, ()
-        if unit.mode != tcas.STANDBY and answers is not False:
-            # The first cycles that can raise the TA, and the RA after it;
-            # where the injector may fall silent, every cycle runs.
-            ta_from = ra_from = 1
-            if answers:
-                ta_from = (injector.first_cycle_within(th.tau_ta_s)
-                           if abs(rel) <= th.ta_band_ft else math.inf)
-                ra_from = (injector.first_cycle_within(th.tau_ra_s)
-                           if abs(rel) <= th.ra_band_ft else math.inf)
+        if mode != tcas.STANDBY and answers is not False:
             v, theta = injector._speed, math.radians(injector._bearing)
             sample, advisories = yield (t, v, v * cfg.false_intruder_plan.start_tau_s,
                                         math.cos(theta), math.sin(theta), k_end,
-                                        unit.mode == tcas.TA_RA, ta_from, ra_from)
+                                        mode == tcas.TA_RA)
         tc = t + k_end
         for ta, tc_adv in advisories:
-            adv = tcas.Advisory(level="TA", time=tc_adv) if ta else tcas.resolution_advisory(rel, tc_adv)
-            injector.observe_advisory(adv)
-            event = {"level": adv.level, "episode": episodes}
+            level = "TA" if ta else "RA"
+            injector.observe_advisory(level)
+            event = {"level": level, "episode": episodes}
             if not ta:
-                event.update(ra_sense=adv.ra_sense, commanded_rate_fpm=adv.commanded_rate)
+                event.update(ra_sense=ra.ra_sense, commanded_rate_fpm=ra.commanded_rate)
             log.add(tc_adv, "advisory", event)
-            action = crew.tcas_act(adv, unit, script)
+            action, mode = crew.tcas_act(level, mode, script)
             log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
-            if not ta or unit.mode != tcas.TA_RA:
+            if not ta or mode != tcas.TA_RA:
                 tc = tc_adv
                 break
         if sample is not None:
             tc_sample, claimed = sample
             claim = (injector.icao_id, claim_ft, claimed)
             log.add(tc, "surveillance", injector.reply(tc_sample, claim).to_record())
-        injector.end_episode()
         t = tc + cfg.inter_episode_gap_s
 
-    final_mode = unit.mode
-    if script.settled(final_mode):
+    if script.settled(mode):
         final_action = script.final_action
-    elif final_mode == tcas.TA_RA:
+    elif mode == tcas.TA_RA:
         final_action = crew.CONTINUE
     else:
         # Budget ran out mid-path; decide from the mode actually reached.
-        final_action = crew.sample_categorical(
-            rng, policy.action_given_final_mode[final_mode]
-        )
-    outcome = {
-        crew.CONTINUE: "CONTINUED",
-        crew.AVOIDANCE: "AVOIDED",
-        crew.DIVERT: "DIVERTED",
-    }[final_action]
+        final_action = crew.sample_categorical(rng, policy.action_given_final_mode[mode])
+    outcome = {crew.CONTINUE: "CONTINUED", crew.AVOIDANCE: "AVOIDED",
+               crew.DIVERT: "DIVERTED"}[final_action]
     log.finish(t, outcome, {
-        "final_mode": final_mode,
-        "final_action": final_action,
-        "episodes": episodes,
-        "ras_observed": script.ra_count,
-        "tas_after_downgrade": script.ta_count_since_downgrade,
+        "final_mode": mode, "final_action": final_action, "episodes": episodes,
+        "ras_observed": script.ra_count, "tas_after_downgrade": script.ta_count_since_downgrade,
     })
     return log
 
@@ -399,11 +395,39 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
     return logs
 
 
+def _first_cycles(cfg: ScenarioConfig, v: np.ndarray) -> tuple:
+    """The first cycles k >= 1 at which encounters closing at ``v`` m/s can
+    raise the TA and the RA, as float arrays: 1 where the injector may fall
+    silent (every cycle runs), `math.inf` outside the altitude band.  The
+    claimed slant range s = sqrt(r^2 + h^2), r = v (T - e), is convex in the
+    elapsed time e, so tau at cycle k is at least tau(e) - 1 at e = k - 1,
+    with tau(e) = s^2 / (v r).  The bound is one second after tau(e) falls
+    to the threshold + 1, at the larger root r of r^2 - v (tau + 1) r + h^2
+    (`math.inf` if none), less 1e-6 s for the tracked positions' rounding."""
+
+    th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
+    answers, _, rel = _claim_frame(cfg)
+    if not answers:
+        return np.ones(len(v)), np.ones(len(v))
+    h = ft_to_m(plan.vertical_offset)
+
+    def first(tau_s: float, band_ft: float) -> np.ndarray:
+        if abs(rel) > band_ft:
+            return np.full(len(v), math.inf)
+        vt = v * (tau_s + 1.0)
+        disc = vt * vt - 4.0 * h * h
+        r = (vt + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+        k = np.maximum(1.0, np.ceil(plan.start_tau_s - r / v + 1.0 - 1e-6))
+        return np.where(disc < 0, math.inf, k)
+
+    return first(th.tau_ta_s, th.ta_band_ft), first(th.tau_ra_s, th.ra_band_ft)
+
+
 def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     """The flights of encounter rows ``(t, speed, speed * start_tau_s, cos
-    and sin of the bearing, k_end, ta_ra, ta_from, ra_from)``, flown in
-    lockstep as arrays: from t, each runs cycle 0, then the cycle before the
-    first that can advise (``ta_from``, or ``ra_from`` after a TA in TA/RA
+    and sin of the bearing, k_end, ta_ra)``, flown in lockstep as arrays:
+    from t, each runs cycle 0, then the cycle before the first that can
+    advise (`_first_cycles`' TA cycle, or its RA cycle after a TA in TA/RA
     mode, ``ta_ra``) and each cycle after it, advised, until its advisory or
     cycle k_end.  The track keeps `TcasUnit._update_track`'s closure and
     `drop_stale`'s staleness, and tau is read as `advise` reads it.  A flight
@@ -423,7 +447,8 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     # compacted as rows end.  A row without a track has ``last`` -inf, so a
     # new track's closure is (-)0 and reads no tau.
     m = np.zeros((len(rows), 15))
-    m[:, :9] = np.array(rows, dtype=float).reshape(-1, 9)
+    m[:, :7] = np.array(rows, dtype=float).reshape(-1, 7)
+    m[:, 7], m[:, 8] = _first_cycles(cfg, m[:, 1])
     m[:, 9], m[:, 14] = ta_tau, -math.inf
     ids = np.arange(len(rows))
     samples: List[Any] = [None] * len(rows)

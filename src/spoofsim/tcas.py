@@ -235,7 +235,7 @@ class Channel:
 
 
 class TcasUnit:
-    """Intruder tracker plus TA/RA advisory logic with the mode switch."""
+    """Intruder tracker in an alerting mode, with the Mode C whisper-shout."""
 
     def __init__(
         self,
@@ -249,11 +249,6 @@ class TcasUnit:
         self.mode = mode
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.tracks: Dict[object, IntruderTrack] = {}
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in (STANDBY, TA_ONLY, TA_RA):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
 
     # -- surveillance -----------------------------------------------------
 
@@ -452,8 +447,9 @@ class FalseIntruderInjector:
     def end_episode(self) -> None:
         self.episode_start = None
 
-    def observe_advisory(self, advisory: Optional[Advisory]) -> None:
-        if advisory is not None and advisory.level == "RA":
+    def observe_advisory(self, level: str) -> None:
+        """Count an advisory of ``level``, "TA" or "RA"; only RAs spend the budget."""
+        if level == "RA":
             self.ras_observed += 1
 
     # -- virtual intruder geometry ---------------------------------------
@@ -483,28 +479,6 @@ class FalseIntruderInjector:
         claim stops closing there, so no later cycle can raise an advisory."""
 
         return max(0, math.ceil(self.plan.start_tau_s - CLAIM_FLOOR_M / self._speed))
-
-    def first_cycle_within(self, tau_s: float) -> float:
-        """A lower bound on the first cycle k >= 1 of the encounter at which a
-        track updated once a second reads tau <= ``tau_s``; ``math.inf`` when
-        the claim never closes that fast.
-
-        The claimed slant range s = sqrt(r^2 + h^2), r = v (T - e), is convex
-        in the elapsed time e, so the closure over the second before cycle k
-        is at most the claim's rate v r / s at k - 1, and tau at k is at least
-        tau(k - 1) - 1 with tau(e) = s^2 / (v r).  The bound is the cycle one
-        second after tau(e) first falls to ``tau_s`` + 1 (at the larger root r
-        of r^2 - v (tau_s + 1) r + h^2 = 0), taken 1e-6 s early to absorb the
-        rounding of the tracked positions.
-        """
-
-        v, tau = self._speed, tau_s + 1.0
-        h = ft_to_m(self.plan.vertical_offset)
-        disc = (v * tau) ** 2 - 4.0 * h * h
-        if disc < 0:  # tau(e) bottoms out at 2 |h| / v
-            return math.inf
-        r = (v * tau + math.sqrt(disc)) / 2.0
-        return max(1, math.ceil(self.plan.start_tau_s - r / v + 1.0 - 1e-6))
 
     # -- responder interface ----------------------------------------------
 

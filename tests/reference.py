@@ -11,7 +11,10 @@ to the bit:
 - `mode_s_cycle` and `ModeSTransponder`: a Mode S surveillance cycle over
   responders' claims, against the TCAS encounter kernel;
 - `uniform_start_episode`: an encounter's draws by `Generator.uniform`,
-  against `FalseIntruderInjector.start_episode`.
+  against `FalseIntruderInjector.start_episode`;
+- `first_cycle_within`: an encounter's first cycle that can advise, one
+  encounter at a time, against the TCAS encounter kernel's schedule
+  (`scenarios._first_cycles`).
 
 No module under `src` imports this one.
 """
@@ -27,7 +30,7 @@ from spoofsim import tcas
 from spoofsim.gpws import CLOSURE_WINDOW_S, Mode2Envelope
 from spoofsim.radalt import PulseEcho, height_to_delay
 from spoofsim.tcas import MODE_S_REPLY, STANDBY, Claim, Position, SurveillanceMessage
-from spoofsim.units import m_to_ft
+from spoofsim.units import ft_to_m, m_to_ft
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +191,25 @@ def uniform_start_episode(injector: tcas.FalseIntruderInjector, t: float) -> Non
                                      injector.plan.speed_jitter_mps)),
     )
     injector.icao_id = int(injector.rng.integers(0, 2**24))
+
+
+def first_cycle_within(plan: tcas.FalseIntruderPlan, speed: float, tau_s: float) -> float:
+    """A lower bound on the first cycle k >= 1 of an encounter of ``plan``
+    closing at ``speed`` m/s at which a track updated once a second reads
+    tau <= ``tau_s``; ``math.inf`` when the claim never closes that fast.
+
+    The claimed slant range s = sqrt(r^2 + h^2), r = v (T - e), is convex in
+    the elapsed time e, so tau at cycle k is at least tau(k - 1) - 1 with
+    tau(e) = s^2 / (v r).  The bound is the cycle one second after tau(e)
+    first falls to ``tau_s`` + 1 (at the larger root r of
+    r^2 - v (tau_s + 1) r + h^2 = 0), taken 1e-6 s early to absorb the
+    rounding of the tracked positions.
+    """
+
+    v, tau = speed, tau_s + 1.0
+    h = ft_to_m(plan.vertical_offset)
+    disc = (v * tau) ** 2 - 4.0 * h * h
+    if disc < 0:  # tau(e) bottoms out at 2 |h| / v
+        return math.inf
+    r = (v * tau + math.sqrt(disc)) / 2.0
+    return max(1, math.ceil(plan.start_tau_s - r / v + 1.0 - 1e-6))

@@ -159,64 +159,55 @@ def test_tcas_crew_sampling_marginals():
     assert abs(finals[tcas.STANDBY] / 30_000 - 11 / 30) < 0.01
 
 
-def ra_event():
-    return tcas.Advisory(level="RA", time=0.0, ra_sense="CLIMB", commanded_rate=1500.0)
-
-
-def ta_event():
-    return tcas.Advisory(level="TA", time=0.0)
-
-
 def test_tcas_act_downgrade_path():
-    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=True, will_standby=True, ra_threshold=3, ta_threshold=2,
         final_action=crew.CONTINUE,
     )
-    assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
-    assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
-    assert unit.mode == tcas.TA_RA
-    assert crew.tcas_act(ra_event(), unit, c) == crew.SET_TA_ONLY
-    assert unit.mode == tcas.TA_ONLY
-    assert not c.settled(unit.mode)
-    assert crew.tcas_act(ta_event(), unit, c) == crew.CONTINUE
-    assert crew.tcas_act(ta_event(), unit, c) == crew.SET_STANDBY
-    assert unit.mode == tcas.STANDBY
-    assert c.settled(unit.mode)
+    mode = tcas.TA_RA
+    assert crew.tcas_act("RA", mode, c) == (crew.FOLLOW_RA, tcas.TA_RA)
+    assert crew.tcas_act("RA", mode, c) == (crew.FOLLOW_RA, tcas.TA_RA)
+    action, mode = crew.tcas_act("RA", mode, c)
+    assert (action, mode) == (crew.SET_TA_ONLY, tcas.TA_ONLY)
+    assert not c.settled(mode)
+    assert crew.tcas_act("TA", mode, c) == (crew.CONTINUE, tcas.TA_ONLY)
+    action, mode = crew.tcas_act("TA", mode, c)
+    assert (action, mode) == (crew.SET_STANDBY, tcas.STANDBY)
+    assert c.settled(mode)
     assert (c.ra_count, c.ta_count_since_downgrade) == (3, 2)
 
 
 def test_tcas_act_straight_to_standby():
-    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=True, will_standby=True, ra_threshold=1, ta_threshold=0,
         final_action=crew.CONTINUE,
     )
-    assert crew.tcas_act(ra_event(), unit, c) == crew.SET_STANDBY
-    assert unit.mode == tcas.STANDBY
-    assert c.settled(unit.mode)
+    action, mode = crew.tcas_act("RA", tcas.TA_RA, c)
+    assert (action, mode) == (crew.SET_STANDBY, tcas.STANDBY)
+    assert c.settled(mode)
 
 
 def test_tcas_act_never_downgrades():
-    unit = tcas.TcasUnit()
     c = crew.TcasCrewState(
         will_downgrade=False, will_standby=False, ra_threshold=4, ta_threshold=2,
         final_action=crew.CONTINUE,
     )
     for _ in range(20):
-        assert crew.tcas_act(ra_event(), unit, c) == crew.FOLLOW_RA
-    assert unit.mode == tcas.TA_RA
-    assert not c.settled(unit.mode)
+        assert crew.tcas_act("RA", tcas.TA_RA, c) == (crew.FOLLOW_RA, tcas.TA_RA)
+    assert not c.settled(tcas.TA_RA)
 
 
 def test_tcas_act_rejects_inconsistent_events():
-    unit = tcas.TcasUnit(mode=tcas.STANDBY)
     c = crew.TcasCrewState(True, True, 1, 0, crew.CONTINUE)
     with pytest.raises(ValueError):
-        crew.tcas_act(ra_event(), unit, c)
+        crew.tcas_act("RA", tcas.STANDBY, c)
     with pytest.raises(ValueError):
-        crew.tcas_act(ta_event(), unit, c)
-    assert unit.mode == tcas.STANDBY
+        crew.tcas_act("TA", tcas.STANDBY, c)
+    with pytest.raises(ValueError):
+        crew.tcas_act("RA", tcas.TA_ONLY, c)
+    with pytest.raises(ValueError, match="unknown advisory level"):
+        crew.tcas_act("XA", tcas.TA_RA, c)
+    assert (c.ra_count, c.ta_count_since_downgrade) == (0, 0)
 
 
 def test_tcas_action_tables_condition_on_final_mode():

@@ -28,7 +28,7 @@ from spoofsim.harness import cost as cost_mod
 from spoofsim.harness import log as log_module
 from spoofsim.harness import output
 from spoofsim.harness.cli import main
-from spoofsim.harness.config import make_config, validate_config_dict
+from spoofsim.harness.config import GPWS_STEP_LIMIT, make_config, validate_config_dict
 from spoofsim.harness.log import TrialLog
 from spoofsim.harness.output import emit, load_run
 from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
@@ -352,6 +352,82 @@ def test_values_at_the_float_bounds_run(tmp_path, capsys):
         path.write_text(json.dumps({"version": 1, "scenario": "TCAS", **data}))
         assert main(["validate-config", "--config", str(path)]) == 0
         assert main(["run", "--config", str(path), "--trials", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+_GPWS_REACH = r"{}: a GPWS fine loop may step to {} m, past the terrain's end at 50000\.0 m"
+
+
+def _max(field, bound):
+    return rf"{re.escape(field)}: 1e\+308 is greater than the maximum of {re.escape(repr(bound))}"
+
+
+@pytest.mark.parametrize("data, pattern", [
+    ({"scenario": "GPWS", "world": {"dt_s": 1e15}},
+     _GPWS_REACH.format(r"world\.dt_s", r"6\.68778e\+16")),
+    ({"scenario": "GPWS", "world": {"runway": {"elevation_m": 1e15}}},
+     _GPWS_REACH.format(r"world\.runway\.elevation_m", r"1\.8807e\+16")),
+    ({"scenario": "TCAS", "world": {"cruise": {"ground_speed_kn": 1e308}}},
+     _max("world.cruise.ground_speed_kn", 1e4)),
+    ({"scenario": "TCAS", "world": {"cruise": {"altitude_ft": 1e308}}},
+     _max("world.cruise.altitude_ft", 1e9)),
+    ({"scenario": "TCAS", "attacker": {"tcas": {"vertical_offset_ft": 1e308}}},
+     _max("attacker.tcas.vertical_offset_ft", 1e9)),
+    ({"scenario": "TCAS", "attacker": {"tcas": {"vertical_offset_ft": -1e308}}},
+     r"attacker\.tcas\.vertical_offset_ft: -1e\+308 is less than the minimum of "
+     r"-1000000000\.0"),
+], ids=["gpws-dt-1e15", "gpws-runway-elevation-1e15", "tcas-ground-speed-1e308",
+        "tcas-altitude-1e308", "tcas-offset-1e308", "tcas-offset-minus-1e308"])
+def test_geometry_and_magnitudes_that_break_a_run_rejected(tmp_path, capsys, data, pattern):
+    """Configs that validated and then could not run consistently are
+    rejected up front, with exit 2 naming the field, by both commands.  The
+    two GPWS ones stepped off the terrain: `run` exited 3 after making an
+    empty `trials/`.  A 1e308 kn cruise logged an infinite claimed position
+    that `detect` refused as corrupt; a 1e308 ft offset overflowed the slant
+    range; a 1e308 ft cruise absorbed the claim's offset, so its RAs read
+    HOLD_VS."""
+
+    _cli_rejects(tmp_path, capsys, {"version": 1, "trials": 3, **data}, pattern)
+
+
+def test_gpws_step_limit_rejected_up_front(tmp_path, capsys):
+    """A 1e-9 s step validated, and `run` then asked for one 47.7 GiB block.
+    `make_config` and `validate-config` now reject steps that would make an
+    approach's fine loop longer than `GPWS_STEP_LIMIT`, with exit 2 naming
+    `world.dt_s`; a step just inside it validates.  Nothing here runs: a run
+    past a missing check would allocate that block."""
+
+    pattern = (r"world\.dt_s: a GPWS approach \(world\.approach\) may take 1\.28571e\+11 "
+               rf"fine-loop steps of 1e-09 s, more than the {GPWS_STEP_LIMIT} its arrays")
+    data = {"version": 1, "scenario": "GPWS", "trials": 3, "world": {"dt_s": 1e-9}}
+    with pytest.raises(ConfigError, match=pattern):
+        make_config(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert re.search(pattern, capsys.readouterr().err)
+    # The default approach, 1500 ft at 700 ft/min, lasts 128.57 s.
+    data["world"]["dt_s"] = 128.6 / GPWS_STEP_LIMIT
+    make_config(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"world": {"cruise": {"ground_speed_kn": 1e4}}},
+    {"world": {"cruise": {"altitude_ft": 1e9}}},
+    {"attacker": {"tcas": {"vertical_offset_ft": 1e9}}},
+    {"attacker": {"tcas": {"vertical_offset_ft": -1e9}}},
+], ids=["ground-speed", "altitude", "offset", "minus-offset"])
+def test_tcas_magnitudes_at_their_bounds_run(tmp_path, capsys, data):
+    """Each TCAS magnitude at its schema bound validates, runs without a
+    floating-point warning and logs finite numbers that `detect` reads."""
+
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps({"version": 1, "scenario": "TCAS", **data}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--trials", "3", "--out", str(out)]) == 0
+        assert main(["detect", "--out", str(out)]) == 0
+    assert "Infinity" not in "".join(p.read_text() for p in (out / "trials").iterdir())
     capsys.readouterr()
 
 

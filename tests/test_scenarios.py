@@ -35,7 +35,9 @@ from spoofsim.harness.scenarios import (
 )
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
-from reference import ClosureRateEstimator, RampAttackPlan, evaluate, mode_s_cycle
+from reference import (
+    ClosureRateEstimator, RampAttackPlan, evaluate, first_cycle_within, mode_s_cycle,
+)
 
 #: The golden-output seed.
 SEED = 20190118
@@ -216,6 +218,23 @@ def test_tcas_injector_holds_no_function_or_array(monkeypatch):
         assert not [v for v in held if callable(v) or isinstance(v, np.ndarray)], vars(injector)
         assert injector.attacker_position == (-5000.0, 8000.0, 150.0)
         assert all(type(v) is float for v in injector.attacker_position)
+
+
+def test_tcas_trial_holds_mode_and_advisories_as_values(monkeypatch):
+    """Work budget: a TCAS `run()` at N=20 builds no `TcasUnit` (a trial
+    keeps its alerting mode as a value) and at most one `Advisory` per trial
+    (its RA's sense and rate, read once), and takes each round's schedule
+    from one array `_first_cycles` call, with no scalar bound per encounter."""
+
+    kernel = scenarios.__name__
+    counts = _tcas_run_counting(monkeypatch, [
+        (tcas.TcasUnit, "__init__"), (tcas.Advisory, "__init__"),
+        (scenarios, "_first_cycles"), (scenarios, "_tcas_encounters")])
+    assert counts["episodes"] > 0, counts
+    assert counts["TcasUnit.__init__"] == 0, counts
+    assert 0 < counts["Advisory.__init__"] <= 20, counts
+    assert counts[f"{kernel}._first_cycles"] == counts[f"{kernel}._tcas_encounters"] > 0, counts
+    assert not hasattr(tcas.FalseIntruderInjector, "first_cycle_within")
 
 
 def test_tcas_integer_attacker_position_logs_floats():
@@ -556,17 +575,17 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
             if adv.level == "TA" and not ta_handled:
                 ta_handled = True
                 log.add(tc, "advisory", {"level": "TA", "episode": episodes})
-                action = crew.tcas_act(adv, unit, crew_state)
+                action, unit.mode = crew.tcas_act(adv.level, unit.mode, crew_state)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
                 if unit.mode != tcas.TA_RA:
                     break
             elif adv.level == "RA":
-                injector.observe_advisory(adv)
+                injector.observe_advisory(adv.level)
                 log.add(tc, "advisory", {
                     "level": "RA", "episode": episodes,
                     "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
                 })
-                action = crew.tcas_act(adv, unit, crew_state)
+                action, unit.mode = crew.tcas_act(adv.level, unit.mode, crew_state)
                 log.add(tc, "crew_action", {"action": action, "episode": episodes})
                 break
         if sample is not None:
@@ -678,6 +697,54 @@ def test_tcas_schedule_matches_1hz_reference(raw):
     defaults, the golden bytes)."""
 
     _tcas_logs_agree(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=_tcas_geometries(), speeds=st.lists(_seconds(tcas.MIN_CLOSURE_MPS, 500.0),
+                                               min_size=1, max_size=6))
+# Whole seconds: tau falls exactly to tau_ta_s at cycle 1 in exact arithmetic.
+@example(raw={"version": 1, "scenario": "TCAS",
+              "attacker": {"tcas": {"start_tau_s": 14.0, "vertical_offset_ft": 0.0}},
+              "tcas_system": {"tau_ta_s": 13.0, "tau_ra_s": 1.0, "ta_band_ft": 100.0,
+                              "ra_band_ft": 50.0}}, speeds=[46.0, 30.0])
+# In both bands, but tau(e) bottoms out above each threshold at the slowest
+# closures: a negative discriminant.
+@example(raw={"version": 1, "scenario": "TCAS",
+              "attacker": {"tcas": {"vertical_offset_ft": -2000.0}},
+              "tcas_system": {"ta_band_ft": 2000.0, "ra_band_ft": 2000.0}},
+         speeds=[30.0, 31.0, 40.0, 180.0])
+# On the RA band's edge and outside the TA band.
+@example(raw={"version": 1, "scenario": "TCAS",
+              "attacker": {"tcas": {"vertical_offset_ft": 600.0}}}, speeds=[180.0, 30.0])
+@example(raw={"version": 1, "scenario": "TCAS",
+              "attacker": {"tcas": {"vertical_offset_ft": -1200.5}}}, speeds=[180.0])
+# The injector may fall silent, so every cycle runs; or it never answers.
+@example(raw=_STRADDLING, speeds=[180.0, 30.0])
+@example(raw={"version": 1, "scenario": "TCAS",
+              "attacker": {"tcas": {"activation_floor_ft": 20000.0}}}, speeds=[180.0])
+def test_first_cycles_equal_scalar_bound(raw, speeds):
+    """Property: the encounter kernel's schedule, taken for all its rows as
+    arrays, is the scalar bound of `reference.first_cycle_within` for each
+    row, as integers (numpy's squares may differ from ``x ** 2`` in the last
+    bit; the 1e-6 s margin absorbs that): ``inf`` outside a band or where the
+    claim never closes that fast, and cycle 1 where the terrain straddles the
+    activation floor."""
+
+    cfg = make_config(raw)
+    th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
+    answers, _, rel = scenarios._claim_frame(cfg)
+
+    def expected(tau_s, band_ft):
+        if not answers:
+            return [1] * len(speeds)
+        if abs(rel) > band_ft:
+            return [math.inf] * len(speeds)
+        return [first_cycle_within(plan, v, tau_s) for v in speeds]
+
+    ta_from, ra_from = scenarios._first_cycles(cfg, np.array(speeds))
+    for got, want in [(ta_from, expected(th.tau_ta_s, th.ta_band_ft)),
+                      (ra_from, expected(th.tau_ra_s, th.ra_band_ft))]:
+        assert got.tolist() == want
 
 
 def _gpws_trial(cfg, trial_id, seed):

@@ -409,10 +409,10 @@ def test_injector_budget_counts_ras_only():
     injector, _ = make_injector()
     injector.start_episode(0.0)
     for _ in range(5):
-        injector.observe_advisory(tcas.Advisory(level="TA", time=0.0))
+        injector.observe_advisory("TA")
     assert injector.ras_observed == 0
     for _ in range(10):
-        injector.observe_advisory(tcas.Advisory(level="RA", time=0.0, ra_sense="CLIMB"))
+        injector.observe_advisory("RA")
     assert injector.budget_exhausted()
     assert not injector.active(0.0)
 
@@ -488,11 +488,10 @@ def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
 
     injector, _ = make_injector(plan=tcas.FalseIntruderPlan(alert_budget=budget))
     injector.start_episode(0.0)
-    ra = tcas.Advisory(level="RA", time=t, ra_sense="CLIMB")
     for _ in range(budget - 1):
-        injector.observe_advisory(ra)
+        injector.observe_advisory("RA")
     assert injector.respond_mode_s(t) is not None
-    injector.observe_advisory(ra)
+    injector.observe_advisory("RA")
     assert injector.respond_mode_s(t) is None
 
 
