@@ -116,7 +116,9 @@ SCHEMA = _obj(
                         "base_trigger_ft": _pos(500.0),
                         "increment_per_approach_ft": _nonneg(250.0),
                         "jitter_window_ft": _nonneg(50.0),
-                        "apparent_descent_rate_mps": _pos(15.4),
+                        "apparent_descent_rate_mps": {
+                            **_pos(15.4, maximum=1e9), "description": "m/s; the ramp "
+                            "falls rate x 1.5 s, which overflows at 1e308"},
                     }
                 ),
                 "tcas": _obj(
@@ -135,7 +137,9 @@ SCHEMA = _obj(
                                              "description": "+/- m/s; 2 * jitter must be finite"},
                         "position_m": {
                             "type": "array",
-                            "items": _num(),
+                            "items": {**_num(minimum=-1e9, maximum=1e9), "description": "m; "
+                                      "floats are 1.2e-7 m apart at 1e9 m; at 1e308 the "
+                                      "TOA check's distances overflow"},
                             "minItems": 3,
                             "maxItems": 3,
                             "default": [-5000.0, 8000.0, 150.0],

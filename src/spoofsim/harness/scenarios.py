@@ -321,7 +321,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
     episodes = 0
     while (
         episodes < cfg.max_episodes
-        and not injector.budget_exhausted()
+        and script.ra_count < cfg.false_intruder_plan.alert_budget
         and not script.settled(mode)
     ):
         injector.start_episode(t)
@@ -340,7 +340,6 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
         tc = t + k_end
         for ta, tc_adv in advisories:
             level = "TA" if ta else "RA"
-            injector.observe_advisory(level)
             event = {"level": level, "episode": episodes}
             if not ta:
                 event.update(ra_sense=ra.ra_sense, commanded_rate_fpm=ra.commanded_rate)
@@ -411,8 +410,8 @@ def _first_cycles(cfg: ScenarioConfig, v: np.ndarray) -> tuple:
         return np.ones(len(v)), np.ones(len(v))
     h = ft_to_m(plan.vertical_offset)
 
-    def first(tau_s: float, band_ft: float) -> np.ndarray:
-        if abs(rel) > band_ft:
+    def first(tau_s: float, in_band: bool) -> np.ndarray:
+        if not in_band:
             return np.full(len(v), math.inf)
         vt = v * (tau_s + 1.0)
         disc = vt * vt - 4.0 * h * h
@@ -420,7 +419,8 @@ def _first_cycles(cfg: ScenarioConfig, v: np.ndarray) -> tuple:
         k = np.maximum(1.0, np.ceil(plan.start_tau_s - r / v + 1.0 - 1e-6))
         return np.where(disc < 0, math.inf, k)
 
-    return first(th.tau_ta_s, th.ta_band_ft), first(th.tau_ra_s, th.ra_band_ft)
+    ta_in, ra_in = tcas.alert_levels(0.0, rel, True, th)  # the bands' gate
+    return first(th.tau_ta_s, ta_in), first(th.tau_ra_s, ra_in)
 
 
 def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
@@ -430,15 +430,14 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     advise (`_first_cycles`' TA cycle, or its RA cycle after a TA in TA/RA
     mode, ``ta_ra``) and each cycle after it, advised, until its advisory or
     cycle k_end.  The track keeps `TcasUnit._update_track`'s closure and
-    `drop_stale`'s staleness, and tau is read as `advise` reads it.  A flight
+    `drop_stale`'s staleness, and its tau alerts by `tcas.alert_levels`, as
+    in `advise`; after the TA, only the RA can fire (``ra_only``).  A flight
     is its first claim's time and position (None without one) and its
     advisories as ``(is_ta, time)``."""
 
     th, plan = cfg.tcas_thresholds, cfg.false_intruder_plan
     altitude, gs = ft_to_m(cfg.cruise_altitude_ft), kn_to_mps(cfg.cruise_ground_speed_kn)
     answers, _, rel = _claim_frame(cfg)
-    ta_tau = th.tau_ta_s if abs(rel) <= th.ta_band_ft else -math.inf
-    ra_tau = th.tau_ra_s if abs(rel) <= th.ra_band_ft else -math.inf
     # The terrain under the own ship; `numpy.interp` holds the end values
     # outside the profile, as a lookup clipped to its domain does.
     terrain = tuple(zip(*cfg.terrain.vertices))
@@ -449,7 +448,7 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     m = np.zeros((len(rows), 15))
     m[:, :7] = np.array(rows, dtype=float).reshape(-1, 7)
     m[:, 7], m[:, 8] = _first_cycles(cfg, m[:, 1])
-    m[:, 9], m[:, 14] = ta_tau, -math.inf
+    m[:, 14] = -math.inf
     ids = np.arange(len(rows))
     samples: List[Any] = [None] * len(rows)
     advisories: List[list] = [[] for _ in rows]
@@ -457,7 +456,7 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
     own[:, 2], claim[:, 2] = altitude, altitude + ft_to_m(plan.vertical_offset)
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(m):
-            (t, v, vt, cos, sin, k_end, ta_ra, k_from, ra_from, tau_at,
+            (t, v, vt, cos, sin, k_end, ta_ra, k_from, ra_from, ra_only,
              k, claimed, slant, closure, last) = m.T
             own, claim = own[:len(m)], claim[:len(m)]
             tc = t + k
@@ -487,16 +486,16 @@ def _tcas_encounters(cfg: ScenarioConfig, rows: list) -> list:
             if stale.any():
                 last[stale], closure[stale] = -math.inf, 0.0
 
-            tau = slant / closure
-            fired = (k >= k_from) & (closure > 0) & (tau <= tau_at)
+            ta, ra = tcas.alert_levels(slant / closure, rel, ta_ra > 0, th)
+            fired = (k >= k_from) & (closure > 0) & (ra | ta & (ra_only == 0))
             if fired.any():
-                ra = fired & (ta_ra > 0) & (tau <= ra_tau)
+                ra &= fired
                 for i, tci, is_ra in zip(ids[fired].tolist(), tc[fired].tolist(),
                                          ra[fired].tolist()):
                     advisories[i].append((not is_ra, tci))
                 # A TA in TA/RA mode goes on to the RA.
                 onward = fired & ~ra & (ta_ra > 0)
-                tau_at[onward], k_from[onward] = ra_tau, ra_from[onward]
+                ra_only[onward], k_from[onward] = 1.0, ra_from[onward]
                 fired &= ~onward
 
             # The next cycle that can advise; a jump lands one cycle early,

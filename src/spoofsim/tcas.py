@@ -340,6 +340,18 @@ class TcasUnit:
         self.drop_stale(t)
 
 
+def alert_levels(tau, relative_altitude_ft, ta_ra, thresholds: AdvisoryThresholds):
+    """Whether an intruder at ``tau`` s and ``relative_altitude_ft`` ft raises
+    a TA and an RA, the RA only when ``ta_ra`` (the unit is in TA/RA mode).
+    Floats give bools; arrays (and array flags) give bool arrays, element by
+    element.  `AdvisoryThresholds` keeps the RA region inside the TA region,
+    so an RA is always a TA.  A NaN tau raises neither."""
+
+    ta = (tau <= thresholds.tau_ta_s) & (abs(relative_altitude_ft) <= thresholds.ta_band_ft)
+    ra = ta_ra & (tau <= thresholds.tau_ra_s) & (abs(relative_altitude_ft) <= thresholds.ra_band_ft)
+    return ta, ra
+
+
 def advise(
     tracks: Sequence[IntruderTrack],
     own: Optional[AircraftState],
@@ -347,12 +359,11 @@ def advise(
     thresholds: AdvisoryThresholds = AdvisoryThresholds(),
     t: float = 0.0,
 ) -> Optional[Advisory]:
-    """Highest-priority advisory for the current track set, or None.
-
-    RA when tau and vertical proximity are inside the RA thresholds (TA/RA
-    mode only); TA inside the TA thresholds (TA/RA and TA-Only); nothing in
-    Standby.  RA sense is opposite the intruder's relative position.  The
-    tracks are relative to the own aircraft, so ``own`` is not read.
+    """Highest-priority advisory for the current track set, or None: that of
+    the advising track of least tau (the first on a tie), by `alert_levels`.
+    Nothing in Standby, and no RA outside TA/RA mode.  RA sense is opposite
+    the intruder's relative position.  The tracks are relative to the own
+    aircraft, so ``own`` is not read.
     """
 
     if mode == STANDBY:
@@ -360,19 +371,10 @@ def advise(
     best: Optional[Advisory] = None
     best_tau = math.inf
     for track in tracks:
-        tau = track.tau()
-        if tau >= best_tau:
-            continue
-        rel = track.relative_altitude
-        if (
-            mode == TA_RA
-            and tau <= thresholds.tau_ra_s
-            and abs(rel) <= thresholds.ra_band_ft
-        ):
-            best = resolution_advisory(rel, t)
-            best_tau = tau
-        elif tau <= thresholds.tau_ta_s and abs(rel) <= thresholds.ta_band_ft:
-            best = Advisory(level="TA", time=t)
+        tau, rel = track.tau(), track.relative_altitude
+        ta, ra = alert_levels(tau, rel, mode == TA_RA, thresholds)
+        if ta and tau < best_tau:
+            best = resolution_advisory(rel, t) if ra else Advisory(level="TA", time=t)
             best_tau = tau
     return best
 
@@ -416,18 +418,14 @@ class FalseIntruderInjector:
         self.target_agl_fn = target_agl_fn
         self.attacker_position = tuple(float(v) for v in attacker_position)
         self.icao_id: Optional[int] = None
-        self.ras_observed = 0
         self.episode_start: Optional[float] = None
         self._bearing = plan.approach_bearing
         self._speed = plan.approach_speed
 
     # -- episode control --------------------------------------------------
 
-    def budget_exhausted(self) -> bool:
-        return self.ras_observed >= self.plan.alert_budget
-
     def active(self, t: float) -> bool:
-        if self.budget_exhausted() or self.episode_start is None:
+        if self.episode_start is None:
             return False
         agl_ft = (self.target_agl_fn(t) if self.target_agl_fn is not None
                   else m_to_ft(self.target_fn(t).altitude_msl))
@@ -443,14 +441,6 @@ class FalseIntruderInjector:
         self._bearing = (plan.approach_bearing + (-bearing + (bearing + bearing) * random())) % 360.0
         self._speed = max(MIN_CLOSURE_MPS, plan.approach_speed + (-speed + (speed + speed) * random()))
         self.icao_id = int(self.rng.integers(0, 2**24))
-
-    def end_episode(self) -> None:
-        self.episode_start = None
-
-    def observe_advisory(self, level: str) -> None:
-        """Count an advisory of ``level``, "TA" or "RA"; only RAs spend the budget."""
-        if level == "RA":
-            self.ras_observed += 1
 
     # -- virtual intruder geometry ---------------------------------------
 

@@ -14,7 +14,9 @@ to the bit:
   against `FalseIntruderInjector.start_episode`;
 - `first_cycle_within`: an encounter's first cycle that can advise, one
   encounter at a time, against the TCAS encounter kernel's schedule
-  (`scenarios._first_cycles`).
+  (`scenarios._first_cycles`);
+- `scalar_advise`: the TA/RA decision one track at a time, each threshold
+  compared where it is read, against `tcas.alert_levels` and `tcas.advise`.
 
 No module under `src` imports this one.
 """
@@ -213,3 +215,29 @@ def first_cycle_within(plan: tcas.FalseIntruderPlan, speed: float, tau_s: float)
         return math.inf
     r = (v * tau + math.sqrt(disc)) / 2.0
     return max(1, math.ceil(plan.start_tau_s - r / v + 1.0 - 1e-6))
+
+
+def scalar_advise(taus_and_altitudes: Sequence[Tuple[float, float]], mode: str,
+                  thresholds: tcas.AdvisoryThresholds, t: float = 0.0) -> Optional[tcas.Advisory]:
+    """The advisory for tracks of (tau s, relative altitude ft) in alerting
+    ``mode``: the RA or TA of the advising track of least tau, the first on
+    a tie; None in Standby or when no track advises."""
+
+    if mode == STANDBY:
+        return None
+    best: Optional[tcas.Advisory] = None
+    best_tau = math.inf
+    for tau, rel in taus_and_altitudes:
+        if tau >= best_tau:
+            continue
+        if (
+            mode == tcas.TA_RA
+            and tau <= thresholds.tau_ra_s
+            and abs(rel) <= thresholds.ra_band_ft
+        ):
+            best = tcas.resolution_advisory(rel, t)
+            best_tau = tau
+        elif tau <= thresholds.tau_ta_s and abs(rel) <= thresholds.ta_band_ft:
+            best = tcas.Advisory(level="TA", time=t)
+            best_tau = tau
+    return best

@@ -376,8 +376,15 @@ def _max(field, bound):
     ({"scenario": "TCAS", "attacker": {"tcas": {"vertical_offset_ft": -1e308}}},
      r"attacker\.tcas\.vertical_offset_ft: -1e\+308 is less than the minimum of "
      r"-1000000000\.0"),
+    ({"scenario": "TCAS", "attacker": {"tcas": {"position_m": [1e308, 0, 0]}}},
+     _max("attacker.tcas.position_m.0", 1e9)),
+    ({"scenario": "TCAS", "attacker": {"tcas": {"position_m": [0, 0, -1e308]}}},
+     r"attacker\.tcas\.position_m\.2: -1e\+308 is less than the minimum of -1000000000\.0"),
+    ({"scenario": "GPWS", "attacker": {"gpws": {"apparent_descent_rate_mps": 1e308}}},
+     _max("attacker.gpws.apparent_descent_rate_mps", 1e9)),
 ], ids=["gpws-dt-1e15", "gpws-runway-elevation-1e15", "tcas-ground-speed-1e308",
-        "tcas-altitude-1e308", "tcas-offset-1e308", "tcas-offset-minus-1e308"])
+        "tcas-altitude-1e308", "tcas-offset-1e308", "tcas-offset-minus-1e308",
+        "tcas-attacker-site-1e308", "tcas-attacker-site-minus-1e308", "gpws-ramp-rate-1e308"])
 def test_geometry_and_magnitudes_that_break_a_run_rejected(tmp_path, capsys, data, pattern):
     """Configs that validated and then could not run consistently are
     rejected up front, with exit 2 naming the field, by both commands.  The
@@ -385,7 +392,9 @@ def test_geometry_and_magnitudes_that_break_a_run_rejected(tmp_path, capsys, dat
     empty `trials/`.  A 1e308 kn cruise logged an infinite claimed position
     that `detect` refused as corrupt; a 1e308 ft offset overflowed the slant
     range; a 1e308 ft cruise absorbed the claim's offset, so its RAs read
-    HOLD_VS."""
+    HOLD_VS.  An attacker site 1e308 m out made `detect` call every message
+    UNDETERMINED, its distances overflowed; a 1e308 m/s ramp overflowed
+    `radalt.ramp_heights` with a RuntimeWarning."""
 
     _cli_rejects(tmp_path, capsys, {"version": 1, "trials": 3, **data}, pattern)
 
@@ -416,18 +425,38 @@ def test_gpws_step_limit_rejected_up_front(tmp_path, capsys):
     {"world": {"cruise": {"altitude_ft": 1e9}}},
     {"attacker": {"tcas": {"vertical_offset_ft": 1e9}}},
     {"attacker": {"tcas": {"vertical_offset_ft": -1e9}}},
-], ids=["ground-speed", "altitude", "offset", "minus-offset"])
+    {"attacker": {"tcas": {"position_m": [1e9] * 3}}},
+    {"attacker": {"tcas": {"position_m": [-1e9] * 3}}},
+], ids=["ground-speed", "altitude", "offset", "minus-offset", "attacker-site",
+        "minus-attacker-site"])
 def test_tcas_magnitudes_at_their_bounds_run(tmp_path, capsys, data):
     """Each TCAS magnitude at its schema bound validates, runs without a
-    floating-point warning and logs finite numbers that `detect` reads."""
+    floating-point warning and logs finite numbers that `detect` reads and
+    resolves: no message is UNDETERMINED."""
 
     path, out = tmp_path / "c.json", tmp_path / "out"
     path.write_text(json.dumps({"version": 1, "scenario": "TCAS", **data}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", "--config", str(path), "--trials", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
         assert main(["detect", "--out", str(out)]) == 0
     assert "Infinity" not in "".join(p.read_text() for p in (out / "trials").iterdir())
+    assert re.fullmatch(r"checked \d+ messages: \d+ SUSPECT \(\d+\.\d%\)\n",
+                        capsys.readouterr().out)
+
+
+def test_ramp_rate_at_its_bound_runs(tmp_path, capsys):
+    """A GPWS ramp at the schema's bound, 1e9 m/s, runs and summarizes
+    without a floating-point warning."""
+
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps({"version": 1, "scenario": "GPWS",
+                                "attacker": {"gpws": {"apparent_descent_rate_mps": 1e9}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--trials", "20", "--out", str(out)]) == 0
+        assert main(["summarize", "--out", str(out)]) == 0
     capsys.readouterr()
 
 
@@ -974,16 +1003,18 @@ def test_cli_detect_uses_run_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("run_overrides, detect_overrides", [
-    ({"attacker": {"tcas": {"position_m": [1e300, 0, 0]}}}, None),
+    ({"sentinel": {"clock_jitter_ns": 1e300}}, None),
     ({}, {"sentinel": {"clock_jitter_ns": 1e300}}),
 ])
 def test_cli_detect_non_finite_residuals_undetermined(tmp_path, capsys, run_overrides,
                                                       detect_overrides):
-    """An attacker site so far out that the distances overflow, or clock
-    jitter so large that the timing differences' squares do, gives residuals
-    that are not finite: each such message is UNDETERMINED, not CLEAN, and
-    numpy's overflow warnings stay off stderr.  (A sensor grid that far out
-    is rejected up front, `test_values_past_float_resolution_rejected`.)"""
+    """Clock jitter so large that the timing differences' squares overflow,
+    whether the run's own config or `detect --config` sets it, gives
+    residuals that are not finite: each such message is UNDETERMINED, not
+    CLEAN, and numpy's overflow warnings stay off stderr.  (A sensor grid or
+    an attacker site that far out is rejected up front,
+    `test_values_past_float_resolution_rejected` and
+    `test_attacker_site_and_ramp_rate_past_bounds_rejected`.)"""
 
     out, config = tmp_path / "out", tmp_path / "run.json"
     config.write_text(json.dumps({"version": 1, "scenario": "TCAS", "trials": 3,

@@ -121,6 +121,7 @@ def _tcas_work(monkeypatch, raw):
     monkeypatch.setattr(tcas, "slant_ranges", counting_ranges)
     monkeypatch.setattr(scenarios, "_tcas_encounters",
                         counting("rounds", scenarios._tcas_encounters))
+    monkeypatch.setattr(tcas, "alert_levels", counting("alert_levels", tcas.alert_levels))
     for owner, attr in [(tcas, "advise"), (tcas, "slant_range"),
                         (tcas.FalseIntruderInjector, "_claimed_position")]:
         monkeypatch.setattr(owner, attr, counting(f"scalar {attr}", getattr(owner, attr)))
@@ -134,19 +135,26 @@ def test_tcas_cycle_evaluates_geometry_once(monkeypatch):
     at most one `AircraftState` per trial and, on the defaults (cruise far
     above the activation floor), makes no terrain lookup; the encounter
     kernel evaluates each cycle's geometry once, for at most 702 cycles, the
-    count of the fixed schedule the encounter loop replaced.  Where the
-    terrain straddles the floor, each lockstep iteration looks up the terrain
-    under all its rows in one `np.interp` call, with no `elevation_at`, and
-    the run still writes the 1 Hz reference's logs."""
+    count of the fixed schedule the encounter loop replaced.  Each lockstep
+    iteration alerts all its rows in one `tcas.alert_levels` call, and no
+    `advise` runs; on the defaults each round also gates its schedule's
+    bands (`_first_cycles`) with one.  Where the terrain straddles the
+    floor, each lockstep iteration looks up the terrain under all its rows
+    in one `np.interp` call, with no `elevation_at`, and the run still
+    writes the 1 Hz reference's logs."""
 
     counts, trials = _tcas_work(
         monkeypatch, {"version": 1, "scenario": "TCAS", "trials": 20, "master_seed": SEED})
     assert 0 < counts["cycles"] <= 702, counts
     assert counts["step"] == counts["terrain"] == counts["np.interp"] == 0, counts
     assert counts["state"] <= trials, counts
+    assert counts["alert_levels"] == counts["iterations"] + counts["rounds"], counts
+    assert counts["scalar advise"] == 0, counts
 
     counts, trials = _tcas_work(monkeypatch, _STRADDLING)
     assert counts["terrain"] == 0 and 0 < counts["np.interp"] == counts["iterations"], counts
+    assert 0 < counts["alert_levels"] == counts["iterations"], counts
+    assert counts["scalar advise"] == 0, counts
     assert counts["step"] == 0 and counts["state"] <= trials, counts
     _tcas_logs_agree(_STRADDLING)
 
@@ -552,7 +560,8 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
         attacker_position=cfg.attacker_position_m,
     )
     t, episodes = 0.0, 0
-    while (episodes < cfg.max_episodes and not injector.budget_exhausted()
+    while (episodes < cfg.max_episodes
+           and crew_state.ra_count < cfg.false_intruder_plan.alert_budget
            and not crew_state.settled(unit.mode)):
         injector.start_episode(t)
         episodes += 1
@@ -580,7 +589,6 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
                 if unit.mode != tcas.TA_RA:
                     break
             elif adv.level == "RA":
-                injector.observe_advisory(adv.level)
                 log.add(tc, "advisory", {
                     "level": "RA", "episode": episodes,
                     "ra_sense": adv.ra_sense, "commanded_rate_fpm": adv.commanded_rate,
@@ -591,7 +599,6 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
         if sample is not None:
             log.add(tc, "surveillance", injector.reply(*sample).to_record())
         unit.tracks.clear()
-        injector.end_episode()
         t = tc + cfg.inter_episode_gap_s
 
     final_mode = unit.mode

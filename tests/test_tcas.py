@@ -1,5 +1,6 @@
 """Surveillance, advisory logic, whisper-shout and false-intruder tests.  The
-Mode S cycle and transponder are the scalar references in `reference.py`."""
+Mode S cycle, the transponder and the per-track advisory decision are the
+scalar references in `reference.py`."""
 
 import math
 import sys
@@ -12,7 +13,7 @@ from spoofsim import tcas
 from spoofsim.world import AircraftState
 from spoofsim.units import ft_to_m
 
-from reference import ModeSTransponder, mode_s_cycle, uniform_start_episode
+from reference import ModeSTransponder, mode_s_cycle, scalar_advise, uniform_start_episode
 
 
 def cruise_state(along=0.0, altitude_m=3000.0, gs=100.0):
@@ -149,6 +150,68 @@ def test_ta_precedes_ra_on_linear_encounters(tau0, closure, rel_alt):
             return
     # Encounters that never reach the RA region must never emit one.
     assert first is None or first.level == "TA"
+
+
+def _beside(x):
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+@st.composite
+def _alerting_cases(draw):
+    """Thresholds, and (tau, relative altitude, mode) per track: tau at and
+    beside each threshold, +/-0.0, inf and NaN; the altitude on and beside
+    both band edges, above and below, and +/-0.0.  Few distinct values, so
+    tracks often tie."""
+
+    tau_ta = draw(st.sampled_from([48.0, 13.0]) | st.floats(1.0, 90.0))
+    ta_band = draw(st.sampled_from([1200.0, 100.0]) | st.floats(100.0, 2000.0))
+    th = tcas.AdvisoryThresholds(
+        tau_ta_s=tau_ta, tau_ra_s=draw(st.floats(0.5, tau_ta, exclude_max=True)),
+        ta_band_ft=ta_band, ra_band_ft=draw(st.floats(50.0, ta_band)))
+    taus = st.sampled_from(_beside(th.tau_ta_s) + _beside(th.tau_ra_s)
+                           + [0.0, -0.0, 1.0, math.inf, math.nan]) | st.floats(0.0, 100.0)
+    edges = _beside(th.ta_band_ft) + _beside(th.ra_band_ft)
+    rels = st.sampled_from(edges + [-e for e in edges] + [0.0, -0.0])
+    tracks = draw(st.lists(st.tuples(taus, rels, st.sampled_from([tcas.TA_RA, tcas.TA_ONLY])),
+                           min_size=1, max_size=6))
+    return th, tracks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_alerting_cases(), mode=st.sampled_from([tcas.STANDBY, tcas.TA_ONLY, tcas.TA_RA]))
+def test_alert_levels_equal_scalar_decision(case, mode):
+    """Property: `tcas.alert_levels`, over floats and elementwise over
+    arrays, and `tcas.advise` over tracks of each tau and relative altitude,
+    decide as `reference.scalar_advise` does, threshold by threshold: the
+    same level per track, and the same advisory (of the advising track of
+    least tau, the first on a tie) over all of them, in all three modes."""
+
+    th, tracks = case
+    taus, rels, modes = (list(column) for column in zip(*tracks))
+
+    def level(ta, ra):
+        assert ta or not ra  # an RA is always a TA
+        return "RA" if ra else "TA" if ta else None
+
+    levels = [getattr(scalar_advise([(tau, rel)], m, th), "level", None)
+              for tau, rel, m in tracks]
+    assert [level(*tcas.alert_levels(tau, rel, m == tcas.TA_RA, th))
+            for tau, rel, m in tracks] == levels
+    ta, ra = tcas.alert_levels(np.array(taus), np.array(rels),
+                               np.array(modes) == tcas.TA_RA, th)
+    assert [level(*pair) for pair in zip(ta.tolist(), ra.tolist())] == levels
+
+    # A track's range is positive, so a tau of 0 has none.  One closing at
+    # 1 m/s has tau equal to its range; a closure of 0 or NaN reads inf or NaN.
+    def track(tau, rel):
+        finite = tau < math.inf
+        return tcas.IntruderTrack(icao_id=None, slant_range=tau if finite else 1.0, bearing=0.0,
+                                  relative_altitude=rel, last_update=0.0,
+                                  closure_rate=1.0 if finite else 0.0 if tau > 0 else math.nan)
+
+    tracks = [track(tau, rel) for tau, rel in zip(taus, rels) if tau != 0]
+    pairs = [(tr.tau(), tr.relative_altitude) for tr in tracks]
+    assert tcas.advise(tracks, None, mode, th, t=3.0) == scalar_advise(pairs, mode, th, t=3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +468,6 @@ def test_injector_inactive_below_floor():
     assert injector.respond_mode_s(0.0) is None
 
 
-def test_injector_budget_counts_ras_only():
-    injector, _ = make_injector()
-    injector.start_episode(0.0)
-    for _ in range(5):
-        injector.observe_advisory("TA")
-    assert injector.ras_observed == 0
-    for _ in range(10):
-        injector.observe_advisory("RA")
-    assert injector.budget_exhausted()
-    assert not injector.active(0.0)
-
-
 _JITTERS = st.sampled_from([0.0, 5e-324, 1e-310, 180.0]) | st.floats(0.0, 180.0)
 
 
@@ -473,26 +524,7 @@ def test_injector_claim_recomputed_each_encounter(seed, t, episodes):
         assert offset == pytest.approx([r * math.cos(theta), r * math.sin(theta),
                                         ft_to_m(plan.vertical_offset)], abs=1e-6)
         claims.append(tuple(claimed))
-        injector.end_episode()
     assert len(set(claims)) == episodes
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    budget=st.integers(min_value=1, max_value=5),
-    t=st.floats(min_value=0.0, max_value=60.0),
-)
-def test_injector_silent_once_budget_spent_mid_cycle(budget, t):
-    """The budget is checked on every reply, not once per encounter: the RA
-    that spends it silences the injector at that same t."""
-
-    injector, _ = make_injector(plan=tcas.FalseIntruderPlan(alert_budget=budget))
-    injector.start_episode(0.0)
-    for _ in range(budget - 1):
-        injector.observe_advisory("RA")
-    assert injector.respond_mode_s(t) is not None
-    injector.observe_advisory("RA")
-    assert injector.respond_mode_s(t) is None
 
 
 def test_injector_claims_converging_geometry():
