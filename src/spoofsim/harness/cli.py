@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .. import sentinel
-from .config import ConfigError, apply_scenario, default_config_dict, field_errors, load_config, make_config
+from .config import ConfigError, default_config_dict, field_errors, load_config, make_config, read_config
 from .cost import all_cost_reports
 from .log import TrialLog
 from .output import emit, load_run, summary_csv, trial_path, write_file
@@ -61,14 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = load_config(args.config).raw if args.config else default_config_dict()
-    if args.scenario:
-        data = apply_scenario(data, args.scenario)
-    given = {"trials": args.trials, "master_seed": args.seed, "output_dir": args.out or None}
+    # Flags over the file's own settings: make_config adds the run's scenario's overrides.
+    data = read_config(args.config)[0] if args.config else default_config_dict(args.scenario)
+    given = {"scenario": args.scenario, "trials": args.trials, "master_seed": args.seed,
+             "output_dir": args.out or None}
     cfg = make_config({**data, **{k: v for k, v in given.items() if v is not None}})
     summary = Summary()
     written = emit(cfg, run_chunks(cfg), summary)
-    print(f"{cfg.scenario}: {cfg.trials} trials -> {len(written)} files in {cfg.output_dir}")
+    print(f"{cfg.scenario}: {cfg.trials} trials -> {written} files in {cfg.output_dir}")
     for key, value in summary.result()["stats"].items():
         print(f"  {key}: {value}")
     return EXIT_OK

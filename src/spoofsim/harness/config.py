@@ -225,19 +225,13 @@ def _schema_defaults(schema: dict) -> Dict[str, Any]:
             for key, sub in schema["properties"].items() if "properties" in sub or "default" in sub}
 
 
-def apply_scenario(data: Dict[str, Any], scenario: str) -> Dict[str, Any]:
-    """`data` switched to `scenario`, with that scenario's overrides merged in."""
-
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: unknown scenario {scenario!r}")
-    return _merge({**data, "scenario": scenario}, SCENARIOS[scenario].overrides)
-
-
 def default_config_dict(scenario: Optional[str] = None) -> Dict[str, Any]:
-    """Schema defaults for `scenario` (the schema's default scenario if None)."""
+    """Schema defaults for `scenario` (the schema's default scenario if None),
+    with that scenario's overrides merged in."""
 
     data = _schema_defaults(SCHEMA)
-    return apply_scenario(data, scenario or data["scenario"])
+    scenario = scenario or data["scenario"]
+    return _merge({**data, "scenario": scenario}, SCENARIOS[scenario].overrides)
 
 
 def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
@@ -546,7 +540,13 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """`make_config` of a JSON file; every error message starts with its path."""
+    """`make_config` of a JSON file (see `read_config`)."""
+
+    return read_config(path)[1]
+
+
+def read_config(path: str | Path) -> Tuple[Dict[str, Any], ScenarioConfig]:
+    """A JSON config file's own settings and their `make_config`; errors start with its path."""
 
     try:
         raw = json.loads(Path(path).read_text())
@@ -558,6 +558,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         # An integer of more than 4,300 digits; arrays nested about 1,000 deep.
         raise ConfigError(f"{path}: cannot parse JSON: {exc}") from exc
     try:
-        return make_config(raw)
+        return raw, make_config(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

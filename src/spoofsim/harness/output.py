@@ -24,8 +24,9 @@ import io
 import itertools
 import json
 import os
+import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
@@ -53,11 +54,6 @@ def write_file(path: str | Path, text: str) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _write(path: Path, content: str, written: List[Path]) -> None:
-    write_file(path, content)
-    written.append(path)
-
-
 def _sync_directory(directory: Path) -> None:
     try:
         fd = os.open(directory, os.O_RDONLY)
@@ -69,17 +65,24 @@ def _sync_directory(directory: Path) -> None:
         raise RuntimeError(f"cannot sync {directory}: {exc}") from exc
 
 
-def _remove_others(directory: Path, pattern: str, keep: Set[str]) -> None:
-    """Delete the files in ``directory`` named like ``pattern`` but not in
-    ``keep``: what an earlier run into the same directory left there."""
+def _names(directory: str | Path, pattern: str) -> Iterator[str]:
+    """The names in ``directory`` matching ``pattern``, one at a time (none if it is missing)."""
 
+    match = re.compile(fnmatch.translate(pattern)).match
     try:
         with os.scandir(directory) as entries:
-            stale = [e.path for e in entries
-                     if e.name not in keep and fnmatch.fnmatch(e.name, pattern)]
-    except FileNotFoundError:
-        return
-    for path in stale:
+            yield from (e.name for e in entries if match(e.name))
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {directory}: {exc}") from exc
+
+
+def _remove_others(directory: Path, pattern: str, keep: Callable[[str], bool]) -> None:
+    """Delete the files in ``directory`` named like ``pattern`` that ``keep``
+    refuses: what an earlier run into the same directory left there."""
+
+    for path in [os.path.join(directory, n) for n in _names(directory, pattern) if not keep(n)]:
         try:
             os.remove(path)
         except OSError as exc:
@@ -89,54 +92,28 @@ def _remove_others(directory: Path, pattern: str, keep: Set[str]) -> None:
 def summary_csv(summary: Dict[str, Any]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", summary["scenario"]])
-    writer.writerow(["trials", summary["trials"]])
+    writer.writerows([["scenario", summary["scenario"]], ["trials", summary["trials"]]])
     for name, table in summary["tables"].items():
-        writer.writerow([])
-        writer.writerow([f"# table: {name}"])
-        writer.writerow(table["headers"])
-        writer.writerows(table["rows"])
-    writer.writerow([])
-    writer.writerow(["# statistics"])
-    writer.writerow(["Statistic", "Value"])
+        writer.writerows([[], [f"# table: {name}"], table["headers"], *table["rows"]])
+    writer.writerows([[], ["# statistics"], ["Statistic", "Value"]])
     for key, value in summary["stats"].items():
         if isinstance(value, dict):
-            for sub, v in value.items():
-                writer.writerow([f"{key}.{sub}", v])
+            writer.writerows([f"{key}.{sub}", v] for sub, v in value.items())
         else:
             writer.writerow([key, value])
     return buf.getvalue()
 
 
 def report_text(summary: Dict[str, Any]) -> str:
-    lines = [
-        f"Scenario: {summary['scenario']}",
-        f"Trials:   {summary['trials']}",
-        "",
-        "Outcomes:",
-    ]
-    for outcome, count in summary["outcomes"].items():
-        lines.append(f"  {outcome}: {count}")
+    lines = [f"Scenario: {summary['scenario']}", f"Trials:   {summary['trials']}", "",
+             "Outcomes:", *(f"  {outcome}: {n}" for outcome, n in summary["outcomes"].items())]
     for name, table in summary["tables"].items():
-        lines.append("")
-        lines.append(f"Table: {name}")
-        widths = [
-            max(len(str(x)) for x in [h] + [row[i] for row in table["rows"]])
-            for i, h in enumerate(table["headers"])
-        ] if table["rows"] else [len(h) for h in table["headers"]]
-        lines.append("  " + "  ".join(
-            str(h).ljust(w) for h, w in zip(table["headers"], widths)
-        ))
-        for row in table["rows"]:
-            lines.append("  " + "  ".join(
-                str(x).ljust(w) for x, w in zip(row, widths)
-            ))
-    lines.append("")
-    lines.append("Statistics:")
-    for key, value in summary["stats"].items():
-        lines.append(f"  {key}: {value}")
-    lines.append("")
-    return "\n".join(lines)
+        rows = [table["headers"], *table["rows"]]
+        widths = [max(len(str(x)) for x in column) for column in zip(*rows)]
+        lines += ["", f"Table: {name}"]
+        lines += ["  " + "  ".join(str(x).ljust(w) for x, w in zip(row, widths)) for row in rows]
+    lines += ["", "Statistics:", *(f"  {key}: {value}" for key, value in summary["stats"].items())]
+    return "\n".join(lines) + "\n"
 
 
 def trace_csv(log: TrialLog) -> str:
@@ -163,13 +140,34 @@ def trial_path(out_dir: str | Path, trial_id: int) -> str:
     return os.path.join(out_dir, "trials", _TRIAL_LOG.format(trial_id))
 
 
+def _log_id(name: str, trials: int) -> Optional[int]:
+    """The trial whose log a run of ``trials`` trials keeps in file ``name``:
+    `_TRIAL_LOG` of an id below ``trials``, exactly.  None for any other name,
+    such as ``trial_1.jsonl`` or ``trial_000001.jsonl``."""
+
+    digits = name[6:-6]
+    trial_id = int(digits) if digits.isdecimal() else trials
+    return trial_id if trial_id < trials and _TRIAL_LOG.format(trial_id) == name else None
+
+
+class FilesWritten(int):
+    """The number of files `emit` wrote.  Iterating it makes their paths from
+    the run's id range: perfbench's traced mode sizes the files that way."""
+
+    paths: Callable[[], Iterator[Path]]
+
+    def __iter__(self) -> Iterator[Path]:
+        return self.paths()
+
+
 def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
-         summary: Summary) -> List[Path]:
-    """Write a run directory at ``cfg.output_dir`` from the trial logs in
-    ``chunks``: each chunk's logs and altitude traces, folded into ``summary``
-    before the next chunk is asked for; then the summary and report; then the
-    config.  Files an earlier run left there are overwritten in place, and
-    trial logs and traces this run did not write are removed.
+         summary: Summary) -> FilesWritten:
+    """Write a run directory at ``cfg.output_dir`` from the logs of trials
+    0..cfg.trials-1, in order, in ``chunks``: each chunk's logs and altitude
+    traces, folded into ``summary`` before the next chunk is asked for; then
+    the summary and report; then the config.  Files an earlier run left there
+    are overwritten in place, and trial logs and traces this run did not write
+    are removed.  Returns how many files it wrote; it keeps no path per trial.
 
     A directory is a complete run only once its ``config.json`` is there:
     emit removes an earlier run's before it writes any trial log, and writes
@@ -196,37 +194,39 @@ def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
         # survive a power loss beside a mixture of old and new logs.
         _sync_directory(out)
 
-    written: List[Path] = []
-    log_names: Set[str] = set()
+    logs = 0
     trace_names: Set[str] = set()
     for chunk in chunks:
         for log in chunk:
-            name = _TRIAL_LOG.format(log.trial_id)
-            _write(trials_dir / name, log.to_jsonl(), written)
-            log_names.add(name)
-            if any(True for _ in log.iter_kind("state")):
+            write_file(trial_path(out, log.trial_id), log.to_jsonl())
+            logs += 1
+            if cfg.altitude_trace and any(True for _ in log.iter_kind("state")):
                 if not trace_names:
                     traces_dir.mkdir(parents=True, exist_ok=True)
                 name = _TRACE.format(log.trial_id)
-                _write(traces_dir / name, trace_csv(log), written)
+                write_file(os.path.join(traces_dir, name), trace_csv(log))
                 trace_names.add(name)
             summary.add(log)
         # Otherwise the loop variables hold this chunk (and its last log)
         # while the next one is made.
         chunk = log = None
     result = summary.result()
-    _write(out / "summary.csv", summary_csv(result), written)
-    _write(out / "report.txt", report_text(result), written)
-    _remove_others(trials_dir, "trial_*.jsonl", log_names)
-    _remove_others(traces_dir, "trial_*.csv", trace_names)
+    write_file(out / "summary.csv", summary_csv(result))
+    write_file(out / "report.txt", report_text(result))
+    _remove_others(trials_dir, "trial_*.jsonl", lambda name: _log_id(name, cfg.trials) is not None)
+    _remove_others(traces_dir, "trial_*.csv", trace_names.__contains__)
 
     staged = out / "config.json.tmp"
-    _write(staged, json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n", [])
+    write_file(staged, json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")
     try:
         os.replace(staged, config)
     except OSError as exc:
         raise RuntimeError(f"cannot write {config}: {exc}") from exc
-    written.append(config)
+    written = FilesWritten(logs + len(trace_names) + 3)
+    written.paths = lambda: itertools.chain(
+        (Path(trial_path(out, i)) for i in range(logs)),
+        (traces_dir / name for name in sorted(trace_names)),
+        (out / "summary.csv", out / "report.txt", config))
     return written
 
 
@@ -245,26 +245,24 @@ def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, Iterator[TrialLog]]:
 def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
     """The trial logs of a run directory produced under ``cfg``, in trial
     order.  Refuses an incomplete set at once, from one listing of the
-    directory: it must hold exactly the logs of trials 0..cfg.trials-1, each
-    in its own file.  Each log is read and checked only when the iterator
-    reaches it, so a corrupt one raises there."""
+    directory: exactly cfg.trials ``trial_*.jsonl`` files, all named by
+    `_log_id`, which makes them the logs of trials 0..cfg.trials-1.  Each log
+    is read and checked only when the iterator reaches it, so a corrupt one
+    raises there."""
 
     trials_dir = Path(out_dir) / "trials"
-    try:
-        names = fnmatch.filter(os.listdir(trials_dir), "trial_*.jsonl")
-    except (FileNotFoundError, NotADirectoryError):
-        names = []
-    except OSError as exc:
-        raise RuntimeError(f"cannot read {trials_dir}: {exc}") from exc
-    present = set(names)
-    # At most five missing ids: every id looked at before the fifth is a file
-    # present or a missing one, so the search costs what the directory holds,
-    # whatever N config.json claims.
-    missing = list(itertools.islice(
-        (i for i in range(cfg.trials) if _TRIAL_LOG.format(i) not in present), 5))
-    if missing or len(names) != cfg.trials:
+    found = named = 0
+    for name in _names(trials_dir, "trial_*.jsonl"):
+        found += 1
+        named += _log_id(name, cfg.trials) is not None
+    if found != cfg.trials or named != cfg.trials:
+        present = {_log_id(name, cfg.trials) for name in _names(trials_dir, "trial_*.jsonl")}
+        # At most five missing ids: every id looked at before the fifth is a
+        # file present or a missing one, so the search costs what the
+        # directory holds, whatever N config.json claims.
+        missing = list(itertools.islice((i for i in range(cfg.trials) if i not in present), 5))
         raise RuntimeError(
-            f"{trials_dir} holds {len(names)} trial logs, expected ids 0..{cfg.trials - 1}"
+            f"{trials_dir} holds {found} trial logs, expected ids 0..{cfg.trials - 1}"
             + (f"; missing {missing}" if missing else "")
         )
     return _read_logs(out_dir, cfg)

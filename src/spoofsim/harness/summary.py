@@ -16,6 +16,7 @@ logs can be summarized as they are produced or read, without holding them.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .. import crew, tcas
@@ -84,23 +85,23 @@ class GpwsSummary:
 
     def __init__(self) -> None:
         self.trials = 0
-        self.per_approach: Dict[int, Dict[str, int]] = {}
+        self.per_approach: Dict[int, Counter] = defaultdict(Counter)
         self.first_go_around_agl: List[float] = []
 
     def add(self, log: TrialLog) -> None:
         self.trials += 1
-        per_approach = self.per_approach
+        acted = None  # the last approach with a crew action
         for event in log.iter_kind("crew_action"):
-            approach = _field(log, event, "approach", int)
+            acted = approach = _field(log, event, "approach", int)
             action = _field(log, event, "action", GPWS_ACTION_LABELS)
-            per_approach.setdefault(approach, {}).setdefault(action, 0)
-            per_approach[approach][action] += 1
+            self.per_approach[approach][action] += 1
             if approach == 1 and action == crew.GO_AROUND:
                 self.first_go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
-        if log.outcome == "LANDED" and not any(True for _ in log.iter_kind("crew_action")):
-            # Unalerted approach concludes in a landing without a table entry.
-            per_approach.setdefault(1, {}).setdefault(crew.LAND, 0)
-            per_approach[1][crew.LAND] += 1
+        if log.outcome == "LANDED":
+            approach = _field(log, log.events[-1], "approach", int)
+            if approach != acted:
+                # Landed unalerted: a landing among the crews flying that approach.
+                self.per_approach[approach][crew.LAND] += 1
 
     def result(self) -> Dict[str, Any]:
         per_approach = self.per_approach

@@ -825,6 +825,24 @@ def test_gpws_summary_table_labels():
         assert total == participants
 
 
+def test_gpws_summary_counts_unalerted_landings_on_later_approaches():
+    """Every crew that goes around on approach k flies approach k + 1 and is
+    one of its participants, also when it then lands unalerted, with no
+    crew action on that approach."""
+
+    cfg = small_config("GPWS", trials=300, master_seed=5, attacker={"gpws": {
+        "base_trigger_ft": 300, "jitter_window_ft": 500, "increment_per_approach_ft": 0}})
+    rows = summarize(run(cfg))["tables"]["actions"]["rows"]
+    participants = {approach: n for approach, _label, _count, _pct, n in rows}
+    go_arounds = {approach: count for approach, label, count, _pct, _n in rows
+                  if label == "Go-around"}
+    assert participants[1] == 300
+    assert go_arounds[1] > 0
+    for approach in sorted(participants)[1:]:
+        assert participants[approach] == go_arounds[approach - 1]
+    assert set(participants) == {1} | {k + 1 for k in go_arounds}
+
+
 def test_tcas_summary_matrix_labels():
     s = summarize(run(small_config("TCAS", trials=30)))
     rows = {row[0] for row in s["tables"]["responses"]["rows"]}
@@ -875,13 +893,17 @@ def test_cost_errors():
 
 
 def test_emit_files(tmp_path):
-    cfg = small_config("GS", trials=3, output_dir=str(tmp_path / "out"))
+    out = tmp_path / "out"
+    cfg = small_config("GS", trials=3, output_dir=str(out))
     logs = run(cfg)
     written = emit(cfg, [logs], Summary())
-    names = {p.name for p in written}
-    assert {"trial_00000.jsonl", "trial_00001.jsonl", "trial_00002.jsonl",
-            "summary.csv", "report.txt", "config.json"} <= names
-    reread_cfg, reread = load_run(tmp_path / "out")
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert [str(p.relative_to(out)) for p in files] == [
+        "config.json", "report.txt", "summary.csv",
+        "trials/trial_00000.jsonl", "trials/trial_00001.jsonl", "trials/trial_00002.jsonl"]
+    assert isinstance(written, int) and written == len(files)
+    assert sorted(written) == files
+    reread_cfg, reread = load_run(out)
     reread = list(reread)
     assert reread_cfg.raw == cfg.raw
     assert [l.to_jsonl() for l in reread] == [l.to_jsonl() for l in logs]
@@ -897,13 +919,34 @@ def test_emit_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_emit_memory_does_not_grow_with_trials(tmp_path):
+    """`emit` keeps nothing per trial log it writes: its peak memory over a
+    GS run of 2,400 trials is within 64 bytes a trial of a run of 600 (the
+    summary's per-trial scalars), where a path kept per trial costs hundreds."""
+
+    def peak(trials):
+        cfg = small_config("GS", trials=trials, output_dir=str(tmp_path / str(trials)))
+        chunks = run_chunks(cfg)
+        tracemalloc.start()
+        try:
+            emit(cfg, chunks, Summary())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(CHUNK_TRIALS)  # first-call allocations: imports, caches
+    small, large = peak(600), peak(2400)
+    assert large - small < 64 * (2400 - 600), (small, large)
+
+
 def test_altitude_trace_emitted(tmp_path):
     cfg = small_config("GPWS", trials=1, output={"altitude_trace": True},
                        output_dir=str(tmp_path / "out"))
     logs = run(cfg)
     written = emit(cfg, [logs], Summary())
-    traces = [p for p in written if p.parent.name == "traces"]
-    assert len(traces) == 1
+    traces = list((tmp_path / "out" / "traces").iterdir())
+    assert [p.name for p in traces] == ["trial_00000.csv"]
+    assert written == 1 + 1 + 3  # the log, the trace, summary, report and config
     header = traces[0].read_text().splitlines()[0]
     assert header == "time_s,altitude_ft,indicated_agl_ft"
 
@@ -1219,6 +1262,46 @@ def test_cli_misplaced_or_stray_log_exit_code(tmp_path, capsys):
     assert main(["summarize", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "trial_00003.jsonl" in err and "holds trial 2" in err
+
+
+@pytest.mark.parametrize("stray, replaces", [
+    ("trial_1.jsonl", None), ("trial_000001.jsonl", None), ("trial_00004.jsonl", None),
+    ("trial_4.jsonl", None), ("trial_1.jsonl", "trial_00001.jsonl")])
+def test_cli_noncanonical_log_names_refused_and_pruned(tmp_path, capsys, stray, replaces):
+    """A run's trial logs are `trial_{:05d}.jsonl` of ids below N and nothing
+    else: another spelling of an id, or an id at or beyond N, makes the run
+    directory incomplete (exit 3), and a rerun into it removes the file."""
+
+    out = tmp_path / "out"
+    trials = _gs_run(out)
+    (trials / stray).write_text((trials / "trial_00001.jsonl").read_text())
+    if replaces:
+        (trials / replaces).unlink()
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    if replaces:
+        assert "holds 4 trial logs, expected ids 0..3; missing [1]" in err
+    else:
+        assert "holds 5 trial logs, expected ids 0..3" in err and "missing" not in err
+    _gs_run(out)
+    assert sorted(p.name for p in trials.iterdir()) == [f"trial_{i:05d}.jsonl" for i in range(4)]
+    assert main(["summarize", "--out", str(out)]) == 0
+
+
+def test_cli_run_scenario_flag_over_config_file(tmp_path):
+    """`run --config F --scenario S` runs S with F's own settings: the
+    overrides of F's scenario do not carry over (BASELINE's disabled attacker
+    into a GS run)."""
+
+    path = tmp_path / "baseline.json"
+    path.write_text('{"version": 1, "scenario": "BASELINE", "master_seed": 11}')
+    for name, flags in (("flag", ["--config", str(path)]), ("plain", ["--seed", "11"])):
+        assert main(["run", *flags, "--scenario", "GS", "--trials", "3",
+                     "--out", str(tmp_path / name)]) == 0
+    flag, plain = (json.loads((tmp_path / name / "config.json").read_text())
+                   for name in ("flag", "plain"))
+    assert flag["attacker"]["enabled"] is True
+    assert {**flag, "output_dir": None} == {**plain, "output_dir": None}
 
 
 @pytest.mark.parametrize("command", ["summarize", "detect"])
