@@ -20,10 +20,10 @@ from .. import sentinel
 from .config import ConfigError, default_config_dict, field_errors, load_config, make_config, read_config
 from .cost import all_cost_reports
 from .log import TrialLog
-from .output import emit, load_run, summary_csv, trial_path, write_file
-from .runner import CHUNK_TRIALS, run_chunks
+from .output import emit, load_run, read_logs, summary_csv, trial_path, write_file
+from .runner import CHUNK_TRIALS, in_groups
 from .scenarios import SCENARIOS
-from .summary import Summary, summarize
+from .summary import Summary, fold
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
              "output_dir": args.out or None}
     cfg = make_config({**data, **{k: v for k, v in given.items() if v is not None}})
     summary = Summary()
-    written = emit(cfg, run_chunks(cfg), summary)
+    written = emit(cfg, summary)
     print(f"{cfg.scenario}: {cfg.trials} trials -> {written} files in {cfg.output_dir}")
     for key, value in summary.result()["stats"].items():
         print(f"  {key}: {value}")
@@ -75,9 +75,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    _, logs = load_run(args.out)
+    # load_run refuses an incomplete directory here, before any group starts.
+    cfg, _ = load_run(args.out)
+    summary = Summary()
     try:
-        csv_text = summary_csv(summarize(logs))
+        for part in in_groups(cfg, lambda ids: fold(read_logs(args.out, cfg, ids))):
+            summary.merge(part)
+        csv_text = summary_csv(summary.result())
     except (ValueError, OverflowError) as exc:
         # OverflowError: the standard deviation of numbers each within the
         # float range can still fall outside it (1e200 beside 1,000 ft).

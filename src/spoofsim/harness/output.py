@@ -4,11 +4,12 @@ All writes are deterministic for a given (config, seed) pair: same content,
 same filenames, fixed key ordering.
 
 Trial logs stream through both directions one at a time or one chunk at a
-time, so memory does not grow with N.  `emit` writes each chunk of logs and
-folds it into the summary before asking for the next chunk, and writes the
-run's ``config.json`` last; `load_run` checks that a run directory is
-complete from one listing of its trials, then parses each log only when its
-caller reaches it.
+time, so memory does not grow with N.  `emit` runs the trials in groups of
+whole chunks (`runner.in_groups`), writes each chunk of logs and folds it
+into a summary before the group runs its next chunk, and writes the run's
+``config.json`` last; `load_run` checks that a run directory is complete
+from one listing of its trials, then parses each log only when its caller
+reaches it, and `read_logs` reads one group's logs.
 
 Every file is written by `write_file`, in place: a file an earlier run left
 is overwritten from its start and then cut to the new length, never first
@@ -26,10 +27,11 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
+from .runner import in_groups, run_chunks
 from .summary import Summary
 
 
@@ -160,14 +162,18 @@ class FilesWritten(int):
         return self.paths()
 
 
-def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
-         summary: Summary) -> FilesWritten:
-    """Write a run directory at ``cfg.output_dir`` from the logs of trials
-    0..cfg.trials-1, in order, in ``chunks``: each chunk's logs and altitude
-    traces, folded into ``summary`` before the next chunk is asked for; then
-    the summary and report; then the config.  Files an earlier run left there
-    are overwritten in place, and trial logs and traces this run did not write
-    are removed.  Returns how many files it wrote; it keeps no path per trial.
+def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
+    """Run the trials of ``cfg`` and write its run directory at
+    ``cfg.output_dir``: each trial's log and altitude trace, then the summary
+    and report, then the config.  Files an earlier run left there are
+    overwritten in place, and trial logs and traces this run did not write
+    are removed.  The trials' `Summary` is merged into ``summary``.  Returns
+    how many files it wrote; it keeps no path per trial.
+
+    The trials run in `runner.in_groups`: each group runs its chunks one at
+    a time, and writes and folds each chunk before it runs the next.  This
+    process writes the summary, the report and the config only once every
+    group has succeeded.
 
     A directory is a complete run only once its ``config.json`` is there:
     emit removes an earlier run's before it writes any trial log, and writes
@@ -194,27 +200,35 @@ def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
         # survive a power loss beside a mixture of old and new logs.
         _sync_directory(out)
 
-    logs = 0
-    trace_names: Set[str] = set()
-    for chunk in chunks:
-        for log in chunk:
-            write_file(trial_path(out, log.trial_id), log.to_jsonl())
-            logs += 1
-            if cfg.altitude_trace and any(True for _ in log.iter_kind("state")):
-                if not trace_names:
-                    traces_dir.mkdir(parents=True, exist_ok=True)
-                name = _TRACE.format(log.trial_id)
-                write_file(os.path.join(traces_dir, name), trace_csv(log))
-                trace_names.add(name)
-            summary.add(log)
-        # Otherwise the loop variables hold this chunk (and its last log)
-        # while the next one is made.
-        chunk = log = None
+    def write_group(ids: range) -> Tuple[Summary, List[str]]:
+        """Write and fold the trials ``ids``; their trace names."""
+
+        part = Summary()
+        trace_names: List[str] = []
+        for chunk in run_chunks(cfg, ids):
+            for log in chunk:
+                write_file(trial_path(out, log.trial_id), log.to_jsonl())
+                if cfg.altitude_trace and any(True for _ in log.iter_kind("state")):
+                    if not trace_names:
+                        traces_dir.mkdir(parents=True, exist_ok=True)
+                    name = _TRACE.format(log.trial_id)
+                    write_file(os.path.join(traces_dir, name), trace_csv(log))
+                    trace_names.append(name)
+                part.add(log)
+            # Otherwise the loop variables hold this chunk (and its last log)
+            # while the next one is made.
+            chunk = log = None
+        return part, trace_names
+
+    trace_names: List[str] = []
+    for part, names in in_groups(cfg, write_group):
+        summary.merge(part)
+        trace_names += names
     result = summary.result()
     write_file(out / "summary.csv", summary_csv(result))
     write_file(out / "report.txt", report_text(result))
     _remove_others(trials_dir, "trial_*.jsonl", lambda name: _log_id(name, cfg.trials) is not None)
-    _remove_others(traces_dir, "trial_*.csv", trace_names.__contains__)
+    _remove_others(traces_dir, "trial_*.csv", set(trace_names).__contains__)
 
     staged = out / "config.json.tmp"
     write_file(staged, json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")
@@ -222,10 +236,10 @@ def emit(cfg: ScenarioConfig, chunks: Iterable[Sequence[TrialLog]],
         os.replace(staged, config)
     except OSError as exc:
         raise RuntimeError(f"cannot write {config}: {exc}") from exc
-    written = FilesWritten(logs + len(trace_names) + 3)
+    written = FilesWritten(cfg.trials + len(trace_names) + 3)
     written.paths = lambda: itertools.chain(
-        (Path(trial_path(out, i)) for i in range(logs)),
-        (traces_dir / name for name in sorted(trace_names)),
+        (Path(trial_path(out, i)) for i in range(cfg.trials)),
+        (traces_dir / name for name in trace_names),
         (out / "summary.csv", out / "report.txt", config))
     return written
 
@@ -265,7 +279,7 @@ def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
             f"{trials_dir} holds {found} trial logs, expected ids 0..{cfg.trials - 1}"
             + (f"; missing {missing}" if missing else "")
         )
-    return _read_logs(out_dir, cfg)
+    return read_logs(out_dir, cfg, range(cfg.trials))
 
 
 def _read_log_text(path: str) -> str:
@@ -292,8 +306,12 @@ def _read_log_text(path: str) -> str:
     return text
 
 
-def _read_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
-    for trial_id in range(cfg.trials):
+def read_logs(out_dir: str | Path, cfg: ScenarioConfig, ids: range) -> Iterator[TrialLog]:
+    """The logs of trials ``ids`` of a run directory produced under ``cfg``,
+    each read and checked as the iterator reaches it, without `load_logs`'
+    check of the directory's listing."""
+
+    for trial_id in ids:
         path = trial_path(out_dir, trial_id)
         blob = _read_log_text(path)
         try:

@@ -9,11 +9,19 @@ once (`seeds.trial_generators`).
 `run_chunks` yields the trials in order, `CHUNK_TRIALS` at a time, so a
 caller that writes and folds each chunk before asking for the next holds at
 most one chunk of `TrialLog`s, whatever N is.  `run` returns them all.
+
+`in_groups` splits a run's trials into contiguous groups of whole chunks,
+one per usable CPU, and runs a function over each group: the first in the
+calling process, each other one in a child forked from it (after Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11: a chunk's trials
+depend only on their ids, so any process can run any chunk).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import os
+import pickle
+from typing import Any, Callable, Iterator, List, Tuple, TypeVar
 
 from .config import ScenarioConfig
 from .log import TrialLog
@@ -27,17 +35,114 @@ from .seeds import trial_seeds
 #: function runs: a GPWS approach round spans the chunk.
 CHUNK_TRIALS = 256
 
+T = TypeVar("T")
 
-def run_chunks(config: ScenarioConfig) -> Iterator[List[TrialLog]]:
-    """The trials of ``config`` in trial order, in lists of `CHUNK_TRIALS`
-    (the last may be shorter).  The generator keeps no reference to a chunk
-    it has yielded."""
+
+def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[List[TrialLog]]:
+    """The trials ``ids`` of ``config`` in trial order, in lists of
+    `CHUNK_TRIALS` (the last may be shorter) starting at ``ids.start``.  The
+    generator keeps no reference to a chunk it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
-    for start in range(0, config.trials, CHUNK_TRIALS):
-        ids = range(start, min(start + CHUNK_TRIALS, config.trials))
-        yield scenario.trials(config, ids, trial_seeds(config.master_seed, ids))
+    for start in range(ids.start, ids.stop, CHUNK_TRIALS):
+        chunk = range(start, min(start + CHUNK_TRIALS, ids.stop))
+        yield scenario.trials(config, chunk, trial_seeds(config.master_seed, chunk))
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:
-    return [log for chunk in run_chunks(config) for log in chunk]
+    return [log for chunk in run_chunks(config, range(config.trials)) for log in chunk]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` limits it), else every CPU."""
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def groups(trials: int) -> List[range]:
+    """The id ranges `in_groups` runs for a run of ``trials`` trials: one per
+    usable CPU, but never more than there are full chunks (forking costs more
+    than a fraction of a chunk saves), each a contiguous run of whole chunks
+    (the last may end in a short one)."""
+
+    workers = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, trials // CHUNK_TRIALS))
+    chunks = -(-trials // CHUNK_TRIALS)
+    bounds = [min(trials, g * chunks // workers * CHUNK_TRIALS) for g in range(workers + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
+    """``group`` of each of `groups`' id ranges of ``config``, in trial order.
+
+    The first range runs in this process; each other one in a child started
+    with ``os.fork``, which sends back its pickled result through a pipe and
+    ends with ``os._exit``.  Every child is reaped before this returns or
+    raises, and killed first if this process fails.  A group that raises
+    makes this raise the same exception (type and message), that of the
+    first failing group in trial order, so a failure reads as it would in
+    one process."""
+
+    first, *rest = groups(config.trials)
+    children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for ids in rest:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(group, ids, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [group(first)]
+        for pid, read in children:
+            ok, value = pickle.loads(_read_all(read, pid))
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:
+        if not done and children:
+            import signal  # only on failure: importing it costs a run's start-up 1-2 ms
+
+            for pid, _ in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        for pid, read in children:
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _child(group: Callable[[range], Any], ids: range, fd: int) -> None:
+    """Run ``group(ids)`` in a forked child, write ``(ok, result or
+    exception)`` pickled to ``fd`` and end the process without returning."""
+
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, group(ids)))
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = pickle.dumps((False, exc))
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view):]
+        os.close(fd)  # the parent reads to the end without waiting for the exit
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int, pid: int) -> bytes:
+    data = bytearray()
+    while chunk := os.read(fd, 65536):
+        data += chunk
+    if not data:
+        raise RuntimeError(f"worker process {pid} ended without a result")
+    return bytes(data)

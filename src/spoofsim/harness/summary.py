@@ -11,6 +11,11 @@ counts plus the per-trial scalars its means and standard deviations need, and
 ``result`` builds the tables and statistics.  `Summary` adds the outcome
 counts and picks the accumulator from the first log's scenario, so a run's
 logs can be summarized as they are produced or read, without holding them.
+
+``merge`` folds in the accumulator of the logs that follow, so a run can be
+folded in contiguous groups and merged in trial order: counts add, maxima
+take the larger, and per-trial scalars are concatenated, so `_mean_sd` sees
+the very list one fold would have made and gives the same bits.
 """
 
 from __future__ import annotations
@@ -103,6 +108,12 @@ class GpwsSummary:
                 # Landed unalerted: a landing among the crews flying that approach.
                 self.per_approach[approach][crew.LAND] += 1
 
+    def merge(self, other: "GpwsSummary") -> None:
+        self.trials += other.trials
+        for approach, actions in other.per_approach.items():
+            self.per_approach[approach].update(actions)
+        self.first_go_around_agl += other.first_go_around_agl
+
     def result(self) -> Dict[str, Any]:
         per_approach = self.per_approach
         rows = []
@@ -167,6 +178,18 @@ class TcasSummary:
             self.ras_before_downgrade.append(_field(log, outcome, "ras_observed", _NUMBER))
         if mode == tcas.STANDBY:
             self.tas_before_standby.append(_field(log, outcome, "tas_after_downgrade", _NUMBER))
+
+    def merge(self, other: "TcasSummary") -> None:
+        self.trials += other.trials
+        for action, modes in other.matrix.items():
+            for mode, count in modes.items():
+                self.matrix[action][mode] += count
+        for mode, count in other.mode_counts.items():
+            self.mode_counts[mode] += count
+        self.ras_before_downgrade += other.ras_before_downgrade
+        self.tas_before_standby += other.tas_before_standby
+        self.episodes_total += other.episodes_total
+        self.episodes_max = max(self.episodes_max, other.episodes_max)
 
     def result(self) -> Dict[str, Any]:
         n = self.trials
@@ -233,6 +256,13 @@ class GsSummary:
         else:
             self.landed_first += 1
 
+    def merge(self, other: "GsSummary") -> None:
+        self.trials += other.trials
+        self.go_around_agl += other.go_around_agl
+        for ft, count in other.fallbacks.items():
+            self.fallbacks[ft] = self.fallbacks.get(ft, 0) + count
+        self.landed_first += other.landed_first
+
     def result(self) -> Dict[str, Any]:
         n = self.trials
         n_ga = len(self.go_around_agl)
@@ -275,18 +305,32 @@ class Summary:
         self.outcomes: Dict[str, int] = {}
         self._scenario_summary: Any = None
 
-    def add(self, log: TrialLog) -> None:
+    def _scenario(self, scenario: str) -> Any:
+        """The accumulator for ``scenario``'s logs, made by the first one."""
+
         if self.scenario is None:
             from .scenarios import SCENARIOS  # the registry imports this module
 
-            self.scenario = log.scenario
-            self._scenario_summary = SCENARIOS[log.scenario].summary()
-        elif log.scenario != self.scenario:
-            raise ValueError(
-                f"logs span multiple scenarios: {sorted({self.scenario, log.scenario})}")
+            self.scenario = scenario
+            self._scenario_summary = SCENARIOS[scenario].summary()
+        elif scenario != self.scenario:
+            raise ValueError(f"logs span multiple scenarios: {sorted({self.scenario, scenario})}")
+        return self._scenario_summary
+
+    def add(self, log: TrialLog) -> None:
+        scenario_summary = self._scenario(log.scenario)
         outcome = _field(log, log.events[-1], "outcome", str)
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        self._scenario_summary.add(log)
+        scenario_summary.add(log)
+
+    def merge(self, other: "Summary") -> None:
+        """Fold in ``other``, the summary of the logs after this one's."""
+
+        if other.scenario is None:
+            return
+        self._scenario(other.scenario).merge(other._scenario_summary)
+        for outcome, count in other.outcomes.items():
+            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + count
 
     def result(self) -> Dict[str, Any]:
         if self.scenario is None:
@@ -298,10 +342,16 @@ class Summary:
         return result
 
 
-def summarize(logs: Iterable[TrialLog]) -> Dict[str, Any]:
-    """The summary of ``logs``, read once, in order."""
+def fold(logs: Iterable[TrialLog]) -> Summary:
+    """The `Summary` of ``logs``, read once, in order."""
 
     summary = Summary()
     for log in logs:
         summary.add(log)
-    return summary.result()
+    return summary
+
+
+def summarize(logs: Iterable[TrialLog]) -> Dict[str, Any]:
+    """The summary of ``logs``, read once, in order."""
+
+    return fold(logs).result()

@@ -26,7 +26,7 @@ from spoofsim.harness import (
 )
 from spoofsim.harness import cost as cost_mod
 from spoofsim.harness import log as log_module
-from spoofsim.harness import output
+from spoofsim.harness import output, runner
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import GPWS_STEP_LIMIT, make_config, validate_config_dict
 from spoofsim.harness.log import TrialLog
@@ -766,7 +766,7 @@ def test_first_chunk_allocates_for_the_chunk_only():
     run of one chunk (all N seeds would take tens of MB)."""
 
     def first_chunk_peak(trials):
-        chunks = run_chunks(small_config("GS", trials=trials))
+        chunks = run_chunks(small_config("GS", trials=trials), range(trials))
         tracemalloc.start()
         try:
             next(chunks)
@@ -896,7 +896,7 @@ def test_emit_files(tmp_path):
     out = tmp_path / "out"
     cfg = small_config("GS", trials=3, output_dir=str(out))
     logs = run(cfg)
-    written = emit(cfg, [logs], Summary())
+    written = emit(cfg, Summary())
     files = sorted(p for p in out.rglob("*") if p.is_file())
     assert [str(p.relative_to(out)) for p in files] == [
         "config.json", "report.txt", "summary.csv",
@@ -913,37 +913,53 @@ def test_emit_files(tmp_path):
 def test_emit_deterministic(tmp_path):
     for d in ("a", "b"):
         cfg = small_config("GS", trials=3, output_dir=str(tmp_path / d))
-        logs = run(cfg)
-        emit(cfg, [logs], Summary())
+        emit(cfg, Summary())
     for name in ("summary.csv", "report.txt", "trials/trial_00001.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_emit_memory_does_not_grow_with_trials(tmp_path):
-    """`emit` keeps nothing per trial log it writes: its peak memory over a
-    GS run of 2,400 trials is within 64 bytes a trial of a run of 600 (the
-    summary's per-trial scalars), where a path kept per trial costs hundreds."""
+def _emit_peak_growth(tmp_path, monkeypatch, cpus):
+    """The `tracemalloc` peaks of `emit` over GS runs of 600 and 2,400 trials
+    with ``cpus`` usable CPUs.  `tracemalloc` sees this process only."""
+
+    monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
 
     def peak(trials):
-        cfg = small_config("GS", trials=trials, output_dir=str(tmp_path / str(trials)))
-        chunks = run_chunks(cfg)
+        cfg = small_config("GS", trials=trials, output_dir=str(tmp_path / f"{cpus}-{trials}"))
         tracemalloc.start()
         try:
-            emit(cfg, chunks, Summary())
+            emit(cfg, Summary())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(CHUNK_TRIALS)  # first-call allocations: imports, caches
-    small, large = peak(600), peak(2400)
+    return peak(600), peak(2400)
+
+
+def test_emit_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+    """`emit` keeps nothing per trial log it writes: its peak memory over a
+    GS run of 2,400 trials is within 64 bytes a trial of a run of 600 (the
+    summary's per-trial scalars), where a path kept per trial costs hundreds.
+    One usable CPU, so that every trial runs in this process."""
+
+    small, large = _emit_peak_growth(tmp_path, monkeypatch, 1)
+    assert large - small < 64 * (2400 - 600), (small, large)
+
+
+def test_emit_memory_does_not_grow_with_trials_in_two_workers(tmp_path, monkeypatch):
+    """The same bound with two usable CPUs, measured in this process, which
+    runs the first half of the trials and merges the forked worker's
+    summary: what it holds of the worker's results stays within it too."""
+
+    small, large = _emit_peak_growth(tmp_path, monkeypatch, 2)
     assert large - small < 64 * (2400 - 600), (small, large)
 
 
 def test_altitude_trace_emitted(tmp_path):
     cfg = small_config("GPWS", trials=1, output={"altitude_trace": True},
                        output_dir=str(tmp_path / "out"))
-    logs = run(cfg)
-    written = emit(cfg, [logs], Summary())
+    written = emit(cfg, Summary())
     traces = list((tmp_path / "out" / "traces").iterdir())
     assert [p.name for p in traces] == ["trial_00000.csv"]
     assert written == 1 + 1 + 3  # the log, the trace, summary, report and config
@@ -977,7 +993,7 @@ def test_rerun_without_traces_removes_them(tmp_path):
         cfg = small_config("GPWS", trials=2, output={"altitude_trace": altitude_trace},
                            output_dir=str(out))
         logs = run(cfg)
-        emit(cfg, [logs], Summary())
+        emit(cfg, Summary())
         if altitude_trace:
             assert len(list((out / "traces").glob("trial_*.csv"))) == 2
     assert not list((out / "traces").glob("trial_*.csv"))
