@@ -88,7 +88,6 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
 
     first, *rest = groups(config.trials)
     children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
-    done = False
     try:
         for ids in rest:
             read, write = os.pipe()
@@ -104,17 +103,17 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
             if not ok:
                 raise value
             results.append(value)
-        done = True
         return results
-    finally:
-        if not done and children:
-            import signal  # only on failure: importing it costs a run's start-up 1-2 ms
+    except BaseException:
+        import signal  # only on failure: importing it costs a run's start-up 1-2 ms
 
-            for pid, _ in children:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+        for pid, _ in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        raise
+    finally:
         for pid, read in children:
             os.waitpid(pid, 0)
             os.close(read)
