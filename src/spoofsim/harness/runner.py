@@ -89,12 +89,13 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
     first, *rest = groups(config.trials)
     children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
+        parent = os.getpid()
         for ids in rest:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _child(group, ids, write)
+                _child(group, ids, write, parent)
             os.close(write)
             children.append((pid, read))
         results = [group(first)]
@@ -119,12 +120,14 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
             os.close(read)
 
 
-def _child(group: Callable[[range], Any], ids: range, fd: int) -> None:
-    """Run ``group(ids)`` in a forked child, write ``(ok, result or
-    exception)`` pickled to ``fd`` and end the process without returning."""
+def _child(group: Callable[[range], Any], ids: range, fd: int, parent: int) -> None:
+    """Run ``group(ids)`` in a child forked from ``parent``, write ``(ok,
+    result or exception)`` pickled to ``fd`` and end the process without
+    returning."""
 
     code = 1
     try:
+        _end_with(parent)
         try:
             payload = pickle.dumps((True, group(ids)))
         except BaseException as exc:  # sent to the parent, which raises it
@@ -136,6 +139,29 @@ def _child(group: Callable[[range], Any], ids: range, fd: int) -> None:
         code = 0
     finally:
         os._exit(code)
+
+
+#: ``prctl`` option: the signal this process gets when its parent dies (Linux).
+_PR_SET_PDEATHSIG = 1
+
+
+def _end_with(parent: int) -> None:
+    """Have the kernel kill this forked child when ``parent`` dies, where it
+    can (Linux), so that a command ended by a signal it does not handle, such
+    as SIGTERM, leaves no worker behind it."""
+
+    # Here, in the worker only: `signal` would cost every command's start-up
+    # about 1 ms, and numpy has loaded `ctypes` already.
+    import ctypes
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:  # no prctl on this platform
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # it died before the request
+        os._exit(1)
 
 
 def _read_all(fd: int, pid: int) -> bytes:

@@ -5,6 +5,10 @@ process left behind."""
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +172,57 @@ def test_group_exception_keeps_its_type(monkeypatch):
     with pytest.raises(RuntimeError, match="ended without a result"):
         in_groups(cfg, dies)
     _no_children()
+
+
+def _alive(pid):
+    """Whether process ``pid`` runs: it exists and is not a zombie."""
+
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's")
+def test_command_killed_by_sigterm_leaves_no_worker(tmp_path):
+    """A command ended by SIGTERM, which it does not handle (so no `finally`
+    runs), leaves no worker running: the kernel kills each worker when the
+    command's process dies."""
+
+    script = tmp_path / "hold.py"
+    script.write_text(
+        "import os, sys, time\n"
+        "from spoofsim.harness import runner\n"
+        "from spoofsim.harness.config import make_config\n"
+        "runner.usable_cpus = lambda: 2\n"
+        "def group(ids):\n"
+        "    with open(os.path.join(sys.argv[1], f'{ids.start}.pid'), 'w') as f:\n"
+        "        f.write(str(os.getpid()))\n"
+        "    time.sleep(60)\n"
+        "runner.in_groups(make_config({'version': 1, 'scenario': 'GS', 'trials': 512}), group)\n")
+    src = str(Path(runner.__file__).resolve().parents[2])
+    command = subprocess.Popen([sys.executable, str(script), str(tmp_path)],
+                               env={**os.environ, "PYTHONPATH": src})
+    pid_file = tmp_path / f"{CHUNK_TRIALS}.pid"
+    worker = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+        assert _alive(worker)
+        command.send_signal(signal.SIGTERM)
+        assert command.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker)
+    finally:
+        command.kill()
+        command.wait()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def _corrupt_syntax(path):
