@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Callable, Iterator, List, Tuple, TypeVar
+from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from .config import ScenarioConfig
 from .log import TrialLog
@@ -81,7 +81,8 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
     The first range runs in this process; each other one in a child started
     with ``os.fork``, which sends back its pickled result through a pipe and
     ends with ``os._exit``.  Every child is reaped before this returns or
-    raises, and killed first if this process fails.  A group that raises
+    raises, and killed first if this process fails; where the platform can,
+    the kernel kills it if this process dies (`_child`).  A group that raises
     makes this raise the same exception (type and message), that of the
     first failing group in trial order, so a failure reads as it would in
     one process."""
@@ -90,12 +91,13 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
     children: List[Tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         parent = os.getpid()
+        prctl = _prctl() if rest else None
         for ids in rest:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _child(group, ids, write, parent)
+                _child(group, ids, write, parent, prctl)
             os.close(write)
             children.append((pid, read))
         results = [group(first)]
@@ -106,11 +108,9 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
             results.append(value)
         return results
     except BaseException:
-        import signal  # only on failure: importing it costs a run's start-up 1-2 ms
-
         for pid, _ in children:
             try:
-                os.kill(pid, signal.SIGKILL)
+                os.kill(pid, _SIGKILL)
             except ProcessLookupError:
                 pass
         raise
@@ -120,14 +120,20 @@ def in_groups(config: ScenarioConfig, group: Callable[[range], T]) -> List[T]:
             os.close(read)
 
 
-def _child(group: Callable[[range], Any], ids: range, fd: int, parent: int) -> None:
+def _child(group: Callable[[range], Any], ids: range, fd: int, parent: int,
+           prctl: Optional[Callable[..., int]]) -> None:
     """Run ``group(ids)`` in a child forked from ``parent``, write ``(ok,
     result or exception)`` pickled to ``fd`` and end the process without
-    returning."""
+    returning.  With ``prctl``, first have the kernel kill this child when
+    ``parent`` dies, so that a command ended by a signal it does not handle,
+    such as SIGTERM, leaves no worker behind it."""
 
     code = 1
     try:
-        _end_with(parent)
+        if prctl is not None:
+            prctl(_PR_SET_PDEATHSIG, _SIGKILL)
+            if os.getppid() != parent:  # it died before the request
+                return
         try:
             payload = pickle.dumps((True, group(ids)))
         except BaseException as exc:  # sent to the parent, which raises it
@@ -141,27 +147,20 @@ def _child(group: Callable[[range], Any], ids: range, fd: int, parent: int) -> N
         os._exit(code)
 
 
-#: ``prctl`` option: the signal this process gets when its parent dies (Linux).
+#: SIGKILL, whose number POSIX fixes at 9.  Importing `signal` for it would
+#: cost every command's start-up about 1 ms, and a forked worker about 4 ms.
+_SIGKILL = 9
+#: ``prctl`` request: the signal a process gets when its parent dies (Linux).
 _PR_SET_PDEATHSIG = 1
 
 
-def _end_with(parent: int) -> None:
-    """Have the kernel kill this forked child when ``parent`` dies, where it
-    can (Linux), so that a command ended by a signal it does not handle, such
-    as SIGTERM, leaves no worker behind it."""
+def _prctl() -> Optional[Callable[..., int]]:
+    """libc's ``prctl``, or None where there is none.  Looked up before the
+    fork: in a forked worker the lookup costs about 0.6 ms more."""
 
-    # Here, in the worker only: `signal` would cost every command's start-up
-    # about 1 ms, and numpy has loaded `ctypes` already.
-    import ctypes
-    import signal
+    import ctypes  # numpy has loaded it already
 
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except AttributeError:  # no prctl on this platform
-        return
-    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # it died before the request
-        os._exit(1)
+    return getattr(ctypes.CDLL(None), "prctl", None)
 
 
 def _read_all(fd: int, pid: int) -> bytes:
