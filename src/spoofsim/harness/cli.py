@@ -137,15 +137,16 @@ _Messages = Tuple[List[str], List[float], np.ndarray, np.ndarray]
 
 def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messages]:
     """The surveillance messages of ``logs`` that carry both a true and a
-    claimed position, in log order, gathered from `CHUNK_TRIALS` logs at a
-    time.  A message whose positions are not coordinates is a corrupt trial
-    log, raised as soon as its log is read."""
+    claimed position, in log order, gathered one runner chunk of logs at a
+    time (or the part of a chunk that ``logs`` holds).  A message whose
+    positions are not coordinates is a corrupt trial log, raised as soon as
+    its log is read."""
 
     subjects: List[str] = []
     times: List[float] = []
     true_pos: List[List[float]] = []
     claimed: List[List[float]] = []
-    for count, log in enumerate(logs, 1):
+    for log in logs:
         for event in log.iter_kind("surveillance"):
             p = event["payload"]
             position, claim = p.get("position_m"), p.get("claimed_position_m")
@@ -160,7 +161,7 @@ def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messag
             times.append(event["t"])
             true_pos.append(position)
             claimed.append(claim)
-        if subjects and count % CHUNK_TRIALS == 0:
+        if subjects and (log.trial_id + 1) % CHUNK_TRIALS == 0:
             yield subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
             subjects, times, true_pos, claimed = [], [], [], []
     if subjects:
@@ -170,7 +171,8 @@ def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messag
 def _cmd_detect(args: argparse.Namespace) -> int:
     for error in [] if args.seed is None else field_errors("master_seed", args.seed):
         raise ConfigError(f"--seed: {error}")
-    run_cfg, logs = load_run(args.out)
+    # load_run refuses an incomplete directory here, before any group starts.
+    run_cfg, _ = load_run(args.out)
     if args.scenario and args.scenario != run_cfg.scenario:
         raise ConfigError(f"--scenario {args.scenario} contradicts the {run_cfg.scenario} "
                           f"run in {args.out}")
@@ -185,8 +187,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["subject", "residual_m", "flag", "reason"])
     total = suspect = undetermined = 0
+    # Each group reads its own logs; the jitter is drawn here, in trial order.
+    # Generator.normal draws (a, K) then (b, K) as the same bits as (a + b, K),
+    # and a message's residual depends on its own row only, so the verdicts
+    # do not change where a group ends inside a chunk.
+    def read(ids: range) -> List[_Messages]:
+        return list(_surveillance_chunks(args.out, read_logs(args.out, run_cfg, ids)))
+
+    # Reversed and popped from the end, so each chunk is freed once checked.
+    chunks = [chunk for part in reversed(in_groups(run_cfg, read)) for chunk in reversed(part)]
     # One TOA check per chunk of logs, over all of its messages at once.
-    for subjects, times, true_pos, claimed in _surveillance_chunks(args.out, logs):
+    while chunks:
+        subjects, times, true_pos, claimed = chunks.pop()
         arrivals = sentinel.arrival_times(true_pos, times, sensors, rng, jitter_s)
         residuals = sentinel.residuals_m(claimed, arrivals, sensors).tolist()
         for subject, residual in zip(subjects, residuals):

@@ -4,8 +4,8 @@ All writes are deterministic for a given (config, seed) pair: same content,
 same filenames, fixed key ordering.
 
 Trial logs stream through both directions one at a time or one chunk at a
-time, so memory does not grow with N.  `emit` runs the trials in groups of
-whole chunks (`runner.in_groups`), writes each chunk of logs and folds it
+time, so memory does not grow with N.  `emit` runs the trials in groups,
+one per worker (`runner.in_groups`), writes each chunk of logs and folds it
 into a summary before the group runs its next chunk, and writes the run's
 ``config.json`` last; `load_run` checks that a run directory is complete
 from one listing of its trials, then parses each log only when its caller
@@ -170,10 +170,12 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     are removed.  The trials' `Summary` is merged into ``summary``.  Returns
     how many files it wrote; it keeps no path per trial.
 
-    The trials run in `runner.in_groups`: each group runs its chunks one at
-    a time, and writes and folds each chunk before it runs the next.  This
-    process writes the summary, the report and the config only once every
-    group has succeeded.
+    The trials run in `runner.in_groups`, whose groups are contiguous id
+    ranges, one per worker, of whole chunks or, where the run has fewer than
+    a chunk per worker, of equal shares.  Each group runs its part of each
+    chunk (`runner.run_chunks`) in turn, and writes and folds it before it
+    runs the next.  This process writes the summary, the report and the
+    config only once every group has succeeded.
 
     A directory is a complete run only once its ``config.json`` is there:
     emit removes an earlier run's before it writes any trial log, and writes

@@ -6,15 +6,18 @@ generator is, bit for bit, ``np.random.default_rng`` of that seed, built
 from PCG64 seed words that `seeds.seed_states` hashes for the whole chunk at
 once (`seeds.trial_generators`).
 
-`run_chunks` yields the trials in order, `CHUNK_TRIALS` at a time, so a
-caller that writes and folds each chunk before asking for the next holds at
-most one chunk of `TrialLog`s, whatever N is.  `run` returns them all.
+`run_chunks` yields the trials in order, one chunk at a time, so a caller
+that writes and folds each chunk before asking for the next holds at most
+one chunk of `TrialLog`s, whatever N is.  The chunks are the same for every
+id range: trials ``[k * CHUNK_TRIALS, (k + 1) * CHUNK_TRIALS)``, cut to the
+range.  `run` returns them all.
 
-`in_groups` splits a run's trials into contiguous groups of whole chunks,
-one per usable CPU, and runs a function over each group: the first in the
-calling process, each other one in a child forked from it (after Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11: a chunk's trials
-depend only on their ids, so any process can run any chunk).
+`in_groups` splits a run's trials into contiguous groups, one per usable
+CPU and at least `GROUP_TRIALS` trials each, and runs a function over each
+group: the first in the calling process, each other one in a child forked
+from it (after Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11: a trial depends only on its id, so any process can run any range of
+ids).
 """
 
 from __future__ import annotations
@@ -31,22 +34,34 @@ from .seeds import trial_seeds
 #: Trials per chunk.  Large enough that writing a chunk's files together keeps
 #: the trial code warm between bursts of syscalls (writing each log as soon as
 #: its trial ends cost about 40% of GS throughput), small enough that a chunk's
-#: logs are a few MB.  A chunk is also the batch a scenario's `trials`
-#: function runs: a GPWS approach round spans the chunk.
+#: logs are a few MB.  A chunk, or the part of it a group holds, is also the
+#: batch a scenario's `trials` function runs: a GPWS approach round spans it.
 CHUNK_TRIALS = 256
+
+#: Fewest trials `groups` gives a worker, the break-even measured in one
+#: process on a 2-vCPU Linux VM (seed 107, medians of 21 runs): two groups of
+#: 128 trials against one process of 256 ran TCAS `run` in 52 against 69 ms
+#: and GS `run` in 19 against 23 ms, and GPWS `run` tied (25 against 26 ms);
+#: GPWS `summarize`, 0.05 ms a trial, lost (15 against 12 ms).  Two groups of
+#: 64 trials lost 1-2 ms on GS and GPWS: forking and reaping a worker cost
+#: about 3 ms.
+GROUP_TRIALS = CHUNK_TRIALS // 2
 
 T = TypeVar("T")
 
 
 def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[List[TrialLog]]:
-    """The trials ``ids`` of ``config`` in trial order, in lists of
-    `CHUNK_TRIALS` (the last may be shorter) starting at ``ids.start``.  The
+    """The trials ``ids`` of ``config`` in trial order, one list per chunk:
+    the ids of ``ids`` between consecutive multiples of `CHUNK_TRIALS`, so a
+    range that starts or ends inside a chunk yields that part of it.  The
     generator keeps no reference to a chunk it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
-    for start in range(ids.start, ids.stop, CHUNK_TRIALS):
-        chunk = range(start, min(start + CHUNK_TRIALS, ids.stop))
+    start = ids.start
+    while start < ids.stop:
+        chunk = range(start, min(start - start % CHUNK_TRIALS + CHUNK_TRIALS, ids.stop))
         yield scenario.trials(config, chunk, trial_seeds(config.master_seed, chunk))
+        start = chunk.stop
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:
@@ -65,13 +80,16 @@ def usable_cpus() -> int:
 
 def groups(trials: int) -> List[range]:
     """The id ranges `in_groups` runs for a run of ``trials`` trials: one per
-    usable CPU, but never more than there are full chunks (forking costs more
-    than a fraction of a chunk saves), each a contiguous run of whole chunks
-    (the last may end in a short one)."""
+    usable CPU, but never fewer than `GROUP_TRIALS` trials each (except for
+    a run of fewer), contiguous and in trial order.  The ranges are cut in
+    units of a whole chunk, or of ``trials // workers`` trials where that is
+    smaller, so a run with at least a chunk per worker is cut only between
+    chunks."""
 
-    workers = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, trials // CHUNK_TRIALS))
-    chunks = -(-trials // CHUNK_TRIALS)
-    bounds = [min(trials, g * chunks // workers * CHUNK_TRIALS) for g in range(workers + 1)]
+    workers = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, trials // GROUP_TRIALS))
+    unit = min(CHUNK_TRIALS, trials // workers)
+    units = -(-trials // unit)
+    bounds = [min(trials, g * units // workers * unit) for g in range(workers + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spoofsim.harness import output, run
+from spoofsim.harness import output, run, runner
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
@@ -40,6 +40,8 @@ def test_rerun_never_truncates_a_log_to_zero(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "out")
     argv = ["run", "--scenario", "GS", "--trials", "300", "--out", out]
     assert main(argv + ["--seed", "4"]) == 0
+    # The spies see this process only: one worker writes every log.
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
     paths = {}
     opens, cuts = [], []
     real_open, real_ftruncate = os.open, os.ftruncate

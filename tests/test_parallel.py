@@ -1,6 +1,6 @@
-"""`run` and `summarize` in groups of whole chunks, forked: the same files,
-the same summaries and the same failures at every worker count, and no
-process left behind."""
+"""`run`, `summarize` and `detect` in groups of trials, forked: the same
+files, the same summaries, the same verdicts and the same failures at every
+worker count, and no process left behind."""
 
 import dataclasses
 import json
@@ -11,13 +11,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spoofsim.harness import runner
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
-from spoofsim.harness.runner import CHUNK_TRIALS, groups, in_groups, run
+from spoofsim.harness.runner import CHUNK_TRIALS, GROUP_TRIALS, groups, in_groups, run
 from spoofsim.harness.scenarios import SCENARIOS
 from spoofsim.harness.summary import Summary, fold
 
@@ -49,21 +50,50 @@ def _no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_groups_are_whole_chunks(monkeypatch):
-    """One group per usable CPU, never more than the full chunks, each a
-    contiguous run of whole chunks covering the trials in order."""
+def test_groups_cut_whole_chunks_or_equal_shares(monkeypatch):
+    """One group per usable CPU, but at least `GROUP_TRIALS` trials each,
+    contiguous and covering the trials in order; cut only between whole
+    chunks where every group can hold one, so the ranges of runs of a chunk
+    or more per worker are those of groups of whole chunks."""
 
     for cpus in (1, 2, 3, 4, 64):
         _cpus(monkeypatch, cpus)
-        for trials in (1, CHUNK_TRIALS - 1, CHUNK_TRIALS, 400, TRIALS, 4000, 10**6):
+        for trials in (1, GROUP_TRIALS - 1, GROUP_TRIALS, CHUNK_TRIALS, 400, TRIALS, 4000, 10**6):
             ranges = groups(trials)
-            assert len(ranges) == max(1, min(cpus, trials // CHUNK_TRIALS))
+            workers = max(1, min(cpus, trials // GROUP_TRIALS))
+            assert len(ranges) == workers
             assert ranges[0].start == 0 and ranges[-1].stop == trials
-            for a, b in zip(ranges, ranges[1:]):
-                assert a.stop == b.start and a.stop % CHUNK_TRIALS == 0
-            assert all(len(r) >= CHUNK_TRIALS or len(ranges) == 1 for r in ranges)
-    _cpus(monkeypatch, 2)
-    assert groups(400) == [range(400)]  # the tcas-detect workload: one worker
+            assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+            assert workers == 1 or all(len(r) >= GROUP_TRIALS for r in ranges)
+            if trials >= workers * CHUNK_TRIALS:
+                assert all(r.start % CHUNK_TRIALS == 0 for r in ranges)
+    expected = {
+        (2, 400): [0, 200, 400],  # the tcas-detect workload
+        (2, 1000): [0, 512, 1000],  # gpws-approach
+        (2, 4000): [0, 2048, 4000],  # gs-emit
+        (3, 1000): [0, 256, 512, 1000],
+        (4, 4000): [0, 1024, 2048, 3072, 4000],
+        (1, TRIALS): [0, TRIALS],
+        (2, TRIALS): [0, 512, TRIALS],
+        (3, TRIALS): [0, 256, 768, TRIALS],
+        (4, TRIALS): [0, 256, 512, 768, TRIALS],
+    }
+    for (cpus, trials), bounds in expected.items():
+        _cpus(monkeypatch, cpus)
+        assert groups(trials) == [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("scenario", ["GPWS", "TCAS", "GS"])
+def test_run_chunks_cut_at_the_global_chunk_grid(scenario):
+    """A range that starts inside a chunk runs the rest of that chunk first,
+    then whole chunks: each trial's log is the one `run` makes."""
+
+    cfg = make_config({"version": 1, "scenario": scenario, "trials": 700, "master_seed": 5})
+    chunks = list(runner.run_chunks(cfg, range(200, 700)))
+    assert [[log.trial_id for log in chunk] for chunk in chunks] == [
+        list(range(200, 256)), list(range(256, 512)), list(range(512, 700))]
+    assert ([log.to_jsonl() for chunk in chunks for log in chunk]
+            == [log.to_jsonl() for log in run(cfg)[200:]])
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -259,6 +289,70 @@ def test_corrupt_log_in_second_group(tmp_path, monkeypatch, capsys, corrupt):
     code, (stdout, stderr) = results[0]
     assert (code, stdout) == (3, "") and stderr.startswith(f"error: {message}"), stderr
     assert all(result == results[0] for result in results[1:])
+
+
+@pytest.mark.parametrize("trials", [400, TRIALS])
+def test_detect_identical_at_every_worker_count(tmp_path, monkeypatch, capsys, trials):
+    """`detect` writes the same ``verdicts.csv`` and prints the same line with
+    one, two, three or four workers, including where groups end inside a
+    chunk (N=400 splits into groups of 200 and of 133 trials)."""
+
+    out = tmp_path / "out"
+    _cpus(monkeypatch, 1)
+    assert main(["run", "--scenario", "TCAS", "--trials", str(trials), "--seed", "11",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = []
+    for cpus in (1, 2, 3, 4):
+        _cpus(monkeypatch, cpus)
+        assert main(["detect", "--out", str(out)]) == 0
+        results.append((capsys.readouterr().out, (out / "verdicts.csv").read_bytes()))
+        _no_children()
+    assert results[0][0].startswith("checked ") and results[0][1].count(b"\n") > trials
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_detect_corrupt_position_in_second_group(tmp_path, monkeypatch, capsys):
+    """A surveillance position that is not coordinates in the second group
+    (trial 250 of 400, at two workers and at four) makes `detect` exit 3
+    with the message it gives in one process, and writes no verdicts."""
+
+    out = tmp_path / "out"
+    _cpus(monkeypatch, 1)
+    assert main(["run", "--scenario", "TCAS", "--trials", "400", "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trials" / "trial_00250.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    index = next(i for i, r in enumerate(records) if r["kind"] == "surveillance")
+    records[index]["payload"]["position_m"] = "abc"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    results = []
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        assert 250 in groups(400)[min(cpus, 2) - 1]
+        results.append((main(["detect", "--out", str(out)]), capsys.readouterr()))
+        assert not (out / "verdicts.csv").exists()
+        _no_children()
+    message = (f"error: corrupt trial log {path}: surveillance at t={records[index]['t']}: "
+               "position_m must be three finite numbers, got 'abc'\n")
+    assert results[0] == (3, ("", message))
+    assert all(result == results[0] for result in results[1:])
+
+
+@pytest.mark.parametrize("columns", [1, 4])
+def test_normal_draws_split_anywhere_equal_one_draw(columns):
+    """`Generator.normal` keeps no state between calls but its bit
+    generator's, so `detect`, which draws the jitter of each group's chunks
+    in turn, draws the bits of one call over all messages, wherever the
+    groups end."""
+
+    rows = 1500
+    whole = np.random.default_rng(20190118).normal(0.0, 1e-7, size=(rows, columns))
+    for cuts in ([], [1], [7, 7, 8], [3, 250, 251, 1000], list(range(1, rows, 37))):
+        rng = np.random.default_rng(20190118)
+        parts = [rng.normal(0.0, 1e-7, size=(b - a, columns))
+                 for a, b in zip([0, *cuts], [*cuts, rows])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 _LOGS = {scenario: run(make_config({"version": 1, "scenario": scenario, "trials": 60,
