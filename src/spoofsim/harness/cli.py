@@ -12,7 +12,7 @@ import io
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .config import ConfigError, default_config_dict, field_errors, load_config,
 from .cost import all_cost_reports
 from .log import TrialLog
 from .output import emit, load_run, read_logs, summary_csv, trial_path, write_file
-from .runner import CHUNK_TRIALS, in_groups
+from .runner import chunks, in_groups
 from .scenarios import SCENARIOS
 from .summary import Summary, fold
 
@@ -76,7 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     # load_run refuses an incomplete directory here, before any group starts.
-    cfg, _ = load_run(args.out)
+    cfg = load_run(args.out)
     summary = Summary()
     try:
         for part in in_groups(cfg, lambda ids: fold(read_logs(args.out, cfg, ids))):
@@ -135,12 +135,11 @@ def _is_position(value: Any) -> bool:
 _Messages = Tuple[List[str], List[float], np.ndarray, np.ndarray]
 
 
-def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messages]:
+def _surveillance(out: str, logs: Iterable[TrialLog]) -> Optional[_Messages]:
     """The surveillance messages of ``logs`` that carry both a true and a
-    claimed position, in log order, gathered one runner chunk of logs at a
-    time (or the part of a chunk that ``logs`` holds).  A message whose
-    positions are not coordinates is a corrupt trial log, raised as soon as
-    its log is read."""
+    claimed position, in log order; None if there are none.  A message
+    whose positions are not coordinates is a corrupt trial log, raised as
+    soon as its log is read."""
 
     subjects: List[str] = []
     times: List[float] = []
@@ -161,18 +160,16 @@ def _surveillance_chunks(out: str, logs: Iterable[TrialLog]) -> Iterator[_Messag
             times.append(event["t"])
             true_pos.append(position)
             claimed.append(claim)
-        if subjects and (log.trial_id + 1) % CHUNK_TRIALS == 0:
-            yield subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
-            subjects, times, true_pos, claimed = [], [], [], []
-    if subjects:
-        yield subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
+    if not subjects:
+        return None
+    return subjects, times, np.array(true_pos, dtype=float), np.array(claimed, dtype=float)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     for error in [] if args.seed is None else field_errors("master_seed", args.seed):
         raise ConfigError(f"--seed: {error}")
     # load_run refuses an incomplete directory here, before any group starts.
-    run_cfg, _ = load_run(args.out)
+    run_cfg = load_run(args.out)
     if args.scenario and args.scenario != run_cfg.scenario:
         raise ConfigError(f"--scenario {args.scenario} contradicts the {run_cfg.scenario} "
                           f"run in {args.out}")
@@ -192,13 +189,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     # and a message's residual depends on its own row only, so the verdicts
     # do not change where a group ends inside a chunk.
     def read(ids: range) -> List[_Messages]:
-        return list(_surveillance_chunks(args.out, read_logs(args.out, run_cfg, ids)))
+        found = (_surveillance(args.out, read_logs(args.out, run_cfg, c)) for c in chunks(ids))
+        return [messages for messages in found if messages is not None]
 
     # Reversed and popped from the end, so each chunk is freed once checked.
-    chunks = [chunk for part in reversed(in_groups(run_cfg, read)) for chunk in reversed(part)]
+    pending = [chunk for part in reversed(in_groups(run_cfg, read)) for chunk in reversed(part)]
     # One TOA check per chunk of logs, over all of its messages at once.
-    while chunks:
-        subjects, times, true_pos, claimed = chunks.pop()
+    while pending:
+        subjects, times, true_pos, claimed = pending.pop()
         arrivals = sentinel.arrival_times(true_pos, times, sensors, rng, jitter_s)
         residuals = sentinel.residuals_m(claimed, arrivals, sensors).tolist()
         for subject, residual in zip(subjects, residuals):

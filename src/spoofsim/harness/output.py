@@ -8,13 +8,15 @@ time, so memory does not grow with N.  `emit` runs the trials in groups,
 one per worker (`runner.in_groups`), writes each chunk of logs and folds it
 into a summary before the group runs its next chunk, and writes the run's
 ``config.json`` last; `load_run` checks that a run directory is complete
-from one listing of its trials, then parses each log only when its caller
-reaches it, and `read_logs` reads one group's logs.
+from one listing of its trials and returns its config, and `read_logs`, the
+one log reader, parses each log of an id range only when its caller reaches
+it.
 
 Every file is written by `write_file`, in place: a file an earlier run left
 is overwritten from its start and then cut to the new length, never first
 truncated to zero, and its modification time moves on every run.  Trial
-logs are read back as raw bytes and decoded as UTF-8 (see `_read_log_text`).
+logs are read back as raw bytes and decoded as UTF-8, their line ends left
+as they are (see `_read_log_text`).
 """
 
 from __future__ import annotations
@@ -171,8 +173,7 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     how many files it wrote; it keeps no path per trial.
 
     The trials run in `runner.in_groups`, whose groups are contiguous id
-    ranges, one per worker, of whole chunks or, where the run has fewer than
-    a chunk per worker, of equal shares.  Each group runs its part of each
+    ranges of equal shares, one per worker.  Each group runs its part of each
     chunk (`runner.run_chunks`) in turn, and writes and folds it before it
     runs the next.  This process writes the summary, the report and the
     config only once every group has succeeded.
@@ -246,26 +247,17 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     return written
 
 
-def load_run(out_dir: str | Path) -> Tuple[ScenarioConfig, Iterator[TrialLog]]:
-    """The config a run directory records and an iterator over its trial
-    logs, tagged with the config's scenario (see `load_logs`).  A missing or
-    invalid ``config.json`` is a corrupt run directory."""
+def load_run(out_dir: str | Path) -> ScenarioConfig:
+    """The config a run directory records, once one listing of its
+    ``trials`` directory shows exactly cfg.trials ``trial_*.jsonl`` files,
+    all named by `_log_id`, which makes them the logs of trials
+    0..cfg.trials-1.  A missing or invalid ``config.json`` is a corrupt run
+    directory.  The logs themselves are read and checked by `read_logs`."""
 
     try:
         cfg = load_config(Path(out_dir) / "config.json")
     except ConfigError as exc:
         raise RuntimeError(f"corrupt run directory: {exc}") from exc
-    return cfg, load_logs(out_dir, cfg)
-
-
-def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
-    """The trial logs of a run directory produced under ``cfg``, in trial
-    order.  Refuses an incomplete set at once, from one listing of the
-    directory: exactly cfg.trials ``trial_*.jsonl`` files, all named by
-    `_log_id`, which makes them the logs of trials 0..cfg.trials-1.  Each log
-    is read and checked only when the iterator reaches it, so a corrupt one
-    raises there."""
-
     trials_dir = Path(out_dir) / "trials"
     found = named = 0
     for name in _names(trials_dir, "trial_*.jsonl"):
@@ -281,13 +273,14 @@ def load_logs(out_dir: str | Path, cfg: ScenarioConfig) -> Iterator[TrialLog]:
             f"{trials_dir} holds {found} trial logs, expected ids 0..{cfg.trials - 1}"
             + (f"; missing {missing}" if missing else "")
         )
-    return read_logs(out_dir, cfg, range(cfg.trials))
+    return cfg
 
 
 def _read_log_text(path: str) -> str:
-    """The file at ``path`` decoded as UTF-8, with the newline translation of
-    a file opened in text mode (``"\r\n"`` and ``"\r"`` read as ``"\n"``),
-    read without the text-IO layer."""
+    """The file at ``path`` decoded as UTF-8, read without the text-IO layer.
+    Its line ends are left as they are: `TrialLog.from_jsonl` ends lines at
+    ``"\r\n"`` and ``"\r"`` too, so it reads the records a text-mode read
+    would give it."""
 
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -300,18 +293,16 @@ def _read_log_text(path: str) -> str:
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RuntimeError(f"corrupt trial log {path}: {exc}") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def read_logs(out_dir: str | Path, cfg: ScenarioConfig, ids: range) -> Iterator[TrialLog]:
-    """The logs of trials ``ids`` of a run directory produced under ``cfg``,
-    each read and checked as the iterator reaches it, without `load_logs`'
-    check of the directory's listing."""
+    """The logs of trials ``ids`` of a run directory produced under ``cfg``
+    (`load_run` checks its listing), tagged with its scenario, in trial
+    order.  Each is read and checked only when the iterator reaches it, so a
+    corrupt one raises there."""
 
     for trial_id in ids:
         path = trial_path(out_dir, trial_id)

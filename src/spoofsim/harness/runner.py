@@ -6,18 +6,19 @@ generator is, bit for bit, ``np.random.default_rng`` of that seed, built
 from PCG64 seed words that `seeds.seed_states` hashes for the whole chunk at
 once (`seeds.trial_generators`).
 
+`chunks` is the one chunk grid: chunk k is trials ``[k * CHUNK_TRIALS,
+(k + 1) * CHUNK_TRIALS)`` for every id range, cut to the range.
 `run_chunks` yields the trials in order, one chunk at a time, so a caller
 that writes and folds each chunk before asking for the next holds at most
-one chunk of `TrialLog`s, whatever N is.  The chunks are the same for every
-id range: trials ``[k * CHUNK_TRIALS, (k + 1) * CHUNK_TRIALS)``, cut to the
-range.  `run` returns them all.
+one chunk of `TrialLog`s, whatever N is.  `run` returns them all.
 
-`in_groups` splits a run's trials into contiguous groups, one per usable
-CPU and at least `GROUP_TRIALS` trials each, and runs a function over each
-group: the first in the calling process, each other one in a child forked
-from it (after Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11: a trial depends only on its id, so any process can run any range of
-ids).
+`in_groups` splits a run's trials into contiguous groups of equal shares,
+one per usable CPU and at least `GROUP_TRIALS` trials each, and runs a
+function over each group: the first in the calling process, each other one
+in a child forked from it (after Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11: a trial depends only on its id, so any process can
+run any range of ids).  A group may start or end inside a chunk, and then
+holds that part of it.
 """
 
 from __future__ import annotations
@@ -50,18 +51,23 @@ GROUP_TRIALS = CHUNK_TRIALS // 2
 T = TypeVar("T")
 
 
+def chunks(ids: range) -> List[range]:
+    """The ids of ``ids`` between consecutive multiples of `CHUNK_TRIALS`, in
+    order: a range that starts or ends inside a chunk holds that part of it."""
+
+    bounds = [ids.start, *range(ids.start - ids.start % CHUNK_TRIALS + CHUNK_TRIALS,
+                                ids.stop, CHUNK_TRIALS), ids.stop]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[List[TrialLog]]:
-    """The trials ``ids`` of ``config`` in trial order, one list per chunk:
-    the ids of ``ids`` between consecutive multiples of `CHUNK_TRIALS`, so a
-    range that starts or ends inside a chunk yields that part of it.  The
-    generator keeps no reference to a chunk it has yielded."""
+    """The trials ``ids`` of ``config`` in trial order, one list per part of
+    a chunk (`chunks`).  The generator keeps no reference to a chunk it has
+    yielded."""
 
     scenario = SCENARIOS[config.scenario]
-    start = ids.start
-    while start < ids.stop:
-        chunk = range(start, min(start - start % CHUNK_TRIALS + CHUNK_TRIALS, ids.stop))
+    for chunk in chunks(ids):
         yield scenario.trials(config, chunk, trial_seeds(config.master_seed, chunk))
-        start = chunk.stop
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:
@@ -81,15 +87,12 @@ def usable_cpus() -> int:
 def groups(trials: int) -> List[range]:
     """The id ranges `in_groups` runs for a run of ``trials`` trials: one per
     usable CPU, but never fewer than `GROUP_TRIALS` trials each (except for
-    a run of fewer), contiguous and in trial order.  The ranges are cut in
-    units of a whole chunk, or of ``trials // workers`` trials where that is
-    smaller, so a run with at least a chunk per worker is cut only between
-    chunks."""
+    a run of fewer), contiguous, in trial order and in equal shares, whose
+    sizes differ by at most one (1,000 trials on three CPUs: 333, 333, 334).
+    A cut may fall inside a chunk; each group runs its part of it."""
 
     workers = max(1, min(usable_cpus() if hasattr(os, "fork") else 1, trials // GROUP_TRIALS))
-    unit = min(CHUNK_TRIALS, trials // workers)
-    units = -(-trials // unit)
-    bounds = [min(trials, g * units // workers * unit) for g in range(workers + 1)]
+    bounds = [g * trials // workers for g in range(workers + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

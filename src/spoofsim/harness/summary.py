@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from functools import reduce
+from operator import add
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .. import crew, tcas
@@ -78,9 +80,11 @@ def _field(log: TrialLog, event: Dict[str, Any], key: str, allowed: Any) -> Any:
 def _mean_sd(values: Sequence[float]) -> Dict[str, float]:
     if not values:
         return {"n": 0, "mean": math.nan, "sd": math.nan}
+    # Added left to right from int 0, as `sum` added floats before Python 3.12
+    # made it compensated, so the bits are the same on every supported Python.
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+    mean = reduce(add, values, 0) / n
+    var = reduce(add, ((v - mean) ** 2 for v in values), 0) / (n - 1) if n > 1 else 0.0
     return {"n": n, "mean": mean, "sd": math.sqrt(var)}
 
 

@@ -30,17 +30,24 @@ from spoofsim.harness import output, runner
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import GPWS_STEP_LIMIT, make_config, validate_config_dict
 from spoofsim.harness.log import TrialLog
-from spoofsim.harness.output import emit, load_run
+from spoofsim.harness.output import emit, load_run, read_logs
 from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
 from spoofsim.harness.scenarios import SCENARIOS, approach_start
 from spoofsim.harness.seeds import seed_states, trial_generators
-from spoofsim.harness.summary import Summary
+from spoofsim.harness.summary import Summary, _mean_sd
 
 
 def small_config(scenario, trials=5, **extra):
     data = {"version": 1, "scenario": scenario, "trials": trials}
     data.update(extra)
     return make_config(data)
+
+
+def _reread(out):
+    """A run directory's config and all its trial logs, read as `summarize` reads them."""
+
+    cfg = load_run(out)
+    return cfg, list(read_logs(out, cfg, range(cfg.trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def test_terrain_below_runway_lands(tmp_path):
     out = tmp_path / "out"
     assert main(["validate-config", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--trials", "20", "--out", str(out)]) == 0
-    logs = list(load_run(out)[1])
+    logs = _reread(out)[1]
     assert len(logs) == 20
     assert all(log.outcome == "LANDED" for log in logs)
 
@@ -812,6 +819,18 @@ def test_summarize_single_trial():
     assert sum(s["outcomes"].values()) == 1
 
 
+def test_mean_sd_adds_left_to_right():
+    """`_mean_sd` adds in list order from int 0, as `sum` added floats before
+    Python 3.12 made it compensated, so the summary's statistics have the
+    same bits on every supported Python.  Here 1e16 + 1.0 rounds back to
+    1e16, so the mean is 0.0 (compensated summation gives 1/3)."""
+
+    mean = ((0 + 1e16) + 1.0 + -1e16) / 3
+    var = ((0 + (1e16 - mean) ** 2) + (1.0 - mean) ** 2 + (-1e16 - mean) ** 2) / 2
+    assert mean == 0.0
+    assert _mean_sd([1e16, 1.0, -1e16]) == {"n": 3, "mean": mean, "sd": math.sqrt(var)}
+
+
 def test_gpws_summary_table_labels():
     s = summarize(run(small_config("GPWS", trials=40)))
     labels = {row[1] for row in s["tables"]["actions"]["rows"]}
@@ -903,8 +922,7 @@ def test_emit_files(tmp_path):
         "trials/trial_00000.jsonl", "trials/trial_00001.jsonl", "trials/trial_00002.jsonl"]
     assert isinstance(written, int) and written == len(files)
     assert sorted(written) == files
-    reread_cfg, reread = load_run(out)
-    reread = list(reread)
+    reread_cfg, reread = _reread(out)
     assert reread_cfg.raw == cfg.raw
     assert [l.to_jsonl() for l in reread] == [l.to_jsonl() for l in logs]
     assert {l.scenario for l in reread} == {"GS"}
@@ -997,7 +1015,7 @@ def test_rerun_without_traces_removes_them(tmp_path):
         if altitude_trace:
             assert len(list((out / "traces").glob("trial_*.csv"))) == 2
     assert not list((out / "traces").glob("trial_*.csv"))
-    reread_cfg, reread = load_run(out)
+    reread_cfg, reread = _reread(out)
     assert reread_cfg.raw == cfg.raw
     assert [log.to_jsonl() for log in reread] == [log.to_jsonl() for log in logs]
 
@@ -1171,10 +1189,10 @@ def test_load_rejects_unordered_or_doubled_outcome(tmp_path):
     first["t"] = 1e9
     path.write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*time order"):
-        list(load_run(tmp_path / "out")[1])
+        _reread(tmp_path / "out")
     path.write_text("".join(lines + lines[-1:]))
     with pytest.raises(RuntimeError, match="trial_00001.jsonl.*one outcome"):
-        list(load_run(tmp_path / "out")[1])
+        _reread(tmp_path / "out")
 
 
 @pytest.mark.parametrize("corrupt", [

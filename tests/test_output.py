@@ -10,7 +10,7 @@ from spoofsim.harness import output, run, runner
 from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.log import TrialLog
-from spoofsim.harness.output import load_logs, write_file
+from spoofsim.harness.output import read_logs, write_file
 
 
 def test_write_file_overwrites_in_place(tmp_path):
@@ -108,7 +108,7 @@ def _ref_load(path, scenario):
     """The reader `output._read_logs` replaced, kept as the reference: the
     file read in text mode (UTF-8, universal newlines), then `from_jsonl`.
     What it gives: the log's ids and events (by repr, so that NaNs compare),
-    or the error load_logs raises, or "undecodable"."""
+    or the error read_logs raises, or "undecodable"."""
 
     try:
         with open(path, encoding="utf-8") as f:
@@ -126,7 +126,7 @@ def _ref_load(path, scenario):
 
 def _load(out, cfg):
     try:
-        log = next(load_logs(out, cfg))
+        log = next(read_logs(out, cfg, range(1)))
     except RuntimeError as exc:
         return RuntimeError, str(exc)
     return log.trial_id, log.seed, repr(log.events)
@@ -170,10 +170,11 @@ def test_load_logs_reads_as_text_mode(one_trial_runs, data):
     """Property: on a real log's bytes with up to three mutations (CRLF line
     ends, lone or doubled carriage returns, invalid UTF-8, valid non-ASCII
     characters, a byte-order mark, a cut at any byte, an empty file),
-    `load_logs` reads the text a text-mode read gives, and from it the same
-    events or the same error with its message.  The one difference allowed:
-    bytes that are not UTF-8 are a ``corrupt trial log`` naming the file,
-    where the text-mode read raised a bare decoding error."""
+    `read_logs` gives the events, or the error with its message, that a
+    text-mode read gives, from the file's text with its line ends as they
+    are.  The one difference allowed: bytes that are not UTF-8 are a
+    ``corrupt trial log`` naming the file, where the text-mode read raised a
+    bare decoding error."""
 
     scenario = data.draw(st.sampled_from(sorted(one_trial_runs)))
     cfg, out, blob = one_trial_runs[scenario]
@@ -188,5 +189,5 @@ def test_load_logs_reads_as_text_mode(one_trial_runs, data):
         assert got[1].startswith(f"corrupt trial log {path}: 'utf-8' codec can't decode")
     else:
         assert got == expected
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             assert output._read_log_text(path) == f.read()

@@ -22,8 +22,8 @@ from spoofsim.harness.runner import CHUNK_TRIALS, GROUP_TRIALS, groups, in_group
 from spoofsim.harness.scenarios import SCENARIOS
 from spoofsim.harness.summary import Summary, fold
 
-#: Four full chunks and a short one: up to four workers, the last group
-#: ending in the short chunk.
+#: Four full chunks and a short one: up to four workers, whose equal shares
+#: start and end inside chunks.
 TRIALS = 4 * CHUNK_TRIALS + 17
 
 
@@ -50,11 +50,10 @@ def _no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_groups_cut_whole_chunks_or_equal_shares(monkeypatch):
+def test_groups_cut_equal_shares(monkeypatch):
     """One group per usable CPU, but at least `GROUP_TRIALS` trials each,
-    contiguous and covering the trials in order; cut only between whole
-    chunks where every group can hold one, so the ranges of runs of a chunk
-    or more per worker are those of groups of whole chunks."""
+    contiguous and covering the trials in order, in equal shares: group
+    sizes differ by at most one, wherever the cuts fall in the chunk grid."""
 
     for cpus in (1, 2, 3, 4, 64):
         _cpus(monkeypatch, cpus)
@@ -65,22 +64,38 @@ def test_groups_cut_whole_chunks_or_equal_shares(monkeypatch):
             assert ranges[0].start == 0 and ranges[-1].stop == trials
             assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
             assert workers == 1 or all(len(r) >= GROUP_TRIALS for r in ranges)
-            if trials >= workers * CHUNK_TRIALS:
-                assert all(r.start % CHUNK_TRIALS == 0 for r in ranges)
+            assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
     expected = {
         (2, 400): [0, 200, 400],  # the tcas-detect workload
-        (2, 1000): [0, 512, 1000],  # gpws-approach
-        (2, 4000): [0, 2048, 4000],  # gs-emit
-        (3, 1000): [0, 256, 512, 1000],
-        (4, 4000): [0, 1024, 2048, 3072, 4000],
+        (2, 1000): [0, 500, 1000],  # gpws-approach
+        (2, 4000): [0, 2000, 4000],  # gs-emit
+        (3, 1000): [0, 333, 666, 1000],
+        (4, 4000): [0, 1000, 2000, 3000, 4000],
         (1, TRIALS): [0, TRIALS],
-        (2, TRIALS): [0, 512, TRIALS],
-        (3, TRIALS): [0, 256, 768, TRIALS],
-        (4, TRIALS): [0, 256, 512, 768, TRIALS],
+        (2, TRIALS): [0, 520, TRIALS],
+        (3, TRIALS): [0, 347, 694, TRIALS],
+        (4, TRIALS): [0, 260, 520, 780, TRIALS],
     }
     for (cpus, trials), bounds in expected.items():
         _cpus(monkeypatch, cpus)
         assert groups(trials) == [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def test_chunks_are_one_grid_for_every_range():
+    """`chunks` cuts any id range at the multiples of `CHUNK_TRIALS` only:
+    whole chunks, a start or an end inside a chunk, a range inside one chunk,
+    and an empty range, which has no chunks."""
+
+    c = CHUNK_TRIALS
+    assert runner.chunks(range(0)) == runner.chunks(range(c + 5, c + 5)) == []
+    assert runner.chunks(range(c, 3 * c)) == [range(c, 2 * c), range(2 * c, 3 * c)]
+    assert runner.chunks(range(c + 5, c + 9)) == [range(c + 5, c + 9)]
+    for start in (0, 1, c - 1, c, c + 1, 3 * c):
+        for stop in range(start, start + 2 * c + 2, 7):
+            parts = runner.chunks(range(start, stop))
+            assert [i for part in parts for i in part] == list(range(start, stop))
+            assert all(part and part[0] // c == part[-1] // c for part in parts)
+            assert all(part.start % c == 0 for part in parts[1:])
 
 
 @pytest.mark.parametrize("scenario", ["GPWS", "TCAS", "GS"])
@@ -184,8 +199,11 @@ def test_group_exception_keeps_its_type(monkeypatch):
     """The first failing group's exception, in trial order, is raised with its
     own type and message; a worker that ends without a result is an error."""
 
+    _cpus(monkeypatch, 4)
+    third = groups(TRIALS)[2].start
+
     def group(ids):
-        if ids.start >= 2 * CHUNK_TRIALS:
+        if ids.start >= third:
             raise KeyError(f"group at {ids.start}")
         return len(ids)
 
@@ -194,9 +212,8 @@ def test_group_exception_keeps_its_type(monkeypatch):
             os._exit(0)
         return len(ids)
 
-    _cpus(monkeypatch, 4)
     cfg = make_config({"version": 1, "scenario": "GS", "trials": TRIALS})
-    with pytest.raises(KeyError, match=f"group at {2 * CHUNK_TRIALS}"):
+    with pytest.raises(KeyError, match=f"group at {third}"):
         in_groups(cfg, group)
     _no_children()
     with pytest.raises(RuntimeError, match="ended without a result"):
