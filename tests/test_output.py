@@ -1,6 +1,7 @@
 """How a run directory's files are written and read back: in place, never
 truncated to zero, and read as UTF-8 with text mode's newline translation."""
 
+import json
 import os
 
 import pytest
@@ -191,3 +192,39 @@ def test_load_logs_reads_as_text_mode(one_trial_runs, data):
         assert got == expected
         with open(path, encoding="utf-8", newline="") as f:
             assert output._read_log_text(path) == f.read()
+
+
+#: Fallback approach names that JSON must escape: a quote, a backslash, a
+#: non-ASCII letter and U+2028, which `str.splitlines` would end a line at.
+_ESCAPED_NAMES = {"VIS\"U\\ALé ": 0.5, "RNAV ": 0.25, "SRA": 0.25}
+
+
+@pytest.mark.parametrize("raw", [
+    {"policies": {"gs": {"fallback_approaches": _ESCAPED_NAMES}}},
+    # A 0.3 deg path puts the cross-check 30-90 km out, so some trials have
+    # no transmitter in range and log `"captured": null`.
+    {"attacker": {"gs": {"path_angle_deg": 0.3}}},
+], ids=["escaped-names", "nothing-captured"])
+def test_gs_logs_are_json_dumps_and_summarize_rewrites_the_summary(tmp_path, capsys, raw):
+    """Every line a GS run writes is `json.dumps(record, sort_keys=True)` of
+    what it reads back as, with config strings escaped, and `summarize` of
+    the run rewrites the `summary.csv` it wrote, byte for byte."""
+
+    path, out = tmp_path / "gs.json", tmp_path / "out"
+    path.write_text(json.dumps({"version": 1, "scenario": "GS", **raw}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--trials", "300", "--out", str(out)]) == 0
+    lines = [line for log in sorted((out / "trials").iterdir())
+             for line in log.read_text(encoding="utf-8").split("\n")[:-1]]
+    assert len(lines) >= 3 * 300
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+    records = [json.loads(line)["payload"] for line in lines]
+    if "policies" in raw:
+        assert {p["approach_type"] for p in records if "approach_type" in p} == set(_ESCAPED_NAMES)
+    else:
+        captured = [p["captured"] for p in records if "captured" in p]
+        assert None in captured and "genuine" in captured
+    written = (out / "summary.csv").read_bytes()
+    assert main(["summarize", "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == written
+    capsys.readouterr()
