@@ -384,12 +384,19 @@ def gs_act(
 ) -> str:
     """Go around, to fly the crew's sampled fallback (``script``, from
     `sample_gs_crew`), when the visual cross-check conflicts with a centred
-    glideslope and the crew is one that goes around; otherwise continue the
-    approach.  The trial asks at the crew's sampled go-around height."""
+    glideslope and the crew is one that goes around (`gs_goes_around`);
+    otherwise continue the approach.  The trial asks at the crew's sampled
+    go-around height."""
 
-    cue_conflict = (
-        indication.valid
-        and abs(indication.deviation_dots) < 0.5
-        and papi_ind.whites in (0, 4)
-    )
-    return GO_AROUND if cue_conflict and script.fallback is not None else CONTINUE
+    goes = gs_goes_around(indication.valid, indication.deviation_dots, papi_ind.whites,
+                          script.fallback)
+    return GO_AROUND if goes else CONTINUE
+
+
+def gs_goes_around(valid: bool, deviation_dots: float, whites: int,
+                   fallback: Optional[str]) -> bool:
+    """`gs_act`'s rule on plain values: a valid glideslope within half a dot
+    of centre beside a PAPI of no or four whites conflicts, and a crew with
+    a ``fallback`` goes around on a conflict."""
+
+    return valid and abs(deviation_dots) < 0.5 and whites in (0, 4) and fallback is not None

@@ -31,7 +31,7 @@ from ..ils import GlideslopeTx
 from ..tcas import MIN_CLOSURE_MPS, AdvisoryThresholds, FalseIntruderPlan
 from ..world import RunwayModel, TerrainProfile
 from .scenarios import (
-    SCENARIOS, approach_start, flown_glideslope, gpws_lead_end, gs_eval_agl, gs_path_state,
+    SCENARIOS, approach_start, flown_glideslope, gpws_lead_end, gs_eval_agl, gs_path_along,
 )
 
 CONFIG_VERSION = 1
@@ -506,7 +506,7 @@ def make_config(data: Dict[str, Any]) -> ScenarioConfig:
             f"glideslope check height, {highest} ft (from policies.gs.go_around_agl_hi_ft)"
         )
     lowest = gs_eval_agl(gs_policy.go_around_agl_lo_ft)
-    past = gs_path_state(cfg, lowest, 0.0).along_track - threshold
+    past = gs_path_along(cfg, lowest) - threshold
     if past >= 0:
         tx = flown_glideslope(cfg)
         fields = ["world.runway.touchdown_zone_offset_m"]

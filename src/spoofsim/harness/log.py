@@ -77,6 +77,12 @@ def _floatstr(o: float, _repr=float.__repr__, _inf=math.inf) -> str:
     return _repr(o)
 
 
+class _JsonFloat(float):
+    """A float whose repr is what `json.dumps` writes for it (`_floatstr`)."""
+
+    __repr__ = _floatstr
+
+
 def _build_encoder(c_make=c_make_encoder):
     """The encoder `json.dumps(..., sort_keys=True)` builds on every call:
     ``encoder(o, 0)`` gives the chunks of ``o``'s JSON text.  The arguments

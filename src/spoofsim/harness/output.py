@@ -174,9 +174,11 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
 
     The trials run in `runner.in_groups`, whose groups are contiguous id
     ranges of equal shares, one per worker.  Each group runs its part of each
-    chunk (`runner.run_chunks`) in turn, and writes and folds it before it
-    runs the next.  This process writes the summary, the report and the
-    config only once every group has succeeded.
+    chunk (`runner.run_chunks`) in turn, writes the chunk's log texts and
+    traces, and merges its summary part before it runs the next.  A
+    glideslope chunk's texts are written from the values of its round,
+    without a `TrialLog`.  This process writes the summary, the report and
+    the config only once every group has succeeded.
 
     A directory is a complete run only once its ``config.json`` is there:
     emit removes an earlier run's before it writes any trial log, and writes
@@ -208,18 +210,20 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
 
         part = Summary()
         trace_names: List[str] = []
+        trial_id = ids.start
         for chunk in run_chunks(cfg, ids):
-            for log in chunk:
-                write_file(trial_path(out, log.trial_id), log.to_jsonl())
-                if cfg.altitude_trace and any(True for _ in log.iter_kind("state")):
-                    if not trace_names:
-                        traces_dir.mkdir(parents=True, exist_ok=True)
-                    name = _TRACE.format(log.trial_id)
-                    write_file(os.path.join(traces_dir, name), trace_csv(log))
-                    trace_names.append(name)
-                part.add(log)
-            # Otherwise the loop variables hold this chunk (and its last log)
-            # while the next one is made.
+            for text in chunk.texts:
+                write_file(trial_path(out, trial_id), text)
+                trial_id += 1
+            for log in chunk.traces if cfg.altitude_trace else ():
+                if not trace_names:
+                    traces_dir.mkdir(parents=True, exist_ok=True)
+                name = _TRACE.format(log.trial_id)
+                write_file(os.path.join(traces_dir, name), trace_csv(log))
+                trace_names.append(name)
+            part.merge(chunk.summary)
+            # Otherwise the loop variables hold this chunk (and its last
+            # trace) while the next one is made.
             chunk = log = None
         return part, trace_names
 

@@ -10,7 +10,7 @@ once (`seeds.trial_generators`).
 (k + 1) * CHUNK_TRIALS)`` for every id range, cut to the range.
 `run_chunks` yields the trials in order, one chunk at a time, so a caller
 that writes and folds each chunk before asking for the next holds at most
-one chunk of `TrialLog`s, whatever N is.  `run` returns them all.
+one chunk of trials, whatever N is.  `run` returns them all as `TrialLog`s.
 
 `in_groups` splits a run's trials into contiguous groups of equal shares,
 one per usable CPU and at least `GROUP_TRIALS` trials each, and runs a
@@ -60,10 +60,15 @@ def chunks(ids: range) -> List[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[List[TrialLog]]:
-    """The trials ``ids`` of ``config`` in trial order, one list per part of
-    a chunk (`chunks`).  The generator keeps no reference to a chunk it has
-    yielded."""
+def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[Any]:
+    """The trials ``ids`` of ``config`` in trial order, one chunk per part of
+    a chunk (`chunks`), as the scenario's trials function returns it: the
+    write path's seam.  Each chunk gives the texts of its trials' logs in
+    trial order (``texts``), their `Summary` (``summary``) and the logs
+    whose altitude trace is written (``traces``); iterating it gives the
+    trials' `TrialLog`s, which a glideslope chunk reads back from its texts
+    (`scenarios.TextChunk`).  The generator keeps no reference to a chunk it
+    has yielded."""
 
     scenario = SCENARIOS[config.scenario]
     for chunk in chunks(ids):

@@ -35,21 +35,31 @@ budget, the log and the one `tcas.SurveillanceMessage` per encounter.  Round
 n flies the n-th encounter of every trial as array rows with the scalar
 cycle's floats: the own ship at ``(gs * t, 0.0, altitude)``, as
 ``world.step`` places it, the claim relative to it, and `tcas.slant_ranges`.
+
+A glideslope chunk is one round (`gs_trials`): each trial draws its crew
+(`gs_trial`) in trial order, then its cross-check runs on plain floats
+against the path, transmitters and PAPI bands the config fixes, and its log
+is written from those values by one line template per record kind, as
+`json.dumps` writes the records, with no record dict or `TrialLog`.  The same
+values fold into the chunk's summary.  GPWS and TCAS chunks are their
+`TrialLog`s (`LogChunk`), from which the write path's texts, summary and
+traces are made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
-from .log import TrialLog
+from .log import TrialLog, _JsonFloat
 from .seeds import trial_generators
-from .summary import GpwsSummary, GsSummary, TcasSummary
+from .summary import GpwsSummary, GsSummary, Summary, TcasSummary, fold
 
 if TYPE_CHECKING:  # config imports this module for the registry
     from .config import ScenarioConfig
@@ -109,14 +119,14 @@ def gpws_lead_end(cfg: ScenarioConfig) -> float:
     return start.along_track + start.ground_speed * max(lead, 0.0)
 
 
-def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
+def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> LogChunk:
     """The GPWS trials of ``trial_ids`` with their ``seeds``, in order.  They
     fly rounds of approaches, the n-th of each trial still flying in round n,
     one fine loop per round."""
 
     rngs = list(trial_generators(seeds))
-    logs = [TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
-            for i, seed in zip(trial_ids, seeds)]
+    logs = LogChunk(TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
+                    for i, seed in zip(trial_ids, seeds))
     runway, policy = cfg.runway, cfg.gpws_policy
     # Every approach starts at the same point and flies at the same rates.
     start = approach_start(cfg, 0.0)
@@ -371,7 +381,7 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
     return log
 
 
-def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
+def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> LogChunk:
     """The TCAS trials of ``trial_ids`` with their ``seeds``, in order, each
     started by its name, `tcas_trial`.  Round n flies the n-th encounter
     each trial still running yields, in one `_tcas_encounters` call."""
@@ -391,7 +401,7 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
                 logs[k] = done.value
         flights = dict(zip(flying, _tcas_encounters(cfg, rows)))
         running = flying
-    return logs
+    return LogChunk(logs)
 
 
 def _first_cycles(cfg: ScenarioConfig, v: np.ndarray) -> tuple:
@@ -530,89 +540,197 @@ def gs_eval_agl(go_around_agl_ft: float) -> float:
     return max(go_around_agl_ft, _GS_EVAL_FLOOR_FT)
 
 
-def gs_path_state(cfg: ScenarioConfig, agl_ft: float, t: float) -> world.AircraftState:
-    """Aircraft centred on the flown glideslope path at the given height."""
+def gs_path_along(cfg: ScenarioConfig, agl_ft: float) -> float:
+    """Along-track position, m, of the flown glideslope path at height ``agl_ft``."""
 
     runway, tx = cfg.runway, flown_glideslope(cfg)
     antenna_along = runway.threshold_position + tx.antenna_position
-    height = ft_to_m(agl_ft)
-    along = antenna_along - height / math.tan(math.radians(tx.path_angle))
-    return world.AircraftState(
-        time=t,
-        ground_position=(along, 0.0),
-        altitude_msl=runway.elevation + height,
-        vertical_speed=-fpm_to_mps(cfg.approach_descent_rate_fpm),
-        ground_speed=kn_to_mps(cfg.approach_ground_speed_kn),
-        heading=0.0,
-    )
+    return antenna_along - ft_to_m(agl_ft) / math.tan(math.radians(tx.path_angle))
 
 
-def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int, rng: np.random.Generator) -> TrialLog:
-    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
-    runway, txs = cfg.runway, cfg.glideslope
+def gs_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
+             rng: np.random.Generator) -> crew.GsCrewState:
+    """The crew of glideslope trial ``trial_id``, drawn from ``rng``, the
+    generator of its ``seed``: every draw the trial makes.  `gs_trials`
+    flies it."""
+
+    return crew.sample_gs_crew(cfg.gs_policy, rng)
+
+
+def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> TextChunk:
+    """The glideslope trials of ``trial_ids`` with their ``seeds``, in order,
+    as one round.  Each trial's crew comes from `gs_trial`, called by its
+    name with a generator built just before it.  Its cross-check then runs
+    on plain floats, with the operations, in their order, of an aircraft on
+    the flown path (`gs_path_along`), `ils.receive` and `ils.papi`, whose
+    errors it raises for a geometry they refuse; the path, the transmitters,
+    the PAPI bands and the landing are the config's, worked out once.  Its
+    lines come from `_gs_indication_line`, `_gs_go_around_lines` and
+    `_gs_land_lines`, and its summary from the same values."""
+
+    runway, scenario = cfg.runway, cfg.scenario
     rate_fps = m_to_ft(fpm_to_mps(cfg.approach_descent_rate_fpm))
     start_agl = cfg.approach_start_agl_ft
-
-    script = crew.sample_gs_crew(cfg.gs_policy, rng)
-    eval_agl = gs_eval_agl(script.go_around_agl_ft)
-    t_eval = (start_agl - eval_agl) / rate_fps
-    aircraft = gs_path_state(cfg, eval_agl, t_eval)
-    indication = ils.receive(aircraft, txs, runway)
-    papi_ind = ils.papi(aircraft, runway, nominal_angle=txs[0].path_angle)
-    log.add(t_eval, "gs_indication", {
-        "deviation_dots": indication.deviation_dots,
-        "ddm": indication.ddm,
-        "captured": indication.captured_source.legitimacy if indication.captured_source else None,
-        "papi_whites": papi_ind.whites,
-        "agl_ft": eval_agl,
-    })
-
-    if crew.gs_act(indication, papi_ind, script) == crew.GO_AROUND:
-        t_ga = (start_agl - script.go_around_agl_ft) / rate_fps
-        log.add(t_ga, "crew_action", {
-            "approach": 1, "action": crew.GO_AROUND,
-            "agl_ft": script.go_around_agl_ft,
-        })
-        log.add(t_ga, "fallback_selected", {"approach_type": script.fallback})
-        # Second approach flown with the fallback procedure; no glideslope.
-        t_land = t_ga + 300.0 + start_agl / rate_fps
-        log.finish(t_land, "LANDED_FALLBACK", {
-            "approach": 2, "approach_type": script.fallback,
-        })
-        return log
-
-    # Continue: descend the flown path to the surface.
+    elevation, threshold = runway.elevation, runway.threshold_position
+    tdz = runway.touchdown_zone_position
+    flown = flown_glideslope(cfg)
+    antenna_along = threshold + flown.antenna_position
+    tangent = math.tan(math.radians(flown.path_angle))
+    # (along-track position, path angle, power, genuine, its JSON): a power
+    # tie goes to the genuine transmitter, and the first of equals.
+    sources = [(threshold + tx.antenna_position, tx.path_angle, tx.tx_power,
+                tx.legitimacy == "genuine", encode_basestring_ascii(tx.legitimacy))
+               for tx in cfg.glideslope]
+    shift = cfg.glideslope[0].path_angle - 3.0
+    edges = [edge + shift for edge in ils.PAPI_BAND_EDGES_DEG]
+    # A crew that continues lands on the flown path, the same for every trial.
     t_land = (start_agl - 0.0) / rate_fps
-    touchdown_along = gs_path_state(cfg, 0.0, t_land).along_track
-    long_landing = cfg.attacker_enabled and touchdown_along > runway.touchdown_zone_position
-    log.add(t_land, "crew_action", {"approach": 1, "action": "LAND"})
-    log.finish(t_land, "LANDED", {
-        "approach": 1,
-        "touchdown_along_m": touchdown_along,
-        "long_landing": long_landing,
-    })
-    return log
+    touchdown = gs_path_along(cfg, 0.0)
+    long_landing = cfg.attacker_enabled and touchdown > tdz
+
+    texts: List[str] = []
+    part = Summary()
+    atan2, degrees, max_range = math.atan2, math.degrees, ils.MAX_RANGE_M
+    for trial_id, seed, rng in zip(trial_ids, seeds, trial_generators(seeds)):
+        script = gs_trial(cfg, trial_id, seed, rng)
+        eval_agl = gs_eval_agl(script.go_around_agl_ft)
+        t_eval = (start_agl - eval_agl) / rate_fps
+        height = ft_to_m(eval_agl)
+        along = antenna_along - height / tangent
+        height = (elevation + height) - elevation  # as read back from the altitude
+        best = captured = None
+        for tx_along, path_angle, power, genuine, legitimacy in sources:
+            dist = tx_along - along
+            if dist <= 0:
+                raise ValueError("aircraft is past the transmitter")
+            if dist <= max_range:
+                key = (power / max(dist, 1.0) ** 2, genuine)
+                if best is None or key > best:
+                    best, captured = key, (dist, path_angle, legitimacy)
+        if captured is None:
+            ddm = dots = 0.0
+            legitimacy = "null"
+        else:
+            dist, path_angle, legitimacy = captured
+            unit = (degrees(atan2(height, dist)) - path_angle) / ils.FULL_SCALE_DEG
+            unit = min(1.0, max(-1.0, unit))
+            ddm, dots = ils.FULL_SCALE_DDM * unit, 2.0 * unit
+        if along >= threshold:
+            raise ValueError("aircraft is behind the runway threshold")
+        angle = degrees(atan2(height, tdz - along))
+        whites = sum(angle > edge for edge in edges)
+
+        seed_text = f', "seed": {seed!r}, "t": '
+        end = f', "trial_id": {trial_id!r}}}\n'
+        text = _gs_indication_line(seed_text, end, t_eval, eval_agl, legitimacy, ddm, dots, whites)
+        if crew.gs_goes_around(captured is not None, dots, whites, script.fallback):
+            t_ga = (start_agl - script.go_around_agl_ft) / rate_fps
+            text += _gs_go_around_lines(seed_text, end, t_ga, script.go_around_agl_ft,
+                                        script.fallback, t_ga + 300.0 + start_agl / rate_fps)
+            part.count(scenario, "LANDED_FALLBACK").add_trial(
+                (script.go_around_agl_ft,), (script.fallback,))
+        else:
+            text += _gs_land_lines(seed_text, end, t_land, touchdown, long_landing)
+            part.count(scenario, "LANDED").add_trial((), ())
+        texts.append(text)
+    return TextChunk(scenario, texts, part)
 
 
-def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> List[TrialLog]:
-    """The glideslope trials of ``trial_ids`` with their ``seeds``, in
-    order, each generator built just before its trial."""
+# Each trial's lines, as `json.dumps(record, sort_keys=True)` writes its
+# records, one line each: ``seed`` and ``end`` frame a record's ``t`` (`,
+# "seed": S, "t": ` and `, "trial_id": I}` plus the newline).  Floats print
+# by repr, as a `_JsonFloat` where one is not finite.
 
-    return [gs_trial(cfg, i, seed, rng)
-            for i, seed, rng in zip(trial_ids, seeds, trial_generators(seeds))]
+
+def _gs_indication_line(seed: str, end: str, t: float, agl: float, captured: str,
+                        ddm: float, dots: float, whites: int) -> str:
+    """The ``gs_indication`` line; ``captured`` is the captured transmitter's
+    legitimacy as JSON, or ``null``."""
+
+    if not 0.0 * t * agl * ddm * dots == 0.0:
+        t, agl, ddm, dots = map(_JsonFloat, (t, agl, ddm, dots))
+    return (f'{{"kind": "gs_indication", "payload": {{"agl_ft": {agl!r}, "captured": {captured}, '
+            f'"ddm": {ddm!r}, "deviation_dots": {dots!r}, "papi_whites": {whites!r}}}'
+            f'{seed}{t!r}{end}')
+
+
+def _gs_go_around_lines(seed: str, end: str, t: float, agl: float, fallback: str,
+                        t_land: float) -> str:
+    """The go-around at ``t``, the ``fallback`` approach and its landing at ``t_land``."""
+
+    if not 0.0 * t * agl * t_land == 0.0:
+        t, agl, t_land = map(_JsonFloat, (t, agl, t_land))
+    fallback = encode_basestring_ascii(fallback)
+    at = f"{seed}{t!r}{end}"
+    return (f'{{"kind": "crew_action", "payload": {{"action": "GO_AROUND", "agl_ft": {agl!r}, '
+            f'"approach": 1}}{at}'
+            f'{{"kind": "fallback_selected", "payload": {{"approach_type": {fallback}}}{at}'
+            f'{{"kind": "outcome", "payload": {{"approach": 2, "approach_type": {fallback}, '
+            f'"outcome": "LANDED_FALLBACK"}}{seed}{t_land!r}{end}')
+
+
+def _gs_land_lines(seed: str, end: str, t: float, touchdown: float, long_landing: bool) -> str:
+    """The decision to land and the landing at ``t``, ``touchdown`` m along the track."""
+
+    if not 0.0 * t * touchdown == 0.0:
+        t, touchdown = map(_JsonFloat, (t, touchdown))
+    long_landing = "true" if long_landing else "false"
+    at = f"{seed}{t!r}{end}"
+    return (f'{{"kind": "crew_action", "payload": {{"action": "LAND", "approach": 1}}{at}'
+            f'{{"kind": "outcome", "payload": {{"approach": 1, "long_landing": {long_landing}, '
+            f'"outcome": "LANDED", "touchdown_along_m": {touchdown!r}}}{at}')
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
+class LogChunk(List[TrialLog]):
+    """A chunk of trials made as `TrialLog`s (GPWS, TCAS), in trial order,
+    with the write path's view of them made on demand."""
+
+    @property
+    def texts(self) -> Iterator[str]:
+        return (log.to_jsonl() for log in self)  # made as written, not held
+
+    @property
+    def summary(self) -> Summary:
+        return fold(self)
+
+    @property
+    def traces(self) -> List[TrialLog]:
+        return [log for log in self if any(True for _ in log.iter_kind("state"))]
+
+
+@dataclass
+class TextChunk:
+    """A chunk of trials made as their log texts (GS), in trial order, with
+    their summary; iterating it reads each back as a `TrialLog`."""
+
+    scenario: str
+    texts: List[str]
+    summary: Summary
+
+    def __iter__(self) -> Iterator[TrialLog]:
+        return (TrialLog.from_jsonl(text, self.scenario) for text in self.texts)
+
+    @property
+    def traces(self) -> Tuple[TrialLog, ...]:
+        return ()  # a glideslope trial logs no altitude trace
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario: its trials function (config, trial ids, seeds -> the
-    trials' logs in order), the accumulator that summarizes its logs
-    (``add(log)``, then ``result()``) and its config overrides."""
+    """One scenario: its trials function, the accumulator that summarizes
+    its logs (``add(log)``, then ``result()``) and its config overrides.
 
-    trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], List[TrialLog]]
+    The trials function runs the runner's chunk (config, trial ids, seeds)
+    and returns a `LogChunk` or a `TextChunk`: iterating either gives the
+    trials' logs, and the write path takes its ``texts`` (each trial's log
+    as JSON lines), ``summary`` (their `Summary`) and ``traces`` (the logs
+    whose altitude trace is written)."""
+
+    trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], Any]
     summary: Callable[[], Any]
     overrides: Dict[str, Any] = field(default_factory=dict)
 

@@ -246,16 +246,25 @@ class GsSummary:
         self.landed_first = 0
 
     def add(self, log: TrialLog) -> None:
+        go_around_agl = [
+            _field(log, event, "agl_ft", _NUMBER) for event in log.iter_kind("crew_action")
+            if _field(log, event, "action", str) == crew.GO_AROUND
+            and _field(log, event, "approach", int) == 1
+        ]
+        self.add_trial(go_around_agl, [
+            _field(log, event, "approach_type", str)
+            for event in log.iter_kind("fallback_selected")
+        ] if go_around_agl else ())
+
+    def add_trial(self, go_around_agl: Sequence[float], fallbacks: Iterable[str]) -> None:
+        """One trial: the heights of its first-approach go-arounds (none if
+        it landed from its first approach) and the fallback approaches it
+        selected after them."""
+
         self.trials += 1
-        went_around = False
-        for event in log.iter_kind("crew_action"):
-            if _field(log, event, "action", str) == crew.GO_AROUND \
-                    and _field(log, event, "approach", int) == 1:
-                went_around = True
-                self.go_around_agl.append(_field(log, event, "agl_ft", _NUMBER))
-        if went_around:
-            for event in log.iter_kind("fallback_selected"):
-                ft = _field(log, event, "approach_type", str)
+        if go_around_agl:
+            self.go_around_agl += go_around_agl
+            for ft in fallbacks:
                 self.fallbacks[ft] = self.fallbacks.get(ft, 0) + 1
         else:
             self.landed_first += 1
@@ -322,10 +331,16 @@ class Summary:
         return self._scenario_summary
 
     def add(self, log: TrialLog) -> None:
-        scenario_summary = self._scenario(log.scenario)
-        outcome = _field(log, log.events[-1], "outcome", str)
+        self._scenario(log.scenario)  # logs of another scenario raise first
+        self.count(log.scenario, _field(log, log.events[-1], "outcome", str)).add(log)
+
+    def count(self, scenario: str, outcome: str) -> Any:
+        """Count a trial of ``scenario`` that ended in ``outcome``; returns
+        the scenario's accumulator, which takes the rest of the trial."""
+
+        scenario_summary = self._scenario(scenario)
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        scenario_summary.add(log)
+        return scenario_summary
 
     def merge(self, other: "Summary") -> None:
         """Fold in ``other``, the summary of the logs after this one's."""

@@ -16,7 +16,10 @@ to the bit:
   encounter at a time, against the TCAS encounter kernel's schedule
   (`scenarios._first_cycles`);
 - `scalar_advise`: the TA/RA decision one track at a time, each threshold
-  compared where it is read, against `tcas.alert_levels` and `tcas.advise`.
+  compared where it is read, against `tcas.alert_levels` and `tcas.advise`;
+- `gs_trial_objects`: a glideslope trial as objects (an `AircraftState` on the
+  flown path, `ils.receive`, `ils.papi`, `crew.gs_act` and a `TrialLog`),
+  against the glideslope round (`scenarios.gs_trials`).
 
 No module under `src` imports this one.
 """
@@ -28,11 +31,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from spoofsim import tcas
+import numpy as np
+
+from spoofsim import crew, ils, tcas, world
 from spoofsim.gpws import CLOSURE_WINDOW_S, Mode2Envelope
+from spoofsim.harness.log import TrialLog
+from spoofsim.harness.scenarios import flown_glideslope, gs_eval_agl
 from spoofsim.radalt import PulseEcho, height_to_delay
 from spoofsim.tcas import MODE_S_REPLY, STANDBY, Claim, Position, SurveillanceMessage
-from spoofsim.units import ft_to_m, m_to_ft
+from spoofsim.units import fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +248,74 @@ def scalar_advise(taus_and_altitudes: Sequence[Tuple[float, float]], mode: str,
             best = tcas.Advisory(level="TA", time=t)
             best_tau = tau
     return best
+
+
+# ---------------------------------------------------------------------------
+# Glideslope
+
+
+def gs_path_state(cfg, agl_ft: float, t: float) -> world.AircraftState:
+    """Aircraft centred on the flown glideslope path at the given height."""
+
+    runway, tx = cfg.runway, flown_glideslope(cfg)
+    antenna_along = runway.threshold_position + tx.antenna_position
+    height = ft_to_m(agl_ft)
+    along = antenna_along - height / math.tan(math.radians(tx.path_angle))
+    return world.AircraftState(
+        time=t,
+        ground_position=(along, 0.0),
+        altitude_msl=runway.elevation + height,
+        vertical_speed=-fpm_to_mps(cfg.approach_descent_rate_fpm),
+        ground_speed=kn_to_mps(cfg.approach_ground_speed_kn),
+        heading=0.0,
+    )
+
+
+def gs_trial_objects(cfg, trial_id: int, seed: int) -> TrialLog:
+    """The glideslope trial of ``trial_id`` with ``seed``, one object at a time."""
+
+    rng = np.random.default_rng(seed)
+    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
+    runway, txs = cfg.runway, cfg.glideslope
+    rate_fps = m_to_ft(fpm_to_mps(cfg.approach_descent_rate_fpm))
+    start_agl = cfg.approach_start_agl_ft
+
+    script = crew.sample_gs_crew(cfg.gs_policy, rng)
+    eval_agl = gs_eval_agl(script.go_around_agl_ft)
+    t_eval = (start_agl - eval_agl) / rate_fps
+    aircraft = gs_path_state(cfg, eval_agl, t_eval)
+    indication = ils.receive(aircraft, txs, runway)
+    papi_ind = ils.papi(aircraft, runway, nominal_angle=txs[0].path_angle)
+    log.add(t_eval, "gs_indication", {
+        "deviation_dots": indication.deviation_dots,
+        "ddm": indication.ddm,
+        "captured": indication.captured_source.legitimacy if indication.captured_source else None,
+        "papi_whites": papi_ind.whites,
+        "agl_ft": eval_agl,
+    })
+
+    if crew.gs_act(indication, papi_ind, script) == crew.GO_AROUND:
+        t_ga = (start_agl - script.go_around_agl_ft) / rate_fps
+        log.add(t_ga, "crew_action", {
+            "approach": 1, "action": crew.GO_AROUND,
+            "agl_ft": script.go_around_agl_ft,
+        })
+        log.add(t_ga, "fallback_selected", {"approach_type": script.fallback})
+        # Second approach flown with the fallback procedure; no glideslope.
+        t_land = t_ga + 300.0 + start_agl / rate_fps
+        log.finish(t_land, "LANDED_FALLBACK", {
+            "approach": 2, "approach_type": script.fallback,
+        })
+        return log
+
+    # Continue: descend the flown path to the surface.
+    t_land = (start_agl - 0.0) / rate_fps
+    touchdown_along = gs_path_state(cfg, 0.0, t_land).along_track
+    long_landing = cfg.attacker_enabled and touchdown_along > runway.touchdown_zone_position
+    log.add(t_land, "crew_action", {"approach": 1, "action": "LAND"})
+    log.finish(t_land, "LANDED", {
+        "approach": 1,
+        "touchdown_along_m": touchdown_along,
+        "long_landing": long_landing,
+    })
+    return log

@@ -17,6 +17,7 @@ which no module under `src` imports."""
 
 import dataclasses
 import functools
+import json
 import math
 import re
 from collections import Counter
@@ -26,17 +27,20 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spoofsim import crew, gpws, ils, radalt, tcas, world
-from spoofsim.harness import run, scenarios
+from spoofsim.harness import run, runner, scenarios
 from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
+from spoofsim.harness.output import emit
 from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _SWEEP, SCENARIOS, approach_start,
 )
+from spoofsim.harness.summary import Summary, fold
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
 from reference import (
-    ClosureRateEstimator, RampAttackPlan, evaluate, first_cycle_within, mode_s_cycle,
+    ClosureRateEstimator, RampAttackPlan, evaluate, first_cycle_within, gs_trial_objects,
+    mode_s_cycle,
 )
 
 #: The golden-output seed.
@@ -979,3 +983,157 @@ def test_gpws_float_loop_matches_stepped_reference(raw):
     rate, terrain and batch (on the defaults, the golden bytes)."""
 
     _gpws_logs_agree(raw)
+
+
+# ---------------------------------------------------------------------------
+# The glideslope round
+
+
+@st.composite
+def _gs_configs(draw):
+    """A GS or BASELINE config whose path, transmitters, runway, approach and
+    crew vary, past the genuine transmitter's 50 km range at the shallowest
+    paths; configs `make_config` rejects are not drawn again."""
+
+    lo = draw(st.floats(min_value=50.0, max_value=900.0))
+    hi = draw(st.floats(min_value=lo + 100.0, max_value=1500.0))
+    elevation = draw(st.floats(-400.0, 3000.0))
+    return {
+        "version": 1, "scenario": draw(st.sampled_from(["GS", "BASELINE"])), "trials": 20,
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "world": {
+            "runway": {"threshold_position_m": draw(st.floats(-5000.0, 5000.0)),
+                       "touchdown_zone_offset_m": draw(st.floats(0.0, 1000.0)),
+                       "elevation_m": elevation},
+            "terrain": [[-1e6, elevation], [1e6, elevation]],
+            "approach": {"descent_rate_fpm": draw(st.floats(100.0, 3000.0))},
+        },
+        "attacker": {"gs": {
+            "shift_m": draw(st.sampled_from([2050.0]) | st.floats(1.0, 60000.0)),
+            "tx_power_w": draw(st.sampled_from([50.0, 5.0]) | st.floats(0.1, 500.0)),
+            "path_angle_deg": draw(st.sampled_from([3.0, 0.3]) | st.floats(0.2, 9.5)),
+        }},
+        "policies": {"gs": {
+            "p_go_around_first": draw(st.sampled_from([26 / 30]) | st.floats(0.0, 1.0)),
+            "go_around_agl_lo_ft": lo, "go_around_agl_hi_ft": hi,
+            "go_around_agl_mean_ft": draw(st.floats(lo + 1.0, hi - 1.0)),
+            "go_around_agl_sd_ft": draw(st.floats(1.0, 500.0)),
+        }},
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw=_gs_configs())
+@example(raw={"version": 1, "scenario": "GS", "trials": CHUNK_TRIALS + 3, "master_seed": SEED})
+@example(raw={"version": 1, "scenario": "BASELINE", "trials": 20, "master_seed": SEED})
+# No transmitter in range for some trials: a 0.3 deg path puts the check
+# point 30-90 km out.
+@example(raw={"version": 1, "scenario": "GS", "trials": 20, "master_seed": SEED,
+              "attacker": {"gs": {"path_angle_deg": 0.3}}})
+# Equal received power: the genuine transmitter, then the first, is captured.
+@example(raw={"version": 1, "scenario": "GS", "trials": 20, "master_seed": SEED,
+              "attacker": {"gs": {"tx_power_w": 5.0}}})
+def test_gs_round_matches_object_reference(raw):
+    """Property: the glideslope round writes, trial for trial, the bytes of
+    the object path it replaced (`reference.gs_trial_objects`: an
+    `AircraftState`, `ils.receive`, `ils.papi` and a `TrialLog`), and folds
+    their summary."""
+
+    try:
+        cfg = make_config(raw)
+    except ConfigError:
+        assume(False)
+    ids = range(cfg.trials)
+    reference = [gs_trial_objects(cfg, i, seed)
+                 for i, seed in zip(ids, trial_seeds(cfg.master_seed, ids))]
+    chunks = list(runner.run_chunks(cfg, ids))
+    assert [text for chunk in chunks for text in chunk.texts] == [
+        log.to_jsonl() for log in reference]
+    folded = Summary()
+    for chunk in chunks:
+        folded.merge(chunk.summary)
+    assert folded.result() == fold(reference).result()
+
+
+def test_gs_round_raises_the_receiver_errors():
+    """A geometry `ils.receive` or `ils.papi` refuses raises their error:
+    an aircraft past a transmitter, or behind the runway threshold."""
+
+    cfg = make_config({"version": 1, "scenario": "GS", "trials": 3, "master_seed": SEED})
+    genuine, rogue = cfg.glideslope
+
+    def moved(genuine_m, rogue_m):  # the antennas, m beyond the threshold
+        return dataclasses.replace(cfg, glideslope=(
+            dataclasses.replace(genuine, antenna_position=genuine_m),
+            dataclasses.replace(rogue, antenna_position=rogue_m)))
+
+    # The flown (rogue) path checks 3-9 km before its antenna.
+    for bad, message in [(moved(-60000.0, 2350.0), "aircraft is past the transmitter"),
+                         (moved(30000.0, 20000.0), "aircraft is behind the runway threshold")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gs_trial_objects(bad, 0, 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scenarios.gs_trials(bad, [0], [1])
+
+
+@pytest.mark.parametrize("scenario", ["GS", "BASELINE"])
+def test_gs_emit_builds_no_log_records(tmp_path, monkeypatch, scenario):
+    """Work budget: a GS or BASELINE run writes its logs from the values of
+    its round, with no `TrialLog.add` and no `TrialLog.to_jsonl` call."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called on the GS write path")
+
+    monkeypatch.setattr(TrialLog, "add", refused)
+    monkeypatch.setattr(TrialLog, "to_jsonl", refused)
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+    cfg = make_config({"version": 1, "scenario": scenario, "trials": CHUNK_TRIALS + 3,
+                       "master_seed": SEED, "output_dir": str(tmp_path / "out")})
+    summary = Summary()
+    assert emit(cfg, summary) == cfg.trials + 3
+    assert summary.result()["trials"] == cfg.trials
+
+
+_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, math.nan, math.inf,
+                              -math.inf, 1.7976931348623157e308]))
+_NAMES = st.text() | st.sampled_from(['VIS"U\\AL\xe9 ', "\u2028", "", "RNAV"])
+
+
+def _json_lines(trial_id, seed, records):
+    """What `TrialLog.to_jsonl` wrote for ``records`` of (t, kind, payload)."""
+
+    return "".join(json.dumps({"t": t, "kind": kind, "payload": payload, "trial_id": trial_id,
+                               "seed": seed}, sort_keys=True) + "\n"
+                   for t, kind, payload in records)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trial_id=st.integers(0, 10**6) | st.sampled_from([99_999, 100_000, 123_456]),
+       seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1]),
+       t=_FLOATS, agl=_FLOATS, ddm=_FLOATS, dots=_FLOATS, t_land=_FLOATS, touchdown=_FLOATS,
+       whites=st.integers(0, 4), captured=st.sampled_from(["genuine", "adversarial", None]),
+       fallback=_NAMES, long_landing=st.booleans())
+def test_gs_templates_equal_json_dumps(trial_id, seed, t, agl, ddm, dots, t_land, touchdown,
+                                       whites, captured, fallback, long_landing):
+    """Property: each glideslope line template writes what `json.dumps(record,
+    sort_keys=True)` writes for the record, non-finite floats, escaped names
+    and long seeds and ids included."""
+
+    frame = f', "seed": {seed!r}, "t": ', f', "trial_id": {trial_id!r}}}\n'
+    legitimacy = json.dumps(captured)
+    assert scenarios._gs_indication_line(*frame, t, agl, legitimacy, ddm, dots, whites) == (
+        _json_lines(trial_id, seed, [(t, "gs_indication", {
+            "deviation_dots": dots, "ddm": ddm, "captured": captured, "papi_whites": whites,
+            "agl_ft": agl})]))
+    assert scenarios._gs_go_around_lines(*frame, t, agl, fallback, t_land) == _json_lines(
+        trial_id, seed, [
+            (t, "crew_action", {"approach": 1, "action": crew.GO_AROUND, "agl_ft": agl}),
+            (t, "fallback_selected", {"approach_type": fallback}),
+            (t_land, "outcome", {"outcome": "LANDED_FALLBACK", "approach": 2,
+                                 "approach_type": fallback})])
+    assert scenarios._gs_land_lines(*frame, t, touchdown, long_landing) == _json_lines(
+        trial_id, seed, [
+            (t, "crew_action", {"approach": 1, "action": "LAND"}),
+            (t, "outcome", {"outcome": "LANDED", "approach": 1, "touchdown_along_m": touchdown,
+                            "long_landing": long_landing})])
