@@ -1030,7 +1030,7 @@ def _gs_configs(draw):
 # point 30-90 km out.
 @example(raw={"version": 1, "scenario": "GS", "trials": 20, "master_seed": SEED,
               "attacker": {"gs": {"path_angle_deg": 0.3}}})
-# Equal received power: the genuine transmitter, then the first, is captured.
+# Equal transmitter powers: the flown path is the first of them, the genuine one.
 @example(raw={"version": 1, "scenario": "GS", "trials": 20, "master_seed": SEED,
               "attacker": {"gs": {"tx_power_w": 5.0}}})
 def test_gs_round_matches_object_reference(raw):
