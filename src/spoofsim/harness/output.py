@@ -120,16 +120,6 @@ def report_text(summary: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_csv(log: TrialLog) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time_s", "altitude_ft", "indicated_agl_ft"])
-    for event in log.iter_kind("state"):
-        p = event["payload"]
-        writer.writerow([event["t"], p.get("altitude_ft"), p.get("indicated_agl_ft")])
-    return buf.getvalue()
-
-
 #: File name of a trial's log in a run directory's ``trials`` directory.
 _TRIAL_LOG = "trial_{:05d}.jsonl"
 #: File name of a trial's altitude trace, in its ``traces`` directory.
@@ -175,10 +165,10 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     The trials run in `runner.in_groups`, whose groups are contiguous id
     ranges of equal shares, one per worker.  Each group runs its part of each
     chunk (`runner.run_chunks`) in turn, writes the chunk's log texts and
-    traces, and merges its summary part before it runs the next.  A
-    glideslope chunk's texts are written from the values of its round,
-    without a `TrialLog`.  This process writes the summary, the report and
-    the config only once every group has succeeded.
+    altitude traces, and merges its summary part before it runs the next.
+    A GPWS or glideslope chunk's texts and traces are written from the
+    values of its rounds, without a `TrialLog`.  This process writes the
+    summary, the report and the config only once every group has succeeded.
 
     A directory is a complete run only once its ``config.json`` is there:
     emit removes an earlier run's before it writes any trial log, and writes
@@ -215,16 +205,16 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
             for text in chunk.texts:
                 write_file(trial_path(out, trial_id), text)
                 trial_id += 1
-            for log in chunk.traces if cfg.altitude_trace else ():
+            for trace_id, text in chunk.traces:
                 if not trace_names:
                     traces_dir.mkdir(parents=True, exist_ok=True)
-                name = _TRACE.format(log.trial_id)
-                write_file(os.path.join(traces_dir, name), trace_csv(log))
+                name = _TRACE.format(trace_id)
+                write_file(os.path.join(traces_dir, name), text)
                 trace_names.append(name)
             part.merge(chunk.summary)
             # Otherwise the loop variables hold this chunk (and its last
-            # trace) while the next one is made.
-            chunk = log = None
+            # text) while the next one is made.
+            chunk = text = None
         return part, trace_names
 
     trace_names: List[str] = []

@@ -64,11 +64,11 @@ def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[Any]:
     """The trials ``ids`` of ``config`` in trial order, one chunk per part of
     a chunk (`chunks`), as the scenario's trials function returns it: the
     write path's seam.  Each chunk gives the texts of its trials' logs in
-    trial order (``texts``), their `Summary` (``summary``) and the logs
-    whose altitude trace is written (``traces``); iterating it gives the
-    trials' `TrialLog`s, which a glideslope chunk reads back from its texts
-    (`scenarios.TextChunk`).  The generator keeps no reference to a chunk it
-    has yielded."""
+    trial order (``texts``), their `Summary` (``summary``) and the altitude
+    traces to write as (trial id, CSV text) (``traces``); iterating it gives
+    the trials' `TrialLog`s, which a GPWS or glideslope chunk reads back
+    from its texts (`scenarios.TextChunk`).  The generator keeps no
+    reference to a chunk it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
     for chunk in chunks(ids):

@@ -16,7 +16,10 @@ track and none across), and the terrain, ramp (`radalt.ramp_heights`),
 closure (`gpws.closure_rates`) and Mode 2 threshold are the floats of a
 loop that steps one sample at a time (`tests/reference.py`).  A row ends at
 touchdown or at its first alert, and its alert is handled as soon as its
-block ends; one that ends in neither way is flown again longer.
+block ends; one that ends in neither way is flown again longer.  Rounds
+interleave trials, so each trial collects its log lines (and its altitude
+trace's rows) as text parts, joined when the chunk ends, when its summary is
+folded too, in trial order.
 
 A TCAS encounter raises its advisories on the cycles of a 1 Hz surveillance
 loop but runs only the cycles that can matter: after cycle 0 it jumps to the
@@ -38,12 +41,15 @@ cycle's floats: the own ship at ``(gs * t, 0.0, altitude)``, as
 
 A glideslope chunk is one round (`gs_trials`): each trial draws its crew
 (`gs_trial`) in trial order, then its cross-check runs on plain floats
-against the path, transmitters and PAPI bands the config fixes, and its log
-is written from those values by one line template per record kind, as
-`json.dumps` writes the records, with no record dict or `TrialLog`.  The same
-values fold into the chunk's summary.  GPWS and TCAS chunks are their
-`TrialLog`s (`LogChunk`), from which the write path's texts, summary and
-traces are made.
+against the path, transmitters and PAPI bands the config fixes.
+
+GPWS and glideslope trials write their logs from the values of their rounds
+by one line template per record kind, as `json.dumps(record,
+sort_keys=True)` writes the records, with no record dict or `TrialLog`, and
+fold the same values into the chunk's summary; a GPWS chunk writes its
+altitude traces from them too.  Such a chunk is a `TextChunk`.  TCAS chunks
+are their `TrialLog`s (`LogChunk`), from which the write path's texts and
+summary are made.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -119,102 +126,191 @@ def gpws_lead_end(cfg: ScenarioConfig) -> float:
     return start.along_track + start.ground_speed * max(lead, 0.0)
 
 
-def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> LogChunk:
+def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> TextChunk:
     """The GPWS trials of ``trial_ids`` with their ``seeds``, in order.  They
     fly rounds of approaches, the n-th of each trial still flying in round n,
-    one fine loop per round."""
+    one fine loop per round.  Rounds interleave trials, so each trial
+    collects its lines (`_gpws_approach_start_line` and the other templates)
+    and its altitude trace's rows, joined once the chunk ends; its summary
+    is folded then too, in trial order."""
 
     rngs = list(trial_generators(seeds))
-    logs = LogChunk(TrialLog(trial_id=i, seed=seed, scenario=cfg.scenario)
-                    for i, seed in zip(trial_ids, seeds))
-    runway, policy = cfg.runway, cfg.gpws_policy
+    runway, policy, scenario = cfg.runway, cfg.gpws_policy, cfg.scenario
+    start_agl, ramp_rate = cfg.approach_start_agl_ft, cfg.apparent_descent_rate_mps
     # Every approach starts at the same point and flies at the same rates.
     start = approach_start(cfg, 0.0)
     start_agl_ft = m_to_ft(world.agl(start, cfg.terrain))
     rate_fps = -m_to_ft(start.vertical_speed)  # ft/s, positive down
+    descent = abs(start.vertical_speed)
     if cfg.attacker_enabled:
         world.check_step(start.vertical_speed, start.ground_speed, cfg.dt_s)
-    t_next = [0.0] * len(logs)  # when each trial's next approach starts
-    flying = range(len(logs))
+    # A nominal approach lands this long after it starts.
+    t_nominal, _ = world.time_and_distance_to_touchdown(start, runway)
+    # Each trial's record frame, lines, trace rows, crew actions as
+    # (approach, action), first-approach go-around height and end as
+    # (outcome, the approach it landed on unalerted or None).
+    frames = [(f', "seed": {seed!r}, "t": ', f', "trial_id": {i!r}}}\n')
+              for i, seed in zip(trial_ids, seeds)]
+    lines: List[List[str]] = [[] for _ in frames]
+    rows_of: List[List[str]] = [[] for _ in frames]
+    actions: List[List[Tuple[int, str]]] = [[] for _ in frames]
+    go_around: List[Tuple[float, ...]] = [()] * len(frames)
+    ends: List[Tuple[str, Optional[int]]] = [("LANDED", None)] * len(frames)
+    t_next = [0.0] * len(frames)  # when each trial's next approach starts
+    flying = range(len(frames))
     approach = 0
     while flying:
         approach += 1
         rows = []  # (trial, trigger, state just above the trigger)
         for k in sorted(flying):  # trial order; the fine loop yields rows as blocks end
-            rng, log = rngs[k], logs[k]
-            state = approach_start(cfg, t_next[k])
-            trigger = (gpws.scripted_trigger(approach, rng, cfg.gpws_attack_schedule)
+            t0, (seed, end) = t_next[k], frames[k]
+            trigger = (gpws.scripted_trigger(approach, rngs[k], cfg.gpws_attack_schedule)
                        if cfg.attacker_enabled else -1.0)
-            log.add(state.time, "approach_start", {
-                "approach": approach,
-                "start_agl_ft": cfg.approach_start_agl_ft,
-                "trigger_agl_ft": trigger if trigger > 0 else None,
-            })
             if trigger <= 0:
                 # No attack: a nominal approach never enters the alert envelope.
-                t_land, _ = world.time_and_distance_to_touchdown(state, runway)
-                log.finish(state.time + t_land, "LANDED", {"approach": approach})
+                lines[k] += (_gpws_approach_start_line(seed, end, t0, approach, start_agl, None),
+                             _gpws_outcome_line(seed, end, t0 + t_nominal, approach, "LANDED"))
+                ends[k] = "LANDED", approach
                 continue
-            # Jump to just above the trigger; the fine loop steps from there.
+            lines[k].append(_gpws_approach_start_line(seed, end, t0, approach, start_agl, trigger))
+            # The shared start at t0, jumped to just above the trigger; the
+            # fine loop steps from there.
+            state = world.AircraftState(t0, start.ground_position, start.altitude_msl,
+                                        start.vertical_speed, start.ground_speed, start.heading)
             lead = (start_agl_ft - (trigger + _GPWS_LEAD_FT)) / rate_fps
             if lead > 0:
                 state = world.step(state, state.vertical_speed, state.ground_speed, lead)
             rows.append((k, trigger, state))
 
         flying = []
-        for (k, trigger, state), (alerted, p, t, along, alt, true_agl, indicated) in (
+        for (k, trigger, _), (alerted, p, t, _, alt, true_agl, indicated) in (
                 _gpws_fine_loop(cfg, rows)):
-            rng, log = rngs[k], logs[k]
+            (seed, end), out = frames[k], lines[k]
             # The steps that reach the alert test: the touchdown step does not.
             n = len(t) if alerted else len(t) - 1
-            _log_states(log, cfg, t, alt, indicated, range(min(p, n)))
+            if cfg.altitude_trace:
+                _gpws_states(seed, end, t, alt, indicated, range(min(p, n)), out, rows_of[k])
             if p < n:
-                log.add(t[p], "attack_start", {
-                    "approach": approach,
-                    "trigger_agl_ft": trigger,
-                    "apparent_descent_rate_mps": cfg.apparent_descent_rate_mps,
-                })
-                _log_states(log, cfg, t, alt, indicated, range(p, n))
+                out.append(_gpws_attack_start_line(seed, end, t[p], approach, trigger, ramp_rate))
+                if cfg.altitude_trace:
+                    _gpws_states(seed, end, t, alt, indicated, range(p, n), out, rows_of[k])
             if not alerted:
                 # Envelope never entered: the approach completes.
-                log.finish(t[-1], "LANDED", {"approach": approach})
+                out.append(_gpws_outcome_line(seed, end, t[-1], approach, "LANDED"))
+                ends[k] = "LANDED", approach
                 continue
 
-            log.add(t[-1], "gpws_alert", {
-                "approach": approach,
-                "indicated_agl_ft": max(indicated[-1], 0.0),
-                "true_agl_ft": true_agl,
-                "kind": gpws.ALERT_KIND,
-            })
-            latency = crew.gpws_reaction_latency(policy, rng)
-            action = crew.gpws_act(approach, policy, rng)
-            min_agl = max(0.0, true_agl - rate_fps * latency)
+            out.append(_gpws_alert_line(seed, end, t[-1], approach, max(indicated[-1], 0.0),
+                                        true_agl))
+            latency = crew.gpws_reaction_latency(policy, rngs[k])
+            action = crew.gpws_act(approach, policy, rngs[k])
             t_action = t[-1] + latency
-
+            actions[k].append((approach, action))
             if action == crew.GO_AROUND:
-                log.add(t_action, "crew_action", {
-                    "approach": approach, "action": action, "min_agl_ft": min_agl,
-                })
+                min_agl = max(0.0, true_agl - rate_fps * latency)
+                out.append(_gpws_crew_action_line(seed, end, t_action, approach, action, min_agl))
+                if approach == 1:
+                    go_around[k] = (min_agl,)
                 t_next[k] = t_action + 60.0  # repositioning for the next approach
                 flying.append(k)
                 continue
-            state = world.AircraftState(
-                time=t[-1], ground_position=(along, 0.0), altitude_msl=alt[-1], heading=0.0,
-                vertical_speed=state.vertical_speed, ground_speed=state.ground_speed)
-            t_land, _ = world.time_and_distance_to_touchdown(state, runway)
-            t_done = max(t_action, state.time + t_land)
-            log.add(t_action, "crew_action", {"approach": approach, "action": action})
+            # `world.time_and_distance_to_touchdown` from the loop's end.
+            height = alt[-1] - runway.elevation
+            t_done = max(t_action, t[-1] + (0.0 if height <= 0 else height / descent))
+            out.append(_gpws_crew_action_line(seed, end, t_action, approach, action, None))
             # LAND continues the descent despite the alert.
             outcome = "LANDED_GPWS_OFF" if action == crew.TURN_OFF_GPWS else "LANDED"
-            log.finish(t_done, outcome, {"approach": approach})
-    return logs
+            out.append(_gpws_outcome_line(seed, end, t_done, approach, outcome))
+            ends[k] = outcome, None
+
+    part = Summary()
+    for (outcome, landed), acted, agl in zip(ends, actions, go_around):
+        part.count(scenario, outcome).add_trial(acted, agl, landed)
+    traces = [(trial_id, _TRACE_HEADER + "".join(rows))
+              for trial_id, rows in zip(trial_ids, rows_of) if rows]
+    return TextChunk(scenario, ["".join(out) for out in lines], part, traces)
 
 
-def _log_states(log: TrialLog, cfg: ScenarioConfig, t, alt, indicated, steps: range) -> None:
-    """The altitude trace of the fine loop's ``steps``, if it is on."""
+# The GPWS lines, one template per record kind, written as
+# `json.dumps(record, sort_keys=True)` writes the record: ``seed`` and
+# ``end`` frame its ``t``, as in the glideslope templates below.  Numbers
+# print by repr, a float that is not finite as a `_JsonFloat`, so a config
+# leaf given as a JSON int stays one.
 
-    for i in steps if cfg.altitude_trace else ():
-        log.add(t[i], "state", {"altitude_ft": m_to_ft(alt[i]), "indicated_agl_ft": indicated[i]})
+#: The JSON strings of the alert kind, and the header of an altitude trace.
+_ALERT_KIND = encode_basestring_ascii(gpws.ALERT_KIND)
+_TRACE_HEADER = "time_s,altitude_ft,indicated_agl_ft\n"
+
+
+def _json_numbers(*values: Any) -> List[Any]:
+    """``values`` with each float as a `_JsonFloat`, which prints as
+    `json.dumps` writes it, and each other value as it is."""
+
+    return [_JsonFloat(v) if type(v) is float else v for v in values]
+
+
+def _gpws_approach_start_line(seed: str, end: str, t: float, approach: int, start_agl: Any,
+                              trigger: Optional[float]) -> str:
+    """The ``approach_start`` line; ``trigger`` is None for an approach not attacked."""
+
+    if not 0.0 * t * start_agl * (0.0 if trigger is None else trigger) == 0.0:
+        t, start_agl, trigger = _json_numbers(t, start_agl, trigger)
+    trigger = "null" if trigger is None else repr(trigger)
+    return (f'{{"kind": "approach_start", "payload": {{"approach": {approach!r}, '
+            f'"start_agl_ft": {start_agl!r}, "trigger_agl_ft": {trigger}}}{seed}{t!r}{end}')
+
+
+def _gpws_attack_start_line(seed: str, end: str, t: float, approach: int, trigger: float,
+                            rate: Any) -> str:
+    if not 0.0 * t * trigger * rate == 0.0:
+        t, trigger, rate = _json_numbers(t, trigger, rate)
+    return (f'{{"kind": "attack_start", "payload": {{"apparent_descent_rate_mps": {rate!r}, '
+            f'"approach": {approach!r}, "trigger_agl_ft": {trigger!r}}}{seed}{t!r}{end}')
+
+
+def _gpws_state_line(seed: str, end: str, t: float, altitude: float, indicated: float) -> str:
+    if not 0.0 * t * altitude * indicated == 0.0:
+        t, altitude, indicated = _json_numbers(t, altitude, indicated)
+    return (f'{{"kind": "state", "payload": {{"altitude_ft": {altitude!r}, '
+            f'"indicated_agl_ft": {indicated!r}}}{seed}{t!r}{end}')
+
+
+def _gpws_alert_line(seed: str, end: str, t: float, approach: int, indicated: float,
+                     true_agl: float) -> str:
+    if not 0.0 * t * indicated * true_agl == 0.0:
+        t, indicated, true_agl = _json_numbers(t, indicated, true_agl)
+    return (f'{{"kind": "gpws_alert", "payload": {{"approach": {approach!r}, '
+            f'"indicated_agl_ft": {indicated!r}, "kind": {_ALERT_KIND}, '
+            f'"true_agl_ft": {true_agl!r}}}{seed}{t!r}{end}')
+
+
+def _gpws_crew_action_line(seed: str, end: str, t: float, approach: int, action: str,
+                           min_agl: Optional[float]) -> str:
+    """The ``crew_action`` line, with ``min_agl_ft`` unless ``min_agl`` is None."""
+
+    if not 0.0 * t * (0.0 if min_agl is None else min_agl) == 0.0:
+        t, min_agl = _json_numbers(t, min_agl)
+    last = "" if min_agl is None else f', "min_agl_ft": {min_agl!r}'
+    return (f'{{"kind": "crew_action", "payload": {{"action": {encode_basestring_ascii(action)}, '
+            f'"approach": {approach!r}{last}}}{seed}{t!r}{end}')
+
+
+def _gpws_outcome_line(seed: str, end: str, t: float, approach: int, outcome: str) -> str:
+    if not 0.0 * t == 0.0:
+        t = _JsonFloat(t)
+    return (f'{{"kind": "outcome", "payload": {{"approach": {approach!r}, '
+            f'"outcome": {encode_basestring_ascii(outcome)}}}{seed}{t!r}{end}')
+
+
+def _gpws_states(seed: str, end: str, t: list, alt: list, indicated: list, steps: range,
+                 lines: List[str], rows: List[str]) -> None:
+    """The ``state`` lines of the fine loop's ``steps`` and their altitude
+    trace rows, as `csv.writer` writes three floats: each by repr."""
+
+    for i in steps:
+        ti, altitude, agl = t[i], m_to_ft(alt[i]), indicated[i]
+        lines.append(_gpws_state_line(seed, end, ti, altitude, agl))
+        rows.append(f"{ti!r},{altitude!r},{agl!r}\n")
 
 
 def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> Iterator[tuple]:
@@ -633,7 +729,7 @@ def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int
             text += _gs_land_lines(seed_text, end, t_land, touchdown, long_landing)
             part.count(scenario, "LANDED").add_trial((), ())
         texts.append(text)
-    return TextChunk(scenario, texts, part)
+    return TextChunk(scenario, texts, part, ())  # a glideslope trial logs no altitude trace
 
 
 # Each trial's lines, as `json.dumps(record, sort_keys=True)` writes its
@@ -686,8 +782,11 @@ def _gs_land_lines(seed: str, end: str, t: float, touchdown: float, long_landing
 
 
 class LogChunk(List[TrialLog]):
-    """A chunk of trials made as `TrialLog`s (GPWS, TCAS), in trial order,
-    with the write path's view of them made on demand."""
+    """A chunk of trials made as `TrialLog`s (TCAS), in trial order, with
+    the write path's view of them made on demand."""
+
+    #: A TCAS trial logs no altitude trace.
+    traces: Tuple[Tuple[int, str], ...] = ()
 
     @property
     def texts(self) -> Iterator[str]:
@@ -697,26 +796,20 @@ class LogChunk(List[TrialLog]):
     def summary(self) -> Summary:
         return fold(self)
 
-    @property
-    def traces(self) -> List[TrialLog]:
-        return [log for log in self if any(True for _ in log.iter_kind("state"))]
-
 
 @dataclass
 class TextChunk:
-    """A chunk of trials made as their log texts (GS), in trial order, with
-    their summary; iterating it reads each back as a `TrialLog`."""
+    """A chunk of trials made as their log texts (GPWS, GS), in trial order,
+    with their summary and the altitude traces made with them, as (trial id,
+    CSV text); iterating it reads each log back as a `TrialLog`."""
 
     scenario: str
     texts: List[str]
     summary: Summary
+    traces: Sequence[Tuple[int, str]]
 
     def __iter__(self) -> Iterator[TrialLog]:
         return (TrialLog.from_jsonl(text, self.scenario) for text in self.texts)
-
-    @property
-    def traces(self) -> Tuple[TrialLog, ...]:
-        return ()  # a glideslope trial logs no altitude trace
 
 
 @dataclass(frozen=True)
@@ -727,8 +820,8 @@ class Scenario:
     The trials function runs the runner's chunk (config, trial ids, seeds)
     and returns a `LogChunk` or a `TextChunk`: iterating either gives the
     trials' logs, and the write path takes its ``texts`` (each trial's log
-    as JSON lines), ``summary`` (their `Summary`) and ``traces`` (the logs
-    whose altitude trace is written)."""
+    as JSON lines), ``summary`` (their `Summary`) and ``traces`` (the
+    altitude traces to write, as (trial id, CSV text))."""
 
     trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], Any]
     summary: Callable[[], Any]

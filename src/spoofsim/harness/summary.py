@@ -24,7 +24,7 @@ import math
 from collections import Counter, defaultdict
 from functools import reduce
 from operator import add
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import crew, tcas
 from .log import TrialLog
@@ -98,19 +98,38 @@ class GpwsSummary:
         self.first_go_around_agl: List[float] = []
 
     def add(self, log: TrialLog) -> None:
-        self.trials += 1
-        acted = None  # the last approach with a crew action
+        actions: List[Tuple[int, str]] = []
+        go_around_agl = []
         for event in log.iter_kind("crew_action"):
-            acted = approach = _field(log, event, "approach", int)
+            approach = _field(log, event, "approach", int)
             action = _field(log, event, "action", GPWS_ACTION_LABELS)
-            self.per_approach[approach][action] += 1
+            if actions and approach <= actions[-1][0]:
+                # One crew action per alerted approach, in approach order.
+                raise ValueError(f"trial {log.trial_id}: crew_action of approach {approach} "
+                                 f"after one of approach {actions[-1][0]}")
+            actions.append((approach, action))
             if approach == 1 and action == crew.GO_AROUND:
-                self.first_go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
+                go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
+        landed = None
         if log.outcome == "LANDED":
             approach = _field(log, log.events[-1], "approach", int)
-            if approach != acted:
-                # Landed unalerted: a landing among the crews flying that approach.
-                self.per_approach[approach][crew.LAND] += 1
+            if not actions or approach != actions[-1][0]:
+                landed = approach
+        self.add_trial(actions, go_around_agl, landed)
+
+    def add_trial(self, actions: Sequence[Tuple[int, str]], go_around_agl: Sequence[float],
+                  landed: Optional[int]) -> None:
+        """One trial: its crew actions as (approach, action) in approach
+        order, the height of its first-approach go-around (none if it did
+        not go around there) and the approach on which it landed unalerted,
+        a landing among the crews flying that approach (None if it did not)."""
+
+        self.trials += 1
+        for approach, action in actions:
+            self.per_approach[approach][action] += 1
+        self.first_go_around_agl += go_around_agl
+        if landed is not None:
+            self.per_approach[landed][crew.LAND] += 1
 
     def merge(self, other: "GpwsSummary") -> None:
         self.trials += other.trials
@@ -251,10 +270,13 @@ class GsSummary:
             if _field(log, event, "action", str) == crew.GO_AROUND
             and _field(log, event, "approach", int) == 1
         ]
-        self.add_trial(go_around_agl, [
-            _field(log, event, "approach_type", str)
-            for event in log.iter_kind("fallback_selected")
-        ] if go_around_agl else ())
+        fallbacks = [_field(log, event, "approach_type", str)
+                     for event in log.iter_kind("fallback_selected")]
+        # At most one first-approach go-around, which selects one fallback.
+        if len(go_around_agl) > 1 or len(fallbacks) > len(go_around_agl):
+            raise ValueError(f"trial {log.trial_id}: {len(go_around_agl)} first-approach "
+                             f"go-arounds and {len(fallbacks)} fallback_selected events")
+        self.add_trial(go_around_agl, fallbacks)
 
     def add_trial(self, go_around_agl: Sequence[float], fallbacks: Iterable[str]) -> None:
         """One trial: the heights of its first-approach go-arounds (none if

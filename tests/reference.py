@@ -19,13 +19,17 @@ to the bit:
   compared where it is read, against `tcas.alert_levels` and `tcas.advise`;
 - `gs_trial_objects`: a glideslope trial as objects (an `AircraftState` on the
   flown path, `ils.receive`, `ils.papi`, `crew.gs_act` and a `TrialLog`),
-  against the glideslope round (`scenarios.gs_trials`).
+  against the glideslope round (`scenarios.gs_trials`);
+- `trace_csv`: an altitude trace written with `csv.writer` from a log's
+  ``state`` records, against the traces the GPWS round writes with its lines.
 
 No module under `src` imports this one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -319,3 +323,19 @@ def gs_trial_objects(cfg, trial_id: int, seed: int) -> TrialLog:
         "long_landing": long_landing,
     })
     return log
+
+
+# ---------------------------------------------------------------------------
+# altitude traces
+
+
+def trace_csv(log: TrialLog) -> str:
+    """The altitude trace of ``log``'s ``state`` records as a CSV text."""
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time_s", "altitude_ft", "indicated_agl_ft"])
+    for event in log.iter_kind("state"):
+        p = event["payload"]
+        writer.writerow([event["t"], p.get("altitude_ft"), p.get("indicated_agl_ft")])
+    return buf.getvalue()

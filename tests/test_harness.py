@@ -1517,6 +1517,33 @@ def test_cli_write_failure_exit_code(tmp_path, capsys, command, blocked):
     assert f"cannot write {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, kind, where", [
+    ("GPWS", "crew_action", "crew_action of approach 1 after one of approach 1"),
+    ("GS", "crew_action", "2 first-approach go-arounds and 1 fallback_selected events"),
+    ("GS", "fallback_selected", "1 first-approach go-arounds and 2 fallback_selected events"),
+], ids=["GPWS", "GS-go-around", "GS-fallback"])
+def test_cli_summarize_duplicated_line_exit_code(tmp_path, capsys, scenario, kind, where):
+    """A log whose first ``kind`` line is duplicated counts one crew's
+    action twice: a GPWS approach with two crew actions, a GS trial with two
+    first-approach go-arounds or two fallbacks.  summarize exits 3 naming
+    the trial, not a table of more participants than trials."""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--trials", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    for trial_id in range(3):
+        path = out / "trials" / f"trial_{trial_id:05d}.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        at = next((i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind), None)
+        if at is not None:
+            path.write_text("".join(lines[:at + 1] + lines[at:]))
+            break
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"corrupt trial log in {out}: trial {trial_id}: {where}" in err, err
+
+
 @pytest.fixture
 def live_logs(monkeypatch):
     """A function that runs the CLI and returns the most `TrialLog`s that
@@ -1547,19 +1574,20 @@ def live_logs(monkeypatch):
 def test_commands_hold_at_most_one_chunk_of_logs(tmp_path, capsys, live_logs):
     """run writes and folds each chunk before the next one is made, and
     summarize and detect parse each log only when they reach it, so none of
-    them holds more than one chunk of trial logs, whatever N is.  A GS run
-    writes its logs from the values of its round and builds none."""
+    them holds more than one chunk of trial logs, whatever N is.  A GS or
+    GPWS run writes its logs from the values of its rounds and builds none."""
 
     trials = str(2 * CHUNK_TRIALS + 3)
-    gs, tc = str(tmp_path / "gs"), str(tmp_path / "tcas")
+    gs, gp, tc = str(tmp_path / "gs"), str(tmp_path / "gpws"), str(tmp_path / "tcas")
     peaks = {
         "GS run": live_logs(["run", "--scenario", "GS", "--trials", trials, "--out", gs]),
         "GS summarize": live_logs(["summarize", "--out", gs]),
+        "GPWS run": live_logs(["run", "--scenario", "GPWS", "--trials", trials, "--out", gp]),
         "TCAS run": live_logs(["run", "--scenario", "TCAS", "--trials", trials, "--out", tc]),
         "TCAS detect": live_logs(["detect", "--out", tc]),
     }
     capsys.readouterr()
-    assert peaks.pop("GS run") == 0, peaks
+    assert peaks.pop("GS run") == 0 and peaks.pop("GPWS run") == 0, peaks
     assert all(0 < peak <= CHUNK_TRIALS for peak in peaks.values()), peaks
 
 

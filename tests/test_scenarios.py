@@ -30,7 +30,7 @@ from spoofsim import crew, gpws, ils, radalt, tcas, world
 from spoofsim.harness import run, runner, scenarios
 from spoofsim.harness.config import ConfigError, make_config
 from spoofsim.harness.log import TrialLog
-from spoofsim.harness.output import emit
+from spoofsim.harness.output import emit, summary_csv
 from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _SWEEP, SCENARIOS, approach_start,
@@ -40,7 +40,7 @@ from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
 from reference import (
     ClosureRateEstimator, RampAttackPlan, evaluate, first_cycle_within, gs_trial_objects,
-    mode_s_cycle,
+    mode_s_cycle, trace_csv,
 )
 
 #: The golden-output seed.
@@ -332,8 +332,9 @@ def test_gpws_ramp_computes_only_the_sweeps_read(monkeypatch):
 
 def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
     """Work budget: the fine loop steps floats, so a GPWS `run()` at N=20
-    builds at most three `AircraftState`s per approach (its start, the jump
-    to the attack window and the loop's end), no `PulseEcho`, and calls
+    builds at most two `AircraftState`s per approach (for an attacked one,
+    its start and the jump to the attack window) besides the one start
+    every approach of its chunk shares, no `PulseEcho`, and calls
     `world.step` at most once per approach, for that jump.  The config, whose
     checks build approach states too, is built before counting."""
 
@@ -348,7 +349,7 @@ def test_gpws_fine_loop_builds_no_state_per_step(monkeypatch):
     monkeypatch.setattr(world, "step", _counting(counts, "step", world.step))
     approaches = sum(1 for log in run(cfg) for _ in log.iter_kind("approach_start"))
     assert approaches >= 20 and counts["step"] > 0
-    assert counts["AircraftState"] <= 3 * approaches, (approaches, counts)
+    assert counts["AircraftState"] <= 2 * approaches + 1, (approaches, counts)
     assert counts["PulseEcho"] == 0, counts
     assert counts["step"] <= approaches, (approaches, counts)
 
@@ -939,16 +940,26 @@ def _gpws_approaches(draw):
 
 
 def _gpws_logs_agree(raw):
-    """The array loop and the stepped reference write the same JSONL."""
+    """The round's log texts, altitude traces and summary are the stepped
+    reference's, written from its logs."""
 
     try:
         cfg = make_config(raw)
     except ConfigError:
         assume(False)
-    fine = [log.to_jsonl() for log in run(cfg)]
-    reference = [_gpws_trial_stepped(cfg, i, seed).to_jsonl()
-                 for i, seed in enumerate(trial_seeds(cfg.master_seed, range(cfg.trials)))]
-    assert fine == reference
+    ids = range(cfg.trials)
+    reference = [_gpws_trial_stepped(cfg, i, seed)
+                 for i, seed in zip(ids, trial_seeds(cfg.master_seed, ids))]
+    chunks = list(runner.run_chunks(cfg, ids))
+    assert [text for chunk in chunks for text in chunk.texts] == [
+        log.to_jsonl() for log in reference]
+    assert [trace for chunk in chunks for trace in chunk.traces] == [
+        (log.trial_id, trace_csv(log)) for log in reference
+        if any(True for _ in log.iter_kind("state"))]
+    folded = Summary()
+    for chunk in chunks:
+        folded.merge(chunk.summary)
+    assert summary_csv(folded.result()) == summary_csv(fold(reference).result())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1076,21 +1087,26 @@ def test_gs_round_raises_the_receiver_errors():
             scenarios.gs_trials(bad, [0], [1])
 
 
-@pytest.mark.parametrize("scenario", ["GS", "BASELINE"])
-def test_gs_emit_builds_no_log_records(tmp_path, monkeypatch, scenario):
-    """Work budget: a GS or BASELINE run writes its logs from the values of
-    its round, with no `TrialLog.add` and no `TrialLog.to_jsonl` call."""
+@pytest.mark.parametrize("scenario, output", [
+    ("GS", {}), ("BASELINE", {}), ("GPWS", {}), ("GPWS", {"altitude_trace": True}),
+], ids=["GS", "BASELINE", "GPWS", "GPWS-traced"])
+def test_gs_emit_builds_no_log_records(tmp_path, monkeypatch, scenario, output):
+    """Work budget: a GS, BASELINE or GPWS run writes its logs (and a GPWS
+    run its altitude traces) from the values of its round, with no
+    `TrialLog.add` and no `TrialLog.to_jsonl` call."""
 
     def refused(*args, **kwargs):
-        raise AssertionError("called on the GS write path")
+        raise AssertionError("called on the write path")
 
     monkeypatch.setattr(TrialLog, "add", refused)
     monkeypatch.setattr(TrialLog, "to_jsonl", refused)
     monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
     cfg = make_config({"version": 1, "scenario": scenario, "trials": CHUNK_TRIALS + 3,
-                       "master_seed": SEED, "output_dir": str(tmp_path / "out")})
+                       "master_seed": SEED, "output_dir": str(tmp_path / "out"),
+                       "output": output})
     summary = Summary()
-    assert emit(cfg, summary) == cfg.trials + 3
+    traces = cfg.trials if output else 0  # every default GPWS trial is attacked
+    assert emit(cfg, summary) == cfg.trials + traces + 3
     assert summary.result()["trials"] == cfg.trials
 
 
@@ -1137,3 +1153,50 @@ def test_gs_templates_equal_json_dumps(trial_id, seed, t, agl, ddm, dots, t_land
             (t, "crew_action", {"approach": 1, "action": "LAND"}),
             (t, "outcome", {"outcome": "LANDED", "approach": 1, "touchdown_along_m": touchdown,
                             "long_landing": long_landing})])
+
+
+#: Config values the GPWS lines print: JSON ints stay ints.
+_CONFIG_NUMBERS = st.sampled_from([1500, 15, 1, 1500.0, 15.4]) | st.integers(1, 10**9) | _FLOATS
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trial_id=st.integers(0, 10**6) | st.sampled_from([99_999, 100_000, 123_456]),
+       seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1]),
+       t=_FLOATS, a=_FLOATS, b=_FLOATS, approach=st.integers(1, 10**4),
+       start_agl=_CONFIG_NUMBERS, rate=_CONFIG_NUMBERS, attacked=st.booleans(),
+       action=st.sampled_from(crew.GPWS_ACTIONS),
+       outcome=st.sampled_from(["LANDED", "LANDED_GPWS_OFF"]))
+def test_gpws_templates_equal_json_dumps(trial_id, seed, t, a, b, approach, start_agl, rate,
+                                         attacked, action, outcome):
+    """Property: each GPWS line template writes what `json.dumps(record,
+    sort_keys=True)` writes for the record that `TrialLog.add` was given,
+    non-finite floats, config values given as ints, long seeds and ids
+    included; the altitude trace rows are what `csv.writer` writes."""
+
+    frame = f', "seed": {seed!r}, "t": ', f', "trial_id": {trial_id!r}}}\n'
+
+    def line(kind, payload):
+        return _json_lines(trial_id, seed, [(t, kind, payload)])
+
+    trigger = a if attacked else None
+    assert scenarios._gpws_approach_start_line(*frame, t, approach, start_agl, trigger) == line(
+        "approach_start", {"approach": approach, "start_agl_ft": start_agl,
+                           "trigger_agl_ft": trigger})
+    assert scenarios._gpws_attack_start_line(*frame, t, approach, a, rate) == line(
+        "attack_start", {"approach": approach, "trigger_agl_ft": a,
+                         "apparent_descent_rate_mps": rate})
+    assert scenarios._gpws_alert_line(*frame, t, approach, a, b) == line(
+        "gpws_alert", {"approach": approach, "indicated_agl_ft": a, "true_agl_ft": b,
+                       "kind": gpws.ALERT_KIND})
+    assert scenarios._gpws_crew_action_line(*frame, t, approach, action, a) == line(
+        "crew_action", {"approach": approach, "action": action, "min_agl_ft": a})
+    assert scenarios._gpws_crew_action_line(*frame, t, approach, action, None) == line(
+        "crew_action", {"approach": approach, "action": action})
+    assert scenarios._gpws_outcome_line(*frame, t, approach, outcome) == line(
+        "outcome", {"outcome": outcome, "approach": approach})
+    lines, rows = [], []
+    scenarios._gpws_states(*frame, [t], [a], [b], range(1), lines, rows)
+    state = {"altitude_ft": m_to_ft(a), "indicated_agl_ft": b}
+    assert lines == [line("state", state)]
+    log = TrialLog(trial_id, seed, "GPWS", [{"t": t, "kind": "state", "payload": state}])
+    assert scenarios._TRACE_HEADER + "".join(rows) == trace_csv(log)
