@@ -268,13 +268,6 @@ def _gpws_attack_start_line(seed: str, end: str, t: float, approach: int, trigge
             f'"approach": {approach!r}, "trigger_agl_ft": {trigger!r}}}{seed}{t!r}{end}')
 
 
-def _gpws_state_line(seed: str, end: str, t: float, altitude: float, indicated: float) -> str:
-    if not 0.0 * t * altitude * indicated == 0.0:
-        t, altitude, indicated = _json_numbers(t, altitude, indicated)
-    return (f'{{"kind": "state", "payload": {{"altitude_ft": {altitude!r}, '
-            f'"indicated_agl_ft": {indicated!r}}}{seed}{t!r}{end}')
-
-
 def _gpws_alert_line(seed: str, end: str, t: float, approach: int, indicated: float,
                      true_agl: float) -> str:
     if not 0.0 * t * indicated * true_agl == 0.0:
@@ -309,8 +302,11 @@ def _gpws_states(seed: str, end: str, t: list, alt: list, indicated: list, steps
 
     for i in steps:
         ti, altitude, agl = t[i], m_to_ft(alt[i]), indicated[i]
-        lines.append(_gpws_state_line(seed, end, ti, altitude, agl))
         rows.append(f"{ti!r},{altitude!r},{agl!r}\n")
+        if not 0.0 * ti * altitude * agl == 0.0:
+            ti, altitude, agl = _json_numbers(ti, altitude, agl)
+        lines.append(f'{{"kind": "state", "payload": {{"altitude_ft": {altitude!r}, '
+                     f'"indicated_agl_ft": {agl!r}}}{seed}{ti!r}{end}')
 
 
 def _gpws_fine_loop(cfg: ScenarioConfig, rows: list) -> Iterator[tuple]:
