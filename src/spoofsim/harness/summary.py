@@ -8,9 +8,12 @@ avoidance table is a final-mode by final-action matrix.
 A summary is a fold: each scenario's accumulator (`GpwsSummary`,
 `TcasSummary`, `GsSummary`) takes one log at a time with ``add`` and keeps
 counts plus the per-trial scalars its means and standard deviations need, and
-``result`` builds the tables and statistics.  `Summary` adds the outcome
-counts and picks the accumulator from the first log's scenario, so a run's
-logs can be summarized as they are produced or read, without holding them.
+``result`` builds the tables and statistics.  `GpwsSummary` and `GsSummary`
+fold each trial through ``add_trial``, which their chunk rounds call with the
+values they wrote, and ``add`` with the fields it reads from a log.  `Summary`
+adds the outcome counts and picks the accumulator from the first log's
+scenario, so a run's logs can be summarized as they are produced or read,
+without holding them.
 
 ``merge`` folds in the accumulator of the logs that follow, so a run can be
 folded in contiguous groups and merged in trial order: counts add, maxima

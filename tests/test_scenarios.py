@@ -760,7 +760,7 @@ def test_first_cycles_equal_scalar_bound(raw, speeds):
 
 
 def _gpws_trial(cfg, trial_id, seed):
-    return SCENARIOS["GPWS"].trials(cfg, [trial_id], [seed])[0]
+    return next(iter(SCENARIOS["GPWS"].trials(cfg, [trial_id], [seed])))
 
 
 def _gpws_trial_stepped(cfg, trial_id, seed):
