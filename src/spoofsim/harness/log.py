@@ -2,6 +2,12 @@
 
 One record per event, fields (t, kind, payload, trial_id, seed).  Events are
 time-ordered and each trial ends with exactly one terminal outcome record.
+
+Every scenario writes its logs from line templates (`scenarios`), with the
+bytes `TrialLog.to_jsonl` gives: ``json.dumps`` of each record,
+``sort_keys=True``.  `TrialLog` is the read side: `from_jsonl` parses and
+checks a written log, and `add` and `finish` build the logs that test
+references are compared with.
 """
 
 from __future__ import annotations
@@ -9,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 OUTCOME = "outcome"
 #: Slack allowed on event-time ordering, s (absorbs float rounding).
@@ -65,93 +70,18 @@ def _lines(blob: str) -> Iterator[Dict[str, Any]]:
         yield record
 
 
-def _floatstr(o: float, _repr=float.__repr__, _inf=math.inf) -> str:
-    """A float as `json.dumps` writes it, NaN and the infinities included."""
-
-    if o != o:
-        return "NaN"
-    if o == _inf:
-        return "Infinity"
-    if o == -_inf:
-        return "-Infinity"
-    return _repr(o)
-
-
 class _JsonFloat(float):
-    """A float whose repr is what `json.dumps` writes for it (`_floatstr`)."""
+    """A float whose repr is what `json.dumps` writes for it, NaN and the
+    infinities included."""
 
-    __repr__ = _floatstr
-
-
-def _build_encoder(c_make=c_make_encoder):
-    """The encoder `json.dumps(..., sort_keys=True)` builds on every call:
-    ``encoder(o, 0)`` gives the chunks of ``o``'s JSON text.  The arguments
-    are `JSONEncoder.iterencode`'s for those settings, without the
-    circular-reference markers (a log is a tree); without the C accelerator
-    (``c_make`` None), the pure-Python one."""
-
-    default = json.JSONEncoder().default
-    if c_make is not None:
-        return c_make(None, default, encode_basestring_ascii, None, ": ", ", ",
-                      True, False, True)
-    return _make_iterencode(None, default, encode_basestring_ascii, None, _floatstr,
-                            ": ", ", ", True, False, True)
-
-
-#: Built once: it runs once per event written.
-_iterencode = _build_encoder()
-#: Record shapes past this many take the generic encoder.
-_MAX_SHAPES = 64
-#: Line encoders by record shape: kind, type of ``t``, payload keys, their value types.
-_shapes: Dict[tuple, Callable[..., Optional[str]]] = {}
-#: An f-string field writing ``@``, of this exact type, as `json.dumps` does.
-_ATOMS = {float: "{@!r}", int: "{@!r}", str: "{_e(@)}", type(None): "null"}
-_BRACES = str.maketrans({"{": "{{", "}": "}}"})
-
-
-def _generic(*record: Any) -> None:
-    """The line encoder of a shape that `_compile` does not cover."""
-
-
-def _compile(key: tuple, t: Any, payload: Dict[str, Any]) -> Callable[..., Optional[str]]:
-    """The line encoder of shape ``key``, from a record with time ``t`` and
-    ``payload``: an f-string by `json.dumps`' rules (``sort_keys``, ``", "``,
-    ``": "``) over exact floats and ints (by repr), strings, None and lists of
-    these.  None for a non-finite float or a list element of another type;
-    ValueError for a list of another length or an int too long to repr."""
-
-    if len(_shapes) >= _MAX_SHAPES:
-        return _generic
-    targets, checks, floats, fields = [], [], [], {}
-
-    def field(name: str, value: Any, check: bool) -> str:
-        floats.extend([name] if type(value) is float else [])
-        checks.extend([f"type({name}) is {type(value).__name__}"] if check else [])
-        return _ATOMS[type(value)].replace("@", name)
-
-    try:
-        for i, (k, v) in enumerate(payload.items()):
-            if type(v) is list:
-                names = [f"v{i}_{j}" for j in range(len(v))]
-                targets.append(f"[{', '.join(names)}]")
-                fields[k] = f"[{', '.join(field(n, x, True) for n, x in zip(names, v))}]"
-            else:
-                targets.append(f"v{i}")
-                fields[k] = field(f"v{i}", v, False)
-        head = f'{{"kind": {encode_basestring_ascii(key[0])}, "payload": {{'
-        body = ", ".join(f"{encode_basestring_ascii(k).translate(_BRACES)}: {fields[k]}"
-                         for k in sorted(fields))
-        line = f"{head.translate(_BRACES)}{body}}}}}{{seed}}{field('t', t, False)}{{end}}"
-    except (KeyError, TypeError):  # a value of another type; a kind or key not a string
-        encode = _generic
-    else:
-        guard = " and ".join(checks + [f"0.0 * {' * '.join(floats)} == 0.0"] * bool(floats))
-        namespace = {"_e": encode_basestring_ascii, "NoneType": type(None)}
-        exec(f"def line(t, p, seed, end):\n    [{', '.join(targets)}] = p.values()\n"
-             f"    if {guard or True}:\n        return f{line!r}", namespace)
-        encode = namespace["line"]
-    _shapes[key] = encode
-    return encode
+    def __repr__(self) -> str:
+        if self != self:
+            return "NaN"
+        if self == math.inf:
+            return "Infinity"
+        if self == -math.inf:
+            return "-Infinity"
+        return float.__repr__(self)
 
 
 @dataclass
@@ -192,27 +122,10 @@ class TrialLog:
     def to_jsonl(self) -> str:
         """One line per event: ``json.dumps`` of its ``t``, ``kind`` and
         ``payload`` with the log's ``trial_id`` and ``seed``,
-        ``sort_keys=True``.  Those keys always sort as kind, payload, seed, t,
-        trial_id, so the line is framed around the encoded kind, payload and
-        t: by the compiled encoder of the record's shape (`_compile`), or by
-        the generic encoder."""
+        ``sort_keys=True``."""
 
-        join = "".join
-        seed = f', "seed": {join(_iterencode(self.seed, 0))}, "t": '
-        end = f', "trial_id": {join(_iterencode(self.trial_id, 0))}}}'
-        lines = []
-        for e in self.events:
-            t, kind, payload = e["t"], e["kind"], e["payload"]
-            line = None
-            if type(payload) is dict:
-                key = (kind, type(t), *payload, *map(type, payload.values()))
-                try:
-                    line = (_shapes.get(key) or _compile(key, t, payload))(t, payload, seed, end)
-                except ValueError:
-                    pass
-            lines.append(line or f'{{"kind": {encode_basestring_ascii(kind)}, "payload": '
-                                 f'{join(_iterencode(payload, 0))}{seed}{join(_iterencode(t, 0))}{end}')
-        return "\n".join(lines) + "\n"
+        ids = {"trial_id": self.trial_id, "seed": self.seed}
+        return "\n".join(json.dumps({**e, **ids}, sort_keys=True) for e in self.events) + "\n"
 
     @classmethod
     def from_jsonl(cls, blob: str, scenario: str) -> "TrialLog":

@@ -166,8 +166,8 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     ranges of equal shares, one per worker.  Each group runs its part of each
     chunk (`runner.run_chunks`) in turn, writes the chunk's log texts and
     altitude traces, and merges its summary part before it runs the next.
-    A GPWS or glideslope chunk's texts and traces are written from the
-    values of its rounds, without a `TrialLog`.  This process writes the
+    Every chunk's texts and traces are written from the values of its
+    rounds, without a `TrialLog`.  This process writes the
     summary, the report and the config only once every group has succeeded.
 
     A directory is a complete run only once its ``config.json`` is there:

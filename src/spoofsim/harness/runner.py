@@ -66,9 +66,9 @@ def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[Any]:
     write path's seam.  Each chunk gives the texts of its trials' logs in
     trial order (``texts``), their `Summary` (``summary``) and the altitude
     traces to write as (trial id, CSV text) (``traces``); iterating it gives
-    the trials' `TrialLog`s, which a GPWS or glideslope chunk reads back
-    from its texts (`scenarios.TextChunk`).  The generator keeps no
-    reference to a chunk it has yielded."""
+    the trials' `TrialLog`s, read back from its texts
+    (`scenarios.TextChunk`).  The generator keeps no reference to a chunk
+    it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
     for chunk in chunks(ids):

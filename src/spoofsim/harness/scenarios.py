@@ -34,22 +34,21 @@ lockstep looks up the terrain under all its rows at once, and a track not
 updated goes stale as `TcasUnit.drop_stale` drops it.  Each trial is a
 generator (`tcas_trial`) whose scalar steps keep its own order: episode
 draws, crew reactions and the alerting mode they leave (a plain value), the
-budget, the log and the one `tcas.SurveillanceMessage` per encounter.  Round
-n flies the n-th encounter of every trial as array rows with the scalar
-cycle's floats: the own ship at ``(gs * t, 0.0, altitude)``, as
-``world.step`` places it, the claim relative to it, and `tcas.slant_ranges`.
+budget and its log lines, one a record.  Round n flies the n-th encounter
+of every trial as array rows with the scalar cycle's floats: the own ship
+at ``(gs * t, 0.0, altitude)``, as ``world.step`` places it, the claim
+relative to it, and `tcas.slant_ranges`.  Trials end in different rounds,
+so a chunk's summary is folded when it ends, in trial order.
 
 A glideslope chunk is one round (`gs_trials`): each trial draws its crew
 (`gs_trial`) in trial order, then its cross-check runs on plain floats
 against the path, transmitters and PAPI bands the config fixes.
 
-GPWS and glideslope trials write their logs from the values of their rounds
-by one line template per record kind, as `json.dumps(record,
-sort_keys=True)` writes the records, with no record dict or `TrialLog`, and
-fold the same values into the chunk's summary; a GPWS chunk writes its
-altitude traces from them too.  Such a chunk is a `TextChunk`.  TCAS chunks
-are their `TrialLog`s (`LogChunk`), from which the write path's texts and
-summary are made.
+Every scenario writes its trials' logs from the values of its rounds by one
+line template per record kind, as `json.dumps(record, sort_keys=True)`
+writes the records, with no record dict or `TrialLog`, and folds the same
+values into the chunk's summary, in trial order; a GPWS chunk writes its
+altitude traces from them too.  Every chunk is a `TextChunk`.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
 from .log import TrialLog, _JsonFloat
 from .seeds import trial_generators
-from .summary import GpwsSummary, GsSummary, Summary, TcasSummary, fold
+from .summary import GpwsSummary, GsSummary, Summary, TcasSummary
 
 if TYPE_CHECKING:  # config imports this module for the registry
     from .config import ScenarioConfig
@@ -237,8 +236,10 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
 # print by repr, a float that is not finite as a `_JsonFloat`, so a config
 # leaf given as a JSON int stays one.
 
-#: The JSON strings of the alert kind, and the header of an altitude trace.
+#: The JSON strings of the alert kind and the Mode S reply kind, and the
+#: header of an altitude trace.
 _ALERT_KIND = encode_basestring_ascii(gpws.ALERT_KIND)
+_MODE_S_REPLY = encode_basestring_ascii(tcas.MODE_S_REPLY)
 _TRACE_HEADER = "time_s,altitude_ft,indicated_agl_ft\n"
 
 
@@ -395,15 +396,18 @@ def _claim_frame(cfg: ScenarioConfig) -> tuple:
 
 
 def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
-               rng: np.random.Generator) -> Generator[tuple, tuple, TrialLog]:
+               rng: np.random.Generator) -> Generator[tuple, tuple, tuple]:
     """The TCAS trial of ``trial_id``, drawing from ``rng``, the generator
     of its ``seed``, as a generator: it yields each encounter the injector
     answers as an `_tcas_encounters` row, is sent back its flight, and
-    returns the trial's log."""
+    returns the trial's log text and the values its summary folds:
+    ``(text, (outcome, final mode, final action, episodes, RAs observed,
+    TAs after the downgrade))``."""
 
-    log = TrialLog(trial_id=trial_id, seed=seed, scenario=cfg.scenario)
     policy = cfg.tcas_policy
     answers, claim_ft, rel = _claim_frame(cfg)
+    seed_text, end = f', "seed": {seed!r}, "t": ', f', "trial_id": {trial_id!r}}}\n'
+    parts: List[str] = []
 
     mode = tcas.TA_RA  # the alerting mode, lowered by the crew's downgrades
     script = crew.sample_tcas_crew(policy, rng)
@@ -411,14 +415,12 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
         cfg.false_intruder_plan, rng, attacker_position=cfg.attacker_position_m)
 
     if not cfg.attacker_enabled:
-        log.finish(0.0, "CONTINUED", {
-            "final_mode": mode, "final_action": crew.CONTINUE,
-            "episodes": 0, "ras_observed": 0, "tas_after_downgrade": 0,
-        })
-        return log
+        ends = ("CONTINUED", mode, crew.CONTINUE, 0, 0, 0)
+        return _tcas_outcome_line(seed_text, end, 0.0, *ends), ends
 
     # Every RA of the run is against the same claimed relative altitude.
-    ra = tcas.resolution_advisory(rel, 0.0)
+    ra = _tcas_ra_fields(tcas.resolution_advisory(rel, 0.0))
+    # Every time written is a float: sums from 0.0 and the kernel's cycle times.
     t = 0.0
     episodes = 0
     while (
@@ -428,10 +430,8 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
     ):
         injector.start_episode(t)
         episodes += 1
-        log.add(t, "episode_start", {
-            "episode": episodes, "icao_id": injector.icao_id,
-            "bearing_deg": injector._bearing, "closure_mps": injector._speed,
-        })
+        parts.append(_tcas_episode_line(seed_text, end, t, episodes, injector.icao_id,
+                                        injector._bearing, injector._speed))
         k_end = injector.floor_cycle()
         sample, advisories = None, ()
         if mode != tcas.STANDBY and answers is not False:
@@ -441,20 +441,17 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
                                         mode == tcas.TA_RA)
         tc = t + k_end
         for ta, tc_adv in advisories:
-            level = "TA" if ta else "RA"
-            event = {"level": level, "episode": episodes}
-            if not ta:
-                event.update(ra_sense=ra.ra_sense, commanded_rate_fpm=ra.commanded_rate)
-            log.add(tc_adv, "advisory", event)
-            action, mode = crew.tcas_act(level, mode, script)
-            log.add(tc_adv, "crew_action", {"action": action, "episode": episodes})
+            parts.append(_tcas_advisory_line(seed_text, end, tc_adv, episodes,
+                                             _TA_FIELDS if ta else ra))
+            action, mode = crew.tcas_act("TA" if ta else "RA", mode, script)
+            parts.append(_tcas_crew_action_line(seed_text, end, tc_adv, episodes, action))
             if not ta or mode != tcas.TA_RA:
                 tc = tc_adv
                 break
         if sample is not None:
             tc_sample, claimed = sample
-            claim = (injector.icao_id, claim_ft, claimed)
-            log.add(tc, "surveillance", injector.reply(tc_sample, claim).to_record())
+            parts.append(_tcas_surveillance_line(seed_text, end, tc, injector.icao_id, claim_ft,
+                                                 claimed, tc_sample, injector.attacker_position))
         t = tc + cfg.inter_episode_gap_s
 
     if script.settled(mode):
@@ -466,21 +463,23 @@ def tcas_trial(cfg: ScenarioConfig, trial_id: int, seed: int,
         final_action = crew.sample_categorical(rng, policy.action_given_final_mode[mode])
     outcome = {crew.CONTINUE: "CONTINUED", crew.AVOIDANCE: "AVOIDED",
                crew.DIVERT: "DIVERTED"}[final_action]
-    log.finish(t, outcome, {
-        "final_mode": mode, "final_action": final_action, "episodes": episodes,
-        "ras_observed": script.ra_count, "tas_after_downgrade": script.ta_count_since_downgrade,
-    })
-    return log
+    ends = (outcome, mode, final_action, episodes, script.ra_count,
+            script.ta_count_since_downgrade)
+    parts.append(_tcas_outcome_line(seed_text, end, t, *ends))
+    return "".join(parts), ends
 
 
-def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> LogChunk:
+def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int]) -> TextChunk:
     """The TCAS trials of ``trial_ids`` with their ``seeds``, in order, each
     started by its name, `tcas_trial`.  Round n flies the n-th encounter
-    each trial still running yields, in one `_tcas_encounters` call."""
+    each trial still running yields, in one `_tcas_encounters` call.  Trials
+    end in different rounds, so their summary is folded once the chunk
+    ends, in trial order."""
 
     trials = [tcas_trial(cfg, i, seed, rng)
               for i, seed, rng in zip(trial_ids, seeds, trial_generators(seeds))]
-    logs: List[Any] = [None] * len(trials)
+    texts: List[str] = [""] * len(trials)
+    ends: List[tuple] = [()] * len(trials)
     flights: Dict[int, tuple] = {}  # what each trial is sent next
     running = range(len(trials))
     while running:
@@ -490,10 +489,86 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
                 rows.append(trials[k].send(flights.get(k)))
                 flying.append(k)
             except StopIteration as done:
-                logs[k] = done.value
+                texts[k], ends[k] = done.value
         flights = dict(zip(flying, _tcas_encounters(cfg, rows)))
         running = flying
-    return LogChunk(logs)
+    part = Summary()
+    for outcome, *trial in ends:
+        part.count(cfg.scenario, outcome).add_trial(*trial)
+    return TextChunk(cfg.scenario, texts, part, ())  # a TCAS trial logs no altitude trace
+
+
+# The TCAS lines, one template per record kind, written as `json.dumps(record,
+# sort_keys=True)` writes the record, as the GPWS templates are.
+
+#: The fields of a TA's ``advisory`` payload before and after its episode.
+_TA_FIELDS = ("", ', "level": "TA"')
+
+
+def _tcas_ra_fields(ra: tcas.Advisory) -> Tuple[str, str]:
+    """The fields of an RA's ``advisory`` payload before and after its
+    episode, formatted once per trial."""
+
+    rate = ra.commanded_rate
+    if not 0.0 * rate == 0.0:
+        rate = _JsonFloat(rate)
+    return (f'"commanded_rate_fpm": {rate!r}, ',
+            f', "level": "RA", "ra_sense": {encode_basestring_ascii(ra.ra_sense)}')
+
+
+def _tcas_episode_line(seed: str, end: str, t: float, episode: int, icao_id: int,
+                       bearing: float, speed: float) -> str:
+    if not 0.0 * t * bearing * speed == 0.0:
+        t, bearing, speed = _json_numbers(t, bearing, speed)
+    return (f'{{"kind": "episode_start", "payload": {{"bearing_deg": {bearing!r}, '
+            f'"closure_mps": {speed!r}, "episode": {episode!r}, "icao_id": {icao_id!r}}}'
+            f'{seed}{t!r}{end}')
+
+
+def _tcas_advisory_line(seed: str, end: str, t: float, episode: int,
+                        fields: Tuple[str, str]) -> str:
+    """The ``advisory`` line of a TA (`_TA_FIELDS`) or an RA (`_tcas_ra_fields`)."""
+
+    if not 0.0 * t == 0.0:
+        t = _JsonFloat(t)
+    before, after = fields
+    return (f'{{"kind": "advisory", "payload": {{{before}"episode": {episode!r}{after}}}'
+            f'{seed}{t!r}{end}')
+
+
+def _tcas_crew_action_line(seed: str, end: str, t: float, episode: int, action: str) -> str:
+    if not 0.0 * t == 0.0:
+        t = _JsonFloat(t)
+    return (f'{{"kind": "crew_action", "payload": {{"action": {encode_basestring_ascii(action)}, '
+            f'"episode": {episode!r}}}{seed}{t!r}{end}')
+
+
+def _tcas_surveillance_line(seed: str, end: str, t: float, icao_id: int, claim_ft: float,
+                            claimed: Sequence[float], timestamp: float,
+                            site: Sequence[float]) -> str:
+    """The ``surveillance`` line of the Mode S reply carrying the claim
+    (``icao_id``, ``claim_ft``, ``claimed``) at ``timestamp``, sent from the
+    attacker's ``site`` at `tcas.MAX_TX_POWER_DBM`."""
+
+    (x, y, z), (sx, sy, sz) = claimed, site
+    if not 0.0 * t * claim_ft * x * y * z * timestamp * sx * sy * sz == 0.0:
+        t, claim_ft, x, y, z, timestamp, sx, sy, sz = _json_numbers(
+            t, claim_ft, x, y, z, timestamp, sx, sy, sz)
+    return (f'{{"kind": "surveillance", "payload": {{"altitude_ft": {claim_ft!r}, '
+            f'"claimed_position_m": [{x!r}, {y!r}, {z!r}], "icao_id": {icao_id!r}, '
+            f'"kind": {_MODE_S_REPLY}, "origin": "adversarial", '
+            f'"position_m": [{sx!r}, {sy!r}, {sz!r}], "timestamp": {timestamp!r}, '
+            f'"tx_power_dbm": {tcas.MAX_TX_POWER_DBM!r}}}{seed}{t!r}{end}')
+
+
+def _tcas_outcome_line(seed: str, end: str, t: float, outcome: str, mode: str, action: str,
+                       episodes: int, ras: int, tas: int) -> str:
+    if not 0.0 * t == 0.0:
+        t = _JsonFloat(t)
+    e = encode_basestring_ascii
+    return (f'{{"kind": "outcome", "payload": {{"episodes": {episodes!r}, '
+            f'"final_action": {e(action)}, "final_mode": {e(mode)}, "outcome": {e(outcome)}, '
+            f'"ras_observed": {ras!r}, "tas_after_downgrade": {tas!r}}}{seed}{t!r}{end}')
 
 
 def _first_cycles(cfg: ScenarioConfig, v: np.ndarray) -> tuple:
@@ -777,27 +852,11 @@ def _gs_land_lines(seed: str, end: str, t: float, touchdown: float, long_landing
 # registry
 
 
-class LogChunk(List[TrialLog]):
-    """A chunk of trials made as `TrialLog`s (TCAS), in trial order, with
-    the write path's view of them made on demand."""
-
-    #: A TCAS trial logs no altitude trace.
-    traces: Tuple[Tuple[int, str], ...] = ()
-
-    @property
-    def texts(self) -> Iterator[str]:
-        return (log.to_jsonl() for log in self)  # made as written, not held
-
-    @property
-    def summary(self) -> Summary:
-        return fold(self)
-
-
 @dataclass
 class TextChunk:
-    """A chunk of trials made as their log texts (GPWS, GS), in trial order,
-    with their summary and the altitude traces made with them, as (trial id,
-    CSV text); iterating it reads each log back as a `TrialLog`."""
+    """A chunk of trials made as their log texts, in trial order, with their
+    summary and the altitude traces made with them, as (trial id, CSV text);
+    iterating it reads each log back as a `TrialLog`."""
 
     scenario: str
     texts: List[str]
@@ -814,12 +873,12 @@ class Scenario:
     its logs (``add(log)``, then ``result()``) and its config overrides.
 
     The trials function runs the runner's chunk (config, trial ids, seeds)
-    and returns a `LogChunk` or a `TextChunk`: iterating either gives the
-    trials' logs, and the write path takes its ``texts`` (each trial's log
-    as JSON lines), ``summary`` (their `Summary`) and ``traces`` (the
-    altitude traces to write, as (trial id, CSV text))."""
+    and returns a `TextChunk`: iterating it gives the trials' logs, and the
+    write path takes its ``texts`` (each trial's log as JSON lines),
+    ``summary`` (their `Summary`) and ``traces`` (the altitude traces to
+    write, as (trial id, CSV text))."""
 
-    trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], Any]
+    trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], TextChunk]
     summary: Callable[[], Any]
     overrides: Dict[str, Any] = field(default_factory=dict)
 

@@ -8,9 +8,9 @@ avoidance table is a final-mode by final-action matrix.
 A summary is a fold: each scenario's accumulator (`GpwsSummary`,
 `TcasSummary`, `GsSummary`) takes one log at a time with ``add`` and keeps
 counts plus the per-trial scalars its means and standard deviations need, and
-``result`` builds the tables and statistics.  `GpwsSummary` and `GsSummary`
-fold each trial through ``add_trial``, which their chunk rounds call with the
-values they wrote, and ``add`` with the fields it reads from a log.  `Summary`
+``result`` builds the tables and statistics.  Each accumulator folds a trial
+through ``add_trial``, which the scenario's chunk calls with the values it
+wrote, and ``add`` with the fields it reads from a log.  `Summary`
 adds the outcome counts and picks the accumulator from the first log's
 scenario, so a run's logs can be summarized as they are produced or read,
 without holding them.
@@ -191,19 +191,31 @@ class TcasSummary:
         self.episodes_max = -math.inf
 
     def add(self, log: TrialLog) -> None:
-        self.trials += 1
         outcome = log.events[-1]
         mode = _field(log, outcome, "final_mode", TCAS_MODE_LABELS)
         action = _field(log, outcome, "final_action", TCAS_ACTION_LABELS)
+        episodes = _field(log, outcome, "episodes", _COUNT)
+        ras = (_field(log, outcome, "ras_observed", _NUMBER) if mode != tcas.TA_RA
+               else None)
+        tas = (_field(log, outcome, "tas_after_downgrade", _NUMBER) if mode == tcas.STANDBY
+               else None)
+        self.add_trial(mode, action, episodes, ras, tas)
+
+    def add_trial(self, mode: str, action: str, episodes: int, ras: Optional[float],
+                  tas: Optional[float]) -> None:
+        """One trial: its final mode and action, its encounters, the RAs it
+        observed (counted if it left TA/RA) and the TAs after its downgrade
+        (counted if it ended in Standby)."""
+
+        self.trials += 1
         self.matrix[action][mode] += 1
         self.mode_counts[mode] += 1
-        episodes = _field(log, outcome, "episodes", _COUNT)
         self.episodes_total += episodes
         self.episodes_max = max(self.episodes_max, episodes)
         if mode != tcas.TA_RA:
-            self.ras_before_downgrade.append(_field(log, outcome, "ras_observed", _NUMBER))
+            self.ras_before_downgrade.append(ras)
         if mode == tcas.STANDBY:
-            self.tas_before_standby.append(_field(log, outcome, "tas_after_downgrade", _NUMBER))
+            self.tas_before_standby.append(tas)
 
     def merge(self, other: "TcasSummary") -> None:
         self.trials += other.trials

@@ -1,14 +1,13 @@
 """`TrialLog.from_jsonl`'s one-pass reader against the line-by-line reader,
-`to_jsonl`'s shape-compiled encoders against `json.dumps`, and `add`'s checks."""
+`to_jsonl` on an int `json.dumps` refuses, and `add`'s checks."""
 
 import functools
 import json
 import math
 import re
-import unittest.mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spoofsim.harness import log as log_module
 from spoofsim.harness import run
@@ -250,115 +249,7 @@ def test_add_keeps_time_order_within_the_slack(how):
 
 
 # ---------------------------------------------------------------------------
-# to_jsonl's shape-compiled encoders against json.dumps
-
-
-def _dumps(log):
-    """The kept reference for `to_jsonl`: one `json.dumps` of each event
-    with the log's ids, ``sort_keys=True``."""
-
-    return "".join(json.dumps({**event, "trial_id": log.trial_id, "seed": log.seed},
-                              sort_keys=True) + "\n" for event in log.events)
-
-
-class _Float(float):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-_FLOAT = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 0.1, 2.0,
-                          math.nan, math.inf, -math.inf]) | st.floats()
-_TEXT = st.sampled_from(["", "a", " ", "\xe9t\xe9", '"\\/', "\x00\x1f", "{}", "'",
-                         "\U0001f600"]) | st.text(max_size=4)
-_ATOM = st.one_of(
-    _FLOAT, _TEXT, st.none(), st.booleans(),
-    st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1, 2**53 + 1]),
-    st.builds(_Float, _FLOAT), st.builds(_Int, st.integers(-5, 5)),
-)
-# Values as the logs hold them, which the compiled encoders write ...
-_PLAIN = st.one_of(_FLOAT, _TEXT, st.none(), st.integers(-2**70, 2**70),
-                   st.lists(_FLOAT, min_size=3, max_size=3),
-                   st.lists(st.integers(-3, 3) | _TEXT | st.none(), min_size=1, max_size=3))
-# ... and any value: lists of another length or of other elements, tuples,
-# nested objects.
-_VALUE = st.one_of(
-    _ATOM, st.lists(_ATOM, max_size=4), st.tuples(_FLOAT, _FLOAT),
-    st.recursive(_ATOM, lambda inner: st.lists(inner, max_size=2)
-                 | st.dictionaries(_TEXT, inner, max_size=2), max_leaves=4),
-)
-_KINDS = st.sampled_from(["surveillance", "advisory", " k\xe9", OUTCOME])
-_KEY_SETS = st.sampled_from([(), ("b", "a"), ("a", "b"), ("x", "\xe9", "A", "_", "{"),
-                             ("claimed_position_m", "icao_id", "timestamp"), (2, 10, 1)])
-_T = _FLOAT | st.integers(-3, 3) | st.booleans() | st.none()
-
-
-@st.composite
-def _events(draw):
-    """Events of one to three kinds and key sets, each keeping most of the
-    values its kind and key set first drew and replacing the others by any
-    value, so that a shape's encoder meets other value types and lengths."""
-
-    shapes = draw(st.lists(st.tuples(_KINDS, _KEY_SETS, st.lists(_PLAIN, min_size=5,
-                                                                 max_size=5)),
-                           min_size=1, max_size=3))
-    events = []
-    for _ in range(draw(st.integers(1, 8))):
-        kind, keys, values = draw(st.sampled_from(shapes))
-        values = [draw(_VALUE) if draw(st.integers(0, 3)) == 0 else v for v in values]
-        events.append({"t": draw(_T), "kind": kind, "payload": dict(zip(keys, values))})
-    return events
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(events=_events(), trial_id=st.integers(0, 2**64), seed=st.integers(0, 2**64),
-       pure_python=st.booleans())
-@example(events=[{"t": 1.0, "kind": "a", "payload": {"p": 1e308, "q": 1e308}},
-                 {"t": 2.0, "kind": "a", "payload": {"p": 1e308, "q": math.inf}},
-                 {"t": math.nan, "kind": "a", "payload": {"p": -0.0, "q": 5e-324}},
-                 {"t": 3.0, "kind": "a", "payload": {"p": True, "q": 1}},
-                 {"t": 4.0, "kind": "a", "payload": {"p": [1.0, 2.0], "q": [1.0, 2.0]}},
-                 {"t": 5.0, "kind": "a", "payload": {"p": [1.0, 2.0], "q": [1.0, True]}},
-                 {"t": 6.0, "kind": "a", "payload": {"p": [1.0], "q": [1.0, 2.0]}},
-                 {"t": 7.0, "kind": "a", "payload": {"p": [1.0, 2.0], "q": [1.0, "x"]}},
-                 {"t": 8.0, "kind": "b", "payload": {"p": [1, None], "q": ["x", 2]}},
-                 {"t": 9.0, "kind": "b", "payload": {"p": [True, None], "q": ["x", False]}},
-                 {"t": True, "kind": "b", "payload": {"p": [1, None], "q": ["x", 2]}}],
-         trial_id=0, seed=2**70, pure_python=False)
-def test_to_jsonl_equals_json_dumps_shape_by_shape(events, trial_id, seed, pure_python):
-    """Property: with the shape cache emptied first, every line `to_jsonl`
-    writes is `json.dumps` of the event, though one key set recurs with other
-    kinds, value types and list lengths: non-finite floats (in ``t`` too),
-    bools beside ints, ints beyond 2**64, subclasses, None, tuples, nested
-    objects, non-ASCII text and integer keys; with the C or the pure-Python
-    generic encoder."""
-
-    log = TrialLog(trial_id=trial_id, seed=seed, scenario="GS", events=events)
-    encoder = log_module._build_encoder(None) if pure_python else log_module._iterencode
-    with unittest.mock.patch.object(log_module, "_iterencode", encoder), \
-            unittest.mock.patch.dict(log_module._shapes, clear=True):
-        assert log.to_jsonl() == _dumps(log)
-        assert log.to_jsonl() == _dumps(log)
-
-
-def test_real_shapes_are_compiled_and_the_cache_is_bounded():
-    """Every shape a real log holds but one (a GS landing's bool) gets its
-    compiled encoder; past `_MAX_SHAPES` shapes, records take the generic
-    encoder, and are written the same."""
-
-    with unittest.mock.patch.dict(log_module._shapes, clear=True):
-        for scenario, blob in _real_logs():
-            assert TrialLog.from_jsonl(blob, scenario).to_jsonl() == blob
-        generic = [key[0] for key, encode in log_module._shapes.items()
-                   if encode is log_module._generic]
-        assert generic in ([], [OUTCOME]) and len(log_module._shapes) > 10
-        many = TrialLog(trial_id=1, seed=2, scenario="GS")
-        for k in range(2 * log_module._MAX_SHAPES):
-            many.add(float(k), f"kind{k}", {"x": 0.5})
-        assert many.to_jsonl() == _dumps(many)
-        assert len(log_module._shapes) == log_module._MAX_SHAPES
+# to_jsonl
 
 
 def test_to_jsonl_refuses_an_int_too_long_as_json_dumps_does():

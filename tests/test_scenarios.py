@@ -201,13 +201,11 @@ def _tcas_run_counting(monkeypatch, targets):
 
 def test_tcas_cycle_builds_one_message(monkeypatch):
     """Work budget: a surveillance cycle reads the injector's claim and builds
-    no message; only each encounter's logged reply is a
-    `SurveillanceMessage`, so a TCAS `run()` at N=20 builds at most one per
-    `episode_start`."""
+    no message, and each encounter's logged reply is written from the claim,
+    so a TCAS `run()` at N=20 builds no `SurveillanceMessage`."""
 
     counts = _tcas_run_counting(monkeypatch, [(tcas.SurveillanceMessage, "__init__")])
-    messages = counts["SurveillanceMessage.__init__"]
-    assert 0 < messages <= counts["episodes"], counts
+    assert counts["episodes"] > 0 and counts["SurveillanceMessage.__init__"] == 0, counts
 
 
 def test_tcas_injector_holds_no_function_or_array(monkeypatch):
@@ -1088,11 +1086,11 @@ def test_gs_round_raises_the_receiver_errors():
 
 
 @pytest.mark.parametrize("scenario, output", [
-    ("GS", {}), ("BASELINE", {}), ("GPWS", {}), ("GPWS", {"altitude_trace": True}),
-], ids=["GS", "BASELINE", "GPWS", "GPWS-traced"])
+    ("GS", {}), ("BASELINE", {}), ("GPWS", {}), ("GPWS", {"altitude_trace": True}), ("TCAS", {}),
+], ids=["GS", "BASELINE", "GPWS", "GPWS-traced", "TCAS"])
 def test_gs_emit_builds_no_log_records(tmp_path, monkeypatch, scenario, output):
-    """Work budget: a GS, BASELINE or GPWS run writes its logs (and a GPWS
-    run its altitude traces) from the values of its round, with no
+    """Work budget: a GS, BASELINE, GPWS or TCAS run writes its logs (and a
+    GPWS run its altitude traces) from the values of its rounds, with no
     `TrialLog.add` and no `TrialLog.to_jsonl` call."""
 
     def refused(*args, **kwargs):
@@ -1200,3 +1198,80 @@ def test_gpws_templates_equal_json_dumps(trial_id, seed, t, a, b, approach, star
     assert lines == [line("state", state)]
     log = TrialLog(trial_id, seed, "GPWS", [{"t": t, "kind": "state", "payload": state}])
     assert scenarios._TRACE_HEADER + "".join(rows) == trace_csv(log)
+
+
+#: Each TCAS outcome by the final action it ends on.
+_TCAS_OUTCOMES = {crew.CONTINUE: "CONTINUED", crew.AVOIDANCE: "AVOIDED", crew.DIVERT: "DIVERTED"}
+#: Attacker site coordinates, m: the schema's bounds, and JSON ints.
+_SITES = (st.floats(-1e9, 1e9) | st.sampled_from([-1e9, 1e9, 0.0, -0.0, 5e-324])
+          | st.integers(-10**9, 10**9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trial_id=st.integers(0, 10**6) | st.sampled_from([99_999, 100_000, 123_456]),
+       seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1]),
+       t=_FLOATS, a=_FLOATS, b=_FLOATS, episode=st.integers(1, 10**4),
+       icao_id=st.integers(0, 2**24 - 1) | st.sampled_from([0, 2**24 - 1]),
+       sense=st.sampled_from(["CLIMB", "DESCEND", "HOLD_VS"]),
+       action=st.sampled_from([crew.CONTINUE, crew.AVOIDANCE, crew.DIVERT]),
+       claimed=st.tuples(_FLOATS, _FLOATS, _FLOATS), site=st.tuples(_SITES, _SITES, _SITES),
+       mode=st.sampled_from([tcas.TA_RA, tcas.TA_ONLY, tcas.STANDBY]),
+       counts=st.tuples(*[st.integers(0, 10**6)] * 3))
+def test_tcas_templates_equal_json_dumps(trial_id, seed, t, a, b, episode, icao_id, sense,
+                                         action, claimed, site, mode, counts):
+    """Property: each TCAS line template writes what `json.dumps(record,
+    sort_keys=True)` writes for the record that `TrialLog.add` was given,
+    non-finite floats, every final mode and action, long seeds and ids,
+    icao ids at both ends and attacker sites given as ints included: the
+    surveillance line is the record of the reply message from the
+    injector's site."""
+
+    frame = f', "seed": {seed!r}, "t": ', f', "trial_id": {trial_id!r}}}\n'
+
+    def line(kind, payload):
+        return _json_lines(trial_id, seed, [(t, kind, payload)])
+
+    assert scenarios._tcas_episode_line(*frame, t, episode, icao_id, a, b) == line(
+        "episode_start", {"episode": episode, "icao_id": icao_id, "bearing_deg": a,
+                          "closure_mps": b})
+    assert scenarios._tcas_advisory_line(*frame, t, episode, scenarios._TA_FIELDS) == line(
+        "advisory", {"level": "TA", "episode": episode})
+    ra = tcas.Advisory(level="RA", time=0.0, ra_sense=sense, commanded_rate=b)
+    assert scenarios._tcas_advisory_line(*frame, t, episode, scenarios._tcas_ra_fields(ra)) == (
+        line("advisory", {"level": "RA", "episode": episode, "ra_sense": sense,
+                          "commanded_rate_fpm": b}))
+    assert scenarios._tcas_crew_action_line(*frame, t, episode, action) == line(
+        "crew_action", {"action": action, "episode": episode})
+    injector = tcas.FalseIntruderInjector(tcas.FalseIntruderPlan(), np.random.default_rng(0),
+                                          attacker_position=site)
+    assert scenarios._tcas_surveillance_line(
+        *frame, t, icao_id, a, claimed, b, injector.attacker_position) == line(
+            "surveillance", injector.reply(b, (icao_id, a, claimed)).to_record())
+    outcome = _TCAS_OUTCOMES[action]
+    episodes, ras, tas = counts
+    assert scenarios._tcas_outcome_line(*frame, t, outcome, mode, action, *counts) == line(
+        "outcome", {"outcome": outcome, "final_mode": mode, "final_action": action,
+                    "episodes": episodes, "ras_observed": ras, "tas_after_downgrade": tas})
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param({}, id="defaults"),
+    pytest.param({"policies": {"tcas": {"p_downgrade": 1.0, "p_standby_given_downgrade": 0.5}}},
+                 id="downgrades"),
+    pytest.param({"attacker": {"tcas": {"alert_budget": 1}}}, id="budget-1"),
+])
+def test_tcas_chunk_folds_its_trials_in_order(override):
+    """A TCAS chunk folds each trial's outcome values, in trial order, into
+    the very accumulator `TcasSummary.add` builds from the chunk's logs read
+    back: the same counts and the same per-trial lists, so `_mean_sd` gives
+    the same bits."""
+
+    cfg = make_config({"version": 1, "scenario": "TCAS", "trials": CHUNK_TRIALS + 3,
+                       "master_seed": SEED, **override})
+    modes = Counter()
+    for chunk in runner.run_chunks(cfg, range(cfg.trials)):
+        read_back = fold(chunk)
+        assert chunk.summary.outcomes == read_back.outcomes
+        assert vars(chunk.summary._scenario_summary) == vars(read_back._scenario_summary)
+        modes.update(read_back._scenario_summary.mode_counts)
+    assert modes[tcas.TA_ONLY] > 0 and modes[tcas.STANDBY] > 0, modes  # both keep lists
