@@ -23,7 +23,7 @@ from .log import TrialLog
 from .output import emit, load_run, read_logs, summary_csv, trial_path, write_file
 from .runner import chunks, in_groups
 from .scenarios import SCENARIOS
-from .summary import Summary, fold
+from .summary import fold
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     given = {"scenario": args.scenario, "trials": args.trials, "master_seed": args.seed,
              "output_dir": args.out or None}
     cfg = make_config({**data, **{k: v for k, v in given.items() if v is not None}})
-    summary = Summary()
+    summary = SCENARIOS[cfg.scenario].summary(cfg.scenario)
     written = emit(cfg, summary)
     print(f"{cfg.scenario}: {cfg.trials} trials -> {written} files in {cfg.output_dir}")
     for key, value in summary.result()["stats"].items():
@@ -77,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     # load_run refuses an incomplete directory here, before any group starts.
     cfg = load_run(args.out)
-    summary = Summary()
+    summary = SCENARIOS[cfg.scenario].summary(cfg.scenario)
     try:
         for part in in_groups(cfg, lambda ids: fold(read_logs(args.out, cfg, ids))):
             summary.merge(part)

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from .config import ConfigError, ScenarioConfig, load_config
 from .log import TrialLog
 from .runner import in_groups, run_chunks
+from .scenarios import SCENARIOS
 from .summary import Summary
 
 
@@ -159,13 +160,15 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     ``cfg.output_dir``: each trial's log and altitude trace, then the summary
     and report, then the config.  Files an earlier run left there are
     overwritten in place, and trial logs and traces this run did not write
-    are removed.  The trials' `Summary` is merged into ``summary``.  Returns
-    how many files it wrote; it keeps no path per trial.
+    are removed.  The trials' summary is merged into ``summary``, a `Summary`
+    of ``cfg.scenario``.  Returns how many files it wrote; it keeps no path
+    per trial.
 
     The trials run in `runner.in_groups`, whose groups are contiguous id
     ranges of equal shares, one per worker.  Each group runs its part of each
     chunk (`runner.run_chunks`) in turn, writes the chunk's log texts and
-    altitude traces, and merges its summary part before it runs the next.
+    altitude traces, and merges the chunk's summary into the group's, a
+    summary of ``cfg.scenario``, before it runs the next.
     Every chunk's texts and traces are written from the values of its
     rounds, without a `TrialLog`.  This process writes the
     summary, the report and the config only once every group has succeeded.
@@ -198,7 +201,7 @@ def emit(cfg: ScenarioConfig, summary: Summary) -> FilesWritten:
     def write_group(ids: range) -> Tuple[Summary, List[str]]:
         """Write and fold the trials ``ids``; their trace names."""
 
-        part = Summary()
+        part = SCENARIOS[cfg.scenario].summary(cfg.scenario)
         trace_names: List[str] = []
         trial_id = ids.start
         for chunk in run_chunks(cfg, ids):

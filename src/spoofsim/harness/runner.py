@@ -63,12 +63,11 @@ def chunks(ids: range) -> List[range]:
 def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[Any]:
     """The trials ``ids`` of ``config`` in trial order, one chunk per part of
     a chunk (`chunks`), as the scenario's trials function returns it: the
-    write path's seam.  Each chunk gives the texts of its trials' logs in
-    trial order (``texts``), their `Summary` (``summary``) and the altitude
-    traces to write as (trial id, CSV text) (``traces``); iterating it gives
-    the trials' `TrialLog`s, read back from its texts
-    (`scenarios.TextChunk`).  The generator keeps no reference to a chunk
-    it has yielded."""
+    write path's seam.  Each chunk (`scenarios.TextChunk`) gives the texts
+    of its trials' logs in trial order (``texts``), the scenario's `Summary`
+    subclass folded over them (``summary``) and the altitude traces to write
+    as (trial id, CSV text) (``traces``).  The generator keeps no reference
+    to a chunk it has yielded."""
 
     scenario = SCENARIOS[config.scenario]
     for chunk in chunks(ids):
@@ -76,7 +75,8 @@ def run_chunks(config: ScenarioConfig, ids: range) -> Iterator[Any]:
 
 
 def run(config: ScenarioConfig) -> List[TrialLog]:
-    return [log for chunk in run_chunks(config, range(config.trials)) for log in chunk]
+    return [TrialLog.from_jsonl(text, config.scenario)
+            for chunk in run_chunks(config, range(config.trials)) for text in chunk.texts]
 
 
 def usable_cpus() -> int:

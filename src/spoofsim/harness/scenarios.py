@@ -57,13 +57,13 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Type)
 
 import numpy as np
 
 from .. import crew, gpws, ils, radalt, tcas, world
 from ..units import M_PER_FT, fpm_to_mps, ft_to_m, kn_to_mps, m_to_ft
-from .log import TrialLog, _JsonFloat
+from .log import _JsonFloat
 from .seeds import trial_generators
 from .summary import GpwsSummary, GsSummary, Summary, TcasSummary
 
@@ -222,12 +222,12 @@ def gpws_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
             out.append(_gpws_outcome_line(seed, end, t_done, approach, outcome))
             ends[k] = outcome, None
 
-    part = Summary()
+    part = GpwsSummary(scenario)
     for (outcome, landed), acted, agl in zip(ends, actions, go_around):
-        part.count(scenario, outcome).add_trial(acted, agl, landed)
+        part.add_trial(outcome, acted, agl, landed)
     traces = [(trial_id, _TRACE_HEADER + "".join(rows))
               for trial_id, rows in zip(trial_ids, rows_of) if rows]
-    return TextChunk(scenario, ["".join(out) for out in lines], part, traces)
+    return TextChunk(["".join(out) for out in lines], part, traces)
 
 
 # The GPWS lines, one template per record kind, written as
@@ -492,10 +492,10 @@ def tcas_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[i
                 texts[k], ends[k] = done.value
         flights = dict(zip(flying, _tcas_encounters(cfg, rows)))
         running = flying
-    part = Summary()
-    for outcome, *trial in ends:
-        part.count(cfg.scenario, outcome).add_trial(*trial)
-    return TextChunk(cfg.scenario, texts, part, ())  # a TCAS trial logs no altitude trace
+    part = TcasSummary(cfg.scenario)
+    for trial in ends:
+        part.add_trial(*trial)
+    return TextChunk(texts, part, ())  # a TCAS trial logs no altitude trace
 
 
 # The TCAS lines, one template per record kind, written as `json.dumps(record,
@@ -756,7 +756,7 @@ def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int
     long_landing = cfg.attacker_enabled and touchdown > tdz
 
     texts: List[str] = []
-    part = Summary()
+    part = GsSummary(scenario)
     atan2, degrees, max_range = math.atan2, math.degrees, ils.MAX_RANGE_M
     for trial_id, seed, rng in zip(trial_ids, seeds, trial_generators(seeds)):
         script = gs_trial(cfg, trial_id, seed, rng)
@@ -794,13 +794,12 @@ def gs_trials(cfg: ScenarioConfig, trial_ids: Sequence[int], seeds: Sequence[int
             t_ga = (start_agl - script.go_around_agl_ft) / rate_fps
             text += _gs_go_around_lines(seed_text, end, t_ga, script.go_around_agl_ft,
                                         script.fallback, t_ga + 300.0 + start_agl / rate_fps)
-            part.count(scenario, "LANDED_FALLBACK").add_trial(
-                (script.go_around_agl_ft,), (script.fallback,))
+            part.add_trial("LANDED_FALLBACK", (script.go_around_agl_ft,), (script.fallback,))
         else:
             text += _gs_land_lines(seed_text, end, t_land, touchdown, long_landing)
-            part.count(scenario, "LANDED").add_trial((), ())
+            part.add_trial("LANDED", (), ())
         texts.append(text)
-    return TextChunk(scenario, texts, part, ())  # a glideslope trial logs no altitude trace
+    return TextChunk(texts, part, ())  # a glideslope trial logs no altitude trace
 
 
 # Each trial's lines, as `json.dumps(record, sort_keys=True)` writes its
@@ -854,32 +853,29 @@ def _gs_land_lines(seed: str, end: str, t: float, touchdown: float, long_landing
 
 @dataclass
 class TextChunk:
-    """A chunk of trials made as their log texts, in trial order, with their
-    summary and the altitude traces made with them, as (trial id, CSV text);
-    iterating it reads each log back as a `TrialLog`."""
+    """A chunk of trials made as their log texts, in trial order, with the
+    scenario's summary of them and the altitude traces made with them, as
+    (trial id, CSV text).  It holds no `TrialLog`: a caller that needs one
+    parses a text with `TrialLog.from_jsonl`."""
 
-    scenario: str
     texts: List[str]
     summary: Summary
     traces: Sequence[Tuple[int, str]]
 
-    def __iter__(self) -> Iterator[TrialLog]:
-        return (TrialLog.from_jsonl(text, self.scenario) for text in self.texts)
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario: its trials function, the accumulator that summarizes
-    its logs (``add(log)``, then ``result()``) and its config overrides.
+    """One scenario: its trials function, its `Summary` subclass, built with
+    the scenario's name (``summary(name)``, then ``add(log)`` or
+    ``add_trial``, then ``result()``), and its config overrides.
 
     The trials function runs the runner's chunk (config, trial ids, seeds)
-    and returns a `TextChunk`: iterating it gives the trials' logs, and the
-    write path takes its ``texts`` (each trial's log as JSON lines),
-    ``summary`` (their `Summary`) and ``traces`` (the altitude traces to
-    write, as (trial id, CSV text))."""
+    and returns a `TextChunk`, whose ``texts`` (each trial's log as JSON
+    lines), ``summary`` (the subclass's fold of them) and ``traces`` (the
+    altitude traces to write, as (trial id, CSV text)) the write path takes."""
 
     trials: Callable[[ScenarioConfig, Sequence[int], Sequence[int]], TextChunk]
-    summary: Callable[[], Any]
+    summary: Type[Summary]
     overrides: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -5,20 +5,21 @@ terrain-alert table lists actions per approach among the crews still flying
 that approach (a crew that lands is not carried forward); the collision-
 avoidance table is a final-mode by final-action matrix.
 
-A summary is a fold: each scenario's accumulator (`GpwsSummary`,
-`TcasSummary`, `GsSummary`) takes one log at a time with ``add`` and keeps
-counts plus the per-trial scalars its means and standard deviations need, and
-``result`` builds the tables and statistics.  Each accumulator folds a trial
-through ``add_trial``, which the scenario's chunk calls with the values it
-wrote, and ``add`` with the fields it reads from a log.  `Summary`
-adds the outcome counts and picks the accumulator from the first log's
-scenario, so a run's logs can be summarized as they are produced or read,
-without holding them.
+A summary is a fold of one scenario's trials: `Summary(scenario)` counts
+their outcomes, and each scenario's subclass (`GpwsSummary`, `TcasSummary`,
+`GsSummary`) keeps the tallies its tables need, plus the per-trial scalars
+its means and standard deviations need, and none it can derive from
+another.  A trial is folded through ``add_trial(outcome, ...)``, which the
+scenario's chunk calls with the values it wrote, or through ``add(log)``,
+which reads the same values from a log; ``result`` builds the tables and
+statistics.  `fold` builds the subclass of the first log's scenario, so a
+run's logs can be summarized as they are read, without holding them.
 
-``merge`` folds in the accumulator of the logs that follow, so a run can be
-folded in contiguous groups and merged in trial order: counts add, maxima
-take the larger, and per-trial scalars are concatenated, so `_mean_sd` sees
-the very list one fold would have made and gives the same bits.
+``merge`` folds in the summary of the trials that follow, so a run can be
+folded in contiguous groups and merged in trial order.  One rule merges
+every tally: counts add, per-trial lists extend in trial order and maps
+merge key by key, so `_mean_sd` sees the very list one fold would have made
+and gives the same bits.
 """
 
 from __future__ import annotations
@@ -91,16 +92,67 @@ def _mean_sd(values: Sequence[float]) -> Dict[str, float]:
     return {"n": n, "mean": mean, "sd": math.sqrt(var)}
 
 
-class GpwsSummary:
+class Summary:
+    """The fold of one scenario's trials: their outcome counts, and the
+    tallies of the scenario's subclass.  Every attribute but ``scenario`` is
+    a tally, merged by `merge`'s one rule.  A subclass folds a trial with
+    ``add_trial(outcome, ...)``, and ``_add(log, outcome)`` folds it with
+    the values it reads from the trial's log."""
+
+    def __init__(self, scenario: str) -> None:
+        self.scenario = scenario
+        self.outcomes: Counter = Counter()
+
+    @property
+    def trials(self) -> int:
+        return sum(self.outcomes.values())
+
+    def _check(self, scenario: str) -> None:
+        if scenario != self.scenario:
+            raise ValueError(f"logs span multiple scenarios: {sorted({self.scenario, scenario})}")
+
+    def add(self, log: TrialLog) -> None:
+        """Fold the trial ``log`` records, one of this summary's scenario."""
+
+        self._check(log.scenario)
+        self._add(log, _field(log, log.events[-1], "outcome", str))
+
+    def merge(self, other: "Summary") -> None:
+        """Fold in ``other``, the summary of the trials after this one's."""
+
+        self._check(other.scenario)
+        for name, tally in vars(other).items():
+            if name != "scenario":
+                setattr(self, name, _merged(getattr(self, name), tally))
+
+    def result(self) -> Dict[str, Any]:
+        return {"scenario": self.scenario, "trials": self.trials,
+                "outcomes": dict(sorted(self.outcomes.items()))}
+
+
+def _merged(mine: Any, theirs: Any) -> Any:
+    """``mine`` with ``theirs``, the same tally of later trials, merged in:
+    maps key by key, and otherwise by ``+=``, so counts add and per-trial
+    lists extend in trial order."""
+
+    if isinstance(mine, dict):
+        for key, value in theirs.items():
+            mine[key] = _merged(mine[key] if key in mine else type(value)(), value)
+        return mine
+    mine += theirs
+    return mine
+
+
+class GpwsSummary(Summary):
     """Actions per approach among the crews still flying it, and the heights
     of the first-approach go-arounds."""
 
-    def __init__(self) -> None:
-        self.trials = 0
+    def __init__(self, scenario: str) -> None:
+        super().__init__(scenario)
         self.per_approach: Dict[int, Counter] = defaultdict(Counter)
         self.first_go_around_agl: List[float] = []
 
-    def add(self, log: TrialLog) -> None:
+    def _add(self, log: TrialLog, outcome: str) -> None:
         actions: List[Tuple[int, str]] = []
         go_around_agl = []
         for event in log.iter_kind("crew_action"):
@@ -114,34 +166,30 @@ class GpwsSummary:
             if approach == 1 and action == crew.GO_AROUND:
                 go_around_agl.append(_field(log, event, "min_agl_ft", _NUMBER))
         landed = None
-        if log.outcome == "LANDED":
+        if outcome == "LANDED":
             approach = _field(log, log.events[-1], "approach", int)
             if not actions or approach != actions[-1][0]:
                 landed = approach
-        self.add_trial(actions, go_around_agl, landed)
+        self.add_trial(outcome, actions, go_around_agl, landed)
 
-    def add_trial(self, actions: Sequence[Tuple[int, str]], go_around_agl: Sequence[float],
-                  landed: Optional[int]) -> None:
-        """One trial: its crew actions as (approach, action) in approach
-        order, the height of its first-approach go-around (none if it did
-        not go around there) and the approach on which it landed unalerted,
-        a landing among the crews flying that approach (None if it did not)."""
+    def add_trial(self, outcome: str, actions: Sequence[Tuple[int, str]],
+                  go_around_agl: Sequence[float], landed: Optional[int]) -> None:
+        """One trial: its outcome, its crew actions as (approach, action) in
+        approach order, the height of its first-approach go-around (none if
+        it did not go around there) and the approach on which it landed
+        unalerted, a landing among the crews flying that approach (None if
+        it did not)."""
 
-        self.trials += 1
+        self.outcomes[outcome] += 1
         for approach, action in actions:
             self.per_approach[approach][action] += 1
         self.first_go_around_agl += go_around_agl
         if landed is not None:
             self.per_approach[landed][crew.LAND] += 1
 
-    def merge(self, other: "GpwsSummary") -> None:
-        self.trials += other.trials
-        for approach, actions in other.per_approach.items():
-            self.per_approach[approach].update(actions)
-        self.first_go_around_agl += other.first_go_around_agl
-
     def result(self) -> Dict[str, Any]:
         per_approach = self.per_approach
+        n = self.trials
         rows = []
         for approach in sorted(per_approach):
             actions = per_approach[approach]
@@ -164,70 +212,55 @@ class GpwsSummary:
             },
             "stats": {
                 "first_approach_go_around_fraction": (
-                    per_approach.get(1, {}).get(crew.GO_AROUND, 0) / self.trials
+                    per_approach.get(1, {}).get(crew.GO_AROUND, 0) / n
                 ),
                 "first_approach_land_fraction": (
-                    per_approach.get(1, {}).get(crew.LAND, 0) / self.trials
+                    per_approach.get(1, {}).get(crew.LAND, 0) / n
                 ),
                 "first_approach_go_around_min_agl_mean_ft": agl["mean"],
                 "first_approach_go_around_min_agl_sd_ft": agl["sd"],
             },
+            **super().result(),
         }
 
 
-class TcasSummary:
+class TcasSummary(Summary):
     """The final-mode by final-action matrix, the advisories seen before each
-    downgrade, and the encounters per trial."""
+    downgrade, and the trials by their encounter count."""
 
-    def __init__(self) -> None:
-        self.trials = 0
+    def __init__(self, scenario: str) -> None:
+        super().__init__(scenario)
         self.matrix: Dict[str, Dict[str, int]] = {
             a: {m: 0 for m in TCAS_MODE_LABELS} for a in TCAS_ACTION_LABELS
         }
-        self.mode_counts = {m: 0 for m in TCAS_MODE_LABELS}
         self.ras_before_downgrade: List[float] = []
         self.tas_before_standby: List[float] = []
-        self.episodes_total = 0
-        self.episodes_max = -math.inf
+        self.episodes: Counter = Counter()
 
-    def add(self, log: TrialLog) -> None:
-        outcome = log.events[-1]
-        mode = _field(log, outcome, "final_mode", TCAS_MODE_LABELS)
-        action = _field(log, outcome, "final_action", TCAS_ACTION_LABELS)
-        episodes = _field(log, outcome, "episodes", _COUNT)
-        ras = (_field(log, outcome, "ras_observed", _NUMBER) if mode != tcas.TA_RA
+    def _add(self, log: TrialLog, outcome: str) -> None:
+        last = log.events[-1]
+        mode = _field(log, last, "final_mode", TCAS_MODE_LABELS)
+        action = _field(log, last, "final_action", TCAS_ACTION_LABELS)
+        episodes = _field(log, last, "episodes", _COUNT)
+        ras = (_field(log, last, "ras_observed", _NUMBER) if mode != tcas.TA_RA
                else None)
-        tas = (_field(log, outcome, "tas_after_downgrade", _NUMBER) if mode == tcas.STANDBY
+        tas = (_field(log, last, "tas_after_downgrade", _NUMBER) if mode == tcas.STANDBY
                else None)
-        self.add_trial(mode, action, episodes, ras, tas)
+        self.add_trial(outcome, mode, action, episodes, ras, tas)
 
-    def add_trial(self, mode: str, action: str, episodes: int, ras: Optional[float],
-                  tas: Optional[float]) -> None:
-        """One trial: its final mode and action, its encounters, the RAs it
-        observed (counted if it left TA/RA) and the TAs after its downgrade
-        (counted if it ended in Standby)."""
+    def add_trial(self, outcome: str, mode: str, action: str, episodes: int,
+                  ras: Optional[float], tas: Optional[float]) -> None:
+        """One trial: its outcome, its final mode and action, its encounters,
+        the RAs it observed (counted if it left TA/RA) and the TAs after its
+        downgrade (counted if it ended in Standby)."""
 
-        self.trials += 1
+        self.outcomes[outcome] += 1
         self.matrix[action][mode] += 1
-        self.mode_counts[mode] += 1
-        self.episodes_total += episodes
-        self.episodes_max = max(self.episodes_max, episodes)
+        self.episodes[episodes] += 1
         if mode != tcas.TA_RA:
             self.ras_before_downgrade.append(ras)
         if mode == tcas.STANDBY:
             self.tas_before_standby.append(tas)
-
-    def merge(self, other: "TcasSummary") -> None:
-        self.trials += other.trials
-        for action, modes in other.matrix.items():
-            for mode, count in modes.items():
-                self.matrix[action][mode] += count
-        for mode, count in other.mode_counts.items():
-            self.mode_counts[mode] += count
-        self.ras_before_downgrade += other.ras_before_downgrade
-        self.tas_before_standby += other.tas_before_standby
-        self.episodes_total += other.episodes_total
-        self.episodes_max = max(self.episodes_max, other.episodes_max)
 
     def result(self) -> Dict[str, Any]:
         n = self.trials
@@ -240,6 +273,8 @@ class TcasSummary:
             total = sum(self.matrix[action].values())
             row.extend([total, round(100.0 * total / n, 1)])
             rows.append(row)
+        modes = {mode: sum(modes[mode] for modes in self.matrix.values())
+                 for mode in TCAS_MODE_LABELS}
         ras = _mean_sd(self.ras_before_downgrade)
         tas = _mean_sd(self.tas_before_standby)
         return {
@@ -256,30 +291,30 @@ class TcasSummary:
                 }
             },
             "stats": {
-                "final_mode_ta_ra_fraction": self.mode_counts[tcas.TA_RA] / n,
-                "final_mode_ta_only_fraction": self.mode_counts[tcas.TA_ONLY] / n,
-                "final_mode_standby_fraction": self.mode_counts[tcas.STANDBY] / n,
+                "final_mode_ta_ra_fraction": modes[tcas.TA_RA] / n,
+                "final_mode_ta_only_fraction": modes[tcas.TA_ONLY] / n,
+                "final_mode_standby_fraction": modes[tcas.STANDBY] / n,
                 "ras_before_ta_only_mean": ras["mean"],
                 "ras_before_ta_only_sd": ras["sd"],
                 "additional_tas_before_standby_mean": tas["mean"],
                 "additional_tas_before_standby_sd": tas["sd"],
-                "episodes_mean": self.episodes_total / n,
-                "episodes_max": self.episodes_max,
+                "episodes_mean": sum(k * count for k, count in self.episodes.items()) / n,
+                "episodes_max": max(self.episodes),
             },
+            **super().result(),
         }
 
 
-class GsSummary:
+class GsSummary(Summary):
     """First-approach go-arounds, their heights, and the fallback approaches
     flown after them."""
 
-    def __init__(self) -> None:
-        self.trials = 0
+    def __init__(self, scenario: str) -> None:
+        super().__init__(scenario)
         self.go_around_agl: List[float] = []
-        self.fallbacks: Dict[str, int] = {}
-        self.landed_first = 0
+        self.fallbacks: Counter = Counter()
 
-    def add(self, log: TrialLog) -> None:
+    def _add(self, log: TrialLog, outcome: str) -> None:
         go_around_agl = [
             _field(log, event, "agl_ft", _NUMBER) for event in log.iter_kind("crew_action")
             if _field(log, event, "action", str) == crew.GO_AROUND
@@ -291,35 +326,27 @@ class GsSummary:
         if len(go_around_agl) > 1 or len(fallbacks) > len(go_around_agl):
             raise ValueError(f"trial {log.trial_id}: {len(go_around_agl)} first-approach "
                              f"go-arounds and {len(fallbacks)} fallback_selected events")
-        self.add_trial(go_around_agl, fallbacks)
+        self.add_trial(outcome, go_around_agl, fallbacks)
 
-    def add_trial(self, go_around_agl: Sequence[float], fallbacks: Iterable[str]) -> None:
-        """One trial: the heights of its first-approach go-arounds (none if
-        it landed from its first approach) and the fallback approaches it
-        selected after them."""
+    def add_trial(self, outcome: str, go_around_agl: Sequence[float],
+                  fallbacks: Iterable[str]) -> None:
+        """One trial: its outcome, the height of its first-approach go-around
+        (none if it landed from its first approach) and the fallback approach
+        it selected after it."""
 
-        self.trials += 1
-        if go_around_agl:
-            self.go_around_agl += go_around_agl
-            for ft in fallbacks:
-                self.fallbacks[ft] = self.fallbacks.get(ft, 0) + 1
-        else:
-            self.landed_first += 1
-
-    def merge(self, other: "GsSummary") -> None:
-        self.trials += other.trials
-        self.go_around_agl += other.go_around_agl
-        for ft, count in other.fallbacks.items():
-            self.fallbacks[ft] = self.fallbacks.get(ft, 0) + count
-        self.landed_first += other.landed_first
+        self.outcomes[outcome] += 1
+        self.go_around_agl += go_around_agl
+        for ft in fallbacks:
+            self.fallbacks[ft] += 1
 
     def result(self) -> Dict[str, Any]:
         n = self.trials
         n_ga = len(self.go_around_agl)
+        landed = n - n_ga
         fallbacks = self.fallbacks
         agl = _mean_sd(self.go_around_agl)
         rows = [["Go-around", n_ga, round(100.0 * n_ga / n, 1)],
-                ["Land", self.landed_first, round(100.0 * self.landed_first / n, 1)]]
+                ["Land", landed, round(100.0 * landed / n, 1)]]
         fb_rows = [
             [ft, count, round(100.0 * count / n_ga, 1)]
             for ft, count in sorted(fallbacks.items())
@@ -343,65 +370,22 @@ class GsSummary:
                     ft: count / n_ga for ft, count in sorted(fallbacks.items())
                 } if n_ga else {},
             },
+            **super().result(),
         }
 
 
-class Summary:
-    """The fold of one scenario's trial logs: their outcomes plus the
-    scenario's own accumulator, chosen by the first log added."""
-
-    def __init__(self) -> None:
-        self.scenario: Optional[str] = None
-        self.outcomes: Dict[str, int] = {}
-        self._scenario_summary: Any = None
-
-    def _scenario(self, scenario: str) -> Any:
-        """The accumulator for ``scenario``'s logs, made by the first one."""
-
-        if self.scenario is None:
-            from .scenarios import SCENARIOS  # the registry imports this module
-
-            self.scenario = scenario
-            self._scenario_summary = SCENARIOS[scenario].summary()
-        elif scenario != self.scenario:
-            raise ValueError(f"logs span multiple scenarios: {sorted({self.scenario, scenario})}")
-        return self._scenario_summary
-
-    def add(self, log: TrialLog) -> None:
-        self._scenario(log.scenario)  # logs of another scenario raise first
-        self.count(log.scenario, _field(log, log.events[-1], "outcome", str)).add(log)
-
-    def count(self, scenario: str, outcome: str) -> Any:
-        """Count a trial of ``scenario`` that ended in ``outcome``; returns
-        the scenario's accumulator, which takes the rest of the trial."""
-
-        scenario_summary = self._scenario(scenario)
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        return scenario_summary
-
-    def merge(self, other: "Summary") -> None:
-        """Fold in ``other``, the summary of the logs after this one's."""
-
-        if other.scenario is None:
-            return
-        self._scenario(other.scenario).merge(other._scenario_summary)
-        for outcome, count in other.outcomes.items():
-            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + count
-
-    def result(self) -> Dict[str, Any]:
-        if self.scenario is None:
-            raise ValueError("cannot summarize an empty set of trial logs")
-        result = self._scenario_summary.result()
-        result["scenario"] = self.scenario
-        result["trials"] = self._scenario_summary.trials
-        result["outcomes"] = dict(sorted(self.outcomes.items()))
-        return result
-
-
 def fold(logs: Iterable[TrialLog]) -> Summary:
-    """The `Summary` of ``logs``, read once, in order."""
+    """The summary of ``logs``, read once, in order: the subclass of the
+    first log's scenario, built with its name."""
 
-    summary = Summary()
+    logs = iter(logs)
+    first = next(logs, None)
+    if first is None:
+        raise ValueError("cannot summarize an empty set of trial logs")
+    from .scenarios import SCENARIOS  # the registry imports this module
+
+    summary = SCENARIOS[first.scenario].summary(first.scenario)
+    summary.add(first)
     for log in logs:
         summary.add(log)
     return summary

@@ -32,7 +32,7 @@ from spoofsim.harness.output import emit, load_run, read_logs
 from spoofsim.harness.runner import CHUNK_TRIALS, run_chunks, trial_seeds
 from spoofsim.harness.scenarios import SCENARIOS, approach_start
 from spoofsim.harness.seeds import seed_states, trial_generators
-from spoofsim.harness.summary import Summary, _mean_sd
+from spoofsim.harness.summary import GpwsSummary, GsSummary, _mean_sd
 
 
 def small_config(scenario, trials=5, **extra):
@@ -908,7 +908,7 @@ def test_emit_files(tmp_path):
     out = tmp_path / "out"
     cfg = small_config("GS", trials=3, output_dir=str(out))
     logs = run(cfg)
-    written = emit(cfg, Summary())
+    written = emit(cfg, GsSummary("GS"))
     files = sorted(p for p in out.rglob("*") if p.is_file())
     assert [str(p.relative_to(out)) for p in files] == [
         "config.json", "report.txt", "summary.csv",
@@ -924,7 +924,7 @@ def test_emit_files(tmp_path):
 def test_emit_deterministic(tmp_path):
     for d in ("a", "b"):
         cfg = small_config("GS", trials=3, output_dir=str(tmp_path / d))
-        emit(cfg, Summary())
+        emit(cfg, GsSummary("GS"))
     for name in ("summary.csv", "report.txt", "trials/trial_00001.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -939,7 +939,7 @@ def _emit_peak_growth(tmp_path, monkeypatch, cpus):
         cfg = small_config("GS", trials=trials, output_dir=str(tmp_path / f"{cpus}-{trials}"))
         tracemalloc.start()
         try:
-            emit(cfg, Summary())
+            emit(cfg, GsSummary("GS"))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -970,7 +970,7 @@ def test_emit_memory_does_not_grow_with_trials_in_two_workers(tmp_path, monkeypa
 def test_altitude_trace_emitted(tmp_path):
     cfg = small_config("GPWS", trials=1, output={"altitude_trace": True},
                        output_dir=str(tmp_path / "out"))
-    written = emit(cfg, Summary())
+    written = emit(cfg, GpwsSummary("GPWS"))
     traces = list((tmp_path / "out" / "traces").iterdir())
     assert [p.name for p in traces] == ["trial_00000.csv"]
     assert written == 1 + 1 + 3  # the log, the trace, summary, report and config
@@ -1004,7 +1004,7 @@ def test_rerun_without_traces_removes_them(tmp_path):
         cfg = small_config("GPWS", trials=2, output={"altitude_trace": altitude_trace},
                            output_dir=str(out))
         logs = run(cfg)
-        emit(cfg, Summary())
+        emit(cfg, GpwsSummary("GPWS"))
         if altitude_trace:
             assert len(list((out / "traces").glob("trial_*.csv"))) == 2
     assert not list((out / "traces").glob("trial_*.csv"))

@@ -20,7 +20,7 @@ from spoofsim.harness.cli import main
 from spoofsim.harness.config import make_config
 from spoofsim.harness.runner import CHUNK_TRIALS, GROUP_TRIALS, groups, in_groups, run
 from spoofsim.harness.scenarios import SCENARIOS
-from spoofsim.harness.summary import Summary, fold
+from spoofsim.harness.summary import GsSummary, fold, summarize
 
 #: Four full chunks and a short one: up to four workers, whose equal shares
 #: start and end inside chunks.
@@ -105,10 +105,8 @@ def test_run_chunks_cut_at_the_global_chunk_grid(scenario):
 
     cfg = make_config({"version": 1, "scenario": scenario, "trials": 700, "master_seed": 5})
     chunks = list(runner.run_chunks(cfg, range(200, 700)))
-    assert [[log.trial_id for log in chunk] for chunk in chunks] == [
-        list(range(200, 256)), list(range(256, 512)), list(range(512, 700))]
-    assert ([log.to_jsonl() for chunk in chunks for log in chunk]
-            == [log.to_jsonl() for log in run(cfg)[200:]])
+    texts = [log.to_jsonl() for log in run(cfg)]
+    assert [chunk.texts for chunk in chunks] == [texts[200:256], texts[256:512], texts[512:700]]
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -381,13 +379,31 @@ _LOGS = {scenario: run(make_config({"version": 1, "scenario": scenario, "trials"
 @given(st.sampled_from(sorted(_LOGS)), st.data())
 def test_merge_of_any_split_equals_one_fold(scenario, data):
     """Merging the folds of consecutive parts of a log sequence, in order,
-    gives the fold of the whole sequence, bit for bit."""
+    gives the fold of the whole sequence, bit for bit, and tally for tally
+    (an empty part merges as an empty summary)."""
 
     pool = _LOGS[scenario]
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=80))
     logs = [pool[i] for i in picks]
     cuts = sorted(data.draw(st.lists(st.integers(0, len(logs)), max_size=5)))
-    merged = Summary()
+    merged = SCENARIOS[scenario].summary(scenario)
     for a, b in zip([0, *cuts], [*cuts, len(logs)]):
-        merged.merge(fold(logs[a:b]))
-    assert repr(merged.result()) == repr(fold(logs).result())
+        merged.merge(fold(logs[a:b]) if a < b else SCENARIOS[scenario].summary(scenario))
+    whole = fold(logs)
+    assert repr(merged.result()) == repr(whole.result())
+    assert vars(merged) == vars(whole)
+
+
+def test_summary_refuses_logs_of_another_scenario():
+    """A summary takes trials of its own scenario only, though GS and
+    BASELINE share a subclass, and summarizing no logs is an error."""
+
+    baseline = GsSummary("BASELINE")
+    message = r"^logs span multiple scenarios: \['BASELINE', 'GS'\]$"
+    with pytest.raises(ValueError, match=message):
+        baseline.merge(fold(_LOGS["GS"]))
+    with pytest.raises(ValueError, match=message):
+        baseline.add(_LOGS["GS"][0])
+    assert baseline.trials == 0 and vars(baseline) == vars(GsSummary("BASELINE"))
+    with pytest.raises(ValueError, match="^cannot summarize an empty set of trial logs$"):
+        summarize([])

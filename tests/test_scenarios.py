@@ -35,7 +35,7 @@ from spoofsim.harness.runner import CHUNK_TRIALS, trial_seeds
 from spoofsim.harness.scenarios import (
     _GPWS_LEAD_FT, _GPWS_RAMP_DURATION_S, _SWEEP, SCENARIOS, approach_start,
 )
-from spoofsim.harness.summary import Summary, fold
+from spoofsim.harness.summary import fold
 from spoofsim.units import ft_to_m, kn_to_mps, m_to_ft
 
 from reference import (
@@ -622,13 +622,20 @@ def _tcas_trial_1hz(cfg, trial_id, seed):
 
 
 def _tcas_logs_agree(raw):
-    """The scheduled trials and the 1 Hz reference write the same JSONL."""
+    """The scheduled trials write the JSONL the 1 Hz reference's logs
+    encode to, and their chunks' summaries merge to the reference's fold."""
 
     cfg = make_config(raw)
-    scheduled = [log.to_jsonl() for log in run(cfg)]
-    reference = [_tcas_trial_1hz(cfg, i, seed).to_jsonl()
-                 for i, seed in enumerate(trial_seeds(cfg.master_seed, range(cfg.trials)))]
-    assert scheduled == reference
+    ids = range(cfg.trials)
+    reference = [_tcas_trial_1hz(cfg, i, seed)
+                 for i, seed in zip(ids, trial_seeds(cfg.master_seed, ids))]
+    chunks = list(runner.run_chunks(cfg, ids))
+    assert [text for chunk in chunks for text in chunk.texts] == [
+        log.to_jsonl() for log in reference]
+    folded = SCENARIOS[cfg.scenario].summary(cfg.scenario)
+    for chunk in chunks:
+        folded.merge(chunk.summary)
+    assert vars(folded) == vars(fold(reference))
 
 
 def _seconds(lo, hi):
@@ -758,7 +765,7 @@ def test_first_cycles_equal_scalar_bound(raw, speeds):
 
 
 def _gpws_trial(cfg, trial_id, seed):
-    return next(iter(SCENARIOS["GPWS"].trials(cfg, [trial_id], [seed])))
+    return SCENARIOS["GPWS"].trials(cfg, [trial_id], [seed]).texts[0]
 
 
 def _gpws_trial_stepped(cfg, trial_id, seed):
@@ -954,7 +961,7 @@ def _gpws_logs_agree(raw):
     assert [trace for chunk in chunks for trace in chunk.traces] == [
         (log.trial_id, trace_csv(log)) for log in reference
         if any(True for _ in log.iter_kind("state"))]
-    folded = Summary()
+    folded = SCENARIOS[cfg.scenario].summary(cfg.scenario)
     for chunk in chunks:
         folded.merge(chunk.summary)
     assert summary_csv(folded.result()) == summary_csv(fold(reference).result())
@@ -1058,7 +1065,7 @@ def test_gs_round_matches_object_reference(raw):
     chunks = list(runner.run_chunks(cfg, ids))
     assert [text for chunk in chunks for text in chunk.texts] == [
         log.to_jsonl() for log in reference]
-    folded = Summary()
+    folded = SCENARIOS[cfg.scenario].summary(cfg.scenario)
     for chunk in chunks:
         folded.merge(chunk.summary)
     assert folded.result() == fold(reference).result()
@@ -1102,7 +1109,7 @@ def test_gs_emit_builds_no_log_records(tmp_path, monkeypatch, scenario, output):
     cfg = make_config({"version": 1, "scenario": scenario, "trials": CHUNK_TRIALS + 3,
                        "master_seed": SEED, "output_dir": str(tmp_path / "out"),
                        "output": output})
-    summary = Summary()
+    summary = SCENARIOS[scenario].summary(scenario)
     traces = cfg.trials if output else 0  # every default GPWS trial is attacked
     assert emit(cfg, summary) == cfg.trials + traces + 3
     assert summary.result()["trials"] == cfg.trials
@@ -1270,8 +1277,8 @@ def test_tcas_chunk_folds_its_trials_in_order(override):
                        "master_seed": SEED, **override})
     modes = Counter()
     for chunk in runner.run_chunks(cfg, range(cfg.trials)):
-        read_back = fold(chunk)
-        assert chunk.summary.outcomes == read_back.outcomes
-        assert vars(chunk.summary._scenario_summary) == vars(read_back._scenario_summary)
-        modes.update(read_back._scenario_summary.mode_counts)
+        read_back = fold(TrialLog.from_jsonl(text, cfg.scenario) for text in chunk.texts)
+        assert vars(chunk.summary) == vars(read_back)
+        for modes_of_action in read_back.matrix.values():
+            modes.update(modes_of_action)
     assert modes[tcas.TA_ONLY] > 0 and modes[tcas.STANDBY] > 0, modes  # both keep lists
