@@ -273,7 +273,7 @@ class TcasSummary(Summary):
             total = sum(self.matrix[action].values())
             row.extend([total, round(100.0 * total / n, 1)])
             rows.append(row)
-        modes = {mode: sum(modes[mode] for modes in self.matrix.values())
+        modes = {mode: sum(counts[mode] for counts in self.matrix.values())
                  for mode in TCAS_MODE_LABELS}
         ras = _mean_sd(self.ras_before_downgrade)
         tas = _mean_sd(self.tas_before_standby)
